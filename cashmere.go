@@ -284,21 +284,26 @@ func GetKernel(ctx *Context, name string) (*Kernel, error) { return core.GetKern
 
 // ParseMCPL parses and type-checks an MCPL source file.
 func ParseMCPL(src string) (*mcpl.Program, error) {
+	info, err := parseChecked(src)
+	if err != nil {
+		return nil, err
+	}
+	return info.Prog, nil
+}
+
+func parseChecked(src string) (*mcpl.Info, error) {
 	prog, err := mcpl.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := mcpl.Check(prog); err != nil {
-		return nil, err
-	}
-	return prog, nil
+	return mcpl.Check(prog)
 }
 
 // Feedback runs the MCL stepwise-refinement feedback engine for a kernel
 // against a hardware-description level (e.g. "gpu", "gtx480"). params give
 // representative launch values for the kernel's scalar int parameters.
 func Feedback(src, kernel, level string, params map[string]int64) ([]FeedbackMessage, error) {
-	prog, err := ParseMCPL(src)
+	info, err := parseChecked(src)
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +312,7 @@ func Feedback(src, kernel, level string, params map[string]int64) ([]FeedbackMes
 	if err != nil {
 		return nil, err
 	}
-	return feedback.Generate(prog, kernel, params, lv, nil)
+	return feedback.Generate(info, kernel, params, lv, nil)
 }
 
 // KernelGFLOPS compiles the kernel set's most specific version for the

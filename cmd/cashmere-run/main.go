@@ -53,16 +53,14 @@ func main() {
 	)
 	flag.Parse()
 
-	v := map[string]apps.Variant{
-		"satin": apps.Satin, "unopt": apps.CashmereUnoptimized, "opt": apps.CashmereOptimized,
-	}[*variant]
+	v, err := parseVariant(*variant)
+	die(err)
 
 	// Resolve the application's kernel set and host program before building
 	// the cluster, so the tuner can search against the exact kernel sources
 	// that will run.
 	var ks *codegen.KernelSet
 	var run func(cl *core.Cluster) (apps.Result, error)
-	var err error
 	switch *app {
 	case "raytracer":
 		ks, err = apps.RaytracerKernels(v)
@@ -182,6 +180,20 @@ func main() {
 	if *metrics {
 		fmt.Print(cl.CollectMetrics().Format())
 	}
+}
+
+// parseVariant maps a -variant value to the application variant, rejecting
+// anything but satin, unopt and opt.
+func parseVariant(s string) (apps.Variant, error) {
+	switch s {
+	case "satin":
+		return apps.Satin, nil
+	case "unopt":
+		return apps.CashmereUnoptimized, nil
+	case "opt":
+		return apps.CashmereOptimized, nil
+	}
+	return 0, fmt.Errorf("unknown variant %q (want satin, unopt or opt)", s)
 }
 
 // parseCluster parses "10xgtx480,2xc2050,1xk20+xeon_phi".

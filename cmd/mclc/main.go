@@ -85,7 +85,7 @@ func main() {
 	die(err)
 	prog, err := mcpl.Parse(string(src))
 	die(err)
-	_, err = mcpl.Check(prog)
+	info, err := mcpl.Check(prog)
 	die(err)
 
 	name := *kernel
@@ -108,7 +108,7 @@ func main() {
 	}
 
 	if *doFeed {
-		msgs, err := feedback.Generate(prog, name, p, lv, spec)
+		msgs, err := feedback.Generate(info, name, p, lv, spec)
 		die(err)
 		if len(msgs) == 0 {
 			fmt.Printf("%s: no feedback for level %q — ready to translate down\n", name, lv.Name)
@@ -132,7 +132,7 @@ func main() {
 		if spec != nil {
 			simd = spec.SIMDWidth
 		}
-		rep, err := codegen.Analyze(prog, name, p, simd)
+		rep, err := codegen.Analyze(info, name, p, simd)
 		die(err)
 		fmt.Printf("kernel %s (level %s) analyzed for %s:\n", name, k.Level, lv.Name)
 		fmt.Printf("  flops            %.4g (divergent %.0f%%)\n", rep.Flops, rep.DivergentFrac()*100)

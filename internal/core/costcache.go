@@ -5,9 +5,10 @@ import (
 	"cashmere/internal/mcl/codegen"
 )
 
-// The MCL cost model walks the kernel's AST on every evaluation. Iterative
-// applications (kmeans, nbody) launch the same kernel with the same scalar
-// parameters thousands of times, so NodeState memoizes Cost per
+// Every MCL cost evaluation re-runs the static analysis of the kernel for
+// its parameters (over the program checked once, in NewKernelSet).
+// Iterative applications (kmeans, nbody) launch the same kernel with the
+// same scalar parameters thousands of times, so NodeState memoizes Cost per
 // (compiled kernel, parameter fingerprint). The fingerprint is a commutative
 // sum of per-entry FNV hashes — map iteration order cannot perturb it — and
 // each cache entry keeps a copy of its parameter map so a fingerprint

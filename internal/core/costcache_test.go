@@ -3,13 +3,8 @@ package core
 import (
 	"testing"
 
-	"cashmere/internal/mcl/codegen"
 	"cashmere/internal/satin"
 )
-
-func mustKSBench(name string, sources ...string) (*codegen.KernelSet, error) {
-	return codegen.NewKernelSet(name, sources...)
-}
 
 func TestCostCacheHitsOnRepeatedLaunches(t *testing.T) {
 	cfg := DefaultConfig(1, "k20")
@@ -94,37 +89,4 @@ func TestFingerprintOrderIndependent(t *testing.T) {
 	if !paramsEqual(a, b) || paramsEqual(a, c) {
 		t.Fatal("paramsEqual wrong")
 	}
-}
-
-// BenchmarkKernelCost compares the memoized lookup against a fresh AST-walk
-// evaluation — the per-launch saving for iterative applications.
-func BenchmarkKernelCost(b *testing.B) {
-	cfg := DefaultConfig(1, "k20")
-	cl, _ := NewCluster(cfg)
-	ks, err := mustKSBench("scale", scaleKernel)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cl.Register(ks)
-	cl.Run(func(ctx *satin.Context) any { return nil })
-	ns := cl.NodeState(0)
-	c := ns.kernels["scale"][0]
-	params := map[string]int64{"n": 1 << 20}
-
-	b.Run("memoized", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ns.kernelCost(c, params); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("direct", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Cost(params); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

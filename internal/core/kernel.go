@@ -177,7 +177,7 @@ func (l *Launch) Run(ctx *satin.Context) error {
 	total := in + out
 	if total > dev.Spec().GlobalMem {
 		if l.spec.OutOfCore {
-			return l.runOutOfCore(ctx, devIdx, est, cost)
+			return l.runOutOfCore(ctx, devIdx, est, cost, in, out)
 		}
 		ns.Sched.Done(l.k.name, devIdx, est, 0)
 		ns.cpuFallbacks++
@@ -387,16 +387,16 @@ func enqueueStream(dev *ocl.Device, label string, cost device.KernelCost, inTota
 // chunk pass i-2 used, so its write depends on that pass's read and double
 // buffering falls out of the event graph. Transfers of pass i+1 overlap the
 // kernel of pass i through the independent DMA and compute queues, with no
-// per-pass process spawned.
-func (l *Launch) runOutOfCore(ctx *satin.Context, devIdx int, est simnet.Duration, cost device.KernelCost) error {
+// per-pass process spawned. in and out are the launch's transfer totals,
+// declared-buffer accesses included.
+func (l *Launch) runOutOfCore(ctx *satin.Context, devIdx int, est simnet.Duration, cost device.KernelCost, in, out int64) error {
 	ns := l.k.ns
 	p := ctx.Proc()
 	dev := ns.Devices[devIdx]
 	compiled := ns.kernels[l.k.name][devIdx]
 
 	chunk := dev.Spec().GlobalMem / 4
-	total := l.spec.InBytes + l.spec.OutBytes
-	passes := int((total + chunk - 1) / chunk)
+	passes := int((in + out + chunk - 1) / chunk)
 	if passes < 2 {
 		passes = 2
 	}
@@ -407,7 +407,7 @@ func (l *Launch) runOutOfCore(ctx *satin.Context, devIdx int, est simnet.Duratio
 	}
 	defer buf.Free()
 
-	measured := l.streamPasses(p, dev, cost, l.spec.InBytes, l.spec.OutBytes, passes, true, dev.Tracing())
+	measured := l.streamPasses(p, dev, cost, in, out, passes, true, dev.Tracing())
 	ns.Sched.Done(l.k.name, devIdx, est, measured)
 	ns.flopsCharged += cost.Flops
 	if ns.cl.cfg.Verify {

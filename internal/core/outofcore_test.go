@@ -5,6 +5,7 @@ import (
 
 	"cashmere/internal/satin"
 	"cashmere/internal/simnet"
+	"cashmere/internal/svm"
 )
 
 func TestOutOfCoreLaunchStreamsOversizedData(t *testing.T) {
@@ -131,5 +132,40 @@ func TestOutOfCorePassesOverlapTransfersWithKernels(t *testing.T) {
 	serialized := 2 * wire
 	if simnet.Duration(end) > serialized+serialized/2 {
 		t.Fatalf("out-of-core made no use of overlap: end=%v vs serialized=%v", end, serialized)
+	}
+}
+
+func TestOutOfCoreBillsDeclaredBuffers(t *testing.T) {
+	// Under the explicit transport a declared buffer read rides the input
+	// transfer. The fits check counts it, so the out-of-core passes must
+	// move it too: 1 GiB of plain input plus a 1 GiB buffer overflows the
+	// gtx480's 1.5 GB and streams every byte of both.
+	cl, _ := NewCluster(DefaultConfig(1, "gtx480"))
+	cl.Register(mustKS(t, "scale", scaleKernel))
+	const in, buf = int64(1 << 30), int64(1 << 30)
+	_, _, err := cl.Run(func(ctx *satin.Context) any {
+		b, err := NewSVMBuffer(ctx, "a", buf)
+		if err != nil {
+			return err
+		}
+		k, err := GetKernel(ctx, "scale")
+		if err != nil {
+			return err
+		}
+		return k.NewLaunch(LaunchSpec{
+			Params:    map[string]int64{"n": 1 << 28},
+			InBytes:   in,
+			Buffers:   []BufferAccess{{Buf: b, Mode: svm.Read}},
+			OutOfCore: true,
+		}).Run(ctx)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cl.CollectMetrics().Int("mcl.bytes_moved"); got != in+buf {
+		t.Fatalf("mcl.bytes_moved = %d, want %d (short by %d)", got, in+buf, in+buf-got)
+	}
+	if dev := cl.NodeState(0).Devices[0]; dev.Launches() < 2 {
+		t.Fatalf("ran %d passes, want several", dev.Launches())
 	}
 }

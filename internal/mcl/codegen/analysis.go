@@ -1,8 +1,9 @@
 // Package codegen turns checked MCPL kernels into everything Cashmere needs
-// at run time: OpenCL-style source text, an executable form (backed by the
-// interpreter), glue configuration (work-group/work-item shapes, Sec. III-A),
-// and — central to this reproduction — a cost descriptor derived from static
-// analysis.
+// at run time: OpenCL-style source text, an executable form (the closure
+// engine of mcl/closure, with the interpreter as fallback), glue
+// configuration (work-group/work-item shapes, Sec. III-A), and — central to
+// this reproduction — a cost descriptor derived from static analysis of the
+// checked program.
 //
 // The same analysis drives the stepwise-refinement feedback engine
 // (mcl/feedback): uncoalesced accesses, missing local-memory reuse and SIMD
@@ -101,30 +102,26 @@ func (r *Report) CoalescedFrac() float64 {
 	return r.CoalescedBytes / lane
 }
 
-// Analyze statically analyzes a kernel launch. params maps every scalar int
-// parameter to its concrete launch value; simdWidth is the lane width of the
-// target device (32 for NVIDIA, 64 for AMD, 16 for the Phi, 4 for SSE CPUs).
-func Analyze(prog *mcpl.Program, kernel string, params map[string]int64, simdWidth int) (*Report, error) {
-	f := prog.Kernel(kernel)
+// Analyze statically analyzes a kernel launch of a checked program. params
+// maps every scalar int parameter to its concrete launch value; simdWidth is
+// the lane width of the target device (32 for NVIDIA, 64 for AMD, 16 for the
+// Phi, 4 for SSE CPUs).
+func Analyze(info *mcpl.Info, kernel string, params map[string]int64, simdWidth int) (*Report, error) {
+	f := info.Prog.Kernel(kernel)
 	if f == nil {
 		return nil, fmt.Errorf("codegen: kernel %q not found", kernel)
 	}
 	if simdWidth < 1 {
 		simdWidth = 1
 	}
-	info, err := mcpl.Check(prog)
-	if err != nil {
-		return nil, fmt.Errorf("codegen: kernel does not type-check: %w", err)
-	}
 	a := &analyzer{
-		prog:   prog,
 		info:   info,
 		rep:    &Report{Kernel: kernel, Level: f.Level, ThreadParallelism: 1},
 		simd:   simdWidth,
 		spaces: map[string]mcpl.Space{},
 		dims:   map[string][]mcpl.Expr{},
+		vars:   make([]binding, 0, 64), // the raytracer nests about 60 deep
 	}
-	env := map[string]*aval{}
 	for _, prm := range f.Params {
 		if prm.Type.IsArray() {
 			space := prm.Space
@@ -136,80 +133,103 @@ func Analyze(prog *mcpl.Program, kernel string, params map[string]int64, simdWid
 			continue
 		}
 		if prm.Type.Kind != mcpl.KindInt {
-			env[prm.Name] = symval() // float/bool params are uniform values
+			a.bind(prm.Name, symval) // float/bool params are uniform values
 			continue
 		}
 		v, ok := params[prm.Name]
 		if !ok {
 			return nil, fmt.Errorf("codegen: missing launch value for scalar parameter %q", prm.Name)
 		}
-		env[prm.Name] = &aval{val: v}
+		a.bind(prm.Name, aval{val: v})
 	}
-	a.block(f.Body, env, ctx{mult: 1})
+	a.block(f.Body, ctx{mult: 1})
 	sort.Slice(a.rep.Warnings, func(i, j int) bool { return a.rep.Warnings[i] < a.rep.Warnings[j] })
 	return a.rep, nil
 }
 
 // aval is an abstract value: constant + affine combination of parallel/loop
-// variables + a data-dependence taint.
+// variables + a data-dependence taint. A value is never modified once built
+// (every operation builds a new one), so bindings and results share their
+// terms.
 type aval struct {
 	val     int64
-	coeffs  map[string]int64 // variable name -> coefficient
+	terms   []term // affine coefficients, one per variable; a term may be zero
 	dataDep bool
 }
 
-func (v *aval) known() bool { return v != nil && !v.dataDep && len(v.coeffs) == 0 }
-
-func (v *aval) clone() *aval {
-	nv := &aval{val: v.val, dataDep: v.dataDep}
-	if len(v.coeffs) > 0 {
-		nv.coeffs = make(map[string]int64, len(v.coeffs))
-		for k, c := range v.coeffs {
-			nv.coeffs[k] = c
-		}
-	}
-	return nv
+// term is one variable's coefficient in an affine value.
+type term struct {
+	name string
+	c    int64
 }
 
-func unknown() *aval { return &aval{dataDep: true} }
+func (v aval) known() bool { return !v.dataDep && len(v.terms) == 0 }
+
+// coeff returns the coefficient of the named variable.
+func (v aval) coeff(name string) int64 {
+	for _, t := range v.terms {
+		if t.name == name {
+			return t.c
+		}
+	}
+	return 0
+}
+
+var unknown = aval{dataDep: true}
 
 // symval is a uniform-but-unknown value: the same for every thread (so not
 // divergence-inducing) but not a usable constant (so not known). Encoded as
 // an affine term on a reserved symbol no lane or loop variable ever uses.
-func symval() *aval { return &aval{coeffs: map[string]int64{"$sym": 1}} }
+var symval = aval{terms: []term{{"$sym", 1}}}
 
-func add(a, b *aval, sign int64) *aval {
-	out := &aval{val: a.val + sign*b.val, dataDep: a.dataDep || b.dataDep}
-	out.coeffs = map[string]int64{}
-	for k, c := range a.coeffs {
-		out.coeffs[k] += c
+// variable is the abstract value of a lane or loop variable itself.
+func variable(name string) aval { return aval{terms: []term{{name, 1}}} }
+
+// add returns a + sign*b, dropping the terms that cancel to zero.
+func add(a, b aval, sign int64) aval {
+	out := aval{val: a.val + sign*b.val, dataDep: a.dataDep || b.dataDep}
+	if len(a.terms) == 0 && len(b.terms) == 0 {
+		return out
 	}
-	for k, c := range b.coeffs {
-		out.coeffs[k] += sign * c
+	terms := append(make([]term, 0, len(a.terms)+len(b.terms)), a.terms...)
+	for _, bt := range b.terms {
+		i := 0
+		for i < len(terms) && terms[i].name != bt.name {
+			i++
+		}
+		if i == len(terms) {
+			terms = append(terms, term{name: bt.name})
+		}
+		terms[i].c += sign * bt.c
 	}
-	for k, c := range out.coeffs {
-		if c == 0 {
-			delete(out.coeffs, k)
+	n := 0
+	for _, t := range terms {
+		if t.c != 0 {
+			terms[n] = t
+			n++
 		}
 	}
+	out.terms = terms[:n]
 	return out
 }
 
-func mulval(a, b *aval) *aval {
+func mulval(a, b aval) aval {
 	// Affine × constant stays affine; anything else is data-dependent for
 	// stride purposes (conservative).
 	if a.known() {
 		a, b = b, a
 	}
-	if b.known() {
-		out := &aval{val: a.val * b.val, dataDep: a.dataDep}
-		out.coeffs = map[string]int64{}
-		for k, c := range a.coeffs {
-			out.coeffs[k] = c * b.val
-		}
-		return out
+	if !b.known() {
+		return unknown
 	}
-	return &aval{dataDep: true}
+	out := aval{val: a.val * b.val, dataDep: a.dataDep}
+	if len(a.terms) > 0 {
+		out.terms = make([]term, len(a.terms))
+		for i, t := range a.terms {
+			out.terms[i] = term{name: t.name, c: t.c * b.val}
+		}
+	}
+	return out
 }
 
 // ctx carries the traversal context.
@@ -222,15 +242,62 @@ type ctx struct {
 	depth     int // helper-inline depth
 }
 
+// binding is one variable's abstract value in a scope.
+type binding struct {
+	name string
+	val  aval
+}
+
 type analyzer struct {
-	prog   *mcpl.Program
 	info   *mcpl.Info
 	rep    *Report
 	simd   int
 	spaces map[string]mcpl.Space
 	dims   map[string][]mcpl.Expr
 
+	// vars is the scope stack, innermost binding last. Each block is a scope:
+	// reads fall through to the enclosing scopes and writes land in the
+	// innermost one, shadowing rather than updating an outer binding, so the
+	// outer value is back when the block ends. A call starts a fresh frame
+	// the callee cannot read past.
+	vars  []binding
+	scope int // index of the innermost scope's first binding
+	frame int // index of the current call frame's first binding
+
 	warned map[string]bool
+}
+
+// lookup returns a variable's value in the innermost scope that binds it.
+func (a *analyzer) lookup(name string) (aval, bool) {
+	for i := len(a.vars) - 1; i >= a.frame; i-- {
+		if a.vars[i].name == name {
+			return a.vars[i].val, true
+		}
+	}
+	return aval{}, false
+}
+
+// bind sets a variable in the innermost scope.
+func (a *analyzer) bind(name string, v aval) {
+	for i := len(a.vars) - 1; i >= a.scope; i-- {
+		if a.vars[i].name == name {
+			a.vars[i].val = v
+			return
+		}
+	}
+	a.vars = append(a.vars, binding{name: name, val: v})
+}
+
+// push opens a scope; pop closes it, given what push returned.
+func (a *analyzer) push() int {
+	outer := a.scope
+	a.scope = len(a.vars)
+	return outer
+}
+
+func (a *analyzer) pop(outer int) {
+	a.vars = a.vars[:a.scope]
+	a.scope = outer
 }
 
 // isFloat reports whether the checker assigned a floating-point type to the
@@ -257,55 +324,39 @@ func (a *analyzer) flops(n float64, c ctx) {
 	}
 }
 
-func (a *analyzer) block(b *mcpl.Block, env map[string]*aval, c ctx) {
-	inner := childEnv(env)
+func (a *analyzer) block(b *mcpl.Block, c ctx) {
+	outer := a.push()
 	for _, s := range b.Stmts {
-		a.stmt(s, inner, c)
+		a.stmt(s, c)
 	}
+	a.pop(outer)
 }
 
-// childEnv layers a scope; lookups fall through via copy-on-read semantics.
-// A flat copy is sufficient because the analyzer only needs approximate
-// dataflow.
-func childEnv(env map[string]*aval) map[string]*aval {
-	out := make(map[string]*aval, len(env)+4)
-	for k, v := range env {
-		out[k] = v
-	}
-	return out
-}
-
-// isInnermostForeach reports whether no nested foreach exists below b.
-func isInnermostForeach(b *mcpl.Block) bool {
-	found := false
-	var scan func(ss []mcpl.Stmt)
-	scan = func(ss []mcpl.Stmt) {
-		for _, s := range ss {
-			switch st := s.(type) {
-			case *mcpl.Foreach:
-				found = true
-			case *mcpl.Block:
-				scan(st.Stmts)
-			case *mcpl.If:
-				scan(st.Then.Stmts)
-				if st.Else != nil {
-					scan([]mcpl.Stmt{st.Else})
-				}
-			case *mcpl.For:
-				scan(st.Body.Stmts)
-			case *mcpl.While:
-				scan(st.Body.Stmts)
+// hasForeach reports whether a foreach is nested anywhere in s.
+func hasForeach(s mcpl.Stmt) bool {
+	switch st := s.(type) {
+	case *mcpl.Foreach:
+		return true
+	case *mcpl.Block:
+		for _, x := range st.Stmts {
+			if hasForeach(x) {
+				return true
 			}
 		}
+	case *mcpl.If:
+		return hasForeach(st.Then) || st.Else != nil && hasForeach(st.Else)
+	case *mcpl.For:
+		return hasForeach(st.Body)
+	case *mcpl.While:
+		return hasForeach(st.Body)
 	}
-	scan(b.Stmts)
-	return !found
+	return false
 }
 
-func (a *analyzer) stmt(s mcpl.Stmt, env map[string]*aval, c ctx) {
+func (a *analyzer) stmt(s mcpl.Stmt, c ctx) {
 	switch st := s.(type) {
 	case *mcpl.Block:
-		a.block(st, env, c)
+		a.block(st, c)
 	case *mcpl.VarDecl:
 		if st.Type.IsArray() {
 			space := st.Space
@@ -320,7 +371,7 @@ func (a *analyzer) stmt(s mcpl.Stmt, env map[string]*aval, c ctx) {
 				a.rep.UsesLocalMemory = true
 				size := st.Type.ElemSize()
 				for _, d := range st.Type.Dims {
-					dv := a.eval(d, env, c)
+					dv := a.eval(d, c)
 					if dv.known() {
 						size *= dv.val
 					} else {
@@ -332,30 +383,30 @@ func (a *analyzer) stmt(s mcpl.Stmt, env map[string]*aval, c ctx) {
 			return
 		}
 		if st.Init != nil {
-			env[st.Name] = a.eval(st.Init, env, c)
+			a.bind(st.Name, a.eval(st.Init, c))
 		} else {
-			env[st.Name] = &aval{}
+			a.bind(st.Name, aval{})
 		}
 	case *mcpl.Assign:
-		rhs := a.eval(st.Rhs, env, c)
+		rhs := a.eval(st.Rhs, c)
 		switch lhs := st.Lhs.(type) {
 		case *mcpl.Ident:
 			if st.Op == "=" {
-				env[lhs.Name] = rhs
+				a.bind(lhs.Name, rhs)
 			} else {
-				old, ok := env[lhs.Name]
+				old, ok := a.lookup(lhs.Name)
 				if !ok {
-					old = unknown()
+					old = unknown
 				}
-				env[lhs.Name] = combineOp(st.Op, old, rhs)
+				a.bind(lhs.Name, combineOp(st.Op, old, rhs))
 				if a.isFloat(st.Lhs) {
 					a.flops(1, c) // compound assign implies an arithmetic op
 				}
 			}
 		case *mcpl.Index:
-			a.access(lhs, env, c, true)
+			a.access(lhs, c, true)
 			if st.Op != "=" {
-				a.access(lhs, env, c, false) // read-modify-write reads too
+				a.access(lhs, c, false) // read-modify-write reads too
 				if a.isFloat(st.Lhs) {
 					a.flops(1, c)
 				}
@@ -363,48 +414,49 @@ func (a *analyzer) stmt(s mcpl.Stmt, env map[string]*aval, c ctx) {
 		}
 	case *mcpl.IncDec:
 		if lhs, ok := st.Lhs.(*mcpl.Ident); ok {
-			old, okv := env[lhs.Name]
-			if !okv {
-				old = unknown()
+			old, ok := a.lookup(lhs.Name)
+			if !ok {
+				old = unknown
 			}
-			env[lhs.Name] = add(old, &aval{val: 1}, incSign(st.Op))
+			a.bind(lhs.Name, add(old, aval{val: 1}, incSign(st.Op)))
 		}
 	case *mcpl.If:
-		cond := a.eval(st.Cond, env, c)
+		cond := a.eval(st.Cond, c)
 		cc := c
 		if cond.dataDep {
 			cc.divergent = true
 			cc.mult = c.mult * 0.5
 		}
-		a.block(st.Then, env, cc)
+		a.block(st.Then, cc)
 		if st.Else != nil {
-			a.stmt(st.Else, env, cc)
+			a.stmt(st.Else, cc)
 		}
 	case *mcpl.For:
-		inner := childEnv(env)
+		outer := a.push()
 		var loopVar string
 		if st.Init != nil {
-			a.stmt(st.Init, inner, c)
+			a.stmt(st.Init, c)
 			if vd, ok := st.Init.(*mcpl.VarDecl); ok {
 				loopVar = vd.Name
 			}
 		}
-		trips := a.tripCount(st, inner, c)
+		trips := a.tripCount(st, c)
 		cc := c
 		cc.mult = c.mult * trips
 		cc.inLoop = cc.inLoop || trips > 1
 		if loopVar != "" {
 			cc.loopVars = append(append([]string{}, c.loopVars...), loopVar)
-			inner[loopVar] = &aval{coeffs: map[string]int64{loopVar: 1}}
+			a.bind(loopVar, variable(loopVar))
 		}
 		if st.Cond != nil {
-			a.eval(st.Cond, inner, cc)
+			a.eval(st.Cond, cc)
 		}
-		a.block(st.Body, inner, cc)
+		a.block(st.Body, cc)
+		a.pop(outer)
 	case *mcpl.While:
 		trips := float64(8)
 		if st.Expect != nil {
-			ev := a.eval(st.Expect, env, c)
+			ev := a.eval(st.Expect, c)
 			if ev.known() {
 				trips = float64(ev.val)
 			}
@@ -414,13 +466,13 @@ func (a *analyzer) stmt(s mcpl.Stmt, env map[string]*aval, c ctx) {
 		cc := c
 		cc.mult = c.mult * trips
 		cc.inLoop = true
-		cond := a.eval(st.Cond, env, c)
+		cond := a.eval(st.Cond, c)
 		if cond.dataDep {
 			cc.divergent = true
 		}
-		a.block(st.Body, env, cc)
+		a.block(st.Body, cc)
 	case *mcpl.Foreach:
-		bound := a.eval(st.Bound, env, c)
+		bound := a.eval(st.Bound, c)
 		extent := float64(1)
 		if bound.known() {
 			extent = float64(bound.val)
@@ -433,18 +485,19 @@ func (a *analyzer) stmt(s mcpl.Stmt, env map[string]*aval, c ctx) {
 		cc := c
 		cc.mult = c.mult * extent
 		a.rep.ThreadParallelism *= extent
-		inner := childEnv(env)
-		inner[st.Var] = &aval{coeffs: map[string]int64{st.Var: 1}}
-		if isInnermostForeach(st.Body) {
+		outer := a.push()
+		a.bind(st.Var, variable(st.Var))
+		if !hasForeach(st.Body) {
 			cc.laneVar = st.Var
 		}
-		a.block(st.Body, inner, cc)
+		a.block(st.Body, cc)
+		a.pop(outer)
 	case *mcpl.Return:
 		if st.Value != nil {
-			a.eval(st.Value, env, c)
+			a.eval(st.Value, c)
 		}
 	case *mcpl.ExprStmt:
-		a.eval(st.X, env, c)
+		a.eval(st.X, c)
 	case *mcpl.Barrier:
 		// Synchronization cost is folded into the compute efficiency.
 	}
@@ -457,7 +510,7 @@ func incSign(op string) int64 {
 	return 1
 }
 
-func combineOp(op string, old, rhs *aval) *aval {
+func combineOp(op string, old, rhs aval) aval {
 	switch op {
 	case "+=":
 		return add(old, rhs, 1)
@@ -466,31 +519,32 @@ func combineOp(op string, old, rhs *aval) *aval {
 	case "*=":
 		return mulval(old, rhs)
 	default:
-		return unknown()
+		return unknown
 	}
 }
 
 // tripCount estimates the iterations of a for loop.
-func (a *analyzer) tripCount(st *mcpl.For, env map[string]*aval, c ctx) float64 {
+func (a *analyzer) tripCount(st *mcpl.For, c ctx) float64 {
 	if st.Expect != nil {
-		ev := a.eval(st.Expect, env, c)
+		ev := a.eval(st.Expect, c)
 		if ev.known() {
 			return float64(ev.val)
 		}
 	}
 	// Pattern: init `v = A`, cond `v < B` (or <=), post v++/v+=s.
-	var initVal *aval
+	var initVal aval
+	hasInit := false
 	var name string
 	switch in := st.Init.(type) {
 	case *mcpl.VarDecl:
 		name = in.Name
 		if in.Init != nil {
-			initVal = a.eval(in.Init, env, c)
+			initVal, hasInit = a.eval(in.Init, c), true
 		}
 	case *mcpl.Assign:
 		if id, ok := in.Lhs.(*mcpl.Ident); ok && in.Op == "=" {
 			name = id.Name
-			initVal = a.eval(in.Rhs, env, c)
+			initVal, hasInit = a.eval(in.Rhs, c), true
 		}
 	}
 	step := int64(0)
@@ -501,7 +555,7 @@ func (a *analyzer) tripCount(st *mcpl.For, env map[string]*aval, c ctx) float64 
 		}
 	case *mcpl.Assign:
 		if id, ok := po.Lhs.(*mcpl.Ident); ok && id.Name == name {
-			rv := a.eval(po.Rhs, env, c)
+			rv := a.eval(po.Rhs, c)
 			if rv.known() {
 				switch po.Op {
 				case "+=":
@@ -512,9 +566,9 @@ func (a *analyzer) tripCount(st *mcpl.For, env map[string]*aval, c ctx) float64 
 			}
 		}
 	}
-	if cond, ok := st.Cond.(*mcpl.Binary); ok && initVal != nil && initVal.known() && step != 0 {
+	if cond, ok := st.Cond.(*mcpl.Binary); ok && hasInit && initVal.known() && step != 0 {
 		if id, ok := cond.L.(*mcpl.Ident); ok && id.Name == name {
-			bound := a.eval(cond.R, env, c)
+			bound := a.eval(cond.R, c)
 			if bound.known() {
 				var n int64
 				switch cond.Op {
@@ -549,7 +603,7 @@ func ceilDiv(a, b int64) int64 {
 }
 
 // access records a global-memory access site.
-func (a *analyzer) access(x *mcpl.Index, env map[string]*aval, c ctx, write bool) {
+func (a *analyzer) access(x *mcpl.Index, c ctx, write bool) {
 	name := x.Array.(*mcpl.Ident).Name
 	space := a.spaces[name]
 	if space == mcpl.SpaceLocal || space == mcpl.SpacePrivate {
@@ -557,12 +611,16 @@ func (a *analyzer) access(x *mcpl.Index, env map[string]*aval, c ctx, write bool
 	}
 	// Stride of the flattened address with respect to the lane variable.
 	dims := a.dims[name]
-	strides := make([]int64, len(dims))
+	var sbuf [4]int64 // no allocation up to four dimensions
+	strides := sbuf[:]
+	if len(dims) > len(sbuf) {
+		strides = make([]int64, len(dims))
+	}
 	s := int64(1)
 	ok := true
 	for i := len(dims) - 1; i >= 0; i-- {
 		strides[i] = s
-		dv := a.eval(dims[i], env, c)
+		dv := a.eval(dims[i], c)
 		if dv.known() {
 			s *= dv.val
 		} else {
@@ -574,15 +632,15 @@ func (a *analyzer) access(x *mcpl.Index, env map[string]*aval, c ctx, write bool
 	dep := false
 	loopFree := true
 	for i, sub := range x.Args {
-		sv := a.eval(sub, env, c)
+		sv := a.eval(sub, c)
 		if sv.dataDep {
 			dep = true
 		}
 		if c.laneVar != "" {
-			laneCoeff += sv.coeffs[c.laneVar] * strides[i]
+			laneCoeff += sv.coeff(c.laneVar) * strides[i]
 		}
 		for _, lv := range c.loopVars {
-			if sv.coeffs[lv] != 0 {
+			if sv.coeff(lv) != 0 {
 				loopFree = false
 			}
 		}
@@ -638,48 +696,46 @@ var builtinFlops = map[string]float64{
 
 // eval abstractly evaluates an expression, counting flops and classifying
 // memory accesses as a side effect.
-func (a *analyzer) eval(x mcpl.Expr, env map[string]*aval, c ctx) *aval {
+func (a *analyzer) eval(x mcpl.Expr, c ctx) aval {
 	switch v := x.(type) {
 	case *mcpl.IntLit:
-		return &aval{val: v.Value}
+		return aval{val: v.Value}
 	case *mcpl.FloatLit:
-		return symval() // uniform across threads; never feeds address math
+		return symval // uniform across threads; never feeds address math
 	case *mcpl.BoolLit:
-		return &aval{}
+		return aval{}
 	case *mcpl.Ident:
-		if av, ok := env[v.Name]; ok {
-			return av.clone()
+		if av, ok := a.lookup(v.Name); ok {
+			return av
 		}
-		return unknown()
+		return unknown
 	case *mcpl.Unary:
-		xv := a.eval(v.X, env, c)
+		xv := a.eval(v.X, c)
 		if v.Op == "-" {
 			if a.isFloat(v) {
 				a.flops(0.5, c) // negation is cheap; count fractionally
 			}
-			return mulval(xv, &aval{val: -1})
+			return mulval(xv, aval{val: -1})
 		}
 		return xv
 	case *mcpl.Cast:
-		return a.eval(v.X, env, c)
+		return a.eval(v.X, c)
 	case *mcpl.Cond:
-		cv := a.eval(v.C, env, c)
+		cv := a.eval(v.C, c)
 		cc := c
 		if cv.dataDep {
 			cc.divergent = true
 			cc.mult = c.mult * 0.5
 		}
-		t := a.eval(v.T, env, cc)
-		f := a.eval(v.F, env, cc)
+		t := a.eval(v.T, cc)
+		f := a.eval(v.F, cc)
 		if t.known() && f.known() && t.val == f.val {
 			return t
 		}
-		out := unknown()
-		out.dataDep = cv.dataDep || t.dataDep || f.dataDep
-		return out
+		return aval{dataDep: cv.dataDep || t.dataDep || f.dataDep}
 	case *mcpl.Binary:
-		l := a.eval(v.L, env, c)
-		r := a.eval(v.R, env, c)
+		l := a.eval(v.L, c)
+		r := a.eval(v.R, c)
 		switch v.Op {
 		case "+", "-", "*", "/":
 			if a.isFloat(v) {
@@ -695,75 +751,83 @@ func (a *analyzer) eval(x mcpl.Expr, env map[string]*aval, c ctx) *aval {
 			return mulval(l, r)
 		case "/":
 			if r.known() && r.val != 0 && l.known() {
-				return &aval{val: l.val / r.val}
+				return aval{val: l.val / r.val}
 			}
-			return &aval{dataDep: l.dataDep || r.dataDep || len(l.coeffs) > 0}
+			return aval{dataDep: l.dataDep || r.dataDep || len(l.terms) > 0}
 		case "%":
 			if l.known() && r.known() && r.val != 0 {
-				return &aval{val: l.val % r.val}
+				return aval{val: l.val % r.val}
 			}
-			return &aval{dataDep: true}
+			return unknown
 		case "<", "<=", ">", ">=", "==", "!=":
-			out := &aval{}
 			// Comparisons against loop/lane affine values are structured
 			// control (boundary guards); data dependence taints.
-			out.dataDep = l.dataDep || r.dataDep
-			return out
+			return aval{dataDep: l.dataDep || r.dataDep}
 		case "&&", "||":
-			return &aval{dataDep: l.dataDep || r.dataDep}
+			return aval{dataDep: l.dataDep || r.dataDep}
 		default: // bit ops
 			if l.known() && r.known() {
 				switch v.Op {
 				case "<<":
-					return &aval{val: l.val << uint(r.val&63)}
+					return aval{val: l.val << uint(r.val&63)}
 				case ">>":
-					return &aval{val: l.val >> uint(r.val&63)}
+					return aval{val: l.val >> uint(r.val&63)}
 				case "&":
-					return &aval{val: l.val & r.val}
+					return aval{val: l.val & r.val}
 				case "|":
-					return &aval{val: l.val | r.val}
+					return aval{val: l.val | r.val}
 				case "^":
-					return &aval{val: l.val ^ r.val}
+					return aval{val: l.val ^ r.val}
 				}
 			}
-			return &aval{dataDep: l.dataDep || r.dataDep || len(l.coeffs)+len(r.coeffs) > 0}
+			return aval{dataDep: l.dataDep || r.dataDep || len(l.terms)+len(r.terms) > 0}
 		}
 	case *mcpl.Index:
-		a.access(v, env, c, false)
-		return unknown() // loaded data is data-dependent
+		a.access(v, c, false)
+		return unknown // loaded data is data-dependent
 	case *mcpl.Call:
-		args := make([]*aval, len(v.Args))
-		for i, ar := range v.Args {
-			args[i] = a.eval(ar, env, c)
-		}
-		if fl, ok := builtinFlops[v.Name]; ok {
-			a.flops(fl, c)
-			return unknown()
-		}
-		f := a.prog.Func(v.Name)
-		if f == nil || c.depth > 6 {
-			if c.depth > 6 {
-				a.warn("%v: call to %s exceeds inline depth; cost underestimated", v.Pos, v.Name)
-			}
-			return unknown()
-		}
-		cc := c
-		cc.depth++
-		inner := map[string]*aval{}
-		for i, prm := range f.Params {
-			if prm.Type.IsArray() {
-				// Map the callee array name to the caller's array metadata.
-				if id, ok := v.Args[i].(*mcpl.Ident); ok {
-					a.spaces[prm.Name] = a.spaces[id.Name]
-					a.dims[prm.Name] = a.dims[id.Name]
-				}
-				continue
-			}
-			inner[prm.Name] = args[i]
-		}
-		a.block(f.Body, inner, cc)
-		return unknown()
+		return a.call(v, c)
 	default:
-		return unknown()
+		return unknown
 	}
+}
+
+// call counts a builtin's flops or inlines a helper function's body in a
+// fresh frame that binds its scalar parameters to the argument values.
+func (a *analyzer) call(v *mcpl.Call, c ctx) aval {
+	var buf [8]aval
+	args := buf[:0]
+	for _, ar := range v.Args {
+		args = append(args, a.eval(ar, c))
+	}
+	if fl, ok := builtinFlops[v.Name]; ok {
+		a.flops(fl, c)
+		return unknown
+	}
+	f := a.info.Prog.Func(v.Name)
+	if f == nil || c.depth > 6 {
+		if c.depth > 6 {
+			a.warn("%v: call to %s exceeds inline depth; cost underestimated", v.Pos, v.Name)
+		}
+		return unknown
+	}
+	cc := c
+	cc.depth++
+	frame, scope := a.frame, a.scope
+	a.frame, a.scope = len(a.vars), len(a.vars)
+	for i, prm := range f.Params {
+		if prm.Type.IsArray() {
+			// Map the callee array name to the caller's array metadata.
+			if id, ok := v.Args[i].(*mcpl.Ident); ok {
+				a.spaces[prm.Name] = a.spaces[id.Name]
+				a.dims[prm.Name] = a.dims[id.Name]
+			}
+			continue
+		}
+		a.bind(prm.Name, args[i])
+	}
+	a.block(f.Body, cc)
+	a.vars = a.vars[:a.frame]
+	a.frame, a.scope = frame, scope
+	return unknown
 }

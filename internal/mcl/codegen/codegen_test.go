@@ -58,22 +58,23 @@ gpu void matmul(int n, int m, int p,
 }
 `
 
-func mustProg(t *testing.T, src string) *mcpl.Program {
+func mustCheck(t *testing.T, src string) *mcpl.Info {
 	t.Helper()
 	prog, err := mcpl.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mcpl.Check(prog); err != nil {
+	info, err := mcpl.Check(prog)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return prog
+	return info
 }
 
 func TestAnalyzeMatmulFlopsAndTraffic(t *testing.T) {
-	prog := mustProg(t, matmulPerfect)
+	info := mustCheck(t, matmulPerfect)
 	const n, m, p = 256, 128, 64
-	rep, err := Analyze(prog, "matmul", map[string]int64{"n": n, "m": m, "p": p}, 32)
+	rep, err := Analyze(info, "matmul", map[string]int64{"n": n, "m": m, "p": p}, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +108,8 @@ func TestAnalyzeMatmulFlopsAndTraffic(t *testing.T) {
 }
 
 func TestAnalyzeTiledMatmulReducesTraffic(t *testing.T) {
-	unopt := mustProg(t, matmulPerfect)
-	opt := mustProg(t, matmulGPU)
+	unopt := mustCheck(t, matmulPerfect)
+	opt := mustCheck(t, matmulGPU)
 	params := map[string]int64{"n": 512, "m": 512, "p": 512}
 	ru, err := Analyze(unopt, "matmul", params, 32)
 	if err != nil {
@@ -136,8 +137,8 @@ func TestAnalyzeTiledMatmulReducesTraffic(t *testing.T) {
 func TestCostOptimizedMatmulFasterOnGTX480(t *testing.T) {
 	spec := device.Catalog()["gtx480"]
 	params := map[string]int64{"n": 2048, "m": 2048, "p": 2048}
-	ru, _ := Analyze(mustProg(t, matmulPerfect), "matmul", params, spec.SIMDWidth)
-	ro, _ := Analyze(mustProg(t, matmulGPU), "matmul", params, spec.SIMDWidth)
+	ru, _ := Analyze(mustCheck(t, matmulPerfect), "matmul", params, spec.SIMDWidth)
+	ro, _ := Analyze(mustCheck(t, matmulGPU), "matmul", params, spec.SIMDWidth)
 	cu := Cost(ru, spec, 4)
 	co := Cost(ro, spec, 3)
 	tu := spec.KernelTime(cu)
@@ -169,7 +170,7 @@ perfect void walk(int n, float[n] a, float[n] out) {
     out[i] = acc;
   }
 }`
-	rep, err := Analyze(mustProg(t, src), "walk", map[string]int64{"n": 1024}, 32)
+	rep, err := Analyze(mustCheck(t, src), "walk", map[string]int64{"n": 1024}, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ perfect void transposeRead(int n, int m, float[n,m] a, float[m,n] out) {
     }
   }
 }`
-	rep, err := Analyze(mustProg(t, src), "transposeRead", map[string]int64{"n": 64, "m": 64}, 32)
+	rep, err := Analyze(mustCheck(t, src), "transposeRead", map[string]int64{"n": 64, "m": 64}, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ perfect void gather(int n, int[n] idx, float[n] a, float[n] out) {
     out[i] = a[idx[i]];
   }
 }`
-	rep, err := Analyze(mustProg(t, src), "gather", map[string]int64{"n": 1024}, 32)
+	rep, err := Analyze(mustCheck(t, src), "gather", map[string]int64{"n": 1024}, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ perfect void k(int n, float[n] a) {
     a[i] = x;
   }
 }`
-	rep, err := Analyze(mustProg(t, src), "k", map[string]int64{"n": 4}, 32)
+	rep, err := Analyze(mustCheck(t, src), "k", map[string]int64{"n": 4}, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +239,10 @@ perfect void k(int n, float[n] a) {
 }
 
 func TestAnalyzeMissingParam(t *testing.T) {
-	if _, err := Analyze(mustProg(t, matmulPerfect), "matmul", map[string]int64{"n": 4}, 32); err == nil {
+	if _, err := Analyze(mustCheck(t, matmulPerfect), "matmul", map[string]int64{"n": 4}, 32); err == nil {
 		t.Fatal("missing params accepted")
 	}
-	if _, err := Analyze(mustProg(t, matmulPerfect), "nope", nil, 32); err == nil {
+	if _, err := Analyze(mustCheck(t, matmulPerfect), "nope", nil, 32); err == nil {
 		t.Fatal("missing kernel accepted")
 	}
 }
@@ -306,7 +307,7 @@ func TestCompiledRunMatchesReference(t *testing.T) {
 }
 
 func TestEmitOpenCLGolden(t *testing.T) {
-	prog := mustProg(t, matmulPerfect)
+	prog := mustCheck(t, matmulPerfect).Prog
 	text, err := EmitOpenCL(prog, "matmul")
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +327,7 @@ func TestEmitOpenCLGolden(t *testing.T) {
 }
 
 func TestEmitOpenCLTiledUsesLocalAndBarrier(t *testing.T) {
-	prog := mustProg(t, matmulGPU)
+	prog := mustCheck(t, matmulGPU).Prog
 	text, err := EmitOpenCL(prog, "matmul")
 	if err != nil {
 		t.Fatal(err)

@@ -18,21 +18,23 @@ import (
 // that stepwise refinement produces (Sec. III-A).
 type KernelSet struct {
 	Name     string
-	Versions map[string]*mcpl.Program // level -> program containing the kernel
+	Versions map[string]*mcpl.Info // level -> checked program containing the kernel
 
 	sources map[string]string // level -> source text, for Fingerprint
 }
 
 // NewKernelSet parses and checks each source file and indexes the versions
-// of the named kernel by their declared level.
+// of the named kernel by their declared level. Each version is checked here,
+// once; compilation, cost analysis and feedback reuse its checker result.
 func NewKernelSet(name string, sources ...string) (*KernelSet, error) {
-	ks := &KernelSet{Name: name, Versions: map[string]*mcpl.Program{}, sources: map[string]string{}}
+	ks := &KernelSet{Name: name, Versions: map[string]*mcpl.Info{}, sources: map[string]string{}}
 	for i, src := range sources {
 		prog, err := mcpl.Parse(src)
 		if err != nil {
 			return nil, fmt.Errorf("codegen: kernel %s, source %d: %w", name, i, err)
 		}
-		if _, err := mcpl.Check(prog); err != nil {
+		info, err := mcpl.Check(prog)
+		if err != nil {
 			return nil, fmt.Errorf("codegen: kernel %s, source %d: %w", name, i, err)
 		}
 		k := prog.Kernel(name)
@@ -42,7 +44,7 @@ func NewKernelSet(name string, sources ...string) (*KernelSet, error) {
 		if _, dup := ks.Versions[k.Level]; dup {
 			return nil, fmt.Errorf("codegen: kernel %s has two versions at level %q", name, k.Level)
 		}
-		ks.Versions[k.Level] = prog
+		ks.Versions[k.Level] = info
 		ks.sources[k.Level] = src
 	}
 	if len(ks.Versions) == 0 {
@@ -97,7 +99,7 @@ type Compiled struct {
 	Distance    int    // hierarchy distance from SourceLevel to Leaf
 	OpenCL      string // generated device code (translated to the leaf)
 
-	src        *mcpl.Program // the selected version, used for execution/analysis
+	src        *mcpl.Info // the selected version, checked; used for execution/analysis
 	translated *mcpl.Program
 	spec       *device.Spec
 	engine     *closure.Kernel // closure-compiled fast engine; nil -> interp
@@ -152,7 +154,7 @@ func (ks *KernelSet) CompileAt(level, leaf string, h *hdl.Hierarchy) (*Compiled,
 	if err != nil {
 		return nil, err
 	}
-	src, ok := ks.Versions[level]
+	info, ok := ks.Versions[level]
 	if !ok {
 		return nil, fmt.Errorf("codegen: kernel %s has no version at level %q (available: %v)", ks.Name, level, ks.Levels())
 	}
@@ -163,10 +165,10 @@ func (ks *KernelSet) CompileAt(level, leaf string, h *hdl.Hierarchy) (*Compiled,
 	if !lv.HasAncestor(level) {
 		return nil, fmt.Errorf("codegen: kernel %s: level %q does not apply to device leaf %q", ks.Name, level, leaf)
 	}
-	if err := translate.ValidateLevel(src, ks.Name, h); err != nil {
+	if err := translate.ValidateLevel(info.Prog, ks.Name, h); err != nil {
 		return nil, err
 	}
-	tr, err := translate.Translate(src, ks.Name, lv)
+	tr, err := translate.Translate(info.Prog, ks.Name, lv)
 	if err != nil {
 		return nil, err
 	}
@@ -186,10 +188,10 @@ func (ks *KernelSet) CompileAt(level, leaf string, h *hdl.Hierarchy) (*Compiled,
 		SourceLevel: level,
 		Distance:    lv.Depth() - srcLv.Depth(),
 		OpenCL:      text,
-		src:         src,
+		src:         info,
 		translated:  tr,
 		spec:        spec,
-		engine:      engineFor(src, ks.Name),
+		engine:      engineFor(info.Prog, ks.Name),
 		maxWG:       leafWorkgroupLimit(lv),
 	}, nil
 }
@@ -212,7 +214,7 @@ func leafWorkgroupLimit(lv *hdl.Level) int64 {
 // the kernel fixes its own blocks-of-threads structure (hand-optimized
 // versions pin their geometry in the source).
 func (c *Compiled) FlatLaunchDims() int {
-	f := c.src.Kernel(c.Name)
+	f := c.src.Prog.Kernel(c.Name)
 	groups, threads, total := 0, 0, 0
 	cur := f.Body
 	for {
@@ -295,7 +297,7 @@ func (c *Compiled) Run(args ...any) error {
 	if c.engine != nil {
 		return c.engine.Run(args...)
 	}
-	return interp.Run(c.src, c.Name, args...)
+	return interp.Run(c.src.Prog, c.Name, args...)
 }
 
 // Analyze runs the cost analysis for a launch with the given scalar
@@ -361,7 +363,7 @@ func (g Glue) Items() int64 {
 // LaunchConfig computes the glue configuration for a launch with the given
 // scalar parameters.
 func (c *Compiled) LaunchConfig(params map[string]int64) (Glue, error) {
-	f := c.src.Kernel(c.Name)
+	f := c.src.Prog.Kernel(c.Name)
 	type dim struct {
 		bound int64
 		group bool // blocks/cores vs threads/vectors

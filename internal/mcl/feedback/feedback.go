@@ -54,9 +54,10 @@ func (m Message) String() string {
 // Generate produces feedback for the kernel targeting the given hardware
 // description. params supplies representative launch values for the scalar
 // int parameters (feedback quality depends on realistic sizes). spec may be
-// nil when the target level is not a device leaf.
-func Generate(prog *mcpl.Program, kernel string, params map[string]int64, target *hdl.Level, spec *device.Spec) ([]Message, error) {
-	f := prog.Kernel(kernel)
+// nil when the target level is not a device leaf. info is the kernel's
+// checked program.
+func Generate(info *mcpl.Info, kernel string, params map[string]int64, target *hdl.Level, spec *device.Spec) ([]Message, error) {
+	f := info.Prog.Kernel(kernel)
 	if f == nil {
 		return nil, fmt.Errorf("feedback: kernel %q not found", kernel)
 	}
@@ -81,7 +82,7 @@ func Generate(prog *mcpl.Program, kernel string, params map[string]int64, target
 	if spec != nil {
 		simd = spec.SIMDWidth
 	}
-	rep, err := codegen.Analyze(prog, kernel, params, simd)
+	rep, err := codegen.Analyze(info, kernel, params, simd)
 	if err != nil {
 		return nil, err
 	}

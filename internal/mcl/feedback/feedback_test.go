@@ -51,16 +51,17 @@ gpu void matmul(int n, int m, int p,
 }
 `
 
-func prog(t *testing.T, src string) *mcpl.Program {
+func prog(t *testing.T, src string) *mcpl.Info {
 	t.Helper()
 	p, err := mcpl.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mcpl.Check(p); err != nil {
+	info, err := mcpl.Check(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return info
 }
 
 func lv(t *testing.T, name string) *hdl.Level {
