@@ -44,8 +44,7 @@ type report struct {
 // baseline holds the numbers measured on the pre-optimization tree (two-switch
 // scheduler, per-message Spawn, sequential harness) on the reference machine.
 // They are recorded rather than regenerated because that code no longer
-// exists; the scheduler half survives as DisableDirectHandoff for trajectory
-// tests.
+// exists.
 var baseline = []benchResult{
 	{Name: "BenchmarkSimnetEventLoop/hold", NsPerOp: 517.9, BytesPerOp: 0, AllocsPerOp: 0},
 	{Name: "BenchmarkSimnetEventLoop/pingpong", NsPerOp: 1202, BytesPerOp: 48, AllocsPerOp: 3},

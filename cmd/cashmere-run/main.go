@@ -29,17 +29,15 @@ import (
 
 func main() {
 	var (
-		app     = flag.String("app", "raytracer", "application: raytracer, matmul, kmeans, nbody")
-		nodes   = flag.Int("nodes", 4, "number of homogeneous nodes (ignored with -cluster)")
-		dev     = flag.String("device", "gtx480", "device type for homogeneous clusters")
-		cluster = flag.String("cluster", "", `heterogeneous spec, e.g. "10xgtx480,1xk20+xeon_phi"`)
-		variant = flag.String("variant", "opt", "satin, unopt or opt")
-		gantt   = flag.Bool("gantt", false, "print a Gantt chart of the execution")
-		traceF  = flag.String("trace", "", "write a Chrome trace_event JSON file (load in Perfetto)")
-		metrics = flag.Bool("metrics", false, "print the metrics dump after the run")
-		seed    = flag.Int64("seed", 1, "simulation seed")
-		legacy  = flag.Bool("legacy-sched", false,
-			"use the two-switch event scheduler instead of direct handoff (same trajectory, for comparison)")
+		app        = flag.String("app", "raytracer", "application: raytracer, matmul, kmeans, nbody")
+		nodes      = flag.Int("nodes", 4, "number of homogeneous nodes (ignored with -cluster)")
+		dev        = flag.String("device", "gtx480", "device type for homogeneous clusters")
+		cluster    = flag.String("cluster", "", `heterogeneous spec, e.g. "10xgtx480,1xk20+xeon_phi"`)
+		variant    = flag.String("variant", "opt", "satin, unopt or opt")
+		gantt      = flag.Bool("gantt", false, "print a Gantt chart of the execution")
+		traceF     = flag.String("trace", "", "write a Chrome trace_event JSON file (load in Perfetto)")
+		metrics    = flag.Bool("metrics", false, "print the metrics dump after the run")
+		seed       = flag.Int64("seed", 1, "simulation seed")
 		partitions = flag.Int("partitions", 0,
 			"split the simulation into N conservatively synchronized partitions (same trajectory, less wall-clock time; 0 = auto from GOMAXPROCS and node count)")
 		oracle = flag.Bool("pdes-oracle", false,
@@ -148,9 +146,6 @@ func main() {
 
 	cl, err := core.NewCluster(cfg)
 	die(err)
-	if *legacy {
-		cl.Kernel().DisableDirectHandoff()
-	}
 	die(cl.Register(ks))
 	res, err := run(cl)
 	die(err)

@@ -2,7 +2,9 @@ package apps
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"cashmere/internal/core"
 	"cashmere/internal/mcl/codegen"
@@ -173,5 +175,40 @@ func TestProblemValidation(t *testing.T) {
 	cl := verifyCluster(t, 1, CashmereUnoptimized, MatmulKernels)
 	if _, err := RunMatmul(cl, MatmulProblem{N: 100, LeafTile: 30}, CashmereUnoptimized); err == nil {
 		t.Fatal("invalid matmul sizes accepted")
+	}
+}
+
+// TestFinishedRunReleasesGoroutines: once Cluster.Run returns, no simulated
+// process is left blocked on a goroutine — comm loops, idle workers and
+// pooled couriers all exit — at one partition and at two.
+func TestFinishedRunReleasesGoroutines(t *testing.T) {
+	for _, parts := range []int{1, 2} {
+		before := runtime.NumGoroutine()
+		cfg := core.DefaultConfig(4, "gtx480")
+		cfg.Partitions = parts
+		cl, err := core.NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks, err := MatmulKernels(CashmereOptimized)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Register(ks); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunMatmul(cl, MatmulProblem{N: 4096, LeafTile: 1024, NodeLeaves: 4}, CashmereOptimized); err != nil {
+			t.Fatal(err)
+		}
+		// A released goroutine may still be unwinding when Run returns;
+		// give the scheduler a moment before counting.
+		after := runtime.NumGoroutine()
+		for i := 0; i < 100 && after > before+2; i++ {
+			time.Sleep(time.Millisecond)
+			after = runtime.NumGoroutine()
+		}
+		if after > before+2 {
+			t.Errorf("%d partitions: %d goroutines after the run, %d before", parts, after, before)
+		}
 	}
 }

@@ -354,8 +354,11 @@ func (rt *Runtime) Run(main func(ctx *Context) any) (any, simnet.Time) {
 		}
 	})
 	// Drain remaining events (idle workers noticing done, comm shutdown);
-	// the reported completion time is when main returned.
+	// the reported completion time is when main returned. Processes still
+	// parked afterwards (idle pool runners, waiters that will never be
+	// woken) are released so a finished run leaves no goroutines behind.
 	rt.ps.Run(0)
+	rt.ps.Close()
 	return rt.result, finished
 }
 

@@ -16,6 +16,10 @@ import (
 //     one-event-per-wake pattern of the network and Satin layers. Direct
 //     handoff resumes the peer with one switch instead of bouncing through
 //     the kernel goroutine (two switches).
+//   - timeout: a request answered before its RecvTimeout(250ms) expires —
+//     the Satin comm-loop and steal-probe pattern. The reply supersedes the
+//     pending timeout wake in place, so the heap never holds more than one
+//     entry per parked process.
 func BenchmarkSimnetEventLoop(b *testing.B) {
 	b.Run("hold", func(b *testing.B) {
 		k := NewKernel(1)
@@ -47,5 +51,34 @@ func BenchmarkSimnetEventLoop(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		k.Run(0)
+	})
+	b.Run("timeout", func(b *testing.B) {
+		k := NewKernel(1)
+		timeoutExchanges(k, b.N)
+		b.ReportAllocs()
+		b.ResetTimer()
+		k.Run(0)
+	})
+}
+
+// timeoutExchanges spawns a requester that sends n requests, each awaiting
+// its reply with a 250ms RecvTimeout, and a responder that answers every
+// request 1µs later, well before the timeout.
+func timeoutExchanges(k *Kernel, n int) {
+	req, rep := NewChan[int](k), NewChan[int](k)
+	k.Spawn("thief", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			req.Send(i)
+			if _, ok := rep.RecvTimeout(p, 250*time.Millisecond); !ok {
+				panic("reply timed out")
+			}
+		}
+	})
+	k.Spawn("victim", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			req.Recv(p)
+			p.Hold(time.Microsecond)
+			rep.Send(i)
+		}
 	})
 }

@@ -46,37 +46,12 @@ func randomWorkload(k *Kernel, seed int64, trace *[]string) {
 	}
 }
 
-func handoffTrajectory(seed int64, handoff bool) (trace []string, end Time) {
+// trajectory runs randomWorkload to completion on a fresh kernel.
+func trajectory(seed int64) (trace []string, end Time) {
 	k := NewKernel(seed)
-	if !handoff {
-		k.DisableDirectHandoff()
-	}
 	randomWorkload(k, seed, &trace)
 	end = k.Run(0)
 	return trace, end
-}
-
-// TestDirectHandoffMatchesLegacyTrajectory is the trajectory-equality oracle
-// for the direct-handoff scheduler: on randomized workloads the one-switch
-// path must produce exactly the wake sequence of the classic two-switch
-// scheduler, step for step and timestamp for timestamp.
-func TestDirectHandoffMatchesLegacyTrajectory(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		fast, fastEnd := handoffTrajectory(seed, true)
-		slow, slowEnd := handoffTrajectory(seed, false)
-		if fastEnd != slowEnd {
-			t.Fatalf("seed %d: end time %v (handoff) != %v (legacy)", seed, fastEnd, slowEnd)
-		}
-		if len(fast) != len(slow) {
-			t.Fatalf("seed %d: %d trace records (handoff) != %d (legacy)", seed, len(fast), len(slow))
-		}
-		for i := range fast {
-			if fast[i] != slow[i] {
-				t.Fatalf("seed %d: trajectories diverge at step %d: %q (handoff) != %q (legacy)",
-					seed, i, fast[i], slow[i])
-			}
-		}
-	}
 }
 
 // TestSteppedRunMatchesSingleRun drives the same workload through many small
@@ -84,7 +59,7 @@ func TestDirectHandoffMatchesLegacyTrajectory(t *testing.T) {
 // Run: pausing and resuming must not perturb event order.
 func TestSteppedRunMatchesSingleRun(t *testing.T) {
 	const seed = 3
-	single, singleEnd := handoffTrajectory(seed, true)
+	single, singleEnd := trajectory(seed)
 
 	k := NewKernel(seed)
 	var stepped []string
@@ -98,10 +73,10 @@ func TestSteppedRunMatchesSingleRun(t *testing.T) {
 		limit += Time(37 * time.Microsecond)
 		end = k.Run(limit)
 	}
-	// The last window ran past the final event, so the clock rests at the
-	// window's limit; the final event itself must match the single run.
-	if end < singleEnd {
-		t.Fatalf("stepped run ended at %v, before single-run end %v", end, singleEnd)
+	// The last window drained the queue, so the clock rests at the final
+	// event, exactly where the single run ended.
+	if end != singleEnd {
+		t.Fatalf("stepped run ended at %v, single run at %v", end, singleEnd)
 	}
 	if len(stepped) != len(single) {
 		t.Fatalf("%d trace records (stepped) != %d (single)", len(stepped), len(single))

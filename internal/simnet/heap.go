@@ -15,62 +15,96 @@ package simnet
 // argument of the partitioned scheduler. On a standalone kernel with only
 // the default stream the order degenerates to the legacy (t, seq) creation
 // order.
+//
+// A process has at most one entry in the heap: its pending wake, whose
+// index the heap keeps in Proc.slot (-1 when there is none). A later wake
+// for the same process is folded into that entry (see Kernel.postOn), so
+// superseded timeouts never occupy the heap; up is the decrease-key that
+// moves a rewritten entry forward.
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// before reports whether a orders ahead of b.
+func (a *event) before(b *event) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	if h[i].stream != h[j].stream {
-		return h[i].stream < h[j].stream
+	if a.stream != b.stream {
+		return a.stream < b.stream
 	}
-	return h[i].sseq < h[j].sseq
+	return a.sseq < b.sseq
+}
+
+// place stores e at index i and records the index in its process's slot.
+func (h eventHeap) place(i int, e event) {
+	h[i] = e
+	if e.p != nil {
+		e.p.slot = int32(i)
+	}
 }
 
 // push adds an event and restores the heap invariant by sifting up.
 func (h *eventHeap) push(e event) {
+	i := len(*h)
 	*h = append(*h, e)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
+	if e.p != nil {
+		e.p.slot = int32(i)
 	}
+	h.up(i)
 }
 
-// pop removes and returns the minimum event. It must not be called on an
-// empty heap.
+// up moves the entry at i toward the root until its parent orders ahead of
+// it. It restores the invariant after a push or a decrease-key.
+func (h eventHeap) up(i int) {
+	if i == 0 || !h[i].before(&h[(i-1)/2]) {
+		return
+	}
+	e := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&h[parent]) {
+			break
+		}
+		h.place(i, h[parent])
+		i = parent
+	}
+	h.place(i, e)
+}
+
+// pop removes and returns the minimum event, clearing its process's slot.
+// It must not be called on an empty heap.
 func (h *eventHeap) pop() event {
 	q := *h
 	top := q[0]
+	if top.p != nil {
+		top.p.slot = -1
+	}
 	n := len(q) - 1
-	q[0] = q[n]
+	last := q[n]
 	q[n] = event{} // drop the Proc pointer for the collector
 	*h = q[:n]
-	h.siftDown(0)
+	if n > 0 {
+		h.down(0, last)
+	}
 	return top
 }
 
-func (h *eventHeap) siftDown(i int) {
-	q := *h
-	n := len(q)
+// down stores e at the hole i and sifts it toward the leaves.
+func (h eventHeap) down(i int, e event) {
+	n := len(h)
 	for {
 		l := 2*i + 1
 		if l >= n {
-			return
+			break
 		}
 		min := l
-		if r := l + 1; r < n && q.less(r, l) {
+		if r := l + 1; r < n && h[r].before(&h[l]) {
 			min = r
 		}
-		if !q.less(min, i) {
-			return
+		if !h[min].before(&e) {
+			break
 		}
-		q[i], q[min] = q[min], q[i]
+		h.place(i, h[min])
 		i = min
 	}
+	h.place(i, e)
 }

@@ -108,3 +108,58 @@ func BenchmarkEventHeap(b *testing.B) {
 		}
 	})
 }
+
+// TestEventHeapSlots checks the bookkeeping behind the one-entry-per-process
+// rule: across random pushes, decrease-keys (the path Kernel.postOn takes
+// when a wake supersedes a pending one) and pops, every process entry's
+// Proc.slot names its index, a popped process reads -1, the heap invariant
+// holds, and each pop returns the minimum entry.
+func TestEventHeapSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	procs := make([]*Proc, 16)
+	for i := range procs {
+		procs[i] = &Proc{slot: -1}
+	}
+	var h eventHeap
+	var seq uint64
+	for round := 0; round < 20000; round++ {
+		seq++
+		e := event{t: Time(rng.Intn(64)), stream: int32(rng.Intn(3)), sseq: seq}
+		switch op := rng.Intn(4); {
+		case op == 0 && len(h) > 0:
+			min := 0
+			for i := range h {
+				if h[i].before(&h[min]) {
+					min = i
+				}
+			}
+			want := h[min]
+			got := h.pop()
+			if got.t != want.t || got.stream != want.stream || got.sseq != want.sseq {
+				t.Fatalf("round %d: pop = %+v, minimum is %+v", round, got, want)
+			}
+			if got.p != nil && got.p.slot != -1 {
+				t.Fatalf("round %d: popped process keeps slot %d", round, got.p.slot)
+			}
+		case op == 1:
+			h.push(e) // a callback: no process, no slot
+		default:
+			p := procs[rng.Intn(len(procs))]
+			e.p = p
+			if p.slot < 0 {
+				h.push(e)
+			} else if i := int(p.slot); e.before(&h[i]) {
+				h[i] = e
+				h.up(i)
+			}
+		}
+		for i := range h {
+			if p := h[i].p; p != nil && int(p.slot) != i {
+				t.Fatalf("round %d: entry %d belongs to a process whose slot is %d", round, i, p.slot)
+			}
+			if i > 0 && h[i].before(&h[(i-1)/2]) {
+				t.Fatalf("round %d: heap order violated at %d", round, i)
+			}
+		}
+	}
+}

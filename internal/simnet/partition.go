@@ -26,8 +26,12 @@ import (
 //     (M_j + lookahead): any message j may still emit arrives no earlier
 //     than M_j + lookahead, so every event of i with t < H_i is safe;
 //  4. runs each partition with work (M_i < H_i) via Kernel.RunBefore(H_i) —
-//     concurrently on its own goroutine in parallel mode, or one after
-//     another in oracle mode — and barriers before the next round.
+//     concurrently in parallel mode, or one after another in oracle mode —
+//     and barriers before the next round. In parallel mode the coordinator
+//     runs the first active partition's window itself and hands only the
+//     others to worker goroutines, so a round with a single active
+//     partition, the common case when windows are short, costs no
+//     cross-thread handoff at all.
 //
 // The partition holding the globally minimal M always satisfies
 // M_i < min_j(M_j) + lookahead = H_i, so every round makes progress as long
@@ -38,9 +42,8 @@ import (
 // and of the partition layout itself — both stamp components are assigned
 // by the creating node's serialized execution, not by the partitioning
 // (see eventHeap); parallel mode and oracle mode are byte-identical by
-// construction. Oracle mode (SetParallel(false)) is the determinism oracle in
-// the spirit of DisableDirectHandoff: same windows, same injections, no
-// goroutine concurrency.
+// construction. Oracle mode (SetParallel(false)) is the determinism oracle:
+// same windows, same injections, no goroutine concurrency.
 type Partitioned struct {
 	ks    []*Kernel
 	owner []int // simulated node -> partition (nil: everything on ks[0])
@@ -244,6 +247,14 @@ func (ps *Partitioned) drain() {
 	}
 }
 
+// Close releases the goroutines of every partition's unfinished processes
+// once the simulation is over (see Kernel.Close).
+func (ps *Partitioned) Close() {
+	for _, k := range ps.ks {
+		k.Close()
+	}
+}
+
 // Now reports the simulation time: the maximum clock over partitions.
 func (ps *Partitioned) Now() Time {
 	var t Time
@@ -335,9 +346,7 @@ func (ps *Partitioned) Run(limit Time) Time {
 			start[i] = make(chan Time, 1)
 			go func() {
 				for hor := range start[i] {
-					t0 := time.Now()
-					ps.ks[i].RunBefore(hor)
-					ps.pstats[i].RunWallNs += time.Since(t0).Nanoseconds()
+					ps.runWindow(i, hor)
 					wg.Done()
 				}
 			}()
@@ -396,6 +405,7 @@ func (ps *Partitioned) Run(limit Time) Time {
 			h[i] = hi
 		}
 		ps.stats.Rounds++
+		inline := -1 // the active partition the coordinator runs itself
 		for i := 0; i < P; i++ {
 			if m[i] >= h[i] {
 				if m[i] != timeInf {
@@ -404,18 +414,30 @@ func (ps *Partitioned) Run(limit Time) Time {
 				continue
 			}
 			ps.pstats[i].Windows++
-			if ps.parallel {
+			switch {
+			case !ps.parallel:
+				ps.runWindow(i, h[i])
+			case inline < 0:
+				inline = i
+			default:
 				wg.Add(1)
 				start[i] <- h[i]
-			} else {
-				t0 := time.Now()
-				ps.ks[i].RunBefore(h[i])
-				ps.pstats[i].RunWallNs += time.Since(t0).Nanoseconds()
 			}
+		}
+		if inline >= 0 {
+			ps.runWindow(inline, h[inline])
 		}
 		if ps.parallel {
 			wg.Wait()
 		}
 	}
 	return ps.Now()
+}
+
+// runWindow executes partition i's events below horizon, accounting the
+// wall time to the partition.
+func (ps *Partitioned) runWindow(i int, horizon Time) {
+	t0 := time.Now()
+	ps.ks[i].RunBefore(horizon)
+	ps.pstats[i].RunWallNs += time.Since(t0).Nanoseconds()
 }

@@ -19,14 +19,20 @@
 // event belongs to the parking process itself — the common case for a lone
 // process sleeping through Hold — the wake needs no switch at all. The
 // kernel goroutine regains control only when the event queue drains or the
-// Run limit is reached. Event pop order is untouched, so trajectories are
-// identical to the classic two-switch scheduler (DisableDirectHandoff keeps
-// that scheduler available as a test oracle).
+// Run limit is reached.
+//
+// A parked process has at most one entry in the event queue. A second wake
+// for the same park — the reply that beats a RecvTimeout, say — is folded
+// into the pending entry: the earlier of the two keeps it, and the other is
+// counted as stale without ever being queued. Superseded timeouts therefore
+// cost no heap space and no sift work, and the queue stays as deep as the
+// number of parked processes with a wake due.
 package simnet
 
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 )
 
@@ -86,11 +92,11 @@ type Kernel struct {
 	now     Time
 	pq      eventHeap
 	yield   chan struct{}
-	alive   int
+	live    []*Proc // processes whose body has not returned (Proc.live indexes it)
 	running bool
+	closed  bool // set by Close; a process resumed afterwards exits
 	limit   Time // Run's cutoff, 0 = none; read by dispatch during handoff
 	strict  bool // events exactly at limit do NOT fire (RunBefore windows)
-	handoff bool
 	rng     *rand.Rand
 	seed    int64
 	procSeq int
@@ -127,7 +133,7 @@ type Stats struct {
 	Events    int64 // events dispatched (process wakes + callbacks)
 	SelfWakes int64 // direct-handoff wakes that needed no goroutine switch
 	Switches  int64 // goroutine switches performed to resume a process
-	Stale     int64 // stale wake events skipped (superseded parks)
+	Stale     int64 // wakes that never fired: superseded within their park, or posted after it
 	Spawns    int64 // processes created
 	Callbacks int64 // callback events run (CallAt completions; never switch)
 	MaxQueue  int   // high-water mark of the pending event queue
@@ -157,10 +163,9 @@ func (k *Kernel) SetTracer(tr Tracer) { k.tracer = tr }
 // kernel-owned random source returned by Rand.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
-		yield:   make(chan struct{}),
-		handoff: true,
-		rng:     rand.New(rand.NewSource(seed)),
-		seed:    seed,
+		yield: make(chan struct{}),
+		rng:   rand.New(rand.NewSource(seed)),
+		seed:  seed,
 	}
 }
 
@@ -176,13 +181,6 @@ func (k *Kernel) Now() Time { return k.now }
 // used from simulation processes (which are serialized), never from outside
 // Run.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
-
-// DisableDirectHandoff reverts to the classic scheduler in which every wake
-// bounces through the kernel goroutine (two switches per event instead of
-// one). Pop order is identical either way; the slow path exists as a test
-// oracle for trajectory-equality tests and as the baseline in scheduling
-// benchmarks. Must be called before Run.
-func (k *Kernel) DisableDirectHandoff() { k.handoff = false }
 
 // EnableDebugCounts starts tallying posted events by process name; the
 // tallies are returned by DebugCounts. Must be called before Run.
@@ -208,6 +206,8 @@ type Proc struct {
 	epoch  uint64 // incremented on every wake; stale wake events are ignored
 	parked bool
 	stream int32 // event stream the process posts under (its node)
+	slot   int32 // heap index of the pending wake, -1 when none
+	live   int32 // index in Kernel.live
 
 	wokenAt Time // when the proc last received the token (for Tracer slices)
 }
@@ -241,6 +241,14 @@ func (k *Kernel) post(t Time, p *Proc, epoch uint64) {
 
 // postOn is post with an explicit creating stream (used by SpawnOn, where
 // the creator is setup code rather than a node's own execution).
+//
+// The stamp is drawn first, whatever happens to the wake, so every later
+// stamp is the same as if each wake were queued. A wake that can never fire
+// — its park epoch has passed, or the process finished — is counted stale
+// and dropped. A wake for a process that already has one pending is folded
+// into that entry: the earlier of the two (by heap order) is kept, and the
+// other counts as stale, exactly as if it had been queued and skipped when
+// popped. Either way the process keeps a single heap entry.
 func (k *Kernel) postOn(s int32, t Time, p *Proc, epoch uint64) {
 	if k.debugCounts != nil {
 		k.debugCounts[p.name]++
@@ -248,7 +256,25 @@ func (k *Kernel) postOn(s int32, t Time, p *Proc, epoch uint64) {
 	if t < k.now {
 		t = k.now
 	}
-	k.pq.push(event{t: t, stream: s, sseq: k.stampOn(s), p: p, epoch: epoch})
+	sseq := k.stampOn(s)
+	if epoch != p.epoch || p.done {
+		k.stats.Stale++
+		return
+	}
+	if i := int(p.slot); i >= 0 {
+		k.stats.Stale++
+		if e := &k.pq[i]; (&event{t: t, stream: s, sseq: sseq}).before(e) {
+			e.t, e.stream, e.sseq = t, s, sseq
+			k.pq.up(i)
+		}
+		return
+	}
+	k.enqueue(event{t: t, stream: s, sseq: sseq, p: p, epoch: epoch})
+}
+
+// enqueue pushes an event and tracks the queue's high-water mark.
+func (k *Kernel) enqueue(e event) {
+	k.pq.push(e)
 	if n := len(k.pq); n > k.stats.MaxQueue {
 		k.stats.MaxQueue = n
 	}
@@ -278,10 +304,7 @@ func (k *Kernel) callAtExec(t Time, fn func(), exec int32) {
 	if t < k.now {
 		t = k.now
 	}
-	k.pq.push(event{t: t, stream: k.curStream, sseq: k.stampOn(k.curStream), exec: exec, fn: fn})
-	if n := len(k.pq); n > k.stats.MaxQueue {
-		k.stats.MaxQueue = n
-	}
+	k.enqueue(event{t: t, stream: k.curStream, sseq: k.stampOn(k.curStream), exec: exec, fn: fn})
 }
 
 // CallAfter schedules fn to run d from now (see CallAt).
@@ -318,60 +341,91 @@ func (k *Kernel) SpawnOn(stream int, name string, fn func(p *Proc)) *Proc {
 
 func (k *Kernel) spawnAt(t Time, stream int32, name string, fn func(p *Proc)) *Proc {
 	k.procSeq++
-	p := &Proc{k: k, name: name, id: k.procSeq, resume: make(chan struct{}), stream: stream}
-	k.alive++
+	p := &Proc{k: k, name: name, id: k.procSeq, resume: make(chan struct{}), stream: stream,
+		slot: -1, live: int32(len(k.live))}
+	k.live = append(k.live, p)
 	k.stats.Spawns++
 	p.parked = true // the initial start event wakes it
 	go func() {
-		<-p.resume
+		returned := false
+		defer func() {
+			if !returned && k.closed {
+				k.yield <- struct{}{} // released by Close: hand the token back
+			}
+		}()
+		p.wait()
 		fn(p)
+		returned = true
 		p.done = true
 		if k.tracer != nil {
 			k.tracer.ProcSlice(p.name, p.id, p.wokenAt, k.now)
 		}
-		k.alive--
-		if k.handoff {
-			k.dispatch(nil)
-		} else {
-			k.yield <- struct{}{}
-		}
+		last := k.live[len(k.live)-1]
+		last.live = p.live
+		k.live[p.live] = last
+		k.live = k.live[:len(k.live)-1]
+		k.dispatch(nil)
 	}()
 	k.postOn(stream, t, p, p.epoch)
 	return p
 }
 
 // park yields the token and blocks until a wake event targeted at the
-// current epoch fires. With direct handoff the parking process dispatches
-// the next event itself; if that event wakes this very process, park returns
-// without ever leaving the goroutine.
+// current epoch fires. The parking process dispatches the next event
+// itself; if that event wakes this very process, park returns without ever
+// leaving the goroutine.
 func (p *Proc) park() {
 	p.parked = true
 	k := p.k
 	if k.tracer != nil {
 		k.tracer.ProcSlice(p.name, p.id, p.wokenAt, k.now)
 	}
-	if k.handoff {
-		if k.dispatch(p) {
-			return
-		}
-	} else {
-		k.yield <- struct{}{}
+	if k.dispatch(p) {
+		return
 	}
+	p.wait()
+}
+
+// wait blocks until the process is handed the token. A process resumed by
+// Close instead exits its goroutine, running its deferred calls.
+func (p *Proc) wait() {
 	<-p.resume
+	if p.k.closed {
+		runtime.Goexit()
+	}
 }
 
 // dispatch fires the next runnable event, transferring control to the
 // process that owns it. It is called with the token held, either by a
-// parking process (self) or by an exiting one (self == nil). Stale events
-// are skipped; if the chosen event wakes self, dispatch reports true and the
-// caller keeps running without a switch. Otherwise the owner is resumed
-// directly — or, when the queue is drained past the limit, the token returns
-// to the kernel goroutine — and the caller blocks (or exits).
+// parking process (self) or by an exiting one (self == nil). If the chosen
+// event wakes self, dispatch reports true and the caller keeps running
+// without a switch. Otherwise the owner is resumed directly — or, when the
+// queue is drained past the limit, the token returns to the kernel
+// goroutine — and the caller blocks (or exits).
 func (k *Kernel) dispatch(self *Proc) bool {
+	p := k.next()
+	switch p {
+	case nil:
+		k.yield <- struct{}{}
+		return false
+	case self:
+		k.stats.SelfWakes++
+		return true
+	}
+	k.stats.Switches++
+	p.resume <- struct{}{}
+	return false
+}
+
+// next pops events up to the run's limit, running callbacks inline and
+// skipping stale wakes, until one wakes a process; it advances the clock to
+// that event and returns the process, or nil when no event is left below
+// the limit.
+func (k *Kernel) next() *Proc {
 	for len(k.pq) > 0 {
 		e := k.pq[0]
-		if k.limit > 0 && (e.t > k.limit || (k.strict && e.t >= k.limit)) {
-			break
+		if k.limit > 0 && (e.t > k.limit || k.strict && e.t >= k.limit) {
+			return nil // leave it queued so a later run can continue
 		}
 		k.pq.pop()
 		if e.fn != nil {
@@ -400,23 +454,9 @@ func (k *Kernel) dispatch(self *Proc) bool {
 		e.p.parked = false
 		e.p.epoch++
 		e.p.wokenAt = e.t
-		if e.p == self {
-			k.stats.SelfWakes++
-			return true
-		}
-		k.stats.Switches++
-		e.p.resume <- struct{}{}
-		return false
+		return e.p
 	}
-	k.yield <- struct{}{}
-	return false
-}
-
-// wakeAt schedules a resumption of p at time t, provided p has not been
-// woken since the call to park that the caller observed. Safe to call
-// multiple times; the first event to fire wins and later ones are ignored.
-func (p *Proc) wakeAt(t Time) {
-	p.k.post(t, p, p.epoch)
+	return nil
 }
 
 // Hold advances the process's local time by d: the process sleeps in virtual
@@ -446,8 +486,13 @@ func (p *Proc) Yield() { p.Hold(0) }
 // inclusive, for process wakes and CallAt callbacks alike (a regression
 // test pins this boundary) — and a later Run call (with a larger limit, or
 // none) continues the same trajectory where the previous one stopped.
+// When an event past the limit stays queued, the clock is advanced to the
+// limit; when the queue drains first, the clock stays at the last event.
+// Superseded wakes are never queued, so a process whose only pending wake
+// was superseded does not hold the clock back or push it to the limit.
 // Processes still blocked on channels or resources when the event queue
-// drains are left parked; Stats can be used to detect unexpected deadlock.
+// drains are left parked; Blocked can be used to detect unexpected deadlock
+// and Close releases them once the simulation is finished.
 func (k *Kernel) Run(limit Time) Time {
 	k.runUntil(limit, false)
 	if limit > 0 && k.now < limit && len(k.pq) > 0 {
@@ -473,9 +518,10 @@ func (k *Kernel) RunBefore(horizon Time) Time {
 }
 
 // NextEventTime reports the timestamp of the earliest pending event. ok is
-// false when the queue is empty. Stale wake events are included — their
-// timestamp is never later than the wake that superseded them, so the bound
-// stays conservative for lookahead computations.
+// false when the queue is empty. A superseded wake is never queued (see
+// postOn), so the bound is the earliest event that can actually fire, and
+// the partitioned scheduler's lookahead windows are as wide as the model
+// allows.
 func (k *Kernel) NextEventTime() (Time, bool) {
 	if len(k.pq) == 0 {
 		return 0, false
@@ -493,10 +539,7 @@ func (k *Kernel) inject(t Time, stream int32, sseq uint64, exec int32, fn func()
 		// loudly rather than corrupt the trajectory.
 		panic("simnet: cross-partition event before local time (lookahead violation)")
 	}
-	k.pq.push(event{t: t, stream: stream, sseq: sseq, exec: exec, fn: fn})
-	if n := len(k.pq); n > k.stats.MaxQueue {
-		k.stats.MaxQueue = n
-	}
+	k.enqueue(event{t: t, stream: stream, sseq: sseq, exec: exec, fn: fn})
 }
 
 // runUntil is the shared event loop behind Run (inclusive limit) and
@@ -505,73 +548,58 @@ func (k *Kernel) runUntil(limit Time, strict bool) {
 	if k.running {
 		panic("simnet: Run called reentrantly")
 	}
+	if k.closed {
+		panic("simnet: Run on a closed kernel")
+	}
 	k.running = true
 	k.limit = limit
 	k.strict = strict
 	defer func() { k.running = false; k.strict = false }()
-	for len(k.pq) > 0 {
-		e := k.pq[0]
-		if limit > 0 && (e.t > limit || (strict && e.t >= limit)) {
-			// Leave the event queued so a later run can continue.
-			return
-		}
-		k.pq.pop()
-		if e.fn != nil {
-			k.now = e.t
-			k.curStream = e.exec
-			k.stats.Events++
-			k.stats.Callbacks++
-			if k.tracer != nil {
-				k.tracer.QueueDepth(e.t, len(k.pq))
-			}
-			e.fn()
-			continue
-		}
-		if e.p.done || !e.p.parked || e.p.epoch != e.epoch {
-			k.stats.Stale++
-			continue // stale wake
-		}
-		k.now = e.t
-		k.curStream = e.p.stream
-		k.stats.Events++
+	for p := k.next(); p != nil; p = k.next() {
 		k.stats.Switches++
-		if k.tracer != nil {
-			k.tracer.QueueDepth(e.t, len(k.pq))
-		}
-		e.p.parked = false
-		e.p.epoch++
-		e.p.wokenAt = e.t
-		e.p.resume <- struct{}{}
-		// With direct handoff the resumed process and its successors pass
-		// the token among themselves; it comes back here only when the
-		// queue has drained or the limit was reached. With the classic
-		// scheduler every park returns it.
+		p.resume <- struct{}{}
+		// The resumed process and its successors pass the token among
+		// themselves; it comes back here only when the queue has drained
+		// or the limit was reached.
 		<-k.yield
 	}
 }
 
 // Blocked reports the number of live processes that are parked with no
-// pending wake event — useful to assert on unexpected deadlock in tests.
+// pending wake event — blocked on a chan, resource or future. Useful to
+// assert on unexpected deadlock in tests.
 func (k *Kernel) Blocked() int {
-	pending := make(map[*Proc]bool)
-	for _, e := range k.pq {
-		if e.p != nil && !e.p.done && e.p.parked && e.p.epoch == e.epoch {
-			pending[e.p] = true
-		}
-	}
 	n := 0
-	// alive counts processes whose fn has not returned. A parked process
-	// without a pending event is blocked on a chan/resource/future.
-	n = k.alive - len(pending)
-	if n < 0 {
-		n = 0
+	for _, p := range k.live {
+		if p.slot < 0 {
+			n++
+		}
 	}
 	return n
 }
 
 // Alive reports the number of processes whose body has not yet returned.
-func (k *Kernel) Alive() int { return k.alive }
+func (k *Kernel) Alive() int { return len(k.live) }
+
+// Close releases a finished simulation's goroutines. Every process whose
+// body has not returned — comm loops waiting for messages that will never
+// come, idle pool runners — is resumed one at a time and exits, running its
+// deferred calls (which must not block on virtual-time primitives). A
+// closed kernel cannot run again: Run panics. Must not be called while Run
+// executes.
+func (k *Kernel) Close() {
+	if k.running {
+		panic("simnet: Close during Run")
+	}
+	k.closed = true
+	for _, p := range k.live {
+		p.resume <- struct{}{}
+		<-k.yield
+	}
+	k.live = nil
+	k.pq = nil
+}
 
 func (k *Kernel) String() string {
-	return fmt.Sprintf("simnet.Kernel{now=%v, events=%d, alive=%d}", k.now, len(k.pq), k.alive)
+	return fmt.Sprintf("simnet.Kernel{now=%v, events=%d, alive=%d}", k.now, len(k.pq), len(k.live))
 }

@@ -93,3 +93,53 @@ func TestTracerReceivesProcSlices(t *testing.T) {
 		t.Fatal("no queue-depth samples")
 	}
 }
+
+// TestSupersededTimeoutsStayOutOfHeap: a reply that beats its RecvTimeout
+// supersedes the pending timeout wake in place, so 10,000 request/reply
+// exchanges never grow the event queue, yet every superseded wake is still
+// counted as stale exactly once.
+func TestSupersededTimeoutsStayOutOfHeap(t *testing.T) {
+	const n = 10000
+	k := NewKernel(1)
+	timeoutExchanges(k, n)
+	end := k.Run(0)
+	st := k.Stats()
+	if st.MaxQueue > 4 {
+		t.Errorf("MaxQueue = %d, want <= 4", st.MaxQueue)
+	}
+	if st.Stale != n {
+		t.Errorf("Stale = %d, want %d", st.Stale, n)
+	}
+	if want := Time(n * time.Microsecond); end != want {
+		t.Errorf("run ended at %v, want %v", end, want)
+	}
+}
+
+// TestCloseReleasesParkedProcesses: Close resumes every process still
+// parked after the queue drained, each exits running its deferred calls,
+// and the closed kernel refuses to run again.
+func TestCloseReleasesParkedProcesses(t *testing.T) {
+	k := NewKernel(1)
+	ch := NewChan[int](k)
+	deferred := 0
+	for i := 0; i < 3; i++ {
+		k.Spawn("waiter", func(p *Proc) {
+			defer func() { deferred++ }()
+			ch.Recv(p) // never sent to
+		})
+	}
+	k.Run(0)
+	if k.Alive() != 3 || k.Blocked() != 3 {
+		t.Fatalf("before Close: alive=%d blocked=%d, want 3 and 3", k.Alive(), k.Blocked())
+	}
+	k.Close()
+	if k.Alive() != 0 || deferred != 3 {
+		t.Fatalf("after Close: alive=%d, deferred calls run=%d; want 0 and 3", k.Alive(), deferred)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Run on a closed kernel did not panic")
+		}
+	}()
+	k.Run(0)
+}
