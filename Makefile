@@ -81,15 +81,16 @@ bench-autoscale:
 # device-runtime enqueue path (BenchmarkLaunchPath), the dataflow-graph
 # submit path (BenchmarkGraphSubmitPath), the serving admission fast
 # path (BenchmarkServeAdmitPath), the SVM steady-state re-fault path
-# (BenchmarkSVMRefault) and the memoized kernel-cost lookup
-# (BenchmarkKernelCost/memoized) must all report 0 allocs/op. CI fails if
-# any of them regresses above zero.
+# (BenchmarkSVMRefault) and the memoized kernel-cost lookup, for a repeated
+# launch and for raytracer leaves that differ in a parameter the cost never
+# reads (BenchmarkKernelCost/memoized and /raytrace-memoized), must all
+# report 0 allocs/op. CI fails if any of them regresses above zero.
 bench-allocs:
 	@$(GO) test -run xxx -benchmem -benchtime 2000x \
 		-bench 'BenchmarkSimnetEventLoop|BenchmarkNetworkMessageRate|BenchmarkTraceOverhead|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkSVMRefault|BenchmarkKernelCost' \
 		./internal/simnet/ ./internal/network/ ./internal/trace/ ./internal/ocl/ ./internal/core/ ./internal/svm/ ./internal/serve/ | tee bench-allocs.out
 	@bad=$$(awk '/allocs\/op/ { name=$$1; sub(/-[0-9]+$$/, "", name); \
-		if (name ~ /^(BenchmarkSimnetEventLoop\/hold|BenchmarkSimnetEventLoop\/pingpong|BenchmarkSimnetEventLoop\/timeout|BenchmarkNetworkMessageRate\/bulk|BenchmarkNetworkMessageRate\/ctl|BenchmarkTraceOverhead\/off|BenchmarkTraceOverhead\/off\/span-only|BenchmarkTraceOverheadDevice\/off|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkSVMRefault|BenchmarkKernelCost\/memoized)$$/ \
+		if (name ~ /^(BenchmarkSimnetEventLoop\/hold|BenchmarkSimnetEventLoop\/pingpong|BenchmarkSimnetEventLoop\/timeout|BenchmarkNetworkMessageRate\/bulk|BenchmarkNetworkMessageRate\/ctl|BenchmarkTraceOverhead\/off|BenchmarkTraceOverhead\/off\/span-only|BenchmarkTraceOverheadDevice\/off|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkSVMRefault|BenchmarkKernelCost\/memoized|BenchmarkKernelCost\/raytrace-memoized)$$/ \
 		&& $$(NF-1)+0 > 0) print name, $$(NF-1), "allocs/op" }' bench-allocs.out); \
 	if [ -n "$$bad" ]; then echo "zero-alloc benchmarks regressed:"; echo "$$bad"; exit 1; fi; \
 	echo "all pinned benchmarks at 0 allocs/op"

@@ -158,7 +158,7 @@ type NodeState struct {
 	residentVer map[residentKey]int            // device-resident data versions
 	residentEv  map[residentKey]ocl.Event      // in-flight resident transfers
 
-	costCache            map[costKey][]costEntry // memoized MCL cost evaluations
+	costCache            map[*codegen.Compiled]*costSlot // memoized MCL cost evaluations
 	costHits, costMisses int64
 
 	graphs map[*GraphSpec]*Graph // instantiated dataflow graphs, one per spec
@@ -228,7 +228,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			kernels:     map[string][]*codegen.Compiled{},
 			residentVer: map[residentKey]int{},
 			residentEv:  map[residentKey]ocl.Event{},
-			costCache:   map[costKey][]costEntry{},
+			costCache:   map[*codegen.Compiled]*costSlot{},
 			graphs:      map[*GraphSpec]*Graph{},
 		}
 		state.Space = svm.NewSpace(ps.KernelFor(i), i, on.Devices, cfg.SVM, rec, cfg.Net.TransferTime)

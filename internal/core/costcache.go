@@ -6,79 +6,68 @@ import (
 )
 
 // Every MCL cost evaluation re-runs the static analysis of the kernel for
-// its parameters (over the program checked once, in NewKernelSet).
-// Iterative applications (kmeans, nbody) launch the same kernel with the
-// same scalar parameters thousands of times, so NodeState memoizes Cost per
-// (compiled kernel, parameter fingerprint). The fingerprint is a commutative
-// sum of per-entry FNV hashes — map iteration order cannot perturb it — and
-// each cache entry keeps a copy of its parameter map so a fingerprint
-// collision degrades to a recompute, never to a wrong cost.
+// its parameters (over the program checked once, in NewKernelSet), and every
+// launch asks for one. The analysis reports which scalar parameters it read
+// (codegen.Compiled.CostObserved): extents, trip counts, array dimensions,
+// address coefficients. A parameter outside that set, such as the row
+// offset each raytracer leaf passes, never changes the result. So NodeState
+// memoizes each kernel's costs on the observed values alone: an entry holds
+// the mask its evaluation returned and the launch's values, and a launch
+// hits when it agrees on every masked value. The analysis consulted no other
+// value, so a hit replays exactly the analysis a miss would run.
 
-type costKey struct {
-	c  *codegen.Compiled
-	fp uint64
+// costSlot holds one compiled kernel's memoized costs.
+type costSlot struct {
+	names   []string // the kernel's scalar int parameters; mask bit i is names[i]
+	entries []costEntry
 }
 
 type costEntry struct {
-	params map[string]int64
-	cost   device.KernelCost
-}
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func fingerprintParams(params map[string]int64) uint64 {
-	fp := uint64(len(params))
-	for k, v := range params {
-		h := uint64(fnvOffset)
-		for i := 0; i < len(k); i++ {
-			h = (h ^ uint64(k[i])) * fnvPrime
-		}
-		u := uint64(v)
-		for shift := 0; shift < 64; shift += 8 {
-			h = (h ^ (u >> shift & 0xff)) * fnvPrime
-		}
-		fp += h
-	}
-	return fp
-}
-
-func paramsEqual(a, b map[string]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
+	observed codegen.ParamMask
+	vals     []int64 // the launch's value of every parameter in names
+	cost     device.KernelCost
 }
 
 // kernelCost returns the memoized cost of running the compiled kernel with
 // the given parameters. Errors are not cached: a failing evaluation is the
 // cold path to a CPU fallback.
 func (ns *NodeState) kernelCost(c *codegen.Compiled, params map[string]int64) (device.KernelCost, error) {
-	key := costKey{c: c, fp: fingerprintParams(params)}
-	for _, e := range ns.costCache[key] {
-		if paramsEqual(e.params, params) {
+	s := ns.costCache[c]
+	if s == nil {
+		s = &costSlot{names: c.ScalarParams()}
+		ns.costCache[c] = s
+	}
+	var buf [8]int64
+	vals := buf[:0]
+	for _, name := range s.names {
+		v, ok := params[name]
+		if !ok {
+			return c.Cost(params) // reports the missing parameter
+		}
+		vals = append(vals, v)
+	}
+	for _, e := range s.entries {
+		if e.matches(vals) {
 			ns.costHits++
 			return e.cost, nil
 		}
 	}
-	cost, err := c.Cost(params)
+	cost, observed, err := c.CostObserved(params)
 	if err != nil {
 		return cost, err
 	}
 	ns.costMisses++
-	cp := make(map[string]int64, len(params))
-	for k, v := range params {
-		cp[k] = v
-	}
-	ns.costCache[key] = append(ns.costCache[key], costEntry{params: cp, cost: cost})
+	s.entries = append(s.entries, costEntry{observed: observed, vals: append([]int64(nil), vals...), cost: cost})
 	return cost, nil
+}
+
+func (e *costEntry) matches(vals []int64) bool {
+	for i, v := range vals {
+		if e.observed.Has(i) && e.vals[i] != v {
+			return false
+		}
+	}
+	return true
 }
 
 // CostCacheStats reports memoization hits and misses for this node.

@@ -77,7 +77,28 @@ type Report struct {
 	// ThreadParallelism is the product of the foreach extents: the exposed
 	// parallelism of the launch.
 	ThreadParallelism float64
+
+	// Observed is the set of scalar parameters whose values the analysis
+	// read: foreach extents, loop trip counts and @expect hints, array
+	// dimensions, the divisor of a folded / or %, the arms of a conditional
+	// that both fold to constants, and the coefficients of an address or of
+	// a sum of affine values (whether its terms cancel). Every other
+	// parameter only flows into values the analysis never inspects, so the
+	// report is the same for any launch that agrees with this one on the
+	// observed parameters.
+	Observed ParamMask
 }
+
+// ParamMask is a set of a kernel's scalar int parameters: bit i stands for
+// the i-th in declaration order (Compiled.ScalarParams lists them). The
+// 16th and later parameters share the top bit. Sixteen bits keep aval, and
+// with it the analyzer's scope stack, at its size without masks.
+type ParamMask uint16
+
+func paramBit(i int) ParamMask { return 1 << min(i, 15) }
+
+// Has reports whether the i-th scalar int parameter is in the set.
+func (m ParamMask) Has(i int) bool { return m&paramBit(i) != 0 }
 
 // TotalBytes reports the modeled off-chip traffic.
 func (r *Report) TotalBytes() float64 {
@@ -122,6 +143,7 @@ func Analyze(info *mcpl.Info, kernel string, params map[string]int64, simdWidth 
 		dims:   map[string][]mcpl.Expr{},
 		vars:   make([]binding, 0, 64), // the raytracer nests about 60 deep
 	}
+	bit := 0
 	for _, prm := range f.Params {
 		if prm.Type.IsArray() {
 			space := prm.Space
@@ -140,7 +162,8 @@ func Analyze(info *mcpl.Info, kernel string, params map[string]int64, simdWidth 
 		if !ok {
 			return nil, fmt.Errorf("codegen: missing launch value for scalar parameter %q", prm.Name)
 		}
-		a.bind(prm.Name, aval{val: v})
+		a.bind(prm.Name, aval{val: v, deps: paramBit(bit)})
+		bit++
 	}
 	a.block(f.Body, ctx{mult: 1})
 	sort.Slice(a.rep.Warnings, func(i, j int) bool { return a.rep.Warnings[i] < a.rep.Warnings[j] })
@@ -148,13 +171,16 @@ func Analyze(info *mcpl.Info, kernel string, params map[string]int64, simdWidth 
 }
 
 // aval is an abstract value: constant + affine combination of parallel/loop
-// variables + a data-dependence taint. A value is never modified once built
-// (every operation builds a new one), so bindings and results share their
-// terms.
+// variables + a data-dependence taint. deps holds the scalar parameters the
+// constant was computed from and tdeps those the coefficients were; the
+// analyzer adds them to Report.Observed wherever it reads the constant or a
+// coefficient. A value is never modified once built (every operation builds
+// a new one), so bindings and results share their terms.
 type aval struct {
-	val     int64
-	terms   []term // affine coefficients, one per variable; a term may be zero
-	dataDep bool
+	val         int64
+	terms       []term // affine coefficients, one per variable; a term may be zero
+	deps, tdeps ParamMask
+	dataDep     bool
 }
 
 // term is one variable's coefficient in an affine value.
@@ -185,14 +211,18 @@ var symval = aval{terms: []term{{"$sym", 1}}}
 // variable is the abstract value of a lane or loop variable itself.
 func variable(name string) aval { return aval{terms: []term{{name, 1}}} }
 
-// add returns a + sign*b, dropping the terms that cancel to zero.
-func add(a, b aval, sign int64) aval {
-	out := aval{val: a.val + sign*b.val, dataDep: a.dataDep || b.dataDep}
-	if len(a.terms) == 0 && len(b.terms) == 0 {
+// add returns x + sign*y, dropping the terms that cancel to zero. Which
+// terms survive depends on the coefficients, so a sum of affine values
+// observes them: a launch whose terms cancel where this one's did not (or
+// the reverse) must not share its cost.
+func (a *analyzer) add(x, y aval, sign int64) aval {
+	out := aval{val: x.val + sign*y.val, deps: x.deps | y.deps, tdeps: x.tdeps | y.tdeps, dataDep: x.dataDep || y.dataDep}
+	if len(x.terms) == 0 && len(y.terms) == 0 {
 		return out
 	}
-	terms := append(make([]term, 0, len(a.terms)+len(b.terms)), a.terms...)
-	for _, bt := range b.terms {
+	a.observe(out.tdeps)
+	terms := append(make([]term, 0, len(x.terms)+len(y.terms)), x.terms...)
+	for _, bt := range y.terms {
 		i := 0
 		for i < len(terms) && terms[i].name != bt.name {
 			i++
@@ -222,8 +252,9 @@ func mulval(a, b aval) aval {
 	if !b.known() {
 		return unknown
 	}
-	out := aval{val: a.val * b.val, dataDep: a.dataDep}
+	out := aval{val: a.val * b.val, deps: a.deps | b.deps, dataDep: a.dataDep}
 	if len(a.terms) > 0 {
+		out.tdeps = a.tdeps | b.deps
 		out.terms = make([]term, len(a.terms))
 		for i, t := range a.terms {
 			out.terms[i] = term{name: t.name, c: t.c * b.val}
@@ -306,6 +337,10 @@ func (a *analyzer) isFloat(e mcpl.Expr) bool {
 	return a.info.TypeOf(e).Kind == mcpl.KindFloat
 }
 
+// observe records that the analysis read a value computed from the
+// parameters in m.
+func (a *analyzer) observe(m ParamMask) { a.rep.Observed |= m }
+
 func (a *analyzer) warn(format string, args ...any) {
 	if a.warned == nil {
 		a.warned = map[string]bool{}
@@ -373,6 +408,7 @@ func (a *analyzer) stmt(s mcpl.Stmt, c ctx) {
 				for _, d := range st.Type.Dims {
 					dv := a.eval(d, c)
 					if dv.known() {
+						a.observe(dv.deps)
 						size *= dv.val
 					} else {
 						a.warn("%v: local array %s has non-constant dimension; occupancy unknown", st.Pos, st.Name)
@@ -398,7 +434,7 @@ func (a *analyzer) stmt(s mcpl.Stmt, c ctx) {
 				if !ok {
 					old = unknown
 				}
-				a.bind(lhs.Name, combineOp(st.Op, old, rhs))
+				a.bind(lhs.Name, a.combineOp(st.Op, old, rhs))
 				if a.isFloat(st.Lhs) {
 					a.flops(1, c) // compound assign implies an arithmetic op
 				}
@@ -418,7 +454,7 @@ func (a *analyzer) stmt(s mcpl.Stmt, c ctx) {
 			if !ok {
 				old = unknown
 			}
-			a.bind(lhs.Name, add(old, aval{val: 1}, incSign(st.Op)))
+			a.bind(lhs.Name, a.add(old, aval{val: 1}, incSign(st.Op)))
 		}
 	case *mcpl.If:
 		cond := a.eval(st.Cond, c)
@@ -458,6 +494,7 @@ func (a *analyzer) stmt(s mcpl.Stmt, c ctx) {
 		if st.Expect != nil {
 			ev := a.eval(st.Expect, c)
 			if ev.known() {
+				a.observe(ev.deps)
 				trips = float64(ev.val)
 			}
 		} else {
@@ -475,6 +512,7 @@ func (a *analyzer) stmt(s mcpl.Stmt, c ctx) {
 		bound := a.eval(st.Bound, c)
 		extent := float64(1)
 		if bound.known() {
+			a.observe(bound.deps)
 			extent = float64(bound.val)
 		} else {
 			a.warn("%v: foreach bound %s is not a launch constant", st.Pos, mcpl.ExprString(st.Bound))
@@ -510,12 +548,12 @@ func incSign(op string) int64 {
 	return 1
 }
 
-func combineOp(op string, old, rhs aval) aval {
+func (a *analyzer) combineOp(op string, old, rhs aval) aval {
 	switch op {
 	case "+=":
-		return add(old, rhs, 1)
+		return a.add(old, rhs, 1)
 	case "-=":
-		return add(old, rhs, -1)
+		return a.add(old, rhs, -1)
 	case "*=":
 		return mulval(old, rhs)
 	default:
@@ -528,6 +566,7 @@ func (a *analyzer) tripCount(st *mcpl.For, c ctx) float64 {
 	if st.Expect != nil {
 		ev := a.eval(st.Expect, c)
 		if ev.known() {
+			a.observe(ev.deps)
 			return float64(ev.val)
 		}
 	}
@@ -557,6 +596,7 @@ func (a *analyzer) tripCount(st *mcpl.For, c ctx) float64 {
 		if id, ok := po.Lhs.(*mcpl.Ident); ok && id.Name == name {
 			rv := a.eval(po.Rhs, c)
 			if rv.known() {
+				a.observe(rv.deps)
 				switch po.Op {
 				case "+=":
 					step = rv.val
@@ -570,6 +610,7 @@ func (a *analyzer) tripCount(st *mcpl.For, c ctx) float64 {
 		if id, ok := cond.L.(*mcpl.Ident); ok && id.Name == name {
 			bound := a.eval(cond.R, c)
 			if bound.known() {
+				a.observe(initVal.deps | bound.deps)
 				var n int64
 				switch cond.Op {
 				case "<":
@@ -622,6 +663,7 @@ func (a *analyzer) access(x *mcpl.Index, c ctx, write bool) {
 		strides[i] = s
 		dv := a.eval(dims[i], c)
 		if dv.known() {
+			a.observe(dv.deps)
 			s *= dv.val
 		} else {
 			ok = false
@@ -633,6 +675,7 @@ func (a *analyzer) access(x *mcpl.Index, c ctx, write bool) {
 	loopFree := true
 	for i, sub := range x.Args {
 		sv := a.eval(sub, c)
+		a.observe(sv.tdeps) // the class reads coefficients, never the constant
 		if sv.dataDep {
 			dep = true
 		}
@@ -729,8 +772,11 @@ func (a *analyzer) eval(x mcpl.Expr, c ctx) aval {
 		}
 		t := a.eval(v.T, cc)
 		f := a.eval(v.F, cc)
-		if t.known() && f.known() && t.val == f.val {
-			return t
+		if t.known() && f.known() {
+			a.observe(t.deps | f.deps)
+			if t.val == f.val {
+				return t
+			}
 		}
 		return aval{dataDep: cv.dataDep || t.dataDep || f.dataDep}
 	case *mcpl.Binary:
@@ -744,19 +790,25 @@ func (a *analyzer) eval(x mcpl.Expr, c ctx) aval {
 		}
 		switch v.Op {
 		case "+":
-			return add(l, r, 1)
+			return a.add(l, r, 1)
 		case "-":
-			return add(l, r, -1)
+			return a.add(l, r, -1)
 		case "*":
 			return mulval(l, r)
 		case "/":
-			if r.known() && r.val != 0 && l.known() {
-				return aval{val: l.val / r.val}
+			if l.known() && r.known() {
+				a.observe(r.deps) // a zero divisor does not fold
+				if r.val != 0 {
+					return aval{val: l.val / r.val, deps: l.deps | r.deps}
+				}
 			}
 			return aval{dataDep: l.dataDep || r.dataDep || len(l.terms) > 0}
 		case "%":
-			if l.known() && r.known() && r.val != 0 {
-				return aval{val: l.val % r.val}
+			if l.known() && r.known() {
+				a.observe(r.deps)
+				if r.val != 0 {
+					return aval{val: l.val % r.val, deps: l.deps | r.deps}
+				}
 			}
 			return unknown
 		case "<", "<=", ">", ">=", "==", "!=":
@@ -767,17 +819,18 @@ func (a *analyzer) eval(x mcpl.Expr, c ctx) aval {
 			return aval{dataDep: l.dataDep || r.dataDep}
 		default: // bit ops
 			if l.known() && r.known() {
+				deps := l.deps | r.deps
 				switch v.Op {
 				case "<<":
-					return aval{val: l.val << uint(r.val&63)}
+					return aval{val: l.val << uint(r.val&63), deps: deps}
 				case ">>":
-					return aval{val: l.val >> uint(r.val&63)}
+					return aval{val: l.val >> uint(r.val&63), deps: deps}
 				case "&":
-					return aval{val: l.val & r.val}
+					return aval{val: l.val & r.val, deps: deps}
 				case "|":
-					return aval{val: l.val | r.val}
+					return aval{val: l.val | r.val, deps: deps}
 				case "^":
-					return aval{val: l.val ^ r.val}
+					return aval{val: l.val ^ r.val, deps: deps}
 				}
 			}
 			return aval{dataDep: l.dataDep || r.dataDep || len(l.terms)+len(r.terms) > 0}

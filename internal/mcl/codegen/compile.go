@@ -104,6 +104,10 @@ type Compiled struct {
 	spec       *device.Spec
 	engine     *closure.Kernel // closure-compiled fast engine; nil -> interp
 
+	scalars  []string        // scalar int parameters, in declaration order
+	nest     []*mcpl.Foreach // the kernel's leading foreach nest, outermost first
+	geomDeps ParamMask       // scalar parameters named in the nest's bounds
+
 	extents  []int64 // tuned per-dimension work-group extents (flat nests only)
 	geomCost bool    // fold the launch geometry into Cost
 	maxWG    int64   // leaf work-group size limit (0 = unlimited)
@@ -182,6 +186,30 @@ func (ks *KernelSet) CompileAt(level, leaf string, h *hdl.Hierarchy) (*Compiled,
 		// queries will fail.
 		spec = nil
 	}
+	f := info.Prog.Kernel(ks.Name)
+	var scalars []string
+	for _, prm := range f.Params {
+		if !prm.Type.IsArray() && prm.Type.Kind == mcpl.KindInt {
+			scalars = append(scalars, prm.Name)
+		}
+	}
+	var nest []*mcpl.Foreach
+	var geomDeps ParamMask
+	for cur := f.Body; ; {
+		var fe *mcpl.Foreach
+		for _, s := range cur.Stmts {
+			if x, ok := s.(*mcpl.Foreach); ok {
+				fe = x
+				break
+			}
+		}
+		if fe == nil {
+			break
+		}
+		nest = append(nest, fe)
+		geomDeps |= namedParams(fe.Bound, scalars)
+		cur = fe.Body
+	}
 	return &Compiled{
 		Name:        ks.Name,
 		Leaf:        leaf,
@@ -192,9 +220,34 @@ func (ks *KernelSet) CompileAt(level, leaf string, h *hdl.Hierarchy) (*Compiled,
 		translated:  tr,
 		spec:        spec,
 		engine:      engineFor(info.Prog, ks.Name),
+		scalars:     scalars,
+		nest:        nest,
+		geomDeps:    geomDeps,
 		maxWG:       leafWorkgroupLimit(lv),
 	}, nil
 }
+
+// namedParams returns the scalar parameters an integer expression names, as
+// evalIntExpr reads them.
+func namedParams(x mcpl.Expr, scalars []string) ParamMask {
+	switch v := x.(type) {
+	case *mcpl.Ident:
+		for i, s := range scalars {
+			if s == v.Name {
+				return paramBit(i)
+			}
+		}
+	case *mcpl.Binary:
+		return namedParams(v.L, scalars) | namedParams(v.R, scalars)
+	case *mcpl.Unary:
+		return namedParams(v.X, scalars)
+	}
+	return 0
+}
+
+// ScalarParams lists the kernel's scalar int parameters in declaration
+// order: bit i of a ParamMask stands for the i-th.
+func (c *Compiled) ScalarParams() []string { return c.scalars }
 
 // leafWorkgroupLimit reads the leaf's work-group size bound from its
 // innermost parallelism unit (threads on GPUs, vectors on MIC/CPU). 0 means
@@ -214,32 +267,18 @@ func leafWorkgroupLimit(lv *hdl.Level) int64 {
 // the kernel fixes its own blocks-of-threads structure (hand-optimized
 // versions pin their geometry in the source).
 func (c *Compiled) FlatLaunchDims() int {
-	f := c.src.Prog.Kernel(c.Name)
-	groups, threads, total := 0, 0, 0
-	cur := f.Body
-	for {
-		var fe *mcpl.Foreach
-		for _, s := range cur.Stmts {
-			if x, ok := s.(*mcpl.Foreach); ok {
-				fe = x
-				break
-			}
-		}
-		if fe == nil {
-			break
-		}
-		total++
+	groups, threads := 0, 0
+	for _, fe := range c.nest {
 		if fe.Unit != "threads" && fe.Unit != "vectors" {
 			groups++
 		} else {
 			threads++
 		}
-		cur = fe.Body
 	}
 	if groups > 0 && groups == threads {
 		return 0
 	}
-	return total
+	return len(c.nest)
 }
 
 // SetLaunchExtents overrides the work-group extents of the kernel's flat
@@ -315,15 +354,26 @@ func (c *Compiled) Analyze(params map[string]int64) (*Report, error) {
 // degrades the efficiency terms (see geometryEff); kernels whose geometry
 // cannot be derived for the parameters fall back to the pure analysis cost.
 func (c *Compiled) Cost(params map[string]int64) (device.KernelCost, error) {
+	kc, _, err := c.CostObserved(params)
+	return kc, err
+}
+
+// CostObserved returns Cost together with the scalar parameters it read:
+// the analysis's Report.Observed and, with geometry cost on, those named in
+// the bounds LaunchConfig evaluates. Every launch that agrees with this one
+// on the observed parameters has the same cost.
+func (c *Compiled) CostObserved(params map[string]int64) (device.KernelCost, ParamMask, error) {
 	if c.spec == nil {
-		return device.KernelCost{}, fmt.Errorf("codegen: no device model for leaf %q", c.Leaf)
+		return device.KernelCost{}, 0, fmt.Errorf("codegen: no device model for leaf %q", c.Leaf)
 	}
 	rep, err := c.Analyze(params)
 	if err != nil {
-		return device.KernelCost{}, err
+		return device.KernelCost{}, 0, err
 	}
 	kc := Cost(rep, c.spec, c.Distance)
+	observed := rep.Observed
 	if c.geomCost {
+		observed |= c.geomDeps
 		if g, gerr := c.LaunchConfig(params); gerr == nil {
 			eff := geometryEff(c.spec, c.maxWG, g)
 			kc.ComputeEff *= eff
@@ -336,7 +386,7 @@ func (c *Compiled) Cost(params map[string]int64) (device.KernelCost, error) {
 			}
 		}
 	}
-	return kc, nil
+	return kc, observed, nil
 }
 
 // Glue is the launch configuration MCL generates for Cashmere: the OpenCL
@@ -363,30 +413,17 @@ func (g Glue) Items() int64 {
 // LaunchConfig computes the glue configuration for a launch with the given
 // scalar parameters.
 func (c *Compiled) LaunchConfig(params map[string]int64) (Glue, error) {
-	f := c.src.Prog.Kernel(c.Name)
 	type dim struct {
 		bound int64
 		group bool // blocks/cores vs threads/vectors
 	}
 	var dims []dim
-	cur := f.Body
-	for {
-		var fe *mcpl.Foreach
-		for _, s := range cur.Stmts {
-			if x, ok := s.(*mcpl.Foreach); ok {
-				fe = x
-				break
-			}
-		}
-		if fe == nil {
-			break
-		}
+	for _, fe := range c.nest {
 		b, err := evalIntExpr(fe.Bound, params)
 		if err != nil {
 			return Glue{}, fmt.Errorf("codegen: foreach bound %s: %w", mcpl.ExprString(fe.Bound), err)
 		}
 		dims = append(dims, dim{bound: b, group: fe.Unit != "threads" && fe.Unit != "vectors"})
-		cur = fe.Body
 	}
 	if len(dims) == 0 {
 		return Glue{}, fmt.Errorf("codegen: kernel %s has no foreach parallelism", c.Name)

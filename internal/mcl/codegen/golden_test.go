@@ -78,7 +78,9 @@ func TestCostGolden(t *testing.T) {
 	t.Fatalf("%s differs in length: got %d lines, want %d", goldenFile, len(gl), len(wl))
 }
 
-func renderGolden(t *testing.T) string {
+// eachGoldenCase calls fn for every application kernel version at every
+// scale on every device leaf the version applies to, in a fixed order.
+func eachGoldenCase(t *testing.T, fn func(app string, ks *codegen.KernelSet, level, leaf string, h *hdl.Hierarchy, sc goldenScale)) {
 	h := hdl.Library()
 	var leaves []string
 	for name := range h.Levels {
@@ -88,7 +90,6 @@ func renderGolden(t *testing.T) string {
 	}
 	sort.Strings(leaves)
 
-	var b strings.Builder
 	for _, app := range goldenApps {
 		// The optimized set holds every version the unoptimized one does.
 		ks, err := app.kernels(apps.CashmereOptimized)
@@ -105,12 +106,19 @@ func renderGolden(t *testing.T) string {
 					continue
 				}
 				for _, sc := range app.scales {
-					fmt.Fprintf(&b, "== %s level=%s leaf=%s scale=%s\n", app.name, level, leaf, sc.name)
-					writeGoldenCase(&b, ks, level, leaf, h, sc.params)
+					fn(app.name, ks, level, leaf, h, sc)
 				}
 			}
 		}
 	}
+}
+
+func renderGolden(t *testing.T) string {
+	var b strings.Builder
+	eachGoldenCase(t, func(app string, ks *codegen.KernelSet, level, leaf string, h *hdl.Hierarchy, sc goldenScale) {
+		fmt.Fprintf(&b, "== %s level=%s leaf=%s scale=%s\n", app, level, leaf, sc.name)
+		writeGoldenCase(&b, ks, level, leaf, h, sc.params)
+	})
 	return b.String()
 }
 
