@@ -6,7 +6,7 @@ GO ?= go
 # real erosion.
 COVER_FLOOR ?= 68.0
 
-.PHONY: check lint vet build test race cover bench bench-sim bench-serve bench-autoscale bench-allocs bench-svm
+.PHONY: check lint vet build test race cover bench bench-serve bench-autoscale bench-allocs bench-svm
 
 # check runs everything CI runs (minus the version matrix).
 check: lint build test race cover
@@ -53,14 +53,6 @@ cover:
 # BENCH_kernels.json.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkKernelExec|BenchmarkEventHeap' -benchtime 2s . ./internal/simnet/
-
-# bench-sim regenerates the simulator hot-path numbers recorded in
-# BENCH_sim.json (event-loop cost, network message rate, tracing overhead,
-# device launch path, Fig. 7 harness wall-clock at parallelism 1 and 4 plus
-# the intra-simulation partitioned scheduler at -partitions 4) and prints
-# per-benchmark deltas against the committed file before overwriting.
-bench-sim:
-	$(GO) run ./cmd/bench-sim
 
 # bench-serve regenerates BENCH_serve.json: the latency-vs-offered-load
 # sweep of the online serving layer (standard 3-tenant workload on 4 GTX480

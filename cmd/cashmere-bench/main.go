@@ -41,7 +41,7 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"number of simulations to run concurrently (1 = sequential); output is identical at any setting")
 	partitionsF := flag.Int("partitions", 0,
-		"split each scalability simulation into N conservatively synchronized partitions (intra-simulation parallelism; output is identical at any setting; 0 = auto from GOMAXPROCS and node count)")
+		"split each scalability simulation into N conservatively synchronized partitions (intra-simulation parallelism; output is identical at any setting; 0 = auto: 1 below 4 CPUs, else from GOMAXPROCS and node count)")
 	tuneJSON := flag.String("tune-json", "",
 		"with -experiment tune, also write the sweep as the BENCH_kernels.json \"tuning\" section to this file")
 	tuneSurv := flag.Int("tune-survivors", 0,

@@ -39,7 +39,7 @@ func main() {
 		metrics    = flag.Bool("metrics", false, "print the metrics dump after the run")
 		seed       = flag.Int64("seed", 1, "simulation seed")
 		partitions = flag.Int("partitions", 0,
-			"split the simulation into N conservatively synchronized partitions (same trajectory, less wall-clock time; 0 = auto from GOMAXPROCS and node count)")
+			"split the simulation into N conservatively synchronized partitions (same trajectory; 0 = auto: 1 below 4 CPUs, else from GOMAXPROCS and node count)")
 		oracle = flag.Bool("pdes-oracle", false,
 			"step partition windows sequentially instead of concurrently (the determinism oracle; same trajectory)")
 		tuneCacheF = flag.String("tune-cache", "",

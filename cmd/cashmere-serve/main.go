@@ -83,7 +83,7 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"number of sweep points simulated concurrently; output is identical at any setting")
 	partitions := flag.Int("partitions", 0,
-		"split each simulation into N conservatively synchronized partitions; output is identical at any setting (0 = auto from GOMAXPROCS and node count)")
+		"split each simulation into N conservatively synchronized partitions; output is identical at any setting (0 = auto: 1 below 4 CPUs, else from GOMAXPROCS and node count)")
 	tuneF := flag.Bool("tune", false,
 		"auto-tune every workload kernel for the device before serving: tuned levels and launch geometries replace the hand-picked compiles, and per-class batch caps derive from the tuned costs")
 	flag.Parse()

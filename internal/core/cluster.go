@@ -342,19 +342,14 @@ func (cl *Cluster) compileFor(ks *codegen.KernelSet, spec *device.Spec) (*codege
 // more than the node count (a partition without nodes is pure overhead),
 // capped at 8 (beyond that the conservative-window synchronization cost
 // outweighs the extra parallelism at the cluster sizes simulated here), and
-// at least 1 — a single-core host degrades to the sequential kernel.
+// at least 1. Below 4 processors it is 1: on a 2-CPU host two partitions
+// measurably lose to the sequential kernel on every benchmark workload,
+// because a window holds too few events to pay for its barrier.
 func AutoPartitions(nodes, procs int) int {
-	p := procs
-	if p > nodes {
-		p = nodes
+	if procs < 4 {
+		return 1
 	}
-	if p > 8 {
-		p = 8
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
+	return max(1, min(procs, nodes, 8))
 }
 
 // Run initializes the cluster (master broadcast of run-time information,

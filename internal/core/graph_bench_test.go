@@ -41,10 +41,10 @@ func BenchmarkGraphSubmitPath(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphVsNaive records the headline tentpole numbers for
-// BENCH_sim.json: the virtual makespan and PCIe traffic of 10 iterations of
-// the three-stage chain, run as one dataflow graph versus the equivalent
-// naive per-kernel launch sequence. The custom virtual_ns/op and
+// BenchmarkGraphVsNaive reports the headline numbers of EXPERIMENTS.md: the
+// virtual makespan and PCIe traffic of 10 iterations of the three-stage
+// chain, run as one dataflow graph versus the equivalent naive per-kernel
+// launch sequence. The custom virtual_ns/op and
 // moved_bytes/op metrics are trajectory-determined (identical on any host);
 // the wall-clock ns/op is incidental.
 func BenchmarkGraphVsNaive(b *testing.B) {

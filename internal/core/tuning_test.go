@@ -19,6 +19,9 @@ func TestAutoPartitions(t *testing.T) {
 		{16, 0, 1},  // degenerate proc count still yields a valid value
 		{16, -1, 1}, // negative too
 		{8, 8, 8},   // exact fit
+		{16, 2, 1},  // below 4 processors partitions lose: sequential
+		{16, 3, 1},  // likewise
+		{4, 4, 4},   // the smallest host that partitions
 	}
 	for _, c := range cases {
 		if got := AutoPartitions(c.nodes, c.procs); got != c.want {

@@ -10,8 +10,8 @@ import (
 // throughput: one endpoint streams b.N messages to another, which receives
 // them all. The bulk case exercises the full egress/latency/ingress pipeline
 // with a pooled courier per in-flight message; the ctl case exercises the
-// control lane. Steady-state traffic must run at 0 allocs/op (BENCH_sim.json
-// tracks this; regenerate with `make bench-sim`).
+// control lane. Steady-state traffic must run at 0 allocs/op (`make
+// bench-allocs` enforces this).
 func BenchmarkNetworkMessageRate(b *testing.B) {
 	for _, tc := range []struct {
 		name string

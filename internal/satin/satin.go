@@ -166,6 +166,10 @@ type Node struct {
 	// single-partition runs). Victim selection consults only this view —
 	// never another node's memory — so crash handling is partition-safe.
 	peerDown []bool
+	// peers caches the ids of the other nodes not in peerDown, in id order,
+	// for victim selection; nil means it must be rebuilt. Every write to
+	// peerDown resets it.
+	peers []int
 
 	// Stats (per node; Runtime sums them on demand).
 	jobsExecuted   int64
@@ -501,17 +505,18 @@ func (n *Node) trySteal(p *simnet.Proc, workerID int) *Job {
 // in single-partition runs) — never from another node's memory, so victim
 // selection is partition-safe. A stale view only costs a timed-out probe.
 func (n *Node) victim() int {
-	rt := n.rt
-	alive := make([]int, 0, len(rt.nodes))
-	for _, c := range rt.nodes {
-		if c.ID != n.ID && !n.peerDown[c.ID] {
-			alive = append(alive, c.ID)
+	if n.peers == nil {
+		n.peers = make([]int, 0, len(n.rt.nodes))
+		for _, c := range n.rt.nodes {
+			if c.ID != n.ID && !n.peerDown[c.ID] {
+				n.peers = append(n.peers, c.ID)
+			}
 		}
 	}
-	if len(alive) == 0 {
+	if len(n.peers) == 0 {
 		return -1
 	}
-	return alive[n.rng.Intn(len(alive))]
+	return n.peers[n.rng.Intn(len(n.peers))]
 }
 
 type stealReq struct {
@@ -644,6 +649,7 @@ func (n *Node) commLoop(p *simnet.Proc) {
 			// and sort by job ID before touching the deque.
 			id := m.Payload.(int)
 			n.peerDown[id] = true
+			n.peers = nil
 			jids := make([]uint64, 0, len(n.outstanding))
 			for jid, rec := range n.outstanding {
 				if rec.thief == id {
@@ -759,6 +765,7 @@ func (rt *Runtime) Kill(id int) {
 			continue
 		}
 		n.peerDown[id] = true
+		n.peers = nil
 		jids := make([]uint64, 0, len(n.outstanding))
 		for jid, rec := range n.outstanding {
 			if rec.thief == id {

@@ -72,3 +72,47 @@ func TestGrantSentinelNeverEscapes(t *testing.T) {
 		t.Fatal("grant sentinel must be inert")
 	}
 }
+
+// TestVictimProbeDoesNotAllocate: a steal probe draws from the node's cached
+// live-peer list, so picking a victim costs no allocation.
+func TestVictimProbeDoesNotAllocate(t *testing.T) {
+	n := testRuntime(8, 1).nodes[0]
+	if a := testing.AllocsPerRun(1000, func() { n.victim() }); a != 0 {
+		t.Fatalf("victim allocates %v times per probe, want 0", a)
+	}
+}
+
+// TestVictimNeverPicksDeadPeer: once a node learns that a peer is down —
+// from a node_down announcement or directly from Kill — its cached peer
+// list drops the peer, and no later probe targets it.
+func TestVictimNeverPicksDeadPeer(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		rt := testRuntime(4, 5)
+		warm := false
+		rt.Run(func(ctx *Context) any {
+			// The idle nodes probe for work while the root computes.
+			ctx.Compute(time.Millisecond, "warm")
+			warm = rt.nodes[1].peers != nil && rt.nodes[2].peers != nil
+			if async {
+				rt.CrashAsync(ctx.p, 3)
+			} else {
+				rt.Kill(3)
+			}
+			ctx.Compute(time.Millisecond, "detect")
+			return nil
+		})
+		if !warm {
+			t.Fatalf("async=%v: nodes 1 and 2 had not probed before the crash", async)
+		}
+		for _, n := range rt.nodes[:3] {
+			if !n.peerDown[3] {
+				t.Fatalf("async=%v: node %d never learned that node 3 died", async, n.ID)
+			}
+			for i := 0; i < 1000; i++ {
+				if id := n.victim(); id == 3 || id == n.ID || id < 0 {
+					t.Fatalf("async=%v: node %d picked victim %d after node 3 died", async, n.ID, id)
+				}
+			}
+		}
+	}
+}

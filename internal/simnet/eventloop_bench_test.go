@@ -6,16 +6,14 @@ import (
 )
 
 // BenchmarkSimnetEventLoop measures the cost of one scheduled event on the
-// kernel's hot path. Baseline and current numbers are recorded in
-// BENCH_sim.json (regenerate with `make bench-sim`).
+// kernel's hot path; `make bench-allocs` pins every case at 0 allocs/op.
 //
-//   - hold: a single process sleeping repeatedly. With direct handoff the
-//     next runnable event belongs to the parking process itself, so the wake
-//     needs no goroutine switch at all.
+//   - hold: a single process sleeping repeatedly. The next runnable event
+//     belongs to the parking process itself, so the wake needs no switch at
+//     all.
 //   - pingpong: two processes alternating through two channels — the classic
-//     one-event-per-wake pattern of the network and Satin layers. Direct
-//     handoff resumes the peer with one switch instead of bouncing through
-//     the kernel goroutine (two switches).
+//     one-event-per-wake pattern of the network and Satin layers. Each wake
+//     is a coroutine yield to Run's loop and a resume of the peer.
 //   - timeout: a request answered before its RecvTimeout(250ms) expires —
 //     the Satin comm-loop and steal-probe pattern. The reply supersedes the
 //     pending timeout wake in place, so the heap never holds more than one

@@ -4,11 +4,11 @@ import "fmt"
 
 // ProcPool recycles parked simulation processes to run short-lived tasks.
 // Spawning a fresh process per task — the pattern the network and Satin
-// layers used for every message delivery — costs a goroutine, a Proc, a
-// resume channel and a formatted name each time; on message-heavy
-// simulations that dominates the event loop. A pool amortizes all of it:
-// a finished runner parks on its work queue and the next Go reuses it, so
-// steady-state task traffic spawns nothing.
+// layers used for every message delivery — costs a coroutine, a Proc and a
+// formatted name each time; on message-heavy simulations that dominates the
+// event loop. A pool amortizes all of it: a finished runner parks on its
+// work queue and the next Go reuses it, so steady-state task traffic spawns
+// nothing.
 //
 // Tasks start at the current virtual time, exactly like k.Spawn(name, fn),
 // and the pool grows by one runner whenever every existing runner is busy,

@@ -4,22 +4,22 @@
 // all run as cooperative processes over a shared virtual clock.
 //
 // The design follows the classic process-interaction style (as in SimPy or
-// SSF): every simulated activity is a goroutine bound to a Proc, but at most
-// one process runs at a time. The kernel hands a "token" to the process that
-// owns the earliest pending event; the process runs until it blocks on a
-// virtual-time primitive (Hold, Chan.Recv, Resource.Acquire, Future.Await)
-// and then passes the token on. Events with equal timestamps fire in a fixed
-// total order — by creating event stream, then by that stream's monotonically
-// increasing sequence number (see event) — so a given program and seed always
-// produce the same trajectory, on one kernel or split across partitions.
+// SSF): every simulated activity is a coroutine bound to a Proc, and at most
+// one process runs at a time. The kernel resumes the process that owns the
+// earliest pending event; the process runs until it blocks on a virtual-time
+// primitive (Hold, Chan.Recv, Resource.Acquire, Future.Await) and then
+// yields back. Events with equal timestamps fire in a fixed total order — by
+// creating event stream, then by that stream's monotonically increasing
+// sequence number (see event) — so a given program and seed always produce
+// the same trajectory, on one kernel or split across partitions.
 //
-// Scheduling uses direct handoff: a parking process pops the next runnable
-// event itself and resumes its owner directly, so an event costs one
-// goroutine switch instead of two (park -> kernel -> resume). When the next
-// event belongs to the parking process itself — the common case for a lone
-// process sleeping through Hold — the wake needs no switch at all. The
-// kernel goroutine regains control only when the event queue drains or the
-// Run limit is reached.
+// A parking process pops the next runnable event itself. When that event
+// belongs to the parking process — the common case for a lone process
+// sleeping through Hold — the wake needs no switch at all. Otherwise the
+// process records the event's owner as the kernel's handoff and yields, and
+// Run's loop resumes the owner. Resuming and yielding are coroutine switches
+// (iter.Pull), which hand the thread over directly without a trip through
+// the Go scheduler's run queue.
 //
 // A parked process has at most one entry in the event queue. A second wake
 // for the same park — the reply that beats a RecvTimeout, say — is folded
@@ -30,9 +30,9 @@
 package simnet
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 )
 
@@ -91,11 +91,11 @@ type event struct {
 type Kernel struct {
 	now     Time
 	pq      eventHeap
-	yield   chan struct{}
+	handoff *Proc   // the process Run resumes next, set by the one that yields
 	live    []*Proc // processes whose body has not returned (Proc.live indexes it)
 	running bool
-	closed  bool // set by Close; a process resumed afterwards exits
-	limit   Time // Run's cutoff, 0 = none; read by dispatch during handoff
+	closed  bool // set by Close; a process stopped afterwards unwinds
+	limit   Time // Run's cutoff, 0 = none; read by parking processes too
 	strict  bool // events exactly at limit do NOT fire (RunBefore windows)
 	rng     *rand.Rand
 	seed    int64
@@ -131,8 +131,8 @@ type Kernel struct {
 // Stats are the kernel's scheduling counters, maintained unconditionally.
 type Stats struct {
 	Events    int64 // events dispatched (process wakes + callbacks)
-	SelfWakes int64 // direct-handoff wakes that needed no goroutine switch
-	Switches  int64 // goroutine switches performed to resume a process
+	SelfWakes int64 // wakes of the parking process itself, with no switch
+	Switches  int64 // coroutine resumes of a process by Run's loop
 	Stale     int64 // wakes that never fired: superseded within their park, or posted after it
 	Spawns    int64 // processes created
 	Callbacks int64 // callback events run (CallAt completions; never switch)
@@ -147,8 +147,8 @@ func (k *Kernel) Stats() Stats { return k.stats }
 // observability layer implements it to convert callbacks into trace spans
 // and gauges; see SetTracer.
 type Tracer interface {
-	// ProcSlice reports that process name/id held the token from start
-	// until it parked (or exited) at end, in virtual time.
+	// ProcSlice reports that process name/id ran from start until it
+	// parked (or exited) at end, in virtual time.
 	ProcSlice(name string, id int, start, end Time)
 	// QueueDepth reports the pending-event-queue depth at time t, sampled
 	// once per dispatched event.
@@ -163,9 +163,8 @@ func (k *Kernel) SetTracer(tr Tracer) { k.tracer = tr }
 // kernel-owned random source returned by Rand.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
-		yield: make(chan struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
-		seed:  seed,
+		rng:  rand.New(rand.NewSource(seed)),
+		seed: seed,
 	}
 }
 
@@ -195,13 +194,15 @@ func (k *Kernel) EnableDebugCounts() {
 // executing on another goroutine.
 func (k *Kernel) DebugCounts() map[string]int64 { return k.debugCounts }
 
-// Proc is a simulation process: a goroutine that runs simulation logic in
+// Proc is a simulation process: a coroutine that runs simulation logic in
 // direct style, blocking on virtual-time primitives.
 type Proc struct {
 	k      *Kernel
 	name   string
 	id     int
-	resume chan struct{}
+	next   func() (struct{}, bool) // resumes the body until it parks or returns
+	stop   func()                  // unwinds a parked body (Close)
+	yield  func(struct{}) bool     // suspends the body; false once stopped
 	done   bool
 	epoch  uint64 // incremented on every wake; stale wake events are ignored
 	parked bool
@@ -209,7 +210,7 @@ type Proc struct {
 	slot   int32 // heap index of the pending wake, -1 when none
 	live   int32 // index in Kernel.live
 
-	wokenAt Time // when the proc last received the token (for Tracer slices)
+	wokenAt Time // when the proc was last resumed (for Tracer slices)
 }
 
 // Name reports the name given at Spawn time.
@@ -282,9 +283,9 @@ func (k *Kernel) enqueue(e event) {
 
 // CallAt schedules fn to run at virtual time t (or now, if t is in the
 // past), with no process attached: the callback fires directly from the
-// event loop on whichever goroutine holds the token. It is the completion
-// hook behind the ocl command queues — an enqueued device operation costs
-// one heap entry instead of a parked process.
+// event loop, in whichever context pops it. It is the completion hook
+// behind the ocl command queues — an enqueued device operation costs one
+// heap entry instead of a parked process.
 //
 // Callbacks must be short and must not block on virtual-time primitives
 // (no Hold, Recv, Acquire, Await); they may post further events, wake
@@ -341,80 +342,67 @@ func (k *Kernel) SpawnOn(stream int, name string, fn func(p *Proc)) *Proc {
 
 func (k *Kernel) spawnAt(t Time, stream int32, name string, fn func(p *Proc)) *Proc {
 	k.procSeq++
-	p := &Proc{k: k, name: name, id: k.procSeq, resume: make(chan struct{}), stream: stream,
-		slot: -1, live: int32(len(k.live))}
+	p := &Proc{k: k, name: name, id: k.procSeq, stream: stream, slot: -1, live: int32(len(k.live))}
 	k.live = append(k.live, p)
 	k.stats.Spawns++
 	p.parked = true // the initial start event wakes it
-	go func() {
-		returned := false
+	p.next, p.stop = pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			if !returned && k.closed {
-				k.yield <- struct{}{} // released by Close: hand the token back
+			// Only a closed kernel stops its processes, so only then can the
+			// unwinding panic be errClosed; any other panic reaches Run.
+			if k.closed {
+				if r := recover(); r != nil && r != errClosed {
+					panic(r)
+				}
 			}
 		}()
-		p.wait()
 		fn(p)
-		returned = true
-		p.done = true
-		if k.tracer != nil {
-			k.tracer.ProcSlice(p.name, p.id, p.wokenAt, k.now)
-		}
-		last := k.live[len(k.live)-1]
-		last.live = p.live
-		k.live[p.live] = last
-		k.live = k.live[:len(k.live)-1]
-		k.dispatch(nil)
-	}()
+		p.exit()
+	})
 	k.postOn(stream, t, p, p.epoch)
 	return p
 }
 
-// park yields the token and blocks until a wake event targeted at the
-// current epoch fires. The parking process dispatches the next event
-// itself; if that event wakes this very process, park returns without ever
-// leaving the goroutine.
+// errClosed is the panic that unwinds a parked process stopped by Close,
+// running its deferred calls on the way out.
+var errClosed = errors.New("simnet: process stopped by Close")
+
+// exit retires a process whose body returned and picks the next process for
+// Run's loop to resume.
+func (p *Proc) exit() {
+	k := p.k
+	p.done = true
+	if k.tracer != nil {
+		k.tracer.ProcSlice(p.name, p.id, p.wokenAt, k.now)
+	}
+	last := k.live[len(k.live)-1]
+	last.live = p.live
+	k.live[p.live] = last
+	k.live = k.live[:len(k.live)-1]
+	k.handoff = k.next()
+}
+
+// park suspends the process until a wake event targeted at the current
+// epoch fires. The parking process pops the next event itself: if it wakes
+// this very process, park returns without a switch; otherwise the event's
+// owner (or nil, when nothing is left below the limit) becomes the kernel's
+// handoff and the process yields to Run's loop.
 func (p *Proc) park() {
 	p.parked = true
 	k := p.k
 	if k.tracer != nil {
 		k.tracer.ProcSlice(p.name, p.id, p.wokenAt, k.now)
 	}
-	if k.dispatch(p) {
+	next := k.next()
+	if next == p {
+		k.stats.SelfWakes++
 		return
 	}
-	p.wait()
-}
-
-// wait blocks until the process is handed the token. A process resumed by
-// Close instead exits its goroutine, running its deferred calls.
-func (p *Proc) wait() {
-	<-p.resume
-	if p.k.closed {
-		runtime.Goexit()
+	k.handoff = next
+	if !p.yield(struct{}{}) {
+		panic(errClosed)
 	}
-}
-
-// dispatch fires the next runnable event, transferring control to the
-// process that owns it. It is called with the token held, either by a
-// parking process (self) or by an exiting one (self == nil). If the chosen
-// event wakes self, dispatch reports true and the caller keeps running
-// without a switch. Otherwise the owner is resumed directly — or, when the
-// queue is drained past the limit, the token returns to the kernel
-// goroutine — and the caller blocks (or exits).
-func (k *Kernel) dispatch(self *Proc) bool {
-	p := k.next()
-	switch p {
-	case nil:
-		k.yield <- struct{}{}
-		return false
-	case self:
-		k.stats.SelfWakes++
-		return true
-	}
-	k.stats.Switches++
-	p.resume <- struct{}{}
-	return false
 }
 
 // next pops events up to the run's limit, running callbacks inline and
@@ -429,8 +417,8 @@ func (k *Kernel) next() *Proc {
 		}
 		k.pq.pop()
 		if e.fn != nil {
-			// Callback event: run it inline on the token-holding goroutine
-			// and keep dispatching. Never a goroutine switch.
+			// Callback event: run it inline in the running context and keep
+			// going. Never a switch.
 			k.now = e.t
 			k.curStream = e.exec
 			k.stats.Events++
@@ -555,13 +543,11 @@ func (k *Kernel) runUntil(limit Time, strict bool) {
 	k.limit = limit
 	k.strict = strict
 	defer func() { k.running = false; k.strict = false }()
-	for p := k.next(); p != nil; p = k.next() {
+	for p := k.next(); p != nil; p = k.handoff {
+		// The resumed process runs until it parks or returns, having set
+		// the handoff to the next event's owner.
 		k.stats.Switches++
-		p.resume <- struct{}{}
-		// The resumed process and its successors pass the token among
-		// themselves; it comes back here only when the queue has drained
-		// or the limit was reached.
-		<-k.yield
+		p.next()
 	}
 }
 
@@ -583,8 +569,8 @@ func (k *Kernel) Alive() int { return len(k.live) }
 
 // Close releases a finished simulation's goroutines. Every process whose
 // body has not returned — comm loops waiting for messages that will never
-// come, idle pool runners — is resumed one at a time and exits, running its
-// deferred calls (which must not block on virtual-time primitives). A
+// come, idle pool runners — is stopped one at a time and unwinds, running
+// its deferred calls (which must not block on virtual-time primitives). A
 // closed kernel cannot run again: Run panics. Must not be called while Run
 // executes.
 func (k *Kernel) Close() {
@@ -593,8 +579,7 @@ func (k *Kernel) Close() {
 	}
 	k.closed = true
 	for _, p := range k.live {
-		p.resume <- struct{}{}
-		<-k.yield
+		p.stop()
 	}
 	k.live = nil
 	k.pq = nil
