@@ -24,7 +24,7 @@
 // cluster is simulated: a process-oriented discrete-event kernel models the
 // nodes, the QDR InfiniBand interconnect, the PCIe links and the seven
 // DAS-4 device types, while MCPL kernels additionally execute for real
-// through an interpreter at verification scale. See DESIGN.md.
+// through a closure-compiled engine at verification scale. See DESIGN.md.
 package cashmere
 
 import (

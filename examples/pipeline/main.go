@@ -52,9 +52,9 @@ func run(pipelined bool) (makespan simnet.Duration, overlap simnet.Duration) {
 			// Serial: each pass blocks on write, then launch, then read.
 			// The engines never run concurrently.
 			for i := 0; i < passes; i++ {
-				dev.WriteBytes(p, chunk, "")
-				dev.Launch(p, passCost, "")
-				dev.ReadBytes(p, chunk, "")
+				dev.EnqueueWrite(chunk, "").Wait(p)
+				dev.EnqueueLaunch(passCost, "").Wait(p)
+				dev.EnqueueRead(chunk, "").Wait(p)
 			}
 			return
 		}

@@ -90,8 +90,8 @@ type Config struct {
 	// trace.NodeKernel pseudo-node. Off by default: it multiplies span volume
 	// and is only wanted for full -trace exports, not ASCII Gantt charts.
 	TraceSched bool
-	// Verify runs every kernel launch through the MCPL interpreter on real
-	// data (the launch must supply Args). Used at verification scale; paper-
+	// Verify executes every kernel launch's compiled kernel on real data
+	// (the launch must supply Args). Used at verification scale; paper-
 	// scale runs leave it off and only charge modeled time.
 	Verify bool
 	// Transport selects explicit bulk copies (the default, the paper's
@@ -321,17 +321,7 @@ func (cl *Cluster) initialize() error {
 func (cl *Cluster) compileFor(ks *codegen.KernelSet, spec *device.Spec) (*codegen.Compiled, error) {
 	if cl.cfg.Tuning != nil {
 		if e, ok := cl.cfg.Tuning.Lookup(tune.Key(ks, spec)); ok {
-			c, err := ks.CompileAt(e.Level, spec.Leaf, cl.h)
-			if err != nil {
-				return nil, err
-			}
-			if len(e.Local) > 0 {
-				if err := c.SetLaunchExtents(e.Local); err != nil {
-					return nil, err
-				}
-			}
-			c.EnableGeometryCost()
-			return c, nil
+			return e.Compile(ks, spec.Leaf, cl.h)
 		}
 	}
 	return ks.Compile(spec.Leaf, cl.h)

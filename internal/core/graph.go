@@ -236,9 +236,6 @@ func (gs *GraphSpec) Validate() error {
 	return nil
 }
 
-// Stages reports the number of stages.
-func (gs *GraphSpec) Stages() int { return len(gs.stages) }
-
 // ExternalBytes reports the external traffic a run of the graph cannot
 // avoid: input bytes in (counted once) and output bytes back.
 func (gs *GraphSpec) ExternalBytes() (in, out int64) {

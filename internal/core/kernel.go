@@ -46,9 +46,9 @@ type LaunchSpec struct {
 	// of this launch. Data already resident on the device (Device.Copy)
 	// must not be counted again.
 	InBytes, OutBytes int64
-	// Args are the real arguments (scalars and *interp.Array) for
-	// verification-scale execution; ignored unless the cluster runs with
-	// Verify.
+	// Args are the real arguments (scalars and *interp.Array) the compiled
+	// kernel executes on at verification scale; ignored unless the cluster
+	// runs with Verify.
 	Args []any
 	// Buffers declares the launch's shared-virtual-memory accesses. Under
 	// the SVM transport each access is serviced through the node's coherence
@@ -74,7 +74,8 @@ type LaunchSpec struct {
 	// chunk, run the corresponding slice of the kernel and drain results.
 	// This is the extension the paper lists as future work (Sec. VI, the
 	// Glasswing comparison: "Glasswing supports out-of-core data which
-	// Cashmere does not support yet").
+	// Cashmere does not support yet"). A streamed launch ships no Resident
+	// data, and under the SVM transport it does not acquire its Buffers.
 	OutOfCore bool
 }
 
@@ -114,10 +115,11 @@ func (l *Launch) OnDevice(d int) *Launch {
 // device through its command queues — enqueue the input transfer, the kernel
 // and the output transfer with event dependencies and wait only on the last
 // event. Large in-core launches are split into a double-buffered pipeline of
-// passes so transfers overlap compute within the launch; a due resident
-// transfer absorbs small parameter blocks into one enqueue. With Verify
-// enabled it additionally runs the kernel through the MCPL interpreter on
-// the supplied Args, so results are real and checkable.
+// passes so transfers overlap compute within the launch, and OutOfCore
+// launches larger than device memory stream through two staging chunks; a
+// due resident transfer absorbs small parameter blocks into one enqueue.
+// With Verify enabled it additionally executes the compiled kernel on the
+// supplied Args, so results are real and checkable.
 //
 // Errors (unknown parameters, device out of memory) are returned to the
 // caller, whose catch branch runs the CPU fallback (Fig. 4).
@@ -173,17 +175,20 @@ func (l *Launch) Run(ctx *satin.Context) error {
 	// launch fits the device at all, wait for concurrent launches to release
 	// their buffers; only a launch that can never fit raises the exception
 	// that sends the caller to its CPU fallback (Fig. 4) — unless the
-	// out-of-core extension streams it in passes.
+	// out-of-core extension streams it in passes through two staging chunks
+	// of a quarter of device memory each.
 	total := in + out
-	if total > dev.Spec().GlobalMem {
-		if l.spec.OutOfCore {
-			return l.runOutOfCore(ctx, devIdx, est, cost, in, out)
-		}
+	alloc, passes, chunked := total, 1, false
+	switch mem := dev.Spec().GlobalMem; {
+	case total > mem && l.spec.OutOfCore:
+		chunk := mem / 4
+		alloc, passes, chunked = 2*chunk, max(2, int((total+chunk-1)/chunk)), true
+	case total > mem:
 		ns.Sched.Done(l.k.name, devIdx, est, 0)
 		ns.cpuFallbacks++
-		return fmt.Errorf("core: launch needs %d bytes, device %s has %d", total, dev.Name(), dev.Spec().GlobalMem)
+		return fmt.Errorf("core: launch needs %d bytes, device %s has %d", total, dev.Name(), mem)
 	}
-	buf, err := dev.AllocBlocking(p, total)
+	buf, err := dev.AllocBlocking(p, alloc)
 	if err != nil {
 		ns.Sched.Done(l.k.name, devIdx, est, 0)
 		ns.cpuFallbacks++
@@ -195,9 +200,10 @@ func (l *Launch) Run(ctx *satin.Context) error {
 
 	// hdep is the host->device event the kernel must follow in addition to
 	// the implicit in-order queue ordering: the resident transfer, when one
-	// is due or still in flight from a concurrent launch.
+	// is due or still in flight from a concurrent launch. A chunked launch
+	// streams everything it declared and keeps nothing resident.
 	var hdep ocl.Event
-	if r := l.spec.Resident; r != nil {
+	if r := l.spec.Resident; r != nil && !chunked {
 		key := residentKey{dev: devIdx, tag: r.Tag}
 		if ns.residentVer[key] != r.Version {
 			ns.residentVer[key] = r.Version
@@ -215,13 +221,7 @@ func (l *Launch) Run(ctx *satin.Context) error {
 					label += "+in"
 				}
 			}
-			if svmT {
-				// Resident data faults in page by page under SVM: same
-				// queue, demand-fault billing.
-				hdep = ns.Space.FaultIn(devIdx, rb, label)
-			} else {
-				hdep = dev.EnqueueWrite(rb, label)
-			}
+			hdep = ns.stageH2D(devIdx, rb, label)
 			ns.residentEv[key] = hdep
 		} else {
 			// The data is current, but a concurrent launch may still have
@@ -234,7 +234,7 @@ func (l *Launch) Run(ctx *satin.Context) error {
 	// coherence protocol; the kernel gates on the last migration into this
 	// device (all acquires target the same in-order H2D queue).
 	var bdep ocl.Event
-	if svmT {
+	if svmT && !chunked {
 		for _, a := range l.spec.Buffers {
 			if ev := ns.Space.Acquire(p, a.Buf, devIdx, a.Mode, a.Ranges); !ev.Done() {
 				bdep = ev
@@ -242,24 +242,27 @@ func (l *Launch) Run(ctx *satin.Context) error {
 		}
 	}
 
+	// An in-core pipeline is sized on the bytes the launch still moves
+	// itself, after a due resident transfer absorbed its parameter block.
+	if !chunked && in+out >= streamThreshold {
+		passes = inCorePasses(in + out)
+	}
 	var measured simnet.Duration
-	if in+out >= streamThreshold {
+	if passes > 1 {
 		// The double-buffered pipeline stays bulk under both transports:
 		// streaming already hand-places its transfers, which is exactly the
 		// explicit-management work SVM exists to avoid — the crossover
 		// experiment quantifies the resulting gap.
-		measured = l.streamPasses(p, dev, cost, in, out, inCorePasses(in+out), false, tracing, hdep, bdep)
+		var last ocl.Event
+		last, measured = enqueueStream(dev, l.spec.Label, cost, in, out, passes, chunked, tracing, hdep, bdep)
+		last.Wait(p)
 	} else {
 		if in > 0 {
 			var label string
 			if tracing {
 				label = l.spec.Label + ":in"
 			}
-			if svmT {
-				hdep = ns.Space.FaultIn(devIdx, in, label, hdep)
-			} else {
-				hdep = dev.EnqueueWrite(in, label, hdep)
-			}
+			hdep = ns.stageH2D(devIdx, in, label, hdep)
 		}
 		var klabel string
 		if tracing {
@@ -272,11 +275,7 @@ func (l *Launch) Run(ctx *satin.Context) error {
 			if tracing {
 				label = l.spec.Label + ":out"
 			}
-			if svmT {
-				last = ns.Space.FaultOut(devIdx, out, label, last)
-			} else {
-				last = dev.EnqueueRead(out, label, last)
-			}
+			last = ns.stageD2H(devIdx, out, label, last)
 		}
 		last.Wait(p)
 	}
@@ -301,15 +300,6 @@ func inCorePasses(total int64) int {
 		p = maxStreamPasses
 	}
 	return p
-}
-
-// streamPasses drives one launch as `passes` write->launch->read slices over
-// the device's in-order queues, blocking the calling proc until the final
-// event. Returns the summed modeled kernel time.
-func (l *Launch) streamPasses(p *simnet.Proc, dev *ocl.Device, cost device.KernelCost, inTotal, outTotal int64, passes int, chunked, tracing bool, hdeps ...ocl.Event) simnet.Duration {
-	last, measured := enqueueStream(dev, l.spec.Label, cost, inTotal, outTotal, passes, chunked, tracing, hdeps...)
-	last.Wait(p)
-	return measured
 }
 
 // enqueueStream enqueues one logical launch as `passes` write->launch->read
@@ -382,42 +372,6 @@ func enqueueStream(dev *ocl.Device, label string, cost device.KernelCost, inTota
 	return last, measured
 }
 
-// runOutOfCore streams a launch whose data exceeds device memory through two
-// staging chunks of a quarter of device memory each: pass i stages into the
-// chunk pass i-2 used, so its write depends on that pass's read and double
-// buffering falls out of the event graph. Transfers of pass i+1 overlap the
-// kernel of pass i through the independent DMA and compute queues, with no
-// per-pass process spawned. in and out are the launch's transfer totals,
-// declared-buffer accesses included.
-func (l *Launch) runOutOfCore(ctx *satin.Context, devIdx int, est simnet.Duration, cost device.KernelCost, in, out int64) error {
-	ns := l.k.ns
-	p := ctx.Proc()
-	dev := ns.Devices[devIdx]
-	compiled := ns.kernels[l.k.name][devIdx]
-
-	chunk := dev.Spec().GlobalMem / 4
-	passes := int((in + out + chunk - 1) / chunk)
-	if passes < 2 {
-		passes = 2
-	}
-	buf, err := dev.AllocBlocking(p, 2*chunk)
-	if err != nil {
-		ns.Sched.Done(l.k.name, devIdx, est, 0)
-		return err
-	}
-	defer buf.Free()
-
-	measured := l.streamPasses(p, dev, cost, in, out, passes, true, dev.Tracing())
-	ns.Sched.Done(l.k.name, devIdx, est, measured)
-	ns.flopsCharged += cost.Flops
-	if ns.cl.cfg.Verify {
-		if err := compiled.Run(l.spec.Args...); err != nil {
-			return fmt.Errorf("core: verification execution failed: %w", err)
-		}
-	}
-	return nil
-}
-
 // Device exposes a node device for the "device copies" optimization
 // (Sec. II-C.1): copy input data once, launch many times.
 type Device struct {
@@ -433,9 +387,6 @@ func (k *Kernel) GetDevice() *Device {
 	return &Device{ns: k.ns, idx: best}
 }
 
-// DeviceAt returns a handle to device idx of the node.
-func (k *Kernel) DeviceAt(idx int) *Device { return &Device{ns: k.ns, idx: idx} }
-
 // Index returns the device index within its node.
 func (d *Device) Index() int { return d.idx }
 
@@ -448,11 +399,11 @@ func (d *Device) Copy(ctx *satin.Context, n int64, label string) (release func()
 	if err != nil {
 		return nil, err
 	}
-	dev.Write(ctx.Proc(), buf, label)
+	dev.EnqueueWrite(n, label).Wait(ctx.Proc())
 	return func() { buf.Free() }, nil
 }
 
 // CopyBack transfers n bytes device-to-host.
 func (d *Device) CopyBack(ctx *satin.Context, n int64, label string) {
-	d.ns.Devices[d.idx].ReadBytes(ctx.Proc(), n, label)
+	d.ns.Devices[d.idx].EnqueueRead(n, label).Wait(ctx.Proc())
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"cashmere/internal/mcl/interp"
 	"cashmere/internal/satin"
 	"cashmere/internal/simnet"
 	"cashmere/internal/svm"
@@ -68,6 +69,50 @@ func TestOversizedLaunchWithoutOutOfCoreFails(t *testing.T) {
 	})
 	if cl.CPUFallbacks() != 1 {
 		t.Fatalf("CPUFallbacks = %d", cl.CPUFallbacks())
+	}
+}
+
+// TestOutOfCoreVerifyAndResident checks two steps an oversized OutOfCore
+// launch shares with an in-core one: under Verify the kernel executes on the
+// launch's Args, and a declared Resident buffer is not shipped — a chunked
+// launch streams exactly its own in+out bytes and keeps nothing resident.
+func TestOutOfCoreVerifyAndResident(t *testing.T) {
+	const in, out = int64(1 << 30), int64(1 << 30) // 2 GiB on a 1.5 GB gtx480
+	for _, resident := range []*Resident{nil, {Tag: "table", Bytes: 1 << 20, Version: 1}} {
+		cfg := DefaultConfig(1, "gtx480")
+		cfg.Verify = true
+		cl, _ := NewCluster(cfg)
+		cl.Register(mustKS(t, "scale", scaleKernel))
+		a := interp.NewFloatArray(8)
+		for i := range a.F {
+			a.F[i] = float64(i)
+		}
+		cl.Run(func(ctx *satin.Context) any {
+			k, _ := GetKernel(ctx, "scale")
+			if err := k.NewLaunch(LaunchSpec{
+				Params:    map[string]int64{"n": 8},
+				InBytes:   in,
+				OutBytes:  out,
+				Args:      []any{int64(8), a},
+				Resident:  resident,
+				OutOfCore: true,
+			}).Run(ctx); err != nil {
+				t.Error(err)
+			}
+			return nil
+		})
+		for i := range a.F {
+			if want := float64(i)*2 + 1; a.F[i] != want {
+				t.Fatalf("resident=%v: a[%d] = %v, want %v", resident != nil, i, a.F[i], want)
+			}
+		}
+		dev := cl.NodeState(0).Devices[0]
+		if dev.Launches() < 2 {
+			t.Fatalf("resident=%v: ran %d passes, want several", resident != nil, dev.Launches())
+		}
+		if dev.BytesMoved() != in+out {
+			t.Fatalf("resident=%v: moved %d bytes, want %d", resident != nil, dev.BytesMoved(), in+out)
+		}
 	}
 }
 

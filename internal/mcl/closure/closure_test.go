@@ -1,7 +1,6 @@
 package closure_test
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -152,7 +151,7 @@ perfect void k(int n, float[n] xs) {
 
 // TestUnsupportedFallbackConstruct checks that writing to a scalar declared
 // outside a barrier-synchronized foreach — whose parallel semantics would be
-// racy — is reported with ErrUnsupported so callers fall back to interp.
+// racy — is rejected with an error naming the assignment's position.
 func TestUnsupportedFallbackConstruct(t *testing.T) {
 	prog, err := mcpl.Parse(`
 perfect void k(int n, float[n] xs) {
@@ -171,8 +170,9 @@ perfect void k(int n, float[n] xs) {
 		t.Fatal(err)
 	}
 	_, cerr := closure.Compile(prog, "k")
-	if !errors.Is(cerr, closure.ErrUnsupported) {
-		t.Fatalf("Compile err = %v, want ErrUnsupported", cerr)
+	const want = "closure: 6:5: assignment to scalar acc declared outside parallel foreach"
+	if cerr == nil || cerr.Error() != want {
+		t.Fatalf("Compile err = %v, want %q", cerr, want)
 	}
 }
 

@@ -1,7 +1,6 @@
 package closure
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -10,13 +9,8 @@ import (
 	"cashmere/internal/mcl/mcpl"
 )
 
-// ErrUnsupported marks constructs the closure compiler does not cover.
-// Callers (codegen.Compiled.Run) detect it with errors.Is and fall back to
-// the tree-walking interpreter, so every checked program stays executable.
-var ErrUnsupported = errors.New("unsupported construct")
-
 func unsupported(format string, args ...any) error {
-	return fmt.Errorf("closure: "+format+": %w", append(args, ErrUnsupported)...)
+	return fmt.Errorf("closure: "+format, args...)
 }
 
 // Compile lowers the named kernel of a checked program into a tree of
@@ -51,8 +45,7 @@ type symInfo struct {
 // cscope is the compile-time scope chain. boundary marks the body scope of
 // a barrier-synchronized (parallel) foreach: assignments that resolve
 // through a boundary target outer scalars, which parallel iterations cannot
-// share (each runs in a private frame copy), so such programs are rejected
-// with ErrUnsupported.
+// share (each runs in a private frame copy), so such programs are rejected.
 type cscope struct {
 	parent   *cscope
 	boundary bool

@@ -1,5 +1,5 @@
 // Package closure compiles type-checked MCPL programs into trees of
-// specialized Go closures and executes them — the fast engine behind
+// specialized Go closures and executes them — the execution engine behind
 // codegen.Compiled.Run.
 //
 // Where the tree-walking interpreter (internal/mcl/interp) re-dispatches on
@@ -21,8 +21,8 @@
 //
 // The compiler covers the whole checked language except constructs whose
 // parallel semantics would be racy (assignment to a scalar declared outside
-// a barrier-synchronized foreach); Compile reports those with
-// ErrUnsupported and callers fall back to the interpreter.
+// a barrier-synchronized foreach); Compile rejects those with an error
+// naming the source position, so the kernel fails to compile.
 package closure
 
 import (

@@ -1,6 +1,6 @@
 // Package codegen turns checked MCPL kernels into everything Cashmere needs
 // at run time: OpenCL-style source text, an executable form (the closure
-// engine of mcl/closure, with the interpreter as fallback), glue
+// engine of mcl/closure), glue
 // configuration (work-group/work-item shapes, Sec. III-A), and — central to
 // this reproduction — a cost descriptor derived from static analysis of the
 // checked program.
@@ -111,16 +111,6 @@ func (r *Report) DivergentFrac() float64 {
 		return 0
 	}
 	return r.DivergentFlops / r.Flops
-}
-
-// CoalescedFrac reports the fraction of lane-dependent traffic that is
-// coalesced.
-func (r *Report) CoalescedFrac() float64 {
-	lane := r.CoalescedBytes + r.StridedBytes + r.GatheredBytes
-	if lane == 0 {
-		return 1
-	}
-	return r.CoalescedBytes / lane
 }
 
 // Analyze statically analyzes a kernel launch of a checked program. params

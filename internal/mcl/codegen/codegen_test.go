@@ -431,10 +431,11 @@ func TestCompiledRunUsesClosureEngine(t *testing.T) {
 	}
 }
 
-// TestCompiledRunFallsBackToInterp checks that a kernel the closure
-// compiler cannot lower (a reduction into an outer scalar across a
-// barrier-synchronized foreach) still executes — through the interpreter.
-func TestCompiledRunFallsBackToInterp(t *testing.T) {
+// TestCompileRejectsRacyOuterScalar checks that a kernel the closure
+// engine cannot lower (a reduction into an outer scalar across a
+// barrier-synchronized foreach) fails to compile, with an error naming the
+// kernel and the offending assignment.
+func TestCompileRejectsRacyOuterScalar(t *testing.T) {
 	const src = `
 perfect void colsum(int n, float[n] xs, float[1] out) {
   float acc = 0.0;
@@ -447,27 +448,17 @@ perfect void colsum(int n, float[n] xs, float[1] out) {
   out[0] = acc;
 }
 `
-	h := hdl.Library()
 	ks, err := NewKernelSet("colsum", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := ks.Compile("gtx480", h)
-	if err != nil {
-		t.Fatal(err)
+	_, err = ks.Compile("gtx480", hdl.Library())
+	if err == nil {
+		t.Fatal("Compile accepted a racy write to an outer scalar")
 	}
-	if c.engine != nil {
-		t.Fatal("unsupported kernel unexpectedly got a closure engine")
-	}
-	xs := interp.NewFloatArray(4)
-	for i := range xs.F {
-		xs.F[i] = float64(i + 1)
-	}
-	out := interp.NewFloatArray(1)
-	if err := c.Run(int64(4), xs, out); err != nil {
-		t.Fatalf("fallback run: %v", err)
-	}
-	if out.F[0] != 10 {
-		t.Fatalf("fallback result = %v, want 10", out.F[0])
+	for _, want := range []string{"codegen: kernel colsum:", "6:7"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Compile err = %v, want it to contain %q", err, want)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"cashmere/internal/device"
 	"cashmere/internal/mcl/closure"
 	"cashmere/internal/mcl/hdl"
-	"cashmere/internal/mcl/interp"
 	"cashmere/internal/mcl/mcpl"
 	"cashmere/internal/mcl/translate"
 )
@@ -102,7 +101,7 @@ type Compiled struct {
 	src        *mcpl.Info // the selected version, checked; used for execution/analysis
 	translated *mcpl.Program
 	spec       *device.Spec
-	engine     *closure.Kernel // closure-compiled fast engine; nil -> interp
+	engine     *closure.Kernel // closure-compiled executable form
 
 	scalars  []string        // scalar int parameters, in declaration order
 	nest     []*mcpl.Foreach // the kernel's leading foreach nest, outermost first
@@ -121,22 +120,22 @@ type engineKey struct {
 	name string
 }
 
-// engineCache memoizes closure compilation per (program, kernel), including
-// negative results (a nil *closure.Kernel means "fall back to interp"), so
+// engineCache memoizes closure compilation per (program, kernel), so
 // repeated Compile calls and repeated launches never redo engine setup.
+// Failures are not cached: a kernel the engine rejects fails to compile.
 var engineCache sync.Map // engineKey -> *closure.Kernel
 
-func engineFor(prog *mcpl.Program, name string) *closure.Kernel {
+func engineFor(prog *mcpl.Program, name string) (*closure.Kernel, error) {
 	key := engineKey{prog, name}
 	if v, ok := engineCache.Load(key); ok {
-		return v.(*closure.Kernel)
+		return v.(*closure.Kernel), nil
 	}
 	k, err := closure.Compile(prog, name)
 	if err != nil {
-		k = nil
+		return nil, err
 	}
 	v, _ := engineCache.LoadOrStore(key, k)
-	return v.(*closure.Kernel)
+	return v.(*closure.Kernel), nil
 }
 
 // Compile selects the most specific applicable version for the leaf,
@@ -180,6 +179,10 @@ func (ks *KernelSet) CompileAt(level, leaf string, h *hdl.Hierarchy) (*Compiled,
 	if err != nil {
 		return nil, err
 	}
+	engine, err := engineFor(info.Prog, ks.Name)
+	if err != nil {
+		return nil, fmt.Errorf("codegen: kernel %s: %w", ks.Name, err)
+	}
 	spec, err := device.Lookup(leaf)
 	if err != nil {
 		// Leaves without a device model (none today) still compile; cost
@@ -219,7 +222,7 @@ func (ks *KernelSet) CompileAt(level, leaf string, h *hdl.Hierarchy) (*Compiled,
 		src:         info,
 		translated:  tr,
 		spec:        spec,
-		engine:      engineFor(info.Prog, ks.Name),
+		engine:      engine,
 		scalars:     scalars,
 		nest:        nest,
 		geomDeps:    geomDeps,
@@ -329,15 +332,9 @@ func (c *Compiled) EnableGeometryCost() { c.geomCost = true }
 // GeometryCost reports whether Cost folds in the launch geometry.
 func (c *Compiled) GeometryCost() bool { return c.geomCost }
 
-// Run executes the kernel on the host at verification scale. The
-// closure-compiled engine (internal/mcl/closure) is the default; kernels it
-// cannot lower run through the reference tree-walking interpreter.
-func (c *Compiled) Run(args ...any) error {
-	if c.engine != nil {
-		return c.engine.Run(args...)
-	}
-	return interp.Run(c.src.Prog, c.Name, args...)
-}
+// Run executes the kernel on the host at verification scale, through the
+// closure-compiled engine (internal/mcl/closure).
+func (c *Compiled) Run(args ...any) error { return c.engine.Run(args...) }
 
 // Analyze runs the cost analysis for a launch with the given scalar
 // parameters.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 
 	"cashmere/internal/device"
@@ -79,18 +78,6 @@ func (c *Cache) Counters() (hits, misses, evals int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.evals
-}
-
-// Keys returns the cache keys in sorted order.
-func (c *Cache) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]string, 0, len(c.entries))
-	for k := range c.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // TuneOnce returns the cached winner for the request, running the full

@@ -90,6 +90,23 @@ type Entry struct {
 	Refined   int `json:"refined"`   // candidates measured (incl. baseline)
 }
 
+// Compile compiles the kernel set for the leaf in the entry's configuration:
+// the version at Level, the work-group extents Local when set, and the
+// geometry-aware cost model every tuned configuration is scored under.
+func (e Entry) Compile(ks *codegen.KernelSet, leaf string, h *hdl.Hierarchy) (*codegen.Compiled, error) {
+	c, err := ks.CompileAt(e.Level, leaf, h)
+	if err != nil {
+		return nil, err
+	}
+	if len(e.Local) > 0 {
+		if err := c.SetLaunchExtents(e.Local); err != nil {
+			return nil, err
+		}
+	}
+	c.EnableGeometryCost()
+	return c, nil
+}
+
 // Result is a full tuning outcome: the cache entry plus every candidate, in
 // deterministic search order, for reporting (mclc -tune).
 type Result struct {
@@ -170,16 +187,10 @@ func Tune(req Request, h *hdl.Hierarchy) (*Result, error) {
 			warnings = feedback.Count(msgs, feedback.Warning) - problems
 		}
 		for _, local := range geometries(probe.FlatLaunchDims(), probe.MaxWorkgroup()) {
-			c, err := req.Set.CompileAt(level, req.Device.Leaf, h)
+			c, err := Entry{Level: level, Local: local}.Compile(req.Set, req.Device.Leaf, h)
 			if err != nil {
-				return nil, err
+				continue // the probe compiled this level, so the shape does not fit the nest
 			}
-			if len(local) > 0 {
-				if err := c.SetLaunchExtents(local); err != nil {
-					continue // shape does not fit this nest
-				}
-			}
-			c.EnableGeometryCost()
 			cost, err := c.Cost(req.Params)
 			if err != nil {
 				return nil, fmt.Errorf("tune: kernel %s at %s on %s: %w", req.Set.Name, level, req.Device.Name, err)

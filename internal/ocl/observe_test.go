@@ -16,9 +16,9 @@ func TestDeviceUtilizationAccounting(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		d.Write(p, buf, "in")
-		d.Launch(p, cost, "kern")
-		d.Read(p, buf, "out")
+		d.EnqueueWrite(buf.Size(), "in").Wait(p)
+		d.EnqueueLaunch(cost, "kern").Wait(p)
+		d.EnqueueRead(buf.Size(), "out").Wait(p)
 		buf.Free()
 	})
 	k.Run(0)
@@ -52,12 +52,12 @@ func TestOverlapLowerBoundDetectsConcurrency(t *testing.T) {
 	// One thread keeps the compute engine busy while another streams data.
 	k.Spawn("compute", func(p *simnet.Proc) {
 		for i := 0; i < 4; i++ {
-			d.Launch(p, cost, "kern")
+			d.EnqueueLaunch(cost, "kern").Wait(p)
 		}
 	})
 	k.Spawn("stream", func(p *simnet.Proc) {
 		for i := 0; i < 4; i++ {
-			d.WriteBytes(p, 64<<20, "chunk")
+			d.EnqueueWrite(64<<20, "chunk").Wait(p)
 		}
 	})
 	k.Run(0)

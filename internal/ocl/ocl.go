@@ -11,9 +11,7 @@
 // (write→launch→read chains), and because the queues are independent,
 // transfers overlap kernel executions exactly as described in Sec. III-B of
 // the paper ("the data transfers can be completely overlapped with kernel
-// executions except for the first and last"). Blocking wrappers (Write,
-// Read, Launch, …) remain for callers that want the old synchronous shape:
-// they are enqueue followed by Event.Wait.
+// executions except for the first and last").
 //
 // The enqueue path is allocation-free and string-free in steady state when
 // the trace recorder is nil: lane names are precomputed at NewDevice, ops
@@ -273,41 +271,6 @@ func (d *Device) EnqueuePagedRead(n, pageSize int64, label string, deps ...Event
 // directly rather than reading it back from the Event.
 func (d *Device) EnqueueLaunch(cost device.KernelCost, label string, deps ...Event) Event {
 	return d.qKern.enqueue(trace.KindKernel, d.stretch(d.spec.KernelTime(cost)), 0, label, deps)
-}
-
-// Write moves the buffer's bytes host-to-device, blocking p for the modeled
-// transfer time (queueing on the H2D DMA engine included).
-func (d *Device) Write(p *simnet.Proc, b *Buffer, label string) {
-	d.EnqueueWrite(b.size, label).Wait(p)
-}
-
-// Read moves the buffer's bytes device-to-host.
-func (d *Device) Read(p *simnet.Proc, b *Buffer, label string) {
-	d.EnqueueRead(b.size, label).Wait(p)
-}
-
-// WriteBytes transfers n raw bytes host-to-device without a buffer object
-// (used for small parameter blocks).
-func (d *Device) WriteBytes(p *simnet.Proc, n int64, label string) {
-	d.EnqueueWrite(n, label).Wait(p)
-}
-
-// ReadBytes transfers n raw bytes device-to-host.
-func (d *Device) ReadBytes(p *simnet.Proc, n int64, label string) {
-	d.EnqueueRead(n, label).Wait(p)
-}
-
-// Launch executes a kernel with the given cost descriptor, blocking p until
-// the kernel completes. It returns the pure execution time (excluding
-// compute-engine queueing), which Cashmere's intra-node scheduler records as
-// the measured kernel time for that device.
-func (d *Device) Launch(p *simnet.Proc, cost device.KernelCost, label string) time.Duration {
-	// The returned "measured" time reflects the degradation factor, so a
-	// scheduler refining its speed table naturally routes work away from a
-	// straggling device.
-	t := d.stretch(d.spec.KernelTime(cost))
-	d.EnqueueLaunch(cost, label).Wait(p)
-	return t
 }
 
 // Node is the set of devices installed in one compute node.

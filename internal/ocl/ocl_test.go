@@ -66,7 +66,7 @@ func TestTransferTiming(t *testing.T) {
 	b, _ := d.Alloc(600_000_000)         // 100 ms of wire
 	var done simnet.Time
 	k.Spawn("xfer", func(p *simnet.Proc) {
-		d.Write(p, b, "in")
+		d.EnqueueWrite(b.Size(), "in").Wait(p)
 		done = p.Now()
 	})
 	k.Run(0)
@@ -88,7 +88,9 @@ func TestLaunchTimingAndMeasurement(t *testing.T) {
 	cost := device.KernelCost{Flops: 1345e9 / 2, MemBytes: 1, ComputeEff: 1, BandwidthEff: 1} // 0.5s
 	var measured time.Duration
 	k.Spawn("launch", func(p *simnet.Proc) {
-		measured = d.Launch(p, cost, "matmul")
+		start := p.Now()
+		d.EnqueueLaunch(cost, "matmul").Wait(p)
+		measured = time.Duration(p.Now() - start)
 	})
 	k.Run(0)
 	want := d.Spec().KernelTime(cost)
@@ -108,7 +110,7 @@ func TestComputeEngineSerializesKernels(t *testing.T) {
 	k, d, _ := newTestDevice(t, "k20")
 	cost := device.KernelCost{Flops: 3524e9 / 10, MemBytes: 1, ComputeEff: 1, BandwidthEff: 1} // 100ms
 	for i := 0; i < 3; i++ {
-		k.Spawn("l", func(p *simnet.Proc) { d.Launch(p, cost, "k") })
+		k.Spawn("l", func(p *simnet.Proc) { d.EnqueueLaunch(cost, "k").Wait(p) })
 	}
 	end := k.Run(0)
 	min := simnet.Time(300 * time.Millisecond)
@@ -124,12 +126,9 @@ func TestDualDMAOverlapsBothDirections(t *testing.T) {
 		k := simnet.NewKernel(1)
 		spec, _ := device.Lookup(name)
 		d := NewDevice(k, spec, 0, 0, nil)
-		b1, _ := d.Alloc(1 << 20)
-		b2, _ := d.Alloc(1 << 20)
 		sz := int64(float64(spec.PCIeBandwidth) / 10) // 100ms of wire each
-		b1.size, b2.size = sz, sz
-		k.Spawn("w", func(p *simnet.Proc) { d.Write(p, b1, "w") })
-		k.Spawn("r", func(p *simnet.Proc) { d.Read(p, b2, "r") })
+		k.Spawn("w", func(p *simnet.Proc) { d.EnqueueWrite(sz, "w").Wait(p) })
+		k.Spawn("r", func(p *simnet.Proc) { d.EnqueueRead(sz, "r").Wait(p) })
 		return k.Run(0)
 	}
 	dual := elapsed("k20")
@@ -148,8 +147,8 @@ func TestTransferOverlapsKernel(t *testing.T) {
 	k, d, _ := newTestDevice(t, "k20")
 	cost := device.KernelCost{Flops: 3524e9 / 10, MemBytes: 1, ComputeEff: 1, BandwidthEff: 1} // 100ms
 	b, _ := d.Alloc(600_000_000)                                                               // 100ms wire
-	k.Spawn("kern", func(p *simnet.Proc) { d.Launch(p, cost, "k") })
-	k.Spawn("copy", func(p *simnet.Proc) { d.Write(p, b, "w") })
+	k.Spawn("kern", func(p *simnet.Proc) { d.EnqueueLaunch(cost, "k").Wait(p) })
+	k.Spawn("copy", func(p *simnet.Proc) { d.EnqueueWrite(b.Size(), "w").Wait(p) })
 	end := k.Run(0)
 	if end > simnet.Time(110*time.Millisecond) {
 		t.Fatalf("kernel and transfer serialized: end=%v", end)
@@ -159,8 +158,8 @@ func TestTransferOverlapsKernel(t *testing.T) {
 func TestWriteReadBytes(t *testing.T) {
 	k, d, _ := newTestDevice(t, "titan")
 	k.Spawn("x", func(p *simnet.Proc) {
-		d.WriteBytes(p, 1000, "params")
-		d.ReadBytes(p, 1000, "result")
+		d.EnqueueWrite(1000, "params").Wait(p)
+		d.EnqueueRead(1000, "result").Wait(p)
 	})
 	k.Run(0)
 	if d.BytesMoved() != 2000 {

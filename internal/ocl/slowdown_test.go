@@ -18,11 +18,16 @@ func TestSlowdownStretchesLaunchAndTransfer(t *testing.T) {
 
 	var fast, slow, recovered time.Duration
 	k.Spawn("launch", func(p *simnet.Proc) {
-		fast = d.Launch(p, cost, "k")
+		launch := func() time.Duration {
+			start := p.Now()
+			d.EnqueueLaunch(cost, "k").Wait(p)
+			return time.Duration(p.Now() - start)
+		}
+		fast = launch()
 		d.SetSlowdown(4)
-		slow = d.Launch(p, cost, "k")
+		slow = launch()
 		d.SetSlowdown(1)
-		recovered = d.Launch(p, cost, "k")
+		recovered = launch()
 	})
 	k.Run(0)
 
@@ -42,10 +47,10 @@ func TestSlowdownStretchesTransfers(t *testing.T) {
 	b, _ := d.Alloc(6_000_000)         // 1ms of wire nominal
 	var first, second simnet.Time
 	k.Spawn("xfer", func(p *simnet.Proc) {
-		d.Write(p, b, "in")
+		d.EnqueueWrite(b.Size(), "in").Wait(p)
 		first = p.Now()
 		d.SetSlowdown(3)
-		d.Write(p, b, "in")
+		d.EnqueueWrite(b.Size(), "in").Wait(p)
 		second = p.Now()
 	})
 	k.Run(0)

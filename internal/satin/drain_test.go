@@ -63,7 +63,7 @@ func TestDrainThenUndrainKeepsResultExact(t *testing.T) {
 func TestCrashAsyncReExecutesLostJobs(t *testing.T) {
 	k := simnet.NewKernel(5)
 	rt := New(k, 4, network.QDRInfiniBand(), DefaultConfig(), nil)
-	k.SpawnAt(simnet.Time(3*time.Millisecond), "crasher", func(p *simnet.Proc) {
+	k.SpawnAt(simnet.Time(1*time.Millisecond), "crasher", func(p *simnet.Proc) {
 		rt.CrashAsync(p, 3)
 	})
 	v, _ := rt.Run(func(ctx *Context) any {
@@ -71,6 +71,9 @@ func TestCrashAsyncReExecutesLostJobs(t *testing.T) {
 	})
 	if v.(int) != 128 {
 		t.Fatalf("result after crash = %v, want 128", v)
+	}
+	if rt.JobsReExecuted() == 0 {
+		t.Fatal("the crash re-executed no jobs")
 	}
 }
 
@@ -81,7 +84,7 @@ func TestCrashAsyncReExecutesLostJobs(t *testing.T) {
 func TestCorrelatedCrashesSurvive(t *testing.T) {
 	k := simnet.NewKernel(11)
 	rt := New(k, 4, network.QDRInfiniBand(), DefaultConfig(), nil)
-	k.SpawnAt(simnet.Time(3*time.Millisecond), "crasher", func(p *simnet.Proc) {
+	k.SpawnAt(simnet.Time(1*time.Millisecond), "crasher", func(p *simnet.Proc) {
 		rt.CrashAsync(p, 2)
 		rt.CrashAsync(p, 3)
 	})
@@ -90,6 +93,9 @@ func TestCorrelatedCrashesSurvive(t *testing.T) {
 	})
 	if v.(int) != 128 {
 		t.Fatalf("result after correlated crash = %v, want 128", v)
+	}
+	if rt.JobsReExecuted() == 0 {
+		t.Fatal("the crashes re-executed no jobs")
 	}
 }
 

@@ -269,9 +269,6 @@ func (n *Node) DeviceState() any { return n.dev }
 // Alive reports whether the node has not been killed.
 func (n *Node) Alive() bool { return !n.dead }
 
-// QueueLen reports the deque length (for tests).
-func (n *Node) QueueLen() int { return len(n.deque) }
-
 // Kernel returns the kernel of the partition owning this node.
 func (n *Node) Kernel() *simnet.Kernel { return n.k }
 

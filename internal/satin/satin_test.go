@@ -25,6 +25,9 @@ func fib(ctx *Context, n int, leafWork simnet.Duration) int {
 	a := ctx.Spawn(desc, func(c *Context) any { return fib(c, n-1, leafWork) })
 	b := ctx.Spawn(desc, func(c *Context) any { return fib(c, n-2, leafWork) })
 	ctx.Sync()
+	if !ctx.Node().Alive() {
+		return 0
+	}
 	return a.Value().(int) + b.Value().(int)
 }
 
@@ -50,7 +53,9 @@ func TestFibMultiNodeCorrectness(t *testing.T) {
 }
 
 // divideAndCompute spawns `leaves` leaf jobs of equal cost via binary
-// division — the shape of every Cashmere application.
+// division — the shape of every Cashmere application. A frame whose node
+// crashed returns from Sync without its children's values; its owner
+// re-executes the job elsewhere, so it returns a dummy.
 func divideAndCompute(ctx *Context, leaves int, work simnet.Duration) int {
 	if leaves == 1 {
 		ctx.Compute(work, "leaf")
@@ -61,6 +66,9 @@ func divideAndCompute(ctx *Context, leaves int, work simnet.Duration) int {
 	a := ctx.Spawn(desc, func(c *Context) any { return divideAndCompute(c, l, work) })
 	b := ctx.Spawn(desc, func(c *Context) any { return divideAndCompute(c, r, work) })
 	ctx.Sync()
+	if !ctx.Node().Alive() {
+		return 0
+	}
 	return a.Value().(int) + b.Value().(int)
 }
 
@@ -186,7 +194,7 @@ func TestFaultToleranceReExecutesStolenJobs(t *testing.T) {
 	cfg := DefaultConfig()
 	rt := New(k, 4, network.QDRInfiniBand(), cfg, nil)
 	// Kill node 3 mid-run; the computation must still complete correctly.
-	k.SpawnAt(simnet.Time(3*time.Millisecond), "killer", func(p *simnet.Proc) {
+	k.SpawnAt(simnet.Time(1*time.Millisecond), "killer", func(p *simnet.Proc) {
 		rt.Kill(3)
 	})
 	v, _ := rt.Run(func(ctx *Context) any {
@@ -194,6 +202,9 @@ func TestFaultToleranceReExecutesStolenJobs(t *testing.T) {
 	})
 	if v.(int) != 128 {
 		t.Fatalf("result after crash = %v, want 128", v)
+	}
+	if rt.JobsReExecuted() == 0 {
+		t.Fatal("the crash re-executed no jobs")
 	}
 }
 

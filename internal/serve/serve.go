@@ -305,16 +305,10 @@ func (w *Workload) ApplyTuning(cache *tune.Cache, dev string, slo simnet.Duratio
 			if !ok {
 				continue
 			}
-			c, err := ks.CompileAt(e.Level, spec.Leaf, h)
+			c, err := e.Compile(ks, spec.Leaf, h)
 			if err != nil {
 				return err
 			}
-			if len(e.Local) > 0 {
-				if err := c.SetLaunchExtents(e.Local); err != nil {
-					return err
-				}
-			}
-			c.EnableGeometryCost()
 			cost, err := c.Cost(mix[ci].Params)
 			if err != nil {
 				return err

@@ -172,14 +172,6 @@ func (ps *Partitioned) KernelFor(node int) *Kernel {
 	return ps.ks[ps.owner[node]]
 }
 
-// PartitionOf reports which partition owns the given simulated node.
-func (ps *Partitioned) PartitionOf(node int) int {
-	if ps.owner == nil {
-		return 0
-	}
-	return ps.owner[node]
-}
-
 // SetLookahead declares the minimum virtual-time distance of any
 // cross-partition event: no Post may target a time earlier than the
 // source's clock plus d. The network layer registers its minimum link

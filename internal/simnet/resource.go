@@ -12,9 +12,8 @@ type Resource struct {
 	waiters  []resWaiter
 
 	// Utilization accounting.
-	busyInt  Time // integral of (capacity - avail) over time
-	lastUpd  Time
-	acquires int64
+	busyInt Time // integral of (capacity - avail) over time
+	lastUpd Time
 }
 
 type resWaiter struct {
@@ -33,12 +32,6 @@ func NewResource(k *Kernel, name string, capacity int64) *Resource {
 
 // Name reports the resource's name.
 func (r *Resource) Name() string { return r.name }
-
-// Capacity reports the total capacity.
-func (r *Resource) Capacity() int64 { return r.capacity }
-
-// Avail reports the currently free capacity.
-func (r *Resource) Avail() int64 { return r.avail }
 
 func (r *Resource) account() {
 	r.busyInt += Time(int64(r.k.now-r.lastUpd) * (r.capacity - r.avail))
@@ -62,7 +55,6 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 			}
 			r.account()
 			r.avail -= n
-			r.acquires++
 			r.wakeNext()
 			return
 		}
@@ -89,7 +81,6 @@ func (r *Resource) TryAcquire(n int64) bool {
 	if r.avail >= n && len(r.waiters) == 0 {
 		r.account()
 		r.avail -= n
-		r.acquires++
 		return true
 	}
 	return false
@@ -138,6 +129,3 @@ func (r *Resource) Utilization() float64 {
 	busy := r.busyInt + Time(int64(r.k.now-r.lastUpd)*(r.capacity-r.avail))
 	return float64(busy) / float64(int64(r.k.now)*r.capacity)
 }
-
-// Acquires reports the total number of successful acquisitions.
-func (r *Resource) Acquires() int64 { return r.acquires }

@@ -464,10 +464,6 @@ func (p *Proc) HoldUntil(t Time) {
 	p.park()
 }
 
-// Yield gives other processes scheduled at the current instant a chance to
-// run before continuing.
-func (p *Proc) Yield() { p.Hold(0) }
-
 // Run executes the simulation until no events remain or until limit is
 // reached (limit <= 0 means no limit). It returns the final virtual time.
 // An event scheduled exactly at the limit still fires — the cutoff is

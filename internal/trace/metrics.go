@@ -34,14 +34,6 @@ func (m *Metrics) SetFloat(name string, v float64, unit string) {
 	m.entries[name] = metricValue{v: v, unit: unit}
 }
 
-// AddInt accumulates delta into an integer-valued measurement.
-func (m *Metrics) AddInt(name string, delta int64) {
-	mv := m.entries[name]
-	mv.v += float64(delta)
-	mv.isInt = true
-	m.entries[name] = mv
-}
-
 // Int reads an integer-valued measurement (0 when absent).
 func (m *Metrics) Int(name string) int64 { return int64(m.entries[name].v) }
 
