@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"time"
@@ -133,6 +134,9 @@ func fail(err error) {
 }
 
 func runOnce(nodes int, dev string, horizon time.Duration, load float64, arrival string, seed int64, partitions int, opts runOpts) error {
+	if !(load > 0) || math.IsInf(load, 1) {
+		return fmt.Errorf("-load must be a positive finite fraction of capacity, got %v", load)
+	}
 	w, err := serve.StandardWorkload(1)
 	if err != nil {
 		return err

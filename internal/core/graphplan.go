@@ -419,11 +419,15 @@ func (pl *gplanner) planStage(si int) error {
 				return err
 			}
 			if tSplit < bestT {
-				return pl.placeSplit(si, s, cum, v, sliceCost, sliceKt)
+				return pl.place(si, s, cum, v, sliceCost, sliceKt, true)
 			}
 		}
 	}
-	return pl.placeSingle(si, s, best, costFull[best], ktFull[best])
+	whole := make([]int64, ndev+1)
+	for d := best + 1; d <= ndev; d++ {
+		whole[d] = 1
+	}
+	return pl.place(si, s, whole, 1, costFull, ktFull, false)
 }
 
 // splitPlan sizes per-device slices of v split units proportionally to
@@ -478,67 +482,11 @@ func (pl *gplanner) splitPlan(s *StageSpec, compiled []*codegen.Compiled, ktFull
 	return cum, sliceCost, sliceKt, tSplit, nil
 }
 
-// placeSingle plans the whole stage on device d.
-func (pl *gplanner) placeSingle(si int, s *StageSpec, d int, cost device.KernelCost, kt simnet.Duration) error {
-	var deps depset
-	lastUncond := -1
-	var transient int64
-	for _, b := range s.Reads {
-		if err := pl.materialize(b, d, 0, b.bytes, &deps, &lastUncond, &transient); err != nil {
-			return err
-		}
-	}
-	for _, b := range s.Broadcast {
-		if err := pl.materialize(b, d, 0, b.bytes, &deps, &lastUncond, &transient); err != nil {
-			return err
-		}
-	}
-	if lastUncond >= 0 {
-		deps.add(lastUncond)
-	}
-	if deps.overflow {
-		return fmt.Errorf("core: graph %s, stage %d (%s): too many event dependencies", pl.gs.name, si, s.Kernel)
-	}
-
-	var outBytes int64
-	for _, b := range s.Writes {
-		outBytes += b.bytes
-	}
-	// Residency budget: keep outputs resident while the device has room;
-	// once it is full, spill them to the host right after the kernel (the
-	// D2H rides the DMA queue and overlaps downstream compute).
-	spill := pl.wsPersist[d]+outBytes > pl.ns.Devices[d].Spec().GlobalMem
-
-	kop := pl.emit(gop{kind: gopKernel, dev: d, cost: cost, kt: kt,
-		label: pl.label(s.Label), deps: deps.slice()})
-	pl.book[d] += kt
-	pl.flops += cost.Flops
-	pl.records = append(pl.records, gRecord{kernel: s.Kernel, dev: d, kt: kt})
-	pl.verify = append(pl.verify, pl.ns.kernels[s.Kernel][d])
-
-	for _, b := range s.Writes {
-		loc := &pl.locs[b.idx]
-		if b.kind == bufOutput || spill {
-			r := pl.emit(gop{kind: gopD2H, dev: d, bytes: b.bytes, deps: []int{kop},
-				label: pl.label(b.name, "out")})
-			pl.plannedBytes += b.bytes
-			transient += b.bytes
-			loc.hostValid = true
-			loc.hostOp = r
-		} else {
-			loc.shards = append(loc.shards, gshard{dev: d, off: 0, n: b.bytes, op: kop})
-			pl.wsPersist[d] += b.bytes
-		}
-	}
-	if transient > pl.wsPeak[d] {
-		pl.wsPeak[d] = transient
-	}
-	return nil
-}
-
-// placeSplit plans stage si split across the node's devices with slice
-// boundaries cum (in split units of total v).
-func (pl *gplanner) placeSplit(si int, s *StageSpec, cum []int64, v int64, sliceCost []device.KernelCost, sliceKt []simnet.Duration) error {
+// place plans stage si with device d computing split units [cum[d],
+// cum[d+1]) of v. A whole-stage placement is the one-slice case: a single
+// device covering [0, 1) of 1 unit. split labels the kernels per slice and
+// keeps them out of the scheduler history.
+func (pl *gplanner) place(si int, s *StageSpec, cum []int64, v int64, sliceCost []device.KernelCost, sliceKt []simnet.Duration, split bool) error {
 	ns := pl.ns
 	ndev := len(ns.Devices)
 	verifyDev := -1
@@ -583,12 +531,24 @@ func (pl *gplanner) placeSplit(si int, s *StageSpec, cum []int64, v int64, slice
 		for _, b := range s.Writes {
 			outBytes += sliceOff(b.bytes, cum[d+1], v) - sliceOff(b.bytes, cum[d], v)
 		}
+		// Residency budget: keep outputs resident while the device has room;
+		// once it is full, spill them to the host right after the kernel (the
+		// D2H rides the DMA queue and overlaps downstream compute).
 		spill := pl.wsPersist[d]+outBytes > ns.Devices[d].Spec().GlobalMem
 
+		var label string
+		if split {
+			label = pl.label(s.Label, fmt.Sprintf("slice%d", d))
+		} else {
+			label = pl.label(s.Label)
+		}
 		kop := pl.emit(gop{kind: gopKernel, dev: d, cost: sliceCost[d], kt: sliceKt[d],
-			label: pl.label(s.Label, fmt.Sprintf("slice%d", d)), deps: deps.slice()})
+			label: label, deps: deps.slice()})
 		pl.book[d] += sliceKt[d]
 		pl.flops += sliceCost[d].Flops
+		if !split {
+			pl.records = append(pl.records, gRecord{kernel: s.Kernel, dev: d, kt: sliceKt[d]})
+		}
 
 		for _, b := range s.Writes {
 			off := sliceOff(b.bytes, cum[d], v)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -73,7 +74,8 @@ type ChaosConfig struct {
 	// Seed drives the private schedule RNG.
 	Seed int64
 	// Script, when non-empty, is the explicit fault schedule; the rate
-	// fields are then ignored. Events must be time-sorted.
+	// fields are then ignored. Events must be time-sorted and name only
+	// remote nodes (Run rejects any other script).
 	Script []ChaosEvent
 	// PartitionRate/StragglerRate/CrashRate are mean events per second of
 	// virtual time for the generated schedule.
@@ -134,6 +136,43 @@ func (c ChaosConfig) norm() ChaosConfig {
 		c.PropDelay = time.Millisecond
 	}
 	return c
+}
+
+// checkScript rejects an explicit schedule the harness cannot apply on a
+// cluster of n nodes. Node 0 hosts the frontend and every dispatcher slot,
+// so a victim must be a remote node.
+func (c *ChaosConfig) checkScript(n int) error {
+	var last simnet.Duration
+	for i, ev := range c.Script {
+		switch {
+		case ev.At < 0:
+			return fmt.Errorf("serve: chaos event %d at negative time %v", i, ev.At)
+		case ev.At < last:
+			return fmt.Errorf("serve: chaos event %d at %v precedes event %d at %v; events must be time-sorted", i, ev.At, i-1, last)
+		}
+		last = ev.At
+		switch ev.Kind {
+		case ChaosPartition, ChaosStraggler:
+			if len(ev.Nodes) != 1 {
+				return fmt.Errorf("serve: chaos %v event %d names %d nodes, want exactly 1", ev.Kind, i, len(ev.Nodes))
+			}
+			if ev.Dur <= 0 {
+				return fmt.Errorf("serve: chaos %v event %d has non-positive duration %v", ev.Kind, i, ev.Dur)
+			}
+		case ChaosCrash:
+			if len(ev.Nodes) == 0 {
+				return fmt.Errorf("serve: chaos crash event %d names no nodes", i)
+			}
+		default:
+			return fmt.Errorf("serve: chaos event %d has unknown kind %d", i, int(ev.Kind))
+		}
+		for _, v := range ev.Nodes {
+			if v < 1 || v >= n {
+				return fmt.Errorf("serve: chaos %v event %d names node %d, want a remote node in [1, %d)", ev.Kind, i, v, n)
+			}
+		}
+	}
+	return nil
 }
 
 // script returns the fault schedule for a cluster of n nodes over the

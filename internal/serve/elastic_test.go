@@ -198,6 +198,52 @@ func TestChaosScriptedFaultsLoseNothing(t *testing.T) {
 	}
 }
 
+// TestChaosScriptRejectsInvalidEvents checks that Run refuses a scripted
+// fault schedule the harness cannot apply, before the simulation starts:
+// victims outside the remote nodes, wrong victim counts, unsorted or
+// negative times, unknown kinds and non-positive fault durations.
+func TestChaosScriptRejectsInvalidEvents(t *testing.T) {
+	const nodes = 4
+	ms := func(n int) simnet.Duration { return simnet.Duration(time.Duration(n) * time.Millisecond) }
+	w, err := StandardWorkload(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		script []ChaosEvent
+	}{
+		{"crash node 0", []ChaosEvent{{At: ms(10), Kind: ChaosCrash, Nodes: []int{0}}}},
+		{"partition node 0", []ChaosEvent{{At: ms(10), Kind: ChaosPartition, Nodes: []int{0}, Dur: ms(20)}}},
+		{"straggler beyond cluster", []ChaosEvent{{At: ms(10), Kind: ChaosStraggler, Nodes: []int{9}, Dur: ms(20), Factor: 4}}},
+		{"crash negative node", []ChaosEvent{{At: ms(10), Kind: ChaosCrash, Nodes: []int{1, -1}}}},
+		{"partition no nodes", []ChaosEvent{{At: ms(10), Kind: ChaosPartition, Dur: ms(20)}}},
+		{"straggler no nodes", []ChaosEvent{{At: ms(10), Kind: ChaosStraggler, Dur: ms(20), Factor: 4}}},
+		{"partition two nodes", []ChaosEvent{{At: ms(10), Kind: ChaosPartition, Nodes: []int{1, 2}, Dur: ms(20)}}},
+		{"crash no nodes", []ChaosEvent{{At: ms(10), Kind: ChaosCrash}}},
+		{"negative time", []ChaosEvent{{At: -ms(1), Kind: ChaosCrash, Nodes: []int{1}}}},
+		{"unsorted", []ChaosEvent{
+			{At: ms(20), Kind: ChaosCrash, Nodes: []int{1}},
+			{At: ms(10), Kind: ChaosCrash, Nodes: []int{2}},
+		}},
+		{"unknown kind", []ChaosEvent{{At: ms(10), Kind: ChaosKind(7), Nodes: []int{1}}}},
+		{"partition zero duration", []ChaosEvent{{At: ms(10), Kind: ChaosPartition, Nodes: []int{1}}}},
+		{"straggler negative duration", []ChaosEvent{{At: ms(10), Kind: ChaosStraggler, Nodes: []int{1}, Dur: -ms(5), Factor: 4}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := testCluster(t, nodes, 1, w)
+			cfg := DefaultConfig(w)
+			cfg.Horizon = 200 * time.Millisecond
+			cfg.Chaos = &ChaosConfig{Seed: 1, Script: tc.script}
+			if _, err := Run(cl, cfg); err == nil {
+				t.Fatal("Run accepted an invalid chaos script")
+			} else {
+				t.Log(err)
+			}
+		})
+	}
+}
+
 // TestChaosPartitionLayoutIdentity asserts byte-identical trajectories for a
 // generated chaos schedule across partition layouts — the property the CI
 // chaos job enforces end to end.

@@ -8,25 +8,24 @@ import (
 	"cashmere/internal/trace"
 )
 
-// Remote dispatch protocol. The frontend and all its state live on node 0;
-// work reaches the other nodes' device schedulers through the satin message
-// layer, never through shared memory, so a partitioned simulation can spread
-// the nodes over parallel event loops:
+// Dispatch. The frontend and all its state live on node 0, and so does
+// every dispatcher slot: slots pull WFQ batches from the frontend in one
+// loop (dispatchLoop) and differ only in how a batch executes.
 //
-//   - one proxy dispatcher per remote dispatcher slot runs on node 0: it
-//     pulls WFQ batches exactly like a local dispatcher, ships each batch to
-//     its node as a "serve_batch" message sized with the batch input bytes,
-//     and waits for the reply before pulling the next batch (one batch in
-//     flight per slot, matching a local dispatcher's occupancy);
-//   - the remote node's comm loop hands the message to a pooled process
-//     that runs the coalesced launch through the node's device scheduler and
-//     replies "serve_done" sized with the output bytes;
-//   - the proxy completes the batch's requests when the reply arrives, so
-//     latency includes both network crossings.
+//   - A slot serving node 0 runs the batch in place through execBatch, on
+//     node 0's device scheduler.
+//   - A slot serving a remote node ships the batch as a "serve_batch"
+//     message sized with the batch input bytes and waits for the reply
+//     before pulling the next batch, so each slot has one batch in flight.
+//     The remote node's comm loop hands the message to a pooled process
+//     that runs the same execBatch on that node and replies "serve_done"
+//     sized with the output bytes; latency includes both network crossings.
 //
-// The same protocol runs in every partition layout (including the single
-// sequential kernel), which keeps trajectories byte-identical across
-// -partitions values.
+// Work reaches the other nodes' device schedulers only through the satin
+// message layer, never through shared memory, so a partitioned simulation
+// can spread the nodes over parallel event loops. The same protocol runs in
+// every partition layout (including the single sequential kernel), which
+// keeps trajectories byte-identical across -partitions values.
 
 // kindBatch/kindDone are the satin message kinds of the protocol.
 const (
@@ -55,41 +54,36 @@ type batchDone struct {
 	Aborted bool
 }
 
-// slotState is node-0 bookkeeping for one proxy dispatcher slot, read by
-// the elastic controller to find batches in flight to a departing node.
+// slotState is node-0 bookkeeping for one dispatcher slot serving a remote
+// node, read by the elastic controller to find batches in flight to a
+// departing node.
 type slotState struct {
 	node int
 	busy bool
 	seq  int64
 }
 
-// nodeServer is the remote half of the protocol on one node: its compiled-
-// kernel cache is touched only by that node's processes.
-type nodeServer struct {
-	kernels map[string]*core.Kernel
-}
-
 // dispatch wires the frontend to the cluster's nodes. Node 0 reads
-// everything; remote nodes only ever touch their own nodeServer.
+// everything; every other node only ever touches its own kernel cache.
 type dispatch struct {
 	fe      *Frontend
 	cfg     Config
-	servers []*nodeServer             // index = node id (nil for node 0)
+	kernels []map[string]*core.Kernel // index = node id; touched only by that node's processes
 	replies []*simnet.Chan[batchDone] // index = proxy id; node-0 state
 	slots   []slotState               // index = proxy id; node-0 state
 }
 
 func newDispatch(fe *Frontend, cfg Config, rt *satin.Runtime) *dispatch {
-	d := &dispatch{fe: fe, cfg: cfg, servers: make([]*nodeServer, rt.Nodes())}
-	for n := 1; n < rt.Nodes(); n++ {
-		d.servers[n] = &nodeServer{kernels: map[string]*core.Kernel{}}
+	d := &dispatch{fe: fe, cfg: cfg, kernels: make([]map[string]*core.Kernel, rt.Nodes())}
+	for n := range d.kernels {
+		d.kernels[n] = map[string]*core.Kernel{}
 	}
 	return d
 }
 
-// newProxy registers a reply channel for one proxy dispatcher slot serving
-// the given node and returns its id. Must be called before the simulation
-// starts (node-0 state).
+// newProxy registers a reply channel for one dispatcher slot serving the
+// given remote node and returns its id. Must be called before the
+// simulation starts (node-0 state).
 func (d *dispatch) newProxy(k *simnet.Kernel, node int) int {
 	d.replies = append(d.replies, simnet.NewChan[batchDone](k))
 	d.slots = append(d.slots, slotState{node: node})
@@ -97,15 +91,15 @@ func (d *dispatch) newProxy(k *simnet.Kernel, node int) int {
 }
 
 // handle is the satin message handler: it serves batch requests on remote
-// nodes and routes replies back to the waiting proxy on node 0.
+// nodes and routes replies back to the waiting slot on node 0.
 func (d *dispatch) handle(ctx *satin.Context, m network.Message) bool {
 	switch m.Kind {
 	case kindBatch:
 		bm := m.Payload.(batchMsg)
-		srv := d.servers[ctx.NodeID()]
+		kernels := d.kernels[ctx.NodeID()]
 		ctx.Node().GoLocal(func(c *satin.Context) {
-			ok := srv.run(c, d.cfg, bm)
 			class := &d.cfg.Tenants[bm.Tenant].Mix[bm.Class]
+			ok := execBatch(c, kernels, class, bm.N)
 			c.Runtime().Fabric().Endpoint(c.NodeID()).
 				Send(c.Proc(), 0, kindDone, class.OutBytes*bm.N,
 					batchDone{Proxy: bm.Proxy, OK: ok, Epoch: bm.Epoch})
@@ -119,53 +113,51 @@ func (d *dispatch) handle(ctx *satin.Context, m network.Message) bool {
 	return false
 }
 
-// run executes one coalesced batch on the server's node.
-func (s *nodeServer) run(ctx *satin.Context, cfg Config, bm batchMsg) bool {
-	class := &cfg.Tenants[bm.Tenant].Mix[bm.Class]
+// execBatch runs one coalesced batch of n requests of class on the calling
+// process's node and reports whether it succeeded. A graph class (never
+// batched, see Run) is one full-DAG run; the node caches the instantiated
+// graph and its workspace across requests via GetGraph. Any other class is
+// one launch with BatchParam scaled by n, through a kernel handle cached in
+// kernels.
+func execBatch(ctx *satin.Context, kernels map[string]*core.Kernel, class *JobClass, n int64) bool {
 	if class.Graph != nil {
-		// One request = one full-DAG run; the node caches the instantiated
-		// graph (and its workspace) across requests via GetGraph.
 		return core.RunGraph(ctx, class.Graph) == nil
 	}
-	kern := s.kernels[class.Kernel]
+	kern := kernels[class.Kernel]
 	if kern == nil {
 		var err error
 		kern, err = core.GetKernel(ctx, class.Kernel)
 		if err != nil {
 			return false
 		}
-		s.kernels[class.Kernel] = kern
+		kernels[class.Kernel] = kern
 	}
 	params := class.Params
-	if bm.N > 1 {
+	if n > 1 {
 		scaled := make(map[string]int64, len(params))
 		for name, v := range params {
 			scaled[name] = v
 		}
-		scaled[class.BatchParam] *= bm.N
+		scaled[class.BatchParam] *= n
 		params = scaled
 	}
 	err := kern.NewLaunch(core.LaunchSpec{
 		Params:  params,
-		InBytes: class.InBytes * bm.N, OutBytes: class.OutBytes * bm.N,
+		InBytes: class.InBytes * n, OutBytes: class.OutBytes * n,
 		Label: class.Name,
 	}).Run(ctx)
 	return err == nil
 }
 
-// proxyLoop is a node-0 dispatcher slot for a remote node: same WFQ pull as
-// dispatchLoop, but execution happens across the network. Under elastic
-// control the slot parks on its node's gate while the node is out of
-// rotation, and an in-flight batch can be aborted by a sentinel reply —
-// the epoch filter discards the server's late real reply (or a stale
-// sentinel) so each batch settles exactly once.
-func (d *dispatch) proxyLoop(ctx *satin.Context, node, proxy int) {
+// dispatchLoop is one dispatcher slot on node 0, serving the given node
+// (proxy is the slot's id for a remote node, unused for node 0). Under
+// elastic control the slot parks on its node's gate while the node is out
+// of rotation. A batch aborted in flight is re-queued; any other batch
+// settles as completed or failed.
+func (d *dispatch) dispatchLoop(ctx *satin.Context, node, proxy int) {
 	f := d.fe
 	p := ctx.Proc()
 	k := p.Kernel()
-	ep := ctx.Runtime().Fabric().Endpoint(0)
-	reply := d.replies[proxy]
-	slot := &d.slots[proxy]
 	buf := make([]*Request, 0, f.cfg.MaxBatch)
 	for {
 		if f.el != nil {
@@ -189,23 +181,19 @@ func (d *dispatch) proxyLoop(ctx *satin.Context, node, proxy int) {
 		t := &f.tenants[r0.Tenant]
 		class := &t.spec.Mix[r0.Class]
 		n := int64(len(buf))
-		slot.seq++
-		slot.busy = true
-		ep.Send(p, node, kindBatch, class.InBytes*n,
-			batchMsg{Proxy: proxy, Tenant: r0.Tenant, Class: r0.Class, N: n, Epoch: slot.seq})
-		for {
-			bd := reply.Recv(p)
-			if bd.Epoch != slot.seq {
-				continue // reply to a batch already settled; drop
+		var ok, aborted bool
+		if node == 0 {
+			ok = execBatch(ctx, d.kernels[0], class, n)
+		} else {
+			ok, aborted = d.remote(ctx, node, proxy, r0.Tenant, r0.Class, n)
+		}
+		now := p.Now()
+		if aborted {
+			f.requeue(now, buf)
+			if !f.work.Empty() {
+				f.work.WakeAll(k)
 			}
-			now := p.Now()
-			if bd.Aborted {
-				f.requeue(now, buf)
-				if !f.work.Empty() {
-					f.work.WakeAll(k)
-				}
-				break
-			}
+		} else {
 			if f.rec.Enabled() {
 				bsz := trace.Int64Attr("batch", n)
 				for _, r := range buf {
@@ -218,11 +206,30 @@ func (d *dispatch) proxyLoop(ctx *satin.Context, node, proxy int) {
 				}
 			}
 			for _, r := range buf {
-				f.Complete(now, r, bd.OK)
+				f.Complete(now, r, ok)
 			}
-			break
 		}
-		slot.busy = false
 		f.checkDone(k)
 	}
+}
+
+// remote executes one batch on a remote node over serve_batch/serve_done
+// and waits for it to settle. An in-flight batch can be aborted by an
+// elastic-controller sentinel reply; the epoch filter discards the
+// server's late real reply (or a stale sentinel) so each batch settles
+// exactly once.
+func (d *dispatch) remote(ctx *satin.Context, node, proxy, tenant, class int, n int64) (ok, aborted bool) {
+	p := ctx.Proc()
+	reply := d.replies[proxy]
+	slot := &d.slots[proxy]
+	slot.seq++
+	slot.busy = true
+	ctx.Runtime().Fabric().Endpoint(0).Send(p, node, kindBatch, d.cfg.Tenants[tenant].Mix[class].InBytes*n,
+		batchMsg{Proxy: proxy, Tenant: tenant, Class: class, N: n, Epoch: slot.seq})
+	bd := reply.Recv(p)
+	for bd.Epoch != slot.seq {
+		bd = reply.Recv(p) // reply to a batch already settled; drop
+	}
+	slot.busy = false
+	return bd.OK, bd.Aborted
 }

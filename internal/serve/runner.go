@@ -87,6 +87,9 @@ func Run(cl *core.Cluster, cfg Config) (*Report, error) {
 		}
 		el = newElastic(fe, disp, rt, slots, initial)
 		if cfg.Chaos != nil {
+			if err := cfg.Chaos.checkScript(rt.Nodes()); err != nil {
+				return nil, err
+			}
 			chaosCfg = cfg.Chaos.norm()
 			if la := rt.Scheduler().Lookahead(); simnet.Duration(chaosCfg.PropDelay) < la {
 				return nil, fmt.Errorf("serve: chaos PropDelay %v below scheduler lookahead %v", chaosCfg.PropDelay, la)
@@ -112,14 +115,14 @@ func Run(cl *core.Cluster, cfg Config) (*Report, error) {
 				fe.generate(p, ti)
 			})
 		}
-		// Every dispatcher slot lives on node 0: local slots drive node 0's
-		// devices directly, proxy slots drive a remote node over the network.
+		// Every dispatcher slot lives on node 0 and runs one loop: node-0
+		// slots execute batches in place, the others over the network.
 		for i := 0; i < slots(0); i++ {
-			rt.GoOn(0, func(c *satin.Context) { fe.dispatchLoop(c) })
+			rt.GoOn(0, func(c *satin.Context) { disp.dispatchLoop(c, 0, -1) })
 		}
 		for _, ps := range proxies {
 			ps := ps
-			rt.GoOn(0, func(c *satin.Context) { disp.proxyLoop(c, ps.node, ps.proxy) })
+			rt.GoOn(0, func(c *satin.Context) { disp.dispatchLoop(c, ps.node, ps.proxy) })
 		}
 		if el != nil && cfg.Autoscale != nil {
 			rt.GoOn(0, func(c *satin.Context) { el.autoscaleLoop(c, asCfg) })
@@ -204,105 +207,6 @@ func (f *Frontend) checkDone(k *simnet.Kernel) {
 			// Slots gated on out-of-rotation nodes observe done and exit.
 			f.el.wakeGates(k)
 		}
-	}
-}
-
-// dispatchLoop is one dispatcher thread on node 0: it pulls WFQ batches from
-// the frontend and drives them through node 0's device scheduler, parking
-// when the frontend is empty. Remote nodes are driven by proxyLoop instead.
-func (f *Frontend) dispatchLoop(ctx *satin.Context) {
-	p := ctx.Proc()
-	k := p.Kernel()
-	buf := make([]*Request, 0, f.cfg.MaxBatch)
-	kernels := map[string]*core.Kernel{}
-	for {
-		buf = f.NextBatch(p.Now(), buf[:0])
-		if len(buf) == 0 {
-			if f.Drained() {
-				f.checkDone(k)
-				return
-			}
-			f.work.Park(p)
-			continue
-		}
-		f.runBatch(ctx, kernels, buf)
-		f.checkDone(k)
-	}
-}
-
-// runBatch executes one coalesced batch as a single kernel launch on node 0
-// (the dispatcher's node; remote execution goes through nodeServer.run).
-func (f *Frontend) runBatch(ctx *satin.Context, kernels map[string]*core.Kernel, batch []*Request) {
-	t := &f.tenants[batch[0].Tenant]
-	class := &t.spec.Mix[batch[0].Class]
-	p := ctx.Proc()
-
-	if class.Graph != nil {
-		// Graph classes never batch (validated in Run): one request, one
-		// full-DAG run through the node's graph scheduler.
-		err := core.RunGraph(ctx, class.Graph)
-		now := p.Now()
-		if f.rec.Enabled() {
-			for _, r := range batch {
-				f.rec.Add(trace.Span{
-					Node: ctx.NodeID(), Queue: "serve", Kind: KindServe,
-					Label: t.spec.Name + "/" + class.Name,
-					Start: r.Arrive, End: now,
-					Attrs: []trace.Attr{trace.Int64Attr("wait_ns", int64(r.Issue-r.Arrive))},
-				})
-			}
-		}
-		for _, r := range batch {
-			f.Complete(now, r, err == nil)
-		}
-		return
-	}
-
-	kern := kernels[class.Kernel]
-	if kern == nil {
-		var err error
-		kern, err = core.GetKernel(ctx, class.Kernel)
-		if err != nil {
-			now := p.Now()
-			for _, r := range batch {
-				f.Complete(now, r, false)
-			}
-			return
-		}
-		kernels[class.Kernel] = kern
-	}
-
-	n := int64(len(batch))
-	params := class.Params
-	if n > 1 {
-		scaled := make(map[string]int64, len(params))
-		for name, v := range params {
-			scaled[name] = v
-		}
-		scaled[class.BatchParam] *= n
-		params = scaled
-	}
-
-	err := kern.NewLaunch(core.LaunchSpec{
-		Params:  params,
-		InBytes: class.InBytes * n, OutBytes: class.OutBytes * n,
-		Label: class.Name,
-	}).Run(ctx)
-
-	now := p.Now()
-	if f.rec.Enabled() {
-		bsz := trace.Int64Attr("batch", n)
-		for _, r := range batch {
-			f.rec.Add(trace.Span{
-				Node: ctx.NodeID(), Queue: "serve", Kind: KindServe,
-				Label: t.spec.Name + "/" + class.Name,
-				Start: r.Arrive, End: now,
-				Attrs: []trace.Attr{bsz, trace.Int64Attr("wait_ns", int64(r.Issue-r.Arrive))},
-			})
-		}
-	}
-	for _, r := range batch {
-		f.Complete(now, r, err == nil)
 	}
 }
 

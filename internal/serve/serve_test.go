@@ -134,48 +134,94 @@ func TestServeBatchingEngagesUnderBacklog(t *testing.T) {
 	}
 }
 
+// TestServeTracingRecordsSpansAndGauges checks that node-0 slots and remote
+// slots settle batches through one path: every served request leaves one
+// serve span carrying its serving node and batch size, on 1 and 2 nodes, for
+// kernel classes and for graph classes (which never batch).
 func TestServeTracingRecordsSpansAndGauges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
 	}
-	w, err := StandardWorkload(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cap, err := w.CapacityRPS("gtx480", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.ScaleRates(0.5 * cap)
-	cfg := core.DefaultConfig(1, "gtx480")
-	cfg.Record = true
-	cl, err := core.NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ks := range w.KernelSets {
-		if err := cl.Register(ks); err != nil {
-			t.Fatal(err)
-		}
-	}
-	scfg := DefaultConfig(w)
-	scfg.Horizon = 100 * time.Millisecond
-	rep, err := Run(cl, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := cl.Recorder()
-	var serveSpans int
-	for _, s := range rec.Spans() {
-		if s.Kind == KindServe {
-			serveSpans++
-		}
-	}
-	if int64(serveSpans) != rep.Completed+rep.Errors {
-		t.Fatalf("%d serve spans for %d dispatched requests", serveSpans, rep.Completed+rep.Errors)
-	}
-	if rec.CounterTotal(0, "serve.admitted") != rep.Admitted {
-		t.Fatalf("admitted counter %d != report %d", rec.CounterTotal(0, "serve.admitted"), rep.Admitted)
+	for _, tc := range []struct {
+		name  string
+		nodes int
+		graph bool
+	}{
+		{"standard/1node", 1, false},
+		{"standard/2nodes", 2, false},
+		{"graph/1node", 1, true},
+		{"graph/2nodes", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var w *Workload
+			if tc.graph {
+				w = graphWorkload(t, 200)
+				if err := w.EstimateCosts("gtx480"); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				var err error
+				if w, err = StandardWorkload(1); err != nil {
+					t.Fatal(err)
+				}
+				cap, err := w.CapacityRPS("gtx480", tc.nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.ScaleRates(0.5 * cap)
+			}
+			cfg := core.DefaultConfig(tc.nodes, "gtx480")
+			cfg.Record = true
+			cl, err := core.NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ks := range w.KernelSets {
+				if err := cl.Register(ks); err != nil {
+					t.Fatal(err)
+				}
+			}
+			scfg := DefaultConfig(w)
+			scfg.Horizon = 100 * time.Millisecond
+			rep, err := Run(cl, scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := cl.Recorder()
+			var serveSpans int
+			perNode := make([]int, tc.nodes)
+			for _, s := range rec.Spans() {
+				if s.Kind != KindServe {
+					continue
+				}
+				serveSpans++
+				perNode[s.Node]++
+				batch := ""
+				for _, a := range s.Attrs {
+					if a.Key == "batch" {
+						batch = a.Val
+					}
+				}
+				if batch == "" {
+					t.Fatalf("serve span %q on node %d has no batch attribute", s.Label, s.Node)
+				}
+				if tc.graph && batch != "1" {
+					t.Fatalf("graph-class span on node %d has batch=%s, want 1", s.Node, batch)
+				}
+			}
+			if int64(serveSpans) != rep.Completed+rep.Errors {
+				t.Fatalf("%d serve spans for %d dispatched requests", serveSpans, rep.Completed+rep.Errors)
+			}
+			t.Logf("%d serve spans, per node %v", serveSpans, perNode)
+			for n, c := range perNode {
+				if c == 0 {
+					t.Fatalf("no serve spans on node %d (per node: %v)", n, perNode)
+				}
+			}
+			if rec.CounterTotal(0, "serve.admitted") != rep.Admitted {
+				t.Fatalf("admitted counter %d != report %d", rec.CounterTotal(0, "serve.admitted"), rep.Admitted)
+			}
+		})
 	}
 }
 
