@@ -123,8 +123,9 @@ func (cl *Cluster) CollectMetrics() *trace.Metrics {
 }
 
 // HostMetrics gathers the quantities CollectMetrics deliberately leaves out:
-// scheduler internals that vary with the partition layout (goroutine
-// switches, direct-handoff self-wakes, event-queue high-water marks) and the
+// scheduler internals that vary with the partition layout or say how each
+// wake ran (coroutine switches, direct-handoff self-wakes, inline steps of
+// step processes, event-queue high-water marks) and the
 // partitioned scheduler's synchronization counters and wall-clock times.
 // Useful for performance reporting; never byte-compared.
 func (cl *Cluster) HostMetrics() *trace.Metrics {
@@ -132,6 +133,7 @@ func (cl *Cluster) HostMetrics() *trace.Metrics {
 	st := cl.ps.AggregateKernelStats()
 	m.SetInt("simnet.self_wakes", st.SelfWakes)
 	m.SetInt("simnet.switches", st.Switches)
+	m.SetInt("simnet.steps", st.Steps)
 	m.SetInt("simnet.max_queue", int64(st.MaxQueue))
 
 	ps := cl.ps.Stats()

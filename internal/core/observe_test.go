@@ -74,7 +74,7 @@ func TestCollectMetrics(t *testing.T) {
 		t.Fatalf("layout-dependent metric leaked into CollectMetrics:\n%s", m.Format())
 	}
 	hm := cl.HostMetrics()
-	for _, name := range []string{"simnet.switches", "simnet.self_wakes", "pdes.partitions"} {
+	for _, name := range []string{"simnet.switches", "simnet.self_wakes", "simnet.steps", "pdes.partitions"} {
 		if !hm.Has(name) {
 			t.Fatalf("host metrics missing %q:\n%s", name, hm.Format())
 		}

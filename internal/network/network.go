@@ -312,8 +312,13 @@ func (f *Fabric) TransferTime(s int64) simnet.Duration {
 // TransferTime is Fabric.TransferTime computable without a fabric instance,
 // for capacity planning against a configuration alone.
 func (c Config) TransferTime(s int64) simnet.Duration {
-	wire := time.Duration(float64(s) / c.Bandwidth * float64(time.Second))
+	wire := c.wire(s)
 	return c.PerMessageCPU + wire + c.Latency + wire
+}
+
+// wire is the serialization time of s bytes on one link.
+func (c Config) wire(s int64) simnet.Duration {
+	return time.Duration(float64(s) / c.Bandwidth * float64(time.Second))
 }
 
 // ID reports the endpoint's node id.
@@ -415,38 +420,66 @@ func (e *Endpoint) Send(p *simnet.Proc, to int, kind string, size int64, payload
 	e.send(p, m)
 }
 
-func (e *Endpoint) send(p *simnet.Proc, m Message) {
-	if e.dead || e.linkDown(m.To) {
-		// A dead node (or one behind a severed link) cannot transmit; model
-		// as silent loss. The caller's process usually gets cancelled by the
-		// failure detector.
-		e.dropped++
+// BeginSend starts sending a control message (size below
+// ControlThreshold) from a step process, which cannot block through Send:
+// it counts the message and arms p's wake after the per-message software
+// overhead. When that wake fires, the step completes the send with
+// FinishSend(m). ok is false when the message was lost at the sender (a
+// dead node or a severed link); then no wake is armed and there is nothing
+// to finish. Together the two calls produce exactly the events of Send.
+func (e *Endpoint) BeginSend(p *simnet.Proc, to int, kind string, size int64, payload any) (m Message, ok bool) {
+	if size >= ControlThreshold {
+		panic(fmt.Sprintf("network: BeginSend of a %d-byte bulk message; bulk sends must block in Send", size))
+	}
+	m = Message{From: e.id, To: to, Kind: kind, Size: size, Payload: payload, SentAt: e.k.Now()}
+	if !e.count(m) {
+		return m, false
+	}
+	p.Arm(e.f.cfg.PerMessageCPU)
+	return m, true
+}
+
+// FinishSend completes a send once the sender's per-message overhead has
+// elapsed: an intra-node message is delivered at once, a control message
+// after the propagation latency and its wire time.
+func (e *Endpoint) FinishSend(m Message) {
+	dst := e.f.nodes[m.To]
+	if m.To == e.id {
+		// Intra-node delivery: only the software overhead.
+		dst.deliver(m)
 		return
 	}
-	dst := e.f.nodes[m.To]
+	// Control lane: interleaved with bulk traffic, never queued behind it.
+	e.schedule(dst, e.k.Now().Add(e.f.cfg.Latency+e.f.cfg.wire(m.Size)), m, 0, false)
+}
+
+// count books m against the sender, or drops it: a dead node (or one
+// behind a severed link) cannot transmit, which is modelled as silent loss.
+// The caller's process usually gets cancelled by the failure detector.
+func (e *Endpoint) count(m Message) bool {
+	if e.dead || e.linkDown(m.To) {
+		e.dropped++
+		return false
+	}
 	e.msgsOut++
 	e.bytesOut += m.Size
 	if e.f.rec.Enabled() {
 		e.f.rec.CounterAdd(e.id, "net.bytes_out", e.k.Now(), m.Size)
 	}
+	return true
+}
 
-	if m.To == e.id {
-		// Intra-node delivery: only the software overhead.
-		p.Hold(e.f.cfg.PerMessageCPU)
-		dst.deliver(m)
+func (e *Endpoint) send(p *simnet.Proc, m Message) {
+	if !e.count(m) {
 		return
 	}
-
-	wire := time.Duration(float64(m.Size) / e.f.cfg.Bandwidth * float64(time.Second))
 	start := e.k.Now()
 	p.Hold(e.f.cfg.PerMessageCPU)
-	lat := e.f.cfg.Latency
-	if m.Size < ControlThreshold {
-		// Control lane: interleaved with bulk traffic, never queued
-		// behind it.
-		e.schedule(dst, e.k.Now().Add(lat+wire), m, 0, false)
+	if m.To == e.id || m.Size < ControlThreshold {
+		e.FinishSend(m)
 		return
 	}
+	wire := e.f.cfg.wire(m.Size)
 	e.egress.Use(p, 1, wire)
 	if e.f.rec.Enabled() {
 		// Sender-side occupancy: software overhead, egress-link queueing
@@ -460,7 +493,7 @@ func (e *Endpoint) send(p *simnet.Proc, m Message) {
 		})
 	}
 	// Propagation and receive-side DMA proceed without occupying the sender.
-	e.schedule(dst, e.k.Now().Add(lat), m, wire, true)
+	e.schedule(e.f.nodes[m.To], e.k.Now().Add(e.f.cfg.Latency), m, wire, true)
 }
 
 func (e *Endpoint) deliver(m Message) {
@@ -498,6 +531,15 @@ func (e *Endpoint) Recv(p *simnet.Proc) Message {
 func (e *Endpoint) RecvTimeout(p *simnet.Proc, d simnet.Duration) (Message, bool) {
 	return e.inbox.RecvTimeout(p, d)
 }
+
+// Await arms step process p to wake on the next arrival or, when deadline
+// >= 0, at deadline (see simnet.Chan.Await).
+func (e *Endpoint) Await(p *simnet.Proc, deadline simnet.Time) {
+	e.inbox.Await(p, deadline)
+}
+
+// Unwait withdraws p's Await after a wake (see simnet.Chan.Unwait).
+func (e *Endpoint) Unwait(p *simnet.Proc) { e.inbox.Unwait(p) }
 
 // TryRecv returns a queued message without blocking.
 func (e *Endpoint) TryRecv() (Message, bool) {

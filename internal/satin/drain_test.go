@@ -15,7 +15,7 @@ import (
 // Under the two-phase steal protocol a granted job normally goes straight
 // to the probing worker and never rests in the thief's deque; a foreign job
 // is deque-resident only when the grant arrives after the probe timed out
-// (the commLoop straggler path). A near-zero StealTimeout with one worker
+// (the comm loop's straggler path). A near-zero StealTimeout with one worker
 // per node makes every grant a straggler, so the drained node demonstrably
 // holds foreign jobs when the drain lands.
 func TestDrainMigratesQueuedJobsAndCompletes(t *testing.T) {

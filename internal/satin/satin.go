@@ -152,8 +152,8 @@ type Node struct {
 
 	deque        []*Job
 	pendingSteal map[int]*simnet.Chan[*Job]
-	stealReply   map[int]*simnet.Chan[*Job] // per-worker reply chans, reused across steal rounds
-	outstanding  map[uint64]outRec          // jobs stolen from us, by job ID
+	thieves      map[int]*thief    // per-worker steal-probe state, reused across steal rounds
+	outstanding  map[uint64]outRec // jobs stolen from us, by job ID
 	jobSeq       uint64
 	done         bool
 	dead         bool
@@ -170,6 +170,14 @@ type Node struct {
 	// for victim selection; nil means it must be rebuilt. Every write to
 	// peerDown resets it.
 	peers []int
+
+	// The comm loop's state between steps (see commStep): the control
+	// replies still to send, the one whose software overhead is being held,
+	// and the deadline of the receive in progress (-1 when none is).
+	out       []ctlSend
+	sending   network.Message
+	sendArmed bool
+	deadline  simnet.Time
 
 	// Stats (per node; Runtime sums them on demand).
 	jobsExecuted   int64
@@ -222,9 +230,10 @@ func NewPartitioned(ps *simnet.Partitioned, n int, netCfg network.Config, cfg Co
 			rng:          rand.New(rand.NewSource(seed + int64(i+1)*2_654_435_761)),
 			pool:         simnet.NewProcPool(nk, fmt.Sprintf("satin.pool.%d", i)),
 			pendingSteal: map[int]*simnet.Chan[*Job]{},
-			stealReply:   map[int]*simnet.Chan[*Job]{},
+			thieves:      map[int]*thief{},
 			outstanding:  map[uint64]outRec{},
 			peerDown:     make([]bool, n),
+			deadline:     -1,
 		})
 	}
 	rt.downDeclared = make([]bool, n)
@@ -238,8 +247,10 @@ func (rt *Runtime) Kernel() *simnet.Kernel { return rt.k }
 func (rt *Runtime) Scheduler() *simnet.Partitioned { return rt.ps }
 
 // SetMessageHandler installs a hook consulted by every node's comm loop for
-// message kinds the runtime itself does not understand. The hook runs on the
-// receiving node's comm-loop process; long work must be moved off it with
+// message kinds the runtime itself does not understand. The hook runs inside
+// a step of the receiving node's comm loop, a step process, so it must never
+// block: any Hold, Send, Recv, Acquire or Await on ctx.Proc() panics. Work
+// that takes virtual time, replies included, must be started with
 // Node.GoLocal. Must be installed before Run (installing it later would race
 // with comm loops on other partitions). The returned bool reports whether the
 // hook consumed the message.
@@ -322,7 +333,7 @@ func (rt *Runtime) Run(main func(ctx *Context) any) (any, simnet.Time) {
 		// Every node-bound process is spawned onto its node's event stream:
 		// the stamps it produces are then independent of which partition the
 		// node landed on (see simnet.Kernel.SpawnOn).
-		n.k.SpawnOn(n.ID, fmt.Sprintf("satin.comm.%d", n.ID), func(p *simnet.Proc) { n.commLoop(p) })
+		n.k.SpawnStepOn(n.ID, fmt.Sprintf("satin.comm.%d", n.ID), n.commStep)
 		for w := 0; w < rt.cfg.WorkersPerNode; w++ {
 			w := w
 			if n.ID == 0 && w == 0 {
@@ -444,13 +455,15 @@ func (n *Node) trySteal(p *simnet.Proc, workerID int) *Job {
 		}
 		probeStart := p.Now()
 		key := workerID
-		reply := n.stealReply[key]
-		if reply == nil {
-			reply = simnet.NewChan[*Job](n.k)
-			n.stealReply[key] = reply
+		th := n.thieves[key]
+		if th == nil {
+			th = &thief{reply: simnet.NewChan[*Job](n.k), deny: stealReply{Worker: key}}
+			th.req = stealReq{Thief: n.ID, Worker: key, Deny: &th.deny}
+			n.thieves[key] = th
 		}
+		reply := th.reply
 		n.pendingSteal[key] = reply
-		n.ep.Send(p, victim, "steal_request", 64, stealReq{Thief: n.ID, Worker: key})
+		n.ep.Send(p, victim, "steal_request", 64, &th.req)
 		// Phase 1: wait briefly for the grant/denial (a tiny message).
 		job, ok := reply.RecvTimeout(p, rt.cfg.StealTimeout)
 		if ok && job == jobGranted {
@@ -516,9 +529,20 @@ func (n *Node) victim() int {
 	return n.peers[n.rng.Intn(len(n.peers))]
 }
 
+// thief is one worker's steal-probe state: its reply channel and the
+// request it sends, which carries the denial a victim with nothing to give
+// answers with. Both messages are immutable once built and travel as
+// pointers, so a failed probe allocates nothing.
+type thief struct {
+	reply *simnet.Chan[*Job]
+	req   stealReq
+	deny  stealReply
+}
+
 type stealReq struct {
 	Thief  int
 	Worker int
+	Deny   *stealReply // the thief's own denial, {Worker, nil}
 }
 
 type stealReply struct {
@@ -538,138 +562,220 @@ type resultMsg struct {
 	Value any
 }
 
-// commLoop services the node's inbox: steal requests and replies, results
-// for jobs stolen from this node, shared-object updates, and shutdown.
-func (n *Node) commLoop(p *simnet.Proc) {
+// commTimeout is the comm loop's receive timeout: an idle loop wakes this
+// often to notice that its node finished or died.
+const commTimeout = 250 * time.Millisecond
+
+// ctlSend is a 64-byte control reply queued by the comm loop. then, when
+// set, runs once the send completed (at once if the message was dropped),
+// and reports whether the comm loop ends. A ctlSend with no kind only runs
+// then.
+type ctlSend struct {
+	to      int
+	kind    string
+	payload any
+	then    func() bool
+}
+
+// reply queues a control reply from the comm loop.
+func (n *Node) reply(to int, kind string, payload any, then func() bool) {
+	n.out = append(n.out, ctlSend{to: to, kind: kind, payload: payload, then: then})
+}
+
+// commStep is one step of the node's comm loop, a step process that
+// services the inbox: steal requests and replies, results for jobs stolen
+// from this node, shared-object updates, and shutdown. It receives with a
+// commTimeout timeout, handles each message, and sends the replies it
+// queued one at a time, arming its next wake for every wait — the same
+// events as a blocking RecvTimeout/Send loop.
+func (n *Node) commStep(p *simnet.Proc) bool {
+	if n.sendArmed {
+		n.sendArmed = false
+		n.ep.FinishSend(n.sending)
+		n.sending = network.Message{}
+		if n.popReply() {
+			return false
+		}
+	} else if n.deadline >= 0 {
+		n.ep.Unwait(p)
+	}
 	for {
-		m, ok := n.ep.RecvTimeout(p, 250*time.Millisecond)
+		for len(n.out) > 0 {
+			if s := &n.out[0]; s.kind != "" {
+				if m, ok := n.ep.BeginSend(p, s.to, s.kind, 64, s.payload); ok {
+					n.sending, n.sendArmed = m, true
+					return true
+				}
+			}
+			if n.popReply() {
+				return false
+			}
+		}
+		if n.deadline < 0 {
+			n.deadline = p.Now().Add(commTimeout)
+		}
+		m, ok := n.ep.TryRecv()
 		if !ok {
+			if p.Now() < n.deadline {
+				n.ep.Await(p, n.deadline)
+				return true
+			}
+			n.deadline = -1
 			if n.done || n.dead {
-				return
+				return false
 			}
 			continue
 		}
-		switch m.Kind {
-		case "shutdown":
-			n.done = true
-			return
-		case "steal_request":
-			req := m.Payload.(stealReq)
-			job := n.popSteal()
-			if job == nil {
-				n.ep.Send(p, req.Thief, "steal_reply", 64, stealReply{Worker: req.Worker, Job: nil})
-				continue
-			}
-			n.outstanding[job.ID] = outRec{job: job, thief: req.Thief}
-			n.span(trace.KindSteal, "stolen:"+job.Desc.Name, p.Now())
-			// Two-phase reply: a tiny grant immediately, then the job with
-			// its input data from a separate sender process, so a large
-			// transfer neither blocks the comm loop nor races the thief's
-			// grant timeout.
-			n.ep.Send(p, req.Thief, "steal_reply", 64, stealReply{Worker: req.Worker, Job: jobGranted})
-			ep, thief, worker := n.ep, req.Thief, req.Worker
-			n.pool.Go(func(sp *simnet.Proc) {
-				ep.Send(sp, thief, "steal_reply", job.Desc.InputBytes, stealReply{Worker: worker, Job: job})
-			})
-		case "steal_reply":
-			rep := m.Payload.(stealReply)
-			if ch, ok := n.pendingSteal[rep.Worker]; ok {
-				ch.Send(rep.Job)
-			} else if rep.Job != nil && rep.Job != jobGranted {
-				// The worker gave up waiting; keep the job rather than lose it.
-				n.deque = append(n.deque, rep.Job)
-				n.noteQueueDepth()
-			}
-		case "result":
-			res := m.Payload.(resultMsg)
-			if rec, ok := n.outstanding[res.JobID]; ok {
-				delete(n.outstanding, res.JobID)
-				if !rec.job.result.Done() {
-					rec.job.result.Complete(res.Value)
-				}
-			}
-		case "shared_update":
-			up := m.Payload.(sharedUpdate)
-			n.rt.shared[up.Index].applyLocal(n.ID, up.Args)
-		case "satin_drain":
-			// Decommission protocol, phase 1: stop pulling new work in
-			// (workerLoop checks draining) and ship foreign-owned deque jobs
-			// back to their owners. Our own jobs stay in the deque and remain
-			// stealable, so the rest of the cluster absorbs them.
-			n.draining = true
-			keep := n.deque[:0]
-			for _, job := range n.deque {
-				if job.owner == n.ID {
-					keep = append(keep, job)
-					continue
-				}
-				ep, owner, j := n.ep, job.owner, job
-				n.pool.Go(func(sp *simnet.Proc) {
-					ep.Send(sp, owner, "drain_job", j.Desc.InputBytes, j)
-				})
-			}
-			n.deque = keep
-			n.noteQueueDepth()
-		case "satin_undrain":
-			// A drained node returning to service resumes stealing.
-			n.draining = false
-		case "drain_job":
-			// A draining node returned a job of ours it had been holding. The
-			// job is physically home now, so any outstanding re-queue coverage
-			// for it is obsolete.
-			job := m.Payload.(*Job)
-			delete(n.outstanding, job.ID)
-			n.deque = append(n.deque, job)
-			n.jobsMigrated++
-			n.rt.rec.CounterAdd(n.ID, "satin.migrations", p.Now(), 1)
-			n.noteQueueDepth()
-		case "satin_die":
-			// Message-based crash injection (the partition-safe Kill). Announce
-			// the death to every peer first — the endpoint drops all traffic
-			// once dead — with unicasts rather than the binomial broadcast,
-			// which an earlier correlated crash could sever.
-			for i := range n.rt.nodes {
-				if i != n.ID {
-					n.ep.Send(p, i, "node_down", 64, n.ID)
-				}
-			}
-			n.rt.rec.CounterAdd(n.ID, "satin.crashes", p.Now(), 1)
-			n.dead = true
-			n.ep.Kill()
-			n.deque = nil
-			n.noteQueueDepth()
-			return
-		case "node_down":
-			// A peer crashed: stop picking it as a victim, and re-queue every
-			// job it had stolen from us for re-execution — Satin's fault
-			// tolerance. Map iteration order is not deterministic, so collect
-			// and sort by job ID before touching the deque.
-			id := m.Payload.(int)
-			n.peerDown[id] = true
-			n.peers = nil
-			jids := make([]uint64, 0, len(n.outstanding))
-			for jid, rec := range n.outstanding {
-				if rec.thief == id {
-					jids = append(jids, jid)
-				}
-			}
-			sort.Slice(jids, func(a, b int) bool { return jids[a] < jids[b] })
-			for _, jid := range jids {
-				rec := n.outstanding[jid]
-				delete(n.outstanding, jid)
-				n.deque = append(n.deque, rec.job)
-				n.jobsReExecuted++
-				n.rt.rec.CounterAdd(n.ID, "satin.reexecutions", p.Now(), 1)
-			}
-			if len(jids) > 0 {
-				n.noteQueueDepth()
-			}
-		default:
-			if h := n.rt.handler; h != nil {
-				h(&Context{p: p, node: n, manyCore: true}, m)
-			}
+		n.deadline = -1
+		if n.handle(p, m) {
+			return false
 		}
 	}
+}
+
+// popReply drops the front reply and runs its continuation.
+func (n *Node) popReply() bool {
+	then := n.out[0].then
+	k := copy(n.out, n.out[1:])
+	n.out[k] = ctlSend{}
+	n.out = n.out[:k]
+	return then != nil && then()
+}
+
+// handle reacts to one inbox message on the comm loop's process p, queueing
+// any replies; it reports whether the comm loop ends.
+func (n *Node) handle(p *simnet.Proc, m network.Message) bool {
+	switch m.Kind {
+	case "shutdown":
+		n.done = true
+		return true
+	case "steal_request":
+		req := m.Payload.(*stealReq)
+		job := n.popSteal()
+		if job == nil {
+			n.reply(req.Thief, "steal_reply", req.Deny, nil)
+			break
+		}
+		n.outstanding[job.ID] = outRec{job: job, thief: req.Thief}
+		n.span(trace.KindSteal, "stolen:"+job.Desc.Name, p.Now())
+		// Two-phase reply: a tiny grant immediately, then, once it is
+		// sent, the job with its input data from a separate sender
+		// process, so a large transfer neither blocks the comm loop nor
+		// races the thief's grant timeout.
+		ep, to, worker := n.ep, req.Thief, req.Worker
+		n.reply(to, "steal_reply", &stealReply{Worker: worker, Job: jobGranted}, func() bool {
+			n.pool.Go(func(sp *simnet.Proc) {
+				ep.Send(sp, to, "steal_reply", job.Desc.InputBytes, &stealReply{Worker: worker, Job: job})
+			})
+			return false
+		})
+	case "steal_reply":
+		rep := m.Payload.(*stealReply)
+		if ch, ok := n.pendingSteal[rep.Worker]; ok {
+			ch.Send(rep.Job)
+		} else if rep.Job != nil && rep.Job != jobGranted {
+			// The worker gave up waiting; keep the job rather than lose it.
+			n.deque = append(n.deque, rep.Job)
+			n.noteQueueDepth()
+		}
+	case "result":
+		res := m.Payload.(resultMsg)
+		if rec, ok := n.outstanding[res.JobID]; ok {
+			delete(n.outstanding, res.JobID)
+			if !rec.job.result.Done() {
+				rec.job.result.Complete(res.Value)
+			}
+		}
+	case "shared_update":
+		up := m.Payload.(sharedUpdate)
+		n.rt.shared[up.Index].applyLocal(n.ID, up.Args)
+	case "satin_drain":
+		// Decommission protocol, phase 1: stop pulling new work in
+		// (workerLoop checks draining) and ship foreign-owned deque jobs
+		// back to their owners. Our own jobs stay in the deque and remain
+		// stealable, so the rest of the cluster absorbs them.
+		n.draining = true
+		keep := n.deque[:0]
+		for _, job := range n.deque {
+			if job.owner == n.ID {
+				keep = append(keep, job)
+				continue
+			}
+			ep, owner, j := n.ep, job.owner, job
+			n.pool.Go(func(sp *simnet.Proc) {
+				ep.Send(sp, owner, "drain_job", j.Desc.InputBytes, j)
+			})
+		}
+		n.deque = keep
+		n.noteQueueDepth()
+	case "satin_undrain":
+		// A drained node returning to service resumes stealing.
+		n.draining = false
+	case "drain_job":
+		// A draining node returned a job of ours it had been holding. The
+		// job is physically home now, so any outstanding re-queue coverage
+		// for it is obsolete.
+		job := m.Payload.(*Job)
+		delete(n.outstanding, job.ID)
+		n.deque = append(n.deque, job)
+		n.jobsMigrated++
+		n.rt.rec.CounterAdd(n.ID, "satin.migrations", p.Now(), 1)
+		n.noteQueueDepth()
+	case "satin_die":
+		// Message-based crash injection (the partition-safe Kill). Announce
+		// the death to every peer first — the endpoint drops all traffic
+		// once dead — with unicasts rather than the binomial broadcast,
+		// which an earlier correlated crash could sever; die after the
+		// last one.
+		for i := range n.rt.nodes {
+			if i != n.ID {
+				n.reply(i, "node_down", n.ID, nil)
+			}
+		}
+		n.out = append(n.out, ctlSend{then: n.die})
+	case "node_down":
+		// A peer crashed: stop picking it as a victim, and re-queue every
+		// job it had stolen from us for re-execution — Satin's fault
+		// tolerance. Map iteration order is not deterministic, so collect
+		// and sort by job ID before touching the deque.
+		id := m.Payload.(int)
+		n.peerDown[id] = true
+		n.peers = nil
+		jids := make([]uint64, 0, len(n.outstanding))
+		for jid, rec := range n.outstanding {
+			if rec.thief == id {
+				jids = append(jids, jid)
+			}
+		}
+		sort.Slice(jids, func(a, b int) bool { return jids[a] < jids[b] })
+		for _, jid := range jids {
+			rec := n.outstanding[jid]
+			delete(n.outstanding, jid)
+			n.deque = append(n.deque, rec.job)
+			n.jobsReExecuted++
+			n.rt.rec.CounterAdd(n.ID, "satin.reexecutions", p.Now(), 1)
+		}
+		if len(jids) > 0 {
+			n.noteQueueDepth()
+		}
+	default:
+		if h := n.rt.handler; h != nil {
+			h(&Context{p: p, node: n, manyCore: true}, m)
+		}
+	}
+	return false
+}
+
+// die is the end of a message-driven crash, after the node_down
+// announcements went out: the node drops off the network and its comm loop
+// ends.
+func (n *Node) die() bool {
+	n.rt.rec.CounterAdd(n.ID, "satin.crashes", n.k.Now(), 1)
+	n.dead = true
+	n.ep.Kill()
+	n.deque = nil
+	n.noteQueueDepth()
+	return true
 }
 
 func (n *Node) span(kind trace.Kind, label string, start simnet.Time) {

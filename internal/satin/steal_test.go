@@ -1,6 +1,7 @@
 package satin
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -79,6 +80,33 @@ func TestVictimProbeDoesNotAllocate(t *testing.T) {
 	n := testRuntime(8, 1).nodes[0]
 	if a := testing.AllocsPerRun(1000, func() { n.victim() }); a != 0 {
 		t.Fatalf("victim allocates %v times per probe, want 0", a)
+	}
+}
+
+// TestFailedStealDoesNotAllocate: a failed probe sends the thief's
+// preallocated request and is answered with the denial it carries, both as
+// pointers, so an idle cluster probing for work allocates nothing per
+// probe. The rate is measured over a window of a running simulation, after
+// a warm-up that builds every worker's probe state.
+func TestFailedStealDoesNotAllocate(t *testing.T) {
+	rt := testRuntime(4, 1)
+	var before, after runtime.MemStats
+	var probes int64
+	rt.Run(func(ctx *Context) any {
+		ctx.Compute(time.Millisecond, "warm-up")
+		runtime.ReadMemStats(&before)
+		failed := rt.StealsFailed()
+		ctx.Proc().Hold(20 * time.Millisecond)
+		runtime.ReadMemStats(&after)
+		probes = rt.StealsFailed() - failed
+		return nil
+	})
+	if probes < 500 {
+		t.Fatalf("only %d failed probes in the window; the test needs an idle, probing cluster", probes)
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / float64(probes); per > 0.01 {
+		t.Fatalf("%d allocations over %d failed probes (%.3f per probe), want 0",
+			after.Mallocs-before.Mallocs, probes, per)
 	}
 }
 

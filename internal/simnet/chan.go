@@ -91,21 +91,16 @@ func (c *Chan[T]) RecvTimeout(p *Proc, d Duration) (v T, ok bool) {
 }
 
 func (c *Chan[T]) recv(p *Proc, timeout Duration) (v T, ok bool) {
-	var deadline Time
+	deadline := Time(-1)
 	if timeout >= 0 {
 		deadline = c.k.now.Add(timeout)
 	}
 	for c.Len() == 0 {
-		if timeout >= 0 && c.k.now >= deadline {
+		if deadline >= 0 && c.k.now >= deadline {
 			c.removeWaiter(p)
 			return v, false
 		}
-		c.waiters = append(c.waiters, chanWaiter{p: p, epoch: p.epoch})
-		if timeout >= 0 {
-			// Schedule a timeout wake against the same park epoch; if a
-			// send wins the race the timeout event is stale and ignored.
-			c.k.post(deadline, p, p.epoch)
-		}
+		c.enlist(p, deadline)
 		p.park()
 		// Woken either by a send or by the timeout; in both cases we may no
 		// longer be in the waiter list (the send removed us) or we may still
@@ -114,6 +109,30 @@ func (c *Chan[T]) recv(p *Proc, timeout Duration) (v T, ok bool) {
 	}
 	return c.pop(), true
 }
+
+// enlist registers p as a waiting receiver against its current park epoch
+// and, when deadline >= 0, schedules a timeout wake against the same epoch;
+// if a send wins the race the timeout event is stale and ignored.
+func (c *Chan[T]) enlist(p *Proc, deadline Time) {
+	c.waiters = append(c.waiters, chanWaiter{p: p, epoch: p.epoch})
+	if deadline >= 0 {
+		c.k.post(deadline, p, p.epoch)
+	}
+}
+
+// Await arms step process p to wake on the next send to c or, when
+// deadline >= 0, at deadline, whichever comes first: the wait inside
+// RecvTimeout, for a step that returns instead of blocking. The woken step
+// calls Unwait, then takes a value with TryRecv or, if none came and the
+// deadline has not passed, awaits again with the same deadline — exactly
+// the events RecvTimeout produces.
+func (c *Chan[T]) Await(p *Proc, deadline Time) {
+	c.enlist(p, deadline)
+	p.arm()
+}
+
+// Unwait drops p from c's waiting receivers, if a timeout woke it first.
+func (c *Chan[T]) Unwait(p *Proc) { c.removeWaiter(p) }
 
 func (c *Chan[T]) removeWaiter(p *Proc) {
 	for i, w := range c.waiters {

@@ -18,6 +18,9 @@ import (
 //     the Satin comm-loop and steal-probe pattern. The reply supersedes the
 //     pending timeout wake in place, so the heap never holds more than one
 //     entry per parked process.
+//   - step: the same exchange with the responder as a step process, the
+//     Satin comm-loop shape: the responder's wakes run inline in the event
+//     loop, so only the requester's wakes switch.
 func BenchmarkSimnetEventLoop(b *testing.B) {
 	b.Run("hold", func(b *testing.B) {
 		k := NewKernel(1)
@@ -50,19 +53,25 @@ func BenchmarkSimnetEventLoop(b *testing.B) {
 		b.ResetTimer()
 		k.Run(0)
 	})
-	b.Run("timeout", func(b *testing.B) {
-		k := NewKernel(1)
-		timeoutExchanges(k, b.N)
-		b.ReportAllocs()
-		b.ResetTimer()
-		k.Run(0)
-	})
+	for _, c := range []struct {
+		name string
+		step bool
+	}{{"timeout", false}, {"step", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			k := NewKernel(1)
+			timeoutExchanges(k, b.N, c.step)
+			b.ReportAllocs()
+			b.ResetTimer()
+			k.Run(0)
+		})
+	}
 }
 
 // timeoutExchanges spawns a requester that sends n requests, each awaiting
-// its reply with a 250ms RecvTimeout, and a responder that answers every
-// request 1µs later, well before the timeout.
-func timeoutExchanges(k *Kernel, n int) {
+// its reply with a 250ms RecvTimeout, and a responder — a coroutine, or a
+// step process when step is set — that answers every request 1µs later,
+// well before the timeout.
+func timeoutExchanges(k *Kernel, n int, step bool) {
 	req, rep := NewChan[int](k), NewChan[int](k)
 	k.Spawn("thief", func(p *Proc) {
 		for i := 0; i < n; i++ {
@@ -72,11 +81,13 @@ func timeoutExchanges(k *Kernel, n int) {
 			}
 		}
 	})
-	k.Spawn("victim", func(p *Proc) {
-		for i := 0; i < n; i++ {
-			req.Recv(p)
-			p.Hold(time.Microsecond)
-			rep.Send(i)
-		}
-	})
+	r := &reactor{
+		in: req, out: []*Chan[int]{rep}, timeout: -1, n: n,
+		service: func(int) Duration { return time.Microsecond },
+	}
+	if step {
+		k.SpawnStepOn(0, "victim", r.step)
+	} else {
+		k.Spawn("victim", r.run)
+	}
 }

@@ -1,10 +1,16 @@
 package simnet
 
-// eventHeap is a hand-rolled binary min-heap over events, ordered by
-// (time, creating stream, stream sequence). container/heap would force
+// eventHeap is a hand-rolled heapArity-ary min-heap over events, ordered
+// by (time, creating stream, stream sequence). container/heap would force
 // every push and pop through an interface{} conversion, allocating one box
 // per scheduled event; on the kernel's hot loop that boxing dominates, so
 // the sift operations are inlined here over the concrete slice.
+//
+// Four children per node halve the tree's depth against a binary heap: a
+// pop moves the 48-byte hole down half as many levels, each a scan of up
+// to four adjacent siblings (one or two cache lines), and a push sifts up
+// half as far. Pop order is fixed by the unique (t, stream, sseq) key, so
+// the arity can never change a trajectory.
 //
 // The tie-break chain is independent of the partition layout: equal-time
 // events fire ordered by the simulated node (stream) whose execution
@@ -22,6 +28,10 @@ package simnet
 // superseded timeouts never occupy the heap; up is the decrease-key that
 // moves a rewritten entry forward.
 type eventHeap []event
+
+// heapArity is the number of children per heap node. The parent of index i
+// is (i-1)/heapArity, and its children are heapArity*i+1 onward.
+const heapArity = 4
 
 // before reports whether a orders ahead of b.
 func (a *event) before(b *event) bool {
@@ -55,12 +65,12 @@ func (h *eventHeap) push(e event) {
 // up moves the entry at i toward the root until its parent orders ahead of
 // it. It restores the invariant after a push or a decrease-key.
 func (h eventHeap) up(i int) {
-	if i == 0 || !h[i].before(&h[(i-1)/2]) {
+	if i == 0 || !h[i].before(&h[(i-1)/heapArity]) {
 		return
 	}
 	e := h[i]
 	for i > 0 {
-		parent := (i - 1) / 2
+		parent := (i - 1) / heapArity
 		if !e.before(&h[parent]) {
 			break
 		}
@@ -92,13 +102,15 @@ func (h *eventHeap) pop() event {
 func (h eventHeap) down(i int, e event) {
 	n := len(h)
 	for {
-		l := 2*i + 1
-		if l >= n {
+		first := heapArity*i + 1
+		if first >= n {
 			break
 		}
-		min := l
-		if r := l + 1; r < n && h[r].before(&h[l]) {
-			min = r
+		min := first
+		for c := first + 1; c < first+heapArity && c < n; c++ {
+			if h[c].before(&h[min]) {
+				min = c
+			}
 		}
 		if !h[min].before(&e) {
 			break

@@ -157,7 +157,7 @@ func TestEventHeapSlots(t *testing.T) {
 			if p := h[i].p; p != nil && int(p.slot) != i {
 				t.Fatalf("round %d: entry %d belongs to a process whose slot is %d", round, i, p.slot)
 			}
-			if i > 0 && h[i].before(&h[(i-1)/2]) {
+			if i > 0 && h[i].before(&h[(i-1)/heapArity]) {
 				t.Fatalf("round %d: heap order violated at %d", round, i)
 			}
 		}

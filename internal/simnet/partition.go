@@ -281,9 +281,9 @@ func (p *PartitionStats) Blocked(totalWallNs int64) {
 // AggregateKernelStats sums the per-partition scheduling counters. The
 // trajectory-determined counters (Events, Callbacks, Spawns, Stale) are
 // identical across partition layouts for a deterministic program; the
-// layout-dependent ones (Switches, SelfWakes, MaxQueue) are summed or
-// maxed as appropriate and belong in host-side reporting, not in
-// byte-compared metric dumps.
+// host-side ones (Switches, SelfWakes and Steps, which say how each wake
+// ran, and MaxQueue) are summed or maxed as appropriate and belong in
+// host-side reporting, not in byte-compared metric dumps.
 func (ps *Partitioned) AggregateKernelStats() Stats {
 	var st Stats
 	for _, k := range ps.ks {
@@ -291,6 +291,7 @@ func (ps *Partitioned) AggregateKernelStats() Stats {
 		st.Events += ks.Events
 		st.SelfWakes += ks.SelfWakes
 		st.Switches += ks.Switches
+		st.Steps += ks.Steps
 		st.Stale += ks.Stale
 		st.Spawns += ks.Spawns
 		st.Callbacks += ks.Callbacks

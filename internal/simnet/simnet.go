@@ -21,6 +21,14 @@
 // (iter.Pull), which hand the thread over directly without a trip through
 // the Go scheduler's run queue.
 //
+// A pure message reactor — a loop that waits, handles what arrived and
+// waits again, never blocking mid-handler — can instead be a step process
+// (SpawnStepOn). It has no coroutine: the kernel calls its step function
+// inline on every wake, exactly where it would have resumed the body, and
+// the step arms its next wake (Proc.Arm, Chan.Await) before returning. The
+// wake is the same event either way; only the host cost of a switch is
+// saved.
+//
 // A parked process has at most one entry in the event queue. A second wake
 // for the same park — the reply that beats a RecvTimeout, say — is folded
 // into the pending entry: the earlier of the two keeps it, and the other is
@@ -133,6 +141,7 @@ type Stats struct {
 	Events    int64 // events dispatched (process wakes + callbacks)
 	SelfWakes int64 // wakes of the parking process itself, with no switch
 	Switches  int64 // coroutine resumes of a process by Run's loop
+	Steps     int64 // wakes of step processes, run inline with no switch
 	Stale     int64 // wakes that never fired: superseded within their park, or posted after it
 	Spawns    int64 // processes created
 	Callbacks int64 // callback events run (CallAt completions; never switch)
@@ -195,7 +204,8 @@ func (k *Kernel) EnableDebugCounts() {
 func (k *Kernel) DebugCounts() map[string]int64 { return k.debugCounts }
 
 // Proc is a simulation process: a coroutine that runs simulation logic in
-// direct style, blocking on virtual-time primitives.
+// direct style, blocking on virtual-time primitives, or a step process (see
+// SpawnStepOn) that reacts to each wake with one call of its step function.
 type Proc struct {
 	k      *Kernel
 	name   string
@@ -203,6 +213,7 @@ type Proc struct {
 	next   func() (struct{}, bool) // resumes the body until it parks or returns
 	stop   func()                  // unwinds a parked body (Close)
 	yield  func(struct{}) bool     // suspends the body; false once stopped
+	step   func(*Proc) bool        // a step process's body; nil for a coroutine
 	done   bool
 	epoch  uint64 // incremented on every wake; stale wake events are ignored
 	parked bool
@@ -340,12 +351,32 @@ func (k *Kernel) SpawnOn(stream int, name string, fn func(p *Proc)) *Proc {
 	return k.spawnAt(k.now, int32(stream), name, fn)
 }
 
-func (k *Kernel) spawnAt(t Time, stream int32, name string, fn func(p *Proc)) *Proc {
+// SpawnStepOn creates a step process bound to the event stream of node
+// `stream`, starting at the current virtual time. The kernel calls step
+// inline on every wake of the process — the first at its start — with the
+// clock at the wake. step must not block: it arms the next wake with
+// p.Arm or Chan.Await and returns true, or returns false once the process
+// is finished. A step that returns true without arming a wake, or that
+// blocks on a virtual-time primitive, panics naming the process.
+func (k *Kernel) SpawnStepOn(stream int, name string, step func(p *Proc) bool) *Proc {
+	p := k.newProc(int32(stream), name)
+	p.step = step
+	k.postOn(p.stream, k.now, p, p.epoch)
+	return p
+}
+
+// newProc registers a process that its initial start event will wake.
+func (k *Kernel) newProc(stream int32, name string) *Proc {
 	k.procSeq++
 	p := &Proc{k: k, name: name, id: k.procSeq, stream: stream, slot: -1, live: int32(len(k.live))}
 	k.live = append(k.live, p)
 	k.stats.Spawns++
-	p.parked = true // the initial start event wakes it
+	p.parked = true
+	return p
+}
+
+func (k *Kernel) spawnAt(t Time, stream int32, name string, fn func(p *Proc)) *Proc {
+	p := k.newProc(stream, name)
 	p.next, p.stop = pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
@@ -371,6 +402,12 @@ var errClosed = errors.New("simnet: process stopped by Close")
 // exit retires a process whose body returned and picks the next process for
 // Run's loop to resume.
 func (p *Proc) exit() {
+	p.retire()
+	p.k.handoff = p.k.next()
+}
+
+// retire marks a finished process done and drops it from the live set.
+func (p *Proc) retire() {
 	k := p.k
 	p.done = true
 	if k.tracer != nil {
@@ -380,7 +417,6 @@ func (p *Proc) exit() {
 	last.live = p.live
 	k.live[p.live] = last
 	k.live = k.live[:len(k.live)-1]
-	k.handoff = k.next()
 }
 
 // park suspends the process until a wake event targeted at the current
@@ -389,6 +425,9 @@ func (p *Proc) exit() {
 // owner (or nil, when nothing is left below the limit) becomes the kernel's
 // handoff and the process yields to Run's loop.
 func (p *Proc) park() {
+	if p.step != nil {
+		panic(fmt.Sprintf("simnet: step process %s blocked; a step must arm its wake and return", p.name))
+	}
 	p.parked = true
 	k := p.k
 	if k.tracer != nil {
@@ -405,10 +444,10 @@ func (p *Proc) park() {
 	}
 }
 
-// next pops events up to the run's limit, running callbacks inline and
-// skipping stale wakes, until one wakes a process; it advances the clock to
-// that event and returns the process, or nil when no event is left below
-// the limit.
+// next pops events up to the run's limit, running callbacks and step
+// processes inline and skipping stale wakes, until one wakes a coroutine
+// process; it advances the clock to that event and returns the process, or
+// nil when no event is left below the limit.
 func (k *Kernel) next() *Proc {
 	for len(k.pq) > 0 {
 		e := k.pq[0]
@@ -442,9 +481,47 @@ func (k *Kernel) next() *Proc {
 		e.p.parked = false
 		e.p.epoch++
 		e.p.wokenAt = e.t
-		return e.p
+		if e.p.step == nil {
+			return e.p
+		}
+		k.stats.Steps++
+		k.runStep(e.p)
 	}
 	return nil
+}
+
+// runStep runs one step of a woken step process in the running context,
+// as the process's own stream.
+func (k *Kernel) runStep(p *Proc) {
+	if !p.step(p) {
+		p.retire()
+		return
+	}
+	if !p.parked {
+		panic(fmt.Sprintf("simnet: step process %s returned without arming a wake", p.name))
+	}
+	if k.tracer != nil {
+		k.tracer.ProcSlice(p.name, p.id, p.wokenAt, k.now)
+	}
+}
+
+// arm marks step process p as waiting for the wake it just scheduled or
+// registered for.
+func (p *Proc) arm() {
+	if p.step == nil {
+		panic(fmt.Sprintf("simnet: %s is not a step process; it must park to wait", p.name))
+	}
+	p.parked = true
+}
+
+// Arm schedules step process p's next wake d from now: Hold for a step
+// process, which returns from its step instead of blocking.
+func (p *Proc) Arm(d Duration) {
+	if d < 0 {
+		d = 0
+	}
+	p.k.post(p.k.now.Add(d), p, p.epoch)
+	p.arm()
 }
 
 // Hold advances the process's local time by d: the process sleeps in virtual
@@ -564,18 +641,21 @@ func (k *Kernel) Blocked() int {
 func (k *Kernel) Alive() int { return len(k.live) }
 
 // Close releases a finished simulation's goroutines. Every process whose
-// body has not returned — comm loops waiting for messages that will never
+// body has not returned — receivers waiting for messages that will never
 // come, idle pool runners — is stopped one at a time and unwinds, running
 // its deferred calls (which must not block on virtual-time primitives). A
-// closed kernel cannot run again: Run panics. Must not be called while Run
-// executes.
+// step process has nothing to unwind and is simply dropped. A closed kernel
+// cannot run again: Run panics. Must not be called while Run executes.
 func (k *Kernel) Close() {
 	if k.running {
 		panic("simnet: Close during Run")
 	}
 	k.closed = true
 	for _, p := range k.live {
-		p.stop()
+		if p.step == nil {
+			p.stop()
+		}
+		p.done = true
 	}
 	k.live = nil
 	k.pq = nil

@@ -101,7 +101,7 @@ func TestTracerReceivesProcSlices(t *testing.T) {
 func TestSupersededTimeoutsStayOutOfHeap(t *testing.T) {
 	const n = 10000
 	k := NewKernel(1)
-	timeoutExchanges(k, n)
+	timeoutExchanges(k, n, false)
 	end := k.Run(0)
 	st := k.Stats()
 	if st.MaxQueue > 4 {

@@ -1,0 +1,238 @@
+package simnet
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+	"time"
+)
+
+// reactor serves requests from in: it receives each with a timeout (none
+// when timeout < 0), holds for service(v) and replies with v on
+// out[v%len(out)]. It ends after serving n requests (never when n < 0), or
+// on a timeout once stop reports true. run is the reactor as a coroutine
+// body and step as a step-process body; both must produce the same events.
+type reactor struct {
+	in      *Chan[int]
+	out     []*Chan[int]
+	timeout Duration
+	service func(v int) Duration
+	n       int
+	stop    func() bool
+
+	served int
+	// step-process state between wakes
+	receiving, holding bool
+	deadline           Time
+	v                  int
+}
+
+func (r *reactor) run(p *Proc) {
+	for r.served != r.n {
+		v, ok := r.in.RecvTimeout(p, r.timeout)
+		if !ok {
+			if r.stop() {
+				return
+			}
+			continue
+		}
+		p.Hold(r.service(v))
+		r.out[v%len(r.out)].Send(v)
+		r.served++
+	}
+}
+
+func (r *reactor) step(p *Proc) bool {
+	if r.holding {
+		r.holding = false
+		r.out[r.v%len(r.out)].Send(r.v)
+		r.served++
+	} else if r.receiving {
+		r.in.Unwait(p)
+	}
+	for r.served != r.n {
+		if !r.receiving {
+			r.receiving, r.deadline = true, -1
+			if r.timeout >= 0 {
+				r.deadline = p.Now().Add(r.timeout)
+			}
+		}
+		if v, ok := r.in.TryRecv(); ok {
+			r.receiving, r.holding, r.v = false, true, v
+			p.Arm(r.service(v))
+			return true
+		}
+		if r.deadline < 0 || p.Now() < r.deadline {
+			r.in.Await(p, r.deadline)
+			return true
+		}
+		r.receiving = false
+		if r.stop() {
+			return false
+		}
+	}
+	return false
+}
+
+// wakeTrace records every process slice and queue-depth sample.
+type wakeTrace struct{ b strings.Builder }
+
+func (w *wakeTrace) ProcSlice(name string, id int, start, end Time) {
+	fmt.Fprintf(&w.b, "%s#%d %d-%d\n", name, id, start, end)
+}
+
+func (w *wakeTrace) QueueDepth(t Time, depth int) { fmt.Fprintf(&w.b, "q %d %d\n", t, depth) }
+
+// reactorWorkload runs two reactors on streams 1 and 2 against three
+// coroutine clients on stream 0 that send requests directly or through
+// callbacks and sometimes wait for the reply with a timeout. The reactors
+// are coroutines or step processes; everything else is the same.
+func reactorWorkload(seed int64, steps bool) (trace string, end Time, st Stats) {
+	k := NewKernel(seed)
+	w := &wakeTrace{}
+	k.SetTracer(w)
+	rng := rand.New(rand.NewSource(seed))
+	const clients = 3
+	out := make([]*Chan[int], clients)
+	for i := range out {
+		out[i] = NewChan[int](k)
+	}
+	left := clients
+	stop := func() bool { return left == 0 }
+	var rs []*reactor
+	for i := 0; i < 2; i++ {
+		r := &reactor{
+			in: NewChan[int](k), out: out, n: -1, stop: stop,
+			timeout: time.Duration(5+rng.Intn(40)) * time.Microsecond,
+			service: func(v int) Duration { return time.Duration(v*7919%13) * time.Microsecond },
+		}
+		rs = append(rs, r)
+		name := fmt.Sprintf("reactor%d", i)
+		if steps {
+			k.SpawnStepOn(i+1, name, r.step)
+		} else {
+			k.SpawnOn(i+1, name, r.run)
+		}
+	}
+	for c := 0; c < clients; c++ {
+		c, crng := c, rand.New(rand.NewSource(rng.Int63()))
+		k.Spawn(fmt.Sprintf("client%d", c), func(p *Proc) {
+			defer func() { left-- }()
+			for i := 0; i < 60; i++ {
+				p.Hold(time.Duration(crng.Intn(30)) * time.Microsecond)
+				v, in := c+clients*i, rs[crng.Intn(len(rs))].in
+				if crng.Intn(4) == 0 {
+					k.CallAfter(time.Duration(crng.Intn(5))*time.Microsecond, func() { in.Send(v) })
+				} else {
+					in.Send(v)
+				}
+				if crng.Intn(2) == 0 {
+					out[c].RecvTimeout(p, time.Duration(crng.Intn(20))*time.Microsecond)
+				}
+			}
+		})
+	}
+	end = k.Run(0)
+	return w.b.String(), end, k.Stats()
+}
+
+// TestStepProcessMatchesCoroutine runs the same randomized request/reply
+// workload with its reactors as coroutine processes and as step processes.
+// The wake trace, end time and every trajectory counter must agree; only
+// the host counters that say how a wake ran (Switches, SelfWakes, Steps)
+// may differ, and in both forms they account for every event.
+func TestStepProcessMatchesCoroutine(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		coTrace, coEnd, coSt := reactorWorkload(seed, false)
+		stTrace, stEnd, stSt := reactorWorkload(seed, true)
+		for _, st := range []Stats{coSt, stSt} {
+			if st.Events != st.Switches+st.SelfWakes+st.Steps+st.Callbacks {
+				t.Fatalf("seed %d: Events != Switches+SelfWakes+Steps+Callbacks: %+v", seed, st)
+			}
+		}
+		if coSt.Steps != 0 || stSt.Steps == 0 || stSt.Switches >= coSt.Switches {
+			t.Fatalf("seed %d: coroutine %+v, step %+v: the step form must replace switches by steps", seed, coSt, stSt)
+		}
+		if coEnd != stEnd {
+			t.Fatalf("seed %d: end %v as coroutines, %v as step processes", seed, coEnd, stEnd)
+		}
+		host := func(st Stats) Stats { st.Switches, st.SelfWakes, st.Steps = 0, 0, 0; return st }
+		if host(coSt) != host(stSt) {
+			t.Fatalf("seed %d: stats differ:\ncoroutine %+v\nstep      %+v", seed, coSt, stSt)
+		}
+		if coTrace != stTrace {
+			co, st := strings.Split(coTrace, "\n"), strings.Split(stTrace, "\n")
+			for i := range co {
+				if i >= len(st) || co[i] != st[i] {
+					t.Fatalf("seed %d: wake traces diverge at line %d: coroutine %q, step %q", seed, i, co[i], st[min(i, len(st)-1)])
+				}
+			}
+			t.Fatalf("seed %d: step trace is longer than the coroutine trace", seed)
+		}
+	}
+}
+
+// mustPanicNaming runs f and requires a panic whose message names name.
+func mustPanicNaming(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("no panic")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, name) {
+			t.Fatalf("panic %q does not name the process %q", msg, name)
+		}
+	}()
+	f()
+}
+
+// TestStepProcessMisuse: a step that blocks, or that returns without
+// arming its next wake, is a bug in the step and panics naming it.
+func TestStepProcessMisuse(t *testing.T) {
+	t.Run("blocks", func(t *testing.T) {
+		k := NewKernel(1)
+		k.SpawnStepOn(0, "blocker", func(p *Proc) bool {
+			p.Hold(time.Microsecond)
+			return true
+		})
+		mustPanicNaming(t, "blocker", func() { k.Run(0) })
+	})
+	t.Run("unarmed", func(t *testing.T) {
+		k := NewKernel(1)
+		k.SpawnStepOn(0, "forgetful", func(p *Proc) bool { return true })
+		mustPanicNaming(t, "forgetful", func() { k.Run(0) })
+	})
+	t.Run("arm-coroutine", func(t *testing.T) {
+		k := NewKernel(1)
+		k.Spawn("coroutine", func(p *Proc) { p.Arm(time.Microsecond) })
+		mustPanicNaming(t, "coroutine", func() { k.Run(0) })
+	})
+}
+
+// TestCloseReleasesStepProcess: a step process still awaiting a channel
+// when the queue drains is blocked like a parked coroutine, and Close
+// releases it.
+func TestCloseReleasesStepProcess(t *testing.T) {
+	k := NewKernel(1)
+	ch := NewChan[int](k)
+	steps := 0
+	p := k.SpawnStepOn(0, "waiter", func(p *Proc) bool {
+		steps++
+		ch.Await(p, -1) // never sent to
+		return true
+	})
+	k.Run(0)
+	if steps != 1 || k.Alive() != 1 || k.Blocked() != 1 {
+		t.Fatalf("before Close: steps=%d alive=%d blocked=%d, want 1, 1 and 1", steps, k.Alive(), k.Blocked())
+	}
+	k.Close()
+	if k.Alive() != 0 || !p.done {
+		t.Fatalf("after Close: alive=%d done=%v, want 0 and true", k.Alive(), p.done)
+	}
+	ch.Send(1) // a wake for a released process is stale
+	if steps != 1 {
+		t.Fatalf("released step process ran again")
+	}
+}
