@@ -137,7 +137,9 @@ func run(nodes, partitions int, oracle bool, iters int, graph bool) (cashmere.Ti
 		}
 	}
 	gs := pipeline()
-	_, end, err := cl.Run(func(ctx *cashmere.Context) any {
+	// Every leaf is a many-core spawn, so nothing is stealable: run without
+	// idle workers.
+	_, end, err := cl.RunServices(func(ctx *cashmere.Context) any {
 		ctx.EnableManyCore()
 		for j := 0; j < nodes; j++ {
 			ctx.Spawn(cashmere.JobDesc{Name: "pipe", InputBytes: 64, ResultBytes: 64},

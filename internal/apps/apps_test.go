@@ -212,3 +212,28 @@ func TestFinishedRunReleasesGoroutines(t *testing.T) {
 		}
 	}
 }
+
+// TestKMeansStealsUnderRun: a divide-and-conquer app runs through
+// Cluster.Run, whose idle workers must still balance its node-level jobs by
+// stealing. Serving and graph runs drop those workers (RunServices); this
+// pins that the paper apps keep them.
+func TestKMeansStealsUnderRun(t *testing.T) {
+	cl, err := core.NewCluster(core.DefaultConfig(4, "gtx480"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks, err := KMeansKernels(CashmereOptimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Register(ks); err != nil {
+		t.Fatal(err)
+	}
+	prob := KMeansProblem{N: 1 << 16, K: 256, D: 4, Iters: 2, LeafPoints: 1 << 12, NodeLeaves: 4}
+	if _, err := RunKMeans(cl, prob, CashmereOptimized); err != nil {
+		t.Fatal(err)
+	}
+	if cl.Runtime().StealsOK() == 0 {
+		t.Fatal("k-means on 4 nodes completed without a single steal")
+	}
+}

@@ -117,10 +117,12 @@ type Config struct {
 // the given type each, connected by the DAS-4 QDR InfiniBand model.
 func DefaultConfig(n int, dev string) Config {
 	sc := satin.DefaultConfig()
-	// A Cashmere leaf already exposes parallelism for the whole many-core
-	// device, so one worker per node suffices (Sec. V-B: Satin must create
-	// 8x more jobs to keep a node busy). A single worker also keeps sibling
-	// node-level jobs stealable instead of being consumed locally.
+	// Workers exist only in runs started with Run, the divide-and-conquer
+	// entry point; RunServices starts none whatever this says. A Cashmere
+	// leaf already exposes parallelism for the whole many-core device, so
+	// one worker per node suffices (Sec. V-B: Satin must create 8x more jobs
+	// to keep a node busy). A single worker also keeps sibling node-level
+	// jobs stealable instead of being consumed locally.
 	sc.WorkersPerNode = 1
 	// Cashmere leaves are tens of milliseconds; keep job discovery fast.
 	sc.MaxIdleBackoff = time.Millisecond
@@ -346,12 +348,26 @@ func AutoPartitions(nodes, procs int) int {
 // kernel compilation) and executes main as the root Cashmere job, returning
 // its result and the virtual completion time.
 func (cl *Cluster) Run(main func(ctx *satin.Context) any) (any, simnet.Time, error) {
+	return cl.run(cl.rt.Run, main)
+}
+
+// RunServices is Run for a run that spawns no stealable job (serving,
+// dataflow graphs placed with many-core spawns or Runtime.GoOn): it starts
+// no idle Satin workers, so no node sends steal probes (see
+// satin.Runtime.RunServices). A normal-mode Spawn inside it panics.
+func (cl *Cluster) RunServices(main func(ctx *satin.Context) any) (any, simnet.Time, error) {
+	return cl.run(cl.rt.RunServices, main)
+}
+
+// run initializes the cluster on first use and executes main with the
+// given runtime entry point.
+func (cl *Cluster) run(run func(func(*satin.Context) any) (any, simnet.Time), main func(*satin.Context) any) (any, simnet.Time, error) {
 	if !cl.initialized {
 		if err := cl.initialize(); err != nil {
 			return nil, 0, err
 		}
 	}
-	v, end := cl.rt.Run(main)
+	v, end := run(main)
 	return v, end, nil
 }
 

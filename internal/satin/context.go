@@ -56,8 +56,13 @@ func (c *Context) Compute(d simnet.Duration, label string) {
 // normal mode the job goes on the local deque, where this node's workers or
 // remote thieves pick it up. In many-core mode the job runs on a fresh
 // thread of this node, concurrently in virtual time with its siblings.
+// Under RunServices, where no worker would ever run a stealable job, a
+// normal-mode Spawn panics.
 func (c *Context) Spawn(desc JobDesc, fn func(ctx *Context) any) *Promise {
 	rt := c.node.rt
+	if rt.services && !c.manyCore {
+		panic(msgServicesSpawn)
+	}
 	c.node.jobsSpawned++
 	rt.rec.CounterAdd(c.node.ID, "satin.spawns", c.p.Now(), 1)
 	c.node.jobSeq++
@@ -88,6 +93,10 @@ func (c *Context) Spawn(desc JobDesc, fn func(ctx *Context) any) *Promise {
 	c.node.noteQueueDepth()
 	return &Promise{job: job}
 }
+
+// msgServicesSpawn is the panic value of a normal-mode Spawn under
+// RunServices.
+const msgServicesSpawn = "satin: stealable Spawn in a RunServices run, which starts no workers to run it; call ctx.EnableManyCore() before spawning, or place the work with Runtime.GoOn"
 
 // Sync blocks until every child spawned by this frame has completed. While
 // blocked (in normal mode) the worker helps: it runs local jobs and steals

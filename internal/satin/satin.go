@@ -31,9 +31,10 @@ import (
 
 // Config tunes the runtime.
 type Config struct {
-	// WorkersPerNode is the number of CPU workers per node. Satin runs
-	// 8 (one per core of the dual quad-core DAS-4 nodes); Cashmere runs 1
-	// plus device threads, because one leaf already fills a device.
+	// WorkersPerNode is the number of CPU workers per node in a Run (a
+	// RunServices run starts none). Satin runs 8 (one per core of the dual
+	// quad-core DAS-4 nodes); Cashmere runs 1 plus device threads, because
+	// one leaf already fills a device.
 	WorkersPerNode int
 	// SpawnOverhead is the CPU cost of creating an invocation record.
 	SpawnOverhead simnet.Duration
@@ -131,6 +132,10 @@ type Runtime struct {
 	// per-node unicasts.
 	downDeclared []bool
 	anyDown      bool
+
+	// services marks a RunServices run: no idle workers, and a normal-mode
+	// Spawn panics. Set before the run starts, read-only during it.
+	services bool
 }
 
 // Node is one cluster node's runtime state.
@@ -324,6 +329,18 @@ func (rt *Runtime) sum(f func(*Node) int64) int64 {
 	return t
 }
 
+// RunServices is Run for a run that spawns no stealable job: it starts no
+// idle workers, so no node probes victims for work that cannot exist. The
+// comm loops, GoOn/GoLocal, many-core Spawn, drain and shutdown behave
+// exactly as under Run. Work is placed with GoOn or spawned after
+// EnableManyCore; a normal-mode Spawn panics. Having nothing to steal is a
+// property of the run, not of the cluster's configuration, which keeps its
+// WorkersPerNode for runs that do steal.
+func (rt *Runtime) RunServices(main func(ctx *Context) any) (any, simnet.Time) {
+	rt.services = true
+	return rt.Run(main)
+}
+
 // Run executes main as the root job on the master node and runs the
 // simulation to completion. It returns main's result and the virtual time
 // taken.
@@ -334,6 +351,9 @@ func (rt *Runtime) Run(main func(ctx *Context) any) (any, simnet.Time) {
 		// the stamps it produces are then independent of which partition the
 		// node landed on (see simnet.Kernel.SpawnOn).
 		n.k.SpawnStepOn(n.ID, fmt.Sprintf("satin.comm.%d", n.ID), n.commStep)
+		if rt.services {
+			continue
+		}
 		for w := 0; w < rt.cfg.WorkersPerNode; w++ {
 			w := w
 			if n.ID == 0 && w == 0 {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 
 	"cashmere/internal/simnet"
@@ -68,7 +69,9 @@ func (f *Frontend) replay(p *simnet.Proc, tenant int) {
 
 // ParseTrace reads the text trace format: one arrival per line as
 // "<tenant> <offset_ns> <class>", with blank lines and '#' comments
-// ignored. Events are sorted by offset per tenant.
+// ignored. A line with any other number of fields, a non-decimal or
+// negative offset or class is an error. Events are sorted by offset per
+// tenant.
 func ParseTrace(r io.Reader) (map[string][]TraceEvent, error) {
 	out := map[string][]TraceEvent{}
 	sc := bufio.NewScanner(r)
@@ -80,15 +83,25 @@ func ParseTrace(r io.Reader) (map[string][]TraceEvent, error) {
 		if s == "" || strings.HasPrefix(s, "#") {
 			continue
 		}
-		var name string
-		var off, class int64
-		if _, err := fmt.Sscanf(s, "%s %d %d", &name, &off, &class); err != nil {
-			return nil, fmt.Errorf("serve: trace line %d: %v", line, err)
+		f := strings.Fields(s)
+		if len(f) != 3 {
+			return nil, fmt.Errorf("serve: trace line %d: %d fields, want \"<tenant> <offset_ns> <class>\"", line, len(f))
+		}
+		off, err := strconv.ParseInt(f[1], 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("serve: trace line %d: offset: %v", line, err)
+		}
+		class, err := strconv.Atoi(f[2])
+		if err != nil {
+			return nil, fmt.Errorf("serve: trace line %d: class: %v", line, err)
 		}
 		if off < 0 {
 			return nil, fmt.Errorf("serve: trace line %d: negative offset", line)
 		}
-		out[name] = append(out[name], TraceEvent{At: simnet.Duration(off), Class: int(class)})
+		if class < 0 {
+			return nil, fmt.Errorf("serve: trace line %d: negative class", line)
+		}
+		out[f[0]] = append(out[f[0]], TraceEvent{At: simnet.Duration(off), Class: class})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -42,6 +42,11 @@ func TestParseTraceRejectsBadLines(t *testing.T) {
 	if _, err := ParseTrace(strings.NewReader("a -5 0\n")); err == nil {
 		t.Fatal("negative offset accepted")
 	}
+	for _, bad := range []string{"a 5\n", "a 5 0 extra\n", "a 5 -1\n", "a 0x10 0\n", "a 5 1.5\n", "a 99999999999999999999 0\n"} {
+		if _, err := ParseTrace(strings.NewReader(bad)); err == nil {
+			t.Errorf("bad trace line %q accepted", bad)
+		}
+	}
 }
 
 func TestApplyTraceUnknownTenant(t *testing.T) {

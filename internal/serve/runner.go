@@ -19,7 +19,8 @@ const KindServe = trace.Kind("serve")
 // requests for cfg.Horizon of virtual time, dispatchers drain the frontend
 // into the per-node device schedulers, and the run ends when the last
 // admitted request completes. The workload's kernel sets must already be
-// registered on cl.
+// registered on cl. The run goes through Cluster.RunServices: serving
+// spawns no stealable job, so no idle Satin worker probes for one.
 //
 // A given (cluster config, serve config, seed) triple always produces the
 // same trajectory, so the returned report — including latency quantiles —
@@ -107,7 +108,7 @@ func Run(cl *core.Cluster, cfg Config) (*Report, error) {
 		}
 	}
 
-	_, end, err := cl.Run(func(ctx *satin.Context) any {
+	_, end, err := cl.RunServices(func(ctx *satin.Context) any {
 		fe.gensLive = len(cfg.Tenants)
 		for ti := range cfg.Tenants {
 			ti := ti

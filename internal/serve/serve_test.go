@@ -67,6 +67,40 @@ func TestServeDeterministicDump(t *testing.T) {
 	}
 }
 
+// TestServeRunsWithoutThieves: serving places its work with GoOn and spawns
+// no stealable job, so Run starts no idle Satin workers and no node probes
+// a victim (every probe ends in exactly one of steals_ok or
+// steals_failed). Batches still cross the network to the remote nodes.
+func TestServeRunsWithoutThieves(t *testing.T) {
+	const nodes = 4
+	w, err := StandardWorkload(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cap, err := w.CapacityRPS("gtx480", nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.ScaleRates(0.8 * cap)
+	cl := testCluster(t, nodes, 1, w)
+	cfg := DefaultConfig(w)
+	cfg.Horizon = 200 * time.Millisecond
+	rep, err := Run(cl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed == 0 {
+		t.Fatal("no requests completed")
+	}
+	m := cl.CollectMetrics()
+	if got := m.Int("satin.steals_failed") + m.Int("satin.steals_ok"); got != 0 {
+		t.Fatalf("%d steal probes in a serving run, want 0", got)
+	}
+	if got := m.Int("net.messages_sent"); got <= nodes-1 {
+		t.Fatalf("%d messages sent: no batch reached a remote node", got)
+	}
+}
+
 func TestServeModerateLoadMeetsSLO(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
