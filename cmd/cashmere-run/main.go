@@ -40,8 +40,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "simulation seed")
 		partitions = flag.Int("partitions", 0,
 			"split the simulation into N conservatively synchronized partitions (same trajectory; 0 = auto: 1 below 4 CPUs, else from GOMAXPROCS and node count)")
-		oracle = flag.Bool("pdes-oracle", false,
-			"step partition windows sequentially instead of concurrently (the determinism oracle; same trajectory)")
 		tuneCacheF = flag.String("tune-cache", "",
 			"auto-tune the app's kernel for every device type before the run (internal/mcl/tune) and persist the winners in this cache file")
 		transportF = flag.String("transport", "explicit",
@@ -91,7 +89,6 @@ func main() {
 	}
 	cfg.Record = *gantt || *traceF != ""
 	cfg.TraceSched = *traceF != ""
-	cfg.Oracle = *oracle
 	if v == apps.Satin {
 		cfg.Satin.WorkersPerNode = 8
 		// Satin's CPU leaves run for seconds; coarse idle backoff keeps the

@@ -72,7 +72,9 @@ func main() {
 			flag.Usage()
 			os.Exit(2)
 		}
-		runTune(h, *kernel, *target, parseParams(*params), *inBytes, *outBytes, *survivors, *cacheF, flag.Args())
+		p, err := parseParams(*params)
+		die(err)
+		runTune(h, *kernel, *target, p, *inBytes, *outBytes, *survivors, *cacheF, flag.Args())
 		return
 	}
 
@@ -100,7 +102,8 @@ func main() {
 	die(err)
 	die(translate.ValidateLevel(prog, name, h))
 
-	p := parseParams(*params)
+	p, err := parseParams(*params)
+	die(err)
 
 	var spec *device.Spec
 	if s, err := device.Lookup(*target); err == nil {
@@ -150,21 +153,28 @@ func main() {
 	}
 }
 
-func parseParams(s string) map[string]int64 {
+// parseParams parses the -params list: comma-separated name=value pairs
+// with distinct, non-empty names and decimal integer values.
+func parseParams(s string) (map[string]int64, error) {
 	p := map[string]int64{}
 	if s == "" {
-		return p
+		return p, nil
 	}
 	for _, kv := range strings.Split(s, ",") {
-		parts := strings.SplitN(kv, "=", 2)
-		if len(parts) != 2 {
-			die(fmt.Errorf("bad parameter %q", kv))
+		name, val, ok := strings.Cut(kv, "=")
+		if !ok || name == "" {
+			return nil, fmt.Errorf("bad parameter %q (want name=value)", kv)
 		}
-		v, err := strconv.ParseInt(parts[1], 10, 64)
-		die(err)
-		p[parts[0]] = v
+		if _, dup := p[name]; dup {
+			return nil, fmt.Errorf("parameter %q given twice", name)
+		}
+		v, err := strconv.ParseInt(val, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("parameter %q: %v", name, err)
+		}
+		p[name] = v
 	}
-	return p
+	return p, nil
 }
 
 // runTune is the -tune mode: build a kernel set from one source file per

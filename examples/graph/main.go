@@ -116,13 +116,12 @@ func pipeline() *cashmere.GraphSpec {
 // run executes iters submissions of the pipeline on every node of a fresh
 // cluster — as one dataflow graph per submission, or as the naive per-kernel
 // launch sequence — and reports the virtual makespan plus total PCIe bytes.
-func run(nodes, partitions int, oracle bool, iters int, graph bool) (cashmere.Time, *cashmere.Metrics) {
+func run(nodes, partitions, iters int, graph bool) (cashmere.Time, *cashmere.Metrics) {
 	cfg := cashmere.DefaultConfig(nodes, "k20")
 	for i := range cfg.Nodes {
 		cfg.Nodes[i] = cashmere.NodeSpec{Devices: []string{"k20", "xeon_phi"}}
 	}
 	cfg.Partitions = partitions
-	cfg.Oracle = oracle
 	cl, err := cashmere.NewCluster(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -172,13 +171,11 @@ func main() {
 		metrics    = flag.Bool("metrics", false, "print the graph run's metrics dump")
 		partitions = flag.Int("partitions", 1,
 			"split the simulation into N conservatively synchronized partitions (same output)")
-		oracle = flag.Bool("pdes-oracle", false,
-			"step partition windows sequentially (determinism oracle; same output)")
 	)
 	flag.Parse()
 
-	gEnd, gm := run(*nodes, *partitions, *oracle, *iters, true)
-	nEnd, nm := run(*nodes, *partitions, *oracle, *iters, false)
+	gEnd, gm := run(*nodes, *partitions, *iters, true)
+	nEnd, nm := run(*nodes, *partitions, *iters, false)
 	gBytes, nBytes := gm.Int("mcl.bytes_moved"), nm.Int("mcl.bytes_moved")
 
 	fmt.Printf("k-means pipeline (assign -> score -> filter), %d nodes x 2 devices, %d leaves x %d iterations\n\n",

@@ -108,15 +108,14 @@ func TestKMeansIdenticalResultsAcrossTransports(t *testing.T) {
 }
 
 // TestPartitionedSVMMetricsDump byte-compares the full metric dump of an
-// SVM-transport kmeans run between the sequential kernel, 4 parallel
-// partitions and the sequential-window oracle — the determinism contract
-// extended to the fault counters (matched by the CI determinism job).
+// SVM-transport kmeans run between the sequential kernel and 4 parallel
+// partitions — the determinism contract extended to the fault counters
+// (matched by the CI determinism job).
 func TestPartitionedSVMMetricsDump(t *testing.T) {
-	dump := func(partitions int, oracle bool) string {
+	dump := func(partitions int) string {
 		cfg := core.DefaultConfig(4, "gtx480")
 		cfg.Transport = core.TransportSVM
 		cfg.Partitions = partitions
-		cfg.Oracle = oracle
 		cl, err := core.NewCluster(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -134,14 +133,10 @@ func TestPartitionedSVMMetricsDump(t *testing.T) {
 		}
 		return cl.CollectMetrics().Format()
 	}
-	seq := dump(1, false)
-	par := dump(4, false)
-	orc := dump(4, true)
+	seq := dump(1)
+	par := dump(4)
 	if seq != par {
 		t.Fatalf("metric dump differs between 1 and 4 partitions:\n--- sequential\n%s--- partitioned\n%s", seq, par)
-	}
-	if seq != orc {
-		t.Fatalf("metric dump differs between sequential and oracle:\n--- sequential\n%s--- oracle\n%s", seq, orc)
 	}
 	if !testing.Verbose() {
 		return

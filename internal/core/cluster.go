@@ -79,12 +79,7 @@ type Config struct {
 	// block of nodes; 0 or 1 runs the classic single sequential kernel.
 	// Trajectories and metric dumps are identical for every value.
 	Partitions int
-	// Oracle forces the partitioned scheduler's windows to execute
-	// sequentially on one goroutine (the determinism oracle): same window
-	// protocol, same trajectories, no parallelism. Only meaningful with
-	// Partitions > 1.
-	Oracle bool
-	Record bool // collect trace spans (Gantt charts)
+	Record     bool // collect trace spans (Gantt charts)
 	// TraceSched additionally records simulation-kernel scheduler slices
 	// (every process run interval) and event-queue depth under the
 	// trace.NodeKernel pseudo-node. Off by default: it multiplies span volume
@@ -200,9 +195,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("core: Record requires Partitions <= 1 (tracing is not partition-safe)")
 	}
 	ps := simnet.NewPartitioned(cfg.Seed, len(cfg.Nodes), parts)
-	if cfg.Oracle {
-		ps.SetParallel(false)
-	}
 	k := ps.Kernels()[0]
 	var rec *trace.Recorder
 	if cfg.Record {

@@ -34,10 +34,10 @@ func (t schedTracer) QueueDepth(tm simnet.Time, depth int) {
 // recorder accumulated, per node and summed.
 //
 // Every value here is trajectory-determined: for the same program and seed
-// the dump is byte-identical across partition counts and parallel/oracle
-// modes (the determinism CI job diffs exactly this). Quantities that depend
-// on the partition layout or the host (coroutine resumes, queue high-water
-// marks, synchronization rounds, wall times) live in HostMetrics instead.
+// the dump is byte-identical across partition counts (the determinism CI
+// job diffs exactly this). Quantities that depend on the partition layout
+// or the host (coroutine resumes, queue high-water marks, synchronization
+// rounds, wall times) live in HostMetrics instead.
 func (cl *Cluster) CollectMetrics() *trace.Metrics {
 	m := trace.NewMetrics()
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"cashmere/internal/satin"
@@ -9,14 +10,13 @@ import (
 )
 
 // runPartitionedWorkload runs a steal-heavy divide-and-conquer workload with
-// device leaves over 4 nodes and returns the metric dump, which covers the
-// full trajectory (events, steals, traffic, launches, virtual time).
-func runPartitionedWorkload(t *testing.T, partitions int, oracle bool) string {
+// device leaves and returns the metric dump, which covers the full
+// trajectory (events, steals, traffic, launches, virtual time).
+func runPartitionedWorkload(t *testing.T, seed int64, nodes, partitions int) string {
 	t.Helper()
-	cfg := DefaultConfig(4, "gtx480")
-	cfg.Seed = 7
+	cfg := DefaultConfig(nodes, "gtx480")
+	cfg.Seed = seed
 	cfg.Partitions = partitions
-	cfg.Oracle = oracle
 	cl, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -62,26 +62,35 @@ func runPartitionedWorkload(t *testing.T, partitions int, oracle bool) string {
 const end2end = "done"
 
 // TestPartitionedTrajectoryIdentity is the determinism contract of the
-// conservative parallel scheduler: the same seed must produce byte-identical
-// metric dumps for the sequential kernel, the parallel partitioned scheduler,
-// and its sequential oracle mode.
+// conservative parallel scheduler, checked as a property over seeds and
+// uneven cluster shapes: every partition layout of every (seed, nodes) pair
+// must produce the byte-identical metric dump of the sequential kernel.
 func TestPartitionedTrajectoryIdentity(t *testing.T) {
-	seq := runPartitionedWorkload(t, 1, false)
-	for _, tc := range []struct {
-		name       string
-		partitions int
-		oracle     bool
-	}{
-		{"parallel-2", 2, false},
-		{"parallel-4", 4, false},
-		{"oracle-4", 4, true},
-	} {
-		got := runPartitionedWorkload(t, tc.partitions, tc.oracle)
-		if got != seq {
-			t.Errorf("%s diverged from sequential:\n-- sequential --\n%s\n-- %s --\n%s",
-				tc.name, seq, tc.name, got)
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, nodes := range []int{3, 4, 5, 6} {
+			seq := runPartitionedWorkload(t, seed, nodes, 1)
+			for _, parts := range []int{2, 3, 4} {
+				if parts > nodes {
+					continue
+				}
+				if got := runPartitionedWorkload(t, seed, nodes, parts); got != seq {
+					t.Errorf("seed %d, %d nodes, %d partitions diverged from sequential: %s",
+						seed, nodes, parts, firstDiff(seq, got))
+				}
+			}
 		}
 	}
+}
+
+// firstDiff describes the first line at which two metric dumps differ.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) && i < len(g); i++ {
+		if w[i] != g[i] {
+			return fmt.Sprintf("%q, want %q", g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("%d lines, want %d", len(g), len(w))
 }
 
 // TestPartitionedStatsAccount checks that a parallel run actually exercises

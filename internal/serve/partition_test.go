@@ -8,7 +8,7 @@ import (
 )
 
 // runStandardPartitioned is runStandard with an explicit partition layout.
-func runStandardPartitioned(t testing.TB, nodes, partitions int, oracle bool) (*Report, string) {
+func runStandardPartitioned(t testing.TB, nodes, partitions int) (*Report, string) {
 	t.Helper()
 	w, err := StandardWorkload(1)
 	if err != nil {
@@ -22,7 +22,6 @@ func runStandardPartitioned(t testing.TB, nodes, partitions int, oracle bool) (*
 	cfg := core.DefaultConfig(nodes, "gtx480")
 	cfg.Seed = 42
 	cfg.Partitions = partitions
-	cfg.Oracle = oracle
 	cl, err := core.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -45,25 +44,17 @@ func runStandardPartitioned(t testing.TB, nodes, partitions int, oracle bool) (*
 
 // TestServePartitionedTrajectoryIdentity asserts the serving layer's
 // determinism contract across partition layouts: the report and the full
-// metric dump must be byte-identical for the sequential kernel, the parallel
-// partitioned scheduler, and the sequential oracle.
+// metric dump must be byte-identical for the sequential kernel and the
+// parallel partitioned scheduler.
 func TestServePartitionedTrajectoryIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
 	}
-	_, seq := runStandardPartitioned(t, 4, 1, false)
-	for _, tc := range []struct {
-		name       string
-		partitions int
-		oracle     bool
-	}{
-		{"parallel-4", 4, false},
-		{"oracle-4", 4, true},
-		{"parallel-2", 2, false},
-	} {
-		if _, got := runStandardPartitioned(t, 4, tc.partitions, tc.oracle); got != seq {
-			t.Errorf("%s diverged from sequential:\n-- sequential --\n%s\n-- %s --\n%s",
-				tc.name, seq, tc.name, got)
+	_, seq := runStandardPartitioned(t, 4, 1)
+	for _, parts := range []int{4, 2} {
+		if _, got := runStandardPartitioned(t, 4, parts); got != seq {
+			t.Errorf("parallel-%d diverged from sequential:\n-- sequential --\n%s\n-- parallel-%d --\n%s",
+				parts, seq, parts, got)
 		}
 	}
 }

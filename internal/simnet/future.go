@@ -79,45 +79,3 @@ func (f *Future[T]) Peek() (v T, ok bool) {
 	}
 	return f.val, true
 }
-
-// WaitGroup counts outstanding activities and lets a process wait for all of
-// them — the synchronization behind Satin's sync statement at the
-// many-core (thread) level.
-type WaitGroup struct {
-	k       *Kernel
-	count   int
-	waiters []chanWaiter
-}
-
-// NewWaitGroup returns a wait group with a zero count.
-func NewWaitGroup(k *Kernel) *WaitGroup {
-	return &WaitGroup{k: k}
-}
-
-// Add increments the count by n (n may be negative, like sync.WaitGroup).
-func (w *WaitGroup) Add(n int) {
-	w.count += n
-	if w.count < 0 {
-		panic("simnet: negative waitgroup count")
-	}
-	if w.count == 0 {
-		for _, wa := range w.waiters {
-			w.k.post(w.k.now, wa.p, wa.epoch)
-		}
-		w.waiters = nil
-	}
-}
-
-// Done decrements the count by one.
-func (w *WaitGroup) Done() { w.Add(-1) }
-
-// Count reports the current count.
-func (w *WaitGroup) Count() int { return w.count }
-
-// Wait blocks p until the count reaches zero.
-func (w *WaitGroup) Wait(p *Proc) {
-	for w.count != 0 {
-		w.waiters = append(w.waiters, chanWaiter{p: p, epoch: p.epoch})
-		p.park()
-	}
-}

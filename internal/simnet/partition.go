@@ -25,9 +25,8 @@ import (
 //  3. grants each partition the horizon H_i = min over j != i of
 //     (M_j + lookahead): any message j may still emit arrives no earlier
 //     than M_j + lookahead, so every event of i with t < H_i is safe;
-//  4. runs each partition with work (M_i < H_i) via Kernel.RunBefore(H_i) —
-//     concurrently in parallel mode, or one after another in oracle mode —
-//     and barriers before the next round. In parallel mode the coordinator
+//  4. runs each partition with work (M_i < H_i) via Kernel.RunBefore(H_i),
+//     concurrently, and barriers before the next round. The coordinator
 //     runs the first active partition's window itself and hands only the
 //     others to worker goroutines, so a round with a single active
 //     partition, the common case when windows are short, costs no
@@ -41,15 +40,13 @@ import (
 // the (t, stream, sseq) key makes independent of wall-clock interleaving
 // and of the partition layout itself — both stamp components are assigned
 // by the creating node's serialized execution, not by the partitioning
-// (see eventHeap); parallel mode and oracle mode are byte-identical by
-// construction. Oracle mode (SetParallel(false)) is the determinism oracle:
-// same windows, same injections, no goroutine concurrency.
+// (see eventHeap). The 1-partition run is the reference every layout is
+// checked against.
 type Partitioned struct {
 	ks    []*Kernel
 	owner []int // simulated node -> partition (nil: everything on ks[0])
 
 	lookahead Duration
-	parallel  bool
 	running   bool
 
 	// mail[src][dst] carries events posted by partition src for partition
@@ -116,7 +113,7 @@ func NewPartitioned(seed int64, nodes, parts int) *Partitioned {
 	if parts > nodes {
 		parts = nodes
 	}
-	ps := &Partitioned{parallel: true}
+	ps := &Partitioned{}
 	for i := 0; i < parts; i++ {
 		k := NewKernel(seed + int64(i)*1_000_003)
 		k.part = int32(i)
@@ -134,7 +131,7 @@ func NewPartitioned(seed int64, nodes, parts int) *Partitioned {
 // layers written against Partitioned keep working for callers that build
 // their own Kernel.
 func Single(k *Kernel) *Partitioned {
-	ps := &Partitioned{ks: []*Kernel{k}, parallel: false}
+	ps := &Partitioned{ks: []*Kernel{k}}
 	ps.initMail()
 	return ps
 }
@@ -184,16 +181,6 @@ func (ps *Partitioned) SetLookahead(d Duration) {
 
 // Lookahead reports the registered lookahead.
 func (ps *Partitioned) Lookahead() Duration { return ps.lookahead }
-
-// SetParallel selects between parallel window execution (one goroutine per
-// partition, the default for NewPartitioned) and the sequential oracle mode
-// that steps the same windows on the calling goroutine. Trajectories are
-// identical; oracle mode exists as the determinism reference and for runs
-// that need goroutine-confined side effects (tracing).
-func (ps *Partitioned) SetParallel(b bool) { ps.parallel = b }
-
-// Parallel reports whether windows execute concurrently.
-func (ps *Partitioned) Parallel() bool { return ps.parallel && len(ps.ks) > 1 }
 
 // Post schedules fn to run at time t on the kernel dst, executing under the
 // event stream of simulated node dstNode (which dst must own): fn is the
@@ -331,25 +318,22 @@ func (ps *Partitioned) Run(limit Time) Time {
 	h := make([]Time, P)
 
 	var wg sync.WaitGroup
-	var start []chan Time
-	if ps.parallel {
-		start = make([]chan Time, P)
-		for i := 0; i < P; i++ {
-			i := i
-			start[i] = make(chan Time, 1)
-			go func() {
-				for hor := range start[i] {
-					ps.runWindow(i, hor)
-					wg.Done()
-				}
-			}()
-		}
-		defer func() {
-			for _, c := range start {
-				close(c)
+	start := make([]chan Time, P)
+	for i := 0; i < P; i++ {
+		i := i
+		start[i] = make(chan Time, 1)
+		go func() {
+			for hor := range start[i] {
+				ps.runWindow(i, hor)
+				wg.Done()
 			}
 		}()
 	}
+	defer func() {
+		for _, c := range start {
+			close(c)
+		}
+	}()
 
 	for {
 		ps.drain()
@@ -407,22 +391,17 @@ func (ps *Partitioned) Run(limit Time) Time {
 				continue
 			}
 			ps.pstats[i].Windows++
-			switch {
-			case !ps.parallel:
-				ps.runWindow(i, h[i])
-			case inline < 0:
+			if inline < 0 {
 				inline = i
-			default:
-				wg.Add(1)
-				start[i] <- h[i]
+				continue
 			}
+			wg.Add(1)
+			start[i] <- h[i]
 		}
 		if inline >= 0 {
 			ps.runWindow(inline, h[inline])
 		}
-		if ps.parallel {
-			wg.Wait()
-		}
+		wg.Wait()
 	}
 	return ps.Now()
 }

@@ -48,36 +48,38 @@ func (n *ballNode) loop(p *Proc) {
 		if hop >= ballHops {
 			continue
 		}
-		// Deterministic per-node work: equal durations across balls produce
-		// plenty of equal-timestamp events, which is exactly what stresses
-		// the (stream, sseq) tie-break.
+		// Deterministic per-node work and destinations: equal durations
+		// across balls produce plenty of equal-timestamp events, which is
+		// exactly what stresses the (stream, sseq) tie-break.
 		p.Hold(Duration(100+n.rng.Intn(3)*50) * time.Microsecond)
-		dst := n.peers[(n.id+1+hop%3)%len(n.peers)]
+		dst := n.peers[n.rng.Intn(len(n.peers))]
 		t := p.Now().Add(ballLookahead)
 		n.ps.Post(n.k, dst.k, dst.id, t, func() { dst.recv(hop + 1) })
 	}
 }
 
 // runBallWorkload executes the workload on the given layout and returns the
-// concatenated per-node trajectory logs.
-func runBallWorkload(nodes, parts int, parallel bool) string {
-	ps := NewPartitioned(7, nodes, parts)
-	ps.SetParallel(parallel)
+// concatenated per-node trajectory logs. The seed drives the kernels, every
+// node's work durations and the balls' release times.
+func runBallWorkload(seed int64, nodes, parts int) string {
+	ps := NewPartitioned(seed, nodes, parts)
 	ps.SetLookahead(ballLookahead)
 	ns := make([]*ballNode, nodes)
 	for i := range ns {
 		ns[i] = &ballNode{
 			id: i, k: ps.KernelFor(i), ps: ps,
-			rng: rand.New(rand.NewSource(int64(100 + i))),
+			rng: rand.New(rand.NewSource(seed*1_000 + int64(100+i))),
 		}
 	}
+	start := rand.New(rand.NewSource(seed))
 	for _, n := range ns {
 		n.peers = ns
 		n := n
 		n.k.SpawnOn(n.id, fmt.Sprintf("ball.%d", n.id), n.loop)
 		for b := 0; b < ballsPerNode; b++ {
-			b := b
-			n.k.CallAt(Time(b), func() { n.recv(0) })
+			// Few distinct release times, so equal-timestamp arrivals
+			// from different partitions are common.
+			n.k.CallAt(Time(start.Intn(3))*Time(50*time.Microsecond), func() { n.recv(0) })
 		}
 	}
 	ps.Run(0)
@@ -89,30 +91,30 @@ func runBallWorkload(nodes, parts int, parallel bool) string {
 }
 
 // TestPartitionedTrajectoryLayoutIndependent is the kernel-level determinism
-// contract of the partitioned scheduler: the same program produces a
-// byte-identical trajectory on one kernel, split across 2 or 4 partitions
-// running concurrently, and in sequential oracle mode. Under -race it doubles
-// as the concurrency test of the per-pair mailboxes (every partition posts
-// into other partitions' mailboxes from its own goroutine each window) and of
-// WaitList wakes driven by injected cross-partition deliveries.
+// contract of the partitioned scheduler, checked as a property over seeds
+// and cluster shapes: for every seed, every node count (including ones the
+// partition count does not divide) and every partition count up to the node
+// count, the concurrent partitioned run reproduces the single-kernel
+// trajectory byte for byte. Under -race it doubles as the concurrency test
+// of the per-pair mailboxes (every partition posts into other partitions'
+// mailboxes from its own goroutine each window) and of WaitList wakes driven
+// by injected cross-partition deliveries.
 func TestPartitionedTrajectoryLayoutIndependent(t *testing.T) {
-	want := runBallWorkload(8, 1, false)
-	if want == "" {
-		t.Fatal("empty trajectory")
-	}
-	for _, tc := range []struct {
-		name     string
-		parts    int
-		parallel bool
-	}{
-		{"parallel-2", 2, true},
-		{"parallel-4", 4, true},
-		{"parallel-8", 8, true},
-		{"oracle-4", 4, false},
-	} {
-		if got := runBallWorkload(8, tc.parts, tc.parallel); got != want {
-			t.Errorf("%s trajectory diverged from single-kernel run:\n-- single --\n%s-- %s --\n%s",
-				tc.name, want, tc.name, got)
+	for seed := int64(1); seed <= 12; seed++ {
+		for _, nodes := range []int{3, 5, 8, 13} {
+			want := runBallWorkload(seed, nodes, 1)
+			if want == "" {
+				t.Fatal("empty trajectory")
+			}
+			for _, parts := range []int{2, 3, 4, 8} {
+				if parts > nodes {
+					continue
+				}
+				if got := runBallWorkload(seed, nodes, parts); got != want {
+					t.Errorf("seed %d, %d nodes, %d partitions: trajectory diverged from the single-kernel run: %s",
+						seed, nodes, parts, firstDiff(want, got))
+				}
+			}
 		}
 	}
 }
@@ -189,4 +191,15 @@ func TestPartitionedStats(t *testing.T) {
 	if sent == 0 || sent != recv {
 		t.Fatalf("cross-partition events sent %d, received %d; want equal and nonzero", sent, recv)
 	}
+}
+
+// firstDiff describes the first line at which two trajectory logs differ.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) && i < len(g); i++ {
+		if w[i] != g[i] {
+			return fmt.Sprintf("line %d is %q, want %q", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("%d lines, want %d", len(g), len(w))
 }

@@ -118,11 +118,6 @@ type Kernel struct {
 	curStream int32
 	streamSeq []uint64
 
-	// debugCounts, when non-nil, tallies posted events by process name.
-	// Kernel-owned (not a package global) so concurrent kernels never share
-	// a map.
-	debugCounts map[string]int64
-
 	// stats are the always-on scheduling counters returned by Stats. Plain
 	// integer increments on the hot path cost nothing measurable and never
 	// allocate, so they need no enable switch.
@@ -190,19 +185,6 @@ func (k *Kernel) Now() Time { return k.now }
 // Run.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
-// EnableDebugCounts starts tallying posted events by process name; the
-// tallies are returned by DebugCounts. Must be called before Run.
-func (k *Kernel) EnableDebugCounts() {
-	if k.debugCounts == nil {
-		k.debugCounts = make(map[string]int64)
-	}
-}
-
-// DebugCounts returns the per-process-name event tallies, or nil unless
-// EnableDebugCounts was called. The map must not be read while Run is
-// executing on another goroutine.
-func (k *Kernel) DebugCounts() map[string]int64 { return k.debugCounts }
-
 // Proc is a simulation process: a coroutine that runs simulation logic in
 // direct style, blocking on virtual-time primitives, or a step process (see
 // SpawnStepOn) that reacts to each wake with one call of its step function.
@@ -262,9 +244,6 @@ func (k *Kernel) post(t Time, p *Proc, epoch uint64) {
 // other counts as stale, exactly as if it had been queued and skipped when
 // popped. Either way the process keeps a single heap entry.
 func (k *Kernel) postOn(s int32, t Time, p *Proc, epoch uint64) {
-	if k.debugCounts != nil {
-		k.debugCounts[p.name]++
-	}
 	if t < k.now {
 		t = k.now
 	}

@@ -377,42 +377,6 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 	f.Complete(2)
 }
 
-func TestWaitGroup(t *testing.T) {
-	k := NewKernel(1)
-	wg := NewWaitGroup(k)
-	wg.Add(3)
-	var at Time
-	k.Spawn("waiter", func(p *Proc) {
-		wg.Wait(p)
-		at = p.Now()
-	})
-	for i := 1; i <= 3; i++ {
-		d := Duration(i) * time.Millisecond
-		k.Spawn("worker", func(p *Proc) {
-			p.Hold(d)
-			wg.Done()
-		})
-	}
-	k.Run(0)
-	if at != Time(3*time.Millisecond) {
-		t.Fatalf("waiter released at %v, want 3ms (last Done)", at)
-	}
-}
-
-func TestWaitGroupZeroCountDoesNotBlock(t *testing.T) {
-	k := NewKernel(1)
-	wg := NewWaitGroup(k)
-	ran := false
-	k.Spawn("w", func(p *Proc) {
-		wg.Wait(p)
-		ran = true
-	})
-	k.Run(0)
-	if !ran {
-		t.Fatal("Wait on zero-count group blocked")
-	}
-}
-
 func TestDeterminismAcrossRuns(t *testing.T) {
 	trace := func() []int {
 		k := NewKernel(42)
