@@ -241,6 +241,18 @@ func TestGraphMetricsDeterministicAcrossPartitions(t *testing.T) {
 	}
 }
 
+// streamSpec is the one-stage graph a user wraps an oversized kernel in (a
+// single launch that can never fit its device takes the CPU fallback): the
+// scale kernel reading in bytes of host input and writing out bytes back.
+func streamSpec(name string, n, in, out int64, args []any) *GraphSpec {
+	gs := NewGraphSpec(name)
+	a := gs.Input("a", in)
+	d := gs.Output("d", out)
+	gs.Stage(StageSpec{Kernel: "scale", Params: map[string]int64{"n": n},
+		Reads: []*GraphBuffer{a}, Writes: []*GraphBuffer{d}, Args: args})
+	return gs
+}
+
 // TestGraphStreamsOversizedStage pins the spill path: a stage whose working
 // set exceeds the device memory streams through the double-buffered
 // out-of-core pipeline instead of failing, with bounded staging workspace.
@@ -249,11 +261,7 @@ func TestGraphStreamsOversizedStage(t *testing.T) {
 	const n = 1 << 28
 	cl, _ := NewCluster(DefaultConfig(1, "gtx480"))
 	cl.Register(mustKS(t, "scale", scaleKernel))
-	gs := NewGraphSpec("huge")
-	a := gs.Input("a", 4*n)
-	d := gs.Output("d", 4*n)
-	gs.Stage(StageSpec{Kernel: "scale", Params: map[string]int64{"n": n},
-		Reads: []*GraphBuffer{a}, Writes: []*GraphBuffer{d}})
+	gs := streamSpec("huge", n, 4*n, 4*n, nil)
 	var ws int64
 	_, _, err := cl.Run(func(ctx *satin.Context) any {
 		g, err := GetGraph(ctx, gs)
@@ -273,6 +281,123 @@ func TestGraphStreamsOversizedStage(t *testing.T) {
 	}
 	if moved := dev.BytesMoved(); moved != 8*n {
 		t.Errorf("streamed %d bytes, want %d (full input + output)", moved, 8*int64(n))
+	}
+}
+
+// TestGraphStreamedStageVerifiesAndKeepsNothingResident checks two steps a streamed stage shares
+// with an in-core one: under Verify the kernel executes on the stage's Args,
+// and its input is not kept resident — a second run with the input Version
+// unchanged streams every byte again and counts no resident hit.
+func TestGraphStreamedStageVerifiesAndKeepsNothingResident(t *testing.T) {
+	const in, out = int64(1 << 30), int64(1 << 30) // 2 GiB on a 1.5 GB gtx480
+	cfg := DefaultConfig(1, "gtx480")
+	cfg.Verify = true
+	cl, _ := NewCluster(cfg)
+	cl.Register(mustKS(t, "scale", scaleKernel))
+	a := interp.NewFloatArray(8)
+	for i := range a.F {
+		a.F[i] = float64(i)
+	}
+	gs := streamSpec("verify", 8, in, out, []any{int64(8), a})
+	_, _, err := cl.Run(func(ctx *satin.Context) any {
+		for run := 0; run < 2; run++ {
+			if err := RunGraph(ctx, gs); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a.F {
+		if want := (float64(i)*2+1)*2 + 1; a.F[i] != want {
+			t.Fatalf("a[%d] = %v, want %v (two verified runs)", i, a.F[i], want)
+		}
+	}
+	dev := cl.NodeState(0).Devices[0]
+	if dev.Launches() < 4 {
+		t.Fatalf("two runs ran %d passes, want several each", dev.Launches())
+	}
+	if dev.BytesMoved() != 2*(in+out) {
+		t.Fatalf("moved %d bytes, want %d (every byte, every run)", dev.BytesMoved(), 2*(in+out))
+	}
+	if hits := cl.CollectMetrics().Int("graph.resident_hits"); hits != 0 {
+		t.Fatalf("graph.resident_hits = %d, want 0: a streamed input is never resident", hits)
+	}
+}
+
+func TestGraphStreamedStageExactBytesWithRemainder(t *testing.T) {
+	// Sizes deliberately not divisible by the pass count: the integer split
+	// must fold the remainder into the last pass so modeled PCIe traffic is
+	// byte-exact, not short by up to passes-1 bytes per direction.
+	cfg := DefaultConfig(1, "gtx480")
+	cl, _ := NewCluster(cfg)
+	cl.Register(mustKS(t, "scale", scaleKernel))
+	const in = int64(6<<30) + 7919 // prime tail
+	const out = int64(1<<30) + 104729
+	gs := streamSpec("remainder", 1<<28, in, out, nil)
+	_, _, err := cl.Run(func(ctx *satin.Context) any {
+		g, err := GetGraph(ctx, gs)
+		if err != nil {
+			return err
+		}
+		defer g.Close()
+		return g.Run(ctx)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := cl.NodeState(0).Devices[0]
+	if dev.BytesMoved() != in+out {
+		t.Fatalf("moved %d bytes, want exactly %d (short by %d)",
+			dev.BytesMoved(), in+out, in+out-dev.BytesMoved())
+	}
+	if dev.Launches() < 2 {
+		t.Fatalf("ran %d passes, want several", dev.Launches())
+	}
+	if dev.MemUsed() != 0 {
+		t.Fatalf("leaked %d bytes of device memory", dev.MemUsed())
+	}
+	if cl.CPUFallbacks() != 0 {
+		t.Fatal("streamed stage fell back to CPU")
+	}
+	if cl.FlopsCharged() <= 0 {
+		t.Fatal("no flops charged")
+	}
+}
+
+func TestGraphStreamedStageOverlapsTransfersWithKernels(t *testing.T) {
+	// With dual DMA engines the passes pipeline: total time must be well
+	// under the fully serialized sum of transfers plus kernels.
+	cfg := DefaultConfig(1, "k20")
+	cl, _ := NewCluster(cfg)
+	cl.Register(mustKS(t, "scale", scaleKernel))
+	const n = 2 << 30 // 8 GB in + 8 GB out on a 5 GB device
+	gs := streamSpec("overlap", n, 4*n, 4*n, nil)
+	var end simnet.Time
+	_, _, err := cl.Run(func(ctx *satin.Context) any {
+		if err := RunGraph(ctx, gs); err != nil {
+			return err
+		}
+		end = ctx.Proc().Now()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := cl.NodeState(0).Devices[0]
+	if dev.Launches() < 2 {
+		t.Fatalf("ran %d passes, want several", dev.Launches())
+	}
+	// Serialized floor: each byte crosses PCIe once in each direction.
+	wire := dev.Spec().TransferTime(4 * n)
+	serialized := 2 * wire
+	if simnet.Duration(end) > serialized+serialized/2 {
+		t.Fatalf("streamed stage made no use of overlap: end=%v vs serialized=%v", end, serialized)
+	}
+	if dev.OverlapLowerBound() <= 0 {
+		t.Fatal("streamed stage reports no transfer/compute overlap")
 	}
 }
 

@@ -11,10 +11,6 @@ import (
 )
 
 const (
-	// coalesceLimit is the largest parameter block that rides along a due
-	// resident transfer as one combined enqueue (one PCIe latency instead of
-	// two).
-	coalesceLimit = 64 << 10
 	// streamThreshold is the in-core launch size (in + out bytes) at which
 	// the runtime switches from one write/launch/read triple to a
 	// double-buffered pipeline of passes, overlapping PCIe with compute
@@ -37,14 +33,17 @@ type Kernel struct {
 // Name returns the kernel name.
 func (k *Kernel) Name() string { return k.name }
 
-// LaunchSpec describes one kernel launch.
+// LaunchSpec describes one kernel launch. The scheduler places every launch
+// (Sec. III-B), and its data must fit the chosen device's memory: a launch
+// that can never fit returns an error and the caller runs its CPU fallback
+// (Fig. 4). Out-of-core execution is a graph-planner feature — wrap the
+// kernel in a one-stage GraphSpec and the planner streams it.
 type LaunchSpec struct {
 	// Params gives concrete values for the kernel's scalar int parameters;
 	// the cost model and the work-group glue are evaluated with them.
 	Params map[string]int64
 	// InBytes / OutBytes are the host->device / device->host transfer sizes
-	// of this launch. Data already resident on the device (Device.Copy)
-	// must not be counted again.
+	// of this launch. Data declared Resident must not be counted again.
 	InBytes, OutBytes int64
 	// Args are the real arguments (scalars and *interp.Array) the compiled
 	// kernel executes on at verification scale; ignored unless the cluster
@@ -58,25 +57,14 @@ type LaunchSpec struct {
 	// can be compared — on both transports.
 	Buffers []BufferAccess
 	// Resident declares device-resident input data (the paper's "device
-	// copies" optimization, Sec. II-C.1): the named buffer is transferred to
-	// the chosen device only when that device has not yet seen this
-	// Version. Iterative applications use it to re-ship bulk inputs once
-	// per device per iteration instead of once per launch.
+	// copies" optimization, Sec. II-C.1, in place of its getDevice()/copy()
+	// handle): the named buffer is transferred to the chosen device only
+	// when that device has not yet seen this Version. Iterative applications
+	// use it to re-ship bulk inputs once per device per iteration instead of
+	// once per launch.
 	Resident *Resident
 	// Label annotates trace spans.
 	Label string
-	// Device pins the launch to a specific device index on the node,
-	// bypassing the scheduler (used with resident data). -1 (default via
-	// NewLaunch) lets the scheduler choose.
-	Device int
-	// OutOfCore enables streaming execution for launches whose data exceeds
-	// the device memory: the launch is split into passes that each stage a
-	// chunk, run the corresponding slice of the kernel and drain results.
-	// This is the extension the paper lists as future work (Sec. VI, the
-	// Glasswing comparison: "Glasswing supports out-of-core data which
-	// Cashmere does not support yet"). A streamed launch ships no Resident
-	// data, and under the SVM transport it does not acquire its Buffers.
-	OutOfCore bool
 }
 
 // Resident identifies device-resident data. Tag names the buffer, Bytes is
@@ -95,50 +83,29 @@ type Launch struct {
 
 // NewLaunch prepares a launch.
 func (k *Kernel) NewLaunch(spec LaunchSpec) *Launch {
-	if spec.Device == 0 {
-		spec.Device = -1 // 0 is a valid index; treat the zero value as unset
-	}
 	if spec.Label == "" {
 		spec.Label = k.name
 	}
 	return &Launch{k: k, spec: spec}
 }
 
-// OnDevice pins the launch to device index d of the node.
-func (l *Launch) OnDevice(d int) *Launch {
-	l.spec.Device = d
-	return l
-}
-
 // Run executes the full launch cycle, blocking the calling frame in virtual
-// time: schedule onto a device queue, allocate device memory, then drive the
-// device through its command queues — enqueue the input transfer, the kernel
-// and the output transfer with event dependencies and wait only on the last
-// event. Large in-core launches are split into a double-buffered pipeline of
-// passes so transfers overlap compute within the launch, and OutOfCore
-// launches larger than device memory stream through two staging chunks; a
-// due resident transfer absorbs small parameter blocks into one enqueue.
-// With Verify enabled it additionally executes the compiled kernel on the
-// supplied Args, so results are real and checkable.
+// time: pick a device through the scheduler, allocate device memory, then
+// drive the device through its command queues — enqueue the resident
+// transfer when due, the input transfer, the kernel and the output transfer
+// with event dependencies and wait only on the last event. Launches of at
+// least streamThreshold bytes run as a double-buffered pipeline of passes so
+// transfers overlap compute within the launch. With Verify enabled it
+// additionally executes the compiled kernel on the supplied Args, so results
+// are real and checkable.
 //
-// Errors (unknown parameters, device out of memory) are returned to the
-// caller, whose catch branch runs the CPU fallback (Fig. 4).
+// Errors (unknown parameters, a launch larger than device memory) are
+// returned to the caller, whose catch branch runs the CPU fallback (Fig. 4).
 func (l *Launch) Run(ctx *satin.Context) error {
 	ns := l.k.ns
 	p := ctx.Proc()
 
-	var devIdx int
-	var est simnet.Duration
-	if l.spec.Device >= 0 {
-		if l.spec.Device >= len(ns.Devices) {
-			return fmt.Errorf("core: node %d has no device %d", ns.ID, l.spec.Device)
-		}
-		devIdx = l.spec.Device
-		est = ns.Sched.Estimate(l.k.name, devIdx)
-		ns.Sched.pending[devIdx] += est
-	} else {
-		devIdx, est = ns.Sched.Pick(l.k.name)
-	}
+	devIdx, est := ns.Sched.Pick(l.k.name)
 	dev := ns.Devices[devIdx]
 	compiled := ns.kernels[l.k.name][devIdx]
 
@@ -174,21 +141,13 @@ func (l *Launch) Run(ctx *satin.Context) error {
 	// Cashmere manages device memory automatically (Sec. II-C.3): if the
 	// launch fits the device at all, wait for concurrent launches to release
 	// their buffers; only a launch that can never fit raises the exception
-	// that sends the caller to its CPU fallback (Fig. 4) — unless the
-	// out-of-core extension streams it in passes through two staging chunks
-	// of a quarter of device memory each.
-	total := in + out
-	alloc, passes, chunked := total, 1, false
-	switch mem := dev.Spec().GlobalMem; {
-	case total > mem && l.spec.OutOfCore:
-		chunk := mem / 4
-		alloc, passes, chunked = 2*chunk, max(2, int((total+chunk-1)/chunk)), true
-	case total > mem:
+	// that sends the caller to its CPU fallback (Fig. 4).
+	if mem := dev.Spec().GlobalMem; in+out > mem {
 		ns.Sched.Done(l.k.name, devIdx, est, 0)
 		ns.cpuFallbacks++
-		return fmt.Errorf("core: launch needs %d bytes, device %s has %d", total, dev.Name(), mem)
+		return fmt.Errorf("core: launch needs %d bytes, device %s has %d", in+out, dev.Name(), mem)
 	}
-	buf, err := dev.AllocBlocking(p, alloc)
+	buf, err := dev.AllocBlocking(p, in+out)
 	if err != nil {
 		ns.Sched.Done(l.k.name, devIdx, est, 0)
 		ns.cpuFallbacks++
@@ -200,41 +159,21 @@ func (l *Launch) Run(ctx *satin.Context) error {
 
 	// hdep is the host->device event the kernel must follow in addition to
 	// the implicit in-order queue ordering: the resident transfer, when one
-	// is due or still in flight from a concurrent launch. A chunked launch
-	// streams everything it declared and keeps nothing resident.
+	// is due or still in flight from a concurrent launch.
 	var hdep ocl.Event
-	if r := l.spec.Resident; r != nil && !chunked {
-		key := residentKey{dev: devIdx, tag: r.Tag}
-		if ns.residentVer[key] != r.Version {
-			ns.residentVer[key] = r.Version
-			rb := r.Bytes
-			var label string
-			if tracing {
-				label = l.spec.Label + ":" + r.Tag
-			}
-			// Coalesce a small parameter block into the due resident
-			// transfer: one enqueue, one PCIe latency.
-			if in > 0 && in <= coalesceLimit {
-				rb += in
-				in = 0
-				if tracing {
-					label += "+in"
-				}
-			}
-			hdep = ns.stageH2D(devIdx, rb, label)
-			ns.residentEv[key] = hdep
-		} else {
-			// The data is current, but a concurrent launch may still have
-			// its transfer on the wire; order behind it instead of assuming.
-			hdep = ns.residentEv[key]
+	if r := l.spec.Resident; r != nil {
+		var label string
+		if tracing {
+			label = l.spec.Label + ":" + r.Tag
 		}
+		hdep, _ = ns.stageResident(devIdx, r.Tag, r.Version, r.Bytes, label)
 	}
 
 	// Under SVM, service every declared buffer access through the node's
 	// coherence protocol; the kernel gates on the last migration into this
 	// device (all acquires target the same in-order H2D queue).
 	var bdep ocl.Event
-	if svmT && !chunked {
+	if svmT {
 		for _, a := range l.spec.Buffers {
 			if ev := ns.Space.Acquire(p, a.Buf, devIdx, a.Mode, a.Ranges); !ev.Done() {
 				bdep = ev
@@ -242,19 +181,14 @@ func (l *Launch) Run(ctx *satin.Context) error {
 		}
 	}
 
-	// An in-core pipeline is sized on the bytes the launch still moves
-	// itself, after a due resident transfer absorbed its parameter block.
-	if !chunked && in+out >= streamThreshold {
-		passes = inCorePasses(in + out)
-	}
 	var measured simnet.Duration
-	if passes > 1 {
+	if in+out >= streamThreshold {
 		// The double-buffered pipeline stays bulk under both transports:
 		// streaming already hand-places its transfers, which is exactly the
 		// explicit-management work SVM exists to avoid — the crossover
 		// experiment quantifies the resulting gap.
 		var last ocl.Event
-		last, measured = enqueueStream(dev, l.spec.Label, cost, in, out, passes, chunked, tracing, hdep, bdep)
+		last, measured = enqueueStream(dev, l.spec.Label, cost, in, out, inCorePasses(in+out), false, tracing, hdep, bdep)
 		last.Wait(p)
 	} else {
 		if in > 0 {
@@ -306,9 +240,11 @@ func inCorePasses(total int64) int {
 // slices over the device's in-order queues — the Sec. III-B pipeline. The
 // write of pass i+1 rides the H2D queue behind the write of pass i and
 // therefore overlaps kernel i; each kernel depends on its own write, each
-// read on its kernel. With chunked staging (out-of-core: only two chunks of
-// device memory), the write of pass i additionally waits for the read of
-// pass i-2 — the previous tenant of its staging chunk. Remainder bytes fold
+// read on its kernel. Two callers use it: Launch.Run's in-core pipeline
+// (chunked false: the whole working set is allocated) and a stage the graph
+// planner streams out-of-core (chunked true: only two staging chunks of
+// device memory, so the write of pass i additionally waits for the read of
+// pass i-2 — the previous tenant of its staging chunk). Remainder bytes fold
 // into the last pass so modeled PCIe traffic is byte-exact. Every write and
 // kernel additionally waits on hdeps (upstream producers). No process is
 // spawned and nothing waits: the caller holds the last event, so graph
@@ -370,40 +306,4 @@ func enqueueStream(dev *ocl.Device, label string, cost device.KernelCost, inTota
 		last = r
 	}
 	return last, measured
-}
-
-// Device exposes a node device for the "device copies" optimization
-// (Sec. II-C.1): copy input data once, launch many times.
-type Device struct {
-	ns  *NodeState
-	idx int
-}
-
-// GetDevice returns the device handle the scheduler would currently pick
-// for the kernel, without booking work (Kernel.getDevice() in the paper).
-func (k *Kernel) GetDevice() *Device {
-	best, est := k.ns.Sched.Pick(k.name)
-	k.ns.Sched.Done(k.name, best, est, k.ns.Sched.Measured(k.name, best))
-	return &Device{ns: k.ns, idx: best}
-}
-
-// Index returns the device index within its node.
-func (d *Device) Index() int { return d.idx }
-
-// Copy transfers n bytes host-to-device ahead of a series of launches
-// (Device.copy() in the paper). The returned release function frees the
-// device memory.
-func (d *Device) Copy(ctx *satin.Context, n int64, label string) (release func(), err error) {
-	dev := d.ns.Devices[d.idx]
-	buf, err := dev.Alloc(n)
-	if err != nil {
-		return nil, err
-	}
-	dev.EnqueueWrite(n, label).Wait(ctx.Proc())
-	return func() { buf.Free() }, nil
-}
-
-// CopyBack transfers n bytes device-to-host.
-func (d *Device) CopyBack(ctx *satin.Context, n int64, label string) {
-	d.ns.Devices[d.idx].EnqueueRead(n, label).Wait(ctx.Proc())
 }

@@ -120,14 +120,5 @@ func (s *Scheduler) Record(kernel string, dev int, measured simnet.Duration) {
 	hist[dev] = measured
 }
 
-// Measured returns the last measured time for the kernel on device d
-// (0 if none).
-func (s *Scheduler) Measured(kernel string, d int) simnet.Duration {
-	if hist := s.history[kernel]; hist != nil {
-		return hist[d]
-	}
-	return 0
-}
-
 // Backlog returns the current estimated backlog of device d's queue.
 func (s *Scheduler) Backlog(d int) simnet.Duration { return s.pending[d] }

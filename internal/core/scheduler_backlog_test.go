@@ -102,8 +102,8 @@ func TestSchedulerBacklogReleasedOnErrorPaths(t *testing.T) {
 			t.Errorf("backlog %v after cost-model error, want 0", got)
 		}
 
-		// Working set larger than device memory (no out-of-core): CPU
-		// fallback error after Pick.
+		// Working set larger than device memory: CPU fallback error after
+		// Pick.
 		huge := cl.NodeState(0).Devices[0].Spec().GlobalMem + 1
 		err = k.NewLaunch(LaunchSpec{
 			Params:  map[string]int64{"n": 16},
@@ -119,16 +119,16 @@ func TestSchedulerBacklogReleasedOnErrorPaths(t *testing.T) {
 			t.Error("CPU fallback not counted")
 		}
 
-		// Pinned launches book and release through the same accounting.
+		// A successful launch releases its booking the same way.
 		err = k.NewLaunch(LaunchSpec{
 			Params:  map[string]int64{"n": 1024},
 			InBytes: 4096, OutBytes: 4096,
-		}).OnDevice(0).Run(ctx)
+		}).Run(ctx)
 		if err != nil {
-			t.Errorf("pinned launch failed: %v", err)
+			t.Errorf("launch failed: %v", err)
 		}
 		if got := s.Backlog(0); got != 0 {
-			t.Errorf("backlog %v after pinned launch completed, want 0", got)
+			t.Errorf("backlog %v after launch completed, want 0", got)
 		}
 		return nil
 	})

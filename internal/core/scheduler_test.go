@@ -7,39 +7,9 @@ import (
 	"cashmere/internal/satin"
 )
 
-// TestPinnedLaunchReleasesBacklogOnSuccess: an OnDevice launch books its
-// estimate against the pinned device (bypassing Pick) and releases it when
-// the launch completes.
-func TestPinnedLaunchReleasesBacklogOnSuccess(t *testing.T) {
-	cfg := DefaultConfig(1, "k20")
-	cfg.Nodes[0] = NodeSpec{Devices: []string{"k20", "k20"}}
-	cl, _ := NewCluster(cfg)
-	cl.Register(mustKS(t, "scale", scaleKernel))
-	cl.Run(func(ctx *satin.Context) any {
-		k, _ := GetKernel(ctx, "scale")
-		ns := cl.NodeState(0)
-		if err := k.NewLaunch(LaunchSpec{
-			Params:  map[string]int64{"n": 1 << 16},
-			InBytes: 4 << 16, OutBytes: 4 << 16,
-		}).OnDevice(1).Run(ctx); err != nil {
-			t.Error(err)
-		}
-		if got := ns.Sched.Backlog(1); got != 0 {
-			t.Errorf("backlog after pinned success = %v", got)
-		}
-		// The measurement lands on the pinned device, not device 0.
-		if ns.Sched.Measured("scale", 1) <= 0 {
-			t.Error("pinned launch recorded no measured time")
-		}
-		if ns.Sched.Measured("scale", 0) != 0 {
-			t.Error("measurement leaked onto the unpinned device")
-		}
-		return nil
-	})
-}
-
-// TestPinnedLaunchReleasesBacklogOnError: the booking is released on every
-// error path — bad parameters (cost evaluation fails) and out-of-memory.
+// TestPinnedLaunchReleasesBacklogOnError: on a one-device node every launch
+// lands on device 0, and its booking is released on every error path — bad
+// parameters (cost evaluation fails) and out-of-memory.
 func TestPinnedLaunchReleasesBacklogOnError(t *testing.T) {
 	cfg := DefaultConfig(1, "gtx480")
 	cl, _ := NewCluster(cfg)
@@ -51,7 +21,7 @@ func TestPinnedLaunchReleasesBacklogOnError(t *testing.T) {
 		// Cost-evaluation failure: the kernel's parameter is missing.
 		if err := k.NewLaunch(LaunchSpec{
 			Params: map[string]int64{"wrong": 1},
-		}).OnDevice(0).Run(ctx); err == nil {
+		}).Run(ctx); err == nil {
 			t.Error("launch with bad params succeeded")
 		}
 		if got := ns.Sched.Backlog(0); got != 0 {
@@ -62,22 +32,11 @@ func TestPinnedLaunchReleasesBacklogOnError(t *testing.T) {
 		if err := k.NewLaunch(LaunchSpec{
 			Params:  map[string]int64{"n": 1 << 30},
 			InBytes: 4 << 30,
-		}).OnDevice(0).Run(ctx); err == nil {
+		}).Run(ctx); err == nil {
 			t.Error("oversized launch succeeded")
 		}
 		if got := ns.Sched.Backlog(0); got != 0 {
 			t.Errorf("backlog after OOM error = %v", got)
-		}
-
-		// Pinning to a nonexistent device fails before booking anything.
-		if err := k.NewLaunch(LaunchSpec{
-			Params:  map[string]int64{"n": 1 << 10},
-			InBytes: 4 << 10,
-		}).OnDevice(7).Run(ctx); err == nil {
-			t.Error("launch on missing device succeeded")
-		}
-		if got := ns.Sched.Backlog(0); got != 0 {
-			t.Errorf("backlog after bad index = %v", got)
 		}
 		return nil
 	})
@@ -125,8 +84,7 @@ func TestBacklogNeverNegativeUnderConcurrentLaunches(t *testing.T) {
 }
 
 // TestSchedulerDoneClampsOverRelease: releasing a larger estimate than was
-// booked (possible when pinned and picked launches interleave) clamps at
-// zero rather than going negative.
+// booked clamps at zero rather than going negative.
 func TestSchedulerDoneClampsOverRelease(t *testing.T) {
 	cfg := DefaultConfig(1, "k20")
 	cl, _ := NewCluster(cfg)

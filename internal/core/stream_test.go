@@ -63,43 +63,8 @@ func TestSmallLaunchDoesNotStream(t *testing.T) {
 	}
 }
 
-// TestResidentCoalescesSmallParamWrite: when a resident transfer is due, a
-// small parameter block rides along as one combined enqueue — one H2D span,
-// one PCIe latency — instead of a separate write.
-func TestResidentCoalescesSmallParamWrite(t *testing.T) {
-	cfg := DefaultConfig(1, "k20")
-	cfg.Record = true
-	cl, _ := NewCluster(cfg)
-	cl.Register(mustKS(t, "scale", scaleKernel))
-	const resident = 1 << 20
-	const params = 1024
-	cl.Run(func(ctx *satin.Context) any {
-		k, _ := GetKernel(ctx, "scale")
-		if err := k.NewLaunch(LaunchSpec{
-			Params:   map[string]int64{"n": 1 << 16},
-			InBytes:  params,
-			OutBytes: 1024,
-			Resident: &Resident{Tag: "points", Bytes: resident, Version: 1},
-		}).OnDevice(0).Run(ctx); err != nil {
-			t.Error(err)
-		}
-		return nil
-	})
-	h2d := cl.Recorder().Filter(func(s trace.Span) bool { return s.Kind == trace.KindH2D })
-	if len(h2d) != 1 {
-		t.Fatalf("expected 1 coalesced H2D transfer, got %d: %v", len(h2d), h2d)
-	}
-	if h2d[0].Label != "scale:points+in" {
-		t.Fatalf("coalesced label = %q", h2d[0].Label)
-	}
-	dev := cl.NodeState(0).Devices[0]
-	if dev.BytesMoved() != resident+params+1024 {
-		t.Fatalf("BytesMoved = %d", dev.BytesMoved())
-	}
-}
-
-// TestResidentLargeInputNotCoalesced: a bulk input beyond the coalescing
-// limit keeps its own transfer.
+// TestResidentLargeInputNotCoalesced: a due resident transfer and the
+// launch's own input ship as two transfers, one H2D span each.
 func TestResidentLargeInputNotCoalesced(t *testing.T) {
 	cfg := DefaultConfig(1, "k20")
 	cfg.Record = true
@@ -109,9 +74,9 @@ func TestResidentLargeInputNotCoalesced(t *testing.T) {
 		k, _ := GetKernel(ctx, "scale")
 		if err := k.NewLaunch(LaunchSpec{
 			Params:   map[string]int64{"n": 1 << 16},
-			InBytes:  1 << 20, // over the 64 KiB coalescing limit
+			InBytes:  1 << 20,
 			Resident: &Resident{Tag: "points", Bytes: 1 << 20, Version: 1},
-		}).OnDevice(0).Run(ctx); err != nil {
+		}).Run(ctx); err != nil {
 			t.Error(err)
 		}
 		return nil
@@ -140,7 +105,7 @@ func TestConcurrentLaunchOrdersBehindInFlightResident(t *testing.T) {
 				if err := k.NewLaunch(LaunchSpec{
 					Params:   map[string]int64{"n": 1 << 10},
 					Resident: &Resident{Tag: "pts", Bytes: resident, Version: 1},
-				}).OnDevice(0).Run(c); err != nil {
+				}).Run(c); err != nil {
 					t.Error(err)
 				}
 				ends[i] = c.Proc().Now()
