@@ -188,7 +188,9 @@ func parseVariant(s string) (apps.Variant, error) {
 	return 0, fmt.Errorf("unknown variant %q (want satin, unopt or opt)", s)
 }
 
-// parseCluster parses "10xgtx480,2xc2050,1xk20+xeon_phi".
+// parseCluster parses "10xgtx480,2xc2050,1xk20+xeon_phi": comma-separated
+// node groups, each an optional count of at least 1 and "x", then one or
+// more "+"-joined device names, none of them empty.
 func parseCluster(s string) ([]core.NodeSpec, error) {
 	var out []core.NodeSpec
 	for _, part := range strings.Split(s, ",") {
@@ -197,11 +199,19 @@ func parseCluster(s string) ([]core.NodeSpec, error) {
 		devs := part
 		if i := strings.Index(part, "x"); i > 0 {
 			if n, err := strconv.Atoi(part[:i]); err == nil {
+				if n < 1 {
+					return nil, fmt.Errorf("cluster spec %q: node count %d in %q, want at least 1", s, n, part)
+				}
 				count = n
 				devs = part[i+1:]
 			}
 		}
 		spec := core.NodeSpec{Devices: strings.Split(devs, "+")}
+		for _, d := range spec.Devices {
+			if d == "" {
+				return nil, fmt.Errorf("cluster spec %q: empty device name in %q", s, part)
+			}
+		}
 		for i := 0; i < count; i++ {
 			out = append(out, spec)
 		}

@@ -121,7 +121,9 @@ func (c *Cache) Encode() ([]byte, error) {
 	return append(buf, '\n'), nil
 }
 
-// DecodeCache parses a serialized cache. Counters start at zero.
+// DecodeCache parses a serialized cache. Counters start at zero. A null
+// entry or a non-positive work-group extent is rejected here, so every entry
+// Lookup returns can be compiled.
 func DecodeCache(data []byte) (*Cache, error) {
 	var f cacheFile
 	if err := json.Unmarshal(data, &f); err != nil {
@@ -132,6 +134,14 @@ func DecodeCache(data []byte) (*Cache, error) {
 	}
 	c := NewCache()
 	for k, e := range f.Entries {
+		if e == nil {
+			return nil, fmt.Errorf("tune: cache entry %q is null", k)
+		}
+		for _, l := range e.Local {
+			if l < 1 {
+				return nil, fmt.Errorf("tune: cache entry %q has work-group extent %d, want >= 1", k, l)
+			}
+		}
 		c.entries[k] = e
 	}
 	return c, nil

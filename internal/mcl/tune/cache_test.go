@@ -117,6 +117,20 @@ func TestCacheLoadMissingFile(t *testing.T) {
 	}
 }
 
+// TestCacheDecodeRejectsBadEntries: an entry that cannot be compiled fails
+// at load time, not as a nil dereference when a cluster starts up.
+func TestCacheDecodeRejectsBadEntries(t *testing.T) {
+	for name, in := range map[string]string{
+		"null entry":      `{"version":"cashmere-tune/1","entries":{"k":null}}`,
+		"zero extent":     `{"version":"cashmere-tune/1","entries":{"k":{"level":"gpu","local":[0]}}}`,
+		"negative extent": `{"version":"cashmere-tune/1","entries":{"k":{"level":"gpu","local":[16,-4]}}}`,
+	} {
+		if c, err := DecodeCache([]byte(in)); err == nil {
+			t.Errorf("%s: accepted, %d entries", name, c.Len())
+		}
+	}
+}
+
 func TestCacheDecodeRejectsVersionMismatch(t *testing.T) {
 	if _, err := DecodeCache([]byte(`{"version":"other/9","entries":{}}`)); err == nil {
 		t.Fatal("version mismatch accepted")
