@@ -49,8 +49,9 @@ cover:
 		echo "coverage $$total% is below the floor of $(COVER_FLOOR)%"; exit 1; fi; \
 	echo "coverage $$total% (floor $(COVER_FLOOR)%)"
 
-# bench regenerates the engine-comparison numbers recorded in
-# BENCH_kernels.json.
+# bench prints the engine-comparison and event-queue numbers that
+# BENCH_kernels.json records; it does not write the file. Copy the rows in
+# by hand, with the host header (cpu, nproc, GOMAXPROCS, go version).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkKernelExec|BenchmarkEventHeap' -benchtime 2s . ./internal/simnet/
 
@@ -69,7 +70,9 @@ bench-autoscale:
 # bench-allocs enforces the pinned zero-allocation contracts: the simnet
 # event loop (hold, pingpong, and a RecvTimeout answered before it expires
 # by a coroutine or by a step-process responder; the unanchored -bench
-# pattern runs every BenchmarkSimnetEventLoop case),
+# pattern runs every BenchmarkSimnetEventLoop case), the simnet event queue
+# (BenchmarkEventHeap's alternate and pairs cases at depths 16, 64 and 256;
+# its containerheap oracle allocates by design and is not pinned),
 # the pooled network message path, disabled tracing, the
 # device-runtime enqueue path (BenchmarkLaunchPath), the dataflow-graph
 # submit path (BenchmarkGraphSubmitPath), the serving admission fast
@@ -80,10 +83,10 @@ bench-autoscale:
 # report 0 allocs/op. CI fails if any of them regresses above zero.
 bench-allocs:
 	@$(GO) test -run xxx -benchmem -benchtime 2000x \
-		-bench 'BenchmarkSimnetEventLoop|BenchmarkNetworkMessageRate|BenchmarkTraceOverhead|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkSVMRefault|BenchmarkKernelCost' \
+		-bench 'BenchmarkSimnetEventLoop|BenchmarkEventHeap|BenchmarkNetworkMessageRate|BenchmarkTraceOverhead|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkSVMRefault|BenchmarkKernelCost' \
 		./internal/simnet/ ./internal/network/ ./internal/trace/ ./internal/ocl/ ./internal/core/ ./internal/svm/ ./internal/serve/ | tee bench-allocs.out
 	@bad=$$(awk '/allocs\/op/ { name=$$1; sub(/-[0-9]+$$/, "", name); \
-		if (name ~ /^(BenchmarkSimnetEventLoop\/hold|BenchmarkSimnetEventLoop\/pingpong|BenchmarkSimnetEventLoop\/timeout|BenchmarkSimnetEventLoop\/step|BenchmarkNetworkMessageRate\/bulk|BenchmarkNetworkMessageRate\/ctl|BenchmarkTraceOverhead\/off|BenchmarkTraceOverhead\/off\/span-only|BenchmarkTraceOverheadDevice\/off|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkSVMRefault|BenchmarkKernelCost\/memoized|BenchmarkKernelCost\/raytrace-memoized)$$/ \
+		if (name ~ /^(BenchmarkSimnetEventLoop\/hold|BenchmarkSimnetEventLoop\/pingpong|BenchmarkSimnetEventLoop\/timeout|BenchmarkSimnetEventLoop\/step|BenchmarkEventHeap\/(alternate|pairs)\/depth=(16|64|256)|BenchmarkNetworkMessageRate\/bulk|BenchmarkNetworkMessageRate\/ctl|BenchmarkTraceOverhead\/off|BenchmarkTraceOverhead\/off\/span-only|BenchmarkTraceOverheadDevice\/off|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkSVMRefault|BenchmarkKernelCost\/memoized|BenchmarkKernelCost\/raytrace-memoized)$$/ \
 		&& $$(NF-1)+0 > 0) print name, $$(NF-1), "allocs/op" }' bench-allocs.out); \
 	if [ -n "$$bad" ]; then echo "zero-alloc benchmarks regressed:"; echo "$$bad"; exit 1; fi; \
 	echo "all pinned benchmarks at 0 allocs/op"

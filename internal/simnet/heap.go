@@ -1,16 +1,37 @@
 package simnet
 
-// eventHeap is a hand-rolled heapArity-ary min-heap over events, ordered
-// by (time, creating stream, stream sequence). container/heap would force
-// every push and pop through an interface{} conversion, allocating one box
-// per scheduled event; on the kernel's hot loop that boxing dominates, so
-// the sift operations are inlined here over the concrete slice.
+import "fmt"
+
+// eventQueue is the kernel's pending-event set: a hand-rolled heapArity-ary
+// min-heap of compact entries ordered by (time, creating stream, stream
+// sequence), with each event's payload in a side slab. container/heap would
+// force every push and pop through an interface{} conversion, allocating
+// one box per scheduled event; on the kernel's hot loop that boxing
+// dominates, so the sift operations are inlined here over concrete slices.
+//
+// A heap entry is 24 bytes: the time, the packed (stream, sseq) key (see
+// packKey) and the slab id of the event's payload. A sift compares two
+// integers and moves one entry; the payload (process, callback, epoch,
+// execution stream) never moves while the event is queued. pos maps a slab
+// id to its entry's heap index, so the decrease-key finds a process's entry
+// without a pointer chase, and Proc.slot holds the slab id, which no sift
+// changes. Freed ids are reused through a free list, so a steady-state
+// queue allocates nothing.
+//
+// The root is vacated lazily. pop takes the minimum and leaves its slot
+// empty without sifting; the next push fills the vacancy with one sift-down
+// from the root (heapreplace), which stops at once when the new event is
+// the next minimum. The event loop's usual pattern — pop an event, run its
+// handler, which posts the next one — therefore costs one sift instead of
+// two. Anything that needs the root in place (peek, the decrease-key, a
+// pop that follows a pop) first moves the last leaf into the vacancy and
+// sifts it down, the work an eager pop would have done.
 //
 // Four children per node halve the tree's depth against a binary heap: a
-// pop moves the 48-byte hole down half as many levels, each a scan of up
-// to four adjacent siblings (one or two cache lines), and a push sifts up
-// half as far. Pop order is fixed by the unique (t, stream, sseq) key, so
-// the arity can never change a trajectory.
+// sift-down moves half as many levels, each a scan of up to four adjacent
+// siblings (96 bytes), and a sift-up climbs half as far. Pop order is fixed
+// by the unique (t, stream, sseq) key, so neither the arity nor the lazy
+// root can change a trajectory.
 //
 // The tie-break chain is independent of the partition layout: equal-time
 // events fire ordered by the simulated node (stream) whose execution
@@ -22,101 +43,203 @@ package simnet
 // the default stream the order degenerates to the legacy (t, seq) creation
 // order.
 //
-// A process has at most one entry in the heap: its pending wake, whose
-// index the heap keeps in Proc.slot (-1 when there is none). A later wake
-// for the same process is folded into that entry (see Kernel.postOn), so
-// superseded timeouts never occupy the heap; up is the decrease-key that
-// moves a rewritten entry forward.
-type eventHeap []event
+// A process has at most one entry in the queue: its pending wake, whose
+// slab id it keeps in Proc.slot (-1 when there is none). A later wake for
+// the same process is folded into that entry (see Kernel.postOn), so
+// superseded timeouts never occupy the queue; advance is the decrease-key
+// that moves a rewritten entry forward.
+type eventQueue struct {
+	h      []entry // the heap; h[0] is empty while vacant is set
+	vacant bool    // the root was popped and not yet refilled
+	pos    []int32 // heap index of each slab id's entry
+	slab   []event // payloads, indexed by slab id
+	free   []int32 // slab ids not in use
+}
+
+// entry is one heap slot: the event's order key and the slab id of its
+// payload.
+type entry struct {
+	t   Time
+	key uint64 // packKey(stream, sseq)
+	id  int32
+}
 
 // heapArity is the number of children per heap node. The parent of index i
 // is (i-1)/heapArity, and its children are heapArity*i+1 onward.
 const heapArity = 4
 
+// A key packs the creating stream into its top streamBits bits and the
+// stream's sequence number into the rest, so (t, key) orders exactly as
+// (t, stream, sseq).
+const (
+	streamBits = 20
+	sseqBits   = 64 - streamBits
+	maxStreams = 1 << streamBits
+)
+
+// packKey packs a (stream, sseq) stamp into an order key. It panics when
+// either component does not fit.
+func packKey(stream int32, sseq uint64) uint64 {
+	if uint32(stream) >= maxStreams || sseq >= 1<<sseqBits {
+		keyOverflow(stream, sseq)
+	}
+	return uint64(stream)<<sseqBits | sseq
+}
+
+// keyOverflow panics for packKey. It is kept out of line so that packKey,
+// called on every post, stays small enough to inline.
+//
+//go:noinline
+func keyOverflow(stream int32, sseq uint64) {
+	panic(fmt.Sprintf("simnet: event stamp (stream %d, seq %d) outside stream [0, %d), seq [0, 2^%d)",
+		stream, sseq, maxStreams, sseqBits))
+}
+
 // before reports whether a orders ahead of b.
-func (a *event) before(b *event) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	if a.stream != b.stream {
-		return a.stream < b.stream
-	}
-	return a.sseq < b.sseq
+func (a *entry) before(b *entry) bool {
+	return a.t < b.t || a.t == b.t && a.key < b.key
 }
 
-// place stores e at index i and records the index in its process's slot.
-func (h eventHeap) place(i int, e event) {
-	h[i] = e
+// len reports the number of queued events.
+func (q *eventQueue) len() int {
+	if q.vacant {
+		return len(q.h) - 1
+	}
+	return len(q.h)
+}
+
+// push queues event e at (t, key). A process event's slab id goes into its
+// Proc.slot.
+func (q *eventQueue) push(t Time, key uint64, e event) {
+	var id int32
+	if n := len(q.free); n > 0 {
+		id = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slab[id] = e
+	} else {
+		id = int32(len(q.slab))
+		q.slab = append(q.slab, e)
+		q.pos = append(q.pos, 0)
+	}
 	if e.p != nil {
-		e.p.slot = int32(i)
+		e.p.slot = id
 	}
-}
-
-// push adds an event and restores the heap invariant by sifting up.
-func (h *eventHeap) push(e event) {
-	i := len(*h)
-	*h = append(*h, e)
-	if e.p != nil {
-		e.p.slot = int32(i)
-	}
-	h.up(i)
-}
-
-// up moves the entry at i toward the root until its parent orders ahead of
-// it. It restores the invariant after a push or a decrease-key.
-func (h eventHeap) up(i int) {
-	if i == 0 || !h[i].before(&h[(i-1)/heapArity]) {
+	x := entry{t: t, key: key, id: id}
+	if q.vacant {
+		q.vacant = false
+		q.down(0, x)
 		return
 	}
-	e := h[i]
+	q.h = append(q.h, x)
+	q.up(len(q.h)-1, x)
+}
+
+// peek returns the minimum entry. The queue must not be empty.
+func (q *eventQueue) peek() entry {
+	q.fill()
+	return q.h[0]
+}
+
+// pop removes the minimum event, returning its time, key and payload, and
+// clears its process's slot. It leaves the root vacant for the next push.
+// The queue must not be empty.
+func (q *eventQueue) pop() (Time, uint64, event) {
+	q.fill()
+	top := q.h[0]
+	e := q.slab[top.id]
+	q.slab[top.id] = event{} // drop the pointers for the collector
+	q.free = append(q.free, top.id)
+	if e.p != nil {
+		e.p.slot = -1
+	}
+	if len(q.h) == 1 {
+		q.h = q.h[:0]
+	} else {
+		q.vacant = true
+	}
+	return top.t, top.key, e
+}
+
+// advance moves the entry of slab id to (t, key) if that orders ahead of
+// where it is (a decrease-key); otherwise it leaves the entry alone.
+func (q *eventQueue) advance(id int32, t Time, key uint64) {
+	x := entry{t: t, key: key, id: id}
+	if !x.before(&q.h[q.pos[id]]) {
+		return
+	}
+	q.fill()
+	q.up(int(q.pos[id]), x)
+}
+
+// fill moves the last leaf into a vacant root and sifts it down.
+func (q *eventQueue) fill() {
+	if !q.vacant {
+		return
+	}
+	q.vacant = false
+	n := len(q.h) - 1
+	last := q.h[n]
+	q.h = q.h[:n]
+	q.down(0, last)
+}
+
+// up stores x at the hole i and sifts it toward the root. It restores the
+// invariant after a push or a decrease-key.
+func (q *eventQueue) up(i int, x entry) {
+	h, pos := q.h, q.pos
 	for i > 0 {
 		parent := (i - 1) / heapArity
-		if !e.before(&h[parent]) {
+		if !x.before(&h[parent]) {
 			break
 		}
-		h.place(i, h[parent])
+		h[i] = h[parent]
+		pos[h[i].id] = int32(i)
 		i = parent
 	}
-	h.place(i, e)
+	h[i] = x
+	pos[x.id] = int32(i)
 }
 
-// pop removes and returns the minimum event, clearing its process's slot.
-// It must not be called on an empty heap.
-func (h *eventHeap) pop() event {
-	q := *h
-	top := q[0]
-	if top.p != nil {
-		top.p.slot = -1
-	}
-	n := len(q) - 1
-	last := q[n]
-	q[n] = event{} // drop the Proc pointer for the collector
-	*h = q[:n]
-	if n > 0 {
-		h.down(0, last)
-	}
-	return top
-}
-
-// down stores e at the hole i and sifts it toward the leaves.
-func (h eventHeap) down(i int, e event) {
+// down stores x at the hole i and sifts it toward the leaves.
+func (q *eventQueue) down(i int, x entry) {
+	h, pos := q.h, q.pos
 	n := len(h)
 	for {
 		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		for c := first + 1; c < first+heapArity && c < n; c++ {
-			if h[c].before(&h[min]) {
-				min = c
+		var min int
+		if first+heapArity <= n {
+			// A full family: scan the four siblings without per-child bounds
+			// checks.
+			c := h[first : first+heapArity : first+heapArity]
+			m := 0
+			if c[1].before(&c[m]) {
+				m = 1
+			}
+			if c[2].before(&c[m]) {
+				m = 2
+			}
+			if c[3].before(&c[m]) {
+				m = 3
+			}
+			min = first + m
+		} else {
+			if first >= n {
+				break
+			}
+			min = first
+			for c := first + 1; c < n; c++ {
+				if h[c].before(&h[min]) {
+					min = c
+				}
 			}
 		}
-		if !h[min].before(&e) {
+		if !h[min].before(&x) {
 			break
 		}
-		h.place(i, h[min])
+		h[i] = h[min]
+		pos[h[i].id] = int32(i)
 		i = min
 	}
-	h.place(i, e)
+	h[i] = x
+	pos[x.id] = int32(i)
 }

@@ -40,7 +40,7 @@ import (
 // the (t, stream, sseq) key makes independent of wall-clock interleaving
 // and of the partition layout itself — both stamp components are assigned
 // by the creating node's serialized execution, not by the partitioning
-// (see eventHeap). The 1-partition run is the reference every layout is
+// (see eventQueue). The 1-partition run is the reference every layout is
 // checked against.
 type Partitioned struct {
 	ks    []*Kernel

@@ -61,32 +61,30 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 // Add returns the time d after t.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
-// event is a scheduled resumption of a process (p != nil) or a scheduled
-// callback (fn != nil, posted by CallAt). Proc events never carry work
-// themselves; callbacks run a short completion action — marking a device
-// command-queue operation done, starting the next one — without parking a
-// process for the operation's modeled duration.
+// event is the payload of a scheduled resumption of a process (p != nil) or
+// of a scheduled callback (fn != nil, posted by CallAt). Proc events never
+// carry work themselves; callbacks run a short completion action — marking a
+// device command-queue operation done, starting the next one — without
+// parking a process for the operation's modeled duration.
 //
-// stream and sseq stamp the event's creation: the event stream (simulated
-// node) whose execution posted the event, and that stream's own sequence
-// number. They form the total order (t, stream, sseq) used by the heap,
-// which is what makes a partitioned run's trajectory independent of the
-// partition layout: a stream's activity executes serially on the one kernel
-// owning its node in every layout, so its counter assigns identical stamps
-// no matter how the nodes are partitioned. On a standalone kernel with a
-// single stream the order degenerates to the legacy (t, seq) creation
-// order. Callback events additionally carry the stream they execute under
-// (exec): a network delivery is created by the sender's stream but runs as
-// the destination node, so everything it posts counts on the destination's
-// counter — which lives on the destination's kernel in every layout.
+// The event's time and its (stream, sseq) creation stamp live in its queue
+// entry, not here (see eventQueue): the event stream (simulated node) whose
+// execution posted the event, and that stream's own sequence number. They
+// form the total order (t, stream, sseq) used by the queue, which is what
+// makes a partitioned run's trajectory independent of the partition layout:
+// a stream's activity executes serially on the one kernel owning its node in
+// every layout, so its counter assigns identical stamps no matter how the
+// nodes are partitioned. On a standalone kernel with a single stream the
+// order degenerates to the legacy (t, seq) creation order. Callback events
+// additionally carry the stream they execute under (exec): a network
+// delivery is created by the sender's stream but runs as the destination
+// node, so everything it posts counts on the destination's counter — which
+// lives on the destination's kernel in every layout.
 type event struct {
-	t      Time
-	sseq   uint64 // creating stream's sequence number
-	p      *Proc
-	epoch  uint64 // park epoch the event is allowed to wake
-	fn     func() // callback; mutually exclusive with p
-	stream int32  // creating stream (orders the event)
-	exec   int32  // stream a callback executes under
+	p     *Proc
+	fn    func() // callback; mutually exclusive with p
+	epoch uint64 // park epoch the event is allowed to wake
+	exec  int32  // stream a callback executes under
 }
 
 // Kernel is a discrete-event simulation kernel. The zero value is not usable;
@@ -98,7 +96,7 @@ type event struct {
 // goroutines, which is what the parallel experiment harness does.
 type Kernel struct {
 	now     Time
-	pq      eventHeap
+	pq      eventQueue
 	handoff *Proc   // the process Run resumes next, set by the one that yields
 	live    []*Proc // processes whose body has not returned (Proc.live indexes it)
 	running bool
@@ -200,7 +198,7 @@ type Proc struct {
 	epoch  uint64 // incremented on every wake; stale wake events are ignored
 	parked bool
 	stream int32 // event stream the process posts under (its node)
-	slot   int32 // heap index of the pending wake, -1 when none
+	slot   int32 // event-queue slab id of the pending wake, -1 when none
 	live   int32 // index in Kernel.live
 
 	wokenAt Time // when the proc was last resumed (for Tracer slices)
@@ -252,21 +250,18 @@ func (k *Kernel) postOn(s int32, t Time, p *Proc, epoch uint64) {
 		k.stats.Stale++
 		return
 	}
-	if i := int(p.slot); i >= 0 {
+	if p.slot >= 0 {
 		k.stats.Stale++
-		if e := &k.pq[i]; (&event{t: t, stream: s, sseq: sseq}).before(e) {
-			e.t, e.stream, e.sseq = t, s, sseq
-			k.pq.up(i)
-		}
+		k.pq.advance(p.slot, t, packKey(s, sseq))
 		return
 	}
-	k.enqueue(event{t: t, stream: s, sseq: sseq, p: p, epoch: epoch})
+	k.enqueue(t, packKey(s, sseq), event{p: p, epoch: epoch})
 }
 
 // enqueue pushes an event and tracks the queue's high-water mark.
-func (k *Kernel) enqueue(e event) {
-	k.pq.push(e)
-	if n := len(k.pq); n > k.stats.MaxQueue {
+func (k *Kernel) enqueue(t Time, key uint64, e event) {
+	k.pq.push(t, key, e)
+	if n := k.pq.len(); n > k.stats.MaxQueue {
 		k.stats.MaxQueue = n
 	}
 }
@@ -295,7 +290,7 @@ func (k *Kernel) callAtExec(t Time, fn func(), exec int32) {
 	if t < k.now {
 		t = k.now
 	}
-	k.enqueue(event{t: t, stream: k.curStream, sseq: k.stampOn(k.curStream), exec: exec, fn: fn})
+	k.enqueue(t, packKey(k.curStream, k.stampOn(k.curStream)), event{fn: fn, exec: exec})
 }
 
 // CallAfter schedules fn to run d from now (see CallAt).
@@ -325,9 +320,10 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 // processes per node (the Satin runtime's comm loops and workers) spawn
 // them with this so every event the process posts carries its node's
 // stream stamp — the property that makes trajectories independent of the
-// partition layout. The stream's node must be owned by this kernel.
+// partition layout. The stream's node must be owned by this kernel, and
+// stream must lie in [0, 2^20): SpawnOn panics naming the process otherwise.
 func (k *Kernel) SpawnOn(stream int, name string, fn func(p *Proc)) *Proc {
-	return k.spawnAt(k.now, int32(stream), name, fn)
+	return k.spawnAt(k.now, checkStream(stream, name), name, fn)
 }
 
 // SpawnStepOn creates a step process bound to the event stream of node
@@ -336,12 +332,23 @@ func (k *Kernel) SpawnOn(stream int, name string, fn func(p *Proc)) *Proc {
 // clock at the wake. step must not block: it arms the next wake with
 // p.Arm or Chan.Await and returns true, or returns false once the process
 // is finished. A step that returns true without arming a wake, or that
-// blocks on a virtual-time primitive, panics naming the process.
+// blocks on a virtual-time primitive, panics naming the process, and so
+// does a stream outside [0, 2^20).
 func (k *Kernel) SpawnStepOn(stream int, name string, step func(p *Proc) bool) *Proc {
-	p := k.newProc(int32(stream), name)
+	p := k.newProc(checkStream(stream, name), name)
 	p.step = step
 	k.postOn(p.stream, k.now, p, p.epoch)
 	return p
+}
+
+// checkStream returns stream as an event-stream id, panicking, with the
+// process's name, when it is outside the range an order key can hold (see
+// packKey).
+func checkStream(stream int, name string) int32 {
+	if stream < 0 || stream >= maxStreams {
+		panic(fmt.Sprintf("simnet: process %s: stream %d outside [0, %d)", name, stream, maxStreams))
+	}
+	return int32(stream)
 }
 
 // newProc registers a process that its initial start event will wake.
@@ -428,21 +435,22 @@ func (p *Proc) park() {
 // process; it advances the clock to that event and returns the process, or
 // nil when no event is left below the limit.
 func (k *Kernel) next() *Proc {
-	for len(k.pq) > 0 {
-		e := k.pq[0]
-		if k.limit > 0 && (e.t > k.limit || k.strict && e.t >= k.limit) {
-			return nil // leave it queued so a later run can continue
+	for k.pq.len() > 0 {
+		if k.limit > 0 {
+			if t := k.pq.peek().t; t > k.limit || k.strict && t >= k.limit {
+				return nil // leave it queued so a later run can continue
+			}
 		}
-		k.pq.pop()
+		t, _, e := k.pq.pop()
 		if e.fn != nil {
 			// Callback event: run it inline in the running context and keep
 			// going. Never a switch.
-			k.now = e.t
+			k.now = t
 			k.curStream = e.exec
 			k.stats.Events++
 			k.stats.Callbacks++
 			if k.tracer != nil {
-				k.tracer.QueueDepth(e.t, len(k.pq))
+				k.tracer.QueueDepth(t, k.pq.len())
 			}
 			e.fn()
 			continue
@@ -451,15 +459,15 @@ func (k *Kernel) next() *Proc {
 			k.stats.Stale++
 			continue // stale wake
 		}
-		k.now = e.t
+		k.now = t
 		k.curStream = e.p.stream
 		k.stats.Events++
 		if k.tracer != nil {
-			k.tracer.QueueDepth(e.t, len(k.pq))
+			k.tracer.QueueDepth(t, k.pq.len())
 		}
 		e.p.parked = false
 		e.p.epoch++
-		e.p.wokenAt = e.t
+		e.p.wokenAt = t
 		if e.p.step == nil {
 			return e.p
 		}
@@ -535,7 +543,7 @@ func (p *Proc) HoldUntil(t Time) {
 // and Close releases them once the simulation is finished.
 func (k *Kernel) Run(limit Time) Time {
 	k.runUntil(limit, false)
-	if limit > 0 && k.now < limit && len(k.pq) > 0 {
+	if limit > 0 && k.now < limit && k.pq.len() > 0 {
 		// Stopped on a queued out-of-window event: report (and resume from)
 		// the limit itself, as Run always has.
 		k.now = limit
@@ -563,10 +571,10 @@ func (k *Kernel) RunBefore(horizon Time) Time {
 // the partitioned scheduler's lookahead windows are as wide as the model
 // allows.
 func (k *Kernel) NextEventTime() (Time, bool) {
-	if len(k.pq) == 0 {
+	if k.pq.len() == 0 {
 		return 0, false
 	}
-	return k.pq[0].t, true
+	return k.pq.peek().t, true
 }
 
 // inject pushes an event created by another partition, preserving its
@@ -579,7 +587,7 @@ func (k *Kernel) inject(t Time, stream int32, sseq uint64, exec int32, fn func()
 		// loudly rather than corrupt the trajectory.
 		panic("simnet: cross-partition event before local time (lookahead violation)")
 	}
-	k.enqueue(event{t: t, stream: stream, sseq: sseq, exec: exec, fn: fn})
+	k.enqueue(t, packKey(stream, sseq), event{fn: fn, exec: exec})
 }
 
 // runUntil is the shared event loop behind Run (inclusive limit) and
@@ -637,9 +645,9 @@ func (k *Kernel) Close() {
 		p.done = true
 	}
 	k.live = nil
-	k.pq = nil
+	k.pq = eventQueue{}
 }
 
 func (k *Kernel) String() string {
-	return fmt.Sprintf("simnet.Kernel{now=%v, events=%d, alive=%d}", k.now, len(k.pq), len(k.live))
+	return fmt.Sprintf("simnet.Kernel{now=%v, events=%d, alive=%d}", k.now, k.pq.len(), len(k.live))
 }

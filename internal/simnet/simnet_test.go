@@ -102,6 +102,32 @@ func TestSpawnFromInsideProcess(t *testing.T) {
 	}
 }
 
+// TestSpawnOnRejectsStreamOutOfRange: a process's stream must fit an
+// event's order key. A stream outside [0, 2^20) used to be truncated to
+// int32, so stream 1<<32 shared stream 0's stamp counter and broke
+// determinism silently, and a negative stream crashed Run at its first
+// stamp. Both spawn calls now reject it up front, naming the process; the
+// largest valid stream runs.
+func TestSpawnOnRejectsStreamOutOfRange(t *testing.T) {
+	for _, stream := range []int{1 << 32, -1, maxStreams} {
+		k := NewKernel(1)
+		mustPanicNaming(t, "far-node", func() { k.SpawnOn(stream, "far-node", func(p *Proc) {}) })
+		mustPanicNaming(t, "far-step", func() {
+			k.SpawnStepOn(stream, "far-step", func(p *Proc) bool { return false })
+		})
+	}
+	k := NewKernel(1)
+	ran := false
+	k.SpawnOn(maxStreams-1, "last-node", func(p *Proc) {
+		p.Hold(time.Microsecond)
+		ran = true
+	})
+	k.Run(0)
+	if !ran {
+		t.Fatal("process on the largest stream did not run")
+	}
+}
+
 func TestChanRendezvous(t *testing.T) {
 	k := NewKernel(1)
 	c := NewChan[int](k)
