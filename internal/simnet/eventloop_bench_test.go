@@ -21,6 +21,10 @@ import (
 //   - step: the same exchange with the responder as a step process, the
 //     Satin comm-loop shape: the responder's wakes run inline in the event
 //     loop, so only the requester's wakes switch.
+//   - stepuntil: a coroutine whose RecvTimeouts expire inside StepUntil,
+//     three in a row, the last of them handing back to the body — the
+//     idle-thief shape: one wake in three resumes the coroutine (here as a
+//     self-wake), and the other two run as steps.
 func BenchmarkSimnetEventLoop(b *testing.B) {
 	b.Run("hold", func(b *testing.B) {
 		k := NewKernel(1)
@@ -53,6 +57,19 @@ func BenchmarkSimnetEventLoop(b *testing.B) {
 		b.ResetTimer()
 		k.Run(0)
 	})
+	b.Run("stepuntil", func(b *testing.B) {
+		k := NewKernel(1)
+		e := &expiries{ch: NewChan[int](k), left: 3}
+		step := e.step
+		k.Spawn("thief", func(p *Proc) {
+			for i := 0; i < b.N; i += 3 {
+				p.StepUntil(step)
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		k.Run(0)
+	})
 	for _, c := range []struct {
 		name string
 		step bool
@@ -65,6 +82,24 @@ func BenchmarkSimnetEventLoop(b *testing.B) {
 			k.Run(0)
 		})
 	}
+}
+
+// expiries is the step of the stepuntil case: it awaits a channel nobody
+// sends to, with a 1µs deadline, and hands back at every third wake.
+type expiries struct {
+	ch   *Chan[int]
+	left int
+}
+
+func (e *expiries) step(p *Proc) bool {
+	if e.left == 0 {
+		e.left = 3
+		return false
+	}
+	e.left--
+	e.ch.Unwait(p)
+	e.ch.Await(p, p.Now().Add(time.Microsecond))
+	return true
 }
 
 // timeoutExchanges spawns a requester that sends n requests, each awaiting
