@@ -294,8 +294,8 @@ func TestStatsAccounting(t *testing.T) {
 	if rt.JobsSpawned() < 126 || rt.JobsExecuted() < 126 {
 		t.Fatalf("spawned=%d executed=%d", rt.JobsSpawned(), rt.JobsExecuted())
 	}
-	if rt.JobsExecuted() > rt.JobsSpawned() {
-		t.Fatalf("executed %d > spawned %d", rt.JobsExecuted(), rt.JobsSpawned())
+	if rt.JobsExecuted() != rt.JobsSpawned() {
+		t.Fatalf("executed %d != spawned %d", rt.JobsExecuted(), rt.JobsSpawned())
 	}
 }
 

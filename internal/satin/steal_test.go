@@ -1,6 +1,7 @@
 package satin
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -62,6 +63,88 @@ func TestNoJobsLostUnderChurn(t *testing.T) {
 		})
 		if v.(int) != 200 {
 			t.Fatalf("seed %d: completed %v/200 leaves (job lost)", seed, v)
+		}
+	}
+}
+
+// overdue is the panic of runWithin's watchdog.
+type overdue struct{}
+
+// runWithin is rt.Run(main) with a watchdog: when main has not returned by
+// virtual time limit, the run stops with an error instead of going on.
+func runWithin(rt *Runtime, limit simnet.Duration, main func(ctx *Context) any) (v any, err error) {
+	rt.Kernel().SpawnAt(simnet.Time(limit), "watchdog", func(*simnet.Proc) {
+		if !rt.nodes[0].done {
+			panic(overdue{})
+		}
+	})
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(overdue); !ok {
+				panic(r)
+			}
+			err = fmt.Errorf("main still running after %v of virtual time: %d of %d jobs executed, %d steals", limit, rt.JobsExecuted(), rt.JobsSpawned(), rt.StealsOK())
+		}
+	}()
+	v, _ = rt.Run(main)
+	return v, nil
+}
+
+// TestLateGrantedJobIsNotStolenBack: with a grant timeout far below the
+// network latency every grant arrives after its thief gave up, and the job
+// rests in the thief's deque. Its owner must not steal it back from there:
+// on two nodes with one worker each, owner and thief used to pass such a
+// job back and forth forever, each grant landing just after the other's
+// probe timed out.
+func TestLateGrantedJobIsNotStolenBack(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		k := simnet.NewKernel(seed)
+		cfg := DefaultConfig()
+		cfg.WorkersPerNode = 1
+		cfg.StealTimeout = 100 * time.Nanosecond
+		rt := New(k, 2, network.QDRInfiniBand(), cfg, nil)
+		v, err := runWithin(rt, time.Minute, func(ctx *Context) any {
+			return divideAndCompute(ctx, 100, 100*time.Microsecond)
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if v.(int) != 100 || rt.JobsExecuted() != rt.JobsSpawned() {
+			t.Fatalf("seed %d: result %v, executed %d of %d jobs; want 100 and all", seed, v, rt.JobsExecuted(), rt.JobsSpawned())
+		}
+	}
+}
+
+// TestJobConservationProperty: over seeds and cluster shapes — node count,
+// workers per node, and a grant timeout from far below the network latency
+// (every grant a straggler) to the default — a divide-and-conquer run gives
+// the exact result and executes every spawned job exactly once.
+func TestJobConservationProperty(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, nodes := range []int{2, 3, 5, 8} {
+			for _, workers := range []int{1, 2, 4} {
+				for _, timeout := range []simnet.Duration{100 * time.Nanosecond, 50 * time.Microsecond, 2 * time.Millisecond} {
+					k := simnet.NewKernel(seed)
+					cfg := DefaultConfig()
+					cfg.WorkersPerNode = workers
+					cfg.StealTimeout = timeout
+					rt := New(k, nodes, network.QDRInfiniBand(), cfg, nil)
+					v, err := runWithin(rt, time.Minute, func(ctx *Context) any {
+						return divideAndCompute(ctx, 100, 100*time.Microsecond)
+					})
+					shape := fmt.Sprintf("seed %d, %d nodes x %d workers, timeout %v", seed, nodes, workers, timeout)
+					if err != nil {
+						t.Errorf("%s: %v", shape, err)
+						continue
+					}
+					if v.(int) != 100 {
+						t.Fatalf("%s: result %v, want 100", shape, v)
+					}
+					if rt.JobsExecuted() != rt.JobsSpawned() {
+						t.Fatalf("%s: executed %d jobs, spawned %d", shape, rt.JobsExecuted(), rt.JobsSpawned())
+					}
+				}
+			}
 		}
 	}
 }
