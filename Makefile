@@ -6,7 +6,7 @@ GO ?= go
 # real erosion.
 COVER_FLOOR ?= 68.0
 
-.PHONY: check lint vet build test race cover bench bench-serve bench-autoscale bench-allocs bench-svm
+.PHONY: check lint vet build test race cover reach bench bench-serve bench-autoscale bench-allocs bench-svm
 
 # check runs everything CI runs (minus the version matrix).
 check: lint build test race cover
@@ -48,6 +48,68 @@ cover:
 	if [ "$$ok" != "1" ]; then \
 		echo "coverage $$total% is below the floor of $(COVER_FLOOR)%"; exit 1; fi; \
 	echo "coverage $$total% (floor $(COVER_FLOOR)%)"
+
+# reach is the reachability audit: which code does no committed command run?
+# It builds every cmd/ and examples/ binary and the benchmark with statement
+# coverage over the whole module into .reach/bin and runs this command list
+# with GOCOVERDIR set:
+#   - CI's commands: the four apps at -partitions 1 and 4, k-means over SVM
+#     with both protocols, nbody with a tuning cache, examples/graph plain
+#     and with -metrics, plain/chaos/autoscale/replay serving, every example
+#     and the tune experiment;
+#   - the serve sweeps (-sweep, -sweep-autoscale);
+#   - mclc -list-hardware, -feedback -cost, -emit and -tune on the matmul
+#     kernels of internal/apps;
+#   - cashmere-bench -experiment all, -metrics, -trace, -experiment svm with
+#     -svm-json and -experiment tune with -tune-json;
+#   - the five benchmark workloads at seed 1, one untraced pass each.
+# Each command's stdout lands in .reach/out/, next to the files the commands
+# write (date lines dropped); of the benchmark only its trajectory_digest
+# lines, as the rest are host times. So the out/ directories of two trees
+# diff clean when a change keeps every output. It then prints every function
+# no command ran (0.0%) and the total of unreached statements. The
+# benchmark's own package is dropped from the profile: go tool cover cannot
+# resolve it from this module.
+REACH := .reach
+reach:
+	@set -e; rm -rf $(REACH); mkdir -p $(REACH)/bin $(REACH)/cov $(REACH)/files $(REACH)/out; \
+	$(GO) build -cover -coverpkg=cashmere/... -o $(REACH)/bin/ ./cmd/... ./examples/...; \
+	$(GO) -C benchmark build -cover -coverpkg=cashmere/... -o $(CURDIR)/$(REACH)/bin/cashmere-benchmark .; \
+	export GOCOVERDIR=$(CURDIR)/$(REACH)/cov; b=$(REACH)/bin; f=$(REACH)/files; o=$(REACH)/out; \
+	for app in kmeans raytracer nbody matmul; do for p in 1 4; do \
+		$$b/cashmere-run -app $$app -nodes 4 -metrics -partitions $$p > $$o/run-$$app-p$$p.txt; done; done; \
+	for proto in wi ro; do for p in 1 4; do \
+		$$b/cashmere-run -app kmeans -nodes 4 -transport svm -svm-protocol $$proto -metrics -partitions $$p > $$o/svm-$$proto-p$$p.txt; done; done; \
+	for p in 1 4; do \
+		$$b/cashmere-run -app nbody -nodes 4 -metrics -tune-cache $$f/tc$$p.json -partitions $$p > $$o/tune-p$$p.txt; \
+		$$b/cashmere-serve -nodes 4 -duration 500ms -metrics -partitions $$p > $$o/serve-p$$p.txt; \
+		for mode in -chaos -autoscale "-replay synth"; do \
+			$$b/cashmere-serve -nodes 4 -duration 500ms $$mode -metrics -partitions $$p > "$$o/serve$$(echo $$mode | tr -d ' ')-p$$p.txt"; done; \
+	done; \
+	$$b/graph > $$o/graph.txt; $$b/graph -metrics > $$o/graph-metrics.txt; $$b/graph -metrics -partitions 4 > $$o/graph-metrics-p4.txt; \
+	for e in faulttolerance heterogeneous pipeline quickstart serving stepwise; do $$b/$$e > $$o/example-$$e.txt; done; \
+	$$b/cashmere-serve -sweep -out $$f/serve-sweep.json > $$o/serve-sweep.txt; \
+	$$b/cashmere-serve -sweep-autoscale -duration 450ms > $$o/serve-sweep-autoscale.txt; \
+	for v in Perfect GPU; do awk "/^const Matmul$$v = \`/{k=1;next} k&&/^\`/{exit} k" internal/apps/matmul.go > $$f/matmul-$$v.mcpl; done; \
+	$$b/mclc -list-hardware > $$o/mclc-hardware.txt; \
+	$$b/mclc -target gpu -params n=2048,m=2048,p=2048 -feedback -cost $$f/matmul-Perfect.mcpl > $$o/mclc-feedback.txt; \
+	$$b/mclc -emit -feedback=false -params n=1024,m=1024,p=1024 -target gtx480 $$f/matmul-GPU.mcpl > $$o/mclc-emit.txt; \
+	$$b/mclc -tune -target gtx480 -params n=1024,m=1024,p=1024 -tune-cache $$f/mclc-tune.json $$f/matmul-Perfect.mcpl $$f/matmul-GPU.mcpl > $$o/mclc-tune.txt; \
+	$$b/cashmere-bench -experiment all > $$o/bench-all.txt; \
+	$$b/cashmere-bench -metrics > $$o/bench-metrics.txt; \
+	$$b/cashmere-bench -trace $$f/bench-trace.json > $$o/bench-trace.txt; \
+	$$b/cashmere-bench -experiment svm -svm-json $$f/svm.json > $$o/bench-svm.txt; \
+	$$b/cashmere-bench -experiment tune -tune-json $$f/tune.json > $$o/bench-tune.txt; \
+	$$b/cashmere-benchmark -workload all -seed 1 -out $(REACH)/bench > $(REACH)/benchmark.txt; \
+	grep trajectory_digest $(REACH)/benchmark.txt > $$o/benchmark-digests.txt; \
+	for j in $$f/*.json; do grep -v '"date":' $$j > $$o/$$(basename $$j); done; \
+	unset GOCOVERDIR; \
+	$(GO) tool covdata textfmt -i=$(REACH)/cov -o $(REACH)/all.out; \
+	grep -v '^cashmere/benchmark/' $(REACH)/all.out > $(REACH)/reach.out; \
+	$(GO) tool cover -func=$(REACH)/reach.out | awk '$$NF == "0.0%"'; \
+	awk 'NR > 1 { n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
+		END { for (k in n) { t += n[k]; if (!(k in hit)) u += n[k] } \
+		printf "unreached: %d of %d statements\n", u, t }' $(REACH)/reach.out
 
 # bench prints the engine-comparison and event-queue numbers that
 # BENCH_kernels.json records; it does not write the file. Copy the rows in

@@ -28,9 +28,6 @@
 package cashmere
 
 import (
-	"sort"
-	"time"
-
 	"cashmere/internal/core"
 	"cashmere/internal/device"
 	"cashmere/internal/mcl/codegen"
@@ -38,7 +35,6 @@ import (
 	"cashmere/internal/mcl/hdl"
 	"cashmere/internal/mcl/interp"
 	"cashmere/internal/mcl/mcpl"
-	"cashmere/internal/mcl/tune"
 	"cashmere/internal/satin"
 	"cashmere/internal/serve"
 	"cashmere/internal/simnet"
@@ -89,8 +85,6 @@ type (
 // protocol. The same kernels run on either transport. See DESIGN.md,
 // "Shared virtual memory", and cashmere-bench -experiment svm.
 type (
-	// Transport selects explicit copies or shared virtual memory.
-	Transport = core.Transport
 	// SVMBuffer is one coherent shared region of a node's SVM space.
 	SVMBuffer = svm.Buffer
 	// SVMConfig tunes page size, protocol and invalidation cost (Config.SVM).
@@ -120,9 +114,6 @@ const (
 	SVMRegionOwnership = svm.RegionOwnership
 )
 
-// ParseTransport maps the CLI spellings "explicit" and "svm" to a Transport.
-func ParseTransport(s string) (Transport, error) { return core.ParseTransport(s) }
-
 // NewSVMBuffer allocates, from inside a leaf computation, a coherent shared
 // region homed on the executing node. Works under any transport.
 func NewSVMBuffer(ctx *Context, name string, size int64) (*SVMBuffer, error) {
@@ -140,8 +131,8 @@ func WriteSVM(ctx *Context, b *SVMBuffer, ranges ...SVMRange) { core.WriteSVM(ct
 // Dataflow graphs: compound multi-kernel computations scheduled as one DAG
 // across every device of a node — intermediates chain device-resident,
 // data-parallel stages split across heterogeneous devices by the roofline
-// cost model, oversized stages stream out-of-core. See DESIGN.md, "Dataflow
-// graphs", and examples/graph.
+// cost model. A stage too large for its device is an error, as an oversized
+// launch is. See DESIGN.md, "Dataflow graphs", and examples/graph.
 type (
 	// GraphSpec is the device-independent template: buffers are edges,
 	// stages are kernel nodes.
@@ -150,16 +141,10 @@ type (
 	GraphBuffer = core.GraphBuffer
 	// StageSpec describes one stage: a kernel launch over graph buffers.
 	StageSpec = core.StageSpec
-	// Graph is a GraphSpec instantiated on one node, ready to Run.
-	Graph = core.Graph
 )
 
 // NewGraphSpec starts a dataflow-graph template.
 func NewGraphSpec(name string) *GraphSpec { return core.NewGraphSpec(name) }
-
-// GetGraph instantiates (or fetches the node-cached instance of) a graph
-// spec from inside a leaf computation.
-func GetGraph(ctx *Context, spec *GraphSpec) (*Graph, error) { return core.GetGraph(ctx, spec) }
 
 // RunGraph instantiates (cached) and runs a graph spec in one call.
 func RunGraph(ctx *Context, spec *GraphSpec) error { return core.RunGraph(ctx, spec) }
@@ -176,24 +161,11 @@ type (
 	// ServeReport is the outcome of a serving run: per-tenant admission,
 	// shedding and latency-quantile accounting.
 	ServeReport = serve.Report
-	// TenantSpec configures one tenant: arrival process, token bucket,
-	// queue bound, WFQ weight and job mix.
-	TenantSpec = serve.TenantSpec
 	// JobClass is one kind of request a tenant issues.
 	JobClass = serve.JobClass
 	// ArrivalSpec configures a tenant's arrival process (Poisson, bursty
 	// MMPP, diurnal or trace replay).
 	ArrivalSpec = serve.ArrivalSpec
-	// AutoscaleConfig tunes the elastic autoscaler: queue-depth and
-	// windowed-p99 signals with hysteresis, scale-in by drain-with-migration.
-	AutoscaleConfig = serve.AutoscaleConfig
-	// ChaosConfig tunes the deterministic fault-injection harness: network
-	// partitions, device stragglers and correlated crashes.
-	ChaosConfig = serve.ChaosConfig
-	// ChaosEvent is one scheduled fault of an explicit chaos script.
-	ChaosEvent = serve.ChaosEvent
-	// TraceEvent is one arrival of a replay schedule.
-	TraceEvent = serve.TraceEvent
 	// ElasticReport is the capacity slice of a serving report (node-seconds
 	// billed, scale events, migrations) when the autoscaler or chaos ran.
 	ElasticReport = serve.ElasticReport
@@ -213,57 +185,6 @@ func DefaultServeConfig(w *ServeWorkload) ServeConfig { return serve.DefaultConf
 // sets must already be registered.
 func Serve(cl *Cluster, cfg ServeConfig) (*ServeReport, error) { return serve.Run(cl, cfg) }
 
-// DefaultAutoscale returns the default elastic-autoscaler tuning.
-func DefaultAutoscale() *AutoscaleConfig { return serve.DefaultAutoscale() }
-
-// DefaultChaos returns the default chaos-harness tuning for a seed.
-func DefaultChaos(seed int64) *ChaosConfig { return serve.DefaultChaos(seed) }
-
-// SynthesizeTrace draws a deterministic Poisson replay schedule per tenant
-// from a private RNG (the "-replay synth" source of cashmere-serve).
-func SynthesizeTrace(tenants []TenantSpec, horizon time.Duration, seed int64) map[string][]TraceEvent {
-	return serve.SynthesizeTrace(tenants, horizon, seed)
-}
-
-// Auto-tuning (internal/mcl/tune): the automated counterpart of stepwise
-// refinement. Tune searches version level x launch geometry per (kernel,
-// device) on the simulated hardware; winners persist in a byte-stable cache
-// that Config.Tuning feeds back into cluster initialization and
-// ServeWorkload.ApplyTuning into serving cost hints and batch caps. See
-// cmd/mclc -tune, cashmere-run -tune-cache and DESIGN.md, "Auto-tuning".
-type (
-	// TuneCache is the persistent auto-tuning cache (Config.Tuning).
-	TuneCache = tune.Cache
-	// TuneRequest describes one tuning problem: kernel set, device and a
-	// representative launch.
-	TuneRequest = tune.Request
-	// TuneEntry is a cached winning configuration.
-	TuneEntry = tune.Entry
-	// TuneResult is a full search outcome: the entry plus every candidate.
-	TuneResult = tune.Result
-)
-
-// NewTuneCache returns an empty auto-tuning cache.
-func NewTuneCache() *TuneCache { return tune.NewCache() }
-
-// LoadTuneCache reads a tuning-cache file; a missing file yields an empty
-// cache.
-func LoadTuneCache(path string) (*TuneCache, error) { return tune.Load(path) }
-
-// TuneKernel runs the two-phase auto-tuning search (model-guided pruning,
-// then measured refinement on a private simulated device) for one request.
-func TuneKernel(req TuneRequest) (*TuneResult, error) { return tune.Tune(req, hdl.Library()) }
-
-// TuneKey derives the cache key of a (kernel set, device-name) pair; it
-// folds in the kernel sources' fingerprint, so edits miss cleanly.
-func TuneKey(ks *KernelSet, dev string) (string, error) {
-	spec, err := device.Lookup(dev)
-	if err != nil {
-		return "", err
-	}
-	return tune.Key(ks, spec), nil
-}
-
 // NewCluster builds a simulated Cashmere cluster.
 func NewCluster(cfg Config) (*Cluster, error) { return core.NewCluster(cfg) }
 
@@ -282,33 +203,19 @@ func NewKernelSet(name string, sources ...string) (*KernelSet, error) {
 // for the executing node's devices (Fig. 4 of the paper).
 func GetKernel(ctx *Context, name string) (*Kernel, error) { return core.GetKernel(ctx, name) }
 
-// ParseMCPL parses and type-checks an MCPL source file.
-func ParseMCPL(src string) (*mcpl.Program, error) {
-	info, err := parseChecked(src)
-	if err != nil {
-		return nil, err
-	}
-	return info.Prog, nil
-}
-
-func parseChecked(src string) (*mcpl.Info, error) {
-	prog, err := mcpl.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return mcpl.Check(prog)
-}
-
 // Feedback runs the MCL stepwise-refinement feedback engine for a kernel
 // against a hardware-description level (e.g. "gpu", "gtx480"). params give
 // representative launch values for the kernel's scalar int parameters.
 func Feedback(src, kernel, level string, params map[string]int64) ([]FeedbackMessage, error) {
-	info, err := parseChecked(src)
+	prog, err := mcpl.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	h := hdl.Library()
-	lv, err := h.Lookup(level)
+	info, err := mcpl.Check(prog)
+	if err != nil {
+		return nil, err
+	}
+	lv, err := hdl.Library().Lookup(level)
 	if err != nil {
 		return nil, err
 	}
@@ -338,18 +245,3 @@ func KernelGFLOPS(ks *KernelSet, dev string, params map[string]int64, flops floa
 
 // NewFloatArray allocates a float array for verification-scale kernel runs.
 func NewFloatArray(dims ...int) *Array { return interp.NewFloatArray(dims...) }
-
-// NewIntArray allocates an int array for verification-scale kernel runs.
-func NewIntArray(dims ...int) *Array { return interp.NewIntArray(dims...) }
-
-// HardwareLevels returns the names of the built-in hardware-description
-// hierarchy (Fig. 2 of the paper), in sorted order.
-func HardwareLevels() []string {
-	h := hdl.Library()
-	var names []string
-	for name := range h.Levels {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}

@@ -1,7 +1,6 @@
 package cashmere_test
 
 import (
-	"strings"
 	"testing"
 
 	"cashmere"
@@ -83,22 +82,28 @@ func TestPublicKernelGFLOPS(t *testing.T) {
 	}
 }
 
+// TestHardwareLevels: the facade reaches every tier of the built-in
+// hardware-description hierarchy (Fig. 2) by name.
 func TestHardwareLevels(t *testing.T) {
-	levels := cashmere.HardwareLevels()
-	joined := strings.Join(levels, " ")
-	for _, want := range []string{"perfect", "gpu", "gtx480", "xeon_phi"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("levels %v missing %s", levels, want)
+	for _, level := range []string{"perfect", "gpu", "gtx480", "xeon_phi"} {
+		if _, err := cashmere.Feedback(scaleSrc, "scale", level, map[string]int64{"n": 1 << 20}); err != nil {
+			t.Fatalf("level %s: %v", level, err)
 		}
 	}
 }
 
+// TestParseMCPL: the facade parses and type-checks MCPL sources, rejecting a
+// type error before any compilation.
 func TestParseMCPL(t *testing.T) {
-	if _, err := cashmere.ParseMCPL(scaleSrc); err != nil {
+	if _, err := cashmere.NewKernelSet("scale", scaleSrc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cashmere.ParseMCPL("perfect void k() { return 1; }"); err == nil {
-		t.Fatal("type error not caught")
+	const bad = "perfect void k() { return 1; }"
+	if _, err := cashmere.NewKernelSet("k", bad); err == nil {
+		t.Fatal("type error not caught by NewKernelSet")
+	}
+	if _, err := cashmere.Feedback(bad, "k", "gpu", nil); err == nil {
+		t.Fatal("type error not caught by Feedback")
 	}
 }
 
@@ -131,11 +136,7 @@ func TestPublicGraphAPI(t *testing.T) {
 	gs.Stage(cashmere.StageSpec{Kernel: "scale", Params: p,
 		Reads: []*cashmere.GraphBuffer{mid}, Writes: []*cashmere.GraphBuffer{out}, Args: args})
 	_, _, err = cl.Run(func(ctx *cashmere.Context) any {
-		g, err := cashmere.GetGraph(ctx, gs)
-		if err != nil {
-			return err
-		}
-		return g.Run(ctx)
+		return cashmere.RunGraph(ctx, gs)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -121,7 +121,7 @@ func DefaultConfig(n int, dev string) Config {
 	sc.WorkersPerNode = 1
 	// Cashmere leaves are tens of milliseconds; keep job discovery fast.
 	sc.MaxIdleBackoff = time.Millisecond
-	nodes := make([]NodeSpec, n)
+	nodes := make([]NodeSpec, max(n, 0)) // NewCluster rejects an empty cluster
 	for i := range nodes {
 		nodes[i] = NodeSpec{Devices: []string{dev}}
 	}

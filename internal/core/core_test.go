@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -61,6 +62,18 @@ func TestRegisterErrors(t *testing.T) {
 	}
 	if _, err := NewCluster(DefaultConfig(1, "bogus")); err == nil {
 		t.Fatal("unknown device accepted")
+	}
+}
+
+// TestDefaultConfigRejectsNegativeNodes: a negative node count (as from
+// `cashmere-run -nodes -3`) fails in NewCluster like zero nodes do, instead
+// of panicking while DefaultConfig sizes the node list.
+func TestDefaultConfigRejectsNegativeNodes(t *testing.T) {
+	for _, n := range []int{0, -3} {
+		_, err := NewCluster(DefaultConfig(n, "k20"))
+		if err == nil || !strings.Contains(err.Error(), "at least one node") {
+			t.Fatalf("%d nodes: err = %v, want the at-least-one-node error", n, err)
+		}
 	}
 }
 
@@ -139,8 +152,9 @@ func TestOOMFallsBackToCPUPath(t *testing.T) {
 
 // TestOversizedLaunchWithoutOutOfCoreFails checks that a single launch whose
 // in+out bytes exceed device memory fails into the CPU fallback rather than
-// streaming: only a graph stage the planner streams runs out of core. The
-// second case fits each direction alone but not their sum.
+// running out of core (an oversized graph stage fails the same way, see
+// TestGraphRejectsOversizedStage). The second case fits each direction alone
+// but not their sum.
 func TestOversizedLaunchWithoutOutOfCoreFails(t *testing.T) {
 	for _, spec := range []LaunchSpec{
 		{Params: map[string]int64{"n": 3 << 28}, InBytes: 12 << 28},

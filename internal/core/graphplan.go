@@ -10,8 +10,8 @@ import (
 )
 
 // This file compiles a GraphSpec into a per-node execution plan: a flat list
-// of device-queue operations (transfers, kernel slices, streamed stages) with
-// explicit cross-queue event dependencies. Planning happens once per
+// of device-queue operations (transfers and kernel slices) with explicit
+// cross-queue event dependencies. Planning happens once per
 // (node, spec); Graph.Run then replays the plan through the ocl command
 // queues with zero allocations.
 //
@@ -28,7 +28,6 @@ const (
 	gopH2D    gopKind = iota // host->device transfer (conditional iff input != nil)
 	gopD2H                   // device->host transfer (gather, spill, output readback)
 	gopKernel                // one kernel execution (a whole stage or one slice)
-	gopStream                // one out-of-core stage: double-buffered pass pipeline
 )
 
 // gop is one planned operation. deps index earlier ops in the plan whose
@@ -38,7 +37,7 @@ type gop struct {
 	kind  gopKind
 	dev   int
 	bytes int64             // transfer payload (gopH2D/gopD2H)
-	cost  device.KernelCost // kernel cost (gopKernel: slice cost; gopStream: full)
+	cost  device.KernelCost // kernel cost (gopKernel: whole-stage or slice cost)
 	kt    simnet.Duration   // modeled execution time booked into the scheduler
 	label string            // trace label ("" when tracing is off)
 	deps  []int
@@ -48,10 +47,6 @@ type gop struct {
 	// reuses the in-flight/complete resident event and counts a hit.
 	input *GraphBuffer
 	rtag  string
-
-	// gopStream only.
-	in, out int64
-	passes  int
 }
 
 // gRecord feeds one full-stage modeled time into the per-kernel scheduler
@@ -90,7 +85,7 @@ type gshard struct {
 type gloc struct {
 	shards    []gshard // device-resident intervals (exact cover for intermediates)
 	uploads   []gshard // conditional input uploads already planned (reusable)
-	hostValid bool     // a host copy exists (inputs always; spilled/streamed otherwise)
+	hostValid bool     // a host copy exists (inputs always; spilled otherwise)
 	hostOp    int      // op that produced the host copy (-1: original input data)
 }
 
@@ -139,7 +134,6 @@ type gplanner struct {
 
 	wsPersist []int64 // resident bytes per device (live for the whole run)
 	wsPeak    []int64 // peak transient bytes per device (spilled stage in/out)
-	wsStream  []int64 // out-of-core staging bytes per device
 
 	book    []simnet.Duration
 	records []gRecord
@@ -170,7 +164,6 @@ func (ns *NodeState) planGraph(gs *GraphSpec) (*Graph, error) {
 		locs:      make([]gloc, len(gs.bufs)),
 		wsPersist: make([]int64, ndev),
 		wsPeak:    make([]int64, ndev),
-		wsStream:  make([]int64, ndev),
 		book:      make([]simnet.Duration, ndev),
 	}
 	for i := range pl.locs {
@@ -185,7 +178,7 @@ func (ns *NodeState) planGraph(gs *GraphSpec) (*Graph, error) {
 
 	workspace := make([]int64, ndev)
 	for d := 0; d < ndev; d++ {
-		workspace[d] = pl.wsPersist[d] + pl.wsPeak[d] + pl.wsStream[d]
+		workspace[d] = pl.wsPersist[d] + pl.wsPeak[d]
 		if gm := ns.Devices[d].Spec().GlobalMem; workspace[d] > gm {
 			return nil, fmt.Errorf("core: graph %s: working set needs %d bytes on %s (%d available) even after spilling",
 				gs.name, workspace[d], ns.Devices[d].Name(), gm)
@@ -311,7 +304,7 @@ func (pl *gplanner) materialize(b *GraphBuffer, d int, off, n int64, deps *depse
 		return nil
 	}
 	if len(loc.shards) == 0 {
-		// Spilled or streamed: the only copy is on the host.
+		// Spilled: the only copy is on the host.
 		if !loc.hostValid {
 			return fmt.Errorf("core: graph %s: buffer %q has no materialized copy", pl.gs.name, b.name)
 		}
@@ -356,8 +349,10 @@ func (pl *gplanner) materialize(b *GraphBuffer, d int, off, n int64, deps *depse
 	return nil
 }
 
-// planStage places stage si: chained on the single best device, split across
-// devices proportionally to roofline throughput, or streamed out-of-core.
+// planStage places stage si: chained on the single best device or split
+// across devices proportionally to roofline throughput. A stage whose own
+// working set exceeds the chosen device's memory is an error, so the caller
+// can take its CPU fallback as it does for an oversized launch (Fig. 4).
 func (pl *gplanner) planStage(si int) error {
 	s := &pl.gs.stages[si]
 	ns := pl.ns
@@ -401,10 +396,9 @@ func (pl *gplanner) planStage(si int) error {
 		}
 	}
 
-	// A stage whose own working set exceeds the chosen device streams through
-	// the double-buffered out-of-core pipeline.
-	if fullIn+fullOut > ns.Devices[best].Spec().GlobalMem {
-		return pl.planStream(si, s, best, costFull[best])
+	if gm := ns.Devices[best].Spec().GlobalMem; fullIn+fullOut > gm {
+		return fmt.Errorf("core: graph %s, stage %d (%s): working set needs %d bytes on %s (%d available)",
+			pl.gs.name, si, s.Kernel, fullIn+fullOut, ns.Devices[best].Name(), gm)
 	}
 
 	// Split candidate: partition the data-parallel axis across all devices
@@ -572,79 +566,6 @@ func (pl *gplanner) place(si int, s *StageSpec, cum []int64, v int64, sliceCost 
 		if transient > pl.wsPeak[d] {
 			pl.wsPeak[d] = transient
 		}
-	}
-	return nil
-}
-
-// planStream plans stage si as a double-buffered out-of-core pipeline on
-// device d: inputs stream from the host (device-resident producers spill
-// first), outputs land host-side. This is the graph-level spill path for
-// stages whose working set exceeds GlobalMem.
-func (pl *gplanner) planStream(si int, s *StageSpec, d int, cost device.KernelCost) error {
-	ns := pl.ns
-	var hdeps depset
-	var in, out int64
-	for _, b := range append(append([]*GraphBuffer{}, s.Reads...), s.Broadcast...) {
-		in += b.bytes
-		if b.kind == bufInput {
-			continue // streamed from the original host data
-		}
-		loc := &pl.locs[b.idx]
-		if !loc.hostValid {
-			// Spill every device shard back to the host before streaming.
-			lastPerDev := map[int]int{}
-			for _, sh := range loc.shards {
-				r := pl.emit(gop{kind: gopD2H, dev: sh.dev, bytes: sh.n, deps: []int{sh.op},
-					label: pl.label(b.name, "spill")})
-				pl.plannedBytes += sh.n
-				lastPerDev[sh.dev] = r
-			}
-			loc.hostValid = true
-			for _, r := range lastPerDev {
-				hdeps.add(r)
-			}
-			// Remember the latest spill op so later host readers order
-			// behind it (any one per-device op would do; take the last).
-			for _, r := range lastPerDev {
-				if r > loc.hostOp {
-					loc.hostOp = r
-				}
-			}
-		} else if loc.hostOp >= 0 {
-			hdeps.add(loc.hostOp)
-		}
-	}
-	for _, b := range s.Writes {
-		out += b.bytes
-	}
-	if hdeps.overflow {
-		return fmt.Errorf("core: graph %s, stage %d (%s): too many event dependencies", pl.gs.name, si, s.Kernel)
-	}
-
-	chunk := ns.Devices[d].Spec().GlobalMem / 4
-	passes := int((in + out + chunk - 1) / chunk)
-	if passes < 2 {
-		passes = 2
-	}
-	passCost := cost
-	passCost.Flops /= float64(passes)
-	passCost.MemBytes /= float64(passes)
-	kt := ns.Devices[d].Spec().KernelTime(passCost) * simnet.Duration(passes)
-
-	op := pl.emit(gop{kind: gopStream, dev: d, cost: cost, kt: kt, in: in, out: out,
-		passes: passes, label: pl.label(s.Label), deps: hdeps.slice()})
-	pl.plannedBytes += in + out
-	pl.wsStream[d] += 2 * chunk
-	pl.book[d] += kt
-	pl.flops += cost.Flops
-	pl.records = append(pl.records, gRecord{kernel: s.Kernel, dev: d, kt: kt})
-	pl.verify = append(pl.verify, ns.kernels[s.Kernel][d])
-
-	for _, b := range s.Writes {
-		loc := &pl.locs[b.idx]
-		loc.hostValid = true
-		loc.hostOp = op
-		loc.shards = nil
 	}
 	return nil
 }

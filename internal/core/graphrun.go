@@ -62,9 +62,6 @@ func RunGraph(ctx *satin.Context, spec *GraphSpec) error {
 // Spec returns the graph's template.
 func (g *Graph) Spec() *GraphSpec { return g.spec }
 
-// Workspace reports the planned device-workspace bytes on device d.
-func (g *Graph) Workspace(d int) int64 { return g.plan.workspace[d] }
-
 // Run submits one execution of the whole DAG, blocking the calling frame in
 // virtual time until the graph's terminal operations complete. All planned
 // operations are enqueued up front on the per-engine command queues, so
@@ -152,10 +149,6 @@ func (g *Graph) Run(ctx *satin.Context) error {
 			rs.ev[i] = ns.stageD2H(op.dev, op.bytes, op.label, depbuf[:nd]...)
 		case gopKernel:
 			rs.ev[i] = dev.EnqueueLaunch(op.cost, op.label, depbuf[:nd]...)
-		case gopStream:
-			ev, _ := enqueueStream(dev, op.label, op.cost, op.in, op.out, op.passes,
-				true, dev.Tracing(), depbuf[:nd]...)
-			rs.ev[i] = ev
 		}
 	}
 
@@ -212,8 +205,7 @@ func (g *Graph) releaseWorkspace() {
 // inputs down and its outputs back. It is the differential baseline for
 // Graph.Run — identical results under Verify, strictly more PCIe traffic —
 // and what an application without the graph API would do. A stage too large
-// for the device the scheduler picks fails here as any single launch does;
-// only Graph.Run streams it.
+// for the device the scheduler picks fails here as any single launch does.
 func (gs *GraphSpec) RunNaive(ctx *satin.Context) error {
 	if err := gs.Validate(); err != nil {
 		return err

@@ -36,8 +36,7 @@ func (k *Kernel) Name() string { return k.name }
 // LaunchSpec describes one kernel launch. The scheduler places every launch
 // (Sec. III-B), and its data must fit the chosen device's memory: a launch
 // that can never fit returns an error and the caller runs its CPU fallback
-// (Fig. 4). Out-of-core execution is a graph-planner feature — wrap the
-// kernel in a one-stage GraphSpec and the planner streams it.
+// (Fig. 4).
 type LaunchSpec struct {
 	// Params gives concrete values for the kernel's scalar int parameters;
 	// the cost model and the work-group glue are evaluated with them.
@@ -188,7 +187,7 @@ func (l *Launch) Run(ctx *satin.Context) error {
 		// explicit-management work SVM exists to avoid — the crossover
 		// experiment quantifies the resulting gap.
 		var last ocl.Event
-		last, measured = enqueueStream(dev, l.spec.Label, cost, in, out, inCorePasses(in+out), false, tracing, hdep, bdep)
+		last, measured = enqueueStream(dev, l.spec.Label, cost, in, out, inCorePasses(in+out), tracing, hdep, bdep)
 		last.Wait(p)
 	} else {
 		if in > 0 {
@@ -236,21 +235,16 @@ func inCorePasses(total int64) int {
 	return p
 }
 
-// enqueueStream enqueues one logical launch as `passes` write->launch->read
+// enqueueStream enqueues one in-core launch as `passes` write->launch->read
 // slices over the device's in-order queues — the Sec. III-B pipeline. The
 // write of pass i+1 rides the H2D queue behind the write of pass i and
 // therefore overlaps kernel i; each kernel depends on its own write, each
-// read on its kernel. Two callers use it: Launch.Run's in-core pipeline
-// (chunked false: the whole working set is allocated) and a stage the graph
-// planner streams out-of-core (chunked true: only two staging chunks of
-// device memory, so the write of pass i additionally waits for the read of
-// pass i-2 — the previous tenant of its staging chunk). Remainder bytes fold
-// into the last pass so modeled PCIe traffic is byte-exact. Every write and
-// kernel additionally waits on hdeps (upstream producers). No process is
-// spawned and nothing waits: the caller holds the last event, so graph
-// stages can chain more work behind the pipeline. Returns that event and
-// the summed modeled kernel time.
-func enqueueStream(dev *ocl.Device, label string, cost device.KernelCost, inTotal, outTotal int64, passes int, chunked, tracing bool, hdeps ...ocl.Event) (ocl.Event, simnet.Duration) {
+// read on its kernel. Remainder bytes fold into the last pass so modeled
+// PCIe traffic is byte-exact. Every write and kernel additionally waits on
+// hdeps (the resident transfer and SVM migrations). No process is spawned
+// and nothing waits: returns the last event and the summed modeled kernel
+// time.
+func enqueueStream(dev *ocl.Device, label string, cost device.KernelCost, inTotal, outTotal int64, passes int, tracing bool, hdeps ...ocl.Event) (ocl.Event, simnet.Duration) {
 	passCost := cost
 	passCost.Flops /= float64(passes)
 	passCost.MemBytes /= float64(passes)
@@ -258,7 +252,6 @@ func enqueueStream(dev *ocl.Device, label string, cost device.KernelCost, inTota
 	outPass := outTotal / int64(passes)
 	kt := dev.Spec().KernelTime(passCost)
 
-	var reads [2]ocl.Event // ring of staging-chunk tenants (chunked only)
 	var depbuf [1 + ocl.MaxDeps]ocl.Event
 	var measured simnet.Duration
 	var last ocl.Event
@@ -268,21 +261,13 @@ func enqueueStream(dev *ocl.Device, label string, cost device.KernelCost, inTota
 			in += inTotal - inPass*int64(passes)
 			out += outTotal - outPass*int64(passes)
 		}
-		var stage ocl.Event
-		if chunked {
-			stage = reads[i%2]
-		}
-		w := stage
+		var w ocl.Event
 		if in > 0 {
 			var wlabel string
 			if tracing {
 				wlabel = fmt.Sprintf("%s:in.%d", label, i)
 			}
-			nd := 0
-			depbuf[nd] = stage
-			nd++
-			nd += copy(depbuf[nd:], hdeps)
-			w = dev.EnqueueWrite(in, wlabel, depbuf[:nd]...)
+			w = dev.EnqueueWrite(in, wlabel, hdeps...)
 		}
 		var klabel string
 		if tracing {
@@ -294,16 +279,14 @@ func enqueueStream(dev *ocl.Device, label string, cost device.KernelCost, inTota
 		nd += copy(depbuf[nd:], hdeps)
 		kev := dev.EnqueueLaunch(passCost, klabel, depbuf[:nd]...)
 		measured += kt
-		r := kev
+		last = kev
 		if out > 0 {
 			var rlabel string
 			if tracing {
 				rlabel = fmt.Sprintf("%s:out.%d", label, i)
 			}
-			r = dev.EnqueueRead(out, rlabel, kev)
+			last = dev.EnqueueRead(out, rlabel, kev)
 		}
-		reads[i%2] = r
-		last = r
 	}
 	return last, measured
 }

@@ -11,34 +11,42 @@ import (
 // TestLargeInCoreLaunchStreams: a single launch big enough for the pipeline
 // threshold runs as several passes whose transfers overlap compute — the
 // device reports intra-launch overlap that the old single-triple path could
-// never produce, and byte accounting stays exact.
+// never produce, and byte accounting stays exact. The second case's byte
+// counts are not multiples of the pass count: the remainder folds into the
+// last pass, so no byte goes unbilled.
 func TestLargeInCoreLaunchStreams(t *testing.T) {
-	cfg := DefaultConfig(1, "k20")
-	cl, _ := NewCluster(cfg)
-	cl.Register(mustKS(t, "scale", scaleKernel))
 	const n = 32 << 20 // 128 MB in + 128 MB out: over the 128 MiB threshold
-	cl.Run(func(ctx *satin.Context) any {
-		k, _ := GetKernel(ctx, "scale")
-		if err := k.NewLaunch(LaunchSpec{
-			Params:  map[string]int64{"n": n},
-			InBytes: 4 * n, OutBytes: 4 * n,
-		}).Run(ctx); err != nil {
-			t.Error(err)
+	for _, tc := range []struct{ in, out int64 }{
+		{4 * n, 4 * n},
+		{4*n + 7919, 4*n + 104729},
+	} {
+		cfg := DefaultConfig(1, "k20")
+		cl, _ := NewCluster(cfg)
+		cl.Register(mustKS(t, "scale", scaleKernel))
+		cl.Run(func(ctx *satin.Context) any {
+			k, _ := GetKernel(ctx, "scale")
+			if err := k.NewLaunch(LaunchSpec{
+				Params:  map[string]int64{"n": n},
+				InBytes: tc.in, OutBytes: tc.out,
+			}).Run(ctx); err != nil {
+				t.Error(err)
+			}
+			return nil
+		})
+		dev := cl.NodeState(0).Devices[0]
+		passes := inCorePasses(tc.in + tc.out)
+		if got := dev.Launches(); got != int64(passes) {
+			t.Fatalf("in %d, out %d: launch ran as %d passes, want %d", tc.in, tc.out, got, passes)
 		}
-		return nil
-	})
-	dev := cl.NodeState(0).Devices[0]
-	if got := dev.Launches(); got != int64(inCorePasses(8*n)) {
-		t.Fatalf("launch ran as %d passes, want %d", got, inCorePasses(8*n))
-	}
-	if dev.BytesMoved() != 8*n {
-		t.Fatalf("BytesMoved = %d, want %d", dev.BytesMoved(), int64(8*n))
-	}
-	if dev.OverlapLowerBound() <= 0 {
-		t.Fatal("streamed launch reports no transfer/compute overlap")
-	}
-	if dev.MemUsed() != 0 {
-		t.Fatalf("leaked %d bytes", dev.MemUsed())
+		if dev.BytesMoved() != tc.in+tc.out {
+			t.Fatalf("in %d, out %d: BytesMoved = %d, want %d", tc.in, tc.out, dev.BytesMoved(), tc.in+tc.out)
+		}
+		if dev.OverlapLowerBound() <= 0 {
+			t.Fatal("streamed launch reports no transfer/compute overlap")
+		}
+		if dev.MemUsed() != 0 {
+			t.Fatalf("leaked %d bytes", dev.MemUsed())
+		}
 	}
 }
 

@@ -209,22 +209,15 @@ func (s *Spec) TransferTime(n int64) time.Duration {
 	return s.PCIeLatency + time.Duration(float64(n)/s.PCIeBandwidth*float64(time.Second))
 }
 
-// PageTransferTime reports the modeled time to service one demand fault of n
-// bytes (an SVM page, or its partial tail). A fault is a round trip — the
-// miss is reported upstream before the payload moves downstream — so it pays
-// the PCIe setup latency twice where the one-way bulk path of TransferTime
-// pays it once. At page granularity the latency term dominates: billing
-// faults with the bandwidth-only bulk model would under-charge them by an
-// order of magnitude.
-func (s *Spec) PageTransferTime(n int64) time.Duration {
-	return 2*s.PCIeLatency + time.Duration(float64(n)/s.PCIeBandwidth*float64(time.Second))
-}
-
 // PagedTransferTime reports the modeled time to move n bytes as a sequence
-// of demand-paged faults of pageSize bytes each (the tail page partial):
-// every page pays the PageTransferTime round-trip latency, the payload
-// streams at PCIe bandwidth. Equal to the sum of PageTransferTime over the
-// pages, in closed form.
+// of demand-paged faults of pageSize bytes each (the tail page partial; a
+// pageSize of n or more, or of zero, is one fault). A fault is a round trip — the miss is
+// reported upstream before the payload moves downstream — so every page pays
+// the PCIe setup latency twice where the one-way bulk path of TransferTime
+// pays it once, while the payload streams at PCIe bandwidth. At page
+// granularity the latency term dominates: billing faults with the
+// bandwidth-only bulk model would under-charge them by an order of
+// magnitude.
 func (s *Spec) PagedTransferTime(n, pageSize int64) time.Duration {
 	if n <= 0 {
 		return 0

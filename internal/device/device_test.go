@@ -150,7 +150,7 @@ func TestPageTransferTimeRoundTripLatency(t *testing.T) {
 	s := Catalog()["k20"]
 	page := int64(64 << 10)
 	bulk := s.TransferTime(page)
-	fault := s.PageTransferTime(page)
+	fault := s.PagedTransferTime(page, page)
 	if fault != bulk+s.PCIeLatency {
 		t.Fatalf("fault = %v, want bulk %v + one extra latency %v", fault, bulk, s.PCIeLatency)
 	}
@@ -172,7 +172,7 @@ func TestPagedTransferTimeClosedForm(t *testing.T) {
 		if n-off < p {
 			p = n - off
 		}
-		sum += s.PageTransferTime(p)
+		sum += s.PagedTransferTime(p, p)
 	}
 	got := s.PagedTransferTime(n, page)
 	// The closed form rounds the bandwidth term once, the sum once per page:
@@ -181,7 +181,7 @@ func TestPagedTransferTimeClosedForm(t *testing.T) {
 		t.Fatalf("PagedTransferTime = %v, per-page sum = %v", got, sum)
 	}
 	// One whole-buffer "page" degenerates to a single fault.
-	if s.PagedTransferTime(n, n) != s.PageTransferTime(n) {
+	if s.PagedTransferTime(n, n) != s.TransferTime(n)+s.PCIeLatency {
 		t.Fatal("single-page transfer should equal one fault")
 	}
 	if s.PagedTransferTime(0, page) != 0 {

@@ -53,15 +53,6 @@ func QDRInfiniBand() Config {
 	}
 }
 
-// GigabitEthernet is a slower fabric used by ablation experiments.
-func GigabitEthernet() Config {
-	return Config{
-		Latency:       60 * time.Microsecond,
-		Bandwidth:     117e6,
-		PerMessageCPU: 10 * time.Microsecond,
-	}
-}
-
 // ControlThreshold is the message size below which a transfer is treated as
 // a control message: it incurs latency and per-message CPU but does not
 // occupy the link resources. This approximates packet interleaving — on a

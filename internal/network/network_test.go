@@ -267,10 +267,3 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("stats = %d bytes %d msgs", f.BytesSent(), f.MessagesSent())
 	}
 }
-
-func TestQDRProfileIsFasterThanGbE(t *testing.T) {
-	ib, ge := QDRInfiniBand(), GigabitEthernet()
-	if ib.Bandwidth <= ge.Bandwidth || ib.Latency >= ge.Latency {
-		t.Fatal("QDR InfiniBand profile must dominate gigabit ethernet")
-	}
-}

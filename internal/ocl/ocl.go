@@ -235,17 +235,11 @@ func (d *Device) EnqueueRead(n int64, label string, deps ...Event) Event {
 	return d.qD2H.enqueue(trace.KindD2H, d.stretch(d.spec.TransferTime(n)), n, label, deps)
 }
 
-// PageTransferTime reports the modeled service time of one demand-paged
-// fault of n bytes (latency-dominated round trip, unlike the bandwidth-only
-// bulk path), stretched by the device's current slowdown factor. SVM fault
-// costs are billed with this, so they never under-bill via TransferTime.
-func (d *Device) PageTransferTime(n int64) time.Duration {
-	return d.stretch(d.spec.PageTransferTime(n))
-}
-
 // PagedTransferTime reports the modeled service time of moving n bytes as
-// demand-paged faults of pageSize bytes each, stretched by the slowdown
-// factor.
+// demand-paged faults of pageSize bytes each (latency-dominated round trips,
+// unlike the bandwidth-only bulk path), stretched by the device's current
+// slowdown factor. SVM fault costs are billed with this, so they never
+// under-bill via TransferTime.
 func (d *Device) PagedTransferTime(n, pageSize int64) time.Duration {
 	return d.stretch(d.spec.PagedTransferTime(n, pageSize))
 }

@@ -9,7 +9,7 @@ import (
 
 // TestPageTransferTimeStretchedBySlowdown: the exported fault-cost helper
 // must include the straggler degradation factor, like every other modeled
-// duration of the device.
+// duration of the device, for a single page as for a run of pages.
 func TestPageTransferTimeStretchedBySlowdown(t *testing.T) {
 	k := simnet.NewKernel(1)
 	spec, err := device.Lookup("k20")
@@ -18,12 +18,12 @@ func TestPageTransferTimeStretchedBySlowdown(t *testing.T) {
 	}
 	d := NewDevice(k, spec, 0, 0, nil)
 	const page = 64 << 10
-	nominal := d.PageTransferTime(page)
-	if nominal != spec.PageTransferTime(page) {
-		t.Fatalf("nominal fault time %v != spec %v", nominal, spec.PageTransferTime(page))
+	nominal := d.PagedTransferTime(page, page)
+	if nominal != spec.PagedTransferTime(page, page) {
+		t.Fatalf("nominal fault time %v != spec %v", nominal, spec.PagedTransferTime(page, page))
 	}
 	d.SetSlowdown(2)
-	if got := d.PageTransferTime(page); got != 2*nominal {
+	if got := d.PagedTransferTime(page, page); got != 2*nominal {
 		t.Fatalf("slowed fault time %v, want %v", got, 2*nominal)
 	}
 	if got := d.PagedTransferTime(3*page, page); got != 2*spec.PagedTransferTime(3*page, page) {
@@ -45,7 +45,7 @@ func TestPagedEnqueueOccupiesDMAQueue(t *testing.T) {
 	w := d.EnqueuePagedWrite(n, page, "")
 	r := d.EnqueuePagedRead(page, page, "")
 	end := k.Run(0)
-	want := simnet.Time(spec.PagedTransferTime(n, page) + spec.PageTransferTime(page))
+	want := simnet.Time(spec.PagedTransferTime(n, page) + spec.PagedTransferTime(page, page))
 	if end != want {
 		t.Fatalf("end = %v, want serialized fault storm + read = %v", end, want)
 	}

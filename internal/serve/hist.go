@@ -114,21 +114,6 @@ func (h *Hist) Quantile(q float64) int64 {
 	return h.max
 }
 
-// Merge adds o's samples into h.
-func (h *Hist) Merge(o *Hist) {
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-	}
-	h.n += o.n
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-}
-
-// Reset clears the histogram.
-func (h *Hist) Reset() { *h = Hist{} }
-
 // Snapshot returns a value copy of the histogram, the anchor of a windowed
 // reading (the autoscaler samples p99 over its control interval, not over
 // the whole run, so it reacts to the current regime rather than history).

@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestHistBucketsMonotone(t *testing.T) {
 	last := -1
@@ -50,28 +47,5 @@ func TestHistQuantiles(t *testing.T) {
 	}
 	if m := h.Mean(); m != int64(1000*1e6+10*100e6)/1010 {
 		t.Fatalf("mean = %d", m)
-	}
-}
-
-func TestHistMergeMatchesCombined(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var a, b, both Hist
-	for i := 0; i < 5000; i++ {
-		v := int64(rng.ExpFloat64() * 2e6)
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-		both.Observe(v)
-	}
-	a.Merge(&b)
-	for _, q := range []float64{0.5, 0.9, 0.95, 0.99, 1} {
-		if got, want := a.Quantile(q), both.Quantile(q); got != want {
-			t.Fatalf("q%.2f: merged %d != combined %d", q, got, want)
-		}
-	}
-	if a.Count() != both.Count() || a.Mean() != both.Mean() || a.Max() != both.Max() {
-		t.Fatal("merged count/mean/max differ from combined")
 	}
 }

@@ -10,7 +10,7 @@
 // migrations on the same H2D/D2H command queues every explicit transfer
 // uses, so DMA contention, single-copy-engine head-of-line blocking and
 // SetSlowdown stragglers bite exactly as they do for bulk copies. Fault
-// service is billed with the latency-dominated PageTransferTime round-trip
+// service is billed with the latency-dominated PagedTransferTime round-trip
 // model, not the bandwidth-only bulk model.
 //
 // Two coherence protocols are selectable per Space:
