@@ -91,7 +91,7 @@ func NodeHoursVsLoad(cfg AutoscaleSweepConfig) (Figure, []AutoscalePoint, error)
 		loads = AutoscaleLoads
 	}
 	if cfg.Nodes < 1 {
-		cfg.Nodes = 1
+		return Figure{}, nil, core.ErrNoNodes
 	}
 	if cfg.Swing <= 0 {
 		cfg.Swing = 2.0 / 3

@@ -74,7 +74,7 @@ func LatencyVsLoad(cfg ServeSweepConfig) (Figure, []ServePoint, error) {
 		loads = ServeLoads
 	}
 	if cfg.Nodes < 1 {
-		cfg.Nodes = 1
+		return Figure{}, nil, core.ErrNoNodes
 	}
 
 	// The capacity estimate is per-point-independent: compute it once so

@@ -2,9 +2,11 @@ package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 
+	"cashmere/internal/core"
 	"cashmere/internal/simnet"
 )
 
@@ -80,5 +82,23 @@ func TestServeSweepShowsSaturationKnee(t *testing.T) {
 	}
 	if high.GoodputRPS <= 0 {
 		t.Fatal("goodput collapsed to zero under overload")
+	}
+}
+
+// TestServeSweepsRejectNoNodes: both serving sweeps fail on a node count
+// below one, as a single serving run does, instead of sweeping one node
+// (`cashmere-serve -sweep -nodes -3` and `-sweep-autoscale -nodes -3`).
+func TestServeSweepsRejectNoNodes(t *testing.T) {
+	horizon := simnet.Duration(10 * time.Millisecond)
+	for _, n := range []int{0, -3} {
+		_, _, err := LatencyVsLoad(ServeSweepConfig{Nodes: n, Device: "gtx480", Horizon: horizon, Seed: 1, Loads: []float64{0.5}})
+		if !errors.Is(err, core.ErrNoNodes) {
+			t.Errorf("LatencyVsLoad at %d nodes: err = %v, want %v", n, err, core.ErrNoNodes)
+		}
+		acfg := DefaultAutoscaleSweep()
+		acfg.Nodes, acfg.Horizon, acfg.Loads = n, horizon, []float64{0.5}
+		if _, _, err := NodeHoursVsLoad(acfg); !errors.Is(err, core.ErrNoNodes) {
+			t.Errorf("NodeHoursVsLoad at %d nodes: err = %v, want %v", n, err, core.ErrNoNodes)
+		}
 	}
 }

@@ -15,6 +15,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -203,16 +204,19 @@ func (ns *NodeState) stageResident(dev int, tag string, version int, n int64, la
 	return ev, false
 }
 
+// ErrNoNodes is the error of a cluster configured with fewer than one node.
+var ErrNoNodes = errors.New("core: cluster needs at least one node")
+
 // NewCluster builds the cluster. Call Register for each kernel set, then
 // Run (which initializes on first use).
 func NewCluster(cfg Config) (*Cluster, error) {
 	if len(cfg.Nodes) == 0 {
-		return nil, fmt.Errorf("core: cluster needs at least one node")
+		return nil, ErrNoNodes
 	}
-	parts := cfg.Partitions
-	if parts < 1 {
-		parts = 1
+	if cfg.Partitions < 0 {
+		return nil, fmt.Errorf("core: Partitions %d is negative (0 and 1 run one sequential kernel)", cfg.Partitions)
 	}
+	parts := max(cfg.Partitions, 1)
 	if cfg.Record && parts > 1 {
 		// The trace recorder is a single shared sink; recording runs are
 		// sequential by construction.

@@ -77,6 +77,27 @@ func TestDefaultConfigRejectsNegativeNodes(t *testing.T) {
 	}
 }
 
+// TestNewClusterRejectsNegativePartitions: a negative partition count (as
+// from `cashmere-run -partitions -2`) is an error naming the value, while 0
+// and 1 both build one sequential kernel.
+func TestNewClusterRejectsNegativePartitions(t *testing.T) {
+	cfg := DefaultConfig(2, "k20")
+	cfg.Partitions = -2
+	if _, err := NewCluster(cfg); err == nil || !strings.Contains(err.Error(), "-2") {
+		t.Fatalf("Partitions -2: err = %v, want an error naming -2", err)
+	}
+	for _, parts := range []int{0, 1} {
+		cfg.Partitions = parts
+		cl, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatalf("Partitions %d: %v", parts, err)
+		}
+		if n := cl.Scheduler().Parts(); n != 1 {
+			t.Fatalf("Partitions %d: %d kernels, want 1", parts, n)
+		}
+	}
+}
+
 func TestLaunchChargesTimeAndFlops(t *testing.T) {
 	cfg := DefaultConfig(1, "gtx480")
 	cl, _ := NewCluster(cfg)

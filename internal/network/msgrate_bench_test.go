@@ -7,35 +7,52 @@ import (
 )
 
 // BenchmarkNetworkMessageRate measures steady-state point-to-point message
-// throughput: one endpoint streams b.N messages to another, which receives
+// throughput: senders stream b.N messages to one endpoint, which receives
 // them all. The bulk case exercises the full egress/latency/ingress pipeline
 // with a pooled courier per in-flight message; the ctl case exercises the
-// control lane. Steady-state traffic must run at 0 allocs/op (`make
-// bench-allocs` enforces this).
+// control lane. In the contended case two senders send bulk messages in
+// step, so every second arrival's courier queues on the receiver's ingress
+// link (Resource.AcquireStep) behind the first. Steady-state traffic must
+// run at 0 allocs/op (`make bench-allocs` enforces this).
 func BenchmarkNetworkMessageRate(b *testing.B) {
 	for _, tc := range []struct {
-		name string
-		size int64
+		name    string
+		size    int64
+		senders int
 	}{
-		{"bulk", 64 << 10},
-		{"ctl", 64},
+		{"bulk", 64 << 10, 1},
+		{"ctl", 64, 1},
+		{"contended", 64 << 10, 2},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			k := simnet.NewKernel(1)
-			f := New(k, 2, QDRInfiniBand())
-			k.Spawn("send", func(p *simnet.Proc) {
-				for i := 0; i < b.N; i++ {
-					f.Endpoint(0).Send(p, 1, "m", tc.size, nil)
-				}
-			})
+			f := New(k, tc.senders+1, QDRInfiniBand())
+			dst := tc.senders
+			for s := 0; s < tc.senders; s++ {
+				n := (b.N + tc.senders - 1 - s) / tc.senders // b.N in all
+				k.Spawn("send", func(p *simnet.Proc) {
+					for i := 0; i < n; i++ {
+						f.Endpoint(s).Send(p, dst, "m", tc.size, nil)
+						if tc.senders > 1 {
+							// Pause for one wire time, so the ingress link
+							// drains each round's arrivals before the next.
+							p.Hold(f.cfg.wire(tc.size))
+						}
+					}
+				})
+			}
 			k.Spawn("recv", func(p *simnet.Proc) {
 				for i := 0; i < b.N; i++ {
-					f.Endpoint(1).Recv(p)
+					f.Endpoint(dst).Recv(p)
 				}
 			})
 			b.ReportAllocs()
 			b.ResetTimer()
 			k.Run(0)
+			b.StopTimer()
+			if tc.senders > 1 && b.N > 1 && f.Endpoint(dst).courierSeq != tc.senders {
+				b.Fatalf("%d couriers carried the contended traffic, want %d (one queued per round)", f.Endpoint(dst).courierSeq, tc.senders)
+			}
 		})
 	}
 }

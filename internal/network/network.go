@@ -63,17 +63,24 @@ const ControlThreshold = 4096
 // Message is a payload in flight. Size is the modeled wire size in bytes;
 // Payload is the in-process Go value (never serialized — this is a
 // simulation, not a transport).
+//
+// A message is copied by value at every hop (send, arrival record,
+// courier, inbox), and amd64 copies a struct of up to 64 bytes inline but
+// calls runtime.duffcopy for a larger one, so the layout stays within 64
+// bytes (TestMessageFitsInline): From and To are int32 node ids, a
+// broadcast hop is marked by a non-zero bcStride instead of a flag, and
+// there is no send timestamp — no layer reads one; a protocol that needs
+// it carries it in Payload.
 type Message struct {
-	From    int
-	To      int
+	From    int32
+	To      int32
 	Kind    string
 	Size    int64
 	Payload any
-	SentAt  simnet.Time
 
 	// Broadcast-forwarding state (receiver-driven binomial tree): the
-	// receiver's rank and next stride in the tree rooted at bcRoot.
-	bcast            bool
+	// receiver's rank and next stride in the tree rooted at bcRoot. A
+	// point-to-point message has bcStride 0; a tree hop's is at least 2.
 	bcRank, bcStride int32
 	bcRoot           int32
 }
@@ -141,26 +148,59 @@ type courierWork struct {
 	wire simnet.Duration
 }
 
-// courier is a pooled receive-side delivery process of one endpoint.
+// courier is a pooled receive-side delivery process of one endpoint, a
+// step process that goes round three phases: await work on ch, queue for
+// the ingress link, and hold the link for the wire time before delivering
+// and returning to the endpoint's free list — the events of a blocking
+// Recv / ingress.Use / deliver loop.
 type courier struct {
-	e  *Endpoint
-	ch *simnet.Chan[courierWork]
+	e     *Endpoint
+	ch    *simnet.Chan[courierWork]
+	phase courierPhase
+	w     courierWork // the transfer being carried
+	start simnet.Time // when it was taken from ch (trace span start)
 }
 
-func (c *courier) loop(p *simnet.Proc) {
+type courierPhase uint8
+
+const (
+	courierIdle   courierPhase = iota // awaiting work on ch
+	courierQueued                     // waiting for the ingress link
+	courierOnWire                     // holding the ingress link
+)
+
+func (c *courier) step(p *simnet.Proc) bool {
 	for {
-		w := c.ch.Recv(p)
-		start := p.Now()
-		c.e.ingress.Use(p, 1, w.wire)
-		if f := c.e.f; f.rec.Enabled() {
-			f.rec.Add(trace.Span{
-				Node: c.e.id, Queue: "net.rx", Kind: trace.KindRecv,
-				Label: w.m.Kind, Start: start, End: p.Now(),
-				Attrs: []trace.Attr{trace.Int64Attr("bytes", w.m.Size), trace.Int64Attr("from", int64(w.m.From))},
-			})
+		switch c.phase {
+		case courierIdle:
+			c.ch.Unwait(p)
+			w, ok := c.ch.TryRecv()
+			if !ok {
+				c.ch.Await(p, -1)
+				return true
+			}
+			c.w, c.start, c.phase = w, p.Now(), courierQueued
+		case courierQueued:
+			if !c.e.ingress.AcquireStep(p, 1) {
+				return true
+			}
+			p.Arm(c.w.wire)
+			c.phase = courierOnWire
+			return true
+		case courierOnWire:
+			c.e.ingress.Release(1)
+			m := c.w.m
+			if f := c.e.f; f.rec.Enabled() {
+				f.rec.Add(trace.Span{
+					Node: c.e.id, Queue: "net.rx", Kind: trace.KindRecv,
+					Label: m.Kind, Start: c.start, End: p.Now(),
+					Attrs: []trace.Attr{trace.Int64Attr("bytes", m.Size), trace.Int64Attr("from", int64(m.From))},
+				})
+			}
+			c.w, c.phase = courierWork{}, courierIdle
+			c.e.deliver(m)
+			c.e.couriers = append(c.e.couriers, c)
 		}
-		c.e.deliver(w.m)
-		c.e.couriers = append(c.e.couriers, c)
 	}
 }
 
@@ -176,7 +216,7 @@ func (e *Endpoint) carry(m Message, wire simnet.Duration) {
 	}
 	c := &courier{e: e, ch: simnet.NewChan[courierWork](e.k)}
 	e.courierSeq++
-	e.k.Spawn(fmt.Sprintf("net.courier.%d.%d", e.id, e.courierSeq), func(p *simnet.Proc) { c.loop(p) })
+	e.k.SpawnStepOn(e.id, fmt.Sprintf("net.courier.%d.%d", e.id, e.courierSeq), c.step)
 	c.ch.Send(courierWork{m: m, wire: wire})
 }
 
@@ -407,7 +447,7 @@ func (e *Endpoint) schedule(dst *Endpoint, t simnet.Time, m Message, wire simnet
 // receiver is not blocked until it calls Recv. The calling process must run
 // on the sending node's partition.
 func (e *Endpoint) Send(p *simnet.Proc, to int, kind string, size int64, payload any) {
-	m := Message{From: e.id, To: to, Kind: kind, Size: size, Payload: payload, SentAt: e.k.Now()}
+	m := Message{From: int32(e.id), To: int32(to), Kind: kind, Size: size, Payload: payload}
 	e.send(p, m)
 }
 
@@ -422,7 +462,7 @@ func (e *Endpoint) BeginSend(p *simnet.Proc, to int, kind string, size int64, pa
 	if size >= ControlThreshold {
 		panic(fmt.Sprintf("network: BeginSend of a %d-byte bulk message; bulk sends must block in Send", size))
 	}
-	m = Message{From: e.id, To: to, Kind: kind, Size: size, Payload: payload, SentAt: e.k.Now()}
+	m = Message{From: int32(e.id), To: int32(to), Kind: kind, Size: size, Payload: payload}
 	if !e.count(m) {
 		return m, false
 	}
@@ -435,7 +475,7 @@ func (e *Endpoint) BeginSend(p *simnet.Proc, to int, kind string, size int64, pa
 // after the propagation latency and its wire time.
 func (e *Endpoint) FinishSend(m Message) {
 	dst := e.f.nodes[m.To]
-	if m.To == e.id {
+	if int(m.To) == e.id {
 		// Intra-node delivery: only the software overhead.
 		dst.deliver(m)
 		return
@@ -448,7 +488,7 @@ func (e *Endpoint) FinishSend(m Message) {
 // behind a severed link) cannot transmit, which is modelled as silent loss.
 // The caller's process usually gets cancelled by the failure detector.
 func (e *Endpoint) count(m Message) bool {
-	if e.dead || e.linkDown(m.To) {
+	if e.dead || e.linkDown(int(m.To)) {
 		e.dropped++
 		return false
 	}
@@ -466,7 +506,7 @@ func (e *Endpoint) send(p *simnet.Proc, m Message) {
 	}
 	start := e.k.Now()
 	p.Hold(e.f.cfg.PerMessageCPU)
-	if m.To == e.id || m.Size < ControlThreshold {
+	if int(m.To) == e.id || m.Size < ControlThreshold {
 		e.FinishSend(m)
 		return
 	}
@@ -488,7 +528,7 @@ func (e *Endpoint) send(p *simnet.Proc, m Message) {
 }
 
 func (e *Endpoint) deliver(m Message) {
-	if e.dead || (m.From != e.id && e.linkDown(m.From)) {
+	if e.dead || (int(m.From) != e.id && e.linkDown(int(m.From))) {
 		// Receive-side loss: the endpoint died or the link was cut while the
 		// message was in flight.
 		e.dropped++
@@ -499,7 +539,7 @@ func (e *Endpoint) deliver(m Message) {
 	if e.f.rec.Enabled() {
 		e.f.rec.CounterAdd(e.id, "net.bytes_in", e.k.Now(), m.Size)
 	}
-	if m.bcast {
+	if m.bcStride > 0 {
 		// Receiver-driven forwarding: this node continues the binomial
 		// tree from its own endpoint, after the message physically arrived
 		// here (store-and-forward, charged to this node's links).
@@ -569,9 +609,8 @@ func (e *Endpoint) bcastForward(p *simnet.Proc, rank, stride int, kind string, s
 		}
 		peerID := (root + peer) % n
 		m := Message{
-			From: e.id, To: peerID, Kind: kind, Size: size, Payload: payload,
-			SentAt: e.k.Now(),
-			bcast:  true, bcRank: int32(peer), bcStride: int32(stride * 2), bcRoot: int32(root),
+			From: int32(e.id), To: int32(peerID), Kind: kind, Size: size, Payload: payload,
+			bcRank: int32(peer), bcStride: int32(stride * 2), bcRoot: int32(root),
 		}
 		e.send(p, m)
 	}

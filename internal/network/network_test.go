@@ -3,6 +3,7 @@ package network
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"cashmere/internal/simnet"
 )
@@ -38,6 +39,16 @@ func TestPointToPointLatencyAndBandwidth(t *testing.T) {
 	}
 	if f.TransferTime(8000) != 28*time.Microsecond {
 		t.Fatalf("TransferTime = %v", f.TransferTime(8000))
+	}
+}
+
+// TestMessageFitsInline: a Message is copied by value at every hop (send,
+// arrival record, courier, inbox). Up to 64 bytes the compiler copies it
+// inline; above, every copy calls runtime.duffcopy, which was a visible
+// share of a message-heavy run's profile. A new field must fit the budget.
+func TestMessageFitsInline(t *testing.T) {
+	if n := unsafe.Sizeof(Message{}); n > 64 {
+		t.Fatalf("network.Message is %d bytes, want at most 64", n)
 	}
 }
 

@@ -168,7 +168,7 @@ func TestCommTrajectory(t *testing.T) {
 				case "ping":
 					ctx.Node().GoLocal(func(c *Context) {
 						c.Compute(100*time.Microsecond, "pong")
-						c.Node().ep.Send(c.Proc(), m.From, "pong", 64, nil)
+						c.Node().ep.Send(c.Proc(), int(m.From), "pong", 64, nil)
 					})
 					return true
 				case "pong":

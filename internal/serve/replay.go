@@ -28,41 +28,43 @@ type TraceEvent struct {
 	Class int
 }
 
-// replay is the Replay-kind arrival loop: offer each trace event at its
-// offset, tiling the schedule every TracePeriod when set, until the
-// horizon.
-func (f *Frontend) replay(p *simnet.Proc, tenant int) {
-	k := p.Kernel()
-	spec := &f.cfg.Tenants[tenant]
-	t := &f.tenants[tenant]
+// replayStep is the Replay-kind arrival step: it offers every trace event
+// due by now, tiling the schedule every TracePeriod when set, and arms its
+// wake at the next event; it reports false once the next event would fall
+// past the horizon, or the trace is exhausted.
+func (g *generator) replayStep(p *simnet.Proc) bool {
+	f, k := g.f, p.Kernel()
+	spec := &f.cfg.Tenants[g.tenant]
+	t := &f.tenants[g.tenant]
 	horizon := simnet.Time(f.cfg.Horizon)
 	events := spec.Arrival.Trace
 	if len(events) == 0 {
-		return
+		return false
 	}
-	period := spec.Arrival.TracePeriod
-	base := simnet.Time(0)
 	for {
-		for _, ev := range events {
-			at := base.Add(ev.At)
+		for ; g.next < len(events); g.next++ {
+			ev := events[g.next]
+			at := g.base.Add(ev.At)
 			if at > horizon {
-				return
+				return false
 			}
 			if at > p.Now() {
-				p.HoldUntil(at)
+				p.Arm(simnet.Duration(at - p.Now()))
+				return true
 			}
 			class := ev.Class
 			if class < 0 || class >= len(t.costs) {
 				class = 0
 			}
-			f.offer(k, p.Now(), tenant, class, false)
+			f.offer(k, p.Now(), g.tenant, class, false)
 		}
+		period := spec.Arrival.TracePeriod
 		if period <= 0 {
-			return
+			return false
 		}
-		base = base.Add(period)
-		if base > horizon {
-			return
+		g.base, g.next = g.base.Add(period), 0
+		if g.base > horizon {
+			return false
 		}
 	}
 }

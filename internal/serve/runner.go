@@ -109,12 +109,14 @@ func Run(cl *core.Cluster, cfg Config) (*Report, error) {
 	}
 
 	_, end, err := cl.RunServices(func(ctx *satin.Context) any {
+		// The generators run on node 0, with the frontend they feed.
 		fe.gensLive = len(cfg.Tenants)
 		for ti := range cfg.Tenants {
-			ti := ti
-			k.Spawn("serve.gen."+cfg.Tenants[ti].Name, func(p *simnet.Proc) {
-				fe.generate(p, ti)
-			})
+			g := &generator{f: fe, tenant: ti}
+			if cfg.Tenants[ti].Arrival.Kind != Replay {
+				g.arr = newArrival(cfg.Tenants[ti].Arrival, k.Rand())
+			}
+			k.SpawnStepOn(0, "serve.gen."+cfg.Tenants[ti].Name, g.step)
 		}
 		// Every dispatcher slot lives on node 0 and runs one loop: node-0
 		// slots execute batches in place, the others over the network.
@@ -140,27 +142,43 @@ func Run(cl *core.Cluster, cfg Config) (*Report, error) {
 	return fe.report(cfg, end), nil
 }
 
-// generate is one tenant's arrival process: draw gaps from the configured
-// process until the horizon, offering each arrival to admission.
-func (f *Frontend) generate(p *simnet.Proc, tenant int) {
-	k := p.Kernel()
-	spec := &f.cfg.Tenants[tenant]
-	if spec.Arrival.Kind == Replay {
-		f.replay(p, tenant)
-		f.gensLive--
-		f.checkDone(k)
-		return
+// generator is one tenant's arrival process, a step process: each wake
+// offers the arrival it was armed for and arms the next one, until the
+// horizon. A stochastic tenant draws its gaps from arr; a Replay tenant
+// walks its trace (see replayStep).
+type generator struct {
+	f      *Frontend
+	tenant int
+	arr    *arrival // gap source; nil for a Replay tenant
+	due    bool     // a drawn arrival is due at this wake
+
+	// Replay position: the start of the current trace tile and the index
+	// of the next event in it.
+	base simnet.Time
+	next int
+}
+
+func (g *generator) step(p *simnet.Proc) bool {
+	var more bool
+	if g.arr != nil {
+		more = g.drawStep(p)
+	} else {
+		more = g.replayStep(p)
 	}
-	a := newArrival(spec.Arrival, k.Rand())
-	horizon := simnet.Time(f.cfg.Horizon)
-	t := &f.tenants[tenant]
-	for {
-		d := a.next(p.Now())
-		if p.Now().Add(d) > horizon {
-			break
-		}
-		p.Hold(d)
-		// Draw the class from the tenant mix.
+	if !more {
+		g.f.gensLive--
+		g.f.checkDone(p.Kernel())
+	}
+	return more
+}
+
+// drawStep offers the arrival due now, if any, drawing its class from the
+// tenant mix, then draws the gap to the next one and arms its wake; it
+// reports false once that arrival would fall past the horizon.
+func (g *generator) drawStep(p *simnet.Proc) bool {
+	f, k := g.f, p.Kernel()
+	if g.due {
+		t := &f.tenants[g.tenant]
 		class := 0
 		if t.totalCum > 1 {
 			pick := k.Rand().Intn(t.totalCum)
@@ -168,10 +186,15 @@ func (f *Frontend) generate(p *simnet.Proc, tenant int) {
 				class++
 			}
 		}
-		f.offer(k, p.Now(), tenant, class, false)
+		f.offer(k, p.Now(), g.tenant, class, false)
 	}
-	f.gensLive--
-	f.checkDone(k)
+	d := g.arr.next(p.Now())
+	if p.Now().Add(d) > simnet.Time(f.cfg.Horizon) {
+		return false
+	}
+	g.due = true
+	p.Arm(d)
+	return true
 }
 
 // offer presents one arrival to admission, waking an idle dispatcher on

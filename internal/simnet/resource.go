@@ -3,7 +3,8 @@ package simnet
 // Resource is a counting semaphore with FIFO fairness, used to model
 // contended facilities: network links, PCIe DMA engines, device compute
 // engines, CPU cores. Acquire blocks the calling process in virtual time
-// until the requested capacity is available.
+// until the requested capacity is available; AcquireStep is the same wait
+// for a step process.
 type Resource struct {
 	k        *Kernel
 	name     string
@@ -42,34 +43,53 @@ func (r *Resource) account() {
 // granted in FIFO order; a large request at the head of the queue blocks
 // smaller requests behind it, preventing starvation.
 func (r *Resource) Acquire(p *Proc, n int64) {
+	for !r.take(p, n) {
+		p.park()
+	}
+}
+
+// AcquireStep is Acquire for a step process, which returns instead of
+// blocking: it takes n units and reports true when p's turn has come, or
+// queues p, arms its wake for the grant and reports false. The woken step
+// calls AcquireStep again — exactly the events Acquire produces. Called
+// from a coroutine outside StepUntil, it panics naming the process.
+func (r *Resource) AcquireStep(p *Proc, n int64) bool {
+	p.mustStep()
+	if r.take(p, n) {
+		return true
+	}
+	p.arm()
+	return false
+}
+
+// take grants n units to p when they are available and no earlier request
+// waits, and reports whether it did. Otherwise p is queued (or, if already
+// queued, re-armed for its current park epoch) to be woken by wakeNext.
+func (r *Resource) take(p *Proc, n int64) bool {
 	if n <= 0 || n > r.capacity {
 		panic("simnet: bad acquire count on " + r.name)
 	}
-	for {
-		if r.avail >= n && (len(r.waiters) == 0 || r.waiters[0].p == p) {
-			if len(r.waiters) > 0 && r.waiters[0].p == p {
-				// Copy down instead of re-slicing so the backing array keeps
-				// its capacity: steady-state contention then allocates nothing.
-				m := copy(r.waiters, r.waiters[1:])
-				r.waiters = r.waiters[:m]
-			}
-			r.account()
-			r.avail -= n
-			r.wakeNext()
-			return
+	head := len(r.waiters) > 0 && r.waiters[0].p == p
+	if r.avail >= n && (len(r.waiters) == 0 || head) {
+		if head {
+			// Copy down instead of re-slicing so the backing array keeps
+			// its capacity: steady-state contention then allocates nothing.
+			m := copy(r.waiters, r.waiters[1:])
+			r.waiters = r.waiters[:m]
 		}
-		if !r.queued(p) {
-			r.waiters = append(r.waiters, resWaiter{p: p, n: n, epoch: p.epoch})
-		} else {
-			// Re-arm the epoch for the next park.
-			for i := range r.waiters {
-				if r.waiters[i].p == p {
-					r.waiters[i].epoch = p.epoch
-				}
-			}
-		}
-		p.park()
+		r.account()
+		r.avail -= n
+		r.wakeNext()
+		return true
 	}
+	for i := range r.waiters {
+		if r.waiters[i].p == p {
+			r.waiters[i].epoch = p.epoch
+			return false
+		}
+	}
+	r.waiters = append(r.waiters, resWaiter{p: p, n: n, epoch: p.epoch})
+	return false
 }
 
 // TryAcquire takes n units if they are immediately available, without
@@ -101,15 +121,6 @@ func (r *Resource) wakeNext() {
 		w := r.waiters[0]
 		r.k.post(r.k.now, w.p, w.epoch)
 	}
-}
-
-func (r *Resource) queued(p *Proc) bool {
-	for _, w := range r.waiters {
-		if w.p == p {
-			return true
-		}
-	}
-	return false
 }
 
 // Use acquires n units, holds them for d, and releases them: the common

@@ -25,12 +25,15 @@
 // waits again, never blocking mid-handler — can instead be a step process
 // (SpawnStepOn). It has no coroutine: the kernel calls its step function
 // inline on every wake, exactly where it would have resumed the body, and
-// the step arms its next wake (Proc.Arm, Chan.Await) before returning. The
-// wake is the same event either way; only the host cost of a switch is
-// saved. A coroutine can turn into a step process for a stretch of waits
-// with Proc.StepUntil: its body resumes only at the wake whose step hands
-// back, so a loop that mostly waits (an idle work-stealing thief) switches
-// only when it has work to do.
+// the step arms its next wake (Proc.Arm, Chan.Await, Resource.AcquireStep)
+// before returning. The wake is the same event either way; only the host
+// cost of a switch is saved. The layers above run their fixed-script
+// processes this way: Satin's comm loops, the network's receive-side
+// couriers (await work, queue for the ingress link, hold it) and the
+// serving frontend's arrival generators. A coroutine can turn into a step
+// process for a stretch of waits with Proc.StepUntil: its body resumes
+// only at the wake whose step hands back, so a loop that mostly waits (an
+// idle work-stealing thief) switches only when it has work to do.
 //
 // A parked process has at most one entry in the event queue. A second wake
 // for the same park — the reply that beats a RecvTimeout, say — is folded
@@ -533,10 +536,15 @@ func (p *Proc) StepUntil(step func(*Proc) bool) {
 // arm marks step process p as waiting for the wake it just scheduled or
 // registered for.
 func (p *Proc) arm() {
+	p.mustStep()
+	p.parked = true
+}
+
+// mustStep panics unless p runs as a step process (or inside StepUntil).
+func (p *Proc) mustStep() {
 	if p.step == nil {
 		panic(fmt.Sprintf("simnet: %s is not a step process; it must park to wait", p.name))
 	}
-	p.parked = true
 }
 
 // Arm schedules step process p's next wake d from now: Hold for a step

@@ -398,3 +398,132 @@ func TestStepUntilCloseUnwinds(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// contender takes turns on a shared resource: each round it thinks for a
+// random time, then occupies one unit for a random time and logs the grant
+// and release times. run is the contender as a coroutine (through Use) and
+// step as a step process (through AcquireStep, Arm and Release); both draw
+// the same durations at the same wakes, so both must produce the same
+// events.
+type contender struct {
+	name   string
+	r      *Resource
+	rng    *rand.Rand
+	rounds int
+	log    *strings.Builder
+
+	// step-process state between wakes
+	round int
+	phase int // 0 round start, 1 thinking, 2 queued, 3 holding
+	d     Duration
+	grant Time
+}
+
+func (c *contender) think() Duration { return time.Duration(c.rng.Intn(20)) * time.Microsecond }
+func (c *contender) hold() Duration  { return time.Duration(1+c.rng.Intn(9)) * time.Microsecond }
+
+func (c *contender) logRelease(grant, release Time) {
+	fmt.Fprintf(c.log, "%s %d-%d\n", c.name, grant, release)
+}
+
+func (c *contender) run(p *Proc) {
+	for ; c.round < c.rounds; c.round++ {
+		p.Hold(c.think())
+		d := c.hold()
+		c.r.Use(p, 1, d)
+		c.logRelease(p.Now()-Time(d), p.Now())
+	}
+}
+
+func (c *contender) step(p *Proc) bool {
+	for {
+		switch c.phase {
+		case 0:
+			if c.round == c.rounds {
+				return false
+			}
+			c.phase = 1
+			p.Arm(c.think())
+			return true
+		case 1:
+			c.d, c.phase = c.hold(), 2
+		case 2:
+			if !c.r.AcquireStep(p, 1) {
+				return true
+			}
+			c.grant, c.phase = p.Now(), 3
+			p.Arm(c.d)
+			return true
+		case 3:
+			c.r.Release(1)
+			c.logRelease(c.grant, p.Now())
+			c.round, c.phase = c.round+1, 0
+		}
+	}
+}
+
+// contention runs six contenders on one capacity-1 resource, plus
+// callbacks that grab the resource with TryAcquire when it is free. With
+// mixed set, the first contender is a step process and each other one a
+// coroutine or a step process at random; otherwise all are coroutines. It returns the grant log, the wake trace
+// and the kernel's counters.
+func contention(seed int64, mixed bool) (grants, wakes string, st Stats) {
+	k := NewKernel(seed)
+	w := &wakeTrace{}
+	k.SetTracer(w)
+	rng := rand.New(rand.NewSource(seed))
+	r := NewResource(k, "link", 1)
+	var log strings.Builder
+	for i := 0; i < 6; i++ {
+		c := &contender{name: fmt.Sprintf("c%d", i), r: r, rng: rand.New(rand.NewSource(rng.Int63())), rounds: 5 + rng.Intn(10), log: &log}
+		if stepped := rng.Intn(2) == 0 || i == 0; stepped && mixed {
+			k.SpawnStepOn(i%3, c.name, c.step)
+		} else {
+			k.SpawnOn(i%3, c.name, c.run)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		at, d := Time(rng.Intn(200))*Time(time.Microsecond), time.Duration(1+rng.Intn(5))*time.Microsecond
+		k.CallAt(at, func() {
+			if r.TryAcquire(1) {
+				fmt.Fprintf(&log, "callback %d-%d\n", k.Now(), k.Now().Add(d))
+				k.CallAfter(d, func() { r.Release(1) })
+			}
+		})
+	}
+	k.Run(0)
+	return log.String(), w.b.String(), k.Stats()
+}
+
+// TestAcquireStepMatchesAcquire: contenders queueing on one capacity-1
+// resource get the same grants at the same times, with the same wakes and
+// trajectory counters, whether each is a coroutine blocking in Use or a
+// step process using AcquireStep; only the counters that say how a wake
+// ran may differ.
+func TestAcquireStepMatchesAcquire(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		coGrants, coWakes, coSt := contention(seed, false)
+		mxGrants, mxWakes, mxSt := contention(seed, true)
+		if coGrants != mxGrants {
+			t.Fatalf("seed %d: grants differ:\ncoroutines\n%s\nmixed\n%s", seed, coGrants, mxGrants)
+		}
+		if coWakes != mxWakes {
+			t.Fatalf("seed %d: wake traces differ", seed)
+		}
+		if coSt.Events != mxSt.Events || coSt.Stale != mxSt.Stale || coSt.Callbacks != mxSt.Callbacks {
+			t.Fatalf("seed %d: stats differ:\ncoroutines %+v\nmixed      %+v", seed, coSt, mxSt)
+		}
+		if coSt.Steps != 0 || mxSt.Steps == 0 || mxSt.Events != mxSt.Switches+mxSt.SelfWakes+mxSt.Steps+mxSt.Callbacks {
+			t.Fatalf("seed %d: coroutines %+v, mixed %+v: the step contenders must run as steps", seed, coSt, mxSt)
+		}
+	}
+}
+
+// TestAcquireStepFromCoroutine: AcquireStep is for step processes; a
+// coroutine calling it panics naming itself, even when the resource is free.
+func TestAcquireStepFromCoroutine(t *testing.T) {
+	k := NewKernel(1)
+	r := NewResource(k, "link", 1)
+	k.Spawn("acquirer", func(p *Proc) { r.AcquireStep(p, 1) })
+	mustPanicNaming(t, "acquirer", func() { k.Run(0) })
+}
