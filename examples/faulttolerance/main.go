@@ -1,6 +1,6 @@
 // Fault tolerance: Satin's crash recovery inside Cashmere.
 //
-// A six-node cluster renders a workload; two seconds into the run, two
+// A six-node cluster renders a workload; 50 ms into the run, two
 // nodes crash. Jobs they had stolen are re-executed by their owners
 // (Satin's re-execution mechanism, Sec. II-A "fault tolerance"), and the
 // computation completes with the correct result on the survivors.
@@ -45,8 +45,8 @@ func main() {
 	rt := cl.Runtime()
 	cl.Kernel().SpawnAt(cashmere.Time(50*time.Millisecond), "chaos", func(p *cashmere.Proc) {
 		fmt.Printf("t=%v: killing nodes 4 and 5\n", p.Now())
-		rt.Kill(4)
-		rt.Kill(5)
+		rt.CrashAsync(p, 4)
+		rt.CrashAsync(p, 5)
 	})
 
 	const leaves = 64

@@ -21,8 +21,8 @@ func TestMidRunCrashWithManyCoreLeaves(t *testing.T) {
 	cl.Register(mustKS(t, "scale", scaleKernel))
 	rt := cl.Runtime()
 	cl.Kernel().SpawnAt(simnet.Time(5*time.Millisecond), "chaos", func(p *simnet.Proc) {
-		rt.Kill(4)
-		rt.Kill(5)
+		rt.CrashAsync(p, 4)
+		rt.CrashAsync(p, 5)
 	})
 	const leaves = 64
 	done := 0

@@ -76,12 +76,15 @@ func TestRuntimeRecordsObservability(t *testing.T) {
 	}
 }
 
+// TestCrashRecordsCounters crashes a node while the computation runs (it
+// ends near 2.8 ms) and checks that the crash and the re-executions it
+// caused are recorded as trace counters.
 func TestCrashRecordsCounters(t *testing.T) {
 	k := simnet.NewKernel(11)
 	rec := trace.New()
 	rt := New(k, 4, network.QDRInfiniBand(), DefaultConfig(), rec)
-	k.SpawnAt(simnet.Time(3*time.Millisecond), "killer", func(p *simnet.Proc) {
-		rt.Kill(3)
+	k.SpawnAt(simnet.Time(1*time.Millisecond), "crasher", func(p *simnet.Proc) {
+		rt.CrashAsync(p, 3)
 	})
 	v, _ := rt.Run(func(ctx *Context) any {
 		return divideAndCompute(ctx, 128, 500*time.Microsecond)
@@ -96,6 +99,9 @@ func TestCrashRecordsCounters(t *testing.T) {
 	}
 	if crashes != 1 {
 		t.Fatalf("satin.crashes = %d, want 1", crashes)
+	}
+	if rt.JobsReExecuted() == 0 {
+		t.Fatal("the crash re-executed no jobs")
 	}
 	if reexec != rt.JobsReExecuted() {
 		t.Fatalf("satin.reexecutions = %d, runtime says %d", reexec, rt.JobsReExecuted())

@@ -189,35 +189,6 @@ func TestPromiseBeforeSyncPanics(t *testing.T) {
 	})
 }
 
-func TestFaultToleranceReExecutesStolenJobs(t *testing.T) {
-	k := simnet.NewKernel(5)
-	cfg := DefaultConfig()
-	rt := New(k, 4, network.QDRInfiniBand(), cfg, nil)
-	// Kill node 3 mid-run; the computation must still complete correctly.
-	k.SpawnAt(simnet.Time(1*time.Millisecond), "killer", func(p *simnet.Proc) {
-		rt.Kill(3)
-	})
-	v, _ := rt.Run(func(ctx *Context) any {
-		return divideAndCompute(ctx, 128, 500*time.Microsecond)
-	})
-	if v.(int) != 128 {
-		t.Fatalf("result after crash = %v, want 128", v)
-	}
-	if rt.JobsReExecuted() == 0 {
-		t.Fatal("the crash re-executed no jobs")
-	}
-}
-
-func TestKillMasterPanics(t *testing.T) {
-	rt := testRuntime(2, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("killing master did not panic")
-		}
-	}()
-	rt.Kill(0)
-}
-
 func TestSharedObjectBroadcast(t *testing.T) {
 	k := simnet.NewKernel(2)
 	rt := New(k, 4, network.QDRInfiniBand(), DefaultConfig(), nil)
