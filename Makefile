@@ -57,6 +57,9 @@ cover:
 #     with both protocols, nbody with a tuning cache, examples/graph plain
 #     and with -metrics, plain/chaos/autoscale/replay serving, every example
 #     and the tune experiment;
+#   - cashmere-run's other outputs on k-means: a -trace file (4 k20 nodes),
+#     the -gantt chart (2 nodes) and a heterogeneous -cluster spec with
+#     -metrics;
 #   - the serve sweeps (-sweep, -sweep-autoscale);
 #   - mclc -list-hardware, -feedback -cost, -emit and -tune on the matmul
 #     kernels of internal/apps;
@@ -78,6 +81,9 @@ reach:
 	export GOCOVERDIR=$(CURDIR)/$(REACH)/cov; b=$(REACH)/bin; f=$(REACH)/files; o=$(REACH)/out; \
 	for app in kmeans raytracer nbody matmul; do for p in 1 4; do \
 		$$b/cashmere-run -app $$app -nodes 4 -metrics -partitions $$p > $$o/run-$$app-p$$p.txt; done; done; \
+	$$b/cashmere-run -app kmeans -nodes 4 -device k20 -trace $$f/run-trace.json > $$o/run-trace.txt; \
+	$$b/cashmere-run -app kmeans -nodes 2 -gantt > $$o/run-gantt.txt; \
+	$$b/cashmere-run -app kmeans -cluster "2xgtx480,1xk20+xeon_phi" -metrics > $$o/run-cluster.txt; \
 	for proto in wi ro; do for p in 1 4; do \
 		$$b/cashmere-run -app kmeans -nodes 4 -transport svm -svm-protocol $$proto -metrics -partitions $$p > $$o/svm-$$proto-p$$p.txt; done; done; \
 	for p in 1 4; do \
