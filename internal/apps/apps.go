@@ -71,15 +71,16 @@ func finish(flops float64, t simnet.Time) Result {
 const satinLeafEff = 0.08
 
 // cpuCoreFlops is the modeled per-core throughput of a Satin CPU leaf: one
-// core of the dual quad-core Xeon E5620 running scalar Java code.
-func cpuCoreFlops() float64 {
+// core of the dual quad-core Xeon E5620 running scalar Java code. It is
+// computed once: device.Catalog builds every spec afresh on each call.
+var cpuCoreFlops = func() float64 {
 	cpu := device.Catalog()["cpu"]
 	return cpu.PeakSPFlops / float64(cpu.ComputeUnits) * satinLeafEff
-}
+}()
 
 // cpuLeaf charges the modeled time of computing `flops` on one CPU core.
 func cpuLeaf(ctx *satin.Context, flops float64, label string) {
-	t := simnet.Duration(flops / cpuCoreFlops() * 1e9)
+	t := simnet.Duration(flops / cpuCoreFlops * 1e9)
 	ctx.Compute(t, label)
 }
 

@@ -93,8 +93,8 @@ func (g *Graph) Run(ctx *satin.Context) error {
 			if need == 0 {
 				continue
 			}
-			buf, err := ns.Devices[d].AllocBlocking(p, need)
-			if err != nil {
+			buf := new(ocl.Buffer)
+			if err := ns.Devices[d].AllocBlocking(p, buf, need); err != nil {
 				g.releaseWorkspace()
 				g.allocating = false
 				g.allocWait.WakeAll(p.Kernel())

@@ -74,19 +74,61 @@ type Resident struct {
 	Version int
 }
 
-// Launch is a prepared kernel launch (Fig. 4: kernel.createLaunch()).
+// Launch is a prepared kernel launch (Fig. 4: kernel.createLaunch()). It
+// is also the launch's state machine: Run drives it blocking from a
+// coroutine, Step as steps of a step process, through the same phases. A
+// Launch runs one launch at a time.
 type Launch struct {
 	k    *Kernel
 	spec LaunchSpec
+
+	// The launch in progress: the phase it waits in, the device and the
+	// scheduler's estimate, the kernel's cost and the bytes it moves, its
+	// device memory, the event the launch ends with and its modeled kernel
+	// time; err is the outcome.
+	phase    launchPhase
+	dev      int
+	est      simnet.Duration
+	cost     device.KernelCost
+	in, out  int64
+	buf      ocl.Buffer
+	last     ocl.Event
+	measured simnet.Duration
+	err      error
 }
+
+// launchPhase is the wait a launch is in.
+type launchPhase uint8
+
+const (
+	launchIdle  launchPhase = iota // not started, or finished
+	launchAlloc                    // waiting for device memory
+	launchWait                     // waiting for the launch's last command
+)
 
 // NewLaunch prepares a launch.
 func (k *Kernel) NewLaunch(spec LaunchSpec) *Launch {
+	l := &Launch{}
+	l.Prepare(k, spec)
+	return l
+}
+
+// Prepare makes l a launch of kernel k with spec, as NewLaunch does, so a
+// step process can reuse one Launch for all its launches. l must not be in
+// progress.
+func (l *Launch) Prepare(k *Kernel, spec LaunchSpec) {
+	if l.phase != launchIdle {
+		panic("core: Prepare of a launch in progress")
+	}
 	if spec.Label == "" {
 		spec.Label = k.name
 	}
-	return &Launch{k: k, spec: spec}
+	*l = Launch{k: k, spec: spec}
 }
+
+// Steppable reports whether launches of k can run as steps (Launch.Step):
+// true unless the node uses the SVM transport, whose page acquires block.
+func (k *Kernel) Steppable() bool { return !k.ns.svmEnabled() }
 
 // Run executes the full launch cycle, blocking the calling frame in virtual
 // time: pick a device through the scheduler, allocate device memory, then
@@ -101,22 +143,90 @@ func (k *Kernel) NewLaunch(spec LaunchSpec) *Launch {
 // Errors (unknown parameters, a launch larger than device memory) are
 // returned to the caller, whose catch branch runs the CPU fallback (Fig. 4).
 func (l *Launch) Run(ctx *satin.Context) error {
-	ns := l.k.ns
-	p := ctx.Proc()
+	if l.phase != launchIdle {
+		panic("core: Run of a launch in progress")
+	}
+	l.advance(ctx.Proc(), true)
+	return l.err
+}
 
-	devIdx, est := ns.Sched.Pick(l.k.name)
-	dev := ns.Devices[devIdx]
-	compiled := ns.kernels[l.k.name][devIdx]
+// Step runs the launch as steps of a step process p (see
+// simnet.Proc.StepUntil): the call that finds the launch idle starts it,
+// and each later call continues it from the wake p armed. Step returns
+// true while the launch waits, with p's next wake armed, and false once it
+// has finished, Err then holding what Run would have returned. It makes
+// the same waits as Run, so it produces the same events. Launches of a
+// kernel that is not Steppable must use Run: Step panics on them.
+func (l *Launch) Step(p *simnet.Proc) bool {
+	return !l.advance(p, false)
+}
+
+// Err reports the outcome of the last finished launch.
+func (l *Launch) Err() error { return l.err }
+
+// advance moves the launch on from the end of its current wait (or starts
+// it) and reports whether it finished. Blocking (block, Run) it waits in
+// place at each wait and so always finishes; otherwise it arms p's wake at
+// the next wait and reports false.
+func (l *Launch) advance(p *simnet.Proc, block bool) bool {
+	ns := l.k.ns
+	for {
+		switch l.phase {
+		case launchIdle:
+			if !block && !l.k.Steppable() {
+				panic("core: Launch.Step under the SVM transport; its page acquires block, so the launch must Run")
+			}
+			if l.err = l.start(); l.err != nil {
+				return true
+			}
+			l.phase = launchAlloc
+		case launchAlloc:
+			dev := ns.Devices[l.dev]
+			var err error
+			if block {
+				err = dev.AllocBlocking(p, &l.buf, l.in+l.out)
+			} else {
+				var ok bool
+				if ok, err = dev.AllocStep(p, &l.buf, l.in+l.out); !ok && err == nil {
+					return false
+				}
+			}
+			if err != nil {
+				l.fail(err)
+				return true
+			}
+			l.enqueue(p)
+			l.phase = launchWait
+		case launchWait:
+			if block {
+				l.last.Wait(p)
+			} else if !l.last.Await(p) {
+				return false
+			}
+			l.finish()
+			return true
+		}
+	}
+}
+
+// start picks the launch's device and prices its kernel; an error (an
+// unknown parameter, a launch that can never fit the device) ends the
+// launch at once.
+func (l *Launch) start() error {
+	ns := l.k.ns
+	l.dev, l.est = ns.Sched.Pick(l.k.name)
+	dev := ns.Devices[l.dev]
+	compiled := ns.kernels[l.k.name][l.dev]
 
 	cost, err := ns.kernelCost(compiled, l.spec.Params)
 	if err != nil {
-		ns.Sched.Done(l.k.name, devIdx, est, 0)
+		ns.Sched.Done(l.k.name, l.dev, l.est, 0)
 		return err
 	}
+	l.cost = cost
 
-	svmT := ns.svmEnabled()
 	in, out := l.spec.InBytes, l.spec.OutBytes
-	if !svmT {
+	if !ns.svmEnabled() {
 		// Explicit transport: declared SVM accesses are billed as bulk
 		// copies — read bytes ride the input transfer, written bytes the
 		// output drain — so one program text runs on both transports.
@@ -136,25 +246,37 @@ func (l *Launch) Run(ctx *satin.Context) error {
 			}
 		}
 	}
+	l.in, l.out = in, out
 
 	// Cashmere manages device memory automatically (Sec. II-C.3): if the
 	// launch fits the device at all, wait for concurrent launches to release
 	// their buffers; only a launch that can never fit raises the exception
 	// that sends the caller to its CPU fallback (Fig. 4).
 	if mem := dev.Spec().GlobalMem; in+out > mem {
-		ns.Sched.Done(l.k.name, devIdx, est, 0)
+		ns.Sched.Done(l.k.name, l.dev, l.est, 0)
 		ns.cpuFallbacks++
 		return fmt.Errorf("core: launch needs %d bytes, device %s has %d", in+out, dev.Name(), mem)
 	}
-	buf, err := dev.AllocBlocking(p, in+out)
-	if err != nil {
-		ns.Sched.Done(l.k.name, devIdx, est, 0)
-		ns.cpuFallbacks++
-		return err
-	}
-	defer buf.Free()
+	return nil
+}
 
+// fail ends a launch whose device memory could not be allocated.
+func (l *Launch) fail(err error) {
+	ns := l.k.ns
+	ns.Sched.Done(l.k.name, l.dev, l.est, 0)
+	ns.cpuFallbacks++
+	l.err, l.phase = err, launchIdle
+}
+
+// enqueue drives the device through its command queues once the launch's
+// memory is allocated, and sets the event the launch ends with. Under the
+// SVM transport it first services the declared buffer accesses, which
+// blocks p (only Run gets here with SVM).
+func (l *Launch) enqueue(p *simnet.Proc) {
+	ns := l.k.ns
+	dev := ns.Devices[l.dev]
 	tracing := dev.Tracing()
+	in, out := l.in, l.out
 
 	// hdep is the host->device event the kernel must follow in addition to
 	// the implicit in-order queue ordering: the resident transfer, when one
@@ -165,62 +287,66 @@ func (l *Launch) Run(ctx *satin.Context) error {
 		if tracing {
 			label = l.spec.Label + ":" + r.Tag
 		}
-		hdep, _ = ns.stageResident(devIdx, r.Tag, r.Version, r.Bytes, label)
+		hdep, _ = ns.stageResident(l.dev, r.Tag, r.Version, r.Bytes, label)
 	}
 
 	// Under SVM, service every declared buffer access through the node's
 	// coherence protocol; the kernel gates on the last migration into this
 	// device (all acquires target the same in-order H2D queue).
 	var bdep ocl.Event
-	if svmT {
+	if ns.svmEnabled() {
 		for _, a := range l.spec.Buffers {
-			if ev := ns.Space.Acquire(p, a.Buf, devIdx, a.Mode, a.Ranges); !ev.Done() {
+			if ev := ns.Space.Acquire(p, a.Buf, l.dev, a.Mode, a.Ranges); !ev.Done() {
 				bdep = ev
 			}
 		}
 	}
 
-	var measured simnet.Duration
 	if in+out >= streamThreshold {
 		// The double-buffered pipeline stays bulk under both transports:
 		// streaming already hand-places its transfers, which is exactly the
 		// explicit-management work SVM exists to avoid — the crossover
 		// experiment quantifies the resulting gap.
-		var last ocl.Event
-		last, measured = enqueueStream(dev, l.spec.Label, cost, in, out, inCorePasses(in+out), tracing, hdep, bdep)
-		last.Wait(p)
-	} else {
-		if in > 0 {
-			var label string
-			if tracing {
-				label = l.spec.Label + ":in"
-			}
-			hdep = ns.stageH2D(devIdx, in, label, hdep)
-		}
-		var klabel string
+		l.last, l.measured = enqueueStream(dev, l.spec.Label, l.cost, in, out, inCorePasses(in+out), tracing, hdep, bdep)
+		return
+	}
+	if in > 0 {
+		var label string
 		if tracing {
-			klabel = l.spec.Label
+			label = l.spec.Label + ":in"
 		}
-		last := dev.EnqueueLaunch(cost, klabel, hdep, bdep)
-		measured = dev.Spec().KernelTime(cost)
-		if out > 0 {
-			var label string
-			if tracing {
-				label = l.spec.Label + ":out"
-			}
-			last = ns.stageD2H(devIdx, out, label, last)
-		}
-		last.Wait(p)
+		hdep = ns.stageH2D(l.dev, in, label, hdep)
 	}
-	ns.Sched.Done(l.k.name, devIdx, est, measured)
-	ns.flopsCharged += cost.Flops
+	var klabel string
+	if tracing {
+		klabel = l.spec.Label
+	}
+	last := dev.EnqueueLaunch(l.cost, klabel, hdep, bdep)
+	l.measured = dev.Spec().KernelTime(l.cost)
+	if out > 0 {
+		var label string
+		if tracing {
+			label = l.spec.Label + ":out"
+		}
+		last = ns.stageD2H(l.dev, out, label, last)
+	}
+	l.last = last
+}
 
+// finish books a launch whose last command completed, runs the kernel for
+// real under Verify, and frees the launch's device memory.
+func (l *Launch) finish() {
+	ns := l.k.ns
+	ns.Sched.Done(l.k.name, l.dev, l.est, l.measured)
+	ns.flopsCharged += l.cost.Flops
+	l.err = nil
 	if ns.cl.cfg.Verify {
-		if err := compiled.Run(l.spec.Args...); err != nil {
-			return fmt.Errorf("core: verification execution failed: %w", err)
+		if err := ns.kernels[l.k.name][l.dev].Run(l.spec.Args...); err != nil {
+			l.err = fmt.Errorf("core: verification execution failed: %w", err)
 		}
 	}
-	return nil
+	l.buf.Free()
+	l.last, l.phase = ocl.Event{}, launchIdle
 }
 
 // inCorePasses picks the pipeline depth for a large in-core launch.

@@ -451,43 +451,55 @@ func (e *Endpoint) Send(p *simnet.Proc, to int, kind string, size int64, payload
 	e.send(p, m)
 }
 
-// BeginSend starts sending a control message (size below
-// ControlThreshold) from a step process, which cannot block through Send:
-// it counts the message and arms p's wake after the per-message software
-// overhead. When that wake fires, the step completes the send with
-// FinishSend(m). ok is false when the message was lost at the sender (a
-// dead node or a severed link); then no wake is armed and there is nothing
-// to finish. Together the two calls produce exactly the events of Send.
-func (e *Endpoint) BeginSend(p *simnet.Proc, to int, kind string, size int64, payload any) (m Message, ok bool) {
-	if size >= ControlThreshold {
-		panic(fmt.Sprintf("network: BeginSend of a %d-byte bulk message; bulk sends must block in Send", size))
-	}
-	m = Message{From: int32(e.id), To: int32(to), Kind: kind, Size: size, Payload: payload}
-	if !e.count(m) {
-		return m, false
-	}
-	p.Arm(e.f.cfg.PerMessageCPU)
-	return m, true
+// Sending is a send in progress from a step process: BeginSend starts it
+// and FinishSend drives it to its end. A step process keeps one and reuses
+// it for each of its sends.
+type Sending struct {
+	m     Message
+	start simnet.Time // when the send began (the trace span's start)
+	phase sendPhase
 }
 
-// FinishSend completes a send once the sender's per-message overhead has
-// elapsed: an intra-node message is delivered at once, a control message
-// after the propagation latency and its wire time.
-func (e *Endpoint) FinishSend(m Message) {
-	dst := e.f.nodes[m.To]
-	if int(m.To) == e.id {
-		// Intra-node delivery: only the software overhead.
-		dst.deliver(m)
-		return
+// sendPhase is the wait a send is in.
+type sendPhase uint8
+
+const (
+	sendOverhead sendPhase = iota // holding the per-message software overhead
+	sendQueued                    // waiting for the egress link (bulk)
+	sendOnWire                    // holding the egress link for the wire time (bulk)
+)
+
+// BeginSend starts sending a message from a step process, which cannot
+// block through Send: it counts the message into s and arms p's wake after
+// the per-message software overhead. From that wake on, the step calls
+// FinishSend(p, s) at each wake until it reports true. ok is false when the
+// message was lost at the sender (a dead node or a severed link); then no
+// wake is armed and there is nothing to finish. Together the calls produce
+// exactly the events of Send.
+func (e *Endpoint) BeginSend(p *simnet.Proc, s *Sending, to int, kind string, size int64, payload any) (ok bool) {
+	s.m = Message{From: int32(e.id), To: int32(to), Kind: kind, Size: size, Payload: payload}
+	if !e.count(&s.m) {
+		return false
 	}
-	// Control lane: interleaved with bulk traffic, never queued behind it.
-	e.schedule(dst, e.k.Now().Add(e.f.cfg.Latency+e.f.cfg.wire(m.Size)), m, 0, false)
+	s.start, s.phase = e.k.Now(), sendOverhead
+	p.Arm(e.f.cfg.PerMessageCPU)
+	return true
+}
+
+// FinishSend advances a send begun with BeginSend from the wake that called
+// it. It reports true once the message is on its way: delivered at once
+// within a node, or scheduled for delivery after the propagation latency —
+// at once for a control message, after the egress link's wire time for a
+// bulk one. Otherwise it arms p's next wake (the egress link's grant, then
+// the end of the wire time) and reports false.
+func (e *Endpoint) FinishSend(p *simnet.Proc, s *Sending) bool {
+	return e.advance(p, s, false)
 }
 
 // count books m against the sender, or drops it: a dead node (or one
 // behind a severed link) cannot transmit, which is modelled as silent loss.
 // The caller's process usually gets cancelled by the failure detector.
-func (e *Endpoint) count(m Message) bool {
+func (e *Endpoint) count(m *Message) bool {
 	if e.dead || e.linkDown(int(m.To)) {
 		e.dropped++
 		return false
@@ -500,31 +512,74 @@ func (e *Endpoint) count(m Message) bool {
 	return true
 }
 
+// send is Send's body: the send state machine, waiting in place.
 func (e *Endpoint) send(p *simnet.Proc, m Message) {
-	if !e.count(m) {
+	if !e.count(&m) {
 		return
 	}
-	start := e.k.Now()
+	s := Sending{m: m, start: e.k.Now()}
 	p.Hold(e.f.cfg.PerMessageCPU)
-	if int(m.To) == e.id || m.Size < ControlThreshold {
-		e.FinishSend(m)
-		return
+	e.advance(p, &s, true)
+}
+
+// advance moves send s on from the end of its current wait and reports
+// whether the send is done: a message that holds no link is delivered or
+// scheduled once the software overhead has elapsed, a bulk one after its
+// wire time on the egress link. Blocking (block, a coroutine in Send) it
+// waits in place at each further wait and so always finishes; otherwise it
+// arms p's wake at the next wait and reports false. Both forms make the
+// same waits in the same order, so they produce the same events. A
+// finished send drops its payload reference.
+func (e *Endpoint) advance(p *simnet.Proc, s *Sending, block bool) bool {
+	for {
+		switch s.phase {
+		case sendOverhead:
+			if int(s.m.To) == e.id {
+				// Intra-node delivery: only the software overhead.
+				e.deliver(s.m)
+			} else if s.m.Size < ControlThreshold {
+				// Control lane: interleaved with bulk traffic, never
+				// queued behind it.
+				e.schedule(e.f.nodes[s.m.To], e.k.Now().Add(e.f.cfg.Latency+e.f.cfg.wire(s.m.Size)), s.m, 0, false)
+			} else {
+				s.phase = sendQueued
+				continue
+			}
+			s.m.Payload = nil
+			return true
+		case sendQueued:
+			if block {
+				e.egress.Acquire(p, 1)
+			} else if !e.egress.AcquireStep(p, 1) {
+				return false
+			}
+			s.phase = sendOnWire
+			if !block {
+				p.Arm(e.f.cfg.wire(s.m.Size))
+				return false
+			}
+			p.Hold(e.f.cfg.wire(s.m.Size))
+		case sendOnWire:
+			e.egress.Release(1)
+			m, start := s.m, s.start
+			s.m.Payload = nil
+			if e.f.rec.Enabled() {
+				// Sender-side occupancy: software overhead, egress-link
+				// queueing wait and wire serialization. The queueing wait
+				// is the contention signal that surfaces the paper's
+				// "skewed computation/communication ratio".
+				e.f.rec.Add(trace.Span{
+					Node: e.id, Queue: "net.tx", Kind: trace.KindSend,
+					Label: m.Kind, Start: start, End: e.k.Now(),
+					Attrs: []trace.Attr{trace.Int64Attr("bytes", m.Size), trace.Int64Attr("to", int64(m.To))},
+				})
+			}
+			// Propagation and receive-side DMA proceed without occupying
+			// the sender.
+			e.schedule(e.f.nodes[m.To], e.k.Now().Add(e.f.cfg.Latency), m, e.f.cfg.wire(m.Size), true)
+			return true
+		}
 	}
-	wire := e.f.cfg.wire(m.Size)
-	e.egress.Use(p, 1, wire)
-	if e.f.rec.Enabled() {
-		// Sender-side occupancy: software overhead, egress-link queueing
-		// wait and wire serialization. The queueing wait is the
-		// contention signal that surfaces the paper's "skewed
-		// computation/communication ratio".
-		e.f.rec.Add(trace.Span{
-			Node: e.id, Queue: "net.tx", Kind: trace.KindSend,
-			Label: m.Kind, Start: start, End: e.k.Now(),
-			Attrs: []trace.Attr{trace.Int64Attr("bytes", m.Size), trace.Int64Attr("to", int64(m.To))},
-		})
-	}
-	// Propagation and receive-side DMA proceed without occupying the sender.
-	e.schedule(e.f.nodes[m.To], e.k.Now().Add(e.f.cfg.Latency), m, wire, true)
 }
 
 func (e *Endpoint) deliver(m Message) {

@@ -25,8 +25,8 @@ func TestAllocBlockingWaitsForFree(t *testing.T) {
 	})
 	k.Spawn("waiter", func(p *simnet.Proc) {
 		p.Hold(time.Millisecond) // let the holder run first
-		buf, err := d.AllocBlocking(p, big)
-		if err != nil {
+		var buf Buffer
+		if err := d.AllocBlocking(p, &buf, big); err != nil {
 			t.Error(err)
 			return
 		}
@@ -45,7 +45,8 @@ func TestAllocBlockingImpossibleRequestFails(t *testing.T) {
 	d := NewDevice(k, spec, 0, 0, nil)
 	var err error
 	k.Spawn("w", func(p *simnet.Proc) {
-		_, err = d.AllocBlocking(p, spec.GlobalMem+1)
+		var buf Buffer
+		err = d.AllocBlocking(p, &buf, spec.GlobalMem+1)
 	})
 	k.Run(0)
 	if err == nil {
@@ -61,8 +62,8 @@ func TestAllocBlockingManyWaiters(t *testing.T) {
 	var finished int
 	for i := 0; i < 4; i++ {
 		k.Spawn("u", func(p *simnet.Proc) {
-			buf, err := d.AllocBlocking(p, chunk)
-			if err != nil {
+			var buf Buffer
+			if err := d.AllocBlocking(p, &buf, chunk); err != nil {
 				t.Error(err)
 				return
 			}

@@ -182,14 +182,41 @@ func (b *Buffer) Size() int64 { return b.size }
 
 // Alloc reserves size bytes of device memory.
 func (d *Device) Alloc(size int64) (*Buffer, error) {
-	if size < 0 {
-		return nil, fmt.Errorf("ocl: negative allocation %d", size)
+	if !d.fits(size) {
+		return nil, d.allocErr(size)
 	}
-	if d.memUsed+size > d.spec.GlobalMem {
-		return nil, fmt.Errorf("%w: need %d, free %d on %s", ErrOutOfMemory, size, d.MemFree(), d.Name())
+	b := &Buffer{}
+	d.reserve(b, size)
+	return b, nil
+}
+
+// fits reports whether size bytes can be reserved now.
+func (d *Device) fits(size int64) bool {
+	return size >= 0 && d.memUsed+size <= d.spec.GlobalMem
+}
+
+// possible reports whether a request of size bytes can ever be met, once
+// enough memory is freed.
+func (d *Device) possible(size int64) bool {
+	return size >= 0 && size <= d.spec.GlobalMem
+}
+
+// allocErr is the error of a request of size bytes that does not fit.
+func (d *Device) allocErr(size int64) error {
+	if size < 0 {
+		return fmt.Errorf("ocl: negative allocation %d", size)
+	}
+	return fmt.Errorf("%w: need %d, free %d on %s", ErrOutOfMemory, size, d.MemFree(), d.Name())
+}
+
+// reserve takes size bytes, which fit, into b, which must not hold an
+// allocation.
+func (d *Device) reserve(b *Buffer, size int64) {
+	if b.dev != nil && !b.freed {
+		panic("ocl: allocation into a buffer that is still allocated")
 	}
 	d.memUsed += size
-	return &Buffer{dev: d, size: size}, nil
+	*b = Buffer{dev: d, size: size}
 }
 
 // Free releases the buffer and wakes launches blocked on device memory.
@@ -204,21 +231,38 @@ func (b *Buffer) Free() {
 	b.dev.memWait.WakeAll(b.dev.k)
 }
 
-// AllocBlocking reserves size bytes, blocking the calling process until
-// concurrent launches release enough memory ("Cashmere automatically
+// AllocBlocking reserves size bytes into b, blocking the calling process
+// until concurrent launches release enough memory ("Cashmere automatically
 // manages the available memory on a device", Sec. II-C.3). Requests larger
-// than the device fail immediately.
-func (d *Device) AllocBlocking(p *simnet.Proc, size int64) (*Buffer, error) {
-	for {
-		buf, err := d.Alloc(size)
-		if err == nil {
-			return buf, nil
-		}
-		if size > d.spec.GlobalMem || size < 0 {
-			return nil, err
+// than the device fail immediately. b is the caller's, who may reuse it
+// for a later allocation once it has been freed.
+func (d *Device) AllocBlocking(p *simnet.Proc, b *Buffer, size int64) error {
+	for !d.fits(size) {
+		if !d.possible(size) {
+			return d.allocErr(size)
 		}
 		d.memWait.Park(p)
 	}
+	d.reserve(b, size)
+	return nil
+}
+
+// AllocStep is AllocBlocking for a step process, which returns instead of
+// blocking: it reserves size bytes into b and reports true, or registers p
+// for the next Free, arms its wake and reports false. The woken step calls
+// AllocStep again — exactly the events of AllocBlocking. A request larger
+// than the device fails at once with an error. Called from a coroutine
+// outside StepUntil while memory is short, it panics naming the process.
+func (d *Device) AllocStep(p *simnet.Proc, b *Buffer, size int64) (bool, error) {
+	if d.fits(size) {
+		d.reserve(b, size)
+		return true, nil
+	}
+	if !d.possible(size) {
+		return false, d.allocErr(size)
+	}
+	d.memWait.Arm(p)
+	return false, nil
 }
 
 // EnqueueWrite appends a host-to-device transfer of n bytes to the H2D

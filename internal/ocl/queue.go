@@ -35,7 +35,7 @@ type op struct {
 
 	deps    [maxDeps]Event
 	ndeps   int
-	waiters simnet.WaitList // processes blocked in Event.Wait
+	waiters simnet.WaitList // processes waiting in Event.Wait or Event.Await
 	hooks   []*queue        // queues whose head is gated on this op
 	next    *op             // FIFO link while queued, free-list link after
 }
@@ -60,6 +60,20 @@ func (e Event) Wait(p *simnet.Proc) {
 	for !e.Done() {
 		e.op.waiters.Park(p)
 	}
+}
+
+// Await is Wait for a step process, which returns instead of blocking: it
+// reports true when the operation has completed (or the handle is zero),
+// or registers p for the completion, arms its wake and reports false. The
+// woken step calls Await again — exactly the events of Wait. Called on an
+// incomplete Event from a coroutine outside StepUntil, it panics naming
+// the process.
+func (e Event) Await(p *simnet.Proc) bool {
+	if e.Done() {
+		return true
+	}
+	e.op.waiters.Arm(p)
+	return false
 }
 
 // queue is one in-order engine queue (compute, H2D DMA, or D2H DMA). The

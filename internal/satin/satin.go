@@ -177,12 +177,15 @@ type Node struct {
 	peers []int
 
 	// The comm loop's state between steps (see commStep): the control
-	// replies still to send, the one whose software overhead is being held,
-	// and the deadline of the receive in progress (-1 when none is).
+	// replies still to send, the one being sent, and the deadline of the
+	// receive in progress (-1 when none is).
 	out       []ctlSend
-	sending   network.Message
+	sending   network.Sending
 	sendArmed bool
 	deadline  simnet.Time
+	// hookCtx is the frame the comm loop hands the message handler hook,
+	// reset for every message (see SetMessageHandler).
+	hookCtx Context
 
 	// Stats (per node; Runtime sums them on demand).
 	jobsExecuted   int64
@@ -256,18 +259,17 @@ func (rt *Runtime) Scheduler() *simnet.Partitioned { return rt.ps }
 // a step of the receiving node's comm loop, a step process, so it must never
 // block: any Hold, Send, Recv, Acquire or Await on ctx.Proc() panics. Work
 // that takes virtual time, replies included, must be started with
-// Node.GoLocal. Must be installed before Run (installing it later would race
-// with comm loops on other partitions). The returned bool reports whether the
-// hook consumed the message.
+// Node.GoLocal or Node.GoLocalStep. The comm loop reuses ctx for every
+// message, so the hook must not keep it, nor hand it to that work. Must be
+// installed before Run (installing it later would race with comm loops on
+// other partitions). The returned bool reports whether the hook consumed
+// the message.
 func (rt *Runtime) SetMessageHandler(h func(ctx *Context, m network.Message) bool) {
 	rt.handler = h
 }
 
 // Fabric returns the network fabric.
 func (rt *Runtime) Fabric() *network.Fabric { return rt.fabric }
-
-// Recorder returns the trace recorder (may be nil).
-func (rt *Runtime) Recorder() *trace.Recorder { return rt.rec }
 
 // Nodes reports the number of nodes.
 func (rt *Runtime) Nodes() int { return len(rt.nodes) }
@@ -285,9 +287,6 @@ func (n *Node) DeviceState() any { return n.dev }
 // Alive reports whether the node has not been killed.
 func (n *Node) Alive() bool { return !n.dead }
 
-// Kernel returns the kernel of the partition owning this node.
-func (n *Node) Kernel() *simnet.Kernel { return n.k }
-
 // GoLocal runs fn on one of the node's pooled processes, on the node's own
 // kernel. It is the escape hatch for message handlers that must not block the
 // comm loop.
@@ -295,6 +294,14 @@ func (n *Node) GoLocal(fn func(ctx *Context)) {
 	n.pool.Go(func(p *simnet.Proc) {
 		fn(&Context{p: p, node: n, manyCore: true})
 	})
+}
+
+// GoLocalStep is GoLocal for work written as a step function (see
+// simnet.ProcPool.GoStep): step runs on one of the node's pooled processes
+// from the same wake fn would start at, and its waits cost no coroutine
+// switch.
+func (n *Node) GoLocalStep(step func(p *simnet.Proc) bool) {
+	n.pool.GoStep(step)
 }
 
 // JobsExecuted sums the per-node executed-job counters.
@@ -528,7 +535,7 @@ type thief struct {
 	attempt    int             // probes made in this round
 	victim     int             // the probe's victim
 	probeStart simnet.Time     // when the probe began
-	sending    network.Message // the request whose send overhead is held
+	sending    network.Sending // the request being sent
 	deadline   simnet.Time     // end of the reply wait in progress (-1: none)
 	job        *Job            // the job found, handed to the process's body
 }
@@ -562,8 +569,9 @@ func (t *thief) run(p *simnet.Proc) bool {
 	cfg := &n.rt.cfg
 	switch t.phase {
 	case sending:
-		n.ep.FinishSend(t.sending)
-		t.sending = network.Message{}
+		if !n.ep.FinishSend(p, &t.sending) {
+			return true
+		}
 		t.await(p, awaitGrant, cfg.StealTimeout)
 	case awaitGrant, awaitData:
 		t.reply.Unwait(p)
@@ -595,8 +603,8 @@ func (t *thief) run(p *simnet.Proc) bool {
 			}
 			t.probeStart = p.Now()
 			n.pendingSteal[t.key] = t.reply
-			if m, ok := n.ep.BeginSend(p, t.victim, "steal_request", 64, &t.req); ok {
-				t.sending, t.phase = m, sending
+			if n.ep.BeginSend(p, &t.sending, t.victim, "steal_request", 64, &t.req) {
+				t.phase = sending
 				return true
 			}
 			// Lost at the sender: the thief waits out the timeout all the same.
@@ -738,9 +746,10 @@ func (n *Node) reply(to int, kind string, payload any, then func() bool) {
 // events as a blocking RecvTimeout/Send loop.
 func (n *Node) commStep(p *simnet.Proc) bool {
 	if n.sendArmed {
+		if !n.ep.FinishSend(p, &n.sending) {
+			return true
+		}
 		n.sendArmed = false
-		n.ep.FinishSend(n.sending)
-		n.sending = network.Message{}
 		if n.popReply() {
 			return false
 		}
@@ -750,8 +759,8 @@ func (n *Node) commStep(p *simnet.Proc) bool {
 	for {
 		for len(n.out) > 0 {
 			if s := &n.out[0]; s.kind != "" {
-				if m, ok := n.ep.BeginSend(p, s.to, s.kind, 64, s.payload); ok {
-					n.sending, n.sendArmed = m, true
+				if n.ep.BeginSend(p, &n.sending, s.to, s.kind, 64, s.payload) {
+					n.sendArmed = true
 					return true
 				}
 			}
@@ -899,7 +908,8 @@ func (n *Node) handle(p *simnet.Proc, m network.Message) bool {
 		}
 	default:
 		if h := n.rt.handler; h != nil {
-			h(&Context{p: p, node: n, manyCore: true}, m)
+			n.hookCtx = Context{p: p, node: n, manyCore: true}
+			h(&n.hookCtx, m)
 		}
 	}
 	return false

@@ -108,3 +108,48 @@ func TestServeRemoteNodesDoWork(t *testing.T) {
 		t.Fatal("remote nodes executed no launches; proxy protocol is not dispatching")
 	}
 }
+
+// TestServeSVMTransport: under the SVM transport a launch's page acquires
+// block, so slots and batch servers run every batch on a coroutine (a
+// node-0 slot hands back from its steps, a remote node uses GoLocal). The
+// run must still serve every admitted request, fault pages in, and give
+// the same dump at every partition layout.
+func TestServeSVMTransport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full simulations")
+	}
+	run := func(partitions int) (*Report, string) {
+		w, err := StandardWorkload(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cap, err := w.CapacityRPS("gtx480", 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.ScaleRates(0.7 * cap)
+		cfg := core.DefaultConfig(3, "gtx480")
+		cfg.Transport = core.TransportSVM
+		cfg.Partitions = partitions
+		cl := testClusterConfig(t, cfg, w)
+		scfg := DefaultConfig(w)
+		scfg.Horizon = 100 * time.Millisecond
+		rep, err := Run(cl, scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := cl.CollectMetrics()
+		rep.FillMetrics(m)
+		if m.Int("svm.faults") == 0 {
+			t.Fatal("no page faulted in under the SVM transport")
+		}
+		return rep, rep.Format() + m.Format()
+	}
+	rep, seq := run(1)
+	if rep.Completed != rep.Admitted || rep.Errors != 0 || rep.Completed == 0 {
+		t.Fatalf("completed %d of %d admitted, %d errors", rep.Completed, rep.Admitted, rep.Errors)
+	}
+	if _, par := run(3); par != seq {
+		t.Errorf("3 partitions diverged from sequential:\n-- sequential --\n%s\n-- parallel --\n%s", seq, par)
+	}
+}

@@ -14,6 +14,13 @@ func testCluster(t testing.TB, nodes int, seed int64, w *Workload) *core.Cluster
 	t.Helper()
 	cfg := core.DefaultConfig(nodes, "gtx480")
 	cfg.Seed = seed
+	return testClusterConfig(t, cfg, w)
+}
+
+// testClusterConfig builds a cluster of cfg with the workload's kernels
+// registered.
+func testClusterConfig(t testing.TB, cfg core.Config, w *Workload) *core.Cluster {
+	t.Helper()
 	cl, err := core.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)

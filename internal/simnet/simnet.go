@@ -25,15 +25,21 @@
 // waits again, never blocking mid-handler — can instead be a step process
 // (SpawnStepOn). It has no coroutine: the kernel calls its step function
 // inline on every wake, exactly where it would have resumed the body, and
-// the step arms its next wake (Proc.Arm, Chan.Await, Resource.AcquireStep)
-// before returning. The wake is the same event either way; only the host
-// cost of a switch is saved. The layers above run their fixed-script
-// processes this way: Satin's comm loops, the network's receive-side
-// couriers (await work, queue for the ingress link, hold it) and the
-// serving frontend's arrival generators. A coroutine can turn into a step
-// process for a stretch of waits with Proc.StepUntil: its body resumes
-// only at the wake whose step hands back, so a loop that mostly waits (an
-// idle work-stealing thief) switches only when it has work to do.
+// the step arms its next wake (Proc.Arm, Chan.Await, Resource.AcquireStep,
+// WaitList.Arm) before returning. The wake is the same event either way;
+// only the host cost of a switch is saved. The layers above run their
+// fixed-script processes this way: Satin's comm loops, the network's
+// receive-side couriers (await work, queue for the ingress link, hold it)
+// and the serving frontend's arrival generators. A coroutine can turn into
+// a step process for a stretch of waits with Proc.StepUntil: its body
+// resumes only at the wake whose step hands back, so a loop that mostly
+// waits (an idle work-stealing thief, an idle ProcPool runner) switches
+// only when it has work to do. The serving layer's dispatcher slots live
+// inside StepUntil, and its batch servers are step tasks of a ProcPool
+// (ProcPool.GoStep); both wait for work, device memory, a launch's last
+// command, the network links and replies as steps, through the step forms
+// of the layers above (ocl.Event.Await, ocl.Device.AllocStep,
+// core.Launch.Step, network.Endpoint.BeginSend/FinishSend).
 //
 // A parked process has at most one entry in the event queue. A second wake
 // for the same park — the reply that beats a RecvTimeout, say — is folded

@@ -2,11 +2,12 @@ package simnet
 
 // WaitList is an embeddable list of parked processes — the building block
 // for condition-style waits owned by higher layers (ocl command-queue
-// events, device-memory pressure). A process parks on it with Park after
-// observing an unmet condition; whoever makes the condition true calls
-// WakeAll. Park/WakeAll pairs must follow the usual epoch discipline:
-// callers loop re-checking their condition, because WakeAll wakes every
-// parked process and only some of them may find the condition still true.
+// events, device-memory pressure, idle serving dispatchers). A process
+// parks on it with Park after observing an unmet condition, or a step
+// process arms its wake on it with Arm; whoever makes the condition true
+// calls WakeAll. Waits must follow the usual epoch discipline: callers
+// loop re-checking their condition, because WakeAll wakes every waiting
+// process and only some of them may find the condition still true.
 //
 // The backing slice is retained across WakeAll calls, so a WaitList that
 // cycles through park/wake in steady state allocates nothing.
@@ -21,8 +22,18 @@ func (w *WaitList) Park(p *Proc) {
 	p.park()
 }
 
-// WakeAll schedules a wake for every parked process at the current virtual
-// time, in park order, and empties the list.
+// Arm is Park for a step process, which returns instead of blocking: it
+// registers p against its current park epoch and arms its wake for the
+// next WakeAll. The woken step re-checks its condition and arms again if
+// it still does not hold — exactly the events of a Park loop. Called from
+// a coroutine outside StepUntil, it panics naming the process.
+func (w *WaitList) Arm(p *Proc) {
+	p.arm()
+	w.ws = append(w.ws, chanWaiter{p: p, epoch: p.epoch})
+}
+
+// WakeAll schedules a wake for every waiting process at the current
+// virtual time, in registration order, and empties the list.
 func (w *WaitList) WakeAll(k *Kernel) {
 	for _, wa := range w.ws {
 		k.post(k.now, wa.p, wa.epoch)
@@ -30,5 +41,5 @@ func (w *WaitList) WakeAll(k *Kernel) {
 	w.ws = w.ws[:0]
 }
 
-// Empty reports whether no process is parked on the list.
+// Empty reports whether no process is waiting on the list.
 func (w *WaitList) Empty() bool { return len(w.ws) == 0 }
