@@ -148,18 +148,19 @@ bench-autoscale:
 # device-runtime enqueue path (BenchmarkLaunchPath), the dataflow-graph
 # submit path (BenchmarkGraphSubmitPath), the serving admission fast
 # path (BenchmarkServeAdmitPath), one remote serving batch round trip run
-# as steps — slot, serve_batch, pooled batch server, stepped launch,
-# serve_done — (BenchmarkServeBatchPath), the SVM steady-state re-fault path
-# (BenchmarkSVMRefault) and the memoized kernel-cost lookup, for a repeated
-# launch and for raytracer leaves that differ in a parameter the cost never
-# reads (BenchmarkKernelCost/memoized and /raytrace-memoized), must all
-# report 0 allocs/op. CI fails if any of them regresses above zero.
+# as steps — slot, serve_batch, pooled batch server, a stepped launch or
+# graph run, serve_done — (BenchmarkServeBatchPath/launch and /graph), the
+# SVM steady-state re-fault path (BenchmarkSVMRefault) and the memoized
+# kernel-cost lookup, for a repeated launch and for raytracer leaves that
+# differ in a parameter the cost never reads (BenchmarkKernelCost/memoized
+# and /raytrace-memoized), must all report 0 allocs/op. CI fails if any of
+# them regresses above zero.
 bench-allocs:
 	@$(GO) test -run xxx -benchmem -benchtime 2000x \
 		-bench 'BenchmarkSimnetEventLoop|BenchmarkEventHeap|BenchmarkNetworkMessageRate|BenchmarkTraceOverhead|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkServeBatchPath|BenchmarkSVMRefault|BenchmarkKernelCost' \
 		./internal/simnet/ ./internal/network/ ./internal/trace/ ./internal/ocl/ ./internal/core/ ./internal/svm/ ./internal/serve/ | tee bench-allocs.out
 	@bad=$$(awk '/allocs\/op/ { name=$$1; sub(/-[0-9]+$$/, "", name); \
-		if (name ~ /^(BenchmarkSimnetEventLoop\/hold|BenchmarkSimnetEventLoop\/pingpong|BenchmarkSimnetEventLoop\/timeout|BenchmarkSimnetEventLoop\/step|BenchmarkSimnetEventLoop\/stepuntil|BenchmarkEventHeap\/(alternate|pairs)\/depth=(16|64|256)|BenchmarkNetworkMessageRate\/bulk|BenchmarkNetworkMessageRate\/ctl|BenchmarkNetworkMessageRate\/contended|BenchmarkNetworkMessageRate\/stepped|BenchmarkTraceOverhead\/off|BenchmarkTraceOverhead\/off\/span-only|BenchmarkTraceOverheadDevice\/off|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkServeBatchPath|BenchmarkSVMRefault|BenchmarkKernelCost\/memoized|BenchmarkKernelCost\/raytrace-memoized)$$/ \
+		if (name ~ /^(BenchmarkSimnetEventLoop\/hold|BenchmarkSimnetEventLoop\/pingpong|BenchmarkSimnetEventLoop\/timeout|BenchmarkSimnetEventLoop\/step|BenchmarkSimnetEventLoop\/stepuntil|BenchmarkEventHeap\/(alternate|pairs)\/depth=(16|64|256)|BenchmarkNetworkMessageRate\/bulk|BenchmarkNetworkMessageRate\/ctl|BenchmarkNetworkMessageRate\/contended|BenchmarkNetworkMessageRate\/stepped|BenchmarkTraceOverhead\/off|BenchmarkTraceOverhead\/off\/span-only|BenchmarkTraceOverheadDevice\/off|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkServeBatchPath\/(launch|graph)|BenchmarkSVMRefault|BenchmarkKernelCost\/memoized|BenchmarkKernelCost\/raytrace-memoized)$$/ \
 		&& $$(NF-1)+0 > 0) print name, $$(NF-1), "allocs/op" }' bench-allocs.out); \
 	if [ -n "$$bad" ]; then echo "zero-alloc benchmarks regressed:"; echo "$$bad"; exit 1; fi; \
 	echo "all pinned benchmarks at 0 allocs/op"

@@ -151,14 +151,15 @@ type NodeState struct {
 	ID        int
 	Devices   []*ocl.Device
 	Sched     *Scheduler
-	Space     *svm.Space                     // this node's shared-virtual-memory manager
-	kernels   map[string][]*codegen.Compiled // kernel name -> per-device compiled form
-	residents map[residentKey]resident       // device-resident data, per device and tag
+	Space     *svm.Space               // this node's shared-virtual-memory manager
+	kernels   map[string]*Kernel       // kernel name -> its handle, compiled per device
+	residents map[residentKey]resident // device-resident data, per device and tag
 
 	costCache            map[*codegen.Compiled]*costSlot // memoized MCL cost evaluations
 	costHits, costMisses int64
 
-	graphs map[*GraphSpec]*Graph // instantiated dataflow graphs, one per spec
+	graphs   map[*GraphSpec]*Graph // instantiated dataflow graphs, one per spec
+	launches *Launch               // pooled launches of Launch.Run
 	// Graph counters (summed into CollectMetrics as graph.*): runs, stage
 	// executions, input edges satisfied without a transfer, and PCIe bytes
 	// not moved relative to the naive per-kernel launch sequence.
@@ -247,7 +248,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 		state := &NodeState{
 			cl: cl, ID: i, Devices: on.Devices,
-			kernels:   map[string][]*codegen.Compiled{},
+			kernels:   map[string]*Kernel{},
 			residents: map[residentKey]resident{},
 			costCache: map[*codegen.Compiled]*costSlot{},
 			graphs:    map[*GraphSpec]*Graph{},
@@ -328,7 +329,7 @@ func (cl *Cluster) initialize() error {
 				}
 				compiled = append(compiled, c)
 			}
-			ns.kernels[name] = compiled
+			ns.kernels[name] = &Kernel{ns: ns, name: name, compiled: compiled}
 		}
 	}
 	cl.initialized = true
@@ -391,9 +392,9 @@ func (cl *Cluster) run(run func(func(*satin.Context) any) (any, simnet.Time), ma
 }
 
 // GetKernel is the Cashmere front-end call of Fig. 4: from a leaf
-// computation, retrieve the kernel compiled for this node's devices.
-// It fails if the kernel is unknown, which (per Fig. 4) sends the caller to
-// its CPU fallback.
+// computation, retrieve the node's handle of the kernel compiled for its
+// devices. It fails if the kernel is unknown, which (per Fig. 4) sends the
+// caller to its CPU fallback.
 func GetKernel(ctx *satin.Context, name string) (*Kernel, error) {
 	ns, ok := ctx.Node().DeviceState().(*NodeState)
 	if !ok {
@@ -402,8 +403,9 @@ func GetKernel(ctx *satin.Context, name string) (*Kernel, error) {
 	if len(ns.Devices) == 0 {
 		return nil, fmt.Errorf("core: node %d has no many-core devices", ctx.NodeID())
 	}
-	if _, ok := ns.kernels[name]; !ok {
+	k, ok := ns.kernels[name]
+	if !ok {
 		return nil, fmt.Errorf("core: kernel %q not registered", name)
 	}
-	return &Kernel{ns: ns, name: name}, nil
+	return k, nil
 }

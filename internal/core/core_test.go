@@ -43,7 +43,7 @@ func TestClusterInitializeCompilesPerDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(cl.NodeState(1).kernels["scale"]); got != 2 {
+	if got := len(cl.NodeState(1).kernels["scale"].compiled); got != 2 {
 		t.Fatalf("node 1 compiled %d kernel forms, want 2", got)
 	}
 }

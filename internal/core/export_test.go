@@ -18,4 +18,4 @@ func (ns *NodeState) KernelCost(c *codegen.Compiled, params map[string]int64) (d
 
 // Compiled returns the node's compiled versions of a registered kernel, one
 // per device.
-func (ns *NodeState) Compiled(name string) []*codegen.Compiled { return ns.kernels[name] }
+func (ns *NodeState) Compiled(name string) []*codegen.Compiled { return ns.kernels[name].compiled }

@@ -204,7 +204,7 @@ func (ns *NodeState) planGraph(gs *GraphSpec) (*Graph, error) {
 		chainHits: pl.chainHits, plannedBytes: pl.plannedBytes,
 		flops: pl.flops, verify: pl.verify,
 	}
-	return &Graph{ns: ns, spec: gs, plan: plan, ws: make([]*ocl.Buffer, ndev)}, nil
+	return &Graph{ns: ns, spec: gs, plan: plan, ws: make([]ocl.Buffer, ndev)}, nil
 }
 
 func (pl *gplanner) emit(o gop) int {
@@ -357,7 +357,7 @@ func (pl *gplanner) planStage(si int) error {
 	s := &pl.gs.stages[si]
 	ns := pl.ns
 	ndev := len(ns.Devices)
-	compiled := ns.kernels[s.Kernel]
+	compiled := ns.kernels[s.Kernel].compiled
 
 	ktFull := make([]simnet.Duration, ndev)
 	costFull := make([]device.KernelCost, ndev)
@@ -490,7 +490,7 @@ func (pl *gplanner) place(si int, s *StageSpec, cum []int64, v int64, sliceCost 
 			break
 		}
 	}
-	pl.verify = append(pl.verify, ns.kernels[s.Kernel][verifyDev])
+	pl.verify = append(pl.verify, ns.kernels[s.Kernel].compiled[verifyDev])
 
 	for d := 0; d < ndev; d++ {
 		if cum[d+1]-cum[d] == 0 {

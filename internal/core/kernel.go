@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cashmere/internal/device"
+	"cashmere/internal/mcl/codegen"
 	"cashmere/internal/ocl"
 	"cashmere/internal/satin"
 	"cashmere/internal/simnet"
@@ -26,12 +27,10 @@ const (
 // Kernel is the handle returned by GetKernel: the named kernel, compiled
 // for every device of the calling node.
 type Kernel struct {
-	ns   *NodeState
-	name string
+	ns       *NodeState
+	name     string
+	compiled []*codegen.Compiled // per device
 }
-
-// Name returns the kernel name.
-func (k *Kernel) Name() string { return k.name }
 
 // LaunchSpec describes one kernel launch. The scheduler places every launch
 // (Sec. III-B), and its data must fit the chosen device's memory: a launch
@@ -75,35 +74,42 @@ type Resident struct {
 }
 
 // Launch is a prepared kernel launch (Fig. 4: kernel.createLaunch()). It
-// is also the launch's state machine: Run drives it blocking from a
-// coroutine, Step as steps of a step process, through the same phases. A
-// Launch runs one launch at a time.
+// is also the launch's state machine: Step advances it as steps of a step
+// process, and Run is Proc.StepUntil over the same steps. A Launch runs
+// one launch at a time.
 type Launch struct {
 	k    *Kernel
 	spec LaunchSpec
+	step func(*simnet.Proc) bool // Step, bound once (NodeState.launches)
+	next *Launch                 // NodeState.launches link
 
-	// The launch in progress: the phase it waits in, the device and the
-	// scheduler's estimate, the kernel's cost and the bytes it moves, its
-	// device memory, the event the launch ends with and its modeled kernel
-	// time; err is the outcome.
-	phase    launchPhase
-	dev      int
-	est      simnet.Duration
-	cost     device.KernelCost
-	in, out  int64
-	buf      ocl.Buffer
-	last     ocl.Event
-	measured simnet.Duration
-	err      error
+	// The launch in progress: the phase it waits in (fetched: holding a
+	// foreign buffer's fetch), the device and the scheduler's estimate, the
+	// kernel's cost and the bytes it moves, its device memory, the events
+	// the kernel follows, the next buffer access, the event the launch ends
+	// with and its modeled kernel time; err is the outcome.
+	phase      launchPhase
+	fetched    bool
+	dev        int
+	est        simnet.Duration
+	cost       device.KernelCost
+	in, out    int64
+	buf        ocl.Buffer
+	hdep, bdep ocl.Event
+	access     int
+	last       ocl.Event
+	measured   simnet.Duration
+	err        error
 }
 
 // launchPhase is the wait a launch is in.
 type launchPhase uint8
 
 const (
-	launchIdle  launchPhase = iota // not started, or finished
-	launchAlloc                    // waiting for device memory
-	launchWait                     // waiting for the launch's last command
+	launchIdle    launchPhase = iota // not started, or finished
+	launchAlloc                      // waiting for device memory
+	launchBuffers                    // held by a declared SVM access
+	launchWait                       // waiting for the launch's last command
 )
 
 // NewLaunch prepares a launch.
@@ -126,27 +132,35 @@ func (l *Launch) Prepare(k *Kernel, spec LaunchSpec) {
 	*l = Launch{k: k, spec: spec}
 }
 
-// Steppable reports whether launches of k can run as steps (Launch.Step):
-// true unless the node uses the SVM transport, whose page acquires block.
-func (k *Kernel) Steppable() bool { return !k.ns.svmEnabled() }
-
 // Run executes the full launch cycle, blocking the calling frame in virtual
-// time: pick a device through the scheduler, allocate device memory, then
-// drive the device through its command queues — enqueue the resident
-// transfer when due, the input transfer, the kernel and the output transfer
-// with event dependencies and wait only on the last event. Launches of at
-// least streamThreshold bytes run as a double-buffered pipeline of passes so
-// transfers overlap compute within the launch. With Verify enabled it
-// additionally executes the compiled kernel on the supplied Args, so results
-// are real and checkable.
+// time: pick a device through the scheduler, allocate device memory,
+// service the declared SVM accesses, then drive the device through its
+// command queues — enqueue the resident transfer when due, the input
+// transfer, the kernel and the output transfer with event dependencies and
+// wait only on the last event. Launches of at least streamThreshold bytes
+// run as a double-buffered pipeline of passes so transfers overlap compute
+// within the launch. With Verify enabled it additionally executes the
+// compiled kernel on the supplied Args, so results are real and checkable.
+// Run is Proc.StepUntil over Step, on a Launch the node pools, so l need
+// not reach the heap and a launch made per call allocates nothing.
 //
-// Errors (unknown parameters, a launch larger than device memory) are
-// returned to the caller, whose catch branch runs the CPU fallback (Fig. 4).
+// Errors (bad sizes, unknown parameters, a launch larger than device
+// memory) are returned to the caller, whose catch branch runs the CPU
+// fallback (Fig. 4).
 func (l *Launch) Run(ctx *satin.Context) error {
-	if l.phase != launchIdle {
-		panic("core: Run of a launch in progress")
+	ns := l.k.ns
+	r := ns.launches
+	if r == nil {
+		r = &Launch{}
+		r.step = r.Step
 	}
-	l.advance(ctx.Proc(), true)
+	ns.launches = r.next
+	r.k = l.k // the rest is as finish or a failed start left it
+	r.spec = l.spec
+	ctx.Proc().StepUntil(r.step)
+	r.spec = LaunchSpec{} // the pool keeps none of the caller's data alive
+	r.next, ns.launches = ns.launches, r
+	l.err = r.err
 	return l.err
 }
 
@@ -154,69 +168,65 @@ func (l *Launch) Run(ctx *satin.Context) error {
 // simnet.Proc.StepUntil): the call that finds the launch idle starts it,
 // and each later call continues it from the wake p armed. Step returns
 // true while the launch waits, with p's next wake armed, and false once it
-// has finished, Err then holding what Run would have returned. It makes
-// the same waits as Run, so it produces the same events. Launches of a
-// kernel that is not Steppable must use Run: Step panics on them.
+// has finished, Err then holding what Run would have returned.
 func (l *Launch) Step(p *simnet.Proc) bool {
-	return !l.advance(p, false)
+	ns := l.k.ns
+	for {
+		switch l.phase {
+		case launchIdle:
+			if l.err = l.start(); l.err != nil {
+				return false
+			}
+			l.phase = launchAlloc
+		case launchAlloc:
+			if ok, err := ns.Devices[l.dev].AllocStep(p, &l.buf, l.in+l.out); err != nil {
+				panic(err) // start checked the sizes
+			} else if !ok {
+				return true
+			}
+			if r := l.spec.Resident; r != nil {
+				var label string
+				if ns.Devices[l.dev].Tracing() {
+					label = l.spec.Label + ":" + r.Tag
+				}
+				l.hdep, _ = ns.stageResident(l.dev, r.Tag, r.Version, r.Bytes, label)
+			}
+			l.phase = launchBuffers
+		case launchBuffers:
+			if ns.svmEnabled() && l.acquire(p) {
+				return true
+			}
+			l.enqueue()
+			l.phase = launchWait
+		case launchWait:
+			if !l.last.Await(p) {
+				return true
+			}
+			l.finish()
+			return false
+		}
+	}
 }
 
 // Err reports the outcome of the last finished launch.
 func (l *Launch) Err() error { return l.err }
 
-// advance moves the launch on from the end of its current wait (or starts
-// it) and reports whether it finished. Blocking (block, Run) it waits in
-// place at each wait and so always finishes; otherwise it arms p's wake at
-// the next wait and reports false.
-func (l *Launch) advance(p *simnet.Proc, block bool) bool {
-	ns := l.k.ns
-	for {
-		switch l.phase {
-		case launchIdle:
-			if !block && !l.k.Steppable() {
-				panic("core: Launch.Step under the SVM transport; its page acquires block, so the launch must Run")
-			}
-			if l.err = l.start(); l.err != nil {
-				return true
-			}
-			l.phase = launchAlloc
-		case launchAlloc:
-			dev := ns.Devices[l.dev]
-			var err error
-			if block {
-				err = dev.AllocBlocking(p, &l.buf, l.in+l.out)
-			} else {
-				var ok bool
-				if ok, err = dev.AllocStep(p, &l.buf, l.in+l.out); !ok && err == nil {
-					return false
-				}
-			}
-			if err != nil {
-				l.fail(err)
-				return true
-			}
-			l.enqueue(p)
-			l.phase = launchWait
-		case launchWait:
-			if block {
-				l.last.Wait(p)
-			} else if !l.last.Await(p) {
-				return false
-			}
-			l.finish()
-			return true
+// start checks the launch's sizes, picks its device and prices its kernel;
+// an error (a negative size or a buffer range outside its buffer, an
+// unknown parameter, a launch that can never fit the device) ends it.
+func (l *Launch) start() error {
+	if l.spec.InBytes < 0 || l.spec.OutBytes < 0 {
+		return fmt.Errorf("core: launch %s: negative transfer size (in %d, out %d bytes)", l.spec.Label, l.spec.InBytes, l.spec.OutBytes)
+	}
+	for _, a := range l.spec.Buffers {
+		if err := a.Buf.Check(a.Ranges); err != nil {
+			return fmt.Errorf("core: launch %s: %w", l.spec.Label, err)
 		}
 	}
-}
-
-// start picks the launch's device and prices its kernel; an error (an
-// unknown parameter, a launch that can never fit the device) ends the
-// launch at once.
-func (l *Launch) start() error {
 	ns := l.k.ns
 	l.dev, l.est = ns.Sched.Pick(l.k.name)
 	dev := ns.Devices[l.dev]
-	compiled := ns.kernels[l.k.name][l.dev]
+	compiled := l.k.compiled[l.dev]
 
 	cost, err := ns.kernelCost(compiled, l.spec.Params)
 	if err != nil {
@@ -231,13 +241,7 @@ func (l *Launch) start() error {
 		// copies — read bytes ride the input transfer, written bytes the
 		// output drain — so one program text runs on both transports.
 		for _, a := range l.spec.Buffers {
-			n := a.Buf.Size()
-			if len(a.Ranges) > 0 {
-				n = 0
-				for _, r := range a.Ranges {
-					n += r.Len
-				}
-			}
+			n := a.Buf.Bytes(a.Ranges)
 			if a.Mode&svm.Read != 0 {
 				in += n
 			}
@@ -252,7 +256,7 @@ func (l *Launch) start() error {
 	// launch fits the device at all, wait for concurrent launches to release
 	// their buffers; only a launch that can never fit raises the exception
 	// that sends the caller to its CPU fallback (Fig. 4).
-	if mem := dev.Spec().GlobalMem; in+out > mem {
+	if mem := dev.Spec().GlobalMem; in > mem || out > mem-in {
 		ns.Sched.Done(l.k.name, l.dev, l.est, 0)
 		ns.cpuFallbacks++
 		return fmt.Errorf("core: launch needs %d bytes, device %s has %d", in+out, dev.Name(), mem)
@@ -260,77 +264,70 @@ func (l *Launch) start() error {
 	return nil
 }
 
-// fail ends a launch whose device memory could not be allocated.
-func (l *Launch) fail(err error) {
-	ns := l.k.ns
-	ns.Sched.Done(l.k.name, l.dev, l.est, 0)
-	ns.cpuFallbacks++
-	l.err, l.phase = err, launchIdle
+// acquire services the declared buffer accesses left, in order, through
+// the node's coherence protocol, and reports true while p is held for one
+// (its messages, or a foreign buffer's network fetch, which precedes its
+// staging). The kernel gates on the last migration into the device: all
+// of them ride its in-order H2D queue.
+func (l *Launch) acquire(p *simnet.Proc) bool {
+	sp := l.k.ns.Space
+	for l.access < len(l.spec.Buffers) {
+		a := &l.spec.Buffers[l.access]
+		ev, hold := ocl.Event{}, simnet.Duration(-1)
+		switch {
+		case a.Buf.Space() == sp:
+			ev, hold = sp.Acquire(a.Buf, l.dev, a.Mode, a.Ranges)
+		case !l.fetched:
+			hold, l.fetched = sp.Fetch(a.Buf, a.Mode, a.Ranges), true
+		default:
+			ev, l.fetched = sp.Stage(a.Buf, l.dev, a.Mode, a.Ranges), false
+		}
+		if !l.fetched {
+			l.access++
+		}
+		if !ev.Done() {
+			l.bdep = ev
+		}
+		if hold >= 0 {
+			p.Arm(hold)
+			return true
+		}
+	}
+	return false
 }
 
 // enqueue drives the device through its command queues once the launch's
-// memory is allocated, and sets the event the launch ends with. Under the
-// SVM transport it first services the declared buffer accesses, which
-// blocks p (only Run gets here with SVM).
-func (l *Launch) enqueue(p *simnet.Proc) {
+// memory is allocated and its buffer accesses serviced, and sets the event
+// the launch ends with.
+func (l *Launch) enqueue() {
 	ns := l.k.ns
 	dev := ns.Devices[l.dev]
-	tracing := dev.Tracing()
-	in, out := l.in, l.out
-
-	// hdep is the host->device event the kernel must follow in addition to
-	// the implicit in-order queue ordering: the resident transfer, when one
-	// is due or still in flight from a concurrent launch.
-	var hdep ocl.Event
-	if r := l.spec.Resident; r != nil {
-		var label string
-		if tracing {
-			label = l.spec.Label + ":" + r.Tag
-		}
-		hdep, _ = ns.stageResident(l.dev, r.Tag, r.Version, r.Bytes, label)
-	}
-
-	// Under SVM, service every declared buffer access through the node's
-	// coherence protocol; the kernel gates on the last migration into this
-	// device (all acquires target the same in-order H2D queue).
-	var bdep ocl.Event
-	if ns.svmEnabled() {
-		for _, a := range l.spec.Buffers {
-			if ev := ns.Space.Acquire(p, a.Buf, l.dev, a.Mode, a.Ranges); !ev.Done() {
-				bdep = ev
-			}
-		}
-	}
+	in, out, hdep := l.in, l.out, l.hdep
 
 	if in+out >= streamThreshold {
 		// The double-buffered pipeline stays bulk under both transports:
 		// streaming already hand-places its transfers, which is exactly the
 		// explicit-management work SVM exists to avoid — the crossover
 		// experiment quantifies the resulting gap.
-		l.last, l.measured = enqueueStream(dev, l.spec.Label, l.cost, in, out, inCorePasses(in+out), tracing, hdep, bdep)
+		l.last, l.measured = enqueueStream(dev, l.spec.Label, l.cost, in, out, inCorePasses(in+out), dev.Tracing(), hdep, l.bdep)
 		return
 	}
 	if in > 0 {
-		var label string
-		if tracing {
-			label = l.spec.Label + ":in"
-		}
-		hdep = ns.stageH2D(l.dev, in, label, hdep)
+		hdep = ns.stageH2D(l.dev, in, l.label(":in"), hdep)
 	}
-	var klabel string
-	if tracing {
-		klabel = l.spec.Label
-	}
-	last := dev.EnqueueLaunch(l.cost, klabel, hdep, bdep)
+	l.last = dev.EnqueueLaunch(l.cost, l.label(""), hdep, l.bdep)
 	l.measured = dev.Spec().KernelTime(l.cost)
 	if out > 0 {
-		var label string
-		if tracing {
-			label = l.spec.Label + ":out"
-		}
-		last = ns.stageD2H(l.dev, out, label, last)
+		l.last = ns.stageD2H(l.dev, out, l.label(":out"), l.last)
 	}
-	l.last = last
+}
+
+// label is the trace label of the launch's part suffix, or "" untraced.
+func (l *Launch) label(suffix string) string {
+	if !l.k.ns.Devices[l.dev].Tracing() {
+		return ""
+	}
+	return l.spec.Label + suffix
 }
 
 // finish books a launch whose last command completed, runs the kernel for
@@ -341,12 +338,13 @@ func (l *Launch) finish() {
 	ns.flopsCharged += l.cost.Flops
 	l.err = nil
 	if ns.cl.cfg.Verify {
-		if err := ns.kernels[l.k.name][l.dev].Run(l.spec.Args...); err != nil {
+		if err := l.k.compiled[l.dev].Run(l.spec.Args...); err != nil {
 			l.err = fmt.Errorf("core: verification execution failed: %w", err)
 		}
 	}
 	l.buf.Free()
-	l.last, l.phase = ocl.Event{}, launchIdle
+	l.hdep, l.bdep, l.last = ocl.Event{}, ocl.Event{}, ocl.Event{}
+	l.access, l.phase = 0, launchIdle
 }
 
 // inCorePasses picks the pipeline depth for a large in-core launch.

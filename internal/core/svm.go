@@ -10,12 +10,10 @@ import (
 
 // BufferAccess declares how a launch touches one shared-virtual-memory
 // buffer: the mode (svm.Read / svm.Write / svm.ReadWrite) over the given
-// byte ranges (the whole buffer when Ranges is empty). Under the SVM
-// transport each access is serviced through the node's coherence protocol
-// before the kernel runs; under the explicit transport accesses are
-// state-only (the host stays owner and the declared sizes must instead be
-// folded into InBytes/OutBytes by the caller — the differential tests do
-// exactly that to run one program on both transports).
+// byte ranges (the whole buffer when Ranges is empty), each of which must
+// lie inside the buffer. Under the SVM transport each access is serviced
+// through the node's coherence protocol before the kernel runs; under the
+// explicit transport its bytes are billed as bulk copies instead.
 type BufferAccess struct {
 	Buf    *svm.Buffer
 	Mode   svm.Mode
@@ -65,7 +63,7 @@ func (ns *NodeState) svmEnabled() bool { return ns.cl.cfg.Transport == Transport
 // plans and dependency wiring need not know the transport.
 func (ns *NodeState) stageH2D(dev int, n int64, label string, deps ...ocl.Event) ocl.Event {
 	if ns.svmEnabled() {
-		return ns.Space.FaultIn(dev, n, label, deps...)
+		return ns.Space.Fault(dev, n, label, true, deps...)
 	}
 	return ns.Devices[dev].EnqueueWrite(n, label, deps...)
 }
@@ -73,7 +71,7 @@ func (ns *NodeState) stageH2D(dev int, n int64, label string, deps ...ocl.Event)
 // stageD2H is the device-to-host counterpart of stageH2D.
 func (ns *NodeState) stageD2H(dev int, n int64, label string, deps ...ocl.Event) ocl.Event {
 	if ns.svmEnabled() {
-		return ns.Space.FaultOut(dev, n, label, deps...)
+		return ns.Space.Fault(dev, n, label, false, deps...)
 	}
 	return ns.Devices[dev].EnqueueRead(n, label, deps...)
 }

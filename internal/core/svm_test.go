@@ -137,3 +137,59 @@ func TestLaunchBuffersFoldIntoExplicitTransfers(t *testing.T) {
 		t.Fatalf("explicit transport touched SVM state: %+v", c)
 	}
 }
+
+// TestLaunchRejectsBadSizes: a negative transfer size, or a declared
+// buffer range with a negative length or outside its buffer, fails the
+// launch with an error on both transports — nothing is billed or moved,
+// nothing panics, and it is not a CPU fallback.
+func TestLaunchRejectsBadSizes(t *testing.T) {
+	const bufBytes = 256 << 10
+	cases := []struct {
+		name    string
+		in, out int64
+		r       *svm.Range
+	}{
+		{"negative input", -4096, 0, nil},
+		{"negative output", 4096, -1, nil},
+		{"negative range length", 8 << 20, 0, &svm.Range{Off: 0, Len: -1 << 20}},
+		{"range past the buffer", 0, 0, &svm.Range{Off: 1 << 30, Len: 4096}},
+		{"range straddling the end", 0, 0, &svm.Range{Off: bufBytes - 4096, Len: 8192}},
+		{"negative range offset", 0, 0, &svm.Range{Off: -4096, Len: 4096}},
+	}
+	for _, transport := range []Transport{TransportExplicit, TransportSVM} {
+		for _, c := range cases {
+			cfg := DefaultConfig(1, "k20")
+			cfg.Transport = transport
+			cl, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl.Register(mustKS(t, "scale", scaleKernel))
+			var runErr error
+			_, _, err = cl.Run(func(ctx *satin.Context) any {
+				k, err := GetKernel(ctx, "scale")
+				if err != nil {
+					return err
+				}
+				b, err := NewSVMBuffer(ctx, "buf", bufBytes)
+				if err != nil {
+					return err
+				}
+				spec := LaunchSpec{Params: map[string]int64{"n": 1 << 10}, InBytes: c.in, OutBytes: c.out}
+				if c.r != nil {
+					spec.Buffers = []BufferAccess{{Buf: b, Mode: svm.ReadWrite, Ranges: []svm.Range{*c.r}}}
+				}
+				runErr = k.NewLaunch(spec).Run(ctx)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s, %s: %v", transport, c.name, err)
+			}
+			dev := cl.NodeState(0).Devices[0]
+			if runErr == nil || cl.CPUFallbacks() != 0 || dev.BytesMoved() != 0 || dev.Launches() != 0 {
+				t.Errorf("%s, %s: error %v, %d CPU fallbacks, %d bytes moved, %d launches; want an error and nothing else",
+					transport, c.name, runErr, cl.CPUFallbacks(), dev.BytesMoved(), dev.Launches())
+			}
+		}
+	}
+}

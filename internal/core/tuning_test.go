@@ -58,7 +58,7 @@ func TestClusterUsesTuningCacheWinner(t *testing.T) {
 	if _, _, err := cl.Run(func(ctx *satin.Context) any { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	c := cl.NodeState(0).kernels["scale"][0]
+	c := cl.NodeState(0).kernels["scale"].compiled[0]
 	if got := c.LaunchExtents(); len(got) != 1 || got[0] != 64 {
 		t.Fatalf("tuned extents not applied: %v", got)
 	}
@@ -85,7 +85,7 @@ perfect void scale(int n, float[n] a) {
 	if _, _, err := cl2.Run(func(ctx *satin.Context) any { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	c2 := cl2.NodeState(0).kernels["scale"][0]
+	c2 := cl2.NodeState(0).kernels["scale"].compiled[0]
 	if c2.LaunchExtents() != nil || c2.GeometryCost() {
 		t.Fatal("cache miss still altered the compile")
 	}

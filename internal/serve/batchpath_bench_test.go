@@ -10,18 +10,28 @@ import (
 // BenchmarkServeBatchPath measures one remote batch round trip with tracing
 // off: a node-0 dispatcher slot pulls a one-request batch and ships it as
 // serve_batch, node 1's comm loop hands it to a pooled batch server, which
-// launches the kernel on node 1's device and replies serve_done, and the
-// slot completes the request. Slot and server run as steps. After a
-// warm-up every round trip must allocate nothing: `make bench-allocs` pins
-// it at 0 allocs/op.
+// runs the batch on node 1's device and replies serve_done, and the slot
+// completes the request. The launch case's batch is a 256x256 matmul, the
+// graph case's a run of graphWorkload's three-stage chain. Slot and server
+// run as steps. After a warm-up every round trip must allocate nothing:
+// `make bench-allocs` pins both cases at 0 allocs/op.
 func BenchmarkServeBatchPath(b *testing.B) {
-	w, err := StandardWorkload(1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	b.Run("launch", func(b *testing.B) {
+		w, err := StandardWorkload(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w.Tenants = w.Tenants[:1] // one class: a 256x256 matmul
+		benchBatchPath(b, w)
+	})
+	b.Run("graph", func(b *testing.B) { benchBatchPath(b, graphWorkload(b, 1)) })
+}
+
+// benchBatchPath is BenchmarkServeBatchPath on the first class of the
+// workload's only tenant.
+func benchBatchPath(b *testing.B, w *Workload) {
 	cl := testCluster(b, 2, 1, w)
 	cfg := DefaultConfig(w)
-	cfg.Tenants = cfg.Tenants[:1] // one class: a 256x256 matmul
 	cfg.Tenants[0].BucketRatePerSec, cfg.Tenants[0].BucketBurst = 1e9, 8
 	k, rt := cl.Kernel(), cl.Runtime()
 	fe := NewFrontend(k, cfg, nil)
@@ -31,7 +41,7 @@ func BenchmarkServeBatchPath(b *testing.B) {
 	proxy := disp.newProxy(k, 1)
 
 	const warm = 64
-	_, _, err = cl.RunServices(func(ctx *satin.Context) any {
+	_, _, err := cl.RunServices(func(ctx *satin.Context) any {
 		rt.GoOn(0, func(c *satin.Context) { disp.dispatchLoop(c, 1, proxy) })
 		p := ctx.Proc()
 		// One round trip per round: admit a request, wake the slot, and

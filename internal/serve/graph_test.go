@@ -18,7 +18,7 @@ perfect void scale(int n, float[n] a) {
 
 // graphWorkload builds a one-tenant workload whose only job class is a
 // three-stage chained dataflow graph (scale -> scale -> scale).
-func graphWorkload(t *testing.T, rate float64) *Workload {
+func graphWorkload(t testing.TB, rate float64) *Workload {
 	t.Helper()
 	ks, err := codegen.NewKernelSet("scale", serveScaleSrc)
 	if err != nil {
@@ -52,8 +52,10 @@ func graphWorkload(t *testing.T, rate float64) *Workload {
 
 // TestServeGraphClassEndToEnd runs a tenant whose requests are whole
 // dataflow-graph executions: EstimateCosts must price the DAG, every
-// completed request must correspond to one graph run, and remote nodes must
-// execute graphs through the dispatch protocol.
+// completed request must correspond to one graph run, remote nodes must
+// execute graphs through the dispatch protocol, and slots and batch servers
+// run the graphs as steps, so the run makes fewer coroutine switches than
+// it serves batches.
 func TestServeGraphClassEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
@@ -89,6 +91,9 @@ func TestServeGraphClassEndToEnd(t *testing.T) {
 	}
 	if remote == 0 {
 		t.Error("remote node executed no graph stages")
+	}
+	if sw := cl.HostMetrics().Int("simnet.switches"); sw >= rep.Batches {
+		t.Errorf("%d coroutine switches for %d batches: the graphs did not run as steps", sw, rep.Batches)
 	}
 }
 

@@ -109,15 +109,16 @@ func TestServeRemoteNodesDoWork(t *testing.T) {
 	}
 }
 
-// TestServeSVMTransport: under the SVM transport a launch's page acquires
-// block, so slots and batch servers run every batch on a coroutine (a
-// node-0 slot hands back from its steps, a remote node uses GoLocal). The
-// run must still serve every admitted request, fault pages in, and give
-// the same dump at every partition layout.
+// TestServeSVMTransport: under the SVM transport slots and batch servers
+// run every batch as steps, as they do under the explicit one, so the run
+// makes fewer coroutine switches than it serves batches. It must still
+// serve every admitted request, fault pages in, and give the same dump at
+// every partition layout.
 func TestServeSVMTransport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
 	}
+	var switches int64
 	run := func(partitions int) (*Report, string) {
 		w, err := StandardWorkload(1)
 		if err != nil {
@@ -143,11 +144,15 @@ func TestServeSVMTransport(t *testing.T) {
 		if m.Int("svm.faults") == 0 {
 			t.Fatal("no page faulted in under the SVM transport")
 		}
+		switches = cl.HostMetrics().Int("simnet.switches")
 		return rep, rep.Format() + m.Format()
 	}
 	rep, seq := run(1)
 	if rep.Completed != rep.Admitted || rep.Errors != 0 || rep.Completed == 0 {
 		t.Fatalf("completed %d of %d admitted, %d errors", rep.Completed, rep.Admitted, rep.Errors)
+	}
+	if switches >= rep.Batches {
+		t.Errorf("%d coroutine switches for %d batches: the batches did not run as steps", switches, rep.Batches)
 	}
 	if _, par := run(3); par != seq {
 		t.Errorf("3 partitions diverged from sequential:\n-- sequential --\n%s\n-- parallel --\n%s", seq, par)

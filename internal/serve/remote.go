@@ -23,14 +23,10 @@ import (
 //     network crossings.
 //
 // Slots and batch servers run as steps (simnet.Proc.StepUntil,
-// satin.Node.GoLocalStep): a fixed-shape batch — one launch of one kernel —
-// waits for its work, device memory, the launch's last event, the network
-// links and the reply without a coroutine switch, and posts exactly the
-// events the same waits written as blocking calls post. A batch of any
-// other shape keeps the blocking calls on a coroutine: a graph class
-// (core.RunGraph) and a launch under the SVM transport, whose page acquires
-// block. A node-0 slot hands back from StepUntil to run one, and a remote
-// node runs one through GoLocal (execBatch).
+// satin.Node.GoLocalStep) through one batch executor, batchRun: a launch or
+// a graph class's full-DAG run, on either transport. A batch waits without
+// a coroutine switch and posts exactly the events the same waits written
+// as blocking calls post.
 //
 // Work reaches the other nodes' device schedulers only through the satin
 // message layer, never through shared memory, so a partitioned simulation
@@ -103,10 +99,9 @@ type dispatch struct {
 	slots   []slotState               // index = proxy id; node-0 state
 }
 
-// nodeDispatch is the serving state of one node: its kernel handles, the
-// launch parameters of the batch shapes it ran, and its idle batch servers.
+// nodeDispatch is the serving state of one node: the launch parameters of
+// the batch shapes it ran, and its idle batch servers.
 type nodeDispatch struct {
-	kernels map[string]*core.Kernel
 	params  map[batchShape]map[string]int64
 	servers []*batchServer
 }
@@ -120,7 +115,7 @@ type batchShape struct {
 func newDispatch(fe *Frontend, cfg Config, rt *satin.Runtime) *dispatch {
 	d := &dispatch{fe: fe, cfg: cfg, nodes: make([]nodeDispatch, rt.Nodes())}
 	for n := range d.nodes {
-		d.nodes[n] = nodeDispatch{kernels: map[string]*core.Kernel{}, params: map[batchShape]map[string]int64{}}
+		d.nodes[n] = nodeDispatch{params: map[batchShape]map[string]int64{}}
 	}
 	return d
 }
@@ -141,19 +136,10 @@ func (d *dispatch) handle(ctx *satin.Context, m network.Message) bool {
 	case kindBatch:
 		t := m.Payload.(*batchTicket)
 		class := &d.cfg.Tenants[t.Tenant].Mix[t.Class]
-		if kern, ok := d.stepped(ctx, class); ok {
-			s := d.server(ctx)
-			s.t, s.class, s.kern = t, class, kern
-			if kern != nil {
-				s.launch.Prepare(kern, d.spec(ctx.NodeID(), class, t.N))
-			}
-			ctx.Node().GoLocalStep(s.step)
-			return true
-		}
-		ctx.Node().GoLocal(func(c *satin.Context) {
-			t.OK = d.execBatch(c, class, t.N)
-			c.Runtime().Fabric().Endpoint(c.NodeID()).Send(c.Proc(), 0, kindDone, class.OutBytes*t.N, t)
-		})
+		s := d.server(ctx)
+		s.t, s.class = t, class
+		s.batch.prepare(d, ctx, class, t.N)
+		ctx.Node().GoLocalStep(s.step)
 		return true
 	case kindDone:
 		t := m.Payload.(*batchTicket)
@@ -164,33 +150,6 @@ func (d *dispatch) handle(ctx *satin.Context, m network.Message) bool {
 		return true
 	}
 	return false
-}
-
-// kernel returns the handle of class's kernel on ctx's node, looked up once
-// per node, or nil when the lookup fails (the batch then fails).
-func (d *dispatch) kernel(ctx *satin.Context, class *JobClass) *core.Kernel {
-	kernels := d.nodes[ctx.NodeID()].kernels
-	kern := kernels[class.Kernel]
-	if kern == nil {
-		var err error
-		if kern, err = core.GetKernel(ctx, class.Kernel); err != nil {
-			return nil
-		}
-		kernels[class.Kernel] = kern
-	}
-	return kern
-}
-
-// stepped reports whether a batch of class runs as steps on ctx's node,
-// with the kernel it launches — nil when the lookup failed, and the batch
-// fails at once. A graph class, or a kernel whose launches cannot step,
-// runs blocking (execBatch).
-func (d *dispatch) stepped(ctx *satin.Context, class *JobClass) (*core.Kernel, bool) {
-	if class.Graph != nil {
-		return nil, false
-	}
-	kern := d.kernel(ctx, class)
-	return kern, kern == nil || kern.Steppable()
 }
 
 // spec is the launch of a coalesced batch of n requests of class on node:
@@ -218,37 +177,54 @@ func (d *dispatch) spec(node int, class *JobClass, n int64) core.LaunchSpec {
 	}
 }
 
-// execBatch runs one coalesced batch of n requests of class on the calling
-// process's node, blocking, and reports whether it succeeded. A graph class
-// (never batched, see Run) is one full-DAG run; the node caches the
-// instantiated graph and its workspace across requests via GetGraph. Any
-// other class is one launch (see spec).
-func (d *dispatch) execBatch(ctx *satin.Context, class *JobClass, n int64) bool {
-	if class.Graph != nil {
-		return core.RunGraph(ctx, class.Graph) == nil
+// batchRun is the batch executor of slots and batch servers: one
+// coalesced batch run as steps, through run, the launch or the graph run
+// in hand — nil when the kernel or graph lookup failed, and the batch
+// fails at once.
+type batchRun struct {
+	launch core.Launch
+	graph  core.GraphRun
+	run    interface {
+		Step(p *simnet.Proc) bool
+		Err() error
 	}
-	kern := d.kernel(ctx, class)
-	if kern == nil {
-		return false
-	}
-	return kern.NewLaunch(d.spec(ctx.NodeID(), class, n)).Run(ctx) == nil
 }
 
-// batchServer serves one fixed-shape batch on a remote node as a step task
-// of the node's pool: the batch's launch, then the serve_done reply that
-// carries the ticket home — the waits of execBatch and Send on a pooled
-// coroutine, without its switches. Each node reuses its idle servers.
+// prepare readies a batch of n requests of class on ctx's node. A graph
+// class (never batched, see Run) is one full-DAG run; the node caches the
+// instantiated graph and its workspace across requests via GetGraph. Any
+// other class is one launch (see spec).
+func (b *batchRun) prepare(d *dispatch, ctx *satin.Context, class *JobClass, n int64) {
+	b.run = nil
+	if class.Graph != nil {
+		if g, err := core.GetGraph(ctx, class.Graph); err == nil {
+			b.graph.Prepare(g)
+			b.run = &b.graph
+		}
+	} else if kern, err := core.GetKernel(ctx, class.Kernel); err == nil {
+		b.launch.Prepare(kern, d.spec(ctx.NodeID(), class, n))
+		b.run = &b.launch
+	}
+}
+
+// step advances the batch and reports whether it still waits, with p's
+// next wake armed; ok reports whether the finished batch succeeded.
+func (b *batchRun) step(p *simnet.Proc) bool { return b.run != nil && b.run.Step(p) }
+func (b *batchRun) ok() bool                 { return b.run != nil && b.run.Err() == nil }
+
+// batchServer serves one batch on a remote node as a step task of the
+// node's pool: the batch, then the serve_done reply that carries the
+// ticket home. Each node reuses its idle servers.
 type batchServer struct {
-	d      *dispatch
-	node   int
-	ep     *network.Endpoint
-	step   func(*simnet.Proc) bool // run, bound once
-	t      *batchTicket
-	class  *JobClass
-	kern   *core.Kernel // nil: the kernel lookup failed
-	launch core.Launch
-	send   network.Sending
-	reply  bool // the launch is over and the reply is being sent
+	d     *dispatch
+	node  int
+	ep    *network.Endpoint
+	step  func(*simnet.Proc) bool // run, bound once
+	t     *batchTicket
+	class *JobClass
+	batch batchRun
+	send  network.Sending
+	reply bool // the batch is over and the reply is being sent
 }
 
 // server returns an idle batch server of ctx's node.
@@ -266,10 +242,10 @@ func (d *dispatch) server(ctx *satin.Context) *batchServer {
 
 func (s *batchServer) run(p *simnet.Proc) bool {
 	if !s.reply {
-		if s.kern != nil && s.launch.Step(p) {
+		if s.batch.step(p) {
 			return true
 		}
-		s.t.OK = s.kern != nil && s.launch.Err() == nil
+		s.t.OK = s.batch.ok()
 		s.reply = true
 		if s.ep.BeginSend(p, &s.send, 0, kindDone, s.class.OutBytes*s.t.N, s.t) {
 			return true
@@ -277,7 +253,7 @@ func (s *batchServer) run(p *simnet.Proc) bool {
 	} else if !s.ep.FinishSend(p, &s.send) {
 		return true
 	}
-	s.t, s.class, s.kern, s.reply = nil, nil, nil, false
+	s.t, s.class, s.reply = nil, nil, false
 	nd := &s.d.nodes[s.node]
 	nd.servers = append(nd.servers, s)
 	return false
@@ -291,17 +267,16 @@ func (s *batchServer) run(p *simnet.Proc) bool {
 type slot struct {
 	d     *dispatch
 	ctx   *satin.Context
-	ep    *network.Endpoint       // node 0's
-	node  int                     // the node the slot serves
-	proxy int                     // the slot's id, for a remote node
-	step  func(*simnet.Proc) bool // run, bound once
+	ep    *network.Endpoint // node 0's
+	node  int               // the node the slot serves
+	proxy int               // the slot's id, for a remote node
 
 	phase       slotPhase
 	buf         []*Request // the batch in hand
 	class       *JobClass
 	n           int64
 	ok, aborted bool
-	launch      core.Launch     // node 0: the batch's launch
+	batch       batchRun        // node 0: the batch run in place
 	send        network.Sending // remote: the serve_batch message
 }
 
@@ -309,33 +284,22 @@ type slot struct {
 type slotPhase uint8
 
 const (
-	slotPull     slotPhase = iota // take the next batch, or wait for one
-	slotLaunch                    // node 0: the batch's launch runs
-	slotSend                      // remote: serve_batch is being sent
-	slotReply                     // remote: waiting for the batch's reply
-	slotBlocking                  // handed back: the body runs the batch blocking
-	slotExit                      // handed back: the loop is over
+	slotPull  slotPhase = iota // take the next batch, or wait for one
+	slotBatch                  // node 0: the batch runs
+	slotSend                   // remote: serve_batch is being sent
+	slotReply                  // remote: waiting for the batch's reply
 )
 
 // dispatchLoop is one dispatcher slot on node 0, serving the given node
 // (proxy is the slot's id for a remote node, unused for node 0). The slot
 // starts through GoOn like any node-0 frame and then runs as steps of its
-// process (slot.run); its body resumes only to run a batch that cannot
-// step, and to end. Under elastic control the slot waits on its node's gate
-// while the node is out of rotation. A batch aborted in flight is
-// re-queued; any other batch settles as completed or failed.
+// process (slot.run) until the frontend has drained. Under elastic control
+// the slot waits on its node's gate while the node is out of rotation. A
+// batch aborted in flight is re-queued; any other batch settles as
+// completed or failed.
 func (d *dispatch) dispatchLoop(ctx *satin.Context, node, proxy int) {
 	s := &slot{d: d, ctx: ctx, ep: ctx.Runtime().Fabric().Endpoint(0), node: node, proxy: proxy, buf: make([]*Request, 0, d.fe.cfg.MaxBatch)}
-	s.step = s.run
-	p := ctx.Proc()
-	for {
-		p.StepUntil(s.step)
-		if s.phase == slotExit {
-			return
-		}
-		s.ok = d.execBatch(ctx, s.class, s.n)
-		s.settle(p)
-	}
+	ctx.Proc().StepUntil(s.run)
 }
 
 // run is the slot's step. The remote protocol's epoch filter drops a reply
@@ -349,7 +313,6 @@ func (s *slot) run(p *simnet.Proc) bool {
 		case slotPull:
 			if f.el != nil && !f.el.isActive(s.node) {
 				if f.done != nil && f.done.Done() {
-					s.phase = slotExit
 					return false
 				}
 				f.el.nodes[s.node].gate.Arm(p)
@@ -359,7 +322,6 @@ func (s *slot) run(p *simnet.Proc) bool {
 			if len(s.buf) == 0 {
 				if f.Drained() {
 					f.checkDone(p.Kernel())
-					s.phase = slotExit
 					return false
 				}
 				f.work.Arm(p)
@@ -377,22 +339,13 @@ func (s *slot) run(p *simnet.Proc) bool {
 				s.phase = slotReply
 				continue
 			}
-			kern, stepped := d.stepped(s.ctx, s.class)
-			if !stepped {
-				s.phase = slotBlocking
-				return false
-			}
-			if kern == nil {
-				s.settle(p)
-				continue
-			}
-			s.launch.Prepare(kern, d.spec(0, s.class, s.n))
-			s.phase = slotLaunch
-		case slotLaunch:
-			if s.launch.Step(p) {
+			s.batch.prepare(d, s.ctx, s.class, s.n)
+			s.phase = slotBatch
+		case slotBatch:
+			if s.batch.step(p) {
 				return true
 			}
-			s.ok = s.launch.Err() == nil
+			s.ok = s.batch.ok()
 			s.settle(p)
 		case slotSend:
 			if !s.ep.FinishSend(p, &s.send) {

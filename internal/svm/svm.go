@@ -28,10 +28,10 @@
 // ranges completely, so no stale data is fetched — only ownership moves.
 // ReadWrite fetches before modifying.
 //
-// Buffers extend across nodes through the network: an Acquire through a
-// Space the buffer is not homed on bills a whole-payload fetch (and, for
-// writes, a writeback) over the fabric's link model, then stages the pages
-// into the accessing device over PCIe. Remote copies are not cached between
+// Buffers extend across nodes through the network: a Fetch through a Space
+// the buffer is not homed on bills a whole-payload fetch (and, for writes,
+// a writeback) over the fabric's link model, and a Stage then moves the
+// pages into the accessing device over PCIe. Remote copies are not cached between
 // launches and the home state is never mutated remotely, which keeps every
 // counter trajectory-determined at any partition layout; callers follow the
 // single-writer-per-launch discipline Satin's owner-compute model already
@@ -175,9 +175,6 @@ func NewSpace(k *simnet.Kernel, node int, devs []*ocl.Device, cfg Config, rec *t
 	return &Space{k: k, node: node, devs: devs, cfg: cfg, rec: rec, netFetch: netFetch}
 }
 
-// Node reports the node this Space belongs to.
-func (s *Space) Node() int { return s.node }
-
 // PageSize reports the migration granularity.
 func (s *Space) PageSize() int64 { return s.cfg.PageSize }
 
@@ -220,9 +217,6 @@ func (s *Space) NewBuffer(name string, size int64) (*Buffer, error) {
 	return b, nil
 }
 
-// Name returns the buffer name.
-func (b *Buffer) Name() string { return b.name }
-
 // Size returns the region size in bytes.
 func (b *Buffer) Size() int64 { return b.size }
 
@@ -248,45 +242,53 @@ func (b *Buffer) HostWrite(p *simnet.Proc, ranges ...Range) {
 	b.sp.acquireAtHost(p, b, Write, ranges)
 }
 
+// Check reports an error unless every range lies inside b.
+func (b *Buffer) Check(ranges []Range) error {
+	for _, r := range ranges {
+		if r.Off < 0 || r.Len < 0 || r.Len > b.size-r.Off {
+			return fmt.Errorf("svm: range [%d,+%d) outside buffer %q of %d bytes", r.Off, r.Len, b.name, b.size)
+		}
+	}
+	return nil
+}
+
 // Acquire services every fault an access of b (mode over ranges; all of b
 // when ranges is empty) incurs on device dev of this Space's node, enqueuing
 // demand page migrations on the device command queues, and returns the event
 // the kernel launch must depend on — the zero (complete) Event when
-// everything was already resident. Must run on the accessing node's own
-// simulation kernel; p is held for invalidation messages and remote fetches.
-//
-// When b is homed on another node's Space, the access is serviced remotely:
-// the payload is fetched (and written back, for writes) over the network
-// fabric and staged into the device, without caching across launches.
-func (s *Space) Acquire(p *simnet.Proc, b *Buffer, dev int, mode Mode, ranges []Range) ocl.Event {
+// everything was already resident — with the time the accessing process is
+// held for invalidation messages, negative when none. The caller holds for
+// it. Must run on the accessing node's own simulation kernel; a buffer
+// homed on another node's Space is accessed with Fetch and Stage instead.
+func (s *Space) Acquire(b *Buffer, dev int, mode Mode, ranges []Range) (ocl.Event, simnet.Duration) {
 	if mode&ReadWrite == 0 {
 		panic("svm: access needs a Read and/or Write mode")
 	}
 	if b.sp != s {
-		return s.acquireRemote(p, b, dev, mode, ranges)
+		panic(fmt.Sprintf("svm: Acquire of buffer %q homed on node %d through node %d; use Fetch and Stage", b.name, b.sp.node, s.node))
 	}
 	loc := uint8(dev + 1)
 	if s.cfg.Protocol == RegionOwnership {
-		return s.acquireRO(p, b, loc, mode)
+		return s.acquireRO(b, loc, mode)
 	}
 	var last [maxLocations]ocl.Event
-	s.acquireWI(p, b, loc, mode, ranges, &last)
-	return last[loc]
+	hold := s.acquireWI(b, loc, mode, ranges, &last)
+	return last[loc], hold
 }
 
 // acquireAtHost is the host-location access behind SyncHost and HostWrite:
 // it blocks p until every migration it caused has completed.
 func (s *Space) acquireAtHost(p *simnet.Proc, b *Buffer, mode Mode, ranges []Range) {
-	if b.sp != s {
-		b.sp.acquireAtHost(p, b, mode, ranges)
-		return
-	}
-	if s.cfg.Protocol == RegionOwnership {
-		s.acquireRO(p, b, hostLoc, mode).Wait(p)
-		return
-	}
 	var last [maxLocations]ocl.Event
-	s.acquireWI(p, b, hostLoc, mode, ranges, &last)
+	var hold simnet.Duration
+	if s.cfg.Protocol == RegionOwnership {
+		last[1], hold = s.acquireRO(b, hostLoc, mode)
+	} else {
+		hold = s.acquireWI(b, hostLoc, mode, ranges, &last)
+	}
+	if hold >= 0 {
+		p.Hold(hold)
+	}
 	for i := 1; i < maxLocations; i++ {
 		last[i].Wait(p)
 	}
@@ -304,10 +306,11 @@ type batch struct {
 // acquireWI walks the accessed pages under write-invalidate, updating
 // coherence state, batching consecutive same-source faults into paged
 // enqueues recorded in last[...] (indexed by location; for a device target
-// the target's slot is the event to gate the kernel on), and billing
-// invalidation messages on p. The all-resident path touches no queue, builds
-// no string and allocates nothing.
-func (s *Space) acquireWI(p *simnet.Proc, b *Buffer, loc uint8, mode Mode, ranges []Range, last *[maxLocations]ocl.Event) {
+// the target's slot is the event to gate the kernel on), and returns the
+// hold of its invalidation messages (negative when it sends none). The
+// all-resident path touches no queue, builds no string and allocates
+// nothing.
+func (s *Space) acquireWI(b *Buffer, loc uint8, mode Mode, ranges []Range, last *[maxLocations]ocl.Event) simnet.Duration {
 	bit := uint32(1) << loc
 	ps := s.cfg.PageSize
 	fetch := mode&Read != 0 // Write alone overwrites: nothing to fetch
@@ -325,8 +328,8 @@ func (s *Space) acquireWI(p *simnet.Proc, b *Buffer, loc uint8, mode Mode, range
 		off, ln := int64(0), b.size
 		if nr > 0 {
 			off, ln = ranges[ri].Off, ranges[ri].Len
-			if off < 0 || ln < 0 || off+ln > b.size {
-				panic(fmt.Sprintf("svm: range [%d,+%d) outside buffer %q of %d bytes", off, ln, b.name, b.size))
+			if err := b.Check(ranges[ri : ri+1]); err != nil {
+				panic(err)
 			}
 		}
 		pg := int(off / ps)
@@ -374,9 +377,10 @@ func (s *Space) acquireWI(p *simnet.Proc, b *Buffer, loc uint8, mode Mode, range
 		svc += s.flushWI(b, loc, &bt, last)
 	}
 	s.c.Faults += faults
+	hold := simnet.Duration(-1)
 	if invs > 0 {
 		s.c.Invalidations += invs
-		p.Hold(time.Duration(invs) * s.cfg.InvalidateTime)
+		hold = time.Duration(invs) * s.cfg.InvalidateTime
 	}
 	if tracing && faults > 0 {
 		// The span covers the modeled service time of the migrations this
@@ -387,6 +391,7 @@ func (s *Space) acquireWI(p *simnet.Proc, b *Buffer, loc uint8, mode Mode, range
 			Start: start, End: start + simnet.Time(svc) + simnet.Time(time.Duration(invs)*s.cfg.InvalidateTime),
 		})
 	}
+	return hold
 }
 
 // flushWI enqueues one batch of consecutive pages migrating from bt.src to
@@ -427,12 +432,12 @@ func (s *Space) flushWI(b *Buffer, loc uint8, bt *batch, last *[maxLocations]ocl
 
 // acquireRO services an access under region-ownership: any access from a
 // location other than the owner repossesses the whole region with one
-// revocation message and (unless the access overwrites completely) one bulk
-// transfer of the region.
-func (s *Space) acquireRO(p *simnet.Proc, b *Buffer, loc uint8, mode Mode) ocl.Event {
+// revocation message, whose hold it returns, and (unless the access
+// overwrites completely) one bulk transfer of the region.
+func (s *Space) acquireRO(b *Buffer, loc uint8, mode Mode) (ocl.Event, simnet.Duration) {
 	if b.owner == loc {
 		s.c.Hits++
-		return ocl.Event{}
+		return ocl.Event{}, -1
 	}
 	src := b.owner
 	b.owner = loc
@@ -470,38 +475,22 @@ func (s *Space) acquireRO(p *simnet.Proc, b *Buffer, loc uint8, mode Mode) ocl.E
 			s.c.BytesMoved += b.size
 		}
 	}
-	p.Hold(s.cfg.InvalidateTime)
 	if tracing {
 		s.rec.Add(trace.Span{
 			Node: s.node, Queue: "svm", Kind: trace.KindFault, Label: b.name,
 			Start: start, End: start + simnet.Time(svc+s.cfg.InvalidateTime),
 		})
 	}
-	return ev
+	return ev, s.cfg.InvalidateTime
 }
 
-// acquireRemote services an access to a buffer homed on another node: the
-// payload is fetched from (and, for writes, written back to) the home node
-// over the network fabric, billed on p, then staged into the device as
-// demand-paged PCIe faults. The home Space's state is never touched and the
-// remote copy is not cached across launches — both Spaces stay
-// trajectory-deterministic with no cross-partition mutation.
-func (s *Space) acquireRemote(p *simnet.Proc, b *Buffer, dev int, mode Mode, ranges []Range) ocl.Event {
-	bytes := touchedBytes(b, ranges)
-	ps := s.cfg.PageSize
-	pages := (bytes + ps - 1) / ps
-	if s.netFetch != nil {
-		var rt simnet.Duration
-		if mode&Read != 0 {
-			rt += s.netFetch(bytes) // fault report + payload home->here
-		} else {
-			rt += s.netFetch(1) // ownership request only
-		}
-		if mode&Write != 0 {
-			rt += s.netFetch(bytes) // writeback here->home
-		}
-		p.Hold(rt)
-	}
+// Fetch starts an access of b, homed on another node's Space: it bills
+// fetching the payload from (and, for writes, writing it back to) the home
+// node over the network fabric and returns that hold, negative without a
+// fabric model; the caller holds, then calls Stage. Nothing is cached and
+// the home Space is never touched, so both stay trajectory-deterministic.
+func (s *Space) Fetch(b *Buffer, mode Mode, ranges []Range) simnet.Duration {
+	bytes := b.Bytes(ranges)
 	s.c.RemoteFetches++
 	if mode&Read != 0 {
 		s.c.RemoteBytes += bytes
@@ -509,9 +498,32 @@ func (s *Space) acquireRemote(p *simnet.Proc, b *Buffer, dev int, mode Mode, ran
 	if mode&Write != 0 {
 		s.c.RemoteBytes += bytes
 	}
-	if mode&Read == 0 || dev < 0 {
+	if s.netFetch == nil {
+		return -1
+	}
+	var rt simnet.Duration
+	if mode&Read != 0 {
+		rt += s.netFetch(bytes) // fault report + payload home->here
+	} else {
+		rt += s.netFetch(1) // ownership request only
+	}
+	if mode&Write != 0 {
+		rt += s.netFetch(bytes) // writeback here->home
+	}
+	return rt
+}
+
+// Stage finishes an access Fetch started, once its hold is over: a read
+// stages the fetched payload into device dev as demand-paged PCIe faults,
+// and Stage returns the event the kernel launch must depend on (the zero
+// Event for a pure overwrite).
+func (s *Space) Stage(b *Buffer, dev int, mode Mode, ranges []Range) ocl.Event {
+	if mode&Read == 0 {
 		return ocl.Event{}
 	}
+	bytes := b.Bytes(ranges)
+	ps := s.cfg.PageSize
+	pages := (bytes + ps - 1) / ps
 	s.c.Faults += pages
 	s.c.PagesMigrated += pages
 	s.c.BytesMoved += bytes
@@ -522,10 +534,11 @@ func (s *Space) acquireRemote(p *simnet.Proc, b *Buffer, dev int, mode Mode, ran
 	return s.devs[dev].EnqueuePagedWrite(bytes, ps, label)
 }
 
-// FaultIn stages n bytes of launch input into device dev as demand-paged
-// faults — the implicit-region path classic InBytes/Resident launches take
+// Fault stages n bytes of launch input into device dev (in), or drains n
+// bytes of launch output from it, as demand-paged faults — the
+// implicit-region path classic InBytes/OutBytes/Resident launches take
 // under the SVM transport, billed and counted like any other fault service.
-func (s *Space) FaultIn(dev int, n int64, label string, deps ...ocl.Event) ocl.Event {
+func (s *Space) Fault(dev int, n int64, label string, in bool, deps ...ocl.Event) ocl.Event {
 	ps := s.cfg.PageSize
 	pages := (n + ps - 1) / ps
 	s.c.Faults += pages
@@ -539,31 +552,14 @@ func (s *Space) FaultIn(dev int, n int64, label string, deps ...ocl.Event) ocl.E
 			Start: now, End: now + simnet.Time(d.PagedTransferTime(n, ps)),
 		})
 	}
-	return d.EnqueuePagedWrite(n, ps, label, deps...)
-}
-
-// FaultOut drains n bytes of launch output from device dev as demand-paged
-// faults (the implicit-region counterpart of FaultIn).
-func (s *Space) FaultOut(dev int, n int64, label string, deps ...ocl.Event) ocl.Event {
-	ps := s.cfg.PageSize
-	pages := (n + ps - 1) / ps
-	s.c.Faults += pages
-	s.c.PagesMigrated += pages
-	s.c.BytesMoved += n
-	d := s.devs[dev]
-	if s.rec != nil {
-		now := s.k.Now()
-		s.rec.Add(trace.Span{
-			Node: s.node, Queue: "svm", Kind: trace.KindFault, Label: label,
-			Start: now, End: now + simnet.Time(d.PagedTransferTime(n, ps)),
-		})
+	if in {
+		return d.EnqueuePagedWrite(n, ps, label, deps...)
 	}
 	return d.EnqueuePagedRead(n, ps, label, deps...)
 }
 
-// touchedBytes sums the bytes covered by ranges (the whole buffer when
-// empty).
-func touchedBytes(b *Buffer, ranges []Range) int64 {
+// Bytes sums the bytes ranges cover in b (all of b when ranges is empty).
+func (b *Buffer) Bytes(ranges []Range) int64 {
 	if len(ranges) == 0 {
 		return b.size
 	}

@@ -32,6 +32,16 @@ func drive(k *simnet.Kernel, fn func(p *simnet.Proc)) simnet.Time {
 	return k.Run(0)
 }
 
+// acquire is Acquire for a coroutine: it takes the access's hold, as a
+// launch does, and returns the event the kernel would depend on.
+func acquire(p *simnet.Proc, s *Space, b *Buffer, dev int, mode Mode, ranges []Range) ocl.Event {
+	ev, hold := s.Acquire(b, dev, mode, ranges)
+	if hold >= 0 {
+		p.Hold(hold)
+	}
+	return ev
+}
+
 func TestConfigDefaults(t *testing.T) {
 	s, _ := testSpace(t, Config{}, nil, "k20")
 	if s.PageSize() != DefaultPageSize {
@@ -69,10 +79,10 @@ func TestWriteInvalidateFaultThenHit(t *testing.T) {
 	const n = 4 * DefaultPageSize
 	b, _ := s.NewBuffer("a", n)
 	end := drive(k, func(p *simnet.Proc) {
-		ev := s.Acquire(p, b, 0, Read, nil)
+		ev := acquire(p, s, b, 0, Read, nil)
 		ev.Wait(p)
 		// Second acquire: everything resident, zero events, zero time.
-		if ev2 := s.Acquire(p, b, 0, Read, nil); !ev2.Done() {
+		if ev2 := acquire(p, s, b, 0, Read, nil); !ev2.Done() {
 			t.Error("re-acquire should return the complete event")
 		}
 	})
@@ -97,9 +107,9 @@ func TestWriteInvalidatePingPong(t *testing.T) {
 	const n = 2 * DefaultPageSize
 	b, _ := s.NewBuffer("a", n)
 	drive(k, func(p *simnet.Proc) {
-		s.Acquire(p, b, 0, Write, nil).Wait(p) // dev0 overwrites: no fetch, invalidates host
-		s.Acquire(p, b, 1, ReadWrite, nil).Wait(p)
-		s.Acquire(p, b, 0, ReadWrite, nil).Wait(p)
+		acquire(p, s, b, 0, Write, nil).Wait(p) // dev0 overwrites: no fetch, invalidates host
+		acquire(p, s, b, 1, ReadWrite, nil).Wait(p)
+		acquire(p, s, b, 0, ReadWrite, nil).Wait(p)
 	})
 	c := s.Counters()
 	// Access 1: 2 faults, 0 bytes (pure overwrite), 2 invalidations (host).
@@ -128,7 +138,7 @@ func TestWriteInvalidateRanges(t *testing.T) {
 	drive(k, func(p *simnet.Proc) {
 		// Touch pages 1 and 5-6 only.
 		rs := []Range{{Off: ps, Len: ps}, {Off: 5 * ps, Len: 2 * ps}}
-		s.Acquire(p, b, 0, Read, rs).Wait(p)
+		acquire(p, s, b, 0, Read, rs).Wait(p)
 	})
 	c := s.Counters()
 	if c.Faults != 3 || c.PagesMigrated != 3 || c.BytesMoved != 3*ps {
@@ -145,7 +155,7 @@ func TestAcquireRangePanicsOutsideBuffer(t *testing.T) {
 				t.Error("out-of-bounds range did not panic")
 			}
 		}()
-		s.Acquire(p, b, 0, Read, []Range{{Off: 0, Len: 2 * DefaultPageSize}})
+		acquire(p, s, b, 0, Read, []Range{{Off: 0, Len: 2 * DefaultPageSize}})
 	})
 }
 
@@ -157,7 +167,7 @@ func TestSyncHostDrainsDirtyPages(t *testing.T) {
 	b, _ := s.NewBuffer("a", n)
 	var syncDone simnet.Time
 	drive(k, func(p *simnet.Proc) {
-		s.Acquire(p, b, 0, Write, nil).Wait(p)
+		acquire(p, s, b, 0, Write, nil).Wait(p)
 		t0 := p.Now()
 		b.SyncHost(p)
 		syncDone = p.Now() - t0
@@ -178,13 +188,13 @@ func TestHostWriteInvalidatesDeviceCopies(t *testing.T) {
 	s, k := testSpace(t, Config{}, nil, "k20")
 	b, _ := s.NewBuffer("a", DefaultPageSize)
 	drive(k, func(p *simnet.Proc) {
-		s.Acquire(p, b, 0, Read, nil).Wait(p)
+		acquire(p, s, b, 0, Read, nil).Wait(p)
 		before := s.Counters().BytesMoved
 		b.HostWrite(p)
 		if s.Counters().BytesMoved != before {
 			t.Error("host overwrite moved data")
 		}
-		s.Acquire(p, b, 0, Read, nil).Wait(p) // must re-fault
+		acquire(p, s, b, 0, Read, nil).Wait(p) // must re-fault
 	})
 	c := s.Counters()
 	// Initial device read + the host's ownership consolidation (a coherence
@@ -206,9 +216,9 @@ func TestRegionOwnershipHandoff(t *testing.T) {
 	b, _ := s.NewBuffer("a", n)
 	drive(k, func(p *simnet.Proc) {
 		// Touch one page: the whole region still moves.
-		s.Acquire(p, b, 0, ReadWrite, []Range{{Off: 0, Len: 64}}).Wait(p)
-		s.Acquire(p, b, 0, Read, nil).Wait(p) // owner hit: free
-		b.SyncHost(p)                         // whole region back
+		acquire(p, s, b, 0, ReadWrite, []Range{{Off: 0, Len: 64}}).Wait(p)
+		acquire(p, s, b, 0, Read, nil).Wait(p) // owner hit: free
+		b.SyncHost(p)                          // whole region back
 	})
 	c := s.Counters()
 	if c.Faults != 2 || c.Hits != 1 {
@@ -235,7 +245,7 @@ func TestFaultServiceSharesDMAQueue(t *testing.T) {
 	d := s.devs[0]
 	var faultSvc simnet.Duration
 	end := drive(k, func(p *simnet.Proc) {
-		s.Acquire(p, b, 0, Read, nil)
+		acquire(p, s, b, 0, Read, nil)
 		faultSvc = d.PagedTransferTime(n, DefaultPageSize)
 		d.EnqueueRead(DefaultPageSize, "bulk").Wait(p)
 	})
@@ -252,7 +262,7 @@ func TestSlowdownStretchesFaults(t *testing.T) {
 		s.devs[0].SetSlowdown(slow)
 		b, _ := s.NewBuffer("a", 4*DefaultPageSize)
 		return drive(k, func(p *simnet.Proc) {
-			s.Acquire(p, b, 0, Read, nil).Wait(p)
+			acquire(p, s, b, 0, Read, nil).Wait(p)
 		})
 	}
 	if mk(2) != 2*mk(1) {
@@ -267,8 +277,8 @@ func TestFaultSpansRecorded(t *testing.T) {
 	s, k := testSpace(t, Config{}, rec, "k20")
 	b, _ := s.NewBuffer("a", 2*DefaultPageSize)
 	drive(k, func(p *simnet.Proc) {
-		s.Acquire(p, b, 0, Read, nil).Wait(p)
-		s.Acquire(p, b, 0, Read, nil).Wait(p) // hit: no span
+		acquire(p, s, b, 0, Read, nil).Wait(p)
+		acquire(p, s, b, 0, Read, nil).Wait(p) // hit: no span
 	})
 	var faults int
 	for _, sp := range rec.Spans() {
@@ -285,8 +295,9 @@ func TestFaultSpansRecorded(t *testing.T) {
 }
 
 // TestRemoteAccessBillsNetworkAndStagesPages: an access through a foreign
-// Space pays the fabric round trip and stages the payload into the device,
-// without mutating the home Space's coherence state.
+// Space (Fetch, its hold, then Stage) pays the fabric round trip and stages
+// the payload into the device, without mutating the home Space's coherence
+// state.
 func TestRemoteAccessBillsNetworkAndStagesPages(t *testing.T) {
 	k := simnet.NewKernel(1)
 	spec, _ := device.Lookup("k20")
@@ -299,7 +310,8 @@ func TestRemoteAccessBillsNetworkAndStagesPages(t *testing.T) {
 	const n = 2 * DefaultPageSize
 	b, _ := home.NewBuffer("a", n)
 	end := drive(k, func(p *simnet.Proc) {
-		far.Acquire(p, b, 0, ReadWrite, nil).Wait(p)
+		p.Hold(far.Fetch(b, ReadWrite, nil))
+		far.Stage(b, 0, ReadWrite, nil).Wait(p)
 	})
 	// Fetch + writeback over the link, then paged staging into the device.
 	want := simnet.Time(2*linkCost + farDev.PagedTransferTime(n, DefaultPageSize))
@@ -339,7 +351,7 @@ func TestAcquireRejectsEmptyMode(t *testing.T) {
 				t.Error("mode 0 did not panic")
 			}
 		}()
-		s.Acquire(p, b, 0, 0, nil)
+		acquire(p, s, b, 0, 0, nil)
 	})
 }
 
@@ -361,7 +373,7 @@ func BenchmarkSVMRefault(b *testing.B) {
 	run := func(n int) {
 		k.Spawn("driver", func(p *simnet.Proc) {
 			for i := 0; i < n; i++ {
-				s.Acquire(p, buf, 0, ReadWrite, nil).Wait(p)
+				acquire(p, s, buf, 0, ReadWrite, nil).Wait(p)
 			}
 		})
 		k.Run(0)
