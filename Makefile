@@ -136,15 +136,18 @@ bench-autoscale:
 	$(GO) run ./cmd/cashmere-serve -sweep-autoscale -duration 450ms
 
 # bench-allocs enforces the pinned zero-allocation contracts: the simnet
-# event loop (hold, pingpong, a RecvTimeout answered before it expires by a
-# coroutine or by a step-process responder, and a coroutine stepping through
-# expired timeouts inside StepUntil; the unanchored -bench pattern runs
+# event loop (hold; pingpong between coroutines receiving through
+# Chan.Await inside StepUntil; timeout, a reply awaited the same way with a
+# deadline and answered before it by a coroutine responder, and step, by a
+# step-process responder; and stepuntil, a coroutine stepping through
+# expired deadlines inside StepUntil; the unanchored -bench pattern runs
 # every BenchmarkSimnetEventLoop case), the simnet event queue
 # (BenchmarkEventHeap's alternate and pairs cases at depths 16, 64 and 256;
 # its containerheap oracle allocates by design and is not pinned),
 # the pooled network message path (bulk, control, bulk from two senders
-# whose couriers queue on one ingress link, and bulk sent by a step process
-# through BeginSend/FinishSend), disabled tracing, the
+# whose couriers queue on one ingress link — each sent by a coroutine in
+# Send, which runs a pooled send machine inside StepUntil — and bulk sent by
+# a step process through BeginSend/FinishSend), disabled tracing, the
 # device-runtime enqueue path (BenchmarkLaunchPath), the dataflow-graph
 # submit path (BenchmarkGraphSubmitPath), the serving admission fast
 # path (BenchmarkServeAdmitPath), one remote serving batch round trip run

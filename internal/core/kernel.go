@@ -211,14 +211,18 @@ func (l *Launch) Step(p *simnet.Proc) bool {
 // Err reports the outcome of the last finished launch.
 func (l *Launch) Err() error { return l.err }
 
-// start checks the launch's sizes, picks its device and prices its kernel;
-// an error (a negative size or a buffer range outside its buffer, an
-// unknown parameter, a launch that can never fit the device) ends it.
+// start checks the launch's sizes and buffer accesses, picks its device
+// and prices its kernel; an error (a negative size, a buffer access with
+// no Read or Write mode or with a range outside its buffer, an unknown
+// parameter, a launch that can never fit the device) ends it.
 func (l *Launch) start() error {
 	if l.spec.InBytes < 0 || l.spec.OutBytes < 0 {
 		return fmt.Errorf("core: launch %s: negative transfer size (in %d, out %d bytes)", l.spec.Label, l.spec.InBytes, l.spec.OutBytes)
 	}
-	for _, a := range l.spec.Buffers {
+	for i, a := range l.spec.Buffers {
+		if a.Mode&svm.ReadWrite == 0 {
+			return fmt.Errorf("core: launch %s: buffer access %d has no Read or Write mode", l.spec.Label, i)
+		}
 		if err := a.Buf.Check(a.Ranges); err != nil {
 			return fmt.Errorf("core: launch %s: %w", l.spec.Label, err)
 		}

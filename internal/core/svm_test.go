@@ -138,23 +138,26 @@ func TestLaunchBuffersFoldIntoExplicitTransfers(t *testing.T) {
 	}
 }
 
-// TestLaunchRejectsBadSizes: a negative transfer size, or a declared
-// buffer range with a negative length or outside its buffer, fails the
-// launch with an error on both transports — nothing is billed or moved,
-// nothing panics, and it is not a CPU fallback.
+// TestLaunchRejectsBadSizes: a negative transfer size, a declared buffer
+// range with a negative length or outside its buffer, or a declared access
+// with no Read or Write mode fails the launch with an error on both
+// transports — nothing is billed or moved, nothing panics, and it is not a
+// CPU fallback.
 func TestLaunchRejectsBadSizes(t *testing.T) {
 	const bufBytes = 256 << 10
 	cases := []struct {
 		name    string
 		in, out int64
 		r       *svm.Range
+		mode    svm.Mode
 	}{
-		{"negative input", -4096, 0, nil},
-		{"negative output", 4096, -1, nil},
-		{"negative range length", 8 << 20, 0, &svm.Range{Off: 0, Len: -1 << 20}},
-		{"range past the buffer", 0, 0, &svm.Range{Off: 1 << 30, Len: 4096}},
-		{"range straddling the end", 0, 0, &svm.Range{Off: bufBytes - 4096, Len: 8192}},
-		{"negative range offset", 0, 0, &svm.Range{Off: -4096, Len: 4096}},
+		{"negative input", -4096, 0, nil, 0},
+		{"negative output", 4096, -1, nil, 0},
+		{"negative range length", 8 << 20, 0, &svm.Range{Off: 0, Len: -1 << 20}, svm.ReadWrite},
+		{"range past the buffer", 0, 0, &svm.Range{Off: 1 << 30, Len: 4096}, svm.ReadWrite},
+		{"range straddling the end", 0, 0, &svm.Range{Off: bufBytes - 4096, Len: 8192}, svm.ReadWrite},
+		{"negative range offset", 0, 0, &svm.Range{Off: -4096, Len: 4096}, svm.ReadWrite},
+		{"no access mode", 0, 0, &svm.Range{Off: 0, Len: 4096}, 0},
 	}
 	for _, transport := range []Transport{TransportExplicit, TransportSVM} {
 		for _, c := range cases {
@@ -177,7 +180,7 @@ func TestLaunchRejectsBadSizes(t *testing.T) {
 				}
 				spec := LaunchSpec{Params: map[string]int64{"n": 1 << 10}, InBytes: c.in, OutBytes: c.out}
 				if c.r != nil {
-					spec.Buffers = []BufferAccess{{Buf: b, Mode: svm.ReadWrite, Ranges: []svm.Range{*c.r}}}
+					spec.Buffers = []BufferAccess{{Buf: b, Mode: c.mode, Ranges: []svm.Range{*c.r}}}
 				}
 				runErr = k.NewLaunch(spec).Run(ctx)
 				return nil

@@ -21,7 +21,7 @@ func TestLinkCutDropsAndHealRestores(t *testing.T) {
 	var got []string
 	k.Spawn("recv", func(p *simnet.Proc) {
 		for i := 0; i < 2; i++ {
-			m := f.Endpoint(1).Recv(p)
+			m := recv(p, f.Endpoint(1))
 			got = append(got, m.Payload.(string))
 		}
 	})
@@ -58,7 +58,7 @@ func TestLinkCutDropsInFlightDelivery(t *testing.T) {
 		f.Endpoint(0).Send(p, 1, "d", 100, nil)
 	})
 	k.Run(0)
-	if f.Endpoint(1).Pending() != 0 {
+	if f.Endpoint(1).inbox.Len() != 0 {
 		t.Fatal("message crossed a cut link")
 	}
 	if f.Endpoint(1).Dropped() != 1 {
@@ -85,7 +85,7 @@ func TestLinkCutIsDirectionallySymmetric(t *testing.T) {
 		f.Endpoint(1).Send(p, 0, "d", 10, nil)
 	})
 	k.Run(0)
-	if f.Endpoint(0).Pending() != 0 || f.Endpoint(1).Pending() != 0 {
+	if f.Endpoint(0).inbox.Len() != 0 || f.Endpoint(1).inbox.Len() != 0 {
 		t.Fatal("traffic crossed a severed link")
 	}
 	if f.MessagesDropped() != 2 {

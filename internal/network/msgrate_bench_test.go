@@ -68,8 +68,9 @@ func BenchmarkNetworkMessageRate(b *testing.B) {
 				})
 			}
 			k.Spawn("recv", func(p *simnet.Proc) {
+				var rx receiver
 				for i := 0; i < b.N; i++ {
-					f.Endpoint(dst).Recv(p)
+					rx.recv(p, f.Endpoint(dst), -1)
 				}
 			})
 			b.ReportAllocs()

@@ -151,8 +151,7 @@ type courierWork struct {
 // courier is a pooled receive-side delivery process of one endpoint, a
 // step process that goes round three phases: await work on ch, queue for
 // the ingress link, and hold the link for the wire time before delivering
-// and returning to the endpoint's free list — the events of a blocking
-// Recv / ingress.Use / deliver loop.
+// and returning to the endpoint's free list.
 type courier struct {
 	e     *Endpoint
 	ch    *simnet.Chan[courierWork]
@@ -243,6 +242,8 @@ type Endpoint struct {
 	// couriers is the free list of pooled receive-side processes.
 	couriers   []*courier
 	courierSeq int
+	// senders is the free list of send machines Send runs.
+	senders []*sendMachine
 	// relays runs receiver-side broadcast forwarding.
 	relays *simnet.ProcPool
 
@@ -255,18 +256,6 @@ type Endpoint struct {
 	bytesOut, bytesIn int64
 	msgsOut, msgsIn   int64
 }
-
-// BytesOut reports the total payload bytes this endpoint injected.
-func (e *Endpoint) BytesOut() int64 { return e.bytesOut }
-
-// BytesIn reports the total payload bytes delivered to this endpoint.
-func (e *Endpoint) BytesIn() int64 { return e.bytesIn }
-
-// MessagesOut reports the number of messages this endpoint injected.
-func (e *Endpoint) MessagesOut() int64 { return e.msgsOut }
-
-// MessagesIn reports the number of messages delivered to this endpoint.
-func (e *Endpoint) MessagesIn() int64 { return e.msgsIn }
 
 // New builds a fabric with n endpoints on a single kernel.
 func New(k *simnet.Kernel, n int, cfg Config) *Fabric {
@@ -441,14 +430,14 @@ func (e *Endpoint) schedule(dst *Endpoint, t simnet.Time, m Message, wire simnet
 	e.f.ps.Post(e.k, dst.k, dst.id, t, a.fn)
 }
 
-// Send transfers a message to node `to`, blocking the calling process for
-// the modeled duration (sender-side occupancy: software overhead plus link
-// serialization). Delivery happens after the propagation latency; the
-// receiver is not blocked until it calls Recv. The calling process must run
-// on the sending node's partition.
+// Send transfers a message to node `to`, blocking the calling coroutine
+// for the modeled duration (sender-side occupancy: software overhead plus
+// link serialization). Delivery happens after the propagation latency; the
+// receiver is not blocked until it awaits its inbox. The calling process
+// must run on the sending node's partition, and not inside a step: Send
+// runs the send's steps (BeginSend, FinishSend) inside Proc.StepUntil.
 func (e *Endpoint) Send(p *simnet.Proc, to int, kind string, size int64, payload any) {
-	m := Message{From: int32(e.id), To: int32(to), Kind: kind, Size: size, Payload: payload}
-	e.send(p, m)
+	e.send(p, Message{From: int32(e.id), To: int32(to), Kind: kind, Size: size, Payload: payload})
 }
 
 // Sending is a send in progress from a step process: BeginSend starts it
@@ -464,25 +453,23 @@ type Sending struct {
 type sendPhase uint8
 
 const (
-	sendOverhead sendPhase = iota // holding the per-message software overhead
+	sendBegun    sendPhase = iota // counted, its overhead not yet armed
+	sendOverhead                  // holding the per-message software overhead
 	sendQueued                    // waiting for the egress link (bulk)
 	sendOnWire                    // holding the egress link for the wire time (bulk)
 )
 
-// BeginSend starts sending a message from a step process, which cannot
-// block through Send: it counts the message into s and arms p's wake after
-// the per-message software overhead. From that wake on, the step calls
-// FinishSend(p, s) at each wake until it reports true. ok is false when the
-// message was lost at the sender (a dead node or a severed link); then no
-// wake is armed and there is nothing to finish. Together the calls produce
-// exactly the events of Send.
+// BeginSend starts sending a message from a step process: it counts the
+// message into s and arms p's wake after the per-message software
+// overhead. From that wake on, the step calls FinishSend(p, s) at each
+// wake until it reports true. ok is false when the message was lost at the
+// sender (a dead node or a severed link); then no wake is armed and there
+// is nothing to finish.
 func (e *Endpoint) BeginSend(p *simnet.Proc, s *Sending, to int, kind string, size int64, payload any) (ok bool) {
-	s.m = Message{From: int32(e.id), To: int32(to), Kind: kind, Size: size, Payload: payload}
-	if !e.count(&s.m) {
+	if !e.begin(s, Message{From: int32(e.id), To: int32(to), Kind: kind, Size: size, Payload: payload}) {
 		return false
 	}
-	s.start, s.phase = e.k.Now(), sendOverhead
-	p.Arm(e.f.cfg.PerMessageCPU)
+	e.advance(p, s)
 	return true
 }
 
@@ -493,13 +480,14 @@ func (e *Endpoint) BeginSend(p *simnet.Proc, s *Sending, to int, kind string, si
 // bulk one. Otherwise it arms p's next wake (the egress link's grant, then
 // the end of the wire time) and reports false.
 func (e *Endpoint) FinishSend(p *simnet.Proc, s *Sending) bool {
-	return e.advance(p, s, false)
+	return e.advance(p, s)
 }
 
-// count books m against the sender, or drops it: a dead node (or one
-// behind a severed link) cannot transmit, which is modelled as silent loss.
-// The caller's process usually gets cancelled by the failure detector.
-func (e *Endpoint) count(m *Message) bool {
+// begin books m against the sender and starts s on it, or drops m: a dead
+// node (or one behind a severed link) cannot transmit, which is modelled
+// as silent loss. The caller's process usually gets cancelled by the
+// failure detector.
+func (e *Endpoint) begin(s *Sending, m Message) bool {
 	if e.dead || e.linkDown(int(m.To)) {
 		e.dropped++
 		return false
@@ -509,30 +497,48 @@ func (e *Endpoint) count(m *Message) bool {
 	if e.f.rec.Enabled() {
 		e.f.rec.CounterAdd(e.id, "net.bytes_out", e.k.Now(), m.Size)
 	}
+	*s = Sending{m: m, start: e.k.Now()}
 	return true
 }
 
-// send is Send's body: the send state machine, waiting in place.
+// sendMachine is a pooled send of one endpoint: Send runs its step inside
+// StepUntil. The step is bound once, so a send allocates nothing.
+type sendMachine struct {
+	e    *Endpoint
+	s    Sending
+	step func(*simnet.Proc) bool
+}
+
+func (c *sendMachine) advance(p *simnet.Proc) bool { return !c.e.advance(p, &c.s) }
+
+// send is Send's body: m's send machine, run by coroutine p.
 func (e *Endpoint) send(p *simnet.Proc, m Message) {
-	if !e.count(&m) {
-		return
+	var c *sendMachine
+	if n := len(e.senders); n > 0 {
+		c = e.senders[n-1]
+		e.senders = e.senders[:n-1]
+	} else {
+		c = &sendMachine{e: e}
+		c.step = c.advance
 	}
-	s := Sending{m: m, start: e.k.Now()}
-	p.Hold(e.f.cfg.PerMessageCPU)
-	e.advance(p, &s, true)
+	if e.begin(&c.s, m) {
+		p.StepUntil(c.step)
+	}
+	e.senders = append(e.senders, c)
 }
 
 // advance moves send s on from the end of its current wait and reports
 // whether the send is done: a message that holds no link is delivered or
 // scheduled once the software overhead has elapsed, a bulk one after its
-// wire time on the egress link. Blocking (block, a coroutine in Send) it
-// waits in place at each further wait and so always finishes; otherwise it
-// arms p's wake at the next wait and reports false. Both forms make the
-// same waits in the same order, so they produce the same events. A
-// finished send drops its payload reference.
-func (e *Endpoint) advance(p *simnet.Proc, s *Sending, block bool) bool {
+// wire time on the egress link. Otherwise it arms p's wake at the next
+// wait and reports false. A finished send drops its payload reference.
+func (e *Endpoint) advance(p *simnet.Proc, s *Sending) bool {
 	for {
 		switch s.phase {
+		case sendBegun:
+			s.phase = sendOverhead
+			p.Arm(e.f.cfg.PerMessageCPU)
+			return false
 		case sendOverhead:
 			if int(s.m.To) == e.id {
 				// Intra-node delivery: only the software overhead.
@@ -548,17 +554,12 @@ func (e *Endpoint) advance(p *simnet.Proc, s *Sending, block bool) bool {
 			s.m.Payload = nil
 			return true
 		case sendQueued:
-			if block {
-				e.egress.Acquire(p, 1)
-			} else if !e.egress.AcquireStep(p, 1) {
+			if !e.egress.AcquireStep(p, 1) {
 				return false
 			}
 			s.phase = sendOnWire
-			if !block {
-				p.Arm(e.f.cfg.wire(s.m.Size))
-				return false
-			}
-			p.Hold(e.f.cfg.wire(s.m.Size))
+			p.Arm(e.f.cfg.wire(s.m.Size))
+			return false
 		case sendOnWire:
 			e.egress.Release(1)
 			m, start := s.m, s.start
@@ -608,16 +609,6 @@ func (e *Endpoint) deliver(m Message) {
 	e.inbox.Send(m)
 }
 
-// Recv blocks until a message arrives.
-func (e *Endpoint) Recv(p *simnet.Proc) Message {
-	return e.inbox.Recv(p)
-}
-
-// RecvTimeout blocks until a message arrives or d elapses.
-func (e *Endpoint) RecvTimeout(p *simnet.Proc, d simnet.Duration) (Message, bool) {
-	return e.inbox.RecvTimeout(p, d)
-}
-
 // Await arms step process p to wake on the next arrival or, when deadline
 // >= 0, at deadline (see simnet.Chan.Await).
 func (e *Endpoint) Await(p *simnet.Proc, deadline simnet.Time) {
@@ -631,9 +622,6 @@ func (e *Endpoint) Unwait(p *simnet.Proc) { e.inbox.Unwait(p) }
 func (e *Endpoint) TryRecv() (Message, bool) {
 	return e.inbox.TryRecv()
 }
-
-// Pending reports the number of queued inbound messages.
-func (e *Endpoint) Pending() int { return e.inbox.Len() }
 
 // Broadcast sends the message from this endpoint to every other live node
 // using a binomial tree rooted at the sender, the standard O(log n) pattern

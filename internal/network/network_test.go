@@ -22,7 +22,7 @@ func TestPointToPointLatencyAndBandwidth(t *testing.T) {
 	var arrived simnet.Time
 	var got Message
 	k.Spawn("recv", func(p *simnet.Proc) {
-		got = f.Endpoint(1).Recv(p)
+		got = recv(p, f.Endpoint(1))
 		arrived = p.Now()
 	})
 	k.Spawn("send", func(p *simnet.Proc) {
@@ -58,11 +58,11 @@ func TestControlLaneBypassesBulkTraffic(t *testing.T) {
 	f := New(k, 3, testConfig())
 	var ctlArrived, bulkArrived simnet.Time
 	k.Spawn("recvCtl", func(p *simnet.Proc) {
-		f.Endpoint(1).Recv(p)
+		recv(p, f.Endpoint(1))
 		ctlArrived = p.Now()
 	})
 	k.Spawn("recvBulk", func(p *simnet.Proc) {
-		f.Endpoint(2).Recv(p)
+		recv(p, f.Endpoint(2))
 		bulkArrived = p.Now()
 	})
 	k.Spawn("bulk", func(p *simnet.Proc) {
@@ -89,7 +89,7 @@ func TestSenderBlocksOnlyForEgress(t *testing.T) {
 		f.Endpoint(0).Send(p, 1, "data", 8000, nil)
 		sendDone = p.Now()
 	})
-	k.Spawn("recv", func(p *simnet.Proc) { f.Endpoint(1).Recv(p) })
+	k.Spawn("recv", func(p *simnet.Proc) { recv(p, f.Endpoint(1)) })
 	k.Run(0)
 	// Sender occupied for cpu (2us) + egress wire (8us) only.
 	if want := simnet.Time(10 * time.Microsecond); sendDone != want {
@@ -106,7 +106,7 @@ func TestEgressContentionSerializesSends(t *testing.T) {
 	for dst := 1; dst <= 2; dst++ {
 		dst := dst
 		k.Spawn("recv", func(p *simnet.Proc) {
-			f.Endpoint(dst).Recv(p)
+			recv(p, f.Endpoint(dst))
 			arrivals = append(arrivals, p.Now())
 		})
 	}
@@ -138,7 +138,7 @@ func TestDistinctPairsProceedInParallel(t *testing.T) {
 	for _, pair := range [][2]int{{0, 1}, {2, 3}} {
 		src, dst := pair[0], pair[1]
 		k.Spawn("recv", func(p *simnet.Proc) {
-			f.Endpoint(dst).Recv(p)
+			recv(p, f.Endpoint(dst))
 			done = append(done, p.Now())
 		})
 		k.Spawn("send", func(p *simnet.Proc) {
@@ -181,7 +181,7 @@ func TestKilledEndpointDropsTraffic(t *testing.T) {
 		f.Endpoint(0).Send(p, 1, "d", 100, nil)
 	})
 	k.Run(0)
-	if f.Endpoint(1).Pending() != 0 {
+	if f.Endpoint(1).inbox.Len() != 0 {
 		t.Fatal("dead endpoint received a message")
 	}
 	if f.Endpoint(1).Alive() {
@@ -198,16 +198,20 @@ func TestKilledEndpointDropsTraffic(t *testing.T) {
 	}
 }
 
+// TestRecvTimeout: a receive with a deadline and no traffic gives up at
+// the deadline.
 func TestRecvTimeout(t *testing.T) {
 	k := simnet.NewKernel(1)
 	f := New(k, 2, testConfig())
 	var ok bool
+	var at simnet.Time
 	k.Spawn("recv", func(p *simnet.Proc) {
-		_, ok = f.Endpoint(0).RecvTimeout(p, time.Millisecond)
+		_, ok = new(receiver).recv(p, f.Endpoint(0), time.Millisecond)
+		at = p.Now()
 	})
 	k.Run(0)
-	if ok {
-		t.Fatal("RecvTimeout returned ok with no traffic")
+	if ok || at != simnet.Time(time.Millisecond) {
+		t.Fatalf("ok=%v at %v, want a timeout at 1ms with no traffic", ok, at)
 	}
 }
 
@@ -219,7 +223,7 @@ func TestBroadcastReachesAllNodes(t *testing.T) {
 		for i := 1; i < n; i++ {
 			i := i
 			k.Spawn("recv", func(p *simnet.Proc) {
-				m := f.Endpoint(i).Recv(p)
+				m := recv(p, f.Endpoint(i))
 				if m.Kind != "bcast" {
 					t.Errorf("node %d got kind %q", i, m.Kind)
 				}
@@ -249,7 +253,7 @@ func TestBroadcastIsLogDepth(t *testing.T) {
 	for i := 1; i < n; i++ {
 		i := i
 		k.Spawn("recv", func(p *simnet.Proc) {
-			f.Endpoint(i).Recv(p)
+			recv(p, f.Endpoint(i))
 			if p.Now() > last {
 				last = p.Now()
 			}
@@ -269,7 +273,7 @@ func TestBroadcastIsLogDepth(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	k := simnet.NewKernel(1)
 	f := New(k, 2, testConfig())
-	k.Spawn("recv", func(p *simnet.Proc) { f.Endpoint(1).Recv(p) })
+	k.Spawn("recv", func(p *simnet.Proc) { recv(p, f.Endpoint(1)) })
 	k.Spawn("send", func(p *simnet.Proc) {
 		f.Endpoint(0).Send(p, 1, "d", 123, nil)
 	})

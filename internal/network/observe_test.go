@@ -13,7 +13,7 @@ func TestEndpointCountersAndSpans(t *testing.T) {
 	rec := trace.New()
 	f.SetRecorder(rec)
 	k.Spawn("recv", func(p *simnet.Proc) {
-		f.Endpoint(1).Recv(p)
+		recv(p, f.Endpoint(1))
 	})
 	k.Spawn("send", func(p *simnet.Proc) {
 		f.Endpoint(0).Send(p, 1, "data", 8000, "payload")
@@ -21,11 +21,11 @@ func TestEndpointCountersAndSpans(t *testing.T) {
 	k.Run(0)
 
 	src, dst := f.Endpoint(0), f.Endpoint(1)
-	if src.MessagesOut() != 1 || src.BytesOut() != 8000 {
-		t.Fatalf("src out: %d msgs, %d bytes", src.MessagesOut(), src.BytesOut())
+	if src.msgsOut != 1 || src.bytesOut != 8000 {
+		t.Fatalf("src out: %d msgs, %d bytes", src.msgsOut, src.bytesOut)
 	}
-	if dst.MessagesIn() != 1 || dst.BytesIn() != 8000 {
-		t.Fatalf("dst in: %d msgs, %d bytes", dst.MessagesIn(), dst.BytesIn())
+	if dst.msgsIn != 1 || dst.bytesIn != 8000 {
+		t.Fatalf("dst in: %d msgs, %d bytes", dst.msgsIn, dst.bytesIn)
 	}
 	if got := rec.CounterTotal(0, "net.bytes_out"); got != 8000 {
 		t.Fatalf("net.bytes_out = %d, want 8000", got)
@@ -49,12 +49,12 @@ func TestEndpointCountersAndSpans(t *testing.T) {
 func TestCountersWorkWithoutRecorder(t *testing.T) {
 	k := simnet.NewKernel(1)
 	f := New(k, 2, testConfig())
-	k.Spawn("recv", func(p *simnet.Proc) { f.Endpoint(1).Recv(p) })
+	k.Spawn("recv", func(p *simnet.Proc) { recv(p, f.Endpoint(1)) })
 	k.Spawn("send", func(p *simnet.Proc) {
 		f.Endpoint(0).Send(p, 1, "data", 100, nil)
 	})
 	k.Run(0)
-	if f.Endpoint(0).BytesOut() != 100 || f.Endpoint(1).BytesIn() != 100 {
+	if f.Endpoint(0).bytesOut != 100 || f.Endpoint(1).bytesIn != 100 {
 		t.Fatal("always-on byte counters require no recorder")
 	}
 }

@@ -8,6 +8,9 @@ import (
 	"cashmere/internal/simnet"
 )
 
+// TestAllocBlockingWaitsForFree: a coroutine allocating while memory is
+// short waits, through AllocStep inside StepUntil, until a Free makes room,
+// and is woken by that Free.
 func TestAllocBlockingWaitsForFree(t *testing.T) {
 	k := simnet.NewKernel(1)
 	spec, _ := device.Lookup("gtx480") // 1.5 GB
@@ -15,8 +18,8 @@ func TestAllocBlockingWaitsForFree(t *testing.T) {
 	const big = 1 << 30
 	var acquired simnet.Time
 	k.Spawn("holder", func(p *simnet.Proc) {
-		buf, err := d.Alloc(big)
-		if err != nil {
+		var buf Buffer
+		if err := alloc(p, d, &buf, big); err != nil {
 			t.Error(err)
 			return
 		}
@@ -26,7 +29,7 @@ func TestAllocBlockingWaitsForFree(t *testing.T) {
 	k.Spawn("waiter", func(p *simnet.Proc) {
 		p.Hold(time.Millisecond) // let the holder run first
 		var buf Buffer
-		if err := d.AllocBlocking(p, &buf, big); err != nil {
+		if err := alloc(p, d, &buf, big); err != nil {
 			t.Error(err)
 			return
 		}
@@ -39,6 +42,8 @@ func TestAllocBlockingWaitsForFree(t *testing.T) {
 	}
 }
 
+// TestAllocBlockingImpossibleRequestFails: a request larger than the
+// device fails at once instead of waiting.
 func TestAllocBlockingImpossibleRequestFails(t *testing.T) {
 	k := simnet.NewKernel(1)
 	spec, _ := device.Lookup("gtx480")
@@ -46,7 +51,7 @@ func TestAllocBlockingImpossibleRequestFails(t *testing.T) {
 	var err error
 	k.Spawn("w", func(p *simnet.Proc) {
 		var buf Buffer
-		err = d.AllocBlocking(p, &buf, spec.GlobalMem+1)
+		err = alloc(p, d, &buf, spec.GlobalMem+1)
 	})
 	k.Run(0)
 	if err == nil {
@@ -54,6 +59,8 @@ func TestAllocBlockingImpossibleRequestFails(t *testing.T) {
 	}
 }
 
+// TestAllocBlockingManyWaiters: waiting allocations that fit one at a time
+// are served one after another.
 func TestAllocBlockingManyWaiters(t *testing.T) {
 	k := simnet.NewKernel(1)
 	spec, _ := device.Lookup("gtx480")
@@ -63,7 +70,7 @@ func TestAllocBlockingManyWaiters(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		k.Spawn("u", func(p *simnet.Proc) {
 			var buf Buffer
-			if err := d.AllocBlocking(p, &buf, chunk); err != nil {
+			if err := alloc(p, d, &buf, chunk); err != nil {
 				t.Error(err)
 				return
 			}

@@ -11,8 +11,8 @@ func TestDeviceUtilizationAccounting(t *testing.T) {
 	k, d, rec := newTestDevice(t, "k20")
 	cost := device.KernelCost{Flops: 1e9, MemBytes: 1 << 20, ComputeEff: 0.5, BandwidthEff: 0.5}
 	k.Spawn("w", func(p *simnet.Proc) {
-		buf, err := d.Alloc(4 << 20)
-		if err != nil {
+		var buf Buffer
+		if err := alloc(p, d, &buf, 4<<20); err != nil {
 			t.Error(err)
 			return
 		}

@@ -29,9 +29,8 @@ import (
 	"cashmere/internal/trace"
 )
 
-// ErrOutOfMemory is returned by Alloc when the device memory is exhausted.
-// Cashmere reacts to kernel-setup failures by running the leaf on the CPU
-// (the catch branch of Fig. 4).
+// ErrOutOfMemory is returned by AllocStep for a request larger than the
+// device's memory, which no amount of waiting can meet.
 var ErrOutOfMemory = errors.New("ocl: device out of memory")
 
 // Device is one simulated many-core device installed in a node.
@@ -180,16 +179,6 @@ type Buffer struct {
 // Size reports the buffer size in bytes.
 func (b *Buffer) Size() int64 { return b.size }
 
-// Alloc reserves size bytes of device memory.
-func (d *Device) Alloc(size int64) (*Buffer, error) {
-	if !d.fits(size) {
-		return nil, d.allocErr(size)
-	}
-	b := &Buffer{}
-	d.reserve(b, size)
-	return b, nil
-}
-
 // fits reports whether size bytes can be reserved now.
 func (d *Device) fits(size int64) bool {
 	return size >= 0 && d.memUsed+size <= d.spec.GlobalMem
@@ -231,28 +220,15 @@ func (b *Buffer) Free() {
 	b.dev.memWait.WakeAll(b.dev.k)
 }
 
-// AllocBlocking reserves size bytes into b, blocking the calling process
+// AllocStep reserves size bytes of device memory into b for step process
+// p and reports true, or registers p for the next Free, arms its wake and
+// reports false; the woken step calls AllocStep again. So a launch waits
 // until concurrent launches release enough memory ("Cashmere automatically
-// manages the available memory on a device", Sec. II-C.3). Requests larger
-// than the device fail immediately. b is the caller's, who may reuse it
-// for a later allocation once it has been freed.
-func (d *Device) AllocBlocking(p *simnet.Proc, b *Buffer, size int64) error {
-	for !d.fits(size) {
-		if !d.possible(size) {
-			return d.allocErr(size)
-		}
-		d.memWait.Park(p)
-	}
-	d.reserve(b, size)
-	return nil
-}
-
-// AllocStep is AllocBlocking for a step process, which returns instead of
-// blocking: it reserves size bytes into b and reports true, or registers p
-// for the next Free, arms its wake and reports false. The woken step calls
-// AllocStep again — exactly the events of AllocBlocking. A request larger
-// than the device fails at once with an error. Called from a coroutine
-// outside StepUntil while memory is short, it panics naming the process.
+// manages the available memory on a device", Sec. II-C.3). A request
+// larger than the device fails at once with an error. b is the caller's,
+// who may reuse it for a later allocation once it has been freed. Called
+// from a coroutine outside StepUntil while memory is short, it panics
+// naming the process.
 func (d *Device) AllocStep(p *simnet.Proc, b *Buffer, size int64) (bool, error) {
 	if d.fits(size) {
 		d.reserve(b, size)

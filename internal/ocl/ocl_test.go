@@ -23,28 +23,27 @@ func newTestDevice(t *testing.T, name string) (*simnet.Kernel, *Device, *trace.R
 
 func TestAllocAccountingAndOOM(t *testing.T) {
 	_, d, _ := newTestDevice(t, "gtx480") // 1.5 GB
-	b1, err := d.Alloc(1 << 30)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b1 := mustReserve(t, d, 1<<30)
 	if d.MemUsed() != 1<<30 {
 		t.Fatalf("MemUsed = %d", d.MemUsed())
 	}
-	if _, err := d.Alloc(1 << 30); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("expected OOM, got %v", err)
+	var b Buffer
+	if ok, err := d.AllocStep(nil, &b, d.Spec().GlobalMem+1); ok || !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("request beyond the device: ok=%v err=%v, want ErrOutOfMemory", ok, err)
+	}
+	if d.MemUsed() != 1<<30 {
+		t.Fatalf("MemUsed after the failed request = %d", d.MemUsed())
 	}
 	b1.Free()
 	if d.MemUsed() != 0 {
 		t.Fatalf("MemUsed after free = %d", d.MemUsed())
 	}
-	if _, err := d.Alloc(1 << 30); err != nil {
-		t.Fatalf("alloc after free failed: %v", err)
-	}
+	mustReserve(t, d, 1<<30)
 }
 
 func TestDoubleFreePanics(t *testing.T) {
 	_, d, _ := newTestDevice(t, "k20")
-	b, _ := d.Alloc(100)
+	b := mustReserve(t, d, 100)
 	b.Free()
 	defer func() {
 		if recover() == nil {
@@ -56,14 +55,15 @@ func TestDoubleFreePanics(t *testing.T) {
 
 func TestNegativeAllocRejected(t *testing.T) {
 	_, d, _ := newTestDevice(t, "k20")
-	if _, err := d.Alloc(-1); err == nil {
+	var b Buffer
+	if ok, err := d.AllocStep(nil, &b, -1); ok || err == nil {
 		t.Fatal("negative alloc succeeded")
 	}
 }
 
 func TestTransferTiming(t *testing.T) {
 	k, d, rec := newTestDevice(t, "k20") // 6 GB/s, 10us latency
-	b, _ := d.Alloc(600_000_000)         // 100 ms of wire
+	b := mustReserve(t, d, 600_000_000)  // 100 ms of wire
 	var done simnet.Time
 	k.Spawn("xfer", func(p *simnet.Proc) {
 		d.EnqueueWrite(b.Size(), "in").Wait(p)
@@ -146,7 +146,7 @@ func TestTransferOverlapsKernel(t *testing.T) {
 	// transfer issued by two threads overlap (Sec. III-B).
 	k, d, _ := newTestDevice(t, "k20")
 	cost := device.KernelCost{Flops: 3524e9 / 10, MemBytes: 1, ComputeEff: 1, BandwidthEff: 1} // 100ms
-	b, _ := d.Alloc(600_000_000)                                                               // 100ms wire
+	b := mustReserve(t, d, 600_000_000)                                                        // 100ms wire
 	k.Spawn("kern", func(p *simnet.Proc) { d.EnqueueLaunch(cost, "k").Wait(p) })
 	k.Spawn("copy", func(p *simnet.Proc) { d.EnqueueWrite(b.Size(), "w").Wait(p) })
 	end := k.Run(0)

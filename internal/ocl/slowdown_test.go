@@ -44,7 +44,7 @@ func TestSlowdownStretchesLaunchAndTransfer(t *testing.T) {
 
 func TestSlowdownStretchesTransfers(t *testing.T) {
 	k, d, _ := newTestDevice(t, "k20") // 6 GB/s, 10us latency
-	b, _ := d.Alloc(6_000_000)         // 1ms of wire nominal
+	b := mustReserve(t, d, 6_000_000)  // 1ms of wire nominal
 	var first, second simnet.Time
 	k.Spawn("xfer", func(p *simnet.Proc) {
 		d.EnqueueWrite(b.Size(), "in").Wait(p)

@@ -1,7 +1,10 @@
 package ocl
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -24,9 +27,9 @@ func (w *wakeLog) QueueDepth(t simnet.Time, depth int) { fmt.Fprintf(&w.b, "q %d
 // share of device memory, then — with events — run a write → kernel → read
 // chain and wait for it (sometimes for the kernel first), then hold and
 // free the memory, reusing one buffer. run is the user as a coroutine
-// (AllocBlocking, Wait); step is the user as a step process (AllocStep,
-// Await). Both draw the same values at the same wakes, so both must
-// produce the same events.
+// (alloc, Wait); step is the user as a step process (AllocStep, Await).
+// Both draw the same values at the same wakes, so both must produce the
+// same events.
 type user struct {
 	name        string
 	d           *Device
@@ -76,7 +79,7 @@ func (u *user) run(p *simnet.Proc) {
 	for ; u.round < u.rounds; u.round++ {
 		p.Hold(u.think())
 		if u.mem {
-			if err := u.d.AllocBlocking(p, &u.own, u.share()); err != nil {
+			if err := alloc(p, u.d, &u.own, u.share()); err != nil {
 				u.t.Error(err)
 				return
 			}
@@ -194,8 +197,10 @@ func deviceUsers(t *testing.T, seed int64, mixed, mem, events bool) (log, wakes 
 
 // sameDeviceRun fails the test unless the run with step processes matches
 // the all-coroutine run: the same log, the same wakes and the same
-// trajectory counters, with the step processes' wakes run as steps.
-func sameDeviceRun(t *testing.T, seed int64, mem, events bool) {
+// trajectory counters, with the step processes' wakes run as steps. It
+// returns the digest of the all-coroutine run's log, wakes and Events,
+// Stale and Callbacks.
+func sameDeviceRun(t *testing.T, seed int64, mem, events bool) string {
 	t.Helper()
 	coLog, coWakes, coSt := deviceUsers(t, seed, false, mem, events)
 	mxLog, mxWakes, mxSt := deviceUsers(t, seed, true, mem, events)
@@ -208,9 +213,20 @@ func sameDeviceRun(t *testing.T, seed int64, mem, events bool) {
 	if coSt.Events != mxSt.Events || coSt.Stale != mxSt.Stale || coSt.Callbacks != mxSt.Callbacks {
 		t.Fatalf("seed %d: stats differ:\ncoroutines %+v\nmixed      %+v", seed, coSt, mxSt)
 	}
-	if coSt.Steps != 0 || mxSt.Steps == 0 || mxSt.Events != mxSt.Switches+mxSt.SelfWakes+mxSt.Steps+mxSt.Callbacks {
+	if mxSt.Steps <= coSt.Steps || mxSt.Events != mxSt.Switches+mxSt.SelfWakes+mxSt.Steps+mxSt.Callbacks {
 		t.Fatalf("seed %d: coroutines %+v, mixed %+v: the step users must run as steps", seed, coSt, mxSt)
 	}
+	return digest(coLog, coWakes, fmt.Sprintf("%d %d %d", coSt.Events, coSt.Stale, coSt.Callbacks))
+}
+
+// digest is a short hash of a run's outputs, for pinning them as literals.
+func digest(parts ...string) string {
+	h := sha256.New()
+	for _, s := range parts {
+		io.WriteString(h, s)
+		h.Write([]byte{0})
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 // TestEventAwaitMatchesWait: users waiting for their command chains see
@@ -223,14 +239,34 @@ func TestEventAwaitMatchesWait(t *testing.T) {
 	}
 }
 
+// blockingAllocRuns pins deviceUsers with coroutine users and memory, seeds
+// 1 to 20, without and with command chains (sameDeviceRun's digest), as
+// recorded when the coroutines allocated through AllocBlocking.
+var blockingAllocRuns = [...][2]string{
+	{"9e1a6c58d531c928", "94de72eb8a0248ea"}, {"2154f0b1551c7c79", "0f2127bfd679852f"},
+	{"28dbedf25bc10ae2", "5f08dee75707dac1"}, {"91fa3ece372e74d6", "e1e5c2994007dace"},
+	{"08b44407b7c387fe", "3fe8f75db0304f39"}, {"0ad3cc210a3ee162", "fff7d8fef3c81f70"},
+	{"1e67aa04c32b1fc9", "17f556a18a78452b"}, {"305f5c66188838bf", "9a253f185d53eade"},
+	{"918ed1c09850fd6a", "55fef42ee6302e81"}, {"b5f84033bae94fc2", "4c2181efe3b926c5"},
+	{"506a95feddea6874", "344aa7bad832092b"}, {"3013bef8f70efcc0", "c55dcdb87f8d57a5"},
+	{"6d769e8faaf46a39", "c61bc582145ba6ad"}, {"0d04dd502bac52be", "805bdb65e1844054"},
+	{"4544902ad3e4f31a", "57c7a3c62c248fc9"}, {"7144d1a14a8fadfb", "f8206e009a0bc76a"},
+	{"786eecc9cea4b928", "70df41ca3c2ba139"}, {"65faeb5e71b6a65a", "e7f0e75450b82d72"},
+	{"12702f30bb8a0d31", "09d6f1612ad6e629"}, {"f35bd24ce4d15a3f", "27d1343d5ecabdad"},
+}
+
 // TestAllocStepMatchesAllocBlocking: users contending for device memory
 // get it at the same times, with the same wakes and trajectory counters,
-// whether each is a coroutine in AllocBlocking or a step process using
-// AllocStep; the last case also runs command chains on the memory.
+// as recorded when coroutines blocked in AllocBlocking, whether each is a
+// coroutine allocating through AllocStep inside StepUntil or a step
+// process; the second case also runs command chains on the memory.
 func TestAllocStepMatchesAllocBlocking(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		sameDeviceRun(t, seed, true, false)
-		sameDeviceRun(t, seed, true, true)
+		for i, events := range []bool{false, true} {
+			if got, want := sameDeviceRun(t, seed, true, events), blockingAllocRuns[seed-1][i]; got != want {
+				t.Fatalf("seed %d, chains %v: coroutine run %s, want the blocking run's %s", seed, events, got, want)
+			}
+		}
 	}
 }
 
@@ -252,9 +288,7 @@ func TestStepFormsFromCoroutine(t *testing.T) {
 
 	k = simnet.NewKernel(1)
 	d = NewDevice(k, spec, 0, 0, nil)
-	if _, err := d.Alloc(spec.GlobalMem); err != nil {
-		t.Fatal(err)
-	}
+	mustReserve(t, d, spec.GlobalMem)
 	k.Spawn("allocator", func(p *simnet.Proc) {
 		var b Buffer
 		d.AllocStep(p, &b, 1)

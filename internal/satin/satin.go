@@ -257,7 +257,7 @@ func (rt *Runtime) Scheduler() *simnet.Partitioned { return rt.ps }
 // SetMessageHandler installs a hook consulted by every node's comm loop for
 // message kinds the runtime itself does not understand. The hook runs inside
 // a step of the receiving node's comm loop, a step process, so it must never
-// block: any Hold, Send, Recv, Acquire or Await on ctx.Proc() panics. Work
+// block: any Hold, Send, StepUntil or Await on ctx.Proc() panics. Work
 // that takes virtual time, replies included, must be started with
 // Node.GoLocal or Node.GoLocalStep. The comm loop reuses ctx for every
 // message, so the hook must not keep it, nor hand it to that work. Must be
@@ -742,8 +742,7 @@ func (n *Node) reply(to int, kind string, payload any, then func() bool) {
 // services the inbox: steal requests and replies, results for jobs stolen
 // from this node, shared-object updates, and shutdown. It receives with a
 // commTimeout timeout, handles each message, and sends the replies it
-// queued one at a time, arming its next wake for every wait — the same
-// events as a blocking RecvTimeout/Send loop.
+// queued one at a time, arming its next wake for every wait.
 func (n *Node) commStep(p *simnet.Proc) bool {
 	if n.sendArmed {
 		if !n.ep.FinishSend(p, &n.sending) {

@@ -99,10 +99,9 @@ type Frontend struct {
 	el *elastic
 
 	// Global accounting.
-	Batches      int64
-	BatchedReqs  int64
-	Hist         Hist
-	offeredTotal int64
+	Batches     int64
+	BatchedReqs int64
+	Hist        Hist
 }
 
 // NewFrontend builds the frontend for a configuration. rec may be nil
@@ -164,9 +163,6 @@ const (
 // Tenant returns tenant i's accounting state (read-only use).
 func (f *Frontend) Tenant(i int) *tenantState { return &f.tenants[i] }
 
-// Tenants reports the tenant count.
-func (f *Frontend) Tenants() int { return len(f.tenants) }
-
 // Queued reports the total number of requests waiting across tenants.
 func (f *Frontend) Queued() int { return f.queued }
 
@@ -175,10 +171,6 @@ func (f *Frontend) Inflight() int { return f.inflight }
 
 // MaxDepth reports the high-water mark of the total queue depth.
 func (f *Frontend) MaxDepth() int { return f.maxDepth }
-
-// Offered reports the total arrivals (including retries) presented to
-// admission.
-func (f *Frontend) Offered() int64 { return f.offeredTotal }
 
 // refill lazily refreshes tenant t's token bucket at time now.
 func (t *tenantState) refill(now simnet.Time) {
@@ -228,7 +220,6 @@ func (f *Frontend) Release(r *Request) {
 func (f *Frontend) Admit(now simnet.Time, tenant, class int) (r *Request, v Verdict, retryAfter simnet.Duration) {
 	t := &f.tenants[tenant]
 	t.Offered++
-	f.offeredTotal++
 
 	if t.rate > 0 {
 		t.refill(now)

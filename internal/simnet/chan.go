@@ -1,9 +1,10 @@
 package simnet
 
 // Chan is an unbounded FIFO message queue between simulation processes.
-// Sends never block; receives block the calling process in virtual time
-// until a value is available. Values are delivered in send order and waiting
-// receivers are served in arrival order.
+// Sends never block. A receiver takes a queued value with TryRecv or, when
+// none is queued, waits for the next send with Await — from a step process,
+// or from a coroutine inside Proc.StepUntil. Values are delivered in send
+// order and waiting receivers are served in arrival order.
 //
 // Chan models zero-latency in-memory queues: transport delays belong to the
 // network and PCIe models, which Hold for the modeled duration before
@@ -69,12 +70,6 @@ func (c *Chan[T]) Send(v T) {
 	}
 }
 
-// Recv blocks p until a value is available and returns it.
-func (c *Chan[T]) Recv(p *Proc) T {
-	v, _ := c.recv(p, -1)
-	return v
-}
-
 // TryRecv returns a queued value without blocking. ok is false if the
 // channel is empty.
 func (c *Chan[T]) TryRecv() (v T, ok bool) {
@@ -84,57 +79,23 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 	return c.pop(), true
 }
 
-// RecvTimeout blocks p until a value is available or until d has elapsed.
-// ok is false on timeout.
-func (c *Chan[T]) RecvTimeout(p *Proc, d Duration) (v T, ok bool) {
-	return c.recv(p, d)
-}
-
-func (c *Chan[T]) recv(p *Proc, timeout Duration) (v T, ok bool) {
-	deadline := Time(-1)
-	if timeout >= 0 {
-		deadline = c.k.now.Add(timeout)
-	}
-	for c.Len() == 0 {
-		if deadline >= 0 && c.k.now >= deadline {
-			c.removeWaiter(p)
-			return v, false
-		}
-		c.enlist(p, deadline)
-		p.park()
-		// Woken either by a send or by the timeout; in both cases we may no
-		// longer be in the waiter list (the send removed us) or we may still
-		// be listed (timeout fired first). Drop any stale entry for us.
-		c.removeWaiter(p)
-	}
-	return c.pop(), true
-}
-
-// enlist registers p as a waiting receiver against its current park epoch
-// and, when deadline >= 0, schedules a timeout wake against the same epoch;
-// if a send wins the race the timeout event is stale and ignored.
-func (c *Chan[T]) enlist(p *Proc, deadline Time) {
+// Await arms step process p to wake on the next send to c or, when
+// deadline >= 0, at deadline, whichever comes first. The woken step calls
+// Unwait, then takes a value with TryRecv or, if none came and the deadline
+// has not passed, awaits again with the same deadline: a receive with a
+// timeout. The send's wake and the timeout's are posted against the same
+// park epoch, so whichever comes second is stale.
+func (c *Chan[T]) Await(p *Proc, deadline Time) {
+	p.mustStep()
 	c.waiters = append(c.waiters, chanWaiter{p: p, epoch: p.epoch})
 	if deadline >= 0 {
 		c.k.post(deadline, p, p.epoch)
 	}
-}
-
-// Await arms step process p to wake on the next send to c or, when
-// deadline >= 0, at deadline, whichever comes first: the wait inside
-// RecvTimeout, for a step that returns instead of blocking. The woken step
-// calls Unwait, then takes a value with TryRecv or, if none came and the
-// deadline has not passed, awaits again with the same deadline — exactly
-// the events RecvTimeout produces.
-func (c *Chan[T]) Await(p *Proc, deadline Time) {
-	c.enlist(p, deadline)
 	p.arm()
 }
 
 // Unwait drops p from c's waiting receivers, if a timeout woke it first.
-func (c *Chan[T]) Unwait(p *Proc) { c.removeWaiter(p) }
-
-func (c *Chan[T]) removeWaiter(p *Proc) {
+func (c *Chan[T]) Unwait(p *Proc) {
 	for i, w := range c.waiters {
 		if w.p == p {
 			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)

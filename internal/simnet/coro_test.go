@@ -121,7 +121,7 @@ func TestProcessPanicReachesRun(t *testing.T) {
 		ch.Send(1)
 	})
 	k.Spawn("receiver", func(p *Proc) {
-		ch.Recv(p)
+		recv(p, ch)
 		panic(boom{p.Now()})
 	})
 	got := func() (r any) {

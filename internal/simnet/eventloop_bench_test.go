@@ -11,20 +11,22 @@ import (
 //   - hold: a single process sleeping repeatedly. The next runnable event
 //     belongs to the parking process itself, so the wake needs no switch at
 //     all.
-//   - pingpong: two processes alternating through two channels — the classic
+//   - pingpong: two coroutines alternating through two channels, each
+//     receiving through Chan.Await inside StepUntil — the classic
 //     one-event-per-wake pattern of the network and Satin layers. Each wake
-//     is a coroutine yield to Run's loop and a resume of the peer.
-//   - timeout: a request answered before its RecvTimeout(250ms) expires —
-//     the Satin comm-loop and steal-probe pattern. The reply supersedes the
-//     pending timeout wake in place, so the heap never holds more than one
-//     entry per parked process.
+//     hands back to its body: a coroutine yield to Run's loop and a resume
+//     of the peer.
+//   - timeout: a request whose reply, awaited with a 250ms deadline, comes
+//     before the deadline — the Satin comm-loop and steal-probe pattern. The
+//     reply supersedes the pending timeout wake in place, so the heap never
+//     holds more than one entry per parked process.
 //   - step: the same exchange with the responder as a step process, the
 //     Satin comm-loop shape: the responder's wakes run inline in the event
 //     loop, so only the requester's wakes switch.
-//   - stepuntil: a coroutine whose RecvTimeouts expire inside StepUntil,
-//     three in a row, the last of them handing back to the body — the
-//     idle-thief shape: one wake in three resumes the coroutine (here as a
-//     self-wake), and the other two run as steps.
+//   - stepuntil: a coroutine whose deadlines expire inside StepUntil, three
+//     in a row, the last of them handing back to the body — the idle-thief
+//     shape: one wake in three resumes the coroutine (here as a self-wake),
+//     and the other two run as steps.
 func BenchmarkSimnetEventLoop(b *testing.B) {
 	b.Run("hold", func(b *testing.B) {
 		k := NewKernel(1)
@@ -42,14 +44,16 @@ func BenchmarkSimnetEventLoop(b *testing.B) {
 		k := NewKernel(1)
 		a, c := NewChan[int](k), NewChan[int](k)
 		k.Spawn("ping", func(p *Proc) {
+			var rx receiver[int]
 			for i := 0; i < b.N; i++ {
 				a.Send(i)
-				c.Recv(p)
+				rx.recv(p, c, -1)
 			}
 		})
 		k.Spawn("pong", func(p *Proc) {
+			var rx receiver[int]
 			for i := 0; i < b.N; i++ {
-				a.Recv(p)
+				rx.recv(p, a, -1)
 				c.Send(i)
 			}
 		})
@@ -103,15 +107,16 @@ func (e *expiries) step(p *Proc) bool {
 }
 
 // timeoutExchanges spawns a requester that sends n requests, each awaiting
-// its reply with a 250ms RecvTimeout, and a responder — a coroutine, or a
+// its reply with a 250ms deadline, and a responder — a coroutine, or a
 // step process when step is set — that answers every request 1µs later,
 // well before the timeout.
 func timeoutExchanges(k *Kernel, n int, step bool) {
 	req, rep := NewChan[int](k), NewChan[int](k)
 	k.Spawn("thief", func(p *Proc) {
+		var rx receiver[int]
 		for i := 0; i < n; i++ {
 			req.Send(i)
-			if _, ok := rep.RecvTimeout(p, 250*time.Millisecond); !ok {
+			if _, ok := rx.recv(p, rep, 250*time.Millisecond); !ok {
 				panic("reply timed out")
 			}
 		}

@@ -52,9 +52,9 @@ func partitionedRandomWorkload(ps *Partitioned, nodes int, seed int64, lookahead
 					case 1:
 						n.chans[rng.Intn(len(n.chans))].Send(rng.Intn(100))
 					case 2:
-						n.chans[rng.Intn(len(n.chans))].RecvTimeout(p, time.Duration(1+rng.Intn(30))*time.Microsecond)
+						recvTimeout(p, n.chans[rng.Intn(len(n.chans))], time.Duration(1+rng.Intn(30))*time.Microsecond)
 					case 3:
-						n.res.Use(p, 1, time.Duration(rng.Intn(20))*time.Microsecond)
+						use(p, n.res, 1, time.Duration(rng.Intn(20))*time.Microsecond)
 					case 4:
 						d := rng.Intn(nodes)
 						ch := ns[d].chans[rng.Intn(len(ns[d].chans))]

@@ -36,9 +36,9 @@ func randomWorkload(k *Kernel, seed int64, trace *[]string) {
 				case 2:
 					// Timed receive so the workload always terminates even
 					// when sends and receives don't balance.
-					chans[rng.Intn(len(chans))].RecvTimeout(p, time.Duration(1+rng.Intn(30))*time.Microsecond)
+					recvTimeout(p, chans[rng.Intn(len(chans))], time.Duration(1+rng.Intn(30))*time.Microsecond)
 				case 3:
-					res[rng.Intn(len(res))].Use(p, 1, time.Duration(rng.Intn(20))*time.Microsecond)
+					use(p, res[rng.Intn(len(res))], 1, time.Duration(rng.Intn(20))*time.Microsecond)
 				}
 				*trace = append(*trace, fmt.Sprintf("%s@%v#%d", p.Name(), p.Now(), s))
 			}

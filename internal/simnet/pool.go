@@ -47,8 +47,8 @@ func NewProcPool(k *Kernel, name string) *ProcPool {
 }
 
 // Go runs fn on a pooled process starting at the current virtual time. Like
-// a process body, fn may Hold, block on channels and resources, and spawn
-// further tasks (including on the same pool).
+// a process body, fn may Hold, wait through StepUntil, and spawn further
+// tasks (including on the same pool).
 func (pp *ProcPool) Go(fn func(p *Proc)) { pp.submit(poolTask{fn: fn}) }
 
 // GoStep runs step as a step task on a pooled process: step is called at
@@ -86,7 +86,7 @@ func (r *poolRunner) body(p *Proc) {
 }
 
 // run is a runner's step: it advances the step task in hand, and between
-// tasks takes the next one or awaits it — the events of a blocking Recv.
+// tasks takes the next one or awaits it.
 // It hands back to the body with a coroutine task in hand.
 func (r *poolRunner) run(p *Proc) bool {
 	for {

@@ -4,16 +4,37 @@
 // all run as cooperative processes over a shared virtual clock.
 //
 // The design follows the classic process-interaction style (as in SimPy or
-// SSF): every simulated activity is a coroutine bound to a Proc, and at most
-// one process runs at a time. The kernel resumes the process that owns the
-// earliest pending event; the process runs until it blocks on a virtual-time
-// primitive (Hold, Chan.Recv, Resource.Acquire, Future.Await) and then
-// yields back. Events with equal timestamps fire in a fixed total order — by
-// creating event stream, then by that stream's monotonically increasing
-// sequence number (see event) — so a given program and seed always produce
-// the same trajectory, on one kernel or split across partitions.
+// SSF): a simulated activity is a process bound to a Proc, and at most one
+// process runs at a time. Events with equal timestamps fire in a fixed total
+// order — by creating event stream, then by that stream's monotonically
+// increasing sequence number (see event) — so a given program and seed
+// always produce the same trajectory, on one kernel or split across
+// partitions.
 //
-// A parking process pops the next runnable event itself. When that event
+// A channel receive and a resource grant have one body each, their step
+// form: Chan.Await (with an optional deadline) and Resource.AcquireStep. A
+// step also sleeps with Proc.Arm and waits for a broadcast condition with
+// WaitList.Arm. A step arms its next wake and returns instead of blocking,
+// and the kernel calls it inline on that wake. A step process (SpawnStepOn) is nothing but such a
+// step: the layers above run their message reactors this way — Satin's
+// comm loops, the network's receive-side couriers and the serving
+// frontend's arrival generators. A coroutine (Spawn) waits through the same
+// forms with Proc.StepUntil: its body stays suspended while the steps run
+// and resumes only at the wake whose step hands back, so a loop that mostly
+// waits (an idle work-stealing thief, an idle ProcPool runner, a message
+// send) switches only when it has work to do. The serving layer's
+// dispatcher slots and batch servers wait for work, device memory, a
+// launch's last command, the network links and replies this way, through
+// the step forms of the layers above (ocl.Event.Await,
+// ocl.Device.AllocStep, core.Launch.Step, network.Endpoint.BeginSend/
+// FinishSend).
+//
+// A coroutine also blocks in place, with Proc.Hold and HoldUntil,
+// Future.Await and AwaitTimeout, and WaitList.Park. Those serve user
+// divide-and-conquer code — Satin jobs and many-core threads that compute,
+// sync and wait for device events in direct style — which a step machine
+// cannot express.
+// A blocked coroutine pops the next runnable event itself. When that event
 // belongs to the parking process — the common case for a lone process
 // sleeping through Hold — the wake needs no switch at all. Otherwise the
 // process records the event's owner as the kernel's handoff and yields, and
@@ -21,32 +42,12 @@
 // (iter.Pull), which hand the thread over directly without a trip through
 // the Go scheduler's run queue.
 //
-// A pure message reactor — a loop that waits, handles what arrived and
-// waits again, never blocking mid-handler — can instead be a step process
-// (SpawnStepOn). It has no coroutine: the kernel calls its step function
-// inline on every wake, exactly where it would have resumed the body, and
-// the step arms its next wake (Proc.Arm, Chan.Await, Resource.AcquireStep,
-// WaitList.Arm) before returning. The wake is the same event either way;
-// only the host cost of a switch is saved. The layers above run their
-// fixed-script processes this way: Satin's comm loops, the network's
-// receive-side couriers (await work, queue for the ingress link, hold it)
-// and the serving frontend's arrival generators. A coroutine can turn into
-// a step process for a stretch of waits with Proc.StepUntil: its body
-// resumes only at the wake whose step hands back, so a loop that mostly
-// waits (an idle work-stealing thief, an idle ProcPool runner) switches
-// only when it has work to do. The serving layer's dispatcher slots live
-// inside StepUntil, and its batch servers are step tasks of a ProcPool
-// (ProcPool.GoStep); both wait for work, device memory, a launch's last
-// command, the network links and replies as steps, through the step forms
-// of the layers above (ocl.Event.Await, ocl.Device.AllocStep,
-// core.Launch.Step, network.Endpoint.BeginSend/FinishSend).
-//
 // A parked process has at most one entry in the event queue. A second wake
-// for the same park — the reply that beats a RecvTimeout, say — is folded
-// into the pending entry: the earlier of the two keeps it, and the other is
-// counted as stale without ever being queued. Superseded timeouts therefore
-// cost no heap space and no sift work, and the queue stays as deep as the
-// number of parked processes with a wake due.
+// for the same park — the reply that beats a receive's deadline, say — is
+// folded into the pending entry: the earlier of the two keeps it, and the
+// other is counted as stale without ever being queued. Superseded timeouts
+// therefore cost no heap space and no sift work, and the queue stays as deep
+// as the number of parked processes with a wake due.
 package simnet
 
 import (
@@ -285,7 +286,7 @@ func (k *Kernel) enqueue(t Time, key uint64, e event) {
 // heap entry instead of a parked process.
 //
 // Callbacks must be short and must not block on virtual-time primitives
-// (no Hold, Recv, Acquire, Await); they may post further events, wake
+// (no Hold, Await, StepUntil); they may post further events, wake
 // processes, call CallAt again, or Spawn.
 func (k *Kernel) CallAt(t Time, fn func()) {
 	k.callAtExec(t, fn, k.curStream)

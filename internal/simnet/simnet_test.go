@@ -134,7 +134,7 @@ func TestChanRendezvous(t *testing.T) {
 	var got int
 	var at Time
 	k.Spawn("recv", func(p *Proc) {
-		got = c.Recv(p)
+		got = recv(p, c)
 		at = p.Now()
 	})
 	k.Spawn("send", func(p *Proc) {
@@ -157,7 +157,7 @@ func TestChanBuffersWhenNoReceiver(t *testing.T) {
 	var got []string
 	k.Spawn("recv", func(p *Proc) {
 		p.Hold(time.Millisecond)
-		got = append(got, c.Recv(p), c.Recv(p))
+		got = append(got, recv(p, c), recv(p, c))
 	})
 	k.Run(0)
 	if len(got) != 2 || got[0] != "x" || got[1] != "y" {
@@ -172,7 +172,7 @@ func TestChanMultipleWaitersServedFIFO(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		k.SpawnAt(Time(i), "recv", func(p *Proc) {
-			v := c.Recv(p)
+			v := recv(p, c)
 			order = append(order, i*100+v)
 		})
 	}
@@ -200,7 +200,7 @@ func TestChanRecvTimeoutExpires(t *testing.T) {
 	var ok bool
 	var at Time
 	k.Spawn("recv", func(p *Proc) {
-		_, ok = c.RecvTimeout(p, 2*time.Millisecond)
+		_, ok = recvTimeout(p, c, 2*time.Millisecond)
 		at = p.Now()
 	})
 	k.Run(0)
@@ -218,7 +218,7 @@ func TestChanRecvTimeoutBeatenBySend(t *testing.T) {
 	var got int
 	var ok bool
 	k.Spawn("recv", func(p *Proc) {
-		got, ok = c.RecvTimeout(p, 5*time.Millisecond)
+		got, ok = recvTimeout(p, c, 5*time.Millisecond)
 	})
 	k.Spawn("send", func(p *Proc) {
 		p.Hold(time.Millisecond)
@@ -235,12 +235,12 @@ func TestChanValueSurvivesTimedOutWaiter(t *testing.T) {
 	k := NewKernel(1)
 	c := NewChan[int](k)
 	k.Spawn("quitter", func(p *Proc) {
-		c.RecvTimeout(p, time.Millisecond)
+		recvTimeout(p, c, time.Millisecond)
 	})
 	var got int
 	k.Spawn("patient", func(p *Proc) {
 		p.Hold(2 * time.Millisecond)
-		got = c.Recv(p)
+		got = recv(p, c)
 	})
 	k.Spawn("send", func(p *Proc) {
 		p.Hold(3 * time.Millisecond)
@@ -271,7 +271,7 @@ func TestResourceSerializes(t *testing.T) {
 	var finish []Time
 	for i := 0; i < 3; i++ {
 		k.Spawn("u", func(p *Proc) {
-			r.Use(p, 1, 10*time.Millisecond)
+			use(p, r, 1, 10*time.Millisecond)
 			finish = append(finish, p.Now())
 		})
 	}
@@ -293,7 +293,7 @@ func TestResourceParallelWithinCapacity(t *testing.T) {
 	var finish []Time
 	for i := 0; i < 4; i++ {
 		k.Spawn("u", func(p *Proc) {
-			r.Use(p, 1, 10*time.Millisecond)
+			use(p, r, 1, 10*time.Millisecond)
 			finish = append(finish, p.Now())
 		})
 	}
@@ -309,52 +309,23 @@ func TestResourceFIFONoStarvation(t *testing.T) {
 	r := NewResource(k, "r", 4)
 	var order []string
 	k.Spawn("holder", func(p *Proc) {
-		r.Acquire(p, 3)
+		acquire(p, r, 3)
 		p.Hold(10 * time.Millisecond)
 		r.Release(3)
 	})
 	k.SpawnAt(1, "big", func(p *Proc) {
-		r.Acquire(p, 4)
+		acquire(p, r, 4)
 		order = append(order, "big")
 		r.Release(4)
 	})
 	k.SpawnAt(2, "small", func(p *Proc) {
-		r.Acquire(p, 1)
+		acquire(p, r, 1)
 		order = append(order, "small")
 		r.Release(1)
 	})
 	k.Run(0)
 	if len(order) != 2 || order[0] != "big" {
 		t.Fatalf("order = %v, want big first (FIFO)", order)
-	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	k := NewKernel(1)
-	r := NewResource(k, "r", 2)
-	if !r.TryAcquire(2) {
-		t.Fatal("TryAcquire failed with free capacity")
-	}
-	if r.TryAcquire(1) {
-		t.Fatal("TryAcquire succeeded beyond capacity")
-	}
-	r.Release(2)
-	if !r.TryAcquire(1) {
-		t.Fatal("TryAcquire failed after release")
-	}
-}
-
-func TestResourceUtilization(t *testing.T) {
-	k := NewKernel(1)
-	r := NewResource(k, "r", 2)
-	k.Spawn("u", func(p *Proc) {
-		r.Use(p, 1, 10*time.Millisecond)
-		p.Hold(10 * time.Millisecond)
-	})
-	k.Run(0)
-	// 1 of 2 units busy for half of 20ms => 25%.
-	if u := r.Utilization(); u < 0.24 || u > 0.26 {
-		t.Fatalf("utilization = %v, want 0.25", u)
 	}
 }
 
@@ -417,7 +388,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		}
 		k.Spawn("collector", func(p *Proc) {
 			for j := 0; j < 8; j++ {
-				out = append(out, c.Recv(p))
+				out = append(out, recv(p, c))
 			}
 		})
 		k.Run(0)
@@ -434,7 +405,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 func TestBlockedDetection(t *testing.T) {
 	k := NewKernel(1)
 	c := NewChan[int](k)
-	k.Spawn("stuck", func(p *Proc) { c.Recv(p) })
+	k.Spawn("stuck", func(p *Proc) { recv(p, c) })
 	k.Run(0)
 	if k.Blocked() != 1 {
 		t.Fatalf("Blocked = %d, want 1", k.Blocked())
@@ -471,8 +442,10 @@ func TestHoldDurationsProperty(t *testing.T) {
 	}
 }
 
-// Property: a single-unit resource used by n processes for d each always
-// finishes at n*d, regardless of arrival order.
+// Property: a single-unit resource used by n processes for d each is held
+// by one process at a time and never idles while a request waits: every
+// grant comes at the later of its request and the previous release, so
+// the run ends at the last release, no earlier than n*d.
 func TestResourceSerializationProperty(t *testing.T) {
 	f := func(starts []uint8) bool {
 		if len(starts) == 0 {
@@ -484,26 +457,26 @@ func TestResourceSerializationProperty(t *testing.T) {
 		k := NewKernel(3)
 		r := NewResource(k, "r", 1)
 		const d = time.Millisecond
-		var latest Time
+		type hold struct{ start, grant Time }
+		var holds []hold
 		for _, s := range starts {
 			st := Time(s) * Time(time.Microsecond)
-			if st.Add(d*Duration(len(starts))) > latest {
-				// conservative upper bound; real check below
-			}
 			k.SpawnAt(st, "u", func(p *Proc) {
-				r.Use(p, 1, d)
+				acquire(p, r, 1)
+				holds = append(holds, hold{st, p.Now()})
+				p.Hold(d)
+				r.Release(1)
 			})
 		}
 		end := k.Run(0)
-		// End time must be at least n*d and busy time exactly n*d.
-		busy := Time(float64(end) * r.Utilization())
-		wantBusy := Time(Duration(len(starts)) * d)
-		diff := busy - wantBusy
-		if diff < 0 {
-			diff = -diff
+		var free Time // the previous release
+		for _, h := range holds {
+			if h.grant != max(h.start, free) {
+				return false
+			}
+			free = h.grant.Add(d)
 		}
-		_ = latest
-		return end >= wantBusy && diff <= Time(time.Microsecond)
+		return len(holds) == len(starts) && end == free && end >= Time(Duration(len(starts))*d)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

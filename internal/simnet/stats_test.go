@@ -9,7 +9,7 @@ func TestKernelStats(t *testing.T) {
 	k := NewKernel(1)
 	ch := NewChan[int](k)
 	k.Spawn("recv", func(p *Proc) {
-		ch.Recv(p)
+		recv(p, ch)
 	})
 	k.Spawn("send", func(p *Proc) {
 		p.Hold(time.Millisecond) // self-wake
@@ -43,7 +43,7 @@ func TestStaleWakesCounted(t *testing.T) {
 	k.Spawn("recv", func(p *Proc) {
 		// The timeout event outlives the successful receive and arrives
 		// stale.
-		ch.RecvTimeout(p, time.Second)
+		recvTimeout(p, ch, time.Second)
 	})
 	k.Spawn("send", func(p *Proc) {
 		p.Hold(time.Millisecond)
@@ -75,7 +75,7 @@ func TestTracerReceivesProcSlices(t *testing.T) {
 	tr := &recordingTracer{}
 	k.SetTracer(tr)
 	ch := NewChan[int](k)
-	k.Spawn("recv", func(p *Proc) { ch.Recv(p) })
+	k.Spawn("recv", func(p *Proc) { recv(p, ch) })
 	k.Spawn("send", func(p *Proc) {
 		p.Hold(time.Millisecond)
 		ch.Send(1)
@@ -94,7 +94,7 @@ func TestTracerReceivesProcSlices(t *testing.T) {
 	}
 }
 
-// TestSupersededTimeoutsStayOutOfHeap: a reply that beats its RecvTimeout
+// TestSupersededTimeoutsStayOutOfHeap: a reply that beats its deadline
 // supersedes the pending timeout wake in place, so 10,000 request/reply
 // exchanges never grow the event queue, yet every superseded wake is still
 // counted as stale exactly once.
@@ -125,7 +125,7 @@ func TestCloseReleasesParkedProcesses(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		k.Spawn("waiter", func(p *Proc) {
 			defer func() { deferred++ }()
-			ch.Recv(p) // never sent to
+			recv(p, ch) // never sent to
 		})
 	}
 	k.Run(0)

@@ -1,7 +1,10 @@
 package simnet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -9,11 +12,35 @@ import (
 	"time"
 )
 
+// digest is a short hash of a run's outputs, for pinning them as literals.
+func digest(parts ...string) string {
+	h := sha256.New()
+	for _, s := range parts {
+		io.WriteString(h, s)
+		h.Write([]byte{0})
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// hostFree drops the counters that say how a wake ran (Switches,
+// SelfWakes, Steps), which differ between the forms of a wait.
+func hostFree(st Stats) Stats {
+	st.Switches, st.SelfWakes, st.Steps = 0, 0, 0
+	return st
+}
+
+// runDigest pins a reactor workload's wake trace, end time and trajectory
+// counters.
+func runDigest(trace string, end Time, st Stats) string {
+	return digest(trace, fmt.Sprintf("%d %+v", end, hostFree(st)))
+}
+
 // reactor serves requests from in: it receives each with a timeout (none
 // when timeout < 0), holds for service(v) and replies with v on
 // out[v%len(out)]. It ends after serving n requests (never when n < 0), or
 // on a timeout once stop reports true. run is the reactor as a coroutine
-// body and step as a step-process body; both must produce the same events.
+// body, receiving inside StepUntil and holding in place, and step as a
+// step-process body; both must produce the same events.
 type reactor struct {
 	in      *Chan[int]
 	out     []*Chan[int]
@@ -23,6 +50,7 @@ type reactor struct {
 	stop    func() bool
 
 	served int
+	rx     receiver[int] // run's receives
 	// step-process state between wakes
 	receiving, holding bool
 	deadline           Time
@@ -31,7 +59,7 @@ type reactor struct {
 
 func (r *reactor) run(p *Proc) {
 	for r.served != r.n {
-		v, ok := r.in.RecvTimeout(p, r.timeout)
+		v, ok := r.rx.recv(p, r.in, r.timeout)
 		if !ok {
 			if r.stop() {
 				return
@@ -156,7 +184,7 @@ func reactorWorkload(seed int64, form reactorForm) (trace string, end Time, st S
 					in.Send(v)
 				}
 				if crng.Intn(2) == 0 {
-					out[c].RecvTimeout(p, time.Duration(crng.Intn(20))*time.Microsecond)
+					recvTimeout(p, out[c], time.Duration(crng.Intn(20))*time.Microsecond)
 				}
 			}
 		})
@@ -165,28 +193,43 @@ func reactorWorkload(seed int64, form reactorForm) (trace string, end Time, st S
 	return w.b.String(), end, k.Stats()
 }
 
+// blockingReactorRuns pins reactorWorkload with coroutine reactors, seeds
+// 1 to 20 (runDigest), as recorded when its receives still blocked in
+// Chan.RecvTimeout: the receive through Await inside StepUntil must make
+// the same events.
+var blockingReactorRuns = [...]string{
+	"96370c7b6e40e82e", "9d3de8a10bce709d", "26d6116ed382f02c", "81142555d18b9458", "7d7094df001bc6f8",
+	"df75a699c3b14dde", "d228409fa5619f67", "32e220205b5331de", "b7e3de07daad815d", "277fed8b6830ead4",
+	"f9311e1f06088c79", "667f1c0a908eb335", "49eccfb739729940", "2bdcb868142ed984", "84217c42b284c235",
+	"97b0d9539416040d", "fe32aefb0a17cb40", "fba6f931d0f4db69", "0f5503bf68eb895b", "d88032f7f1bb1f2a",
+}
+
 // TestStepProcessMatchesCoroutine runs the same randomized request/reply
 // workload with its reactors as coroutine processes and as step processes.
-// The wake trace, end time and every trajectory counter must agree; only
-// the host counters that say how a wake ran (Switches, SelfWakes, Steps)
-// may differ, and in both forms they account for every event.
+// The coroutine run must match the run recorded with blocking receives,
+// and the step run must match it: the same wake trace, end time and every
+// trajectory counter. Only the host counters that say how a wake ran
+// (Switches, SelfWakes, Steps) may differ, and in both forms they account
+// for every event.
 func TestStepProcessMatchesCoroutine(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		coTrace, coEnd, coSt := reactorWorkload(seed, coroutineReactors)
 		stTrace, stEnd, stSt := reactorWorkload(seed, stepReactors)
+		if got, want := runDigest(coTrace, coEnd, coSt), blockingReactorRuns[seed-1]; got != want {
+			t.Fatalf("seed %d: coroutine run %s, want the blocking run's %s", seed, got, want)
+		}
 		for _, st := range []Stats{coSt, stSt} {
 			if st.Events != st.Switches+st.SelfWakes+st.Steps+st.Callbacks {
 				t.Fatalf("seed %d: Events != Switches+SelfWakes+Steps+Callbacks: %+v", seed, st)
 			}
 		}
-		if coSt.Steps != 0 || stSt.Steps == 0 || stSt.Switches >= coSt.Switches {
+		if stSt.Steps <= coSt.Steps || stSt.Switches >= coSt.Switches {
 			t.Fatalf("seed %d: coroutine %+v, step %+v: the step form must replace switches by steps", seed, coSt, stSt)
 		}
 		if coEnd != stEnd {
 			t.Fatalf("seed %d: end %v as coroutines, %v as step processes", seed, coEnd, stEnd)
 		}
-		host := func(st Stats) Stats { st.Switches, st.SelfWakes, st.Steps = 0, 0, 0; return st }
-		if host(coSt) != host(stSt) {
+		if hostFree(coSt) != hostFree(stSt) {
 			t.Fatalf("seed %d: stats differ:\ncoroutine %+v\nstep      %+v", seed, coSt, stSt)
 		}
 		if coTrace != stTrace {
@@ -265,37 +308,51 @@ func TestCloseReleasesStepProcess(t *testing.T) {
 	}
 }
 
-// TestStepUntilMatchesBlocking runs coroutine reactors whose segments block
-// or run inside StepUntil. The wake trace, end time and every trajectory
-// counter must equal those of the all-blocking run; only the counters that
-// say how a wake ran may differ, and both runs account for every event.
+// blockingSegmentRuns pins reactorWorkload with segmented reactors, seeds
+// 1 to 20 (runDigest), as recorded when every segment's receives blocked
+// in Chan.RecvTimeout.
+var blockingSegmentRuns = [...]string{
+	"d43a95215460902a", "18ab39cc0b236a72", "f0c96c63140fbb1c", "606604ecd02f72b8", "27596da70a73fc2e",
+	"0930b951cee0f265", "4c7370798e03afe4", "768299a9998de7ca", "6fee6573d0edea72", "995a52ff433695f1",
+	"984e08aebbd6a93d", "5a09fb30e217a2b1", "7dd9fdb82220723c", "fb1b297850ecf8b1", "56a67fa632f5fae9",
+	"8d087f0d9c9e310d", "9c8fbb36d3afa764", "6cf18d10f2d7ad49", "07a8bf0d46a0359e", "e4aa36a03c71753e",
+}
+
+// TestStepUntilMatchesBlocking runs coroutine reactors in segments, each
+// segment a coroutine loop or a step machine inside StepUntil. The
+// coroutine-loop run must match the run recorded with blocking receives,
+// and the mixed run must match it: the same wake trace, end time and every
+// trajectory counter. Only the counters that say how a wake ran may
+// differ, and both runs account for every event.
 func TestStepUntilMatchesBlocking(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		blTrace, blEnd, blSt := reactorWorkload(seed, segmentedReactors)
 		suTrace, suEnd, suSt := reactorWorkload(seed, mixedReactors)
+		if got, want := runDigest(blTrace, blEnd, blSt), blockingSegmentRuns[seed-1]; got != want {
+			t.Fatalf("seed %d: segmented run %s, want the blocking run's %s", seed, got, want)
+		}
 		for _, st := range []Stats{blSt, suSt} {
 			if st.Events != st.Switches+st.SelfWakes+st.Steps+st.Callbacks {
 				t.Fatalf("seed %d: Events != Switches+SelfWakes+Steps+Callbacks: %+v", seed, st)
 			}
 		}
-		if blSt.Steps != 0 || suSt.Steps == 0 || suSt.Switches+suSt.SelfWakes >= blSt.Switches+blSt.SelfWakes {
-			t.Fatalf("seed %d: blocking %+v, StepUntil %+v: StepUntil must replace resumes by steps", seed, blSt, suSt)
+		if suSt.Steps <= blSt.Steps || suSt.Switches+suSt.SelfWakes >= blSt.Switches+blSt.SelfWakes {
+			t.Fatalf("seed %d: coroutine loops %+v, StepUntil %+v: StepUntil must replace resumes by steps", seed, blSt, suSt)
 		}
 		if blEnd != suEnd {
-			t.Fatalf("seed %d: end %v blocking, %v with StepUntil", seed, blEnd, suEnd)
+			t.Fatalf("seed %d: end %v in coroutine loops, %v with StepUntil", seed, blEnd, suEnd)
 		}
-		host := func(st Stats) Stats { st.Switches, st.SelfWakes, st.Steps = 0, 0, 0; return st }
-		if host(blSt) != host(suSt) {
-			t.Fatalf("seed %d: stats differ:\nblocking  %+v\nStepUntil %+v", seed, blSt, suSt)
+		if hostFree(blSt) != hostFree(suSt) {
+			t.Fatalf("seed %d: stats differ:\ncoroutine loops %+v\nStepUntil       %+v", seed, blSt, suSt)
 		}
 		if blTrace != suTrace {
 			bl, su := strings.Split(blTrace, "\n"), strings.Split(suTrace, "\n")
 			for i := range bl {
 				if i >= len(su) || bl[i] != su[i] {
-					t.Fatalf("seed %d: wake traces diverge at line %d: blocking %q, StepUntil %q", seed, i, bl[i], su[min(i, len(su)-1)])
+					t.Fatalf("seed %d: wake traces diverge at line %d: coroutine loops %q, StepUntil %q", seed, i, bl[i], su[min(i, len(su)-1)])
 				}
 			}
-			t.Fatalf("seed %d: StepUntil trace is longer than the blocking trace", seed)
+			t.Fatalf("seed %d: StepUntil trace is longer than the coroutine-loop trace", seed)
 		}
 	}
 }
@@ -401,7 +458,7 @@ func TestStepUntilCloseUnwinds(t *testing.T) {
 
 // contender takes turns on a shared resource: each round it thinks for a
 // random time, then occupies one unit for a random time and logs the grant
-// and release times. run is the contender as a coroutine (through Use) and
+// and release times. run is the contender as a coroutine (through use) and
 // step as a step process (through AcquireStep, Arm and Release); both draw
 // the same durations at the same wakes, so both must produce the same
 // events.
@@ -430,7 +487,7 @@ func (c *contender) run(p *Proc) {
 	for ; c.round < c.rounds; c.round++ {
 		p.Hold(c.think())
 		d := c.hold()
-		c.r.Use(p, 1, d)
+		use(p, c.r, 1, d)
 		c.logRelease(p.Now()-Time(d), p.Now())
 	}
 }
@@ -463,10 +520,11 @@ func (c *contender) step(p *Proc) bool {
 }
 
 // contention runs six contenders on one capacity-1 resource, plus
-// callbacks that grab the resource with TryAcquire when it is free. With
-// mixed set, the first contender is a step process and each other one a
-// coroutine or a step process at random; otherwise all are coroutines. It returns the grant log, the wake trace
-// and the kernel's counters.
+// callbacks that each start a step process to queue for the resource once
+// and hold it. With mixed set, the first contender is a step process and
+// each other one a coroutine or a step process at random; otherwise all
+// are coroutines. It returns the grant log, the wake trace and the
+// kernel's counters.
 func contention(seed int64, mixed bool) (grants, wakes string, st Stats) {
 	k := NewKernel(seed)
 	w := &wakeTrace{}
@@ -485,25 +543,49 @@ func contention(seed int64, mixed bool) (grants, wakes string, st Stats) {
 	for i := 0; i < 20; i++ {
 		at, d := Time(rng.Intn(200))*Time(time.Microsecond), time.Duration(1+rng.Intn(5))*time.Microsecond
 		k.CallAt(at, func() {
-			if r.TryAcquire(1) {
-				fmt.Fprintf(&log, "callback %d-%d\n", k.Now(), k.Now().Add(d))
-				k.CallAfter(d, func() { r.Release(1) })
-			}
+			held := false
+			k.SpawnStepOn(0, "grabber", func(p *Proc) bool {
+				if held {
+					r.Release(1)
+					return false
+				}
+				if !r.AcquireStep(p, 1) {
+					return true
+				}
+				fmt.Fprintf(&log, "grabber %d-%d\n", p.Now(), p.Now().Add(d))
+				held = true
+				p.Arm(d)
+				return true
+			})
 		})
 	}
 	k.Run(0)
 	return log.String(), w.b.String(), k.Stats()
 }
 
+// blockingContentionRuns pins contention with coroutine contenders, seeds 1
+// to 20 (the digest of its grant log, wake trace and Events, Stale and
+// Callbacks), as recorded when the contenders blocked in Resource.Use.
+var blockingContentionRuns = [...]string{
+	"062b92733078d500", "ae9d29084c55cab4", "a7c071e2766ca00e", "6beb91baf2624caf", "157f295b1fe8781d",
+	"66f6b7b174f03a68", "eca85aed3a140ba4", "80996c3c5449e3ea", "94f7c61c0dbfc500", "b9d1a261887e7f36",
+	"e6a50c7bf69a7a4d", "7a6fb5d6e8aeadc3", "e2c752f3dd024158", "4ef3d16319e16580", "7148e33625b59c5c",
+	"d5ec0a799f609e3f", "01c943604d328d07", "b94089bc24d81dda", "6fa68aad72c14c15", "cfb6e527832b2d02",
+}
+
 // TestAcquireStepMatchesAcquire: contenders queueing on one capacity-1
 // resource get the same grants at the same times, with the same wakes and
-// trajectory counters, whether each is a coroutine blocking in Use or a
-// step process using AcquireStep; only the counters that say how a wake
-// ran may differ.
+// trajectory counters, as recorded when coroutines blocked in Use, whether
+// each is a coroutine taking the resource through AcquireStep inside
+// StepUntil or a step process; only the counters that say how a wake ran
+// may differ.
 func TestAcquireStepMatchesAcquire(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		coGrants, coWakes, coSt := contention(seed, false)
 		mxGrants, mxWakes, mxSt := contention(seed, true)
+		if got, want := digest(coGrants, coWakes, fmt.Sprintf("%d %d %d", coSt.Events, coSt.Stale, coSt.Callbacks)), blockingContentionRuns[seed-1]; got != want {
+			t.Fatalf("seed %d: coroutine run %s, want the blocking run's %s", seed, got, want)
+		}
 		if coGrants != mxGrants {
 			t.Fatalf("seed %d: grants differ:\ncoroutines\n%s\nmixed\n%s", seed, coGrants, mxGrants)
 		}
@@ -513,7 +595,7 @@ func TestAcquireStepMatchesAcquire(t *testing.T) {
 		if coSt.Events != mxSt.Events || coSt.Stale != mxSt.Stale || coSt.Callbacks != mxSt.Callbacks {
 			t.Fatalf("seed %d: stats differ:\ncoroutines %+v\nmixed      %+v", seed, coSt, mxSt)
 		}
-		if coSt.Steps != 0 || mxSt.Steps == 0 || mxSt.Events != mxSt.Switches+mxSt.SelfWakes+mxSt.Steps+mxSt.Callbacks {
+		if mxSt.Steps <= coSt.Steps || mxSt.Events != mxSt.Switches+mxSt.SelfWakes+mxSt.Steps+mxSt.Callbacks {
 			t.Fatalf("seed %d: coroutines %+v, mixed %+v: the step contenders must run as steps", seed, coSt, mxSt)
 		}
 	}
