@@ -40,8 +40,8 @@ func TestLinkCutDropsAndHealRestores(t *testing.T) {
 	if f.MessagesDropped() != 1 {
 		t.Fatalf("dropped %d messages, want 1", f.MessagesDropped())
 	}
-	if f.Endpoint(0).Dropped() != 1 {
-		t.Fatalf("sender-side drop counter = %d, want 1", f.Endpoint(0).Dropped())
+	if f.Endpoint(0).dropped != 1 {
+		t.Fatalf("sender-side drop counter = %d, want 1", f.Endpoint(0).dropped)
 	}
 }
 
@@ -61,8 +61,8 @@ func TestLinkCutDropsInFlightDelivery(t *testing.T) {
 	if f.Endpoint(1).inbox.Len() != 0 {
 		t.Fatal("message crossed a cut link")
 	}
-	if f.Endpoint(1).Dropped() != 1 {
-		t.Fatalf("receiver-side drop counter = %d, want 1", f.Endpoint(1).Dropped())
+	if f.Endpoint(1).dropped != 1 {
+		t.Fatalf("receiver-side drop counter = %d, want 1", f.Endpoint(1).dropped)
 	}
 }
 
@@ -74,11 +74,11 @@ func TestLinkCutIsDirectionallySymmetric(t *testing.T) {
 	f.SetLinkAt(k, 0, 1, 0, false)
 	k.Spawn("x", func(p *simnet.Proc) {
 		p.Hold(time.Microsecond)
-		if f.Endpoint(0).LinkUp(1) || f.Endpoint(1).LinkUp(0) {
+		if !f.Endpoint(0).linkDown(1) || !f.Endpoint(1).linkDown(0) {
 			t.Error("link 0<->1 still up after symmetric cut")
 		}
 		// Uninvolved links stay up.
-		if !f.Endpoint(0).LinkUp(2) || !f.Endpoint(2).LinkUp(1) {
+		if f.Endpoint(0).linkDown(2) || f.Endpoint(2).linkDown(1) {
 			t.Error("cut leaked onto uninvolved links")
 		}
 		f.Endpoint(0).Send(p, 1, "d", 10, nil)

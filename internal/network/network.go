@@ -110,14 +110,12 @@ func (f *Fabric) SetRecorder(rec *trace.Recorder) {
 	f.rec = rec
 }
 
-// Recorder returns the installed trace recorder (may be nil).
-func (f *Fabric) Recorder() *trace.Recorder { return f.rec }
-
 // arrival is a pooled cross-node delivery record. Senders pop one from the
-// destination endpoint's freelist (a mutex-guarded pop: senders may live on
-// other partitions), fill it, and schedule its preallocated fn on the
-// destination kernel; the fn recycles the record before delivering, so
-// steady-state message traffic allocates nothing.
+// destination endpoint's freelist (a mutex-guarded pop when the fabric
+// spans more than one partition: senders may live on other partitions),
+// fill it, and schedule its preallocated fn on the destination kernel; the
+// fn recycles the record before delivering, so steady-state message
+// traffic allocates nothing.
 type arrival struct {
 	e    *Endpoint
 	m    Message
@@ -130,10 +128,14 @@ type arrival struct {
 func (a *arrival) run() {
 	e, m, wire, bulk := a.e, a.m, a.wire, a.bulk
 	a.m = Message{}
-	e.arrMu.Lock()
+	if e.arrLocked {
+		e.arrMu.Lock()
+	}
 	a.next = e.arrFree
 	e.arrFree = a
-	e.arrMu.Unlock()
+	if e.arrLocked {
+		e.arrMu.Unlock()
+	}
 	if bulk {
 		e.carry(m, wire)
 		return
@@ -221,7 +223,7 @@ func (e *Endpoint) carry(m Message, wire simnet.Duration) {
 
 // Endpoint is one node's attachment to the fabric. All of its mutable state
 // lives on (and is only touched from) the kernel owning its node; the only
-// cross-partition structure is the locked arrival freelist.
+// cross-partition structure is the arrival freelist.
 type Endpoint struct {
 	f       *Fabric
 	k       *simnet.Kernel
@@ -247,8 +249,13 @@ type Endpoint struct {
 	// relays runs receiver-side broadcast forwarding.
 	relays *simnet.ProcPool
 
-	arrMu   sync.Mutex
-	arrFree *arrival
+	// arrFree is the freelist of arrival records. Senders on every node
+	// pop from it, so on a fabric that spans more than one partition
+	// (arrLocked) arrMu guards it; on one partition every sender runs on
+	// this endpoint's kernel, and the lock is skipped.
+	arrLocked bool
+	arrMu     sync.Mutex
+	arrFree   *arrival
 
 	// Always-on per-link counters (plain increments, never allocate).
 	// Out counters are written by the owning partition; In counters too
@@ -287,6 +294,8 @@ func NewPartitioned(ps *simnet.Partitioned, n int, cfg Config) *Fabric {
 			ingress: simnet.NewResource(k, fmt.Sprintf("net.ingress.%d", i), 1),
 			inbox:   simnet.NewChan[Message](k),
 			relays:  simnet.NewProcPool(k, fmt.Sprintf("net.bcast.relay.%d", i)),
+
+			arrLocked: ps.Parts() > 1,
 		})
 	}
 	return f
@@ -297,12 +306,6 @@ func (f *Fabric) Endpoint(id int) *Endpoint { return f.nodes[id] }
 
 // Size reports the number of endpoints.
 func (f *Fabric) Size() int { return len(f.nodes) }
-
-// Config returns the fabric configuration.
-func (f *Fabric) Config() Config { return f.cfg }
-
-// Scheduler returns the partitioned scheduler the fabric runs on.
-func (f *Fabric) Scheduler() *simnet.Partitioned { return f.ps }
 
 // BytesSent reports the total payload bytes injected into the fabric.
 func (f *Fabric) BytesSent() int64 {
@@ -341,24 +344,14 @@ func (c Config) wire(s int64) simnet.Duration {
 	return time.Duration(float64(s) / c.Bandwidth * float64(time.Second))
 }
 
-// ID reports the endpoint's node id.
-func (e *Endpoint) ID() int { return e.id }
-
 // Kill marks the endpoint dead: subsequent sends to it are dropped and sends
 // from it do nothing. Used by fault-tolerance experiments.
 func (e *Endpoint) Kill() { e.dead = true }
-
-// Alive reports whether the endpoint is alive.
-func (e *Endpoint) Alive() bool { return !e.dead }
 
 // linkDown reports whether the link between this endpoint and peer is cut.
 func (e *Endpoint) linkDown(peer int) bool {
 	return e.cut != nil && e.cut[peer]
 }
-
-// LinkUp reports whether the link between this endpoint and peer carries
-// traffic (for tests and failure detectors running on the owning kernel).
-func (e *Endpoint) LinkUp(peer int) bool { return !e.linkDown(peer) }
 
 // setLink flips the local half of the link to peer. Must run on the
 // endpoint's owning kernel.
@@ -371,10 +364,6 @@ func (e *Endpoint) setLink(peer int, up bool) {
 	}
 	e.cut[peer] = !up
 }
-
-// Dropped reports the number of messages this endpoint lost to dead
-// endpoints or severed links (send- and receive-side combined).
-func (e *Endpoint) Dropped() int64 { return e.dropped }
 
 // MessagesDropped sums the per-endpoint drop counters: messages lost to
 // dead endpoints and severed links. Trajectory-determined, so it is safe to
@@ -400,15 +389,19 @@ func (f *Fabric) SetLinkAt(src *simnet.Kernel, a, b int, t simnet.Time, up bool)
 }
 
 // getArrival pops a pooled arrival record (called from the sender's
-// partition, hence the lock).
+// partition, hence the lock on a partitioned fabric).
 func (e *Endpoint) getArrival() *arrival {
-	e.arrMu.Lock()
+	if e.arrLocked {
+		e.arrMu.Lock()
+	}
 	a := e.arrFree
 	if a != nil {
 		e.arrFree = a.next
 		a.next = nil
 	}
-	e.arrMu.Unlock()
+	if e.arrLocked {
+		e.arrMu.Unlock()
+	}
 	if a == nil {
 		a = &arrival{e: e}
 		a.fn = a.run

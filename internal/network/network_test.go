@@ -184,7 +184,7 @@ func TestKilledEndpointDropsTraffic(t *testing.T) {
 	if f.Endpoint(1).inbox.Len() != 0 {
 		t.Fatal("dead endpoint received a message")
 	}
-	if f.Endpoint(1).Alive() {
+	if !f.Endpoint(1).dead {
 		t.Fatal("killed endpoint reports alive")
 	}
 	// Dead sender transmits nothing.

@@ -155,13 +155,12 @@ type Node struct {
 	// spawning a named goroutine per activity.
 	pool *simnet.ProcPool
 
-	deque        []*Job
-	pendingSteal map[int]*simnet.Chan[*Job]
-	thieves      map[int]*thief    // per-worker steal-probe state machines, reused across steal rounds
-	outstanding  map[uint64]outRec // jobs stolen from us, by job ID
-	jobSeq       uint64
-	done         bool
-	dead         bool
+	deque       []*Job
+	thieves     map[int]*thief    // per-worker steal-probe state machines, reused across steal rounds
+	outstanding map[uint64]outRec // jobs stolen from us, by job ID
+	jobSeq      uint64
+	done        bool
+	dead        bool
 	// draining marks a node that is being decommissioned: its workers stop
 	// stealing new work, foreign-owned deque jobs are shipped home, and its
 	// own jobs remain stealable so the cluster absorbs them.
@@ -235,13 +234,12 @@ func NewPartitioned(ps *simnet.Partitioned, n int, netCfg network.Config, cfg Co
 			ep: rt.fabric.Endpoint(i),
 			// Mix the node id into the seed with a large odd constant so the
 			// streams are distinct yet fully determined by (seed, node).
-			rng:          rand.New(rand.NewSource(seed + int64(i+1)*2_654_435_761)),
-			pool:         simnet.NewProcPool(nk, fmt.Sprintf("satin.pool.%d", i)),
-			pendingSteal: map[int]*simnet.Chan[*Job]{},
-			thieves:      map[int]*thief{},
-			outstanding:  map[uint64]outRec{},
-			peerDown:     make([]bool, n),
-			deadline:     -1,
+			rng:         rand.New(rand.NewSource(seed + int64(i+1)*2_654_435_761)),
+			pool:        simnet.NewProcPool(nk, fmt.Sprintf("satin.pool.%d", i)),
+			thieves:     map[int]*thief{},
+			outstanding: map[uint64]outRec{},
+			peerDown:    make([]bool, n),
+			deadline:    -1,
 		})
 	}
 	rt.downDeclared = make([]bool, n)
@@ -476,8 +474,9 @@ func (n *Node) popSteal() *Job {
 func (n *Node) thief(key int) *thief {
 	t := n.thieves[key]
 	if t == nil {
-		t = &thief{n: n, key: key, reply: simnet.NewChan[*Job](n.k), deny: stealReply{Worker: key}}
-		t.req = stealReq{Thief: n.ID, Worker: key, Deny: &t.deny}
+		t = &thief{n: n, key: key, reply: simnet.NewChan[*Job](n.k)}
+		t.deny = stealReply{Worker: t}
+		t.req = stealReq{Thief: n.ID, Worker: t, Deny: &t.deny}
 		t.step = t.run
 		n.thieves[key] = t
 	}
@@ -519,14 +518,18 @@ func (n *Node) victim() int {
 // The reply channel, the request and the denial it carries (which a victim
 // with nothing to give answers with) are built once; the messages are
 // immutable and travel as pointers, and step is bound once, so a failed
-// probe allocates nothing.
+// probe allocates nothing. The request and every reply name the thief by
+// pointer. Only the thief's own node follows it, to the pending flag that
+// tells whether a probe still waits for the reply; the victim only copies
+// it into its replies.
 type thief struct {
-	n     *Node
-	key   int // pendingSteal key
-	reply *simnet.Chan[*Job]
-	req   stealReq
-	deny  stealReply
-	step  func(*simnet.Proc) bool // run, bound once
+	n       *Node
+	key     int // the thief's key in n.thieves
+	reply   *simnet.Chan[*Job]
+	req     stealReq
+	deny    stealReply
+	step    func(*simnet.Proc) bool // run, bound once
+	pending bool                    // a probe is out: replies go to reply
 
 	idle    bool
 	backoff simnet.Duration // an idle thief's next backoff hold
@@ -602,7 +605,7 @@ func (t *thief) run(p *simnet.Proc) bool {
 				return t.roundFailed(p)
 			}
 			t.probeStart = p.Now()
-			n.pendingSteal[t.key] = t.reply
+			t.pending = true
 			if n.ep.BeginSend(p, &t.sending, t.victim, "steal_request", 64, &t.req) {
 				t.phase = sending
 				return true
@@ -642,7 +645,7 @@ func (t *thief) await(p *simnet.Proc, phase thiefPhase, d simnet.Duration) {
 // Otherwise the round goes on with its next probe.
 func (t *thief) probed(p *simnet.Proc, job *Job, ok bool) bool {
 	n, rt := t.n, t.n.rt
-	delete(n.pendingSteal, t.key)
+	t.pending = false
 	// A straggler from an earlier timed-out probe may have queued another
 	// value behind the one just taken; never abandon a job in the reply
 	// channel.
@@ -696,13 +699,13 @@ func (t *thief) roundFailed(p *simnet.Proc) bool {
 }
 
 type stealReq struct {
-	Thief  int
-	Worker int
+	Thief  int         // the thief's node
+	Worker *thief      // the probing thief, handed back in every reply
 	Deny   *stealReply // the thief's own denial, {Worker, nil}
 }
 
 type stealReply struct {
-	Worker int
+	Worker *thief
 	Job    *Job
 }
 
@@ -827,8 +830,8 @@ func (n *Node) handle(p *simnet.Proc, m network.Message) bool {
 		})
 	case "steal_reply":
 		rep := m.Payload.(*stealReply)
-		if ch, ok := n.pendingSteal[rep.Worker]; ok {
-			ch.Send(rep.Job)
+		if t := rep.Worker; t.pending {
+			t.reply.Send(rep.Job)
 		} else if rep.Job != nil && rep.Job != jobGranted {
 			// The worker gave up waiting; keep the job rather than lose it,
 			// or send it home if this node drains.

@@ -253,7 +253,7 @@ func (w *faultWatch) QueueDepth(now simnet.Time, _ int) {
 			w.queued[j] = n.ID
 		}
 		for _, t := range n.thieves {
-			if _, probing := n.pendingSteal[t.key]; !probing {
+			if !t.pending {
 				delete(w.probes, t)
 				continue
 			}
@@ -347,6 +347,72 @@ func TestVictimNeverPicksDeadPeer(t *testing.T) {
 			if id := n.victim(); id == 3 || id == n.ID || id < 0 {
 				t.Fatalf("node %d picked victim %d after node 3 died", n.ID, id)
 			}
+		}
+	}
+}
+
+// dequeWatch records, as a kernel's scheduling tracer, the most jobs one
+// node's deque held before any event.
+type dequeWatch struct {
+	n    *Node
+	most int
+}
+
+func (w *dequeWatch) ProcSlice(string, int, simnet.Time, simnet.Time) {}
+
+func (w *dequeWatch) QueueDepth(simnet.Time, int) { w.most = max(w.most, len(w.n.deque)) }
+
+// TestLateStealReplyKeepsJob: a grant that reaches the thief after its probe
+// timed out still delivers the job. Node 1's one worker probes node 0, whose
+// root spawns one job and computes; StealTimeout is set below the round trip
+// of a request and its grant, so the first probe always times out, and the
+// grant and the job behind it arrive late.
+//   - backing-off: with one probe per round the thief is backing off when
+//     they arrive, so node 1's comm loop queues the job in its own deque,
+//     where the thief finds it after the backoff. No steal succeeds.
+//   - next-probe: with two probes per round the same thief's second probe
+//     is waiting when they arrive, and it takes the job as its steal before
+//     its own victim's denial comes in. The deque never holds it.
+func TestLateStealReplyKeepsJob(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		attempts int
+		stealsOK int64
+		queued   int
+	}{
+		{"backing-off", 1, 0, 1},
+		{"next-probe", 2, 1, 0},
+	} {
+		cfg := DefaultConfig()
+		cfg.WorkersPerNode = 1
+		cfg.StealTimeout = 15 * time.Microsecond
+		cfg.StealAttempts = c.attempts
+		cfg.StealBackoff = time.Millisecond
+		k := simnet.NewKernel(1)
+		rt := New(k, 2, network.QDRInfiniBand(), cfg, nil)
+		thief := rt.nodes[1]
+		w := &dequeWatch{n: thief}
+		k.SetTracer(w)
+		var failedBefore int64
+		v, _ := rt.Run(func(ctx *Context) any {
+			job := ctx.Spawn(JobDesc{Name: "late", InputBytes: 64, ResultBytes: 16}, func(jc *Context) any {
+				failedBefore = jc.Node().stealsFailed
+				jc.Compute(time.Microsecond, "leaf")
+				return jc.NodeID()
+			})
+			ctx.Compute(10*time.Millisecond, "root")
+			ctx.Sync()
+			return job.Value()
+		})
+		if v.(int) != 1 {
+			t.Fatalf("%s: the job ran on node %v, want node 1", c.name, v)
+		}
+		if failedBefore < 1 {
+			t.Fatalf("%s: no probe of node 1 timed out before the job ran", c.name)
+		}
+		if thief.stealsOK != c.stealsOK || w.most != c.queued || thief.jobsExecuted != 1 {
+			t.Fatalf("%s: %d steals succeeded, the deque held at most %d jobs and node 1 ran %d; want %d, %d and 1",
+				c.name, thief.stealsOK, w.most, thief.jobsExecuted, c.stealsOK, c.queued)
 		}
 	}
 }

@@ -7,7 +7,6 @@ type Future[T any] struct {
 	done    bool
 	val     T
 	waiters []chanWaiter
-	when    Time
 }
 
 // NewFuture returns an incomplete future bound to k.
@@ -18,10 +17,6 @@ func NewFuture[T any](k *Kernel) *Future[T] {
 // Done reports whether the future has been completed.
 func (f *Future[T]) Done() bool { return f.done }
 
-// When reports the virtual time at which the future was completed. It is
-// only meaningful once Done returns true.
-func (f *Future[T]) When() Time { return f.when }
-
 // Complete resolves the future with v and wakes all awaiting processes.
 // Completing a future twice panics: results in the Satin runtime must be
 // produced exactly once.
@@ -31,7 +26,6 @@ func (f *Future[T]) Complete(v T) {
 	}
 	f.done = true
 	f.val = v
-	f.when = f.k.now
 	for _, w := range f.waiters {
 		f.k.post(f.k.now, w.p, w.epoch)
 	}

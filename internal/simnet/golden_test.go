@@ -62,7 +62,7 @@ func partitionedRandomWorkload(ps *Partitioned, nodes int, seed int64, lookahead
 						at := p.Now().Add(lookahead + time.Duration(rng.Intn(10))*time.Microsecond)
 						ps.Post(n.k, ns[d].k, d, at, func() { ch.Send(v) })
 					}
-					*trace = append(*trace, fmt.Sprintf("%s@%v#%d", p.Name(), p.Now(), s))
+					*trace = append(*trace, fmt.Sprintf("%s@%v#%d", p.name, p.Now(), s))
 				}
 			})
 		}

@@ -40,7 +40,7 @@ func randomWorkload(k *Kernel, seed int64, trace *[]string) {
 				case 3:
 					use(p, res[rng.Intn(len(res))], 1, time.Duration(rng.Intn(20))*time.Microsecond)
 				}
-				*trace = append(*trace, fmt.Sprintf("%s@%v#%d", p.Name(), p.Now(), s))
+				*trace = append(*trace, fmt.Sprintf("%s@%v#%d", p.name, p.Now(), s))
 			}
 		})
 	}
@@ -66,7 +66,7 @@ func TestSteppedRunMatchesSingleRun(t *testing.T) {
 	randomWorkload(k, seed, &stepped)
 	var limit Time
 	var end Time
-	for i := 0; k.Alive() > 0; i++ {
+	for i := 0; len(k.live) > 0; i++ {
 		if i > 10000 {
 			t.Fatal("stepped run did not terminate")
 		}
@@ -133,8 +133,8 @@ func TestRunLimitExactEventBoundary(t *testing.T) {
 			t.Fatalf("fired %v, want %v", fired, want)
 		}
 	}
-	if k.Alive() != 0 {
-		t.Fatalf("%d processes still alive after drain", k.Alive())
+	if len(k.live) != 0 {
+		t.Fatalf("%d processes still alive after drain", len(k.live))
 	}
 }
 
@@ -157,7 +157,7 @@ func TestProcPoolReusesRunners(t *testing.T) {
 		}
 	})
 	k.Run(0)
-	if got := pp.Spawned(); got != 1 {
+	if got := pp.n; got != 1 {
 		t.Errorf("sequential tasks spawned %d runners, want 1", got)
 	}
 	for i := range order {
@@ -173,10 +173,10 @@ func TestProcPoolReusesRunners(t *testing.T) {
 		}
 	})
 	k.Run(0)
-	if got := pp.Spawned(); got != 4 {
+	if got := pp.n; got != 4 {
 		t.Errorf("after burst of 4 overlapping tasks spawned = %d, want 4", got)
 	}
-	if got := pp.Idle(); got != 4 {
+	if got := len(pp.idle); got != 4 {
 		t.Errorf("after drain idle = %d, want 4", got)
 	}
 }

@@ -23,9 +23,10 @@ import "fmt"
 // from the root (heapreplace), which stops at once when the new event is
 // the next minimum. The event loop's usual pattern — pop an event, run its
 // handler, which posts the next one — therefore costs one sift instead of
-// two. Anything that needs the root in place (peek, the decrease-key, a
-// pop that follows a pop) first moves the last leaf into the vacancy and
-// sifts it down, the work an eager pop would have done.
+// two. A decrease-key fills the vacancy with the entry it advances (see
+// advance). Anything else that needs the root in place (peek, a pop that
+// follows a pop) first moves the last leaf into the vacancy and sifts it
+// down, the work an eager pop would have done.
 //
 // Four children per node halve the tree's depth against a binary heap: a
 // sift-down moves half as many levels, each a scan of up to four adjacent
@@ -162,13 +163,35 @@ func (q *eventQueue) pop() (Time, uint64, event) {
 
 // advance moves the entry of slab id to (t, key) if that orders ahead of
 // where it is (a decrease-key); otherwise it leaves the entry alone.
+//
+// With the root vacant it takes the entry out of its slot, moves the last
+// leaf into the hole, and places the entry in the vacancy with one
+// sift-down, which stops at once when the advanced event is the next one;
+// the root is never refilled from the last leaf first. The leaf's sift-up
+// from the hole cannot reach the vacancy: h[0] still holds the popped
+// entry, which orders ahead of every queued one.
 func (q *eventQueue) advance(id int32, t Time, key uint64) {
 	x := entry{t: t, key: key, id: id}
-	if !x.before(&q.h[q.pos[id]]) {
+	i := int(q.pos[id])
+	if !x.before(&q.h[i]) {
 		return
 	}
-	q.fill()
-	q.up(int(q.pos[id]), x)
+	if !q.vacant {
+		q.up(i, x)
+		return
+	}
+	q.vacant = false
+	n := len(q.h) - 1
+	last := q.h[n]
+	q.h = q.h[:n]
+	if i < n {
+		if last.before(&q.h[(i-1)/heapArity]) {
+			q.up(i, last)
+		} else {
+			q.down(i, last)
+		}
+	}
+	q.down(0, x)
 }
 
 // fill moves the last leaf into a vacant root and sifts it down.

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -42,8 +43,10 @@ func (h *boxedHeap) Pop() interface{} {
 
 // checkQueue verifies the queue's internal invariants: heap order below a
 // vacant root, pos naming every entry's index, the slab and free list
-// partitioning the ids, and Proc.slot naming the slab id of the process's
-// entry.
+// partitioning the ids, Proc.slot naming the slab id of the process's
+// entry, and a vacant root still holding the popped entry, which orders
+// ahead of every queued one (advance relies on it to stop a sift-up below
+// the vacancy).
 func checkQueue(t *testing.T, q *eventQueue, where string) {
 	t.Helper()
 	inUse := make([]bool, len(q.slab))
@@ -79,6 +82,13 @@ func checkQueue(t *testing.T, q *eventQueue, where string) {
 	for id, used := range inUse {
 		if !used {
 			t.Fatalf("%s: id %d is neither free nor queued", where, id)
+		}
+	}
+	if q.vacant {
+		for i := 1; i < len(q.h); i++ {
+			if q.h[i].before(&q.h[0]) {
+				t.Fatalf("%s: entry %d orders ahead of the popped entry in the vacancy", where, i)
+			}
 		}
 	}
 }
@@ -189,19 +199,25 @@ func (r *refQueue) min() int {
 // TestEventQueueVacantRoot drives every operation from the state a pop
 // leaves behind — a vacant root — against the linear-scan oracle: a push
 // that orders ahead of the root's children (heapreplace ends at once), one
-// that orders behind them (it sifts down), a decrease-key, a peek (as
-// NextEventTime and the limit check in next do), a second pop, and pops
-// down to an empty queue. Each scenario pushes 1–40 random events, pops
-// one, applies its operation and then drains both queues in lockstep.
+// that orders behind them (it sifts down), a peek (as NextEventTime and the
+// limit check in next do), a second pop, pops down to an empty queue, and
+// decrease-keys: of a random entry, of the last leaf (whose slot the hole
+// fill then drops), of an entry at depth 2 or more (the last leaf fills
+// its hole and may sift either way), one whose new key does not order
+// ahead (nothing may move and the root stays vacant), and two in one
+// vacancy (the second finds the root filled by the first). Each scenario
+// pushes 1–40 random events, each for its own process, pops one, applies
+// its operation and then drains both queues in lockstep.
 func TestEventQueueVacantRoot(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	ops := []string{"push-first", "push-last", "push-random", "advance", "peek", "pop", "empty"}
+	ops := []string{"push-first", "push-last", "push-random", "advance", "advance-last", "advance-deep",
+		"advance-behind", "advance-twice", "peek", "pop", "empty"}
 	for round := 0; round < 3000; round++ {
 		op := ops[round%len(ops)]
 		where := fmt.Sprintf("round %d (%s)", round, op)
 		var q eventQueue
 		var ref refQueue
-		procs := make([]*Proc, 8)
+		procs := make([]*Proc, 40)
 		for i := range procs {
 			procs[i] = &Proc{slot: -1}
 		}
@@ -228,13 +244,27 @@ func TestEventQueueVacantRoot(t *testing.T) {
 			}
 			checkQueue(t, &q, where+", "+step)
 		}
+		// advance moves the entry at heap index i to (tm, key) in both
+		// queues; the oracle takes it only if it orders ahead.
+		advance := func(i int, tm Time, key uint64) {
+			x := q.h[i]
+			p := q.slab[x.id].p
+			q.advance(x.id, tm, key)
+			for j := range ref {
+				if r := &ref[j]; r.p == p && (tm < r.t || tm == r.t && key < r.key) {
+					r.t, r.key = tm, key
+				}
+			}
+		}
+		// earlier advances the entry at heap index i to a random time ahead
+		// of its own.
+		earlier := func(i int) {
+			seq++
+			advance(i, Time(rng.Int63n(int64(q.h[i].t))), packKey(0, seq))
+		}
 		n := 1 + rng.Intn(40)
 		for i := 0; i < n; i++ {
-			var p *Proc
-			if i < len(procs) {
-				p = procs[i]
-			}
-			push(Time(10+rng.Intn(100)), p)
+			push(Time(10+rng.Intn(100)), procs[i])
 		}
 		pop("first pop")
 		switch op {
@@ -245,19 +275,38 @@ func TestEventQueueVacantRoot(t *testing.T) {
 		case "push-random":
 			push(Time(rng.Intn(120)), nil)
 		case "advance":
-			for _, p := range procs {
-				if p.slot >= 0 {
-					seq++
-					key := packKey(0, seq)
-					tm := Time(rng.Intn(60))
-					q.advance(p.slot, tm, key)
-					for i := range ref {
-						if x := &ref[i]; x.p == p && (tm < x.t || tm == x.t && key < x.key) {
-							x.t, x.key = tm, key
-						}
-					}
-					break
+			if q.vacant {
+				seq++
+				advance(1+rng.Intn(len(q.h)-1), Time(rng.Intn(60)), packKey(0, seq))
+			}
+		case "advance-last":
+			if q.vacant {
+				earlier(len(q.h) - 1)
+			}
+		case "advance-deep":
+			// Indices 5 onward lie at depth 2 or more; skip the last leaf.
+			if q.vacant && len(q.h) > 6 {
+				earlier(5 + rng.Intn(len(q.h)-6))
+			}
+		case "advance-behind":
+			if q.vacant {
+				i := 1 + rng.Intn(len(q.h)-1)
+				seq++
+				// Stream 3 orders after every pushed key at the same time.
+				before := slices.Clone(q.h)
+				advance(i, q.h[i].t+Time(rng.Intn(3)), packKey(3, seq))
+				if !q.vacant || !slices.Equal(q.h, before) {
+					t.Fatalf("%s: an advance that does not order ahead moved the heap (vacant %v)", where, q.vacant)
 				}
+			}
+		case "advance-twice":
+			if q.vacant && len(q.h) > 2 {
+				i := 1 + rng.Intn(len(q.h)-1)
+				// The entry after i (wrapping to 1) is advanced second.
+				other := q.slab[q.h[1+i%(len(q.h)-1)].id].p
+				earlier(i)
+				checkQueue(t, &q, where+", first advance")
+				earlier(int(q.pos[other.slot]))
 			}
 		case "peek":
 			if len(ref) > 0 {
@@ -320,6 +369,10 @@ func TestPackKey(t *testing.T) {
 //     pop vacated.
 //   - pairs: two pushes, then two pops, so one push of each pair appends
 //     and one pop of each pair refills its own vacancy.
+//   - fold: the comm loop's pattern, with one process per queued event.
+//     Pop the wake due now; fold another process's far-off timeout to now
+//     (a decrease-key into the vacant root); push the popped process's
+//     next far-off timeout.
 //   - containerheap: alternate on the boxed container/heap oracle, which
 //     allocates on every push and pop.
 //
@@ -363,6 +416,36 @@ func BenchmarkEventHeap(b *testing.B) {
 				q.push(now+Time(rng.Intn(4*depth)), packKey(0, uint64(depth+i+1)), event{})
 				now, _, _ = q.pop()
 				now, _, _ = q.pop()
+			}
+		})
+		b.Run("fold/"+name, func(b *testing.B) {
+			const far = 1 << 20
+			var q eventQueue
+			procs := make([]*Proc, depth)
+			rng := rand.New(rand.NewSource(2))
+			seq := uint64(0)
+			for i := range procs {
+				procs[i] = &Proc{slot: -1}
+				seq++
+				q.push(far+Time(rng.Intn(far)), packKey(0, seq), event{p: procs[i]})
+			}
+			seq++
+			q.advance(procs[0].slot, 0, packKey(0, seq))
+			next := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now, _, e := q.pop()
+				if next++; next == depth {
+					next = 0
+				}
+				if procs[next] == e.p {
+					next = (next + 1) % depth
+				}
+				seq++
+				q.advance(procs[next].slot, now, packKey(0, seq))
+				seq++
+				q.push(now+far+Time(rng.Intn(far)), packKey(0, seq), e)
 			}
 		})
 		b.Run("containerheap/"+name, func(b *testing.B) {

@@ -109,10 +109,3 @@ func (r *poolRunner) run(p *Proc) bool {
 		}
 	}
 }
-
-// Spawned reports how many runner processes the pool has ever created —
-// the peak number of simultaneously active tasks.
-func (pp *ProcPool) Spawned() int { return pp.n }
-
-// Idle reports how many runners are currently parked awaiting work.
-func (pp *ProcPool) Idle() int { return len(pp.idle) }

@@ -217,12 +217,6 @@ type Proc struct {
 	wokenAt Time // when the proc was last resumed (for Tracer slices)
 }
 
-// Name reports the name given at Spawn time.
-func (p *Proc) Name() string { return p.name }
-
-// ID reports a small unique integer identifying the process.
-func (p *Proc) ID() int { return p.id }
-
 // Kernel returns the kernel the process belongs to.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
@@ -664,22 +658,6 @@ func (k *Kernel) runUntil(limit Time, strict bool) {
 	}
 }
 
-// Blocked reports the number of live processes that are parked with no
-// pending wake event — blocked on a chan, resource or future. Useful to
-// assert on unexpected deadlock in tests.
-func (k *Kernel) Blocked() int {
-	n := 0
-	for _, p := range k.live {
-		if p.slot < 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Alive reports the number of processes whose body has not yet returned.
-func (k *Kernel) Alive() int { return len(k.live) }
-
 // Close releases a finished simulation's goroutines. Every process whose
 // body has not returned — receivers waiting for messages that will never
 // come, idle pool runners, a coroutine inside StepUntil — is stopped one at
@@ -700,8 +678,4 @@ func (k *Kernel) Close() {
 	}
 	k.live = nil
 	k.pq = eventQueue{}
-}
-
-func (k *Kernel) String() string {
-	return fmt.Sprintf("simnet.Kernel{now=%v, events=%d, alive=%d}", k.now, k.pq.len(), len(k.live))
 }

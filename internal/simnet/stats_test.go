@@ -115,6 +115,18 @@ func TestSupersededTimeoutsStayOutOfHeap(t *testing.T) {
 	}
 }
 
+// blocked counts the live processes parked with no pending wake event:
+// blocked on a chan, resource or future.
+func blocked(k *Kernel) int {
+	n := 0
+	for _, p := range k.live {
+		if p.slot < 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // TestCloseReleasesParkedProcesses: Close resumes every process still
 // parked after the queue drained, each exits running its deferred calls,
 // and the closed kernel refuses to run again.
@@ -129,12 +141,12 @@ func TestCloseReleasesParkedProcesses(t *testing.T) {
 		})
 	}
 	k.Run(0)
-	if k.Alive() != 3 || k.Blocked() != 3 {
-		t.Fatalf("before Close: alive=%d blocked=%d, want 3 and 3", k.Alive(), k.Blocked())
+	if len(k.live) != 3 || blocked(k) != 3 {
+		t.Fatalf("before Close: alive=%d blocked=%d, want 3 and 3", len(k.live), blocked(k))
 	}
 	k.Close()
-	if k.Alive() != 0 || deferred != 3 {
-		t.Fatalf("after Close: alive=%d, deferred calls run=%d; want 0 and 3", k.Alive(), deferred)
+	if len(k.live) != 0 || deferred != 3 {
+		t.Fatalf("after Close: alive=%d, deferred calls run=%d; want 0 and 3", len(k.live), deferred)
 	}
 	defer func() {
 		if recover() == nil {

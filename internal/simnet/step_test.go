@@ -295,12 +295,12 @@ func TestCloseReleasesStepProcess(t *testing.T) {
 		return true
 	})
 	k.Run(0)
-	if steps != 1 || k.Alive() != 1 || k.Blocked() != 1 {
-		t.Fatalf("before Close: steps=%d alive=%d blocked=%d, want 1, 1 and 1", steps, k.Alive(), k.Blocked())
+	if steps != 1 || len(k.live) != 1 || blocked(k) != 1 {
+		t.Fatalf("before Close: steps=%d alive=%d blocked=%d, want 1, 1 and 1", steps, len(k.live), blocked(k))
 	}
 	k.Close()
-	if k.Alive() != 0 || !p.done {
-		t.Fatalf("after Close: alive=%d done=%v, want 0 and true", k.Alive(), p.done)
+	if len(k.live) != 0 || !p.done {
+		t.Fatalf("after Close: alive=%d done=%v, want 0 and true", len(k.live), p.done)
 	}
 	ch.Send(1) // a wake for a released process is stale
 	if steps != 1 {
@@ -441,12 +441,12 @@ func TestStepUntilCloseUnwinds(t *testing.T) {
 		t.Error("StepUntil returned without a send")
 	})
 	k.Run(0)
-	if k.Alive() != 1 || k.Blocked() != 1 {
-		t.Fatalf("before Close: alive=%d blocked=%d, want 1 and 1", k.Alive(), k.Blocked())
+	if len(k.live) != 1 || blocked(k) != 1 {
+		t.Fatalf("before Close: alive=%d blocked=%d, want 1 and 1", len(k.live), blocked(k))
 	}
 	k.Close()
-	if k.Alive() != 0 || !unwound {
-		t.Fatalf("after Close: alive=%d unwound=%v, want 0 and true", k.Alive(), unwound)
+	if len(k.live) != 0 || !unwound {
+		t.Fatalf("after Close: alive=%d unwound=%v, want 0 and true", len(k.live), unwound)
 	}
 	for i := 0; runtime.NumGoroutine() > before; i++ {
 		if i == 100 {

@@ -183,7 +183,7 @@ func poolTasks(seed int64, mixed bool) (log, wakes string, st Stats, spawned int
 	}
 	k.Run(0)
 	k.Close()
-	return b.String(), w.b.String(), k.Stats(), pp.Spawned()
+	return b.String(), w.b.String(), k.Stats(), pp.n
 }
 
 // TestProcPoolGoStepMatchesGo: a pool's tasks end at the same times, with
