@@ -35,9 +35,12 @@ test:
 # the per-sim trace recorders it writes, the device runtime with its
 # graph machinery (concurrent DAG submissions share plans and workspaces),
 # and the serving layer whose partitioned runs drive drain/abort/migrate
-# paths across parallel event loops.
+# paths across parallel event loops. The kernel-set compile cache, which
+# clusters on several goroutines of the experiment harness share, gets ten
+# more concurrent runs (TestKernelSetCompileConcurrent).
 race:
 	$(GO) test -race ./internal/mcl/... ./internal/simnet/... ./internal/network/... ./internal/satin/... ./internal/bench/... ./internal/trace/... ./internal/core/... ./internal/ocl/... ./internal/svm/... ./internal/serve/...
+	$(GO) test -race -count=10 -run '^TestKernelSetCompileConcurrent$$' ./internal/mcl/codegen/
 
 # cover writes cover.out and fails if total statement coverage drops below
 # COVER_FLOOR.

@@ -109,11 +109,12 @@ func divide1D(ctx *satin.Context, v Variant, lo, hi, nodeChunk int,
 	}
 	mid := lo + n/2
 	spawnRange := func(a, b int) *satin.Promise {
-		in, out := bytes(a, b)
-		return ctx.Spawn(satin.JobDesc{
-			Name:       fmt.Sprintf("range[%d,%d)", a, b),
-			InputBytes: in, ResultBytes: out,
-		}, func(c *satin.Context) any {
+		desc := satin.JobDesc{}
+		desc.InputBytes, desc.ResultBytes = bytes(a, b)
+		if ctx.Tracing() {
+			desc.Name = fmt.Sprintf("range[%d,%d)", a, b)
+		}
+		return ctx.Spawn(desc, func(c *satin.Context) any {
 			divide1D(c, v, a, b, nodeChunk, bytes, leaf)
 			return nil
 		})

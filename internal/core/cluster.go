@@ -155,7 +155,7 @@ type NodeState struct {
 	kernels   map[string]*Kernel       // kernel name -> its handle, compiled per device
 	residents map[residentKey]resident // device-resident data, per device and tag
 
-	costCache            map[*codegen.Compiled]*costSlot // memoized MCL cost evaluations
+	costCache            map[costKey]*costSlot // memoized MCL cost evaluations, per device
 	costHits, costMisses int64
 
 	graphs   map[*GraphSpec]*Graph // instantiated dataflow graphs, one per spec
@@ -250,7 +250,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			cl: cl, ID: i, Devices: on.Devices,
 			kernels:   map[string]*Kernel{},
 			residents: map[residentKey]resident{},
-			costCache: map[*codegen.Compiled]*costSlot{},
+			costCache: map[costKey]*costSlot{},
 			graphs:    map[*GraphSpec]*Graph{},
 		}
 		state.Space = svm.NewSpace(ps.KernelFor(i), i, on.Devices, cfg.SVM, rec, cfg.Net.TransferTime)
@@ -316,8 +316,11 @@ func (cl *Cluster) Register(ks *codegen.KernelSet) error {
 // initialize compiles, on every node, the most specific version of every
 // registered kernel for each of the node's devices (Sec. III-B: the master
 // broadcasts run-time information and each node compiles for its devices).
-// With a tuning cache configured, cached winners override the default
-// level/geometry choice per (kernel, device).
+// MCL compiles a kernel once per hardware description: the kernel set's
+// cache compiles each (kernel, device type) once, and every node whose
+// device has that type shares the result. With a tuning cache configured,
+// cached winners override the default level/geometry choice per (kernel,
+// device).
 func (cl *Cluster) initialize() error {
 	for _, ns := range cl.nodes {
 		for name, ks := range cl.registry {
@@ -338,8 +341,9 @@ func (cl *Cluster) initialize() error {
 
 // compileFor compiles one kernel set for one device, applying the tuning
 // cache's winner (level + launch geometry, geometry-aware cost model) when
-// one exists. A cache miss falls back to the classic MostSpecific compile
-// so untuned runs are bit-for-bit unchanged.
+// one exists; the tuned form is a private copy of the set's shared compile.
+// A cache miss falls back to the classic MostSpecific compile so untuned
+// runs are bit-for-bit unchanged.
 func (cl *Cluster) compileFor(ks *codegen.KernelSet, spec *device.Spec) (*codegen.Compiled, error) {
 	if cl.cfg.Tuning != nil {
 		if e, ok := cl.cfg.Tuning.Lookup(tune.Key(ks, spec)); ok {

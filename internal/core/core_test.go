@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cashmere/internal/mcl/codegen"
+	"cashmere/internal/mcl/hdl"
 	"cashmere/internal/mcl/interp"
 	"cashmere/internal/satin"
 	"cashmere/internal/simnet"
@@ -45,6 +46,60 @@ func TestClusterInitializeCompilesPerDevice(t *testing.T) {
 	}
 	if got := len(cl.NodeState(1).kernels["scale"].compiled); got != 2 {
 		t.Fatalf("node 1 compiled %d kernel forms, want 2", got)
+	}
+}
+
+// TestClusterSharesCompiledKernels: a 16-node cluster compiles each
+// (kernel, device type) once, in the kernel set's cache. Every node's
+// devices of one type, both k20s of a node included, and a second cluster
+// on the same set point at that one Compiled, while the cost cache still
+// counts per device.
+func TestClusterSharesCompiledKernels(t *testing.T) {
+	ks := mustKS(t, "scale", scaleKernel)
+	h := hdl.Library()
+	shared := map[string]*codegen.Compiled{}
+	for _, leaf := range []string{"gtx480", "k20", "xeon_phi"} {
+		c, err := ks.Compile(leaf, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared[leaf] = c
+	}
+	run := func(nodes int) *Cluster {
+		cfg := DefaultConfig(nodes, "gtx480")
+		for i := 1; i < nodes; i += 2 {
+			cfg.Nodes[i] = NodeSpec{Devices: []string{"k20", "xeon_phi", "k20"}}
+		}
+		cl, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Register(ks); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := cl.Run(func(ctx *satin.Context) any { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < nodes; i++ {
+			ns := cl.NodeState(i)
+			for d, dev := range ns.Devices {
+				if c := ns.kernels["scale"].compiled[d]; c != shared[dev.Spec().Leaf] {
+					t.Fatalf("%d nodes: node %d device %d (%s) has its own compile", nodes, i, d, dev.Name())
+				}
+			}
+		}
+		return cl
+	}
+	run(16)
+	ns := run(2).NodeState(1)
+	params := map[string]int64{"n": 1 << 20}
+	for _, dev := range []int{0, 2, 0} {
+		if _, err := ns.kernelCost(dev, shared["k20"], params); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, misses := ns.CostCacheStats(); hits != 1 || misses != 2 {
+		t.Fatalf("two k20s sharing a compile: %d hits and %d misses, want 1 and 2 (one miss per device)", hits, misses)
 	}
 }
 

@@ -16,7 +16,16 @@ import (
 // hits when it agrees on every masked value. The analysis consulted no other
 // value, so a hit replays exactly the analysis a miss would run.
 
-// costSlot holds one compiled kernel's memoized costs.
+// costKey names one compiled kernel on one of the node's devices. Devices of
+// one type share the Compiled (see Cluster.initialize); each keeps its own
+// slot, so hits and misses count per device as when every device compiled
+// its own.
+type costKey struct {
+	c   *codegen.Compiled
+	dev int
+}
+
+// costSlot holds one compiled kernel's memoized costs on one device.
 type costSlot struct {
 	names   []string // the kernel's scalar int parameters; mask bit i is names[i]
 	entries []costEntry
@@ -28,14 +37,15 @@ type costEntry struct {
 	cost     device.KernelCost
 }
 
-// kernelCost returns the memoized cost of running the compiled kernel with
-// the given parameters. Errors are not cached: a failing evaluation is the
-// cold path to a CPU fallback.
-func (ns *NodeState) kernelCost(c *codegen.Compiled, params map[string]int64) (device.KernelCost, error) {
-	s := ns.costCache[c]
+// kernelCost returns the memoized cost of running the compiled kernel on
+// device dev with the given parameters. Errors are not cached: a failing
+// evaluation is the cold path to a CPU fallback.
+func (ns *NodeState) kernelCost(dev int, c *codegen.Compiled, params map[string]int64) (device.KernelCost, error) {
+	key := costKey{c, dev}
+	s := ns.costCache[key]
 	if s == nil {
 		s = &costSlot{names: c.ScalarParams()}
-		ns.costCache[c] = s
+		ns.costCache[key] = s
 	}
 	var buf [8]int64
 	vals := buf[:0]

@@ -11,9 +11,10 @@ import (
 // ScaleKernel is the one-line kernel of this package's tests.
 const ScaleKernel = scaleKernel
 
-// KernelCost is the memoized cost lookup every launch goes through.
+// KernelCost is the memoized cost lookup every launch goes through, on the
+// node's device 0.
 func (ns *NodeState) KernelCost(c *codegen.Compiled, params map[string]int64) (device.KernelCost, error) {
-	return ns.kernelCost(c, params)
+	return ns.kernelCost(0, c, params)
 }
 
 // Compiled returns the node's compiled versions of a registered kernel, one

@@ -362,7 +362,7 @@ func (pl *gplanner) planStage(si int) error {
 	ktFull := make([]simnet.Duration, ndev)
 	costFull := make([]device.KernelCost, ndev)
 	for d := 0; d < ndev; d++ {
-		c, err := ns.kernelCost(compiled[d], s.Params)
+		c, err := ns.kernelCost(d, compiled[d], s.Params)
 		if err != nil {
 			return fmt.Errorf("core: graph %s, stage %d (%s): %w", pl.gs.name, si, s.Kernel, err)
 		}
@@ -462,7 +462,7 @@ func (pl *gplanner) splitPlan(s *StageSpec, compiled []*codegen.Compiled, ktFull
 			params[k] = val
 		}
 		params[s.SplitParam] = units
-		c, cerr := ns.kernelCost(compiled[d], params)
+		c, cerr := ns.kernelCost(d, compiled[d], params)
 		if cerr != nil {
 			return nil, nil, nil, 0, fmt.Errorf("core: graph %s, stage %s slice: %w", pl.gs.name, s.Kernel, cerr)
 		}

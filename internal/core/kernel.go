@@ -232,7 +232,7 @@ func (l *Launch) start() error {
 	dev := ns.Devices[l.dev]
 	compiled := l.k.compiled[l.dev]
 
-	cost, err := ns.kernelCost(compiled, l.spec.Params)
+	cost, err := ns.kernelCost(l.dev, compiled, l.spec.Params)
 	if err != nil {
 		ns.Sched.Done(l.k.name, l.dev, l.est, 0)
 		return err

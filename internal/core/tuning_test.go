@@ -65,6 +65,15 @@ func TestClusterUsesTuningCacheWinner(t *testing.T) {
 	if !c.GeometryCost() {
 		t.Fatal("tuned compile did not enable the geometry-aware model")
 	}
+	// The tuned form is the cluster's private copy: the kernel set's shared
+	// compile at the tuned level keeps the translator-era model.
+	shared, err := ks.CompileAt("perfect", "gtx480", hdl.Library())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared == c || shared.GeometryCost() || shared.LaunchExtents() != nil {
+		t.Fatal("tuning modified the kernel set's shared compile")
+	}
 
 	// A miss (different kernel source -> different key) falls back to the
 	// classic compile, untouched.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"cashmere/internal/device"
@@ -411,7 +412,7 @@ func TestKernelSetErrors(t *testing.T) {
 
 // TestCompiledRunUsesClosureEngine checks that Compile wires in the
 // closure-compiled fast engine for supported kernels and memoizes it per
-// (program, kernel).
+// version of the kernel set.
 func TestCompiledRunUsesClosureEngine(t *testing.T) {
 	h := hdl.Library()
 	ks, _ := NewKernelSet("matmul", matmulPerfect)
@@ -428,6 +429,63 @@ func TestCompiledRunUsesClosureEngine(t *testing.T) {
 	}
 	if c2.engine != c1.engine {
 		t.Fatal("engine not memoized across Compile calls on the same program")
+	}
+}
+
+// TestKernelSetCompileConcurrent: goroutines compiling one kernel set at
+// once, in different leaf orders, all get the set's one Compiled per
+// (level, leaf), and price launches with it at the same time.
+func TestKernelSetCompileConcurrent(t *testing.T) {
+	h := hdl.Library()
+	ks, err := NewKernelSet("matmul", matmulPerfect, matmulGPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := hdl.AcceleratorLeaves
+	params := map[string]int64{"n": 256, "m": 256, "p": 256}
+	const workers = 8
+	got := make([][]*Compiled, workers) // per worker: Compile, then CompileAt perfect, per leaf
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		got[w] = make([]*Compiled, 2*len(leaves))
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range leaves {
+				i := (k + w) % len(leaves)
+				c, err := ks.Compile(leaves[i], h)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				p, err := ks.CompileAt("perfect", leaves[i], h)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := c.Cost(params); err != nil {
+					t.Error(err)
+					return
+				}
+				got[w][2*i], got[w][2*i+1] = c, p
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	distinct := map[*Compiled]bool{}
+	for w := range got {
+		for i, c := range got[w] {
+			if c != got[0][i] {
+				t.Fatalf("worker %d got its own compile of %s", w, leaves[i/2])
+			}
+			distinct[c] = true
+		}
+	}
+	if len(ks.compiled) != len(distinct) || len(ks.engines) != 2 {
+		t.Fatalf("%d cached compiles and %d engines for %d distinct results over 2 versions", len(ks.compiled), len(ks.engines), len(distinct))
 	}
 }
 

@@ -20,13 +20,29 @@ type KernelSet struct {
 	Versions map[string]*mcpl.Info // level -> checked program containing the kernel
 
 	sources map[string]string // level -> source text, for Fingerprint
+
+	// mu guards the compile cache: every node and cluster that uses the set
+	// shares one Compiled per (level, leaf, hierarchy), as MCL compiles each
+	// kernel once per hardware description (Sec. III-A), and one closure
+	// engine per level. Failures are not cached.
+	mu       sync.Mutex
+	compiled map[compileKey]*Compiled
+	engines  map[string]*closure.Kernel // level -> executable form
+}
+
+type compileKey struct {
+	level, leaf string
+	h           *hdl.Hierarchy
 }
 
 // NewKernelSet parses and checks each source file and indexes the versions
 // of the named kernel by their declared level. Each version is checked here,
 // once; compilation, cost analysis and feedback reuse its checker result.
 func NewKernelSet(name string, sources ...string) (*KernelSet, error) {
-	ks := &KernelSet{Name: name, Versions: map[string]*mcpl.Info{}, sources: map[string]string{}}
+	ks := &KernelSet{
+		Name: name, Versions: map[string]*mcpl.Info{}, sources: map[string]string{},
+		compiled: map[compileKey]*Compiled{}, engines: map[string]*closure.Kernel{},
+	}
 	for i, src := range sources {
 		prog, err := mcpl.Parse(src)
 		if err != nil {
@@ -107,39 +123,14 @@ type Compiled struct {
 	nest     []*mcpl.Foreach // the kernel's leading foreach nest, outermost first
 	geomDeps ParamMask       // scalar parameters named in the nest's bounds
 
-	extents  []int64 // tuned per-dimension work-group extents (flat nests only)
-	geomCost bool    // fold the launch geometry into Cost
+	extents  []int64 // tuned per-dimension work-group extents (flat nests only; see WithGeometry)
+	geomCost bool    // fold the launch geometry into Cost (see WithGeometry)
 	maxWG    int64   // leaf work-group size limit (0 = unlimited)
 }
 
-// engineKey identifies one (program, kernel) pair in the closure engine
-// cache. Programs are compared by pointer: a KernelSet parses each source
-// once, so every Compiled selecting the same version shares the program.
-type engineKey struct {
-	prog *mcpl.Program
-	name string
-}
-
-// engineCache memoizes closure compilation per (program, kernel), so
-// repeated Compile calls and repeated launches never redo engine setup.
-// Failures are not cached: a kernel the engine rejects fails to compile.
-var engineCache sync.Map // engineKey -> *closure.Kernel
-
-func engineFor(prog *mcpl.Program, name string) (*closure.Kernel, error) {
-	key := engineKey{prog, name}
-	if v, ok := engineCache.Load(key); ok {
-		return v.(*closure.Kernel), nil
-	}
-	k, err := closure.Compile(prog, name)
-	if err != nil {
-		return nil, err
-	}
-	v, _ := engineCache.LoadOrStore(key, k)
-	return v.(*closure.Kernel), nil
-}
-
 // Compile selects the most specific applicable version for the leaf,
-// translates it, and produces the generated code plus glue metadata.
+// translates it, and produces the generated code plus glue metadata. The
+// result is shared (see CompileAt) and must not be modified.
 func (ks *KernelSet) Compile(leaf string, h *hdl.Hierarchy) (*Compiled, error) {
 	level, err := h.MostSpecific(ks.Levels(), leaf)
 	if err != nil {
@@ -151,8 +142,26 @@ func (ks *KernelSet) Compile(leaf string, h *hdl.Hierarchy) (*Compiled, error) {
 // CompileAt compiles the version at an explicitly chosen level for the leaf,
 // bypassing the MostSpecific default. The auto-tuner uses it to evaluate
 // every applicable (level, geometry) configuration; the level must be an
-// ancestor-or-self of the leaf.
+// ancestor-or-self of the leaf. The first call for a (level, leaf,
+// hierarchy) compiles; later calls, from any goroutine, return the same
+// Compiled, which is never modified (WithGeometry makes a private variant).
 func (ks *KernelSet) CompileAt(level, leaf string, h *hdl.Hierarchy) (*Compiled, error) {
+	key := compileKey{level, leaf, h}
+	ks.mu.Lock()
+	defer ks.mu.Unlock()
+	if c, ok := ks.compiled[key]; ok {
+		return c, nil
+	}
+	c, err := ks.compileAt(level, leaf, h)
+	if err != nil {
+		return nil, err
+	}
+	ks.compiled[key] = c
+	return c, nil
+}
+
+// compileAt is CompileAt's compilation; ks.mu is held.
+func (ks *KernelSet) compileAt(level, leaf string, h *hdl.Hierarchy) (*Compiled, error) {
 	lv, err := h.Lookup(leaf)
 	if err != nil {
 		return nil, err
@@ -179,9 +188,12 @@ func (ks *KernelSet) CompileAt(level, leaf string, h *hdl.Hierarchy) (*Compiled,
 	if err != nil {
 		return nil, err
 	}
-	engine, err := engineFor(info.Prog, ks.Name)
-	if err != nil {
-		return nil, fmt.Errorf("codegen: kernel %s: %w", ks.Name, err)
+	engine := ks.engines[level]
+	if engine == nil {
+		if engine, err = closure.Compile(info.Prog, ks.Name); err != nil {
+			return nil, fmt.Errorf("codegen: kernel %s: %w", ks.Name, err)
+		}
+		ks.engines[level] = engine
 	}
 	spec, err := device.Lookup(leaf)
 	if err != nil {
@@ -284,35 +296,41 @@ func (c *Compiled) FlatLaunchDims() int {
 	return len(c.nest)
 }
 
-// SetLaunchExtents overrides the work-group extents of the kernel's flat
-// foreach nest (the launch-time local size of the generated OpenCL, which
-// needs no re-emission). The extents must match the nest's dimensionality,
-// be positive, and stay within the leaf's work-group limit. nil restores
-// the translator default.
-func (c *Compiled) SetLaunchExtents(ext []int64) error {
-	if len(ext) == 0 {
-		c.extents = nil
-		return nil
-	}
-	nd := c.FlatLaunchDims()
-	if nd == 0 {
-		return fmt.Errorf("codegen: kernel %s at level %s fixes its own launch geometry", c.Name, c.SourceLevel)
-	}
-	if len(ext) != nd {
-		return fmt.Errorf("codegen: kernel %s: %d extents for a %d-dimension nest", c.Name, len(ext), nd)
-	}
-	p := int64(1)
-	for _, e := range ext {
-		if e < 1 {
-			return fmt.Errorf("codegen: kernel %s: non-positive work-group extent %d", c.Name, e)
+// WithGeometry returns a private copy of c under the geometry-aware cost
+// model: Cost folds the concrete launch geometry in (SIMD lane fit,
+// work-group limit overruns, bounds padding, compute-unit quantization; see
+// geometryEff), and the flat foreach nest launches with the work-group
+// extents local (the launch-time local size of the generated OpenCL, which
+// needs no re-emission). nil or empty local keeps the translator default.
+// The extents must match the nest's dimensionality, be positive, and stay
+// within the leaf's work-group limit. c itself, shared by every caller of
+// Compile, keeps the translator-era cost model byte for byte; the tuner and
+// tuned clusters use the copy for every configuration they compare, default
+// geometry included.
+func (c *Compiled) WithGeometry(local []int64) (*Compiled, error) {
+	if len(local) > 0 {
+		nd := c.FlatLaunchDims()
+		if nd == 0 {
+			return nil, fmt.Errorf("codegen: kernel %s at level %s fixes its own launch geometry", c.Name, c.SourceLevel)
 		}
-		p *= e
+		if len(local) != nd {
+			return nil, fmt.Errorf("codegen: kernel %s: %d extents for a %d-dimension nest", c.Name, len(local), nd)
+		}
+		p := int64(1)
+		for _, e := range local {
+			if e < 1 {
+				return nil, fmt.Errorf("codegen: kernel %s: non-positive work-group extent %d", c.Name, e)
+			}
+			p *= e
+		}
+		if c.maxWG > 0 && p > c.maxWG {
+			return nil, fmt.Errorf("codegen: kernel %s: work-group of %d items exceeds the %s limit of %d", c.Name, p, c.Leaf, c.maxWG)
+		}
 	}
-	if c.maxWG > 0 && p > c.maxWG {
-		return fmt.Errorf("codegen: kernel %s: work-group of %d items exceeds the %s limit of %d", c.Name, p, c.Leaf, c.maxWG)
-	}
-	c.extents = append([]int64(nil), ext...)
-	return nil
+	t := *c
+	t.extents = append([]int64(nil), local...)
+	t.geomCost = true
+	return &t, nil
 }
 
 // LaunchExtents returns the tuned work-group extents, or nil when the
@@ -321,13 +339,6 @@ func (c *Compiled) LaunchExtents() []int64 { return c.extents }
 
 // MaxWorkgroup reports the leaf's work-group size limit (0 = unlimited).
 func (c *Compiled) MaxWorkgroup() int64 { return c.maxWG }
-
-// EnableGeometryCost folds the concrete launch geometry (SIMD lane fit,
-// work-group limit overruns, bounds padding, compute-unit quantization) into
-// Cost. Off by default so untuned runs keep the translator-era cost model
-// byte for byte; the tuner and tuned clusters turn it on for every
-// configuration they compare, default geometry included.
-func (c *Compiled) EnableGeometryCost() { c.geomCost = true }
 
 // GeometryCost reports whether Cost folds in the launch geometry.
 func (c *Compiled) GeometryCost() bool { return c.geomCost }
@@ -346,10 +357,10 @@ func (c *Compiled) Analyze(params map[string]int64) (*Report, error) {
 	return Analyze(c.src, c.Name, params, simd)
 }
 
-// Cost returns the device cost descriptor for a launch. With
-// EnableGeometryCost set, the concrete work-group geometry of the launch
-// degrades the efficiency terms (see geometryEff); kernels whose geometry
-// cannot be derived for the parameters fall back to the pure analysis cost.
+// Cost returns the device cost descriptor for a launch. On a WithGeometry
+// copy, the concrete work-group geometry of the launch degrades the
+// efficiency terms (see geometryEff); kernels whose geometry cannot be
+// derived for the parameters fall back to the pure analysis cost.
 func (c *Compiled) Cost(params map[string]int64) (device.KernelCost, error) {
 	kc, _, err := c.CostObserved(params)
 	return kc, err

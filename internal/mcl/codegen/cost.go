@@ -64,7 +64,7 @@ func min(a, b int) int {
 }
 
 // geometryEff models the efficiency of a concrete launch geometry, the term
-// Compiled.EnableGeometryCost folds into the roofline efficiencies. Four
+// a Compiled.WithGeometry copy folds into the roofline efficiencies. Four
 // multiplicative effects, each in (0,1]:
 //
 //   - lane fit: a work-group that is not a multiple of the SIMD width runs

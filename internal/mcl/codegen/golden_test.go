@@ -144,8 +144,12 @@ func writeGoldenCase(b *strings.Builder, ks *codegen.KernelSet, level, leaf stri
 			a.Array, a.Pos, a.Write, g(a.Bytes), a.Class, a.InLoop, a.LoopFree)
 	}
 	writeGoldenCost(b, "cost", c, params)
-	c.EnableGeometryCost()
-	writeGoldenCost(b, "geometry_cost", c, params)
+	geo, err := c.WithGeometry(nil)
+	if err != nil {
+		fmt.Fprintf(b, "geometry error: %v\n", err)
+		return
+	}
+	writeGoldenCost(b, "geometry_cost", geo, params)
 }
 
 func writeGoldenCost(b *strings.Builder, label string, c *codegen.Compiled, params map[string]int64) {

@@ -31,7 +31,9 @@ func TestCostObservedSound(t *testing.T) {
 		}
 		for _, geometry := range []bool{false, true} {
 			if geometry {
-				c.EnableGeometryCost()
+				if c, err = c.WithGeometry(nil); err != nil {
+					t.Fatal(err)
+				}
 			}
 			want, mask, err := c.CostObserved(sc.params)
 			if err != nil {

@@ -84,10 +84,11 @@ func TestSetLaunchExtents(t *testing.T) {
 	if c.FlatLaunchDims() != 2 {
 		t.Fatalf("FlatLaunchDims = %d", c.FlatLaunchDims())
 	}
-	if err := c.SetLaunchExtents([]int64{8, 32}); err != nil {
+	tuned, err := c.WithGeometry([]int64{8, 32})
+	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := c.LaunchConfig(map[string]int64{"n": 1000, "m": 500, "p": 64})
+	g, err := tuned.LaunchConfig(map[string]int64{"n": 1000, "m": 500, "p": 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,22 +101,27 @@ func TestSetLaunchExtents(t *testing.T) {
 	if g.Bounds[0] != 1000 || g.Bounds[1] != 500 {
 		t.Fatalf("bounds = %v", g.Bounds)
 	}
-	// nil clears the override.
-	if err := c.SetLaunchExtents(nil); err != nil {
+	// The tuned copy leaves the shared compile as it was.
+	if c.LaunchExtents() != nil || c.GeometryCost() {
+		t.Fatal("WithGeometry modified the shared compile")
+	}
+	// nil keeps the translator default.
+	def, err := c.WithGeometry(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c.LaunchExtents() != nil {
-		t.Fatal("extents not cleared")
+	if def.LaunchExtents() != nil || !def.GeometryCost() {
+		t.Fatalf("default geometry: extents %v, geometry cost %v", def.LaunchExtents(), def.GeometryCost())
 	}
 
 	// Error cases: wrong rank, non-positive, over the work-group limit.
-	if err := c.SetLaunchExtents([]int64{64}); err == nil {
+	if _, err := c.WithGeometry([]int64{64}); err == nil {
 		t.Fatal("rank mismatch accepted")
 	}
-	if err := c.SetLaunchExtents([]int64{0, 16}); err == nil {
+	if _, err := c.WithGeometry([]int64{0, 16}); err == nil {
 		t.Fatal("zero extent accepted")
 	}
-	if err := c.SetLaunchExtents([]int64{64, 64}); err == nil {
+	if _, err := c.WithGeometry([]int64{64, 64}); err == nil {
 		t.Fatal("4096-thread work-group accepted on a 1024 limit")
 	}
 
@@ -128,7 +134,7 @@ func TestSetLaunchExtents(t *testing.T) {
 	if cg.FlatLaunchDims() != 0 {
 		t.Fatalf("explicit nest FlatLaunchDims = %d", cg.FlatLaunchDims())
 	}
-	if err := cg.SetLaunchExtents([]int64{16, 16}); err == nil {
+	if _, err := cg.WithGeometry([]int64{16, 16}); err == nil {
 		t.Fatal("extent override accepted on explicit geometry")
 	}
 }
@@ -153,13 +159,9 @@ func TestGeometryCostChangesModel(t *testing.T) {
 	// Same compile with the geometry-aware model: the default 16x16 tiling
 	// pads 1000x500 to 1008x512, so effective throughput drops and modeled
 	// time grows.
-	geo, err := ks.Compile("gtx480", h)
+	geo, err := plain.WithGeometry(nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	geo.EnableGeometryCost()
-	if !geo.GeometryCost() {
-		t.Fatal("flag not set")
 	}
 	padded, err := geo.Cost(params)
 	if err != nil {
@@ -172,11 +174,10 @@ func TestGeometryCostChangesModel(t *testing.T) {
 	}
 
 	// An exact-fit geometry must model faster than a badly padded one.
-	good, _ := ks.Compile("gtx480", h)
-	if err := good.SetLaunchExtents([]int64{8, 4}); err != nil {
+	good, err := plain.WithGeometry([]int64{8, 4})
+	if err != nil {
 		t.Fatal(err)
 	}
-	good.EnableGeometryCost()
 	fit, err := good.Cost(params)
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,7 @@
 package hdl
 
+import "sync"
+
 // LibrarySource is the HDL source of the hardware-description hierarchy
 // used by Cashmere (Fig. 2 of the paper): the root "perfect", intermediate
 // levels gpu/nvidia/fermi/kepler/amd/mic, and the seven leaf devices of the
@@ -102,15 +104,19 @@ hardware cpu extends perfect {
 }
 `
 
-// Library parses and returns the built-in hierarchy. It panics on parse
-// errors, which tests guard against.
-func Library() *Hierarchy {
+// Library returns the built-in hierarchy, parsed once per process: every
+// caller shares it, so it must not be modified, and a kernel set's compile
+// cache (keyed by hierarchy) serves all of them. It panics on parse errors,
+// which tests guard against.
+func Library() *Hierarchy { return library() }
+
+var library = sync.OnceValue(func() *Hierarchy {
 	h, err := Parse(LibrarySource)
 	if err != nil {
 		panic("hdl: built-in library: " + err.Error())
 	}
 	return h
-}
+})
 
 // AcceleratorLeaves are the seven many-core leaf levels of Fig. 2, matching
 // the seven device types of the DAS-4 evaluation.

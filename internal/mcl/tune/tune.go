@@ -92,19 +92,14 @@ type Entry struct {
 
 // Compile compiles the kernel set for the leaf in the entry's configuration:
 // the version at Level, the work-group extents Local when set, and the
-// geometry-aware cost model every tuned configuration is scored under.
+// geometry-aware cost model every tuned configuration is scored under. The
+// result is a private copy; the set's shared compile is left untouched.
 func (e Entry) Compile(ks *codegen.KernelSet, leaf string, h *hdl.Hierarchy) (*codegen.Compiled, error) {
 	c, err := ks.CompileAt(e.Level, leaf, h)
 	if err != nil {
 		return nil, err
 	}
-	if len(e.Local) > 0 {
-		if err := c.SetLaunchExtents(e.Local); err != nil {
-			return nil, err
-		}
-	}
-	c.EnableGeometryCost()
-	return c, nil
+	return c.WithGeometry(e.Local)
 }
 
 // Result is a full tuning outcome: the cache entry plus every candidate, in

@@ -326,14 +326,9 @@ func (f *Fabric) MessagesSent() int64 {
 }
 
 // TransferTime reports the modeled one-way time for a message of s bytes on
-// an uncontended path: software overhead, egress serialization, propagation
-// latency and ingress serialization. Useful for analytical checks in tests.
-func (f *Fabric) TransferTime(s int64) simnet.Duration {
-	return f.cfg.TransferTime(s)
-}
-
-// TransferTime is Fabric.TransferTime computable without a fabric instance,
-// for capacity planning against a configuration alone.
+// an uncontended path of a fabric with this configuration: software
+// overhead, egress serialization, propagation latency and ingress
+// serialization.
 func (c Config) TransferTime(s int64) simnet.Duration {
 	wire := c.wire(s)
 	return c.PerMessageCPU + wire + c.Latency + wire

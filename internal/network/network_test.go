@@ -37,8 +37,8 @@ func TestPointToPointLatencyAndBandwidth(t *testing.T) {
 	if got.Payload.(string) != "hello" || got.From != 0 || got.To != 1 || got.Kind != "data" {
 		t.Fatalf("bad message %+v", got)
 	}
-	if f.TransferTime(8000) != 28*time.Microsecond {
-		t.Fatalf("TransferTime = %v", f.TransferTime(8000))
+	if f.cfg.TransferTime(8000) != 28*time.Microsecond {
+		t.Fatalf("TransferTime = %v", f.cfg.TransferTime(8000))
 	}
 }
 
@@ -263,7 +263,7 @@ func TestBroadcastIsLogDepth(t *testing.T) {
 		f.Endpoint(0).Broadcast(p, "b", 1_000_000, nil)
 	})
 	k.Run(0)
-	perHop := f.TransferTime(1_000_000) // ~2.013 ms
+	perHop := f.cfg.TransferTime(1_000_000) // ~2.013 ms
 	serial := simnet.Duration(n-1) * perHop
 	if simnet.Duration(last) >= serial/2 {
 		t.Fatalf("broadcast took %v; not meaningfully better than serial %v", simnet.Time(last), serial)

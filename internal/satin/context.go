@@ -16,6 +16,7 @@ type Context struct {
 	workerID int
 	manyCore bool
 	children []*Job
+	kids     [2]*Job // children's first backing array: most frames spawn two
 }
 
 // Proc returns the simulation process executing this frame; applications
@@ -30,6 +31,10 @@ func (c *Context) Node() *Node { return c.node }
 
 // Runtime returns the runtime.
 func (c *Context) Runtime() *Runtime { return c.node.rt }
+
+// Tracing reports whether the run records trace spans, so callers build
+// span labels (such as JobDesc.Name) only when they are kept.
+func (c *Context) Tracing() bool { return c.node.rt.rec.Enabled() }
 
 // ManyCore reports whether many-core spawn mode is enabled for this frame.
 func (c *Context) ManyCore() bool { return c.manyCore }
@@ -46,10 +51,12 @@ func (c *Context) EnableManyCore() { c.manyCore = true }
 func (c *Context) Compute(d simnet.Duration, label string) {
 	start := c.p.Now()
 	c.p.Hold(d)
-	c.node.rt.rec.Add(trace.Span{
-		Node: c.node.ID, Queue: fmt.Sprintf("q%d", 1+c.workerID%3), Kind: trace.KindCPU,
-		Label: label, Start: start, End: c.p.Now(),
-	})
+	if rec := c.node.rt.rec; rec.Enabled() {
+		rec.Add(trace.Span{
+			Node: c.node.ID, Queue: fmt.Sprintf("q%d", 1+c.workerID%3), Kind: trace.KindCPU,
+			Label: label, Start: start, End: c.p.Now(),
+		})
+	}
 }
 
 // Spawn submits fn for asynchronous execution and returns its promise. In
@@ -69,29 +76,31 @@ func (c *Context) Spawn(desc JobDesc, fn func(ctx *Context) any) *Promise {
 	job := &Job{
 		// Job IDs are node-scoped (node id in the high bits) so id assignment
 		// needs no cross-node state and is identical in every partition layout.
-		ID:     uint64(c.node.ID)<<40 | c.node.jobSeq,
-		Desc:   desc,
-		fn:     fn,
-		owner:  c.node.ID,
-		result: simnet.NewFuture[any](c.node.k),
+		ID:    uint64(c.node.ID)<<40 | c.node.jobSeq,
+		Desc:  desc,
+		fn:    fn,
+		owner: c.node.ID,
+	}
+	job.promise.job = job
+	if c.children == nil {
+		c.children = c.kids[:0]
 	}
 	c.children = append(c.children, job)
 	c.p.Hold(rt.cfg.SpawnOverhead)
 	if c.manyCore {
-		node := c.node
-		workerID := c.workerID
-		node.pool.Go(func(p *simnet.Proc) {
-			ctx := &Context{p: p, node: node, workerID: workerID, manyCore: true}
-			v := job.fn(ctx)
+		job.frame = Context{node: c.node, workerID: c.workerID, manyCore: true}
+		c.node.pool.Go(func(p *simnet.Proc) {
+			job.frame.p = p
+			v := job.fn(&job.frame)
 			if !job.result.Done() {
 				job.result.Complete(v)
 			}
 		})
-		return &Promise{job: job}
+		return &job.promise
 	}
 	c.node.deque = append(c.node.deque, job)
 	c.node.noteQueueDepth()
-	return &Promise{job: job}
+	return &job.promise
 }
 
 // msgServicesSpawn is the panic value of a normal-mode Spawn under
@@ -144,5 +153,8 @@ func (c *Context) Sync() {
 			backoff *= 2
 		}
 	}
+	// Drop the children, so a finished subtree is not kept alive through
+	// the frames embedded in its jobs.
+	clear(c.children)
 	c.children = c.children[:0]
 }

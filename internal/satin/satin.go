@@ -75,8 +75,15 @@ type Job struct {
 	ID     uint64
 	Desc   JobDesc
 	fn     func(ctx *Context) any
-	result *simnet.Future[any]
+	result simnet.Future[any]
 	owner  int // node that spawned the job (where the future lives)
+
+	// The job's promise and, in many-core mode, the frame it runs in live
+	// here, so a spawn allocates one value. A stealable job's frame is
+	// made per run instead (see runJob): a re-executed job may run while
+	// its crashed first run is still parked in its frame.
+	promise Promise
+	frame   Context
 }
 
 // JobDesc declares the modeled data sizes of a job, charged when the job or
@@ -475,8 +482,6 @@ func (n *Node) thief(key int) *thief {
 	t := n.thieves[key]
 	if t == nil {
 		t = &thief{n: n, key: key, reply: simnet.NewChan[*Job](n.k)}
-		t.deny = stealReply{Worker: t}
-		t.req = stealReq{Thief: n.ID, Worker: t, Deny: &t.deny}
 		t.step = t.run
 		n.thieves[key] = t
 	}
@@ -515,21 +520,24 @@ func (n *Node) victim() int {
 // written as blocking calls would, so trajectories do not depend on which
 // form runs.
 //
-// The reply channel, the request and the denial it carries (which a victim
-// with nothing to give answers with) are built once; the messages are
-// immutable and travel as pointers, and step is bound once, so a failed
-// probe allocates nothing. The request and every reply name the thief by
-// pointer. Only the thief's own node follows it, to the pending flag that
-// tells whether a probe still waits for the reply; the victim only copies
-// it into its replies.
+// The request and every reply name the thief by pointer and the probe by
+// its sequence number. Only the thief's own node follows the pointer, to
+// the pending flag and the number of the probe that still waits for its
+// answer; a reply to any other probe is late (see handle). The victim only
+// copies both into its replies. The reply channel is built once and step is
+// bound once. The request, with the denial it carries (which a victim with
+// nothing to give answers with), travels as a pointer and is reused by the
+// next probe once its own answer came back, so a failed probe allocates
+// nothing; a probe that timed out leaves its request to the victim and the
+// next probe builds a new one.
 type thief struct {
 	n       *Node
 	key     int // the thief's key in n.thieves
 	reply   *simnet.Chan[*Job]
-	req     stealReq
-	deny    stealReply
+	req     *stealReq               // the request to send next, nil when one must be built
+	seq     uint64                  // the number of the latest probe
 	step    func(*simnet.Proc) bool // run, bound once
-	pending bool                    // a probe is out: replies go to reply
+	pending bool                    // probe seq is out: its replies go to reply
 
 	idle    bool
 	backoff simnet.Duration // an idle thief's next backoff hold
@@ -606,7 +614,12 @@ func (t *thief) run(p *simnet.Proc) bool {
 			}
 			t.probeStart = p.Now()
 			t.pending = true
-			if n.ep.BeginSend(p, &t.sending, t.victim, "steal_request", 64, &t.req) {
+			t.seq++
+			if t.req == nil {
+				t.req = &stealReq{Thief: n.ID, Worker: t, Deny: stealReply{Worker: t}}
+			}
+			t.req.Seq, t.req.Deny.Seq = t.seq, t.seq
+			if n.ep.BeginSend(p, &t.sending, t.victim, "steal_request", 64, t.req) {
 				t.phase = sending
 				return true
 			}
@@ -642,22 +655,15 @@ func (t *thief) await(p *simnet.Proc, phase thiefPhase, d simnet.Duration) {
 
 // probed ends a probe whose reply wait returned job (ok false on timeout)
 // and reports whether the probe stole a job, which t.job then holds.
-// Otherwise the round goes on with its next probe.
+// Otherwise the round goes on with its next probe. Only the probe's own
+// replies reach the channel, and the wait ends on its last one or on the
+// timeout, so the channel is empty here.
 func (t *thief) probed(p *simnet.Proc, job *Job, ok bool) bool {
 	n, rt := t.n, t.n.rt
 	t.pending = false
-	// A straggler from an earlier timed-out probe may have queued another
-	// value behind the one just taken; never abandon a job in the reply
-	// channel.
-	for {
-		extra, more := t.reply.TryRecv()
-		if !more {
-			break
-		}
-		if extra != nil && extra != jobGranted {
-			n.deque = append(n.deque, extra)
-			n.noteQueueDepth()
-		}
+	if !ok {
+		// The victim may still hold the request: leave it there.
+		t.req = nil
 	}
 	if ok && job != nil && job != jobGranted {
 		n.stealsOK++
@@ -699,13 +705,15 @@ func (t *thief) roundFailed(p *simnet.Proc) bool {
 }
 
 type stealReq struct {
-	Thief  int         // the thief's node
-	Worker *thief      // the probing thief, handed back in every reply
-	Deny   *stealReply // the thief's own denial, {Worker, nil}
+	Thief  int        // the thief's node
+	Worker *thief     // the probing thief, handed back in every reply
+	Seq    uint64     // the probe's number, handed back in every reply
+	Deny   stealReply // the thief's own denial, {Worker, Seq, nil}
 }
 
 type stealReply struct {
 	Worker *thief
+	Seq    uint64 // the probe it answers
 	Job    *Job
 }
 
@@ -812,29 +820,33 @@ func (n *Node) handle(p *simnet.Proc, m network.Message) bool {
 		req := m.Payload.(*stealReq)
 		job := n.popSteal()
 		if job == nil {
-			n.reply(req.Thief, "steal_reply", req.Deny, nil)
+			n.reply(req.Thief, "steal_reply", &req.Deny, nil)
 			break
 		}
 		n.outstanding[job.ID] = outRec{job: job, thief: req.Thief}
-		n.span(trace.KindSteal, "stolen:"+job.Desc.Name, p.Now())
+		if n.rt.rec.Enabled() {
+			n.span(trace.KindSteal, "stolen:"+job.Desc.Name, p.Now())
+		}
 		// Two-phase reply: a tiny grant immediately, then, once it is
 		// sent, the job with its input data from a separate sender
 		// process, so a large transfer neither blocks the comm loop nor
 		// races the thief's grant timeout.
-		ep, to, worker := n.ep, req.Thief, req.Worker
-		n.reply(to, "steal_reply", &stealReply{Worker: worker, Job: jobGranted}, func() bool {
+		ep, to, worker, seq := n.ep, req.Thief, req.Worker, req.Seq
+		n.reply(to, "steal_reply", &stealReply{Worker: worker, Seq: seq, Job: jobGranted}, func() bool {
 			n.pool.Go(func(sp *simnet.Proc) {
-				ep.Send(sp, to, "steal_reply", job.Desc.InputBytes, &stealReply{Worker: worker, Job: job})
+				ep.Send(sp, to, "steal_reply", job.Desc.InputBytes, &stealReply{Worker: worker, Seq: seq, Job: job})
 			})
 			return false
 		})
 	case "steal_reply":
 		rep := m.Payload.(*stealReply)
-		if t := rep.Worker; t.pending {
+		if t := rep.Worker; t.pending && rep.Seq == t.seq {
 			t.reply.Send(rep.Job)
 		} else if rep.Job != nil && rep.Job != jobGranted {
-			// The worker gave up waiting; keep the job rather than lose it,
-			// or send it home if this node drains.
+			// A reply to a probe that gave up waiting (a later probe may
+			// be waiting now): keep the job rather than lose it, or send
+			// it home if this node drains. A late grant or denial ends no
+			// probe.
 			n.deque = append(n.deque, rep.Job)
 			if n.draining {
 				n.drain()

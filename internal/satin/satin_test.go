@@ -1,6 +1,8 @@
 package satin
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -169,6 +171,52 @@ func TestManyCoreInheritedByChildren(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestManyCoreSpawnAllocs pins what a many-core spawn and its share of
+// the parent's sync allocate, over a divide-and-conquer tree of many-core
+// frames that each spawn two children and sync: the Job, which holds the
+// child's future, promise and frame; the pool task's closure; and the
+// caller's closure, which captures the depth. A frame keeps up to two
+// children, and a future its first waiter, without a list of its own. The
+// process-wide malloc count is read around whole trees, after a warm-up
+// tree fills the node's process pool, and the quietest of a few trees is
+// taken, as a stray allocation of another goroutine lands in only some.
+func TestManyCoreSpawnAllocs(t *testing.T) {
+	rt := testRuntime(1, 1)
+	spawns := 0
+	var tree func(ctx *Context, depth int)
+	tree = func(ctx *Context, depth int) {
+		if depth == 0 {
+			return
+		}
+		for i := 0; i < 2; i++ {
+			spawns++
+			ctx.Spawn(JobDesc{Name: "t"}, func(c *Context) any {
+				tree(c, depth-1)
+				return nil
+			})
+		}
+		ctx.Sync()
+	}
+	const depth, trees = 7, 5
+	perSpawn := make([]float64, trees)
+	rt.Run(func(ctx *Context) any {
+		ctx.EnableManyCore()
+		tree(ctx, depth)
+		var before, after runtime.MemStats
+		for i := range perSpawn {
+			spawns = 0
+			runtime.ReadMemStats(&before)
+			tree(ctx, depth)
+			runtime.ReadMemStats(&after)
+			perSpawn[i] = float64(after.Mallocs-before.Mallocs) / float64(spawns)
+		}
+		return nil
+	})
+	if m := slices.Min(perSpawn); m > 3 {
+		t.Fatalf("a many-core spawn and its sync allocate %.2f times, want at most 3 (Job, pool closure, caller's closure)", m)
+	}
 }
 
 func TestPromiseBeforeSyncPanics(t *testing.T) {

@@ -351,37 +351,55 @@ func TestVictimNeverPicksDeadPeer(t *testing.T) {
 	}
 }
 
-// dequeWatch records, as a kernel's scheduling tracer, the most jobs one
-// node's deque held before any event.
-type dequeWatch struct {
-	n    *Node
-	most int
+// probeWatch records, as a kernel's scheduling tracer, how long each probe
+// of one thief lasted: from its request send to the step that ended it. A
+// step of the thief's process ends with a ProcSlice at the time of that
+// step, so the watch sees every probe end at the time it happened.
+type probeWatch struct {
+	n       *Node
+	seq     uint64
+	pending bool
+	start   simnet.Time
+	lasted  []simnet.Duration
+	most    int // the most jobs the node's deque held before any event
 }
 
-func (w *dequeWatch) ProcSlice(string, int, simnet.Time, simnet.Time) {}
+func (w *probeWatch) ProcSlice(_ string, _ int, _, end simnet.Time) {
+	t := w.n.thieves[0]
+	if t == nil {
+		return
+	}
+	if w.pending && (t.seq != w.seq || !t.pending) {
+		w.lasted = append(w.lasted, simnet.Duration(end-w.start))
+	}
+	w.seq, w.pending, w.start = t.seq, t.pending, t.probeStart
+}
 
-func (w *dequeWatch) QueueDepth(simnet.Time, int) { w.most = max(w.most, len(w.n.deque)) }
+func (w *probeWatch) QueueDepth(simnet.Time, int) { w.most = max(w.most, len(w.n.deque)) }
 
 // TestLateStealReplyKeepsJob: a grant that reaches the thief after its probe
-// timed out still delivers the job. Node 1's one worker probes node 0, whose
-// root spawns one job and computes; StealTimeout is set below the round trip
-// of a request and its grant, so the first probe always times out, and the
-// grant and the job behind it arrive late.
+// timed out still delivers the job, and ends no other probe. Node 1's one
+// worker probes node 0, whose root spawns one job and computes; StealTimeout
+// is set below the round trip of a request and its answer, so every probe
+// times out, and every grant, job and denial arrives late.
 //   - backing-off: with one probe per round the thief is backing off when
-//     they arrive, so node 1's comm loop queues the job in its own deque,
-//     where the thief finds it after the backoff. No steal succeeds.
+//     the grant and the job arrive, so node 1's comm loop queues the job in
+//     its own deque, where the thief finds it after the backoff.
 //   - next-probe: with two probes per round the same thief's second probe
-//     is waiting when they arrive, and it takes the job as its steal before
-//     its own victim's denial comes in. The deque never holds it.
+//     is waiting when they arrive. They answer the first probe, not the
+//     second, so the job goes to the deque all the same and the second
+//     probe waits out its own timeout.
+//
+// In both no steal succeeds, and no probe ends before its timeout: the
+// answer to its own request cannot come sooner, so an earlier end would be
+// another probe's reply taken as its own.
 func TestLateStealReplyKeepsJob(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		attempts int
-		stealsOK int64
-		queued   int
 	}{
-		{"backing-off", 1, 0, 1},
-		{"next-probe", 2, 1, 0},
+		{"backing-off", 1},
+		{"next-probe", 2},
 	} {
 		cfg := DefaultConfig()
 		cfg.WorkersPerNode = 1
@@ -391,7 +409,7 @@ func TestLateStealReplyKeepsJob(t *testing.T) {
 		k := simnet.NewKernel(1)
 		rt := New(k, 2, network.QDRInfiniBand(), cfg, nil)
 		thief := rt.nodes[1]
-		w := &dequeWatch{n: thief}
+		w := &probeWatch{n: thief}
 		k.SetTracer(w)
 		var failedBefore int64
 		v, _ := rt.Run(func(ctx *Context) any {
@@ -407,12 +425,20 @@ func TestLateStealReplyKeepsJob(t *testing.T) {
 		if v.(int) != 1 {
 			t.Fatalf("%s: the job ran on node %v, want node 1", c.name, v)
 		}
-		if failedBefore < 1 {
-			t.Fatalf("%s: no probe of node 1 timed out before the job ran", c.name)
+		if failedBefore < int64(c.attempts) {
+			t.Fatalf("%s: %d probes of node 1 failed before the job ran, want its first round's %d", c.name, failedBefore, c.attempts)
 		}
-		if thief.stealsOK != c.stealsOK || w.most != c.queued || thief.jobsExecuted != 1 {
-			t.Fatalf("%s: %d steals succeeded, the deque held at most %d jobs and node 1 ran %d; want %d, %d and 1",
-				c.name, thief.stealsOK, w.most, thief.jobsExecuted, c.stealsOK, c.queued)
+		if thief.stealsOK != 0 || w.most != 1 || thief.jobsExecuted != 1 {
+			t.Fatalf("%s: %d steals succeeded, the deque held at most %d jobs and node 1 ran %d; want 0, 1 and 1",
+				c.name, thief.stealsOK, w.most, thief.jobsExecuted)
+		}
+		if len(w.lasted) < 2*c.attempts {
+			t.Fatalf("%s: saw %d probes end, want at least two rounds' worth", c.name, len(w.lasted))
+		}
+		for i, d := range w.lasted {
+			if d < cfg.StealTimeout {
+				t.Fatalf("%s: probe %d ended after %v, before its %v timeout, on another probe's reply", c.name, i+1, d, cfg.StealTimeout)
+			}
 		}
 	}
 }

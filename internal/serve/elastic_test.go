@@ -326,21 +326,21 @@ func TestRequeueRestoresQueueAccounting(t *testing.T) {
 		}
 		reqs = append(reqs, r)
 	}
-	admitted := f.Tenant(0).Admitted
+	admitted := f.tenants[0].Admitted
 
 	batch := f.NextBatch(10, nil)
 	if len(batch) != 4 {
 		t.Fatalf("batch size %d, want MaxBatch 4", len(batch))
 	}
-	if f.Queued() != 1 || f.Inflight() != 4 {
-		t.Fatalf("queued/inflight = %d/%d after dispatch", f.Queued(), f.Inflight())
+	if f.queued != 1 || f.inflight != 4 {
+		t.Fatalf("queued/inflight = %d/%d after dispatch", f.queued, f.inflight)
 	}
 
 	f.requeue(20, batch)
-	if f.Queued() != 5 || f.Inflight() != 0 {
-		t.Fatalf("queued/inflight = %d/%d after requeue, want 5/0", f.Queued(), f.Inflight())
+	if f.queued != 5 || f.inflight != 0 {
+		t.Fatalf("queued/inflight = %d/%d after requeue, want 5/0", f.queued, f.inflight)
 	}
-	if got := f.Tenant(0).Admitted; got != admitted {
+	if got := f.tenants[0].Admitted; got != admitted {
 		t.Fatalf("admitted moved %d -> %d on requeue (double count)", admitted, got)
 	}
 
@@ -362,7 +362,7 @@ func TestRequeueRestoresQueueAccounting(t *testing.T) {
 		t.Fatal("tail request lost or reordered after requeue cycle")
 	}
 	f.Complete(60, rest[0], true)
-	st := f.Tenant(0)
+	st := &f.tenants[0]
 	if st.Admitted != st.Completed {
 		t.Fatalf("admitted %d != completed %d after requeue cycle", st.Admitted, st.Completed)
 	}

@@ -116,7 +116,7 @@ func NewFrontend(k *simnet.Kernel, cfg Config, rec *trace.Recorder) *Frontend {
 	}
 	f := &Frontend{cfg: cfg, rec: rec}
 	if k != nil {
-		f.done = simnet.NewFuture[struct{}](k)
+		f.done = new(simnet.Future[struct{}])
 	}
 	f.tenants = make([]tenantState, len(cfg.Tenants))
 	for i, spec := range cfg.Tenants {
@@ -159,18 +159,6 @@ const (
 	defaultCostHint   = simnet.Duration(1e5)  // 100µs
 	maxRetryAfter     = simnet.Duration(50e6) // hint cap, 50ms
 )
-
-// Tenant returns tenant i's accounting state (read-only use).
-func (f *Frontend) Tenant(i int) *tenantState { return &f.tenants[i] }
-
-// Queued reports the total number of requests waiting across tenants.
-func (f *Frontend) Queued() int { return f.queued }
-
-// Inflight reports the number of dispatched, uncompleted requests.
-func (f *Frontend) Inflight() int { return f.inflight }
-
-// MaxDepth reports the high-water mark of the total queue depth.
-func (f *Frontend) MaxDepth() int { return f.maxDepth }
 
 // refill lazily refreshes tenant t's token bucket at time now.
 func (t *tenantState) refill(now simnet.Time) {

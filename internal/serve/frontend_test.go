@@ -45,7 +45,7 @@ func TestTokenBucketThrottleAndRefill(t *testing.T) {
 	if _, v, _ := f.Admit(simnet.Time(retry), 0, 0); v != Admitted {
 		t.Fatal("arrival after refill must be admitted")
 	}
-	st := f.Tenant(0)
+	st := &f.tenants[0]
 	if st.Offered != 4 || st.Admitted != 3 || st.ShedThrottle != 1 {
 		t.Fatalf("counters offered/admitted/shed = %d/%d/%d", st.Offered, st.Admitted, st.ShedThrottle)
 	}
@@ -68,8 +68,8 @@ func TestBoundedQueueSheds(t *testing.T) {
 	if retry != defaultRetryAfter {
 		t.Fatalf("retry hint = %v, want default %v", retry, defaultRetryAfter)
 	}
-	if f.Queued() != 3 || f.MaxDepth() != 3 {
-		t.Fatalf("queued/maxdepth = %d/%d", f.Queued(), f.MaxDepth())
+	if f.queued != 3 || f.maxDepth != 3 {
+		t.Fatalf("queued/maxdepth = %d/%d", f.queued, f.maxDepth)
 	}
 }
 
@@ -207,7 +207,7 @@ func TestConservation(t *testing.T) {
 			f.Complete(now, r, true)
 		}
 	}
-	st := f.Tenant(0)
+	st := &f.tenants[0]
 	if st.Offered != st.Admitted+st.ShedThrottle+st.ShedQueue {
 		t.Fatalf("offered %d != admitted %d + sheds %d+%d",
 			st.Offered, st.Admitted, st.ShedThrottle, st.ShedQueue)
@@ -215,7 +215,7 @@ func TestConservation(t *testing.T) {
 	if st.Admitted != st.Completed {
 		t.Fatalf("admitted %d != completed %d after drain", st.Admitted, st.Completed)
 	}
-	if f.Queued() != 0 || f.Inflight() != 0 {
-		t.Fatalf("queued/inflight = %d/%d after drain", f.Queued(), f.Inflight())
+	if f.queued != 0 || f.inflight != 0 {
+		t.Fatalf("queued/inflight = %d/%d after drain", f.queued, f.inflight)
 	}
 }

@@ -1,17 +1,15 @@
 package simnet
 
 // Future is a one-shot value that processes can await: the building block
-// for spawn/sync results, kernel-completion events and RPC replies.
+// for spawn/sync results, kernel-completion events and RPC replies. The
+// zero value is an incomplete future, so a Future can live inside the
+// value it belongs to. Its waiters and the process that completes it must
+// run on one kernel: each waiter is woken on its own.
 type Future[T any] struct {
-	k       *Kernel
 	done    bool
 	val     T
 	waiters []chanWaiter
-}
-
-// NewFuture returns an incomplete future bound to k.
-func NewFuture[T any](k *Kernel) *Future[T] {
-	return &Future[T]{k: k}
+	first   [1]chanWaiter // waiters' first backing array: most futures have one waiter
 }
 
 // Done reports whether the future has been completed.
@@ -27,7 +25,7 @@ func (f *Future[T]) Complete(v T) {
 	f.done = true
 	f.val = v
 	for _, w := range f.waiters {
-		f.k.post(f.k.now, w.p, w.epoch)
+		w.p.k.post(w.p.k.now, w.p, w.epoch)
 	}
 	f.waiters = nil
 }
@@ -36,7 +34,7 @@ func (f *Future[T]) Complete(v T) {
 // future is already complete it returns immediately without yielding.
 func (f *Future[T]) Await(p *Proc) T {
 	for !f.done {
-		f.waiters = append(f.waiters, chanWaiter{p: p, epoch: p.epoch})
+		f.wait(p)
 		p.park()
 	}
 	return f.val
@@ -49,9 +47,9 @@ func (f *Future[T]) AwaitTimeout(p *Proc, d Duration) (v T, ok bool) {
 	if f.done {
 		return f.val, true
 	}
-	deadline := f.k.now.Add(d)
-	f.waiters = append(f.waiters, chanWaiter{p: p, epoch: p.epoch})
-	f.k.post(deadline, p, p.epoch)
+	deadline := p.k.now.Add(d)
+	f.wait(p)
+	p.k.post(deadline, p, p.epoch)
 	p.park()
 	if f.done {
 		return f.val, true
@@ -64,6 +62,14 @@ func (f *Future[T]) AwaitTimeout(p *Proc, d Duration) (v T, ok bool) {
 		}
 	}
 	return v, false
+}
+
+// wait adds p, at its current epoch, to the processes Complete wakes.
+func (f *Future[T]) wait(p *Proc) {
+	if f.waiters == nil {
+		f.waiters = f.first[:0]
+	}
+	f.waiters = append(f.waiters, chanWaiter{p: p, epoch: p.epoch})
 }
 
 // Peek returns the value if complete.

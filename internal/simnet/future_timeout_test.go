@@ -7,7 +7,7 @@ import (
 
 func TestAwaitTimeoutCompletesInTime(t *testing.T) {
 	k := NewKernel(1)
-	f := NewFuture[int](k)
+	f := new(Future[int])
 	var got int
 	var ok bool
 	k.Spawn("w", func(p *Proc) {
@@ -25,7 +25,7 @@ func TestAwaitTimeoutCompletesInTime(t *testing.T) {
 
 func TestAwaitTimeoutExpires(t *testing.T) {
 	k := NewKernel(1)
-	f := NewFuture[int](k)
+	f := new(Future[int])
 	var ok bool
 	var at Time
 	k.Spawn("w", func(p *Proc) {
@@ -43,7 +43,7 @@ func TestAwaitTimeoutExpires(t *testing.T) {
 
 func TestAwaitTimeoutAlreadyComplete(t *testing.T) {
 	k := NewKernel(1)
-	f := NewFuture[int](k)
+	f := new(Future[int])
 	f.Complete(4)
 	ran := false
 	k.Spawn("w", func(p *Proc) {
@@ -65,7 +65,7 @@ func TestAwaitTimeoutAlreadyComplete(t *testing.T) {
 func TestAwaitTimeoutThenComplete(t *testing.T) {
 	// After a timeout the waiter can re-await and still see the completion.
 	k := NewKernel(1)
-	f := NewFuture[int](k)
+	f := new(Future[int])
 	var rounds int
 	var got int
 	k.Spawn("w", func(p *Proc) {

@@ -342,7 +342,7 @@ func TestOverReleasePanics(t *testing.T) {
 
 func TestFutureAwaitBeforeAndAfterComplete(t *testing.T) {
 	k := NewKernel(1)
-	f := NewFuture[int](k)
+	f := new(Future[int])
 	var early, late int
 	var earlyAt Time
 	k.Spawn("early", func(p *Proc) { early, earlyAt = f.Await(p), p.Now() })
@@ -364,8 +364,7 @@ func TestFutureAwaitBeforeAndAfterComplete(t *testing.T) {
 }
 
 func TestFutureDoubleCompletePanics(t *testing.T) {
-	k := NewKernel(1)
-	f := NewFuture[int](k)
+	f := new(Future[int])
 	f.Complete(1)
 	defer func() {
 		if recover() == nil {
