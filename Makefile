@@ -6,6 +6,12 @@ GO ?= go
 # real erosion.
 COVER_FLOOR ?= 68.0
 
+# REACH_CEILING is the most statements `make reach` (and CI's latest-Go test
+# job) lets no committed command run: the audit fails above it, so deleted
+# dead code stays deleted and new code comes with a command that runs it.
+# Set to the total the audit reported when the ceiling was last lowered.
+REACH_CEILING := 2415
+
 .PHONY: check lint vet build test race cover reach bench bench-serve bench-autoscale bench-allocs bench-svm
 
 # check runs everything CI runs (minus the version matrix).
@@ -60,6 +66,10 @@ cover:
 #     with both protocols, nbody with a tuning cache, examples/graph plain
 #     and with -metrics, plain/chaos/autoscale/replay serving, every example
 #     and the tune experiment;
+#   - nbody again over the tuning cache the first -partitions 1 run saved
+#     (the cache-load path), serving with -tune (tuned costs and batch caps)
+#     and serving replayed from internal/serve/testdata/replay.trace (the
+#     trace-file parser);
 #   - cashmere-run's other outputs on k-means: a -trace file (4 k20 nodes),
 #     the -gantt chart (2 nodes) and a heterogeneous -cluster spec with
 #     -metrics;
@@ -73,9 +83,10 @@ cover:
 # write (date lines dropped); of the benchmark only its trajectory_digest
 # lines, as the rest are host times. So the out/ directories of two trees
 # diff clean when a change keeps every output. It then prints every function
-# no command ran (0.0%) and the total of unreached statements. The
-# benchmark's own package is dropped from the profile: go tool cover cannot
-# resolve it from this module.
+# no command ran (0.0%) and the total of unreached statements, and fails
+# when that total exceeds REACH_CEILING. The benchmark's own package is
+# dropped from the profile: go tool cover cannot resolve it from this
+# module.
 REACH := .reach
 reach:
 	@set -e; rm -rf $(REACH); mkdir -p $(REACH)/bin $(REACH)/cov $(REACH)/files $(REACH)/out; \
@@ -95,6 +106,9 @@ reach:
 		for mode in -chaos -autoscale "-replay synth"; do \
 			$$b/cashmere-serve -nodes 4 -duration 500ms $$mode -metrics -partitions $$p > "$$o/serve$$(echo $$mode | tr -d ' ')-p$$p.txt"; done; \
 	done; \
+	$$b/cashmere-run -app nbody -nodes 4 -metrics -tune-cache $$f/tc1.json > $$o/tune-reload.txt; \
+	$$b/cashmere-serve -nodes 4 -duration 500ms -tune -metrics > $$o/serve-tune.txt; \
+	$$b/cashmere-serve -replay internal/serve/testdata/replay.trace -metrics > $$o/serve-replay-file.txt; \
 	$$b/graph > $$o/graph.txt; $$b/graph -metrics > $$o/graph-metrics.txt; $$b/graph -metrics -partitions 4 > $$o/graph-metrics-p4.txt; \
 	for e in faulttolerance heterogeneous pipeline quickstart serving stepwise; do $$b/$$e > $$o/example-$$e.txt; done; \
 	$$b/cashmere-serve -sweep -out $$f/serve-sweep.json > $$o/serve-sweep.txt; \
@@ -116,9 +130,10 @@ reach:
 	$(GO) tool covdata textfmt -i=$(REACH)/cov -o $(REACH)/all.out; \
 	grep -v '^cashmere/benchmark/' $(REACH)/all.out > $(REACH)/reach.out; \
 	$(GO) tool cover -func=$(REACH)/reach.out | awk '$$NF == "0.0%"'; \
-	awk 'NR > 1 { n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
+	awk -v c=$(REACH_CEILING) 'NR > 1 { n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
 		END { for (k in n) { t += n[k]; if (!(k in hit)) u += n[k] } \
-		printf "unreached: %d of %d statements\n", u, t }' $(REACH)/reach.out
+		printf "unreached: %d of %d statements (ceiling %d)\n", u, t, c; \
+		if (u > c) { print "unreached statements exceed REACH_CEILING"; exit 1 } }' $(REACH)/reach.out
 
 # bench prints the engine-comparison and event-queue numbers that
 # BENCH_kernels.json records; it does not write the file. Copy the rows in
@@ -155,8 +170,8 @@ bench-autoscale:
 # device-runtime enqueue path (BenchmarkLaunchPath), the dataflow-graph
 # submit path (BenchmarkGraphSubmitPath), the serving admission fast
 # path (BenchmarkServeAdmitPath), one remote serving batch round trip run
-# as steps — slot, serve_batch, pooled batch server, a stepped launch or
-# graph run, serve_done — (BenchmarkServeBatchPath/launch and /graph), the
+# as steps — slot, serve_batch, pooled batch server, a stepped launch,
+# serve_done — (BenchmarkServeBatchPath/launch), the
 # SVM steady-state re-fault path (BenchmarkSVMRefault) and the memoized
 # kernel-cost lookup, for a repeated launch and for raytracer leaves that
 # differ in a parameter the cost never reads (BenchmarkKernelCost/memoized
@@ -167,7 +182,7 @@ bench-allocs:
 		-bench 'BenchmarkSimnetEventLoop|BenchmarkEventHeap|BenchmarkNetworkMessageRate|BenchmarkTraceOverhead|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkServeBatchPath|BenchmarkSVMRefault|BenchmarkKernelCost' \
 		./internal/simnet/ ./internal/network/ ./internal/trace/ ./internal/ocl/ ./internal/core/ ./internal/svm/ ./internal/serve/ | tee bench-allocs.out
 	@bad=$$(awk '/allocs\/op/ { name=$$1; sub(/-[0-9]+$$/, "", name); \
-		if (name ~ /^(BenchmarkSimnetEventLoop\/hold|BenchmarkSimnetEventLoop\/pingpong|BenchmarkSimnetEventLoop\/timeout|BenchmarkSimnetEventLoop\/step|BenchmarkSimnetEventLoop\/stepuntil|BenchmarkEventHeap\/(alternate|pairs|fold)\/depth=(16|64|256)|BenchmarkNetworkMessageRate\/bulk|BenchmarkNetworkMessageRate\/ctl|BenchmarkNetworkMessageRate\/contended|BenchmarkNetworkMessageRate\/stepped|BenchmarkTraceOverhead\/off|BenchmarkTraceOverhead\/off\/span-only|BenchmarkTraceOverheadDevice\/off|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkServeBatchPath\/(launch|graph)|BenchmarkSVMRefault|BenchmarkKernelCost\/memoized|BenchmarkKernelCost\/raytrace-memoized)$$/ \
+		if (name ~ /^(BenchmarkSimnetEventLoop\/hold|BenchmarkSimnetEventLoop\/pingpong|BenchmarkSimnetEventLoop\/timeout|BenchmarkSimnetEventLoop\/step|BenchmarkSimnetEventLoop\/stepuntil|BenchmarkEventHeap\/(alternate|pairs|fold)\/depth=(16|64|256)|BenchmarkNetworkMessageRate\/bulk|BenchmarkNetworkMessageRate\/ctl|BenchmarkNetworkMessageRate\/contended|BenchmarkNetworkMessageRate\/stepped|BenchmarkTraceOverhead\/off|BenchmarkTraceOverhead\/off\/span-only|BenchmarkTraceOverheadDevice\/off|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkServeBatchPath\/launch|BenchmarkSVMRefault|BenchmarkKernelCost\/memoized|BenchmarkKernelCost\/raytrace-memoized)$$/ \
 		&& $$(NF-1)+0 > 0) print name, $$(NF-1), "allocs/op" }' bench-allocs.out); \
 	if [ -n "$$bad" ]; then echo "zero-alloc benchmarks regressed:"; echo "$$bad"; exit 1; fi; \
 	echo "all pinned benchmarks at 0 allocs/op"

@@ -23,7 +23,7 @@ import (
 // iteration and reports speedup and absolute GFLOPS on 16 nodes.
 func benchScalability(b *testing.B, app string) {
 	for i := 0; i < b.N; i++ {
-		sp, ab, err := bench.Scalability(app)
+		sp, ab, err := bench.ScalabilityPartitioned(app, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

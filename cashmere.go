@@ -115,17 +115,21 @@ const (
 )
 
 // NewSVMBuffer allocates, from inside a leaf computation, a coherent shared
-// region homed on the executing node. Works under any transport.
+// region homed on the executing node. The buffer belongs to that node: a
+// launch on another node that declares it fails, and SyncSVM or WriteSVM
+// there panic. Works under any transport.
 func NewSVMBuffer(ctx *Context, name string, size int64) (*SVMBuffer, error) {
 	return core.NewSVMBuffer(ctx, name, size)
 }
 
 // SyncSVM blocks until the host copy of b is current (dirty device pages
-// migrate back). A no-op when nothing is dirty.
+// migrate back). A no-op when nothing is dirty. b must be homed on the
+// calling node.
 func SyncSVM(ctx *Context, b *SVMBuffer) { core.SyncSVM(ctx, b) }
 
 // WriteSVM declares a host overwrite of b's given ranges (all of b when none
-// are given), invalidating device copies.
+// are given), invalidating device copies. b must be homed on the calling
+// node.
 func WriteSVM(ctx *Context, b *SVMBuffer, ranges ...SVMRange) { core.WriteSVM(ctx, b, ranges...) }
 
 // Dataflow graphs: compound multi-kernel computations scheduled as one DAG

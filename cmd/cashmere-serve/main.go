@@ -261,7 +261,7 @@ func tuneRequestFor(w *serve.Workload, ks *codegen.KernelSet, dev string) (tune.
 	req := tune.Request{Set: ks, Device: spec}
 	for _, t := range w.Tenants {
 		for _, c := range t.Mix {
-			if c.Graph != nil || c.Kernel != ks.Name {
+			if c.Kernel != ks.Name {
 				continue
 			}
 			if req.Params == nil || c.InBytes > req.InBytes {

@@ -205,21 +205,18 @@ func runVariant(appName string, n int, v apps.Variant, partitions int) (apps.Res
 	return d.run(cl, v)
 }
 
-// Scalability reproduces one pair of scalability figures (speedup and
-// absolute GFLOPS on 1-16 GTX480 nodes, three systems):
+// ScalabilityPartitioned reproduces one pair of scalability figures
+// (speedup and absolute GFLOPS on 1-16 GTX480 nodes, three systems):
 //
 //	raytracer -> Fig. 7 /  8
 //	matmul    -> Fig. 9 / 10
 //	kmeans    -> Fig. 11 / 12
 //	nbody     -> Fig. 13 / 14
-func Scalability(appName string) (speedup, absolute Figure, err error) {
-	return ScalabilityPartitioned(appName, 1)
-}
-
-// ScalabilityPartitioned is Scalability with every simulation split into the
-// given number of intra-simulation partitions (clamped per cluster to its
-// node count). The figures are byte-identical to the sequential ones; only
-// the wall-clock time changes.
+//
+// Every simulation is split into the given number of intra-simulation
+// partitions (clamped per cluster to its node count). The figures are
+// byte-identical at every partition count; only the wall-clock time
+// changes.
 func ScalabilityPartitioned(appName string, partitions int) (speedup, absolute Figure, err error) {
 	ids := map[string][2]string{
 		"raytracer": {"fig7", "fig8"},

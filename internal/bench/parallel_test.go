@@ -96,7 +96,7 @@ func BenchmarkFig7Harness(b *testing.B) {
 			warm(b)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := Scalability("raytracer"); err != nil {
+				if _, _, err := ScalabilityPartitioned("raytracer", 1); err != nil {
 					b.Fatal(err)
 				}
 			}

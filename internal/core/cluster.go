@@ -253,7 +253,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			costCache: map[costKey]*costSlot{},
 			graphs:    map[*GraphSpec]*Graph{},
 		}
-		state.Space = svm.NewSpace(ps.KernelFor(i), i, on.Devices, cfg.SVM, rec, cfg.Net.TransferTime)
+		state.Space = svm.NewSpace(ps.KernelFor(i), i, on.Devices, cfg.SVM, rec)
 		state.Sched = newScheduler(state)
 		cl.nodes = append(cl.nodes, state)
 		cl.rt.Node(i).SetDeviceState(state)
@@ -264,9 +264,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // Kernel returns the master's simulation kernel (for custom drivers and
 // tests; partition 0 in a partitioned cluster).
 func (cl *Cluster) Kernel() *simnet.Kernel { return cl.k }
-
-// Scheduler returns the partitioned event scheduler.
-func (cl *Cluster) Scheduler() *simnet.Partitioned { return cl.ps }
 
 // FlopsCharged sums the modeled flops of every kernel launch, for GFLOPS
 // reporting by the benchmark harness. Must not be called during a run.
@@ -316,19 +313,29 @@ func (cl *Cluster) Register(ks *codegen.KernelSet) error {
 // initialize compiles, on every node, the most specific version of every
 // registered kernel for each of the node's devices (Sec. III-B: the master
 // broadcasts run-time information and each node compiles for its devices).
-// MCL compiles a kernel once per hardware description: the kernel set's
-// cache compiles each (kernel, device type) once, and every node whose
-// device has that type shares the result. With a tuning cache configured,
-// cached winners override the default level/geometry choice per (kernel,
-// device).
+// MCL compiles a kernel once per hardware description: each (kernel,
+// device type) is compiled, and looked up in the tuning cache, once per
+// cluster, and every node whose device has that type shares the result.
+// With a tuning cache configured, cached winners override the default
+// level/geometry choice per (kernel, device type).
 func (cl *Cluster) initialize() error {
+	type compileKey struct {
+		ks  *codegen.KernelSet
+		dev string
+	}
+	done := map[compileKey]*codegen.Compiled{}
 	for _, ns := range cl.nodes {
 		for name, ks := range cl.registry {
 			var compiled []*codegen.Compiled
 			for _, dev := range ns.Devices {
-				c, err := cl.compileFor(ks, dev.Spec())
-				if err != nil {
-					return fmt.Errorf("core: node %d, device %s: %w", ns.ID, dev.Name(), err)
+				key := compileKey{ks, dev.Spec().Name}
+				c, ok := done[key]
+				if !ok {
+					var err error
+					if c, err = cl.compileFor(ks, dev.Spec()); err != nil {
+						return fmt.Errorf("core: node %d, device %s: %w", ns.ID, dev.Name(), err)
+					}
+					done[key] = c
 				}
 				compiled = append(compiled, c)
 			}

@@ -98,7 +98,7 @@ func TestClusterSharesCompiledKernels(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if hits, misses := ns.CostCacheStats(); hits != 1 || misses != 2 {
+	if hits, misses := ns.costHits, ns.costMisses; hits != 1 || misses != 2 {
 		t.Fatalf("two k20s sharing a compile: %d hits and %d misses, want 1 and 2 (one miss per device)", hits, misses)
 	}
 }
@@ -147,7 +147,7 @@ func TestNewClusterRejectsNegativePartitions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Partitions %d: %v", parts, err)
 		}
-		if n := cl.Scheduler().Parts(); n != 1 {
+		if n := cl.ps.Parts(); n != 1 {
 			t.Fatalf("Partitions %d: %d kernels, want 1", parts, n)
 		}
 	}

@@ -79,8 +79,3 @@ func (e *costEntry) matches(vals []int64) bool {
 	}
 	return true
 }
-
-// CostCacheStats reports memoization hits and misses for this node.
-func (ns *NodeState) CostCacheStats() (hits, misses int64) {
-	return ns.costHits, ns.costMisses
-}

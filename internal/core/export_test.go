@@ -20,3 +20,6 @@ func (ns *NodeState) KernelCost(c *codegen.Compiled, params map[string]int64) (d
 // Compiled returns the node's compiled versions of a registered kernel, one
 // per device.
 func (ns *NodeState) Compiled(name string) []*codegen.Compiled { return ns.kernels[name].compiled }
+
+// CostCacheStats reports the node's cost-cache hits and misses.
+func (ns *NodeState) CostCacheStats() (hits, misses int64) { return ns.costHits, ns.costMisses }

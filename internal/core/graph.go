@@ -1,13 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"cashmere/internal/device"
-	"cashmere/internal/mcl/codegen"
-	"cashmere/internal/mcl/hdl"
-	"cashmere/internal/simnet"
-)
+import "fmt"
 
 // A GraphSpec is the device-independent template of a compound multi-kernel
 // computation: kernels are stages (nodes), buffers are typed edges. Real MCL
@@ -71,12 +64,6 @@ type GraphBuffer struct {
 	producer int // stage index that writes it; -1 until written
 }
 
-// Name returns the buffer name.
-func (b *GraphBuffer) Name() string { return b.name }
-
-// Bytes returns the buffer size.
-func (b *GraphBuffer) Bytes() int64 { return b.bytes }
-
 // SetVersion marks the host-side contents of an external input as changed:
 // the next Run re-transfers the buffer to every device that uses it.
 // Unchanged versions stay device-resident across runs (iterative
@@ -127,9 +114,6 @@ const maxStageEdges = 6
 func NewGraphSpec(name string) *GraphSpec {
 	return &GraphSpec{name: name}
 }
-
-// Name returns the graph name.
-func (gs *GraphSpec) Name() string { return gs.name }
 
 func (gs *GraphSpec) addBuf(name string, bytes int64, kind bufKind) *GraphBuffer {
 	b := &GraphBuffer{name: name, bytes: bytes, kind: kind, idx: len(gs.bufs), producer: -1, version: 1}
@@ -236,20 +220,6 @@ func (gs *GraphSpec) Validate() error {
 	return nil
 }
 
-// ExternalBytes reports the external traffic a run of the graph cannot
-// avoid: input bytes in (counted once) and output bytes back.
-func (gs *GraphSpec) ExternalBytes() (in, out int64) {
-	for _, b := range gs.bufs {
-		switch b.kind {
-		case bufInput:
-			in += b.bytes
-		case bufOutput:
-			out += b.bytes
-		}
-	}
-	return in, out
-}
-
 // NaiveBytes reports the PCIe traffic of the equivalent naive per-kernel
 // launch sequence (every stage ships its inputs down and its outputs back).
 func (gs *GraphSpec) NaiveBytes() int64 {
@@ -266,32 +236,4 @@ func (gs *GraphSpec) NaiveBytes() int64 {
 		}
 	}
 	return total
-}
-
-// EstimateCost models one run of the graph on a single device of the given
-// spec: the sum of per-stage kernel times plus the external input/output
-// transfers (intermediates chain on-device and are free). The serving layer
-// uses it to derive CostHints for graph-valued job classes.
-func (gs *GraphSpec) EstimateCost(spec *device.Spec, h *hdl.Hierarchy, kernels map[string]*codegen.KernelSet) (simnet.Duration, error) {
-	if err := gs.Validate(); err != nil {
-		return 0, err
-	}
-	var total simnet.Duration
-	for _, s := range gs.stages {
-		ks, ok := kernels[s.Kernel]
-		if !ok {
-			return 0, fmt.Errorf("core: graph %s: kernel %q not available for estimation", gs.name, s.Kernel)
-		}
-		c, err := ks.Compile(spec.Leaf, h)
-		if err != nil {
-			return 0, err
-		}
-		cost, err := c.Cost(s.Params)
-		if err != nil {
-			return 0, err
-		}
-		total += spec.KernelTime(cost)
-	}
-	in, out := gs.ExternalBytes()
-	return total + spec.TransferTime(in) + spec.TransferTime(out), nil
 }

@@ -431,39 +431,3 @@ func TestGraphPlanErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestGraphWorkspaceCloseReleases checks Close returns the device memory and
-// a later Run reallocates it.
-func TestGraphWorkspaceCloseReleases(t *testing.T) {
-	cl, _ := NewCluster(DefaultConfig(1, "k20"))
-	cl.Register(mustKS(t, "scale", scaleKernel))
-	gs := chainSpec("close", 1<<18, nil)
-	_, _, err := cl.Run(func(ctx *satin.Context) any {
-		g, err := GetGraph(ctx, gs)
-		if err != nil {
-			return err
-		}
-		if err := g.Run(ctx); err != nil {
-			return err
-		}
-		dev := cl.NodeState(0).Devices[0]
-		used := dev.MemUsed()
-		if used == 0 {
-			t.Error("no workspace resident after Run")
-		}
-		g.Close()
-		if dev.MemUsed() != 0 {
-			t.Errorf("Close left %d bytes allocated", dev.MemUsed())
-		}
-		if err := g.Run(ctx); err != nil {
-			return err
-		}
-		if dev.MemUsed() != used {
-			t.Errorf("re-Run allocated %d bytes, want %d", dev.MemUsed(), used)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

@@ -117,8 +117,8 @@ func (r *GraphRun) Prepare(g *Graph) {
 }
 
 // Step runs the submission as steps of a step process p, as Launch.Step
-// runs a launch; once it returns false, Err holds what Graph.Run would
-// have returned.
+// runs a launch; once it returns false, r.err holds what Graph.Run
+// returns.
 func (r *GraphRun) Step(p *simnet.Proc) bool {
 	g := r.g
 	for {
@@ -163,9 +163,6 @@ func (r *GraphRun) Step(p *simnet.Proc) bool {
 		}
 	}
 }
-
-// Err reports the outcome of the last finished run.
-func (r *GraphRun) Err() error { return r.err }
 
 // submit books the plan's devices and enqueues every planned operation.
 func (r *GraphRun) submit() {
@@ -233,18 +230,6 @@ func (r *GraphRun) finish() {
 			}
 		}
 	}
-}
-
-// Close releases the graph's device workspace. Subsequent Runs reallocate.
-func (g *Graph) Close() {
-	if g.allocated {
-		for d := range g.ws {
-			if g.plan.workspace[d] > 0 {
-				g.ws[d].Free()
-			}
-		}
-	}
-	g.allocated = false
 }
 
 // RunNaive executes the graph as the equivalent naive per-kernel launch

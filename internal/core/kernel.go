@@ -83,13 +83,12 @@ type Launch struct {
 	step func(*simnet.Proc) bool // Step, bound once (NodeState.launches)
 	next *Launch                 // NodeState.launches link
 
-	// The launch in progress: the phase it waits in (fetched: holding a
-	// foreign buffer's fetch), the device and the scheduler's estimate, the
-	// kernel's cost and the bytes it moves, its device memory, the events
-	// the kernel follows, the next buffer access, the event the launch ends
-	// with and its modeled kernel time; err is the outcome.
+	// The launch in progress: the phase it waits in, the device and the
+	// scheduler's estimate, the kernel's cost and the bytes it moves, its
+	// device memory, the events the kernel follows, the next buffer access,
+	// the event the launch ends with and its modeled kernel time; err is the
+	// outcome.
 	phase      launchPhase
-	fetched    bool
 	dev        int
 	est        simnet.Duration
 	cost       device.KernelCost
@@ -213,21 +212,25 @@ func (l *Launch) Err() error { return l.err }
 
 // start checks the launch's sizes and buffer accesses, picks its device
 // and prices its kernel; an error (a negative size, a buffer access with
-// no Read or Write mode or with a range outside its buffer, an unknown
-// parameter, a launch that can never fit the device) ends it.
+// no Read or Write mode, with a range outside its buffer or on a buffer
+// homed on another node, an unknown parameter, a launch that can never fit
+// the device) ends it.
 func (l *Launch) start() error {
 	if l.spec.InBytes < 0 || l.spec.OutBytes < 0 {
 		return fmt.Errorf("core: launch %s: negative transfer size (in %d, out %d bytes)", l.spec.Label, l.spec.InBytes, l.spec.OutBytes)
 	}
+	ns := l.k.ns
 	for i, a := range l.spec.Buffers {
 		if a.Mode&svm.ReadWrite == 0 {
 			return fmt.Errorf("core: launch %s: buffer access %d has no Read or Write mode", l.spec.Label, i)
+		}
+		if err := ns.Space.Local(a.Buf); err != nil {
+			return fmt.Errorf("core: launch %s: %w", l.spec.Label, err)
 		}
 		if err := a.Buf.Check(a.Ranges); err != nil {
 			return fmt.Errorf("core: launch %s: %w", l.spec.Label, err)
 		}
 	}
-	ns := l.k.ns
 	l.dev, l.est = ns.Sched.Pick(l.k.name)
 	dev := ns.Devices[l.dev]
 	compiled := l.k.compiled[l.dev]
@@ -269,26 +272,14 @@ func (l *Launch) start() error {
 }
 
 // acquire services the declared buffer accesses left, in order, through
-// the node's coherence protocol, and reports true while p is held for one
-// (its messages, or a foreign buffer's network fetch, which precedes its
-// staging). The kernel gates on the last migration into the device: all
-// of them ride its in-order H2D queue.
+// the node's coherence protocol, and reports true while p is held for the
+// messages of one. The kernel gates on the last migration into the device:
+// all of them ride its in-order H2D queue.
 func (l *Launch) acquire(p *simnet.Proc) bool {
-	sp := l.k.ns.Space
 	for l.access < len(l.spec.Buffers) {
 		a := &l.spec.Buffers[l.access]
-		ev, hold := ocl.Event{}, simnet.Duration(-1)
-		switch {
-		case a.Buf.Space() == sp:
-			ev, hold = sp.Acquire(a.Buf, l.dev, a.Mode, a.Ranges)
-		case !l.fetched:
-			hold, l.fetched = sp.Fetch(a.Buf, a.Mode, a.Ranges), true
-		default:
-			ev, l.fetched = sp.Stage(a.Buf, l.dev, a.Mode, a.Ranges), false
-		}
-		if !l.fetched {
-			l.access++
-		}
+		ev, hold := l.k.ns.Space.Acquire(a.Buf, l.dev, a.Mode, a.Ranges)
+		l.access++
 		if !ev.Done() {
 			l.bdep = ev
 		}

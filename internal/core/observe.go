@@ -115,8 +115,6 @@ func (cl *Cluster) CollectMetrics() *trace.Metrics {
 	m.SetInt("svm.pages_migrated", sc.PagesMigrated)
 	m.SetInt("svm.invalidations", sc.Invalidations)
 	m.SetInt("svm.bytes_moved", sc.BytesMoved)
-	m.SetInt("svm.remote_fetches", sc.RemoteFetches)
-	m.SetInt("svm.remote_bytes", sc.RemoteBytes)
 
 	m.MergeCounters(cl.rec)
 	return m

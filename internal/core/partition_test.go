@@ -116,7 +116,7 @@ func TestPartitionedStatsAccount(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	st := cl.Scheduler().Stats()
+	st := cl.ps.Stats()
 	if st.Partitions != 4 {
 		t.Fatalf("partitions = %d", st.Partitions)
 	}
@@ -131,7 +131,7 @@ func TestPartitionedStatsAccount(t *testing.T) {
 	if sent == 0 || sent != recv {
 		t.Fatalf("cross-partition events sent=%d recv=%d", sent, recv)
 	}
-	if cl.Scheduler().Lookahead() <= 0 {
+	if cl.ps.Lookahead() <= 0 {
 		t.Fatal("no lookahead registered by the network layer")
 	}
 }

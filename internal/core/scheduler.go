@@ -119,6 +119,3 @@ func (s *Scheduler) Record(kernel string, dev int, measured simnet.Duration) {
 	}
 	hist[dev] = measured
 }
-
-// Backlog returns the current estimated backlog of device d's queue.
-func (s *Scheduler) Backlog(d int) simnet.Duration { return s.pending[d] }

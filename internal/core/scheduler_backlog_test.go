@@ -40,8 +40,8 @@ func TestSchedulerBacklogInterleavedPickDone(t *testing.T) {
 	var outstanding []job
 	checkNonNegative := func() {
 		for d := 0; d < 3; d++ {
-			if s.Backlog(d) < 0 {
-				t.Fatalf("device %d backlog went negative: %v", d, s.Backlog(d))
+			if s.pending[d] < 0 {
+				t.Fatalf("device %d backlog went negative: %v", d, s.pending[d])
 			}
 		}
 	}
@@ -66,8 +66,8 @@ func TestSchedulerBacklogInterleavedPickDone(t *testing.T) {
 		s.Done(jb.kernel, jb.dev, jb.est, simnet.Duration(1e6))
 	}
 	for d := 0; d < 3; d++ {
-		if s.Backlog(d) != 0 {
-			t.Fatalf("device %d backlog %v after all jobs completed, want 0", d, s.Backlog(d))
+		if s.pending[d] != 0 {
+			t.Fatalf("device %d backlog %v after all jobs completed, want 0", d, s.pending[d])
 		}
 	}
 }
@@ -98,7 +98,7 @@ func TestSchedulerBacklogReleasedOnErrorPaths(t *testing.T) {
 		if err == nil {
 			t.Error("launch with unknown parameter succeeded")
 		}
-		if got := s.Backlog(0); got != 0 {
+		if got := s.pending[0]; got != 0 {
 			t.Errorf("backlog %v after cost-model error, want 0", got)
 		}
 
@@ -112,7 +112,7 @@ func TestSchedulerBacklogReleasedOnErrorPaths(t *testing.T) {
 		if err == nil {
 			t.Error("launch larger than device memory succeeded")
 		}
-		if got := s.Backlog(0); got != 0 {
+		if got := s.pending[0]; got != 0 {
 			t.Errorf("backlog %v after out-of-memory error, want 0", got)
 		}
 		if cl.CPUFallbacks() == 0 {
@@ -127,7 +127,7 @@ func TestSchedulerBacklogReleasedOnErrorPaths(t *testing.T) {
 		if err != nil {
 			t.Errorf("launch failed: %v", err)
 		}
-		if got := s.Backlog(0); got != 0 {
+		if got := s.pending[0]; got != 0 {
 			t.Errorf("backlog %v after launch completed, want 0", got)
 		}
 		return nil
@@ -171,7 +171,7 @@ func TestSchedulerBacklogUnderConcurrentLaunches(t *testing.T) {
 					if err != nil {
 						t.Error(err)
 					}
-					if s.Backlog(0) < 0 || s.Backlog(1) < 0 {
+					if s.pending[0] < 0 || s.pending[1] < 0 {
 						t.Error("backlog went negative during concurrent launches")
 					}
 				}
@@ -185,8 +185,8 @@ func TestSchedulerBacklogUnderConcurrentLaunches(t *testing.T) {
 				t.Errorf("frame %d did not complete", i)
 			}
 		}
-		if s.Backlog(0) != 0 || s.Backlog(1) != 0 {
-			t.Errorf("backlog %v/%v after sync, want 0/0", s.Backlog(0), s.Backlog(1))
+		if s.pending[0] != 0 || s.pending[1] != 0 {
+			t.Errorf("backlog %v/%v after sync, want 0/0", s.pending[0], s.pending[1])
 		}
 		return nil
 	})

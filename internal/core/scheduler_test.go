@@ -24,7 +24,7 @@ func TestPinnedLaunchReleasesBacklogOnError(t *testing.T) {
 		}).Run(ctx); err == nil {
 			t.Error("launch with bad params succeeded")
 		}
-		if got := ns.Sched.Backlog(0); got != 0 {
+		if got := ns.Sched.pending[0]; got != 0 {
 			t.Errorf("backlog after cost error = %v", got)
 		}
 
@@ -35,7 +35,7 @@ func TestPinnedLaunchReleasesBacklogOnError(t *testing.T) {
 		}).Run(ctx); err == nil {
 			t.Error("oversized launch succeeded")
 		}
-		if got := ns.Sched.Backlog(0); got != 0 {
+		if got := ns.Sched.pending[0]; got != 0 {
 			t.Errorf("backlog after OOM error = %v", got)
 		}
 		return nil
@@ -65,7 +65,7 @@ func TestBacklogNeverNegativeUnderConcurrentLaunches(t *testing.T) {
 					t.Error(err)
 				}
 				for d := range ns.Devices {
-					if got := ns.Sched.Backlog(d); got < 0 {
+					if got := ns.Sched.pending[d]; got < 0 {
 						t.Errorf("backlog(%d) = %v after a completion", d, got)
 					}
 				}
@@ -77,7 +77,7 @@ func TestBacklogNeverNegativeUnderConcurrentLaunches(t *testing.T) {
 	})
 	ns := cl.NodeState(0)
 	for d := range ns.Devices {
-		if got := ns.Sched.Backlog(d); got != 0 {
+		if got := ns.Sched.pending[d]; got != 0 {
 			t.Fatalf("backlog(%d) = %v after the run, want 0", d, got)
 		}
 	}
@@ -93,7 +93,7 @@ func TestSchedulerDoneClampsOverRelease(t *testing.T) {
 	s := cl.NodeState(0).Sched
 	_, est := s.Pick("scale")
 	s.Done("scale", 0, est+50*time.Millisecond, 10*time.Millisecond)
-	if got := s.Backlog(0); got != 0 {
+	if got := s.pending[0]; got != 0 {
 		t.Fatalf("over-release left backlog %v", got)
 	}
 }

@@ -62,8 +62,9 @@ func (c *launcher) spec() *LaunchSpec {
 			b := c.bufs[c.rng.Intn(len(c.bufs))]
 			a := BufferAccess{Buf: b, Mode: svm.Mode(1 + c.rng.Intn(3))}
 			if c.rng.Intn(2) == 0 {
-				off := c.rng.Int63n(b.Size())
-				a.Ranges = []svm.Range{{Off: off, Len: c.rng.Int63n(b.Size() - off)}}
+				size := b.Bytes(nil)
+				off := c.rng.Int63n(size)
+				a.Ranges = []svm.Range{{Off: off, Len: c.rng.Int63n(size - off)}}
 			}
 			s.Buffers = append(s.Buffers, a)
 		}
@@ -119,7 +120,7 @@ func (c *launcher) step(p *simnet.Proc) bool {
 			if c.gr.Step(p) {
 				return true
 			}
-			c.logDone(p.Now(), c.gr.Err())
+			c.logDone(p.Now(), c.gr.err)
 			c.round, c.phase = c.round+1, 0
 		}
 	}
@@ -145,7 +146,7 @@ func nodeLaunchers(t *testing.T, seed int64, transport Transport, proto svm.Prot
 	w := &wakeLog{}
 	cl.Kernel().SetTracer(w)
 	rng := rand.New(rand.NewSource(seed))
-	foreign := svm.NewSpace(cl.Kernel(), 1, nil, svm.Config{}, nil, nil)
+	foreign := svm.NewSpace(cl.Kernel(), 1, nil, svm.Config{}, nil)
 	var graph *Graph
 	var b strings.Builder
 	_, _, err = cl.RunServices(func(ctx *satin.Context) any {
@@ -182,7 +183,11 @@ func nodeLaunchers(t *testing.T, seed int64, transport Transport, proto svm.Prot
 	if err != nil {
 		t.Fatal(err)
 	}
-	graph.Close()
+	for d, need := range graph.plan.workspace {
+		if need > 0 && graph.allocated {
+			graph.ws[d].Free() // the graph holds its workspace for life
+		}
+	}
 	ns := cl.NodeState(0)
 	for _, d := range ns.Devices {
 		if d.MemUsed() != 0 {
@@ -200,8 +205,8 @@ func nodeLaunchers(t *testing.T, seed int64, transport Transport, proto svm.Prot
 // or a step process driving a reused Launch and GraphRun with Step —
 // through device picks, memory waits, streamed pipelines, resident
 // transfers, CPU fallbacks, workspace allocation and, under the SVM
-// transport with either protocol, the holds of declared buffer accesses,
-// a foreign buffer's among them.
+// transport with either protocol, the holds of declared buffer accesses;
+// both forms reject a launch that declares a buffer homed on another node.
 func TestLaunchStepMatchesRun(t *testing.T) {
 	inputs := []struct {
 		name      string

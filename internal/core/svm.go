@@ -11,9 +11,10 @@ import (
 // BufferAccess declares how a launch touches one shared-virtual-memory
 // buffer: the mode (svm.Read / svm.Write / svm.ReadWrite) over the given
 // byte ranges (the whole buffer when Ranges is empty), each of which must
-// lie inside the buffer. Under the SVM transport each access is serviced
-// through the node's coherence protocol before the kernel runs; under the
-// explicit transport its bytes are billed as bulk copies instead.
+// lie inside the buffer; the buffer must be homed on the launching node.
+// Under the SVM transport each access is serviced through the node's
+// coherence protocol before the kernel runs; under the explicit transport
+// its bytes are billed as bulk copies instead.
 type BufferAccess struct {
 	Buf    *svm.Buffer
 	Mode   svm.Mode
@@ -30,7 +31,10 @@ func nodeState(ctx *satin.Context) (*NodeState, error) {
 }
 
 // NewSVMBuffer allocates a shared region homed on the calling node's Space.
-// Works under any transport (explicit-transport runs simply never fault it).
+// The buffer belongs to that node: only launches, SyncSVM and WriteSVM on
+// the same node may use it (a launch on another node fails at start, and
+// SyncSVM/WriteSVM there panic). Works under any transport
+// (explicit-transport runs simply never fault it).
 func NewSVMBuffer(ctx *satin.Context, name string, size int64) (*svm.Buffer, error) {
 	ns, err := nodeState(ctx)
 	if err != nil {
@@ -42,16 +46,31 @@ func NewSVMBuffer(ctx *satin.Context, name string, size int64) (*svm.Buffer, err
 // SyncSVM blocks until the host copy of b is current, migrating dirty device
 // pages back over the D2H queues. A no-op when everything is already valid
 // on the host — in particular under the explicit transport, where devices
-// never take ownership.
+// never take ownership. It panics when b is homed on another node.
 func SyncSVM(ctx *satin.Context, b *svm.Buffer) {
+	mustBeLocal(ctx, b)
 	b.SyncHost(ctx.Proc())
 }
 
 // WriteSVM declares that the host overwrote the given ranges of b (all of it
 // when none are given), invalidating device copies. The SVM-transport
-// counterpart of bumping a Resident version.
+// counterpart of bumping a Resident version. It panics when b is homed on
+// another node.
 func WriteSVM(ctx *satin.Context, b *svm.Buffer, ranges ...svm.Range) {
+	mustBeLocal(ctx, b)
 	b.HostWrite(ctx.Proc(), ranges...)
+}
+
+// mustBeLocal panics unless b is homed on ctx's node: a host access changes
+// the buffer's coherence state, which only its own node's process may do.
+func mustBeLocal(ctx *satin.Context, b *svm.Buffer) {
+	ns, err := nodeState(ctx)
+	if err == nil {
+		err = ns.Space.Local(b)
+	}
+	if err != nil {
+		panic(err)
+	}
 }
 
 // svmEnabled reports whether this node services launches over SVM.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"cashmere/internal/mcl/interp"
@@ -193,6 +195,93 @@ func TestLaunchRejectsBadSizes(t *testing.T) {
 				t.Errorf("%s, %s: error %v, %d CPU fallbacks, %d bytes moved, %d launches; want an error and nothing else",
 					transport, c.name, runErr, cl.CPUFallbacks(), dev.BytesMoved(), dev.Launches())
 			}
+		}
+	}
+}
+
+// foreignBufferCluster builds a two-node k20 cluster under transport and a
+// buffer homed on node 1, which node 0's processes must not use.
+func foreignBufferCluster(t *testing.T, transport Transport) (*Cluster, *svm.Buffer) {
+	t.Helper()
+	cfg := DefaultConfig(2, "k20")
+	cfg.Transport = transport
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Register(mustKS(t, "scale", scaleKernel))
+	far, err := cl.NodeState(1).Space.NewBuffer("far", 256<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl, far
+}
+
+// TestLaunchRejectsForeignBuffer: an SVM buffer belongs to the node that
+// allocated it, so a launch on another node that declares it fails at
+// start on both transports, naming both nodes; it leaves no device memory
+// held, no scheduler estimate pending and no coherence state changed.
+func TestLaunchRejectsForeignBuffer(t *testing.T) {
+	for _, transport := range []Transport{TransportExplicit, TransportSVM} {
+		cl, far := foreignBufferCluster(t, transport)
+		var runErr error
+		_, _, err := cl.RunServices(func(ctx *satin.Context) any {
+			k, err := GetKernel(ctx, "scale")
+			if err != nil {
+				return err
+			}
+			spec := LaunchSpec{Params: map[string]int64{"n": 1 << 10}, InBytes: 4096,
+				Buffers: []BufferAccess{{Buf: far, Mode: svm.ReadWrite}}}
+			runErr = k.NewLaunch(spec).Run(ctx)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", transport, err)
+		}
+		if runErr == nil || !strings.Contains(runErr.Error(), "node 1") || !strings.Contains(runErr.Error(), "node 0") {
+			t.Fatalf("%s: launch error %v, want one naming nodes 1 and 0", transport, runErr)
+		}
+		ns := cl.NodeState(0)
+		dev := ns.Devices[0]
+		if dev.MemUsed() != 0 || dev.Launches() != 0 || dev.BytesMoved() != 0 || cl.CPUFallbacks() != 0 {
+			t.Errorf("%s: device holds %d bytes after %d launches, %d bytes moved, %d CPU fallbacks; want nothing",
+				transport, dev.MemUsed(), dev.Launches(), dev.BytesMoved(), cl.CPUFallbacks())
+		}
+		if got := ns.Sched.pending[0]; got != 0 {
+			t.Errorf("%s: scheduler estimate %v still pending on the device", transport, got)
+		}
+		for i := 0; i < 2; i++ {
+			if c := cl.NodeState(i).Space.Counters(); c != (svm.Counters{}) {
+				t.Errorf("%s: node %d SVM counters %+v, want none", transport, i, c)
+			}
+		}
+	}
+}
+
+// TestHostAccessRejectsForeignBuffer: SyncSVM and WriteSVM change a
+// buffer's coherence state, so on a buffer homed on another node they
+// panic instead.
+func TestHostAccessRejectsForeignBuffer(t *testing.T) {
+	access := map[string]func(*satin.Context, *svm.Buffer){
+		"SyncSVM":  func(ctx *satin.Context, b *svm.Buffer) { SyncSVM(ctx, b) },
+		"WriteSVM": func(ctx *satin.Context, b *svm.Buffer) { WriteSVM(ctx, b) },
+	}
+	for name, fn := range access {
+		cl, far := foreignBufferCluster(t, TransportSVM)
+		var panicked any
+		_, _, err := cl.RunServices(func(ctx *satin.Context) any {
+			defer func() { panicked = recover() }()
+			fn(ctx, far)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if panicked == nil || !strings.Contains(fmt.Sprint(panicked), "node 1") {
+			t.Errorf("%s of a foreign buffer: recovered %v, want a panic naming node 1", name, panicked)
+		}
+		if c := cl.NodeState(1).Space.Counters(); c != (svm.Counters{}) {
+			t.Errorf("%s: home SVM counters %+v, want none", name, c)
 		}
 	}
 }

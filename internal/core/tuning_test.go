@@ -140,3 +140,45 @@ func TestTuneMetricsExported(t *testing.T) {
 		t.Fatalf("tune metrics hits=%d misses=%d evals=%d", hits, misses, evals)
 	}
 }
+
+// TestTunedClusterLooksUpOncePerDeviceType: a 4-node cluster looks each
+// (kernel set, device type) up in the tuning cache once, not once per
+// node, and every node shares the one tuned private copy.
+func TestTunedClusterLooksUpOncePerDeviceType(t *testing.T) {
+	ks := mustKS(t, "scale", scaleKernel)
+	spec, err := device.Lookup("gtx480")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := tune.NewCache()
+	cache.Put(tune.Key(ks, spec), &tune.Entry{
+		Kernel: "scale", Device: "gtx480",
+		Level: "perfect", Local: []int64{64},
+		KernelNs: 1, ServiceNs: 1, BaselineNs: 1,
+	})
+	cfg := DefaultConfig(4, "gtx480")
+	cfg.Tuning = cache
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Register(ks); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cl.RunServices(func(ctx *satin.Context) any { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	m := cl.CollectMetrics()
+	if hits, misses := m.Int("tune.cache_hits"), m.Int("tune.cache_misses"); hits != 1 || misses != 0 {
+		t.Fatalf("tune.cache_hits = %d, misses = %d on 4 nodes; want 1 and 0", hits, misses)
+	}
+	tuned := cl.NodeState(0).kernels["scale"].compiled[0]
+	if !tuned.GeometryCost() {
+		t.Fatal("node 0 did not get the tuned compile")
+	}
+	for i := 1; i < 4; i++ {
+		if c := cl.NodeState(i).kernels["scale"].compiled[0]; c != tuned {
+			t.Fatalf("node %d has its own compile, want the shared tuned copy", i)
+		}
+	}
+}

@@ -100,11 +100,6 @@ func paramBit(i int) ParamMask { return 1 << min(i, 15) }
 // Has reports whether the i-th scalar int parameter is in the set.
 func (m ParamMask) Has(i int) bool { return m&paramBit(i) != 0 }
 
-// TotalBytes reports the modeled off-chip traffic.
-func (r *Report) TotalBytes() float64 {
-	return r.UniformBytes + r.CoalescedBytes + r.StridedBytes + r.GatheredBytes
-}
-
 // DivergentFrac reports the fraction of flops under divergent control flow.
 func (r *Report) DivergentFrac() float64 {
 	if r.Flops == 0 {

@@ -125,9 +125,12 @@ func TestAnalyzeTiledMatmulReducesTraffic(t *testing.T) {
 	}
 	// Tiling divides global traffic by ~8 (16x tile reuse on the dominant
 	// term, but both a and b now move nmp/16*4 bytes each x2 arrays).
-	ratio := ru.TotalBytes() / ro.TotalBytes()
+	total := func(r *Report) float64 {
+		return r.UniformBytes + r.CoalescedBytes + r.StridedBytes + r.GatheredBytes
+	}
+	ratio := total(ru) / total(ro)
 	if ratio < 4 || ratio > 20 {
-		t.Fatalf("traffic reduction = %.1fx, want ~8x (unopt %g, opt %g)", ratio, ru.TotalBytes(), ro.TotalBytes())
+		t.Fatalf("traffic reduction = %.1fx, want ~8x (unopt %g, opt %g)", ratio, total(ru), total(ro))
 	}
 	// Flop counts stay comparable (same algorithm).
 	if ro.Flops < ru.Flops*0.9 || ro.Flops > ru.Flops*1.6 {

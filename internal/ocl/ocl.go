@@ -96,9 +96,6 @@ func (d *Device) SetSlowdown(f float64) {
 	d.slowdown = f
 }
 
-// Slowdown reports the current degradation factor (1 = nominal).
-func (d *Device) Slowdown() float64 { return d.slowdown }
-
 // stretch applies the degradation factor to a modeled duration.
 func (d *Device) stretch(t time.Duration) time.Duration {
 	if d.slowdown == 1 {
@@ -110,18 +107,12 @@ func (d *Device) stretch(t time.Duration) time.Duration {
 // Name returns a unique name within the node, e.g. "gtx480#0".
 func (d *Device) Name() string { return d.name }
 
-// NodeID reports the node the device is installed in.
-func (d *Device) NodeID() int { return d.nodeID }
-
 // Tracing reports whether a trace recorder is attached. Callers on the hot
 // path use it to skip building span labels that would be thrown away.
 func (d *Device) Tracing() bool { return d.rec != nil }
 
 // MemUsed reports the allocated device memory in bytes.
 func (d *Device) MemUsed() int64 { return d.memUsed }
-
-// MemFree reports the free device memory in bytes.
-func (d *Device) MemFree() int64 { return d.spec.GlobalMem - d.memUsed }
 
 // KernelBusy reports the total virtual time the compute engine spent
 // executing kernels.
@@ -135,13 +126,6 @@ func (d *Device) BytesMoved() int64 { return d.bytesMoved }
 
 // Launches reports the number of kernel launches.
 func (d *Device) Launches() int64 { return d.numLaunches }
-
-// ActiveWindow reports the interval from the start of the device's first
-// kernel or transfer to the end of its last one. ok is false when the device
-// was never used.
-func (d *Device) ActiveWindow() (from, to simnet.Time, ok bool) {
-	return d.firstActive, d.lastActive, d.active
-}
 
 // OverlapLowerBound reports a lower bound on the virtual time during which a
 // data transfer overlapped a kernel execution: total engine busy time in
@@ -176,9 +160,6 @@ type Buffer struct {
 	freed bool
 }
 
-// Size reports the buffer size in bytes.
-func (b *Buffer) Size() int64 { return b.size }
-
 // fits reports whether size bytes can be reserved now.
 func (d *Device) fits(size int64) bool {
 	return size >= 0 && d.memUsed+size <= d.spec.GlobalMem
@@ -195,7 +176,7 @@ func (d *Device) allocErr(size int64) error {
 	if size < 0 {
 		return fmt.Errorf("ocl: negative allocation %d", size)
 	}
-	return fmt.Errorf("%w: need %d, free %d on %s", ErrOutOfMemory, size, d.MemFree(), d.Name())
+	return fmt.Errorf("%w: need %d, free %d on %s", ErrOutOfMemory, size, d.spec.GlobalMem-d.memUsed, d.Name())
 }
 
 // reserve takes size bytes, which fit, into b, which must not hold an

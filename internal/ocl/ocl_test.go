@@ -66,7 +66,7 @@ func TestTransferTiming(t *testing.T) {
 	b := mustReserve(t, d, 600_000_000)  // 100 ms of wire
 	var done simnet.Time
 	k.Spawn("xfer", func(p *simnet.Proc) {
-		d.EnqueueWrite(b.Size(), "in").Wait(p)
+		d.EnqueueWrite(b.size, "in").Wait(p)
 		done = p.Now()
 	})
 	k.Run(0)
@@ -148,7 +148,7 @@ func TestTransferOverlapsKernel(t *testing.T) {
 	cost := device.KernelCost{Flops: 3524e9 / 10, MemBytes: 1, ComputeEff: 1, BandwidthEff: 1} // 100ms
 	b := mustReserve(t, d, 600_000_000)                                                        // 100ms wire
 	k.Spawn("kern", func(p *simnet.Proc) { d.EnqueueLaunch(cost, "k").Wait(p) })
-	k.Spawn("copy", func(p *simnet.Proc) { d.EnqueueWrite(b.Size(), "w").Wait(p) })
+	k.Spawn("copy", func(p *simnet.Proc) { d.EnqueueWrite(b.size, "w").Wait(p) })
 	end := k.Run(0)
 	if end > simnet.Time(110*time.Millisecond) {
 		t.Fatalf("kernel and transfer serialized: end=%v", end)
@@ -176,8 +176,8 @@ func TestNewNode(t *testing.T) {
 	if len(n.Devices) != 2 || n.Devices[0].Name() != "k20#0" || n.Devices[1].Name() != "xeon_phi#1" {
 		t.Fatalf("node devices = %v, %v", n.Devices[0].Name(), n.Devices[1].Name())
 	}
-	if n.Devices[0].NodeID() != 3 {
-		t.Fatalf("NodeID = %d", n.Devices[0].NodeID())
+	if n.Devices[0].nodeID != 3 {
+		t.Fatalf("NodeID = %d", n.Devices[0].nodeID)
 	}
 	if _, err := NewNode(k, 0, nil, "bogus"); err == nil {
 		t.Fatal("NewNode accepted unknown device")

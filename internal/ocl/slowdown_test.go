@@ -47,10 +47,10 @@ func TestSlowdownStretchesTransfers(t *testing.T) {
 	b := mustReserve(t, d, 6_000_000)  // 1ms of wire nominal
 	var first, second simnet.Time
 	k.Spawn("xfer", func(p *simnet.Proc) {
-		d.EnqueueWrite(b.Size(), "in").Wait(p)
+		d.EnqueueWrite(b.size, "in").Wait(p)
 		first = p.Now()
 		d.SetSlowdown(3)
-		d.EnqueueWrite(b.Size(), "in").Wait(p)
+		d.EnqueueWrite(b.size, "in").Wait(p)
 		second = p.Now()
 	})
 	k.Run(0)
@@ -64,11 +64,11 @@ func TestSlowdownStretchesTransfers(t *testing.T) {
 func TestSlowdownClampsBelowOne(t *testing.T) {
 	_, d, _ := newTestDevice(t, "gtx480")
 	d.SetSlowdown(0.25)
-	if got := d.Slowdown(); got != 1 {
+	if got := d.slowdown; got != 1 {
 		t.Fatalf("slowdown %v after setting 0.25, want clamp to 1 (no speedups)", got)
 	}
 	d.SetSlowdown(2.5)
-	if got := d.Slowdown(); got != 2.5 {
+	if got := d.slowdown; got != 2.5 {
 		t.Fatalf("slowdown %v, want 2.5", got)
 	}
 }

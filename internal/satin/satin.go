@@ -253,9 +253,6 @@ func NewPartitioned(ps *simnet.Partitioned, n int, netCfg network.Config, cfg Co
 	return rt
 }
 
-// Kernel returns the master's simulation kernel (partition 0).
-func (rt *Runtime) Kernel() *simnet.Kernel { return rt.k }
-
 // Scheduler returns the partitioned scheduler the runtime executes on.
 func (rt *Runtime) Scheduler() *simnet.Partitioned { return rt.ps }
 
@@ -288,9 +285,6 @@ func (n *Node) SetDeviceState(v any) { n.dev = v }
 
 // DeviceState returns the state attached with SetDeviceState.
 func (n *Node) DeviceState() any { return n.dev }
-
-// Alive reports whether the node has not been killed.
-func (n *Node) Alive() bool { return !n.dead }
 
 // GoLocal runs fn on one of the node's pooled processes, on the node's own
 // kernel. It is the escape hatch for message handlers that must not block the

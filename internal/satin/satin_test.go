@@ -27,7 +27,7 @@ func fib(ctx *Context, n int, leafWork simnet.Duration) int {
 	a := ctx.Spawn(desc, func(c *Context) any { return fib(c, n-1, leafWork) })
 	b := ctx.Spawn(desc, func(c *Context) any { return fib(c, n-2, leafWork) })
 	ctx.Sync()
-	if !ctx.Node().Alive() {
+	if ctx.Node().dead {
 		return 0
 	}
 	return a.Value().(int) + b.Value().(int)
@@ -68,7 +68,7 @@ func divideAndCompute(ctx *Context, leaves int, work simnet.Duration) int {
 	a := ctx.Spawn(desc, func(c *Context) any { return divideAndCompute(c, l, work) })
 	b := ctx.Spawn(desc, func(c *Context) any { return divideAndCompute(c, r, work) })
 	ctx.Sync()
-	if !ctx.Node().Alive() {
+	if ctx.Node().dead {
 		return 0
 	}
 	return a.Value().(int) + b.Value().(int)

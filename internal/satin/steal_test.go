@@ -75,7 +75,7 @@ type overdue struct{}
 // runWithin is rt.Run(main) with a watchdog: when main has not returned by
 // virtual time limit, the run stops with an error instead of going on.
 func runWithin(rt *Runtime, limit simnet.Duration, main func(ctx *Context) any) (v any, err error) {
-	rt.Kernel().SpawnAt(simnet.Time(limit), "watchdog", func(*simnet.Proc) {
+	rt.k.SpawnAt(simnet.Time(limit), "watchdog", func(*simnet.Proc) {
 		if !rt.nodes[0].done {
 			panic(overdue{})
 		}

@@ -77,7 +77,7 @@ func TestCommTrajectory(t *testing.T) {
 		// while in flight, and their thieves wait out StealTimeout.
 		name: "link-down",
 		setup: func(rt *Runtime) {
-			rt.Kernel().Spawn("cutter", func(p *simnet.Proc) {
+			rt.k.Spawn("cutter", func(p *simnet.Proc) {
 				rt.Fabric().SetLinkAt(p.Kernel(), 1, 2, simnet.Time(500*time.Microsecond), false)
 				rt.Fabric().SetLinkAt(p.Kernel(), 1, 2, simnet.Time(2*time.Millisecond), true)
 			})
@@ -107,10 +107,10 @@ func TestCommTrajectory(t *testing.T) {
 			c.StealTimeout = 100 * time.Nanosecond
 		},
 		setup: func(rt *Runtime) {
-			rt.Kernel().SpawnAt(simnet.Time(4*time.Millisecond), "drainer", func(p *simnet.Proc) {
+			rt.k.SpawnAt(simnet.Time(4*time.Millisecond), "drainer", func(p *simnet.Proc) {
 				rt.DrainAsync(p, 3)
 			})
-			rt.Kernel().SpawnAt(simnet.Time(6*time.Millisecond), "undrainer", func(p *simnet.Proc) {
+			rt.k.SpawnAt(simnet.Time(6*time.Millisecond), "undrainer", func(p *simnet.Proc) {
 				rt.UndrainAsync(p, 3)
 			})
 		},
@@ -139,7 +139,7 @@ func TestCommTrajectory(t *testing.T) {
 	}, {
 		name: "crash-async",
 		setup: func(rt *Runtime) {
-			rt.Kernel().SpawnAt(simnet.Time(time.Millisecond), "crasher", func(p *simnet.Proc) {
+			rt.k.SpawnAt(simnet.Time(time.Millisecond), "crasher", func(p *simnet.Proc) {
 				rt.CrashAsync(p, 3)
 			})
 		},

@@ -11,10 +11,9 @@ import (
 // off: a node-0 dispatcher slot pulls a one-request batch and ships it as
 // serve_batch, node 1's comm loop hands it to a pooled batch server, which
 // runs the batch on node 1's device and replies serve_done, and the slot
-// completes the request. The launch case's batch is a 256x256 matmul, the
-// graph case's a run of graphWorkload's three-stage chain. Slot and server
+// completes the request. The batch is a 256x256 matmul. Slot and server
 // run as steps. After a warm-up every round trip must allocate nothing:
-// `make bench-allocs` pins both cases at 0 allocs/op.
+// `make bench-allocs` pins it at 0 allocs/op.
 func BenchmarkServeBatchPath(b *testing.B) {
 	b.Run("launch", func(b *testing.B) {
 		w, err := StandardWorkload(1)
@@ -24,7 +23,6 @@ func BenchmarkServeBatchPath(b *testing.B) {
 		w.Tenants = w.Tenants[:1] // one class: a 256x256 matmul
 		benchBatchPath(b, w)
 	})
-	b.Run("graph", func(b *testing.B) { benchBatchPath(b, graphWorkload(b, 1)) })
 }
 
 // benchBatchPath is BenchmarkServeBatchPath on the first class of the

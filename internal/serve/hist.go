@@ -69,9 +69,6 @@ func (h *Hist) Observe(ns int64) {
 	}
 }
 
-// Count reports the number of samples.
-func (h *Hist) Count() int64 { return h.n }
-
 // Mean reports the exact mean latency in nanoseconds (0 when empty).
 func (h *Hist) Mean() int64 {
 	if h.n == 0 {

@@ -23,10 +23,9 @@ import (
 //     network crossings.
 //
 // Slots and batch servers run as steps (simnet.Proc.StepUntil,
-// satin.Node.GoLocalStep) through one batch executor, batchRun: a launch or
-// a graph class's full-DAG run, on either transport. A batch waits without
-// a coroutine switch and posts exactly the events the same waits written
-// as blocking calls post.
+// satin.Node.GoLocalStep) through one batch executor, batchRun: one launch,
+// on either transport. A batch waits without a coroutine switch and posts
+// exactly the events the same waits written as blocking calls post.
 //
 // Work reaches the other nodes' device schedulers only through the satin
 // message layer, never through shared memory, so a partitioned simulation
@@ -178,39 +177,26 @@ func (d *dispatch) spec(node int, class *JobClass, n int64) core.LaunchSpec {
 }
 
 // batchRun is the batch executor of slots and batch servers: one
-// coalesced batch run as steps, through run, the launch or the graph run
-// in hand — nil when the kernel or graph lookup failed, and the batch
-// fails at once.
+// coalesced batch run as steps of a launch; ready is false when the kernel
+// lookup failed, and the batch then fails at once.
 type batchRun struct {
 	launch core.Launch
-	graph  core.GraphRun
-	run    interface {
-		Step(p *simnet.Proc) bool
-		Err() error
-	}
+	ready  bool
 }
 
-// prepare readies a batch of n requests of class on ctx's node. A graph
-// class (never batched, see Run) is one full-DAG run; the node caches the
-// instantiated graph and its workspace across requests via GetGraph. Any
-// other class is one launch (see spec).
+// prepare readies a batch of n requests of class on ctx's node: one launch
+// (see spec).
 func (b *batchRun) prepare(d *dispatch, ctx *satin.Context, class *JobClass, n int64) {
-	b.run = nil
-	if class.Graph != nil {
-		if g, err := core.GetGraph(ctx, class.Graph); err == nil {
-			b.graph.Prepare(g)
-			b.run = &b.graph
-		}
-	} else if kern, err := core.GetKernel(ctx, class.Kernel); err == nil {
+	kern, err := core.GetKernel(ctx, class.Kernel)
+	if b.ready = err == nil; b.ready {
 		b.launch.Prepare(kern, d.spec(ctx.NodeID(), class, n))
-		b.run = &b.launch
 	}
 }
 
 // step advances the batch and reports whether it still waits, with p's
 // next wake armed; ok reports whether the finished batch succeeded.
-func (b *batchRun) step(p *simnet.Proc) bool { return b.run != nil && b.run.Step(p) }
-func (b *batchRun) ok() bool                 { return b.run != nil && b.run.Err() == nil }
+func (b *batchRun) step(p *simnet.Proc) bool { return b.ready && b.launch.Step(p) }
+func (b *batchRun) ok() bool                 { return b.ready && b.launch.Err() == nil }
 
 // batchServer serves one batch on a remote node as a step task of the
 // node's pool: the batch, then the serve_done reply that carries the

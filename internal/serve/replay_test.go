@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -131,5 +132,40 @@ func TestReplayOffersExactSchedule(t *testing.T) {
 	_, dump2, _ := run()
 	if dump1 != dump2 {
 		t.Fatalf("identical replay runs diverged:\n-- 1 --\n%s\n-- 2 --\n%s", dump1, dump2)
+	}
+}
+
+// TestReplayTraceFileFitsStandardWorkload: the committed trace that
+// `make reach` replays through cashmere-serve parses, names only the
+// standard workload's tenants, and asks only for classes in their mixes.
+func TestReplayTraceFileFitsStandardWorkload(t *testing.T) {
+	f, err := os.Open("testdata/replay.trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	traces, err := ParseTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := StandardWorkload(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.ApplyTrace(traces, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(traces) != len(w.Tenants) {
+		t.Fatalf("trace names %d tenants, the workload has %d", len(traces), len(w.Tenants))
+	}
+	for _, tn := range w.Tenants {
+		if len(tn.Arrival.Trace) == 0 {
+			t.Fatalf("tenant %s has no arrivals", tn.Name)
+		}
+		for _, ev := range tn.Arrival.Trace {
+			if ev.Class >= len(tn.Mix) {
+				t.Fatalf("tenant %s: class %d outside its %d-class mix", tn.Name, ev.Class, len(tn.Mix))
+			}
+		}
 	}
 }

@@ -36,11 +36,6 @@ func Run(cl *core.Cluster, cfg Config) (*Report, error) {
 		if len(t.Mix) == 0 {
 			return nil, fmt.Errorf("serve: tenant %q has an empty job mix", t.Name)
 		}
-		for _, c := range t.Mix {
-			if c.Graph != nil && c.BatchParam != "" {
-				return nil, fmt.Errorf("serve: tenant %q class %q: graph classes cannot batch", t.Name, c.Name)
-			}
-		}
 	}
 
 	k := cl.Kernel()

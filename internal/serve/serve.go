@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"cashmere/internal/apps"
-	"cashmere/internal/core"
 	"cashmere/internal/device"
 	"cashmere/internal/mcl/codegen"
 	"cashmere/internal/mcl/hdl"
@@ -42,20 +41,12 @@ import (
 )
 
 // JobClass is one kind of request a tenant issues: a kernel launch with
-// fixed parameters and transfer sizes, or a whole dataflow graph.
+// fixed parameters and transfer sizes.
 type JobClass struct {
 	// Name labels spans and reports.
 	Name string
 	// Kernel is the registered kernel-set name the request launches.
-	// Ignored when Graph is set.
 	Kernel string
-	// Graph, when non-nil, makes each request of this class one run of the
-	// compound multi-kernel dataflow graph instead of a single launch: the
-	// executing node schedules the whole DAG across its devices (chained
-	// intermediates, split stages). Graph classes cannot batch (BatchParam
-	// must be empty); InBytes/OutBytes should be the graph's external
-	// footprint (GraphSpec.ExternalBytes) for network accounting.
-	Graph *core.GraphSpec
 	// Params are the launch's scalar kernel parameters.
 	Params map[string]int64
 	// BatchParam names the parameter that scales linearly when several
@@ -236,20 +227,6 @@ func (w *Workload) EstimateCosts(dev string) error {
 	for ti := range w.Tenants {
 		mix := w.Tenants[ti].Mix
 		for ci := range mix {
-			if g := mix[ci].Graph; g != nil {
-				if mix[ci].BatchParam != "" {
-					return fmt.Errorf("serve: graph class %s cannot batch (BatchParam must be empty)", mix[ci].Name)
-				}
-				if mix[ci].CostHint > 0 {
-					continue
-				}
-				hint, err := g.EstimateCost(spec, hdl.Library(), byName)
-				if err != nil {
-					return err
-				}
-				mix[ci].CostHint = hint
-				continue
-			}
 			if mix[ci].CostHint > 0 {
 				continue
 			}
@@ -273,7 +250,7 @@ func (w *Workload) EstimateCosts(dev string) error {
 }
 
 // ApplyTuning refines the workload from an auto-tuning cache: every
-// non-graph class whose kernel has a cached winner for the device gets its
+// class whose kernel has a cached winner for the device gets its
 // CostHint recomputed at the tuned configuration (tuned level, tuned launch
 // geometry, geometry-aware cost model), and batchable classes get a
 // per-class MaxBatch sized so a full batch of tuned requests fits in half
@@ -294,9 +271,6 @@ func (w *Workload) ApplyTuning(cache *tune.Cache, dev string, slo simnet.Duratio
 	for ti := range w.Tenants {
 		mix := w.Tenants[ti].Mix
 		for ci := range mix {
-			if mix[ci].Graph != nil || mix[ci].Kernel == "" {
-				continue
-			}
 			ks, ok := byName[mix[ci].Kernel]
 			if !ok {
 				continue

@@ -177,8 +177,7 @@ func TestServeBatchingEngagesUnderBacklog(t *testing.T) {
 
 // TestServeTracingRecordsSpansAndGauges checks that node-0 slots and remote
 // slots settle batches through one path: every served request leaves one
-// serve span carrying its serving node and batch size, on 1 and 2 nodes, for
-// kernel classes and for graph classes (which never batch).
+// serve span carrying its serving node and batch size, on 1 and 2 nodes.
 func TestServeTracingRecordsSpansAndGauges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
@@ -186,31 +185,20 @@ func TestServeTracingRecordsSpansAndGauges(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		nodes int
-		graph bool
 	}{
-		{"standard/1node", 1, false},
-		{"standard/2nodes", 2, false},
-		{"graph/1node", 1, true},
-		{"graph/2nodes", 2, true},
+		{"standard/1node", 1},
+		{"standard/2nodes", 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var w *Workload
-			if tc.graph {
-				w = graphWorkload(t, 200)
-				if err := w.EstimateCosts("gtx480"); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				var err error
-				if w, err = StandardWorkload(1); err != nil {
-					t.Fatal(err)
-				}
-				cap, err := w.CapacityRPS("gtx480", tc.nodes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				w.ScaleRates(0.5 * cap)
+			w, err := StandardWorkload(1)
+			if err != nil {
+				t.Fatal(err)
 			}
+			cap, err := w.CapacityRPS("gtx480", tc.nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.ScaleRates(0.5 * cap)
 			cfg := core.DefaultConfig(tc.nodes, "gtx480")
 			cfg.Record = true
 			cl, err := core.NewCluster(cfg)
@@ -245,9 +233,6 @@ func TestServeTracingRecordsSpansAndGauges(t *testing.T) {
 				}
 				if batch == "" {
 					t.Fatalf("serve span %q on node %d has no batch attribute", s.Label, s.Node)
-				}
-				if tc.graph && batch != "1" {
-					t.Fatalf("graph-class span on node %d has batch=%s, want 1", s.Node, batch)
 				}
 			}
 			if int64(serveSpans) != rep.Completed+rep.Errors {

@@ -28,14 +28,11 @@
 // ranges completely, so no stale data is fetched — only ownership moves.
 // ReadWrite fetches before modifying.
 //
-// Buffers extend across nodes through the network: a Fetch through a Space
-// the buffer is not homed on bills a whole-payload fetch (and, for writes,
-// a writeback) over the fabric's link model, and a Stage then moves the
-// pages into the accessing device over PCIe. Remote copies are not cached between
-// launches and the home state is never mutated remotely, which keeps every
-// counter trajectory-determined at any partition layout; callers follow the
-// single-writer-per-launch discipline Satin's owner-compute model already
-// implies.
+// A Buffer belongs to the node that allocated it: only that node's Space
+// accesses it, so coherence state is only ever changed on the home node's
+// own simulation kernel. Coherence across nodes is out of the model; the
+// protocols follow within-chip coherence studies, not distributed shared
+// memory.
 //
 // State transitions happen at enqueue time on the accessing node's own
 // simulation kernel. Device-memory occupancy of resident pages is not
@@ -130,8 +127,6 @@ type Counters struct {
 	PagesMigrated int64 // pages moved between locations
 	Invalidations int64 // invalidation / revocation messages sent
 	BytesMoved    int64 // payload bytes moved, counted once per hop
-	RemoteFetches int64 // accesses serviced over the network fabric
-	RemoteBytes   int64 // payload bytes over the fabric
 }
 
 // Add accumulates o into c.
@@ -141,8 +136,6 @@ func (c *Counters) Add(o Counters) {
 	c.PagesMigrated += o.PagesMigrated
 	c.Invalidations += o.Invalidations
 	c.BytesMoved += o.BytesMoved
-	c.RemoteFetches += o.RemoteFetches
-	c.RemoteBytes += o.RemoteBytes
 }
 
 // Space is one node's shared-virtual-memory manager.
@@ -153,16 +146,12 @@ type Space struct {
 	cfg  Config
 	rec  *trace.Recorder
 
-	// netFetch models moving n payload bytes over the cluster fabric for
-	// remote (cross-node) accesses; nil makes remote access free (tests).
-	netFetch func(int64) simnet.Duration
-
 	c Counters
 }
 
 // NewSpace builds the SVM manager of one node. rec may be nil (no fault
-// spans); netFetch may be nil (no cross-node billing).
-func NewSpace(k *simnet.Kernel, node int, devs []*ocl.Device, cfg Config, rec *trace.Recorder, netFetch func(int64) simnet.Duration) *Space {
+// spans).
+func NewSpace(k *simnet.Kernel, node int, devs []*ocl.Device, cfg Config, rec *trace.Recorder) *Space {
 	if len(devs) > MaxDevices {
 		panic(fmt.Sprintf("svm: %d devices exceed the %d-location sharers mask", len(devs), maxLocations))
 	}
@@ -172,14 +161,8 @@ func NewSpace(k *simnet.Kernel, node int, devs []*ocl.Device, cfg Config, rec *t
 	if cfg.InvalidateTime <= 0 {
 		cfg.InvalidateTime = defaultInvalidateTime
 	}
-	return &Space{k: k, node: node, devs: devs, cfg: cfg, rec: rec, netFetch: netFetch}
+	return &Space{k: k, node: node, devs: devs, cfg: cfg, rec: rec}
 }
-
-// PageSize reports the migration granularity.
-func (s *Space) PageSize() int64 { return s.cfg.PageSize }
-
-// Protocol reports the coherence protocol.
-func (s *Space) Protocol() Protocol { return s.cfg.Protocol }
 
 // Counters returns the Space's statistics.
 func (s *Space) Counters() Counters { return s.c }
@@ -217,14 +200,14 @@ func (s *Space) NewBuffer(name string, size int64) (*Buffer, error) {
 	return b, nil
 }
 
-// Size returns the region size in bytes.
-func (b *Buffer) Size() int64 { return b.size }
-
-// Pages returns the region's page count.
-func (b *Buffer) Pages() int { return b.npages }
-
-// Space returns the Space the buffer is homed on.
-func (b *Buffer) Space() *Space { return b.sp }
+// Local reports an error unless b is homed on s: a buffer belongs to the
+// node that allocated it, and no other node's Space may access it.
+func (s *Space) Local(b *Buffer) error {
+	if b.sp != s {
+		return fmt.Errorf("svm: buffer %q is homed on node %d, not node %d", b.name, b.sp.node, s.node)
+	}
+	return nil
+}
 
 // SyncHost makes the host copy current: a blocking whole-region read access
 // at the host location. Pages dirty on a device migrate back over the D2H
@@ -258,14 +241,14 @@ func (b *Buffer) Check(ranges []Range) error {
 // the kernel launch must depend on — the zero (complete) Event when
 // everything was already resident — with the time the accessing process is
 // held for invalidation messages, negative when none. The caller holds for
-// it. Must run on the accessing node's own simulation kernel; a buffer
-// homed on another node's Space is accessed with Fetch and Stage instead.
+// it. Must run on the accessing node's own simulation kernel, on a buffer
+// homed on s.
 func (s *Space) Acquire(b *Buffer, dev int, mode Mode, ranges []Range) (ocl.Event, simnet.Duration) {
 	if mode&ReadWrite == 0 {
 		panic("svm: access needs a Read and/or Write mode")
 	}
-	if b.sp != s {
-		panic(fmt.Sprintf("svm: Acquire of buffer %q homed on node %d through node %d; use Fetch and Stage", b.name, b.sp.node, s.node))
+	if err := s.Local(b); err != nil {
+		panic(err)
 	}
 	loc := uint8(dev + 1)
 	if s.cfg.Protocol == RegionOwnership {
@@ -482,56 +465,6 @@ func (s *Space) acquireRO(b *Buffer, loc uint8, mode Mode) (ocl.Event, simnet.Du
 		})
 	}
 	return ev, s.cfg.InvalidateTime
-}
-
-// Fetch starts an access of b, homed on another node's Space: it bills
-// fetching the payload from (and, for writes, writing it back to) the home
-// node over the network fabric and returns that hold, negative without a
-// fabric model; the caller holds, then calls Stage. Nothing is cached and
-// the home Space is never touched, so both stay trajectory-deterministic.
-func (s *Space) Fetch(b *Buffer, mode Mode, ranges []Range) simnet.Duration {
-	bytes := b.Bytes(ranges)
-	s.c.RemoteFetches++
-	if mode&Read != 0 {
-		s.c.RemoteBytes += bytes
-	}
-	if mode&Write != 0 {
-		s.c.RemoteBytes += bytes
-	}
-	if s.netFetch == nil {
-		return -1
-	}
-	var rt simnet.Duration
-	if mode&Read != 0 {
-		rt += s.netFetch(bytes) // fault report + payload home->here
-	} else {
-		rt += s.netFetch(1) // ownership request only
-	}
-	if mode&Write != 0 {
-		rt += s.netFetch(bytes) // writeback here->home
-	}
-	return rt
-}
-
-// Stage finishes an access Fetch started, once its hold is over: a read
-// stages the fetched payload into device dev as demand-paged PCIe faults,
-// and Stage returns the event the kernel launch must depend on (the zero
-// Event for a pure overwrite).
-func (s *Space) Stage(b *Buffer, dev int, mode Mode, ranges []Range) ocl.Event {
-	if mode&Read == 0 {
-		return ocl.Event{}
-	}
-	bytes := b.Bytes(ranges)
-	ps := s.cfg.PageSize
-	pages := (bytes + ps - 1) / ps
-	s.c.Faults += pages
-	s.c.PagesMigrated += pages
-	s.c.BytesMoved += bytes
-	var label string
-	if s.rec != nil {
-		label = "svm.remote:" + b.name
-	}
-	return s.devs[dev].EnqueuePagedWrite(bytes, ps, label)
 }
 
 // Fault stages n bytes of launch input into device dev (in), or drains n

@@ -1,8 +1,8 @@
 package svm
 
 import (
+	"strings"
 	"testing"
-	"time"
 
 	"cashmere/internal/device"
 	"cashmere/internal/ocl"
@@ -24,7 +24,7 @@ func testSpace(t testing.TB, cfg Config, rec *trace.Recorder, devNames ...string
 		}
 		devs[i] = ocl.NewDevice(k, spec, 0, i, rec)
 	}
-	return NewSpace(k, 0, devs, cfg, rec, nil), k
+	return NewSpace(k, 0, devs, cfg, rec), k
 }
 
 func drive(k *simnet.Kernel, fn func(p *simnet.Proc)) simnet.Time {
@@ -44,10 +44,10 @@ func acquire(p *simnet.Proc, s *Space, b *Buffer, dev int, mode Mode, ranges []R
 
 func TestConfigDefaults(t *testing.T) {
 	s, _ := testSpace(t, Config{}, nil, "k20")
-	if s.PageSize() != DefaultPageSize {
-		t.Fatalf("default page size = %d, want %d", s.PageSize(), DefaultPageSize)
+	if s.cfg.PageSize != DefaultPageSize {
+		t.Fatalf("default page size = %d, want %d", s.cfg.PageSize, DefaultPageSize)
 	}
-	if s.Protocol() != WriteInvalidate {
+	if s.cfg.Protocol != WriteInvalidate {
 		t.Fatal("default protocol should be write-invalidate")
 	}
 	if s.cfg.InvalidateTime != defaultInvalidateTime {
@@ -67,8 +67,8 @@ func TestNewBufferRejectsBadSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Pages() != 2 {
-		t.Fatalf("pages = %d, want 2 (partial tail page)", b.Pages())
+	if b.npages != 2 {
+		t.Fatalf("pages = %d, want 2 (partial tail page)", b.npages)
 	}
 }
 
@@ -294,50 +294,42 @@ func TestFaultSpansRecorded(t *testing.T) {
 	}
 }
 
-// TestRemoteAccessBillsNetworkAndStagesPages: an access through a foreign
-// Space (Fetch, its hold, then Stage) pays the fabric round trip and stages
-// the payload into the device, without mutating the home Space's coherence
-// state.
-func TestRemoteAccessBillsNetworkAndStagesPages(t *testing.T) {
+// TestAcquireRejectsForeignBuffer: a buffer belongs to the node that
+// allocated it; another node's Space refuses it and leaves its coherence
+// state alone.
+func TestAcquireRejectsForeignBuffer(t *testing.T) {
 	k := simnet.NewKernel(1)
 	spec, _ := device.Lookup("k20")
-	homeDev := ocl.NewDevice(k, spec, 0, 0, nil)
-	farDev := ocl.NewDevice(k, spec, 1, 0, nil)
-	const linkCost = 100 * time.Microsecond
-	netFetch := func(n int64) simnet.Duration { return linkCost }
-	home := NewSpace(k, 0, []*ocl.Device{homeDev}, Config{}, nil, netFetch)
-	far := NewSpace(k, 1, []*ocl.Device{farDev}, Config{}, nil, netFetch)
-	const n = 2 * DefaultPageSize
-	b, _ := home.NewBuffer("a", n)
-	end := drive(k, func(p *simnet.Proc) {
-		p.Hold(far.Fetch(b, ReadWrite, nil))
-		far.Stage(b, 0, ReadWrite, nil).Wait(p)
-	})
-	// Fetch + writeback over the link, then paged staging into the device.
-	want := simnet.Time(2*linkCost + farDev.PagedTransferTime(n, DefaultPageSize))
-	if end != want {
-		t.Fatalf("end = %v, want %v", end, want)
+	home := NewSpace(k, 0, []*ocl.Device{ocl.NewDevice(k, spec, 0, 0, nil)}, Config{}, nil)
+	far := NewSpace(k, 1, []*ocl.Device{ocl.NewDevice(k, spec, 1, 0, nil)}, Config{}, nil)
+	b, _ := home.NewBuffer("a", DefaultPageSize)
+	if err := home.Local(b); err != nil {
+		t.Fatalf("home rejects its own buffer: %v", err)
 	}
-	fc := far.Counters()
-	if fc.RemoteFetches != 1 || fc.RemoteBytes != 2*n {
-		t.Fatalf("remote counters = %+v", fc)
+	err := far.Local(b)
+	if err == nil || !strings.Contains(err.Error(), "node 0") || !strings.Contains(err.Error(), "node 1") {
+		t.Fatalf("Local = %v, want an error naming nodes 0 and 1", err)
 	}
-	hc := home.Counters()
-	if hc != (Counters{}) {
-		t.Fatalf("home state mutated by remote access: %+v", hc)
-	}
-	if b.pages[0].owner != hostLoc {
-		t.Fatal("remote access changed home page ownership")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Acquire of a foreign buffer did not panic")
+			}
+		}()
+		far.Acquire(b, 0, ReadWrite, nil)
+	}()
+	if far.Counters() != (Counters{}) || home.Counters() != (Counters{}) || b.pages[0].owner != hostLoc {
+		t.Fatalf("foreign access changed state: far %+v, home %+v", far.Counters(), home.Counters())
 	}
 }
 
 // TestCountersAdd: the cluster-level aggregation helper.
 func TestCountersAdd(t *testing.T) {
-	a := Counters{Faults: 1, Hits: 2, PagesMigrated: 3, Invalidations: 4, BytesMoved: 5, RemoteFetches: 6, RemoteBytes: 7}
+	a := Counters{Faults: 1, Hits: 2, PagesMigrated: 3, Invalidations: 4, BytesMoved: 5}
 	var c Counters
 	c.Add(a)
 	c.Add(a)
-	if c != (Counters{2, 4, 6, 8, 10, 12, 14}) {
+	if c != (Counters{2, 4, 6, 8, 10}) {
 		t.Fatalf("Add = %+v", c)
 	}
 }
@@ -365,7 +357,7 @@ func BenchmarkSVMRefault(b *testing.B) {
 		b.Fatal(err)
 	}
 	d := ocl.NewDevice(k, spec, 0, 0, nil)
-	s := NewSpace(k, 0, []*ocl.Device{d}, Config{}, nil, nil)
+	s := NewSpace(k, 0, []*ocl.Device{d}, Config{}, nil)
 	buf, err := s.NewBuffer("bench", 1<<20) // 16 pages
 	if err != nil {
 		b.Fatal(err)

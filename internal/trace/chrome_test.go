@@ -14,8 +14,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func chromeSample() *Recorder {
 	r := sample()
 	r.Add(Span{Node: NodeKernel, Queue: "p001", Kind: KindSched, Label: "worker", Start: ms(1), End: ms(3)})
-	h := r.Begin(1, "net.tx", KindSend, "steal_reply", ms(12))
-	h.End(ms(14), Int64Attr("bytes", 65536), Attr{Key: "to", Val: "0"})
+	r.Add(Span{Node: 1, Queue: "net.tx", Kind: KindSend, Label: "steal_reply", Start: ms(12), End: ms(14),
+		Attrs: []Attr{Int64Attr("bytes", 65536), {Key: "to", Val: "0"}}})
 	r.CounterAdd(0, "net.bytes_out", ms(12), 65536)
 	r.CounterAdd(0, "net.bytes_out", ms(20), 1024)
 	r.GaugeSet(1, "satin.queue_depth", ms(6), 4)

@@ -37,17 +37,11 @@ func (m *Metrics) SetFloat(name string, v float64, unit string) {
 // Int reads an integer-valued measurement (0 when absent).
 func (m *Metrics) Int(name string) int64 { return int64(m.entries[name].v) }
 
-// Float reads a measurement's value (0 when absent).
-func (m *Metrics) Float(name string) float64 { return m.entries[name].v }
-
 // Has reports whether the named measurement exists.
 func (m *Metrics) Has(name string) bool {
 	_, ok := m.entries[name]
 	return ok
 }
-
-// Len reports the number of measurements.
-func (m *Metrics) Len() int { return len(m.entries) }
 
 // Names returns all measurement names sorted.
 func (m *Metrics) Names() []string {

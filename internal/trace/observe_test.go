@@ -6,29 +6,12 @@ import (
 	"testing"
 )
 
-func TestBeginEndRecordsSpanWithAttrs(t *testing.T) {
-	r := New()
-	h := r.Begin(2, "q4", KindKernel, "kmeans", ms(10))
-	h.End(ms(30), Int64Attr("bytes", 4096), Attr{Key: "dev", Val: "k20"})
-	spans := r.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("got %d spans, want 1", len(spans))
-	}
-	s := spans[0]
-	if s.Node != 2 || s.Queue != "q4" || s.Kind != KindKernel || s.Start != ms(10) || s.End != ms(30) {
-		t.Fatalf("span = %+v", s)
-	}
-	if len(s.Attrs) != 2 || s.Attrs[0] != (Attr{Key: "bytes", Val: "4096"}) {
-		t.Fatalf("attrs = %+v", s.Attrs)
-	}
-}
-
 func TestNilRecorderNewAPIIsSafe(t *testing.T) {
 	var r *Recorder
 	if r.Enabled() {
 		t.Fatal("nil recorder claims enabled")
 	}
-	r.Begin(0, "q", KindCPU, "x", 0).End(ms(1), Int64Attr("k", 1))
+	r.Add(Span{Kind: KindCPU, End: ms(1), Attrs: []Attr{Int64Attr("k", 1)}})
 	r.CounterAdd(0, "c", 0, 1)
 	r.GaugeSet(0, "g", 0, 1)
 	if r.Len() != 0 || r.Samples() != 0 || r.CounterTotal(0, "c") != 0 {
@@ -100,7 +83,7 @@ func TestRecorderPerSimConcurrency(t *testing.T) {
 		go func(r *Recorder) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				r.Begin(j%4, "q0", KindCPU, "job", ms(j)).End(ms(j + 1))
+				r.Add(Span{Node: j % 4, Queue: "q0", Kind: KindCPU, Label: "job", Start: ms(j), End: ms(j + 1)})
 				r.CounterAdd(j%4, "satin.spawns", ms(j), 1)
 				r.GaugeSet(j%4, "satin.queue_depth", ms(j), int64(j%5))
 			}
@@ -158,7 +141,7 @@ func sortedStrings(ss []string) bool {
 func TestMetricsMergeNilRecorder(t *testing.T) {
 	m := NewMetrics()
 	m.MergeCounters(nil)
-	if m.Len() != 0 {
+	if len(m.entries) != 0 {
 		t.Fatal("nil merge added entries")
 	}
 }

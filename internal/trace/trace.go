@@ -115,37 +115,6 @@ func (r *Recorder) Add(s Span) {
 	r.spans = append(r.spans, s)
 }
 
-// SpanHandle is an open span created by Begin; End closes it. The zero
-// handle (from a nil recorder) is valid and End on it no-ops.
-type SpanHandle struct {
-	r     *Recorder
-	node  int
-	queue string
-	kind  Kind
-	label string
-	start simnet.Time
-}
-
-// Begin opens a span at virtual time start. The caller closes it with End
-// when the activity finishes; nothing is recorded until then.
-func (r *Recorder) Begin(node int, queue string, kind Kind, label string, start simnet.Time) SpanHandle {
-	if r == nil {
-		return SpanHandle{}
-	}
-	return SpanHandle{r: r, node: node, queue: queue, kind: kind, label: label, start: start}
-}
-
-// End closes the span at virtual time end, attaching any attributes.
-func (h SpanHandle) End(end simnet.Time, attrs ...Attr) {
-	if h.r == nil {
-		return
-	}
-	h.r.spans = append(h.r.spans, Span{
-		Node: h.node, Queue: h.queue, Kind: h.kind, Label: h.label,
-		Start: h.start, End: end, Attrs: attrs,
-	})
-}
-
 // CounterAdd accumulates delta into the named per-node counter at virtual
 // time t and records the new cumulative value as a sample. Counter names
 // use dotted lower-case ("net.bytes_out", "satin.steals_ok").
@@ -248,19 +217,6 @@ func (r *Recorder) FirstOfKind(k Kind) (Span, bool) {
 		}
 	}
 	return Span{}, false
-}
-
-// CSV renders all spans as comma-separated rows (node,queue,kind,label,
-// start_us,end_us), suitable for external plotting.
-func (r *Recorder) CSV() string {
-	var b strings.Builder
-	b.WriteString("node,queue,kind,label,start_us,end_us\n")
-	for _, s := range r.Spans() {
-		fmt.Fprintf(&b, "%d,%s,%s,%s,%.3f,%.3f\n",
-			s.Node, s.Queue, s.Kind, s.Label,
-			float64(s.Start)/1e3, float64(s.End)/1e3)
-	}
-	return b.String()
 }
 
 // GanttOptions controls ASCII rendering.

@@ -44,20 +44,6 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	csv := sample().CSV()
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("CSV has %d lines, want header+4", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "node,queue,kind") {
-		t.Fatalf("bad header %q", lines[0])
-	}
-	if !strings.Contains(csv, "kmeans") {
-		t.Fatal("CSV missing label")
-	}
-}
-
 func TestGanttRendersLanes(t *testing.T) {
 	g := sample().Gantt(GanttOptions{Width: 50})
 	if !strings.Contains(g, "n00 q4") || !strings.Contains(g, "n01 q0") {
