@@ -10,7 +10,7 @@ COVER_FLOOR ?= 68.0
 # job) lets no committed command run: the audit fails above it, so deleted
 # dead code stays deleted and new code comes with a command that runs it.
 # Set to the total the audit reported when the ceiling was last lowered.
-REACH_CEILING := 2415
+REACH_CEILING := 2402
 
 .PHONY: check lint vet build test race cover reach bench bench-serve bench-autoscale bench-allocs bench-svm
 
@@ -161,7 +161,7 @@ bench-autoscale:
 # expired deadlines inside StepUntil; the unanchored -bench pattern runs
 # every BenchmarkSimnetEventLoop case), the simnet event queue
 # (BenchmarkEventHeap's alternate, pairs and fold cases at depths 16, 64
-# and 256 — fold is the comm loop's decrease-key into a vacant root; its
+# and 256 — fold is a timed receive's decrease-key into a vacant root; its
 # containerheap oracle allocates by design and is not pinned),
 # the pooled network message path (bulk, control, bulk from two senders
 # whose couriers queue on one ingress link — each sent by a coroutine in
@@ -175,14 +175,15 @@ bench-autoscale:
 # SVM steady-state re-fault path (BenchmarkSVMRefault) and the memoized
 # kernel-cost lookup, for a repeated launch and for raytracer leaves that
 # differ in a parameter the cost never reads (BenchmarkKernelCost/memoized
-# and /raytrace-memoized), must all report 0 allocs/op. CI fails if any of
+# and /raytrace-memoized), and an idle cluster's failed steal probes
+# (BenchmarkFailedProbe), must all report 0 allocs/op. CI fails if any of
 # them regresses above zero.
 bench-allocs:
 	@$(GO) test -run xxx -benchmem -benchtime 2000x \
-		-bench 'BenchmarkSimnetEventLoop|BenchmarkEventHeap|BenchmarkNetworkMessageRate|BenchmarkTraceOverhead|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkServeBatchPath|BenchmarkSVMRefault|BenchmarkKernelCost' \
-		./internal/simnet/ ./internal/network/ ./internal/trace/ ./internal/ocl/ ./internal/core/ ./internal/svm/ ./internal/serve/ | tee bench-allocs.out
+		-bench 'BenchmarkSimnetEventLoop|BenchmarkEventHeap|BenchmarkNetworkMessageRate|BenchmarkTraceOverhead|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkServeBatchPath|BenchmarkSVMRefault|BenchmarkKernelCost|BenchmarkFailedProbe' \
+		./internal/simnet/ ./internal/network/ ./internal/trace/ ./internal/ocl/ ./internal/core/ ./internal/svm/ ./internal/serve/ ./internal/satin/ | tee bench-allocs.out
 	@bad=$$(awk '/allocs\/op/ { name=$$1; sub(/-[0-9]+$$/, "", name); \
-		if (name ~ /^(BenchmarkSimnetEventLoop\/hold|BenchmarkSimnetEventLoop\/pingpong|BenchmarkSimnetEventLoop\/timeout|BenchmarkSimnetEventLoop\/step|BenchmarkSimnetEventLoop\/stepuntil|BenchmarkEventHeap\/(alternate|pairs|fold)\/depth=(16|64|256)|BenchmarkNetworkMessageRate\/bulk|BenchmarkNetworkMessageRate\/ctl|BenchmarkNetworkMessageRate\/contended|BenchmarkNetworkMessageRate\/stepped|BenchmarkTraceOverhead\/off|BenchmarkTraceOverhead\/off\/span-only|BenchmarkTraceOverheadDevice\/off|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkServeBatchPath\/launch|BenchmarkSVMRefault|BenchmarkKernelCost\/memoized|BenchmarkKernelCost\/raytrace-memoized)$$/ \
+		if (name ~ /^(BenchmarkSimnetEventLoop\/hold|BenchmarkSimnetEventLoop\/pingpong|BenchmarkSimnetEventLoop\/timeout|BenchmarkSimnetEventLoop\/step|BenchmarkSimnetEventLoop\/stepuntil|BenchmarkEventHeap\/(alternate|pairs|fold)\/depth=(16|64|256)|BenchmarkNetworkMessageRate\/bulk|BenchmarkNetworkMessageRate\/ctl|BenchmarkNetworkMessageRate\/contended|BenchmarkNetworkMessageRate\/stepped|BenchmarkTraceOverhead\/off|BenchmarkTraceOverhead\/off\/span-only|BenchmarkTraceOverheadDevice\/off|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkServeBatchPath\/launch|BenchmarkSVMRefault|BenchmarkKernelCost\/memoized|BenchmarkKernelCost\/raytrace-memoized|BenchmarkFailedProbe)$$/ \
 		&& $$(NF-1)+0 > 0) print name, $$(NF-1), "allocs/op" }' bench-allocs.out); \
 	if [ -n "$$bad" ]; then echo "zero-alloc benchmarks regressed:"; echo "$$bad"; exit 1; fi; \
 	echo "all pinned benchmarks at 0 allocs/op"

@@ -177,6 +177,7 @@ func runOnce(nodes int, dev string, horizon time.Duration, load float64, arrival
 		return err
 	}
 	w.ScaleRates(load * capacity)
+	var replayed map[string][]serve.TraceEvent // a trace file's arrivals
 	if opts.replay != "" {
 		var traces map[string][]serve.TraceEvent
 		if opts.replay == "synth" {
@@ -191,6 +192,7 @@ func runOnce(nodes int, dev string, horizon time.Duration, load float64, arrival
 			if err != nil {
 				return err
 			}
+			replayed = traces
 		}
 		if err := w.ApplyTrace(traces, 0); err != nil {
 			return err
@@ -226,7 +228,7 @@ func runOnce(nodes int, dev string, horizon time.Duration, load float64, arrival
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d x %s, modeled capacity %.0f req/s, offered %.2fx\n", nodes, dev, capacity, load)
+	fmt.Println(header(nodes, dev, capacity, load, replayed, horizon))
 	fmt.Print(rep.Format())
 
 	if opts.traceF != "" {
@@ -248,6 +250,28 @@ func runOnce(nodes int, dev string, horizon time.Duration, load float64, arrival
 		fmt.Print(m.Format())
 	}
 	return nil
+}
+
+// header is the report's first line: the cluster, its modeled capacity
+// and the load offered to it. A replayed trace file fixes the arrivals, so
+// its load is the file's requests within the horizon, their rate over the
+// horizon and that rate's ratio to capacity; otherwise (replayed nil) the
+// load is -load, the fraction of capacity every tenant's rate was scaled to.
+func header(nodes int, dev string, capacity, load float64, replayed map[string][]serve.TraceEvent, horizon time.Duration) string {
+	h := fmt.Sprintf("%d x %s, modeled capacity %.0f req/s", nodes, dev, capacity)
+	if replayed == nil {
+		return fmt.Sprintf("%s, offered %.2fx", h, load)
+	}
+	n := 0
+	for _, evs := range replayed {
+		for _, ev := range evs {
+			if ev.At <= simnet.Duration(horizon) {
+				n++
+			}
+		}
+	}
+	rate := float64(n) / horizon.Seconds()
+	return fmt.Sprintf("%s, replayed %d requests (%.0f req/s, %.2fx)", h, n, rate, rate/capacity)
 }
 
 // tuneRequestFor builds a tuning request for one workload kernel, using the

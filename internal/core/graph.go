@@ -71,9 +71,6 @@ type GraphBuffer struct {
 // at version 1, so the first Run always transfers.
 func (b *GraphBuffer) SetVersion(v int) { b.version = v }
 
-// Version reports the current host-side contents version.
-func (b *GraphBuffer) Version() int { return b.version }
-
 // StageSpec describes one stage (node) of a graph: a kernel launch whose
 // operands are graph buffers.
 type StageSpec struct {

@@ -183,8 +183,8 @@ type Node struct {
 	peers []int
 
 	// The comm loop's state between steps (see commStep): the control
-	// replies still to send, the one being sent, and the deadline of the
-	// receive in progress (-1 when none is).
+	// replies still to send, the one being sent, and, on the master, the
+	// deadline of the receive in progress (-1 when none is).
 	out       []ctlSend
 	sending   network.Sending
 	sendArmed bool
@@ -723,8 +723,13 @@ type resultMsg struct {
 	Value any
 }
 
-// commTimeout is the comm loop's receive timeout: an idle loop wakes this
-// often to notice that its node finished or died.
+// commTimeout is the master's comm loop receive timeout: its idle loop
+// wakes this often to notice that main returned, which main marks from
+// outside the loop (Run). The last such wake, commTimeout after the
+// master's last message, ends the run's clock. Every other node's loop
+// awaits its inbox with no deadline: only the loop itself ends such a node
+// (done on shutdown, dead in die), and it returns at once when it does, so
+// a timeout there could only queue the next one.
 const commTimeout = 250 * time.Millisecond
 
 // ctlSend is a 64-byte control reply queued by the comm loop. then, when
@@ -745,9 +750,11 @@ func (n *Node) reply(to int, kind string, payload any, then func() bool) {
 
 // commStep is one step of the node's comm loop, a step process that
 // services the inbox: steal requests and replies, results for jobs stolen
-// from this node, shared-object updates, and shutdown. It receives with a
-// commTimeout timeout, handles each message, and sends the replies it
-// queued one at a time, arming its next wake for every wait.
+// from this node, shared-object updates, and shutdown. It handles each
+// message and sends the replies it queued one at a time, arming its next
+// wake for every wait. An empty inbox is awaited with no deadline, except
+// on the master, whose loop receives with a commTimeout timeout to notice
+// that main returned.
 func (n *Node) commStep(p *simnet.Proc) bool {
 	if n.sendArmed {
 		if !n.ep.FinishSend(p, &n.sending) {
@@ -772,17 +779,21 @@ func (n *Node) commStep(p *simnet.Proc) bool {
 				return false
 			}
 		}
-		if n.deadline < 0 {
-			n.deadline = p.Now().Add(commTimeout)
-		}
 		m, ok := n.ep.TryRecv()
 		if !ok {
+			if n.ID != 0 {
+				n.ep.Await(p, -1)
+				return true
+			}
+			if n.deadline < 0 {
+				n.deadline = p.Now().Add(commTimeout)
+			}
 			if p.Now() < n.deadline {
 				n.ep.Await(p, n.deadline)
 				return true
 			}
 			n.deadline = -1
-			if n.done || n.dead {
+			if n.done {
 				return false
 			}
 			continue

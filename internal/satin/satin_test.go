@@ -237,6 +237,9 @@ func TestPromiseBeforeSyncPanics(t *testing.T) {
 	})
 }
 
+// Local returns the replica of the given node.
+func (s *SharedObject) Local(nodeID int) any { return s.replicas[nodeID] }
+
 func TestSharedObjectBroadcast(t *testing.T) {
 	k := simnet.NewKernel(2)
 	rt := New(k, 4, network.QDRInfiniBand(), DefaultConfig(), nil)

@@ -35,10 +35,6 @@ func (rt *Runtime) NewShared(name string, init func(nodeID int) any, apply func(
 	return s
 }
 
-// Local returns the replica of the given node. The caller must treat it as
-// node-local state: reads are free, writes must go through Invoke.
-func (s *SharedObject) Local(nodeID int) any { return s.replicas[nodeID] }
-
 // Invoke applies an update to the local replica and broadcasts it to every
 // other node (binomial tree, charged to the network model). argBytes is the
 // modeled wire size of the update arguments.

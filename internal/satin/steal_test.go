@@ -322,6 +322,40 @@ func TestFailedStealDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// BenchmarkFailedProbe measures what a failed steal probe costs the event
+// loop. An idle 4-node cluster runs one worker per node, so nodes 1–3 each
+// run one thief while the master's worker holds in main, with the idle
+// backoff capped at 1ms as in TestFailedStealDoesNotAllocate (a thief then
+// starts a round of probes every 1.92ms). Each iteration is one 10ms
+// virtual window of probing, after a warm-up that brings every thief to
+// the cap. It reports the events and stale wakes per failed probe, and
+// must allocate nothing (make bench-allocs).
+func BenchmarkFailedProbe(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.WorkersPerNode = 1
+	cfg.MaxIdleBackoff = time.Millisecond
+	rt := New(simnet.NewKernel(1), 4, network.QDRInfiniBand(), cfg, nil)
+	var events, stale, probes int64
+	rt.Run(func(ctx *Context) any {
+		ctx.Compute(10*time.Millisecond, "warm-up")
+		st, failed := rt.Scheduler().AggregateKernelStats(), rt.StealsFailed()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			ctx.Proc().Hold(10 * time.Millisecond)
+		}
+		b.StopTimer()
+		end := rt.Scheduler().AggregateKernelStats()
+		events, stale, probes = end.Events-st.Events, end.Stale-st.Stale, rt.StealsFailed()-failed
+		return nil
+	})
+	if probes == 0 {
+		b.Fatal("no failed probes: the benchmark needs an idle, probing cluster")
+	}
+	b.ReportMetric(float64(events)/float64(probes), "events/probe")
+	b.ReportMetric(float64(stale)/float64(probes), "stale/probe")
+}
+
 // TestVictimNeverPicksDeadPeer: once a node learns from a node_down
 // announcement that a peer is down, its cached peer list drops the peer, and
 // no later probe targets it.

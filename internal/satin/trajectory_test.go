@@ -43,13 +43,17 @@ func spreadBulk(ctx *Context, leaves int, work simnet.Duration) int {
 // TestCommTrajectory pins the trajectory of every comm-loop protocol path
 // — failed and granted steals, probes lost to a cut link, drain/undrain,
 // message-driven crashes, shared-object updates and the SetMessageHandler
-// hook — on a 4-node cluster, at 1 and 2 partitions. The expected values
-// were recorded while the comm loop and the thieves were still blocking
-// coroutines; any change to the order or timing of their sends and
-// receives moves them.
+// hook — on a 4-node cluster, and a non-master comm loop left idle for
+// longer than the master's receive timeout on a 2-node one, at 1 and 2
+// partitions. The expected values were recorded while the comm loop and
+// the thieves were still blocking coroutines; any change to the order or
+// timing of their sends and receives moves them. The Stale column was
+// re-recorded when the non-master comm loops stopped receiving with a
+// timeout: each wake of such a loop no longer folds a pending timeout.
 func TestCommTrajectory(t *testing.T) {
 	type row struct {
 		name  string
+		nodes int // 4 when 0
 		cfg   func(*Config)
 		setup func(rt *Runtime)
 		main  func(rt *Runtime, ctx *Context) any
@@ -71,7 +75,7 @@ func TestCommTrajectory(t *testing.T) {
 			ctx.Compute(3*time.Millisecond, "busy")
 			return nil
 		},
-		want: commTrajectory{End: 252595060, Events: 1374, Stale: 520, Callback: 395, Messages: 395, StealsOK: 0, StealsFailed: 196, ReExecuted: 0, Migrated: 0},
+		want: commTrajectory{End: 252595060, Events: 1374, Stale: 266, Callback: 395, Messages: 395, StealsOK: 0, StealsFailed: 196, ReExecuted: 0, Migrated: 0},
 	}, {
 		// Probes across the cut link are lost at the sender, or on delivery
 		// while in flight, and their thieves wait out StealTimeout.
@@ -92,14 +96,14 @@ func TestCommTrajectory(t *testing.T) {
 			}
 			return nil
 		},
-		want: commTrajectory{End: 252871160, Events: 1143, Stale: 432, Callback: 327, Messages: 323, StealsOK: 0, StealsFailed: 164, ReExecuted: 0, Migrated: 0},
+		want: commTrajectory{End: 252871160, Events: 1143, Stale: 221, Callback: 327, Messages: 323, StealsOK: 0, StealsFailed: 164, ReExecuted: 0, Migrated: 0},
 	}, {
 		name: "bulk-steals",
 		main: func(_ *Runtime, ctx *Context) any {
 			return spreadBulk(ctx, 32, 300*time.Microsecond)
 		},
 		check: wantInt(32),
-		want:  commTrajectory{End: 252157520, Events: 1206, Stale: 404, Callback: 300, Messages: 300, StealsOK: 16, StealsFailed: 118, ReExecuted: 0, Migrated: 0},
+		want:  commTrajectory{End: 252157520, Events: 1206, Stale: 219, Callback: 300, Messages: 300, StealsOK: 16, StealsFailed: 118, ReExecuted: 0, Migrated: 0},
 	}, {
 		name: "drain-undrain",
 		cfg: func(c *Config) {
@@ -135,7 +139,7 @@ func TestCommTrajectory(t *testing.T) {
 		// denials reach a worker while a later probe of its waits, and now
 		// end no probe, so that probe waits out its own timeout (Events
 		// 2122 -> 2125, Stale 503 -> 502); nothing else moves.
-		want: commTrajectory{End: 259928640, Events: 2125, Stale: 502, Callback: 548, Messages: 548, StealsOK: 0, StealsFailed: 232, ReExecuted: 0, Migrated: 1},
+		want: commTrajectory{End: 259928640, Events: 2125, Stale: 130, Callback: 548, Messages: 548, StealsOK: 0, StealsFailed: 232, ReExecuted: 0, Migrated: 1},
 	}, {
 		name: "crash-async",
 		setup: func(rt *Runtime) {
@@ -147,7 +151,7 @@ func TestCommTrajectory(t *testing.T) {
 			return divideAndCompute(ctx, 128, 500*time.Microsecond)
 		},
 		check: wantInt(128),
-		want:  commTrajectory{End: 269520340, Events: 1629, Stale: 434, Callback: 332, Messages: 332, StealsOK: 17, StealsFailed: 132, ReExecuted: 2, Migrated: 0},
+		want:  commTrajectory{End: 269520340, Events: 1629, Stale: 254, Callback: 332, Messages: 332, StealsOK: 17, StealsFailed: 132, ReExecuted: 2, Migrated: 0},
 	}, {
 		name: "shared-update",
 		setup: func(rt *Runtime) {
@@ -171,7 +175,7 @@ func TestCommTrajectory(t *testing.T) {
 			}
 			return nil
 		},
-		want: commTrajectory{End: 252595060, Events: 1433, Stale: 528, Callback: 404, Messages: 404, StealsOK: 0, StealsFailed: 196, ReExecuted: 0, Migrated: 0},
+		want: commTrajectory{End: 252595060, Events: 1433, Stale: 266, Callback: 404, Messages: 404, StealsOK: 0, StealsFailed: 196, ReExecuted: 0, Migrated: 0},
 	}, {
 		name: "message-handler",
 		setup: func(rt *Runtime) {
@@ -204,17 +208,41 @@ func TestCommTrajectory(t *testing.T) {
 			}
 			return nil
 		},
-		want: commTrajectory{End: 250958740, Events: 1001, Stale: 367, Callback: 289, Messages: 289, StealsOK: 0, StealsFailed: 140, ReExecuted: 0, Migrated: 0},
+		want: commTrajectory{End: 250958740, Events: 1001, Stale: 189, Callback: 289, Messages: 289, StealsOK: 0, StealsFailed: 140, ReExecuted: 0, Migrated: 0},
+	}, {
+		// Node 1's thief backs off to 400 ms between rounds, so its comm
+		// loop gets no message from its round at 300 ms until the shutdown
+		// at 600 ms: the loop sits idle for longer than the master's
+		// receive timeout.
+		name:  "idle-comm-loop",
+		nodes: 2,
+		cfg: func(c *Config) {
+			c.WorkersPerNode = 1
+			c.StealBackoff = 100 * time.Millisecond
+			c.MaxIdleBackoff = 400 * time.Millisecond
+		},
+		main: func(_ *Runtime, ctx *Context) any {
+			ctx.Compute(600*time.Millisecond, "busy")
+			return nil
+		},
+		// Recorded while node 1's loop still received with the 250 ms
+		// timeout: it fired once, at 550 ms, and only queued the next one
+		// (Events 98, Stale 37). Without it nothing else moves.
+		want: commTrajectory{End: 800280460, Events: 97, Stale: 24, Callback: 25, Messages: 25, StealsOK: 0, StealsFailed: 12, ReExecuted: 0, Migrated: 0},
 	}}
 	for _, r := range rows {
 		for _, parts := range []int{1, 2} {
-			ps := simnet.NewPartitioned(5, 4, parts)
+			nodes := r.nodes
+			if nodes == 0 {
+				nodes = 4
+			}
+			ps := simnet.NewPartitioned(5, nodes, parts)
 			cfg := DefaultConfig()
 			cfg.WorkersPerNode = 2
 			if r.cfg != nil {
 				r.cfg(&cfg)
 			}
-			rt := NewPartitioned(ps, 4, network.QDRInfiniBand(), cfg, nil)
+			rt := NewPartitioned(ps, nodes, network.QDRInfiniBand(), cfg, nil)
 			if r.setup != nil {
 				r.setup(rt)
 			}

@@ -114,24 +114,6 @@ func ParseTrace(r io.Reader) (map[string][]TraceEvent, error) {
 	return out, nil
 }
 
-// FormatTrace renders per-tenant traces in the ParseTrace text format,
-// tenants in name order (byte-stable for a given input).
-func FormatTrace(traces map[string][]TraceEvent) string {
-	names := make([]string, 0, len(traces))
-	for name := range traces {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteString("# tenant offset_ns class\n")
-	for _, name := range names {
-		for _, ev := range traces[name] {
-			fmt.Fprintf(&b, "%s %d %d\n", name, int64(ev.At), ev.Class)
-		}
-	}
-	return b.String()
-}
-
 // SynthesizeTrace draws a Poisson arrival schedule per tenant from a
 // private RNG (fully determined by seed, independent of the simulation
 // streams), with classes drawn at the tenant's mix weights. It is the

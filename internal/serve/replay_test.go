@@ -1,13 +1,33 @@
 package serve
 
 import (
+	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"cashmere/internal/simnet"
 )
+
+// FormatTrace renders per-tenant traces in the ParseTrace text format,
+// tenants in name order (byte-stable for a given input).
+func FormatTrace(traces map[string][]TraceEvent) string {
+	names := make([]string, 0, len(traces))
+	for name := range traces {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	b.WriteString("# tenant offset_ns class\n")
+	for _, name := range names {
+		for _, ev := range traces[name] {
+			fmt.Fprintf(&b, "%s %d %d\n", name, int64(ev.At), ev.Class)
+		}
+	}
+	return b.String()
+}
 
 func TestParseFormatTraceRoundtrip(t *testing.T) {
 	in := "# tenant offset_ns class\n" +

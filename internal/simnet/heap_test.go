@@ -369,7 +369,8 @@ func TestPackKey(t *testing.T) {
 //     pop vacated.
 //   - pairs: two pushes, then two pops, so one push of each pair appends
 //     and one pop of each pair refills its own vacancy.
-//   - fold: the comm loop's pattern, with one process per queued event.
+//   - fold: a timed receive's pattern (a thief awaiting a steal reply,
+//     the master's comm loop), with one process per queued event.
 //     Pop the wake due now; fold another process's far-off timeout to now
 //     (a decrease-key into the vacant root); push the popped process's
 //     next far-off timeout.

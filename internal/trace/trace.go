@@ -73,9 +73,6 @@ type Span struct {
 // kernel itself (scheduler slices) rather than to a cluster node.
 const NodeKernel = -1
 
-// Duration reports the span length.
-func (s Span) Duration() simnet.Duration { return simnet.Duration(s.End - s.Start) }
-
 // counterSample is one cumulative observation of a named counter (or one
 // instantaneous observation of a gauge).
 type counterSample struct {

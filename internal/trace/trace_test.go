@@ -90,6 +90,9 @@ func TestGanttEmpty(t *testing.T) {
 	}
 }
 
+// Duration reports the span length.
+func (s Span) Duration() simnet.Duration { return simnet.Duration(s.End - s.Start) }
+
 func TestSpanDuration(t *testing.T) {
 	s := Span{Start: ms(10), End: ms(25)}
 	if s.Duration() != 15*time.Millisecond {
