@@ -79,7 +79,7 @@ func main() {
 	sweepAuto := flag.Bool("sweep-autoscale", false, "run only the elasticity sweep and print it (no JSON output)")
 	autoscale := flag.Bool("autoscale", false, "enable the elastic autoscaler on a single run")
 	chaos := flag.Bool("chaos", false, "enable the chaos harness (partitions, stragglers, crashes) on a single run")
-	replay := flag.String("replay", "", "replay arrivals from a trace file, or \"synth\" for a synthesized schedule")
+	replay := flag.String("replay", "", "replay arrivals from a trace file naming every tenant, or \"synth\" for a synthesized schedule")
 	out := flag.String("out", "BENCH_serve.json", "sweep output path")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"number of sweep points simulated concurrently; output is identical at any setting")

@@ -1,16 +1,7 @@
 package mcpl
 
-// CloneProgram deep-copies a program so transformations (level translation)
-// can rewrite the copy without aliasing the original AST.
-func CloneProgram(p *Program) *Program {
-	out := &Program{}
-	for _, f := range p.Funcs {
-		out.Funcs = append(out.Funcs, CloneFunc(f))
-	}
-	return out
-}
-
-// CloneFunc deep-copies a function declaration.
+// CloneFunc deep-copies a function declaration, so level translation can
+// rewrite the copy without aliasing the original AST.
 func CloneFunc(f *Func) *Func {
 	nf := &Func{Level: f.Level, Name: f.Name, Return: cloneType(f.Return), Pos: f.Pos}
 	for _, p := range f.Params {

@@ -249,18 +249,3 @@ func TestBlockExtents(t *testing.T) {
 		t.Fatalf("3D = %v", e)
 	}
 }
-
-func TestCloneProgramIndependence(t *testing.T) {
-	prog := mcpl.MustParse(matmulSrc)
-	cl := mcpl.CloneProgram(prog)
-	// Mutate the clone's kernel level and check the original is untouched.
-	cl.Kernel("matmul").Level = "gpu"
-	if prog.Kernel("matmul").Level != "perfect" {
-		t.Fatal("clone aliases original")
-	}
-	fe := cl.Kernel("matmul").Body.Stmts[0].(*mcpl.Foreach)
-	fe.Unit = "blocks"
-	if prog.Kernel("matmul").Body.Stmts[0].(*mcpl.Foreach).Unit != "threads" {
-		t.Fatal("clone body aliases original")
-	}
-}

@@ -597,14 +597,10 @@ func (e *Endpoint) deliver(m Message) {
 	e.inbox.Send(m)
 }
 
-// Await arms step process p to wake on the next arrival or, when deadline
-// >= 0, at deadline (see simnet.Chan.Await).
-func (e *Endpoint) Await(p *simnet.Proc, deadline simnet.Time) {
-	e.inbox.Await(p, deadline)
-}
-
-// Unwait withdraws p's Await after a wake (see simnet.Chan.Unwait).
-func (e *Endpoint) Unwait(p *simnet.Proc) { e.inbox.Unwait(p) }
+// Await arms step process p to wake on the next arrival (see
+// simnet.Chan.Await). It takes no deadline: a comm loop has nothing to do
+// until a message comes, so no receive of an inbox times out.
+func (e *Endpoint) Await(p *simnet.Proc) { e.inbox.Await(p, -1) }
 
 // TryRecv returns a queued message without blocking.
 func (e *Endpoint) TryRecv() (Message, bool) {

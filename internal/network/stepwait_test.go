@@ -3,8 +3,9 @@ package network
 import "cashmere/internal/simnet"
 
 // receiver receives from endpoints' inboxes for one coroutine through
-// Endpoint.Await and TryRecv inside StepUntil, the direct-style receive
-// the tests write. Its step is bound once, so a process that keeps one
+// the inbox's Await and TryRecv inside StepUntil, the direct-style receive
+// the tests write; it waits on the inbox itself, as Endpoint.Await takes
+// no deadline. Its step is bound once, so a process that keeps one
 // receiver receives without allocating.
 type receiver struct {
 	e        *Endpoint
@@ -30,11 +31,11 @@ func (r *receiver) recv(p *simnet.Proc, e *Endpoint, d simnet.Duration) (m Messa
 }
 
 func (r *receiver) await(p *simnet.Proc) bool {
-	r.e.Unwait(p)
+	r.e.inbox.Unwait(p)
 	if r.m, r.ok = r.e.TryRecv(); r.ok || r.deadline >= 0 && p.Now() >= r.deadline {
 		return false
 	}
-	r.e.Await(p, r.deadline)
+	r.e.inbox.Await(p, r.deadline)
 	return true
 }
 

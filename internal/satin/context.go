@@ -113,13 +113,13 @@ const msgServicesSpawn = "satin: stealable Spawn in a RunServices run, which sta
 // whole cluster busy. A draining node only runs its local jobs.
 func (c *Context) Sync() {
 	rt := c.node.rt
-	backoff := rt.cfg.StealBackoff
+	var t *thief
 	for {
 		if c.node.dead {
 			// The node crashed under this frame. Abandon: whoever spawned
 			// the enclosing job re-executes it on a live node (Satin's
 			// fault-tolerance model), so nothing here matters any more.
-			return
+			break
 		}
 		var waitFor *Job
 		for _, j := range c.children {
@@ -136,22 +136,25 @@ func (c *Context) Sync() {
 			waitFor.result.Await(c.p)
 			continue
 		}
-		// One search for work, by the frame's thief stepping on its process:
-		// a local job, else one steal round unless the node drains.
-		t := c.node.thief(c.workerID + 1000)
-		t.phase = seekLocal
+		// Search and wait through the frame's thief, stepping on its
+		// process: a local job, else a steal round unless the node drains;
+		// after a failed round it sleeps until the child completes or its
+		// backoff is over, and searches again, until it finds a job or the
+		// child is done. The backoff grows to 8 × MaxIdleBackoff, which
+		// keeps event volume bounded during long remote leaves.
+		if t == nil {
+			t = c.node.thief(c.workerID + 1000)
+			t.cap, t.backoff = 8*rt.cfg.MaxIdleBackoff, rt.cfg.StealBackoff
+		}
+		t.child, t.phase = &waitFor.result, seekLocal
 		c.p.StepUntil(t.step)
 		if job := t.take(); job != nil {
 			c.node.runJob(c.p, c.workerID, job)
-			backoff = rt.cfg.StealBackoff
-			continue
+			t.backoff = rt.cfg.StealBackoff
 		}
-		// Nothing to help with: sleep until the child completes, but wake
-		// periodically to retry stealing (exponential backoff keeps event
-		// volume bounded during long remote leaves).
-		if _, ok := waitFor.result.AwaitTimeout(c.p, backoff); !ok && backoff < 8*rt.cfg.MaxIdleBackoff {
-			backoff *= 2
-		}
+	}
+	if t != nil {
+		t.child = nil
 	}
 	// Drop the children, so a finished subtree is not kept alive through
 	// the frames embedded in its jobs.

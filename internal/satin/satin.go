@@ -38,7 +38,9 @@ type Config struct {
 	WorkersPerNode int
 	// SpawnOverhead is the CPU cost of creating an invocation record.
 	SpawnOverhead simnet.Duration
-	// StealBackoff is the idle wait after a failed steal attempt.
+	// StealBackoff is the first idle wait after a failed steal round. Each
+	// further failed round in a row doubles the wait while it is below the
+	// cap (see MaxIdleBackoff); running a job starts over at StealBackoff.
 	StealBackoff simnet.Duration
 	// StealTimeout bounds the wait for a steal reply.
 	StealTimeout simnet.Duration
@@ -49,8 +51,13 @@ type Config struct {
 	// StealAttempts is the number of random victims probed per steal round
 	// before the thief backs off.
 	StealAttempts int
-	// MaxIdleBackoff caps the exponential idle backoff. Pick it well below
-	// the leaf duration: Satin's multi-second CPU leaves tolerate tens of
+	// MaxIdleBackoff bounds the idle backoff. An idle worker's wait doubles
+	// while it is below MaxIdleBackoff, so it settles at the first doubling
+	// of StealBackoff that reaches it: 61.44 ms with the defaults (30 µs
+	// doubled 11 times), not 50 ms. A frame blocked in Sync doubles while
+	// below 8 × MaxIdleBackoff (491.52 ms with the defaults), and also
+	// wakes when the child it waits for completes. Pick it well below the
+	// leaf duration: Satin's multi-second CPU leaves tolerate tens of
 	// milliseconds, Cashmere's fast kernels want ~1ms for quick job
 	// discovery after iteration barriers.
 	MaxIdleBackoff simnet.Duration
@@ -183,12 +190,10 @@ type Node struct {
 	peers []int
 
 	// The comm loop's state between steps (see commStep): the control
-	// replies still to send, the one being sent, and, on the master, the
-	// deadline of the receive in progress (-1 when none is).
+	// replies still to send and the one being sent.
 	out       []ctlSend
 	sending   network.Sending
 	sendArmed bool
-	deadline  simnet.Time
 	// hookCtx is the frame the comm loop hands the message handler hook,
 	// reset for every message (see SetMessageHandler).
 	hookCtx Context
@@ -246,7 +251,6 @@ func NewPartitioned(ps *simnet.Partitioned, n int, netCfg network.Config, cfg Co
 			thieves:     map[int]*thief{},
 			outstanding: map[uint64]outRec{},
 			peerDown:    make([]bool, n),
-			deadline:    -1,
 		})
 	}
 	rt.downDeclared = make([]bool, n)
@@ -391,10 +395,12 @@ func (rt *Runtime) Run(main func(ctx *Context) any) (any, simnet.Time) {
 			}
 		}
 	})
-	// Drain remaining events (idle workers noticing done, comm shutdown);
-	// the reported completion time is when main returned. Processes still
-	// parked afterwards (idle pool runners, waiters that will never be
-	// woken) are released so a finished run leaves no goroutines behind.
+	// Drain remaining events (idle workers noticing done at their next
+	// wake, the other nodes' comm loops ending on shutdown); the reported
+	// completion time is when main returned, and the clock stops within one
+	// idle backoff of it. Processes still parked afterwards (the master's
+	// comm loop, idle pool runners, waiters that will never be woken) are
+	// released so a finished run leaves no goroutines behind.
 	rt.ps.Run(0)
 	rt.ps.Close()
 	return rt.result, finished
@@ -408,7 +414,7 @@ func (rt *Runtime) Run(main func(ctx *Context) any) (any, simnet.Time) {
 // node is done or dead.
 func (n *Node) workerLoop(p *simnet.Proc, id int) {
 	t := n.thief(id)
-	t.idle = true
+	t.cap = n.rt.cfg.MaxIdleBackoff
 	t.backoff = n.rt.cfg.StealBackoff
 	for {
 		t.phase = seekLocal
@@ -508,11 +514,12 @@ func (n *Node) victim() int {
 // drains, a steal round probes up to StealAttempts random victims, each
 // probe holding PerMessageCPU to send the request, waiting up to
 // StealTimeout for the grant or denial and then up to dataTimeout for a
-// granted job's input data. An idle worker's thief (idle) backs off
-// exponentially after a failed round and searches again; a Sync frame's
-// hands back after one. The thief posts exactly the wakes the same protocol
-// written as blocking calls would, so trajectories do not depend on which
-// form runs.
+// granted job's input data. After a failed round the thief backs off and
+// searches again, doubling its backoff while it is below cap. A Sync
+// frame's thief also waits on the child its frame syncs on (child), and
+// hands back as soon as that child is done. The thief posts exactly the
+// wakes the same protocol written as blocking calls would, so trajectories
+// do not depend on which form runs.
 //
 // The request and every reply name the thief by pointer and the probe by
 // its sequence number. Only the thief's own node follows the pointer, to
@@ -533,8 +540,9 @@ type thief struct {
 	step    func(*simnet.Proc) bool // run, bound once
 	pending bool                    // probe seq is out: its replies go to reply
 
-	idle    bool
-	backoff simnet.Duration // an idle thief's next backoff hold
+	child   *simnet.Future[any] // a Sync frame's: the child it waits for; nil for an idle worker's
+	cap     simnet.Duration     // backoff doubles while below cap
+	backoff simnet.Duration     // the next backoff hold
 
 	phase      thiefPhase
 	attempt    int             // probes made in this round
@@ -554,7 +562,7 @@ const (
 	sending                      // holding the request's send overhead
 	awaitGrant                   // waiting for the grant or denial
 	awaitData                    // waiting for a granted job's input data
-	backingOff                   // idle: holding the backoff after a failed round
+	backingOff                   // holding the backoff after a failed round
 )
 
 // take returns the job the thief found, if any, and forgets it.
@@ -567,8 +575,8 @@ func (t *thief) take() *Job {
 // run is the thief's step: it advances the protocol from the wake that
 // called it until it must wait again (returning true with the wake armed),
 // or until the search ends (returning false): with t.job set when a job was
-// found, with t.job nil when a Sync frame's round failed or the node is done
-// or dead.
+// found, with t.job nil when a Sync frame's child is done or the node is
+// done (an idle worker) or dead.
 func (t *thief) run(p *simnet.Proc) bool {
 	n := t.n
 	cfg := &n.rt.cfg
@@ -581,7 +589,13 @@ func (t *thief) run(p *simnet.Proc) bool {
 	case awaitGrant, awaitData:
 		t.reply.Unwait(p)
 	case backingOff:
-		if t.backoff < cfg.MaxIdleBackoff {
+		if t.child != nil {
+			if t.child.Done() {
+				return false
+			}
+			t.child.Unwait(p)
+		}
+		if t.backoff < t.cap {
 			t.backoff *= 2
 		}
 		t.phase = seekLocal
@@ -589,7 +603,9 @@ func (t *thief) run(p *simnet.Proc) bool {
 	for {
 		switch t.phase {
 		case seekLocal:
-			if n.done || n.dead {
+			// An idle worker ends with its node; a Sync frame's search
+			// ends only with its child, or with a crash.
+			if n.dead || n.done && t.child == nil {
 				return false
 			}
 			if t.job = n.popLocal(); t.job != nil {
@@ -686,12 +702,15 @@ func (t *thief) probed(p *simnet.Proc, job *Job, ok bool) bool {
 }
 
 // roundFailed ends a search round that found nothing, or that a draining
-// node skipped: a Sync frame's thief hands back with no job, an idle thief
-// backs off.
+// node skipped, with the backoff: a Sync frame's thief hands back at once
+// if its child is done, and otherwise wakes also when the child completes.
 func (t *thief) roundFailed(p *simnet.Proc) bool {
 	t.attempt = 0
-	if !t.idle {
-		return false
+	if t.child != nil {
+		if t.child.Done() {
+			return false
+		}
+		t.child.Arm(p)
 	}
 	t.phase = backingOff
 	p.Arm(t.backoff)
@@ -723,15 +742,6 @@ type resultMsg struct {
 	Value any
 }
 
-// commTimeout is the master's comm loop receive timeout: its idle loop
-// wakes this often to notice that main returned, which main marks from
-// outside the loop (Run). The last such wake, commTimeout after the
-// master's last message, ends the run's clock. Every other node's loop
-// awaits its inbox with no deadline: only the loop itself ends such a node
-// (done on shutdown, dead in die), and it returns at once when it does, so
-// a timeout there could only queue the next one.
-const commTimeout = 250 * time.Millisecond
-
 // ctlSend is a 64-byte control reply queued by the comm loop. then, when
 // set, runs once the send completed (at once if the message was dropped),
 // and reports whether the comm loop ends. A ctlSend with no kind only runs
@@ -752,9 +762,10 @@ func (n *Node) reply(to int, kind string, payload any, then func() bool) {
 // services the inbox: steal requests and replies, results for jobs stolen
 // from this node, shared-object updates, and shutdown. It handles each
 // message and sends the replies it queued one at a time, arming its next
-// wake for every wait. An empty inbox is awaited with no deadline, except
-// on the master, whose loop receives with a commTimeout timeout to notice
-// that main returned.
+// wake for every wait. An empty inbox is awaited with no deadline: only the
+// loop itself ends a node (done on shutdown, dead in die), and the master's
+// loop, which no shutdown reaches, stays parked until Run closes the
+// kernels.
 func (n *Node) commStep(p *simnet.Proc) bool {
 	if n.sendArmed {
 		if !n.ep.FinishSend(p, &n.sending) {
@@ -764,8 +775,6 @@ func (n *Node) commStep(p *simnet.Proc) bool {
 		if n.popReply() {
 			return false
 		}
-	} else if n.deadline >= 0 {
-		n.ep.Unwait(p)
 	}
 	for {
 		for len(n.out) > 0 {
@@ -781,24 +790,9 @@ func (n *Node) commStep(p *simnet.Proc) bool {
 		}
 		m, ok := n.ep.TryRecv()
 		if !ok {
-			if n.ID != 0 {
-				n.ep.Await(p, -1)
-				return true
-			}
-			if n.deadline < 0 {
-				n.deadline = p.Now().Add(commTimeout)
-			}
-			if p.Now() < n.deadline {
-				n.ep.Await(p, n.deadline)
-				return true
-			}
-			n.deadline = -1
-			if n.done {
-				return false
-			}
-			continue
+			n.ep.Await(p)
+			return true
 		}
-		n.deadline = -1
 		if n.handle(p, m) {
 			return false
 		}

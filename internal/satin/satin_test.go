@@ -335,3 +335,29 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		t.Fatalf("non-deterministic: (%d,%v) vs (%d,%v)", s1, e1, s2, e2)
 	}
 }
+
+// TestClockStopsWithTheWork: once main returns, the run's clock goes on
+// only until every idle worker's next wake, within one settled idle
+// backoff, and no comm-loop receive timeout holds it for longer. On a
+// cluster a steal round in progress may run on too: its probes to nodes
+// whose loops the shutdown already ended each wait out StealTimeout.
+func TestClockStopsWithTheWork(t *testing.T) {
+	for _, nodes := range []int{1, 4} {
+		k := simnet.NewKernel(1)
+		cfg := DefaultConfig()
+		cfg.MaxIdleBackoff = time.Millisecond
+		rt := New(k, nodes, network.QDRInfiniBand(), cfg, nil)
+		_, finished := rt.Run(func(ctx *Context) any {
+			return divideAndCompute(ctx, 32, 500*time.Microsecond)
+		})
+		backoff := cfg.StealBackoff
+		for backoff < cfg.MaxIdleBackoff {
+			backoff *= 2
+		}
+		limit := backoff + time.Duration(cfg.StealAttempts)*cfg.StealTimeout
+		if over := k.Now() - finished; over > simnet.Time(limit) {
+			t.Errorf("%d nodes: clock ran %v past main's return at %v, want at most %v",
+				nodes, over, finished, limit)
+		}
+	}
+}

@@ -118,13 +118,15 @@ func ParseTrace(r io.Reader) (map[string][]TraceEvent, error) {
 // private RNG (fully determined by seed, independent of the simulation
 // streams), with classes drawn at the tenant's mix weights. It is the
 // source of cashmere-serve's "-replay synth" mode and of replay tests that
-// need a non-trivial schedule without a log file.
+// need a non-trivial schedule without a log file. It names every tenant: a
+// tenant with no arrival rate gets an empty schedule.
 func SynthesizeTrace(tenants []TenantSpec, horizon simnet.Duration, seed int64) map[string][]TraceEvent {
 	out := map[string][]TraceEvent{}
 	for ti := range tenants {
 		t := &tenants[ti]
 		rate := t.Arrival.RatePerSec / 1e9
 		if rate <= 0 {
+			out[t.Name] = nil
 			continue
 		}
 		rng := rand.New(rand.NewSource(seed + int64(ti+1)*912_367_983))
@@ -159,9 +161,11 @@ func SynthesizeTrace(tenants []TenantSpec, horizon simnet.Duration, seed int64) 
 	return out
 }
 
-// ApplyTrace switches every tenant named in traces to Replay arrivals with
-// the given tiling period (0 plays each trace once). Trace names that match
-// no tenant are an error.
+// ApplyTrace switches every tenant to Replay arrivals from traces, with the
+// given tiling period (0 plays each trace once). traces must name every
+// tenant, so a replay never mixes in drawn arrivals, and nothing else: a
+// name that matches no tenant, or a tenant the trace leaves out, is an
+// error naming the first such one.
 func (w *Workload) ApplyTrace(traces map[string][]TraceEvent, period simnet.Duration) error {
 	known := map[string]int{}
 	for i := range w.Tenants {
@@ -176,6 +180,11 @@ func (w *Workload) ApplyTrace(traces map[string][]TraceEvent, period simnet.Dura
 	if len(unknown) > 0 {
 		sort.Strings(unknown)
 		return fmt.Errorf("serve: trace names unknown tenant %q", unknown[0])
+	}
+	for i := range w.Tenants {
+		if _, ok := traces[w.Tenants[i].Name]; !ok {
+			return fmt.Errorf("serve: trace leaves out tenant %q", w.Tenants[i].Name)
+		}
 	}
 	for name, evs := range traces {
 		t := &w.Tenants[known[name]]

@@ -81,6 +81,28 @@ func TestApplyTraceUnknownTenant(t *testing.T) {
 	}
 }
 
+// TestApplyTraceMissingTenant: a trace that leaves a tenant out is
+// rejected, naming the tenant, and switches no tenant to replay, so no run
+// mixes replayed and drawn arrivals.
+func TestApplyTraceMissingTenant(t *testing.T) {
+	w, err := StandardWorkload(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := SynthesizeTrace(w.Tenants, simnet.Duration(100*time.Millisecond), 1)
+	left := w.Tenants[len(w.Tenants)-1].Name
+	delete(traces, left)
+	err = w.ApplyTrace(traces, 0)
+	if err == nil || !strings.Contains(err.Error(), left) {
+		t.Fatalf("trace without tenant %s not rejected: %v", left, err)
+	}
+	for _, tn := range w.Tenants {
+		if tn.Arrival.Kind == Replay {
+			t.Fatalf("tenant %s switched to replay by a rejected trace", tn.Name)
+		}
+	}
+}
+
 func TestSynthesizeTraceDeterministic(t *testing.T) {
 	w, err := StandardWorkload(200)
 	if err != nil {

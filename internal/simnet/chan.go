@@ -95,11 +95,14 @@ func (c *Chan[T]) Await(p *Proc, deadline Time) {
 }
 
 // Unwait drops p from c's waiting receivers, if a timeout woke it first.
-func (c *Chan[T]) Unwait(p *Proc) {
-	for i, w := range c.waiters {
+func (c *Chan[T]) Unwait(p *Proc) { c.waiters = unwait(c.waiters, p) }
+
+// unwait returns ws without p's entry, if it has one.
+func unwait(ws []chanWaiter, p *Proc) []chanWaiter {
+	for i, w := range ws {
 		if w.p == p {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
+			return append(ws[:i], ws[i+1:]...)
 		}
 	}
+	return ws
 }

@@ -40,29 +40,19 @@ func (f *Future[T]) Await(p *Proc) T {
 	return f.val
 }
 
-// AwaitTimeout blocks p until the future completes or d elapses; ok
-// reports completion. Like Await, it returns immediately when already
-// complete.
-func (f *Future[T]) AwaitTimeout(p *Proc, d Duration) (v T, ok bool) {
-	if f.done {
-		return f.val, true
-	}
-	deadline := p.k.now.Add(d)
+// Arm is Await for a step process: it arms p's wake for the completion of
+// a future that is not complete yet. A step that also arms a timer
+// (Proc.Arm) waits for whichever comes first; woken with the future still
+// incomplete, it calls Unwait before it arms again. Both wakes are
+// posted against the same park epoch, so whichever comes second is stale.
+func (f *Future[T]) Arm(p *Proc) {
+	p.arm()
 	f.wait(p)
-	p.k.post(deadline, p, p.epoch)
-	p.park()
-	if f.done {
-		return f.val, true
-	}
-	// Timed out: drop our stale waiter entry.
-	for i, w := range f.waiters {
-		if w.p == p {
-			f.waiters = append(f.waiters[:i], f.waiters[i+1:]...)
-			break
-		}
-	}
-	return v, false
 }
+
+// Unwait drops p from the processes Complete wakes, if a timer woke it
+// first.
+func (f *Future[T]) Unwait(p *Proc) { f.waiters = unwait(f.waiters, p) }
 
 // wait adds p, at its current epoch, to the processes Complete wakes.
 func (f *Future[T]) wait(p *Proc) {

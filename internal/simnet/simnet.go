@@ -13,27 +13,28 @@
 //
 // A channel receive and a resource grant have one body each, their step
 // form: Chan.Await (with an optional deadline) and Resource.AcquireStep. A
-// step also sleeps with Proc.Arm and waits for a broadcast condition with
-// WaitList.Arm. A step arms its next wake and returns instead of blocking,
-// and the kernel calls it inline on that wake. A step process (SpawnStepOn) is nothing but such a
-// step: the layers above run their message reactors this way — Satin's
-// comm loops, the network's receive-side couriers and the serving
-// frontend's arrival generators. A coroutine (Spawn) waits through the same
-// forms with Proc.StepUntil: its body stays suspended while the steps run
-// and resumes only at the wake whose step hands back, so a loop that mostly
-// waits (an idle work-stealing thief, an idle ProcPool runner, a message
-// send) switches only when it has work to do. The serving layer's
-// dispatcher slots and batch servers wait for work, device memory, a
-// launch's last command, the network links and replies this way, through
-// the step forms of the layers above (ocl.Event.Await,
+// step also sleeps with Proc.Arm, waits for a broadcast condition with
+// WaitList.Arm, and waits for a future with Future.Arm (with Proc.Arm as
+// its timeout, as Satin's Sync waits on a child). A step arms its next
+// wake and returns instead of blocking, and the kernel calls it inline on
+// that wake. A step process (SpawnStepOn) is nothing but such a step: the
+// layers above run their message reactors this way — Satin's comm loops,
+// the network's receive-side couriers and the serving frontend's arrival
+// generators. A coroutine (Spawn) waits through the same forms with
+// Proc.StepUntil: its body stays suspended while the steps run and resumes
+// only at the wake whose step hands back, so a loop that mostly waits (an
+// idle work-stealing thief, a frame blocked in Satin's Sync, an idle
+// ProcPool runner, a message send) switches only when it has work to do.
+// The serving layer's dispatcher slots and batch servers wait for work,
+// device memory, a launch's last command, the network links and replies
+// this way, through the step forms of the layers above (ocl.Event.Await,
 // ocl.Device.AllocStep, core.Launch.Step, network.Endpoint.BeginSend/
 // FinishSend).
 //
 // A coroutine also blocks in place, with Proc.Hold and HoldUntil,
-// Future.Await and AwaitTimeout, and WaitList.Park. Those serve user
-// divide-and-conquer code — Satin jobs and many-core threads that compute,
-// sync and wait for device events in direct style — which a step machine
-// cannot express.
+// Future.Await and WaitList.Park. Those serve user divide-and-conquer
+// code — Satin jobs and many-core threads that compute, sync and wait for
+// device events in direct style — which a step machine cannot express.
 // A blocked coroutine pops the next runnable event itself. When that event
 // belongs to the parking process — the common case for a lone process
 // sleeping through Hold — the wake needs no switch at all. Otherwise the
