@@ -20,9 +20,6 @@
 //	cashmere-serve -nodes 4 -chaos                        # partitions/stragglers/crashes
 //	cashmere-serve -replay synth                          # trace-replay arrivals
 //
-// `-sweep-autoscale` prints the short elasticity sweep without touching the
-// committed JSON (`make bench-autoscale`).
-//
 // Identical flags and -seed produce byte-identical output, including the
 // latency quantiles, at any -parallel or -partitions setting.
 package main
@@ -76,7 +73,6 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print the full metrics dump after the report")
 	traceF := flag.String("trace", "", "write a Chrome trace of the run")
 	sweep := flag.Bool("sweep", false, "run the latency-vs-load and elasticity sweeps instead of a single run")
-	sweepAuto := flag.Bool("sweep-autoscale", false, "run only the elasticity sweep and print it (no JSON output)")
 	autoscale := flag.Bool("autoscale", false, "enable the elastic autoscaler on a single run")
 	chaos := flag.Bool("chaos", false, "enable the chaos harness (partitions, stragglers, crashes) on a single run")
 	replay := flag.String("replay", "", "replay arrivals from a trace file naming every tenant, or \"synth\" for a synthesized schedule")
@@ -97,12 +93,6 @@ func main() {
 		}
 	}
 
-	if *sweepAuto {
-		if err := runAutoscaleSweep(*nodes, *dev, *duration, *seed, *partitions); err != nil {
-			fail(err)
-		}
-		return
-	}
 	if *sweep {
 		if err := runSweep(*nodes, *dev, *duration, *seed, *partitions, *out); err != nil {
 			fail(err)
@@ -222,7 +212,7 @@ func runOnce(nodes int, dev string, horizon time.Duration, load float64, arrival
 		scfg.Autoscale = serve.DefaultAutoscale()
 	}
 	if opts.chaos {
-		scfg.Chaos = serve.DefaultChaos(seed)
+		scfg.Chaos = &serve.ChaosConfig{Seed: seed}
 	}
 	rep, err := serve.Run(cl, scfg)
 	if err != nil {
@@ -363,30 +353,5 @@ func runSweep(nodes int, dev string, horizon time.Duration, seed int64, partitio
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "cashmere-serve: wrote %s\n", out)
-	return nil
-}
-
-// runAutoscaleSweep runs only the elasticity sweep and prints the figure —
-// the quick look behind `make bench-autoscale` and the CI bench smoke.
-func runAutoscaleSweep(nodes int, dev string, horizon time.Duration, seed int64, partitions int) error {
-	cfg := bench.DefaultAutoscaleSweep()
-	cfg.Nodes = nodes
-	cfg.Device = dev
-	cfg.Seed = seed
-	cfg.Partitions = partitions
-	if horizon > 0 && horizon != time.Second {
-		cfg.Horizon = simnet.Duration(horizon)
-	}
-	fig, points, err := bench.NodeHoursVsLoad(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(fig.Format())
-	for _, p := range points {
-		fmt.Printf("load %.2f: static %.4g node-s -> autoscaled %.4g (saving %.1f%%), SLO %.1f%% -> %.1f%%, p99 %.1fms -> %.1fms, %d out / %d in / %d forced / %d migrated\n",
-			p.LoadFactor, p.StaticNodeSec, p.AutoNodeSec, p.SavingPct,
-			p.StaticSLOPct, p.AutoSLOPct, p.StaticP99Ms, p.AutoP99Ms,
-			p.ScaleOuts, p.ScaleIns, p.DrainsForced, p.Migrated)
-	}
 	return nil
 }

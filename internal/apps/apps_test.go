@@ -30,6 +30,20 @@ func verifyCluster(t *testing.T, n int, v Variant, kernels func(Variant) (*codeg
 	return cl
 }
 
+// checkFlushReleases runs flush, the end of cl's verification run, and
+// fails unless the run recorded leaf views before it and no package map
+// holds cl, with its kernels and nodes, after it.
+func checkFlushReleases(t *testing.T, cl *core.Cluster, views int, flush func(*core.Cluster)) {
+	t.Helper()
+	if views == 0 {
+		t.Fatal("the verification run recorded no leaf views")
+	}
+	flush(cl)
+	if verifyData[cl] != nil || kmeansVerify[cl] != nil || nbodyVerifyData[cl] != nil || rtVerifyData[cl] != nil {
+		t.Fatal("a package map still holds the cluster after its Flush")
+	}
+}
+
 func TestMatmulVerifyUnoptimized(t *testing.T) {
 	testMatmulVerify(t, CashmereUnoptimized)
 }
@@ -46,7 +60,7 @@ func testMatmulVerify(t *testing.T, v Variant) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	FlushMatmul(cl)
+	checkFlushReleases(t, cl, len(d.views), FlushMatmul)
 	if e := MatmulMaxError(d); e > 1e-9 {
 		t.Fatalf("matmul max error = %g", e)
 	}
@@ -65,7 +79,7 @@ func testKMeansVerify(t *testing.T, v Variant) {
 	if _, err := RunKMeans(cl, prob, v); err != nil {
 		t.Fatal(err)
 	}
-	FlushKMeans(cl)
+	checkFlushReleases(t, cl, len(d.views), FlushKMeans)
 	ref := KMeansReferenceAssign(d)
 	for i := range ref {
 		if d.Assign.I[i] != ref[i] {
@@ -84,7 +98,7 @@ func testNBodyVerify(t *testing.T, v Variant) {
 	if _, err := RunNBody(cl, prob, v); err != nil {
 		t.Fatal(err)
 	}
-	FlushNBody(cl)
+	checkFlushReleases(t, cl, len(d.views), FlushNBody)
 	ref := NBodyReferenceAcc(d)
 	for i := range ref.F {
 		if math.Abs(ref.F[i]-d.Acc.F[i]) > 1e-9 {
@@ -100,7 +114,7 @@ func TestRaytracerVerifyExactMatch(t *testing.T) {
 	if _, err := RunRaytracer(cl, prob, CashmereUnoptimized); err != nil {
 		t.Fatal(err)
 	}
-	FlushRaytracer(cl)
+	checkFlushReleases(t, cl, len(d.views), FlushRaytracer)
 	ref := RaytraceReference(prob.W, prob.H, 0, prob.H, prob.Samples, prob.Seed, CornellScene())
 	nonzero := false
 	for i := range ref.F {

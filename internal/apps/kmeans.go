@@ -153,6 +153,8 @@ type KMeansData struct {
 	// kernel; Centroids [k,d]; Assign is filled by the run.
 	Points, PointsT, Centroids *interp.Array
 	Assign                     *interp.Array
+
+	views []kmAssignView // the run's leaf assignments, until FlushKMeans
 }
 
 var kmeansVerify = map[*core.Cluster]*KMeansData{}
@@ -257,7 +259,7 @@ func kmeansLeaf(cl *core.Cluster, ctx *satin.Context, prob KMeansProblem, v Vari
 		Label:    "kmeans",
 	}
 	if d := kmeansVerify[cl]; d != nil && cl.Verify() {
-		spec.Args = kmeansVerifyArgs(cl, d, lo, hi, v)
+		spec.Args = kmeansVerifyArgs(d, lo, hi, v)
 	}
 	if err := kernel.NewLaunch(spec).Run(ctx); err != nil {
 		cpuLeaf(ctx, leafFlops, "kmeans-leaf-cpu")
@@ -267,11 +269,11 @@ func kmeansLeaf(cl *core.Cluster, ctx *satin.Context, prob KMeansProblem, v Vari
 	cpuLeaf(ctx, float64(npts*prob.D), "kmeans-partials")
 }
 
-func kmeansVerifyArgs(cl *core.Cluster, d *KMeansData, lo, hi int, v Variant) []any {
+func kmeansVerifyArgs(d *KMeansData, lo, hi int, v Variant) []any {
 	prob := d.Prob
 	npts := hi - lo
-	assign := &kmAssignView{cl: cl, lo: lo, arr: interp.NewIntArray(npts)}
-	kmPending = append(kmPending, assign)
+	assign := kmAssignView{lo: lo, arr: interp.NewIntArray(npts)}
+	d.views = append(d.views, assign)
 	// Which layout the compiled kernel expects depends on the selected
 	// version; the optimized set compiles the SoA kernel for GPU leaves and
 	// the AoS kernel elsewhere. We pass the layout matching the variant's
@@ -290,29 +292,22 @@ func kmeansVerifyArgs(cl *core.Cluster, d *KMeansData, lo, hi int, v Variant) []
 }
 
 type kmAssignView struct {
-	cl  *core.Cluster
 	lo  int
 	arr *interp.Array
 }
 
-var kmPending []*kmAssignView
-
 // FlushKMeans copies leaf assignments of a verification run back into the
-// attached data.
+// attached data and ends the run: the package keeps nothing of cl.
 func FlushKMeans(cl *core.Cluster) {
 	d := kmeansVerify[cl]
 	if d == nil {
 		return
 	}
-	rest := kmPending[:0]
-	for _, v := range kmPending {
-		if v.cl != cl {
-			rest = append(rest, v)
-			continue
-		}
+	for _, v := range d.views {
 		copy(d.Assign.I[v.lo:v.lo+v.arr.Len()], v.arr.I)
 	}
-	kmPending = rest
+	d.views = nil
+	delete(kmeansVerify, cl)
 }
 
 // KMeansReferenceAssign computes the reference assignment in Go.

@@ -188,6 +188,8 @@ func matmulLeaf(cl *core.Cluster, ctx *satin.Context, prob MatmulProblem, v Vari
 type MatmulData struct {
 	N       int
 	A, B, C *interp.Array
+
+	views []matmulViewC // the run's leaf C blocks, until FlushMatmul
 }
 
 var verifyData = map[*core.Cluster]*MatmulData{}
@@ -218,7 +220,7 @@ func matmulVerifyArgs(cl *core.Cluster, b mmBlock, prob MatmulProblem) []any {
 	rows, cols, n := b.rows(), b.cols(), d.N
 	a := interp.NewFloatArray(rows, n)
 	bb := interp.NewFloatArray(n, cols)
-	c := &matmulViewC{cl: cl, b: b}
+	c := matmulViewC{b: b}
 	for i := 0; i < rows; i++ {
 		copy(a.F[i*n:(i+1)*n], d.A.F[(b.r0+i)*n:(b.r0+i+1)*n])
 	}
@@ -235,37 +237,31 @@ func matmulVerifyArgs(cl *core.Cluster, b mmBlock, prob MatmulProblem) []any {
 	// calls compiled.Run synchronously, so copying back right after Run
 	// would be ideal — instead we rely on the caller reading C once the run
 	// completes via FlushMatmul.
-	pendingC = append(pendingC, c)
+	d.views = append(d.views, c)
 	return []any{int64(rows), int64(cols), int64(n), cArr, a, bb}
 }
 
 type matmulViewC struct {
-	cl  *core.Cluster
 	b   mmBlock
 	arr *interp.Array
 }
 
-var pendingC []*matmulViewC
-
 // FlushMatmul writes all leaf C blocks of a verification run back into the
-// attached full matrix. Call after RunMatmul.
+// attached full matrix and ends the run: the package keeps nothing of cl.
+// Call after RunMatmul.
 func FlushMatmul(cl *core.Cluster) {
 	d := verifyData[cl]
 	if d == nil {
 		return
 	}
-	rest := pendingC[:0]
-	for _, v := range pendingC {
-		if v.cl != cl {
-			rest = append(rest, v)
-			continue
-		}
+	for _, v := range d.views {
 		rows, cols := v.b.rows(), v.b.cols()
 		for i := 0; i < rows; i++ {
 			copy(d.C.F[(v.b.r0+i)*d.N+v.b.c0:(v.b.r0+i)*d.N+v.b.c1], v.arr.F[i*cols:(i+1)*cols])
 		}
 	}
-	pendingC = rest
+	d.views = nil
+	delete(verifyData, cl)
 }
 
 // MatmulReference computes C = A x B in plain Go for verification.

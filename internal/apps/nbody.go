@@ -183,7 +183,7 @@ func nbodyLeaf(cl *core.Cluster, ctx *satin.Context, prob NBodyProblem, v Varian
 		Label:    "nbody",
 	}
 	if d := nbodyVerifyData[cl]; d != nil && cl.Verify() {
-		spec.Args = nbodyVerifyArgs(cl, d, lo, nloc)
+		spec.Args = nbodyVerifyArgs(d, lo, nloc)
 	}
 	if err := kernel.NewLaunch(spec).Run(ctx); err != nil {
 		cpuLeaf(ctx, leafFlops, "nbody-leaf-cpu")
@@ -195,6 +195,8 @@ type NBodyData struct {
 	Prob NBodyProblem
 	Pos  *interp.Array // [n,4]
 	Acc  *interp.Array // [n,3], filled by the run
+
+	views []nbAccView // the run's leaf accelerations, until FlushNBody
 }
 
 var nbodyVerifyData = map[*core.Cluster]*NBodyData{}
@@ -218,35 +220,28 @@ func AttachNBodyData(cl *core.Cluster, prob NBodyProblem, seed int64) *NBodyData
 }
 
 type nbAccView struct {
-	cl  *core.Cluster
 	lo  int
 	arr *interp.Array
 }
 
-var nbPending []*nbAccView
-
-func nbodyVerifyArgs(cl *core.Cluster, d *NBodyData, lo, nloc int) []any {
+func nbodyVerifyArgs(d *NBodyData, lo, nloc int) []any {
 	acc := interp.NewFloatArray(nloc, 3)
-	nbPending = append(nbPending, &nbAccView{cl: cl, lo: lo, arr: acc})
+	d.views = append(d.views, nbAccView{lo: lo, arr: acc})
 	return []any{int64(nloc), int64(lo), int64(d.Prob.N), d.Pos, acc}
 }
 
 // FlushNBody copies leaf accelerations of a verification run back into the
-// attached data.
+// attached data and ends the run: the package keeps nothing of cl.
 func FlushNBody(cl *core.Cluster) {
 	d := nbodyVerifyData[cl]
 	if d == nil {
 		return
 	}
-	rest := nbPending[:0]
-	for _, v := range nbPending {
-		if v.cl != cl {
-			rest = append(rest, v)
-			continue
-		}
+	for _, v := range d.views {
 		copy(d.Acc.F[v.lo*3:v.lo*3+v.arr.Len()], v.arr.F)
 	}
-	nbPending = rest
+	d.views = nil
+	delete(nbodyVerifyData, cl)
 }
 
 // NBodyReferenceAcc computes the reference accelerations in Go, mirroring

@@ -264,7 +264,7 @@ func raytracerLeaf(cl *core.Cluster, ctx *satin.Context, prob RaytracerProblem, 
 	}
 	if d := rtVerifyData[cl]; d != nil && cl.Verify() {
 		img := interp.NewFloatArray(rows, prob.W, 3)
-		rtPending = append(rtPending, &rtImgView{cl: cl, y0: y0, arr: img})
+		d.views = append(d.views, rtImgView{y0: y0, arr: img})
 		spec.Args = []any{
 			int64(prob.W), int64(prob.H), int64(y0), int64(rows),
 			int64(prob.Samples), int64(ns), prob.Seed, scene, img,
@@ -279,6 +279,8 @@ func raytracerLeaf(cl *core.Cluster, ctx *satin.Context, prob RaytracerProblem, 
 type RaytracerData struct {
 	Prob RaytracerProblem
 	Img  *interp.Array // [h,w,3]
+
+	views []rtImgView // the run's leaf blocks, until FlushRaytracer
 }
 
 var rtVerifyData = map[*core.Cluster]*RaytracerData{}
@@ -291,29 +293,23 @@ func AttachRaytracerData(cl *core.Cluster, prob RaytracerProblem) *RaytracerData
 }
 
 type rtImgView struct {
-	cl  *core.Cluster
 	y0  int
 	arr *interp.Array
 }
 
-var rtPending []*rtImgView
-
-// FlushRaytracer copies rendered leaf blocks back into the attached image.
+// FlushRaytracer copies rendered leaf blocks back into the attached image
+// and ends the run: the package keeps nothing of cl.
 func FlushRaytracer(cl *core.Cluster) {
 	d := rtVerifyData[cl]
 	if d == nil {
 		return
 	}
 	w := d.Prob.W
-	rest := rtPending[:0]
-	for _, v := range rtPending {
-		if v.cl != cl {
-			rest = append(rest, v)
-			continue
-		}
+	for _, v := range d.views {
 		copy(d.Img.F[v.y0*w*3:v.y0*w*3+v.arr.Len()], v.arr.F)
 	}
-	rtPending = rest
+	d.views = nil
+	delete(rtVerifyData, cl)
 }
 
 // RaytraceReference renders the same block in pure Go, mirroring the MCPL

@@ -44,17 +44,15 @@ type AutoscaleSweepConfig struct {
 	// swing s gives a peak:trough ratio of (1+s)/(1-s).
 	Swing  float64
 	Period simnet.Duration
-	// Autoscale is the controller tuning (nil = the sweep default: a
-	// 2-node floor with fast scale-in).
-	Autoscale *serve.AutoscaleConfig
 	// Partitions splits each simulation into that many parallel event
 	// loops (<= 1: sequential). Output is byte-identical either way.
 	Partitions int
 }
 
-// DefaultAutoscaleSweep is the configuration behind `make bench-autoscale`
-// and the autoscale section of BENCH_serve.json: a 4-node fleet under a 5x
-// diurnal swing (swing 2/3), autoscaling down to a 2-node floor.
+// DefaultAutoscaleSweep is the configuration behind the autoscale section
+// of BENCH_serve.json (`cashmere-serve -sweep`, `make bench-serve`): a
+// 4-node fleet under a 5x diurnal swing (swing 2/3), autoscaling down to a
+// 2-node floor.
 func DefaultAutoscaleSweep() AutoscaleSweepConfig {
 	return AutoscaleSweepConfig{
 		Nodes:   4,
@@ -70,12 +68,7 @@ func DefaultAutoscaleSweep() AutoscaleSweepConfig {
 // 2-node floor and a faster scale-in than the serving default, so the fleet
 // tracks the trough of the swing instead of coasting on hysteresis.
 func sweepAutoscaler() *serve.AutoscaleConfig {
-	as := serve.DefaultAutoscale()
-	as.Min = 2
-	as.Initial = 2
-	as.DownTicks = 2
-	as.Cooldown = 20 * time.Millisecond
-	return as
+	return &serve.AutoscaleConfig{Min: 2, Initial: 2, DownTicks: 2, Cooldown: 20 * time.Millisecond}
 }
 
 // NodeHoursVsLoad sweeps mean offered load under a diurnal swing and
@@ -102,10 +95,7 @@ func NodeHoursVsLoad(cfg AutoscaleSweepConfig) (Figure, []AutoscalePoint, error)
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = simnet.Duration(900 * time.Millisecond)
 	}
-	tuning := cfg.Autoscale
-	if tuning == nil {
-		tuning = sweepAutoscaler()
-	}
+	tuning := sweepAutoscaler()
 
 	base, err := serve.StandardWorkload(1)
 	if err != nil {
@@ -116,7 +106,7 @@ func NodeHoursVsLoad(cfg AutoscaleSweepConfig) (Figure, []AutoscalePoint, error)
 		return Figure{}, nil, err
 	}
 
-	// One serving run of the diurnal workload; autoscale nil = static fleet.
+	// One serving run of the diurnal workload; as nil = static fleet.
 	run := func(load float64, as *serve.AutoscaleConfig) (*serve.Report, error) {
 		w, err := serve.StandardWorkload(1)
 		if err != nil {
@@ -143,10 +133,7 @@ func NodeHoursVsLoad(cfg AutoscaleSweepConfig) (Figure, []AutoscalePoint, error)
 		}
 		scfg := serve.DefaultConfig(w)
 		scfg.Horizon = cfg.Horizon
-		if as != nil {
-			cp := *as
-			scfg.Autoscale = &cp
-		}
+		scfg.Autoscale = as
 		return serve.Run(cl, scfg)
 	}
 
@@ -201,7 +188,7 @@ func NodeHoursVsLoad(cfg AutoscaleSweepConfig) (Figure, []AutoscalePoint, error)
 				cfg.Nodes, cfg.Device, cfg.Swing, (1+cfg.Swing)/(1-cfg.Swing),
 				simnet.Duration(cfg.Period), simnet.Duration(cfg.Horizon)),
 			fmt.Sprintf("autoscaler floor %d nodes, interval %v, drain grace %v",
-				tuning.Min, simnet.Duration(tuning.Interval), simnet.Duration(tuning.DrainGrace)),
+				tuning.Min, serve.AutoscaleInterval, serve.AutoscaleDrainGrace),
 		},
 	}
 	x := make([]float64, len(points))

@@ -76,8 +76,7 @@ func TestAutoscaleSweepDeterministicUnderParallelism(t *testing.T) {
 }
 
 // BenchmarkAutoscaleSweep times the full elasticity sweep (the workload
-// behind `make bench-autoscale` and the autoscale section of
-// BENCH_serve.json).
+// behind the autoscale section of BENCH_serve.json).
 func BenchmarkAutoscaleSweep(b *testing.B) {
 	cfg := DefaultAutoscaleSweep()
 	for i := 0; i < b.N; i++ {

@@ -87,7 +87,7 @@ func TestServeSweepShowsSaturationKnee(t *testing.T) {
 
 // TestServeSweepsRejectNoNodes: both serving sweeps fail on a node count
 // below one, as a single serving run does, instead of sweeping one node
-// (`cashmere-serve -sweep -nodes -3` and `-sweep-autoscale -nodes -3`).
+// (`cashmere-serve -sweep -nodes -3`).
 func TestServeSweepsRejectNoNodes(t *testing.T) {
 	horizon := simnet.Duration(10 * time.Millisecond)
 	for _, n := range []int{0, -3} {

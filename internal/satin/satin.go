@@ -613,6 +613,11 @@ func (t *thief) run(p *simnet.Proc) bool {
 			}
 			t.phase = roundStart
 		case roundStart:
+			// An idle worker's round ends with its node: the peers it
+			// would probe next may have ended their comm loops already.
+			if n.done && t.child == nil {
+				return false
+			}
 			// A draining node finishes what it has but never pulls new
 			// work in, not even with the rest of a round begun before the
 			// drain.

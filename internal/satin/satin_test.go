@@ -339,14 +339,18 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 // TestClockStopsWithTheWork: once main returns, the run's clock goes on
 // only until every idle worker's next wake, within one settled idle
 // backoff, and no comm-loop receive timeout holds it for longer. On a
-// cluster a steal round in progress may run on too: its probes to nodes
-// whose loops the shutdown already ended each wait out StealTimeout.
+// cluster one probe under way when the shutdown reaches its node may wait
+// out StealTimeout too, but no idle thief starts another probe on a node
+// that is done: the shutdown broadcast (at most nodes-1 control messages,
+// each charged latency plus send and receive CPU) bounds how late a node
+// learns it is done.
 func TestClockStopsWithTheWork(t *testing.T) {
 	for _, nodes := range []int{1, 4} {
 		k := simnet.NewKernel(1)
 		cfg := DefaultConfig()
 		cfg.MaxIdleBackoff = time.Millisecond
-		rt := New(k, nodes, network.QDRInfiniBand(), cfg, nil)
+		net := network.QDRInfiniBand()
+		rt := New(k, nodes, net, cfg, nil)
 		_, finished := rt.Run(func(ctx *Context) any {
 			return divideAndCompute(ctx, 32, 500*time.Microsecond)
 		})
@@ -354,7 +358,8 @@ func TestClockStopsWithTheWork(t *testing.T) {
 		for backoff < cfg.MaxIdleBackoff {
 			backoff *= 2
 		}
-		limit := backoff + time.Duration(cfg.StealAttempts)*cfg.StealTimeout
+		hop := net.Latency + 2*net.PerMessageCPU + time.Duration(64/net.Bandwidth*1e9)
+		limit := backoff + cfg.StealTimeout + time.Duration(nodes-1)*hop
 		if over := k.Now() - finished; over > simnet.Time(limit) {
 			t.Errorf("%d nodes: clock ran %v past main's return at %v, want at most %v",
 				nodes, over, finished, limit)

@@ -54,7 +54,12 @@ func spreadBulk(ctx *Context, leaves int, work simnet.Duration) int {
 // timeout too: the run's clock now stops at the last idle worker's wake
 // after main returns, not at the master's last timeout, which is one event
 // fewer per run (two in idle-comm-loop), and the master's wakes fold no
-// pending timeout. Nothing else moved.
+// pending timeout. Nothing else moved. The bulk-steals and crash-async
+// rows were re-recorded again when an idle worker's steal round started
+// ending with its node: a remote worker mid-round at shutdown no longer
+// probes peers whose loops have ended, so those runs lose the probes after
+// main returned (their failed steals, messages and events) and the clock
+// stops sooner. Every other row stayed.
 func TestCommTrajectory(t *testing.T) {
 	type row struct {
 		name  string
@@ -108,7 +113,7 @@ func TestCommTrajectory(t *testing.T) {
 			return spreadBulk(ctx, 32, 300*time.Microsecond)
 		},
 		check: wantInt(32),
-		want:  commTrajectory{End: 6225520, Events: 1205, Stale: 151, Callback: 300, Messages: 300, StealsOK: 16, StealsFailed: 118, ReExecuted: 0, Migrated: 0},
+		want:  commTrajectory{End: 4161520, Events: 1199, Stale: 151, Callback: 299, Messages: 299, StealsOK: 16, StealsFailed: 117, ReExecuted: 0, Migrated: 0},
 	}, {
 		name: "drain-undrain",
 		cfg: func(c *Config) {
@@ -156,7 +161,7 @@ func TestCommTrajectory(t *testing.T) {
 			return divideAndCompute(ctx, 128, 500*time.Microsecond)
 		},
 		check: wantInt(128),
-		want:  commTrajectory{End: 21538320, Events: 1628, Stale: 160, Callback: 332, Messages: 332, StealsOK: 17, StealsFailed: 132, ReExecuted: 2, Migrated: 0},
+		want:  commTrajectory{End: 15514320, Events: 1595, Stale: 160, Callback: 322, Messages: 322, StealsOK: 17, StealsFailed: 125, ReExecuted: 2, Migrated: 0},
 	}, {
 		name: "shared-update",
 		setup: func(rt *Runtime) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"time"
 
 	"cashmere/internal/satin"
@@ -8,98 +9,68 @@ import (
 )
 
 // AutoscaleConfig tunes the elastic autoscaler. The controller runs on node
-// 0 every Interval and reads two signals: the queue depth per active
-// dispatcher slot and the p99 latency over the last interval (a windowed
-// reading of the log-bucketed histogram, so it tracks the current regime
-// rather than run-wide history). Hysteresis comes from consecutive-tick
-// thresholds plus a cooldown after every action, so a single burst neither
-// flaps the fleet up nor a quiet tick flaps it down.
+// 0 every AutoscaleInterval and reads two signals: the queue depth per
+// active dispatcher slot and the p99 latency over the last interval (a
+// windowed reading of the log-bucketed histogram, so it tracks the current
+// regime rather than run-wide history). Hysteresis comes from
+// consecutive-tick thresholds plus a cooldown after every action, so a
+// single burst neither flaps the fleet up nor a quiet tick flaps it down.
+// The Active node count never exceeds the cluster size.
 type AutoscaleConfig struct {
-	// Min/Max bound the Active node count. Zero Max means every node of the
-	// cluster; Min is clamped to at least 1 (node 0 never leaves rotation).
-	Min, Max int
-	// Initial is the Active node count at start (0 means Max); the rest of
-	// the fleet starts Parked.
+	// Min is the floor on the Active node count, clamped to [1, nodes]
+	// (node 0 never leaves rotation).
+	Min int
+	// Initial is the Active node count at start (0 means every node),
+	// clamped to [Min, nodes]; the rest of the fleet starts Parked.
 	Initial int
-	// Interval is the control period (default 10ms of virtual time).
-	Interval simnet.Duration
-	// HighQueuePerSlot scales out when queued/activeSlots exceeds it.
-	HighQueuePerSlot float64
-	// LowQueuePerSlot is the scale-in ceiling on queued/activeSlots.
-	LowQueuePerSlot float64
-	// P99Factor scales out when the windowed p99 exceeds P99Factor×SLO;
-	// scale-in additionally requires p99 below half that bar.
-	P99Factor float64
-	// UpTicks/DownTicks are the consecutive hot/cold intervals required
-	// before acting (hysteresis).
-	UpTicks, DownTicks int
-	// Cooldown is the minimum gap between scaling actions.
+	// DownTicks is the number of consecutive cold intervals required
+	// before a scale-in (at least 1; Run rejects less).
+	DownTicks int
+	// Cooldown is the minimum gap between scaling actions (Run rejects a
+	// negative one).
 	Cooldown simnet.Duration
-	// DrainGrace bounds a scale-in drain: batches still in flight when it
-	// expires are aborted and re-queued onto the remaining fleet.
-	DrainGrace simnet.Duration
 }
 
-// DefaultAutoscale returns the controller tuning used by cashmere-serve
-// and the autoscale sweep.
+// The autoscaler's fixed tuning.
+const (
+	// AutoscaleInterval is the control period, in virtual time.
+	AutoscaleInterval = simnet.Duration(10 * time.Millisecond)
+	// AutoscaleDrainGrace bounds a scale-in drain: batches still in flight
+	// when it expires are aborted and re-queued onto the remaining fleet.
+	AutoscaleDrainGrace = simnet.Duration(10 * time.Millisecond)
+	// The controller scales out when queued/activeSlots exceeds
+	// highQueuePerSlot or the windowed p99 exceeds p99Factor×SLO, for
+	// upTicks consecutive intervals; scale-in needs queued/activeSlots below
+	// lowQueuePerSlot and p99 below half that bar for DownTicks intervals.
+	highQueuePerSlot = 3
+	lowQueuePerSlot  = 0.5
+	p99Factor        = 0.9
+	upTicks          = 2
+)
+
+// DefaultAutoscale returns the controller tuning used by cashmere-serve.
 func DefaultAutoscale() *AutoscaleConfig {
-	return &AutoscaleConfig{
-		Min:              1,
-		Interval:         10 * time.Millisecond,
-		HighQueuePerSlot: 3,
-		LowQueuePerSlot:  0.5,
-		P99Factor:        0.9,
-		UpTicks:          2,
-		DownTicks:        6,
-		Cooldown:         40 * time.Millisecond,
-		DrainGrace:       10 * time.Millisecond,
-	}
+	return &AutoscaleConfig{Min: 1, DownTicks: 6, Cooldown: 40 * time.Millisecond}
 }
 
-// norm clamps the configuration to a cluster of n nodes and fills defaults.
-func (a AutoscaleConfig) norm(n int) AutoscaleConfig {
-	if a.Max <= 0 || a.Max > n {
-		a.Max = n
-	}
-	if a.Min < 1 {
-		a.Min = 1
-	}
-	if a.Min > a.Max {
-		a.Min = a.Max
-	}
-	if a.Initial <= 0 {
-		a.Initial = a.Max
-	}
-	if a.Initial < a.Min {
-		a.Initial = a.Min
-	}
-	if a.Initial > a.Max {
-		a.Initial = a.Max
-	}
-	if a.Interval <= 0 {
-		a.Interval = 10 * time.Millisecond
-	}
-	if a.HighQueuePerSlot <= 0 {
-		a.HighQueuePerSlot = 3
-	}
-	if a.LowQueuePerSlot <= 0 {
-		a.LowQueuePerSlot = 0.5
-	}
-	if a.P99Factor <= 0 {
-		a.P99Factor = 0.9
-	}
-	if a.UpTicks < 1 {
-		a.UpTicks = 2
-	}
+// check rejects a tuning the controller cannot run.
+func (a *AutoscaleConfig) check() error {
 	if a.DownTicks < 1 {
-		a.DownTicks = 6
+		return fmt.Errorf("serve: autoscale DownTicks %d, want at least 1", a.DownTicks)
 	}
 	if a.Cooldown < 0 {
-		a.Cooldown = 0
+		return fmt.Errorf("serve: autoscale negative Cooldown %v", a.Cooldown)
 	}
-	if a.DrainGrace <= 0 {
-		a.DrainGrace = 10 * time.Millisecond
+	return nil
+}
+
+// norm clamps the node counts to a cluster of n nodes.
+func (a AutoscaleConfig) norm(n int) AutoscaleConfig {
+	a.Min = min(max(a.Min, 1), n)
+	if a.Initial <= 0 {
+		a.Initial = n
 	}
+	a.Initial = min(max(a.Initial, a.Min), n)
 	return a
 }
 
@@ -132,13 +103,13 @@ func (el *elastic) autoscaleLoop(ctx *satin.Context, cfg AutoscaleConfig) {
 	p := ctx.Proc()
 	k := p.Kernel()
 	prev := f.Hist.Snapshot()
-	hi := int64(float64(f.cfg.SLO) * cfg.P99Factor)
+	hi := int64(float64(f.cfg.SLO) * p99Factor)
 	lo := hi / 2
 	var up, down int
 	var lastAction simnet.Time
 	acted := false
 	for {
-		p.Hold(cfg.Interval)
+		p.Hold(AutoscaleInterval)
 		if f.done.Done() {
 			return
 		}
@@ -151,8 +122,8 @@ func (el *elastic) autoscaleLoop(ctx *satin.Context, cfg AutoscaleConfig) {
 			slots = 1
 		}
 		qps := float64(f.queued) / float64(slots)
-		hot := qps > cfg.HighQueuePerSlot || p99 > hi
-		cold := qps < cfg.LowQueuePerSlot && p99 < lo
+		hot := qps > highQueuePerSlot || p99 > hi
+		cold := qps < lowQueuePerSlot && p99 < lo
 		switch {
 		case hot:
 			up, down = up+1, 0
@@ -164,7 +135,7 @@ func (el *elastic) autoscaleLoop(ctx *satin.Context, cfg AutoscaleConfig) {
 		if acted && now-lastAction < simnet.Time(cfg.Cooldown) {
 			continue
 		}
-		if up >= cfg.UpTicks && el.activeNodes < cfg.Max {
+		if up >= upTicks && el.activeNodes < len(el.nodes) {
 			if n := el.lowestParked(); n >= 0 {
 				el.activate(k, now, n)
 				// The node may have been satin-drained on its way out; let
@@ -176,7 +147,7 @@ func (el *elastic) autoscaleLoop(ctx *satin.Context, cfg AutoscaleConfig) {
 			}
 		} else if down >= cfg.DownTicks && el.activeNodes > cfg.Min {
 			if n := el.highestActive(); n >= 0 {
-				el.beginDrain(p, now, n, cfg.DrainGrace)
+				el.beginDrain(p, now, n)
 				lastAction, acted, down = now, true, 0
 			}
 		}

@@ -23,15 +23,15 @@ import (
 // Three fault kinds:
 //
 //   - partition: a node's links to every peer are cut for Dur; after
-//     DetectDelay the frontend suspends the node (aborting in-flight
-//     batches onto the rest of the fleet) and resumes it DetectDelay after
+//     detectDelay the frontend suspends the node (aborting in-flight
+//     batches onto the rest of the fleet) and resumes it detectDelay after
 //     the links heal;
 //   - straggler: every device of a node runs Factor× slower for Dur (the
 //     ocl slowdown hook), modeling thermal throttling — the node stays in
 //     rotation and simply hurts until it recovers;
 //   - crash: a correlated group of nodes dies permanently (satin re-queues
 //     the D&C jobs they held; the frontend re-queues their in-flight
-//     batches after DetectDelay). Crashed nodes never revive.
+//     batches after detectDelay). Crashed nodes never revive.
 
 // ChaosKind is the fault class of one chaos event.
 type ChaosKind int
@@ -69,74 +69,41 @@ type ChaosEvent struct {
 	Factor float64
 }
 
-// ChaosConfig enables and tunes the chaos harness.
+// ChaosConfig enables the chaos harness.
 type ChaosConfig struct {
 	// Seed drives the private schedule RNG.
 	Seed int64
-	// Script, when non-empty, is the explicit fault schedule; the rate
-	// fields are then ignored. Events must be time-sorted and name only
-	// remote nodes (Run rejects any other script).
+	// Script, when non-empty, is the explicit fault schedule, used instead
+	// of a generated one. Events must be time-sorted and name only remote
+	// nodes (Run rejects any other script).
 	Script []ChaosEvent
-	// PartitionRate/StragglerRate/CrashRate are mean events per second of
-	// virtual time for the generated schedule.
-	PartitionRate, StragglerRate, CrashRate float64
-	// PartitionDur/StragglerDur are the fault durations.
-	PartitionDur, StragglerDur simnet.Duration
-	// StragglerFactor is the device slowdown of a straggler (>1).
-	StragglerFactor float64
-	// CrashGroup caps the size of a correlated crash (at least one remote
-	// node always survives).
-	CrashGroup int
-	// DetectDelay models the failure detector: the lag between a fault
+}
+
+// The chaos harness's fixed tuning: over a 1-second horizon the generated
+// schedule holds roughly four partitions, four stragglers and one
+// correlated crash.
+const (
+	// Mean events per second of virtual time of the generated schedule.
+	partitionRate = 4
+	stragglerRate = 4
+	crashRate     = 1
+	// Fault durations of the generated schedule.
+	partitionDur = simnet.Duration(30 * time.Millisecond)
+	stragglerDur = simnet.Duration(80 * time.Millisecond)
+	// stragglerFactor is a generated straggler's device slowdown.
+	stragglerFactor = 6
+	// crashGroup caps the size of a generated correlated crash (at least
+	// one remote node always survives).
+	crashGroup = 2
+	// detectDelay models the failure detector: the lag between a fault
 	// taking effect and the frontend rerouting around it.
-	DetectDelay simnet.Duration
-	// PropDelay is the lag between the controller issuing a fault and the
+	detectDelay = simnet.Duration(2 * time.Millisecond)
+	// propDelay is the lag between the controller issuing a fault and the
 	// fault taking effect; it must exceed the partitioned scheduler's
 	// lookahead (the fabric's link latency) so cross-partition injection is
-	// legal at any layout. Default 1ms.
-	PropDelay simnet.Duration
-}
-
-// DefaultChaos returns the harness tuning used by cashmere-serve -chaos:
-// over a 1-second horizon roughly four partitions, four stragglers and one
-// correlated crash.
-func DefaultChaos(seed int64) *ChaosConfig {
-	return &ChaosConfig{
-		Seed:            seed,
-		PartitionRate:   4,
-		StragglerRate:   4,
-		CrashRate:       1,
-		PartitionDur:    30 * time.Millisecond,
-		StragglerDur:    80 * time.Millisecond,
-		StragglerFactor: 6,
-		CrashGroup:      2,
-		DetectDelay:     2 * time.Millisecond,
-		PropDelay:       time.Millisecond,
-	}
-}
-
-// norm fills defaults.
-func (c ChaosConfig) norm() ChaosConfig {
-	if c.PartitionDur <= 0 {
-		c.PartitionDur = 30 * time.Millisecond
-	}
-	if c.StragglerDur <= 0 {
-		c.StragglerDur = 80 * time.Millisecond
-	}
-	if c.StragglerFactor <= 1 {
-		c.StragglerFactor = 6
-	}
-	if c.CrashGroup < 1 {
-		c.CrashGroup = 1
-	}
-	if c.DetectDelay <= 0 {
-		c.DetectDelay = 2 * time.Millisecond
-	}
-	if c.PropDelay <= 0 {
-		c.PropDelay = time.Millisecond
-	}
-	return c
-}
+	// legal at any layout (Run checks).
+	propDelay = simnet.Duration(time.Millisecond)
+)
 
 // checkScript rejects an explicit schedule the harness cannot apply on a
 // cluster of n nodes. Node 0 hosts the frontend and every dispatcher slot,
@@ -187,10 +154,7 @@ func (c *ChaosConfig) script(n int, horizon simnet.Duration) []ChaosEvent {
 	if n <= 1 {
 		return nil
 	}
-	total := c.PartitionRate + c.StragglerRate + c.CrashRate
-	if total <= 0 {
-		return nil
-	}
+	const total = partitionRate + stragglerRate + crashRate
 	rng := rand.New(rand.NewSource(c.Seed))
 	alive := make([]int, 0, n-1)
 	for i := 1; i < n; i++ {
@@ -205,26 +169,23 @@ func (c *ChaosConfig) script(n int, horizon simnet.Duration) []ChaosEvent {
 		}
 		pick := rng.Float64() * total
 		switch {
-		case pick < c.PartitionRate:
+		case pick < partitionRate:
 			v := alive[rng.Intn(len(alive))]
 			evs = append(evs, ChaosEvent{
 				At: simnet.Duration(t), Kind: ChaosPartition,
-				Nodes: []int{v}, Dur: c.PartitionDur,
+				Nodes: []int{v}, Dur: partitionDur,
 			})
-		case pick < c.PartitionRate+c.StragglerRate:
+		case pick < partitionRate+stragglerRate:
 			v := alive[rng.Intn(len(alive))]
 			evs = append(evs, ChaosEvent{
 				At: simnet.Duration(t), Kind: ChaosStraggler,
-				Nodes: []int{v}, Dur: c.StragglerDur, Factor: c.StragglerFactor,
+				Nodes: []int{v}, Dur: stragglerDur, Factor: stragglerFactor,
 			})
 		default:
 			if len(alive) <= 1 {
 				continue // always leave one remote node standing
 			}
-			g := c.CrashGroup
-			if g > len(alive)-1 {
-				g = len(alive) - 1
-			}
+			g := min(crashGroup, len(alive)-1)
 			var victims []int
 			for len(victims) < g {
 				i := rng.Intn(len(alive))
@@ -242,7 +203,7 @@ func (c *ChaosConfig) script(n int, horizon simnet.Duration) []ChaosEvent {
 // chaosLoop is the injection controller (runs on node 0 inside the
 // simulation). It walks the schedule, applying each fault at its exact
 // virtual time and scheduling the matching detector and recovery actions.
-func (el *elastic) chaosLoop(ctx *satin.Context, cfg ChaosConfig, script []ChaosEvent, devs [][]*ocl.Device) {
+func (el *elastic) chaosLoop(ctx *satin.Context, script []ChaosEvent, devs [][]*ocl.Device) {
 	f := el.f
 	p := ctx.Proc()
 	k := p.Kernel()
@@ -265,7 +226,7 @@ func (el *elastic) chaosLoop(ctx *satin.Context, cfg ChaosConfig, script []Chaos
 			if el.nodes[n].phase == phaseDead {
 				continue
 			}
-			cut := now.Add(cfg.PropDelay)
+			cut := now.Add(propDelay)
 			heal := cut.Add(ev.Dur)
 			for peer := 0; peer < len(el.nodes); peer++ {
 				if peer == n {
@@ -276,14 +237,14 @@ func (el *elastic) chaosLoop(ctx *satin.Context, cfg ChaosConfig, script []Chaos
 			}
 			f.rec.CounterAdd(0, "serve.chaos_partition", now, 1)
 			node := n
-			k.CallAt(cut.Add(cfg.DetectDelay), func() { el.suspend(k, node) })
-			k.CallAt(heal.Add(cfg.DetectDelay), func() { el.resume(k, node) })
+			k.CallAt(cut.Add(detectDelay), func() { el.suspend(k, node) })
+			k.CallAt(heal.Add(detectDelay), func() { el.resume(k, node) })
 		case ChaosStraggler:
 			n := ev.Nodes[0]
 			if el.nodes[n].phase == phaseDead {
 				continue
 			}
-			start := now.Add(cfg.PropDelay)
+			start := now.Add(propDelay)
 			end := start.Add(ev.Dur)
 			nk := ps.KernelFor(n)
 			factor := ev.Factor
@@ -300,7 +261,7 @@ func (el *elastic) chaosLoop(ctx *satin.Context, cfg ChaosConfig, script []Chaos
 				}
 				el.rt.CrashAsync(p, n)
 				node := n
-				k.CallAfter(cfg.DetectDelay, func() { el.fail(k, node) })
+				k.CallAfter(detectDelay, func() { el.fail(k, node) })
 				f.rec.CounterAdd(0, "serve.chaos_crash", now, 1)
 			}
 		}

@@ -70,15 +70,10 @@ type elastic struct {
 }
 
 // newElastic builds the controller with nodes [0, initialActive) Active and
-// the rest Parked. slotsOf reports the dispatcher-slot count of a node.
+// the rest Parked; initialActive is in [1, nodes] (AutoscaleConfig.norm).
+// slotsOf reports the dispatcher-slot count of a node.
 func newElastic(f *Frontend, d *dispatch, rt *satin.Runtime, slotsOf func(int) int, initialActive int) *elastic {
 	n := rt.Nodes()
-	if initialActive < 1 {
-		initialActive = 1
-	}
-	if initialActive > n {
-		initialActive = n
-	}
 	el := &elastic{f: f, d: d, rt: rt, nodes: make([]nodeSlot, n)}
 	for i := range el.nodes {
 		ns := &el.nodes[i]
@@ -179,16 +174,16 @@ func (el *elastic) activate(k *simnet.Kernel, now simnet.Time, n int) {
 }
 
 // beginDrain starts decommissioning node n: its slots stop pulling new
-// batches, satin migrates its queued D&C work home, and after grace any
-// batch still in flight is aborted and re-queued. Must run on a node-0
-// process.
-func (el *elastic) beginDrain(p *simnet.Proc, now simnet.Time, n int, grace simnet.Duration) {
+// batches, satin migrates its queued D&C work home, and after
+// AutoscaleDrainGrace any batch still in flight is aborted and re-queued.
+// Must run on a node-0 process.
+func (el *elastic) beginDrain(p *simnet.Proc, now simnet.Time, n int) {
 	el.transition(now, n, phaseDraining)
 	el.ScaleIns++
 	el.f.rec.CounterAdd(0, "serve.scale_in", now, 1)
 	el.rt.DrainAsync(p, n)
 	k := p.Kernel()
-	k.CallAfter(grace, func() { el.finishDrain(k, n) })
+	k.CallAfter(AutoscaleDrainGrace, func() { el.finishDrain(k, n) })
 }
 
 // finishDrain parks a draining node at the end of its grace period,

@@ -85,12 +85,7 @@ func TestAutoscaleSavesNodeSecondsUnderDiurnalSwing(t *testing.T) {
 	w := diurnalWorkload(t, nodes, 0.7, 2.0/3, 300*time.Millisecond)
 	rep, _ := runElastic(t, w, nodes, 1, 11, func(c *Config) {
 		c.Horizon = 900 * time.Millisecond
-		as := DefaultAutoscale()
-		as.Min = 2
-		as.Initial = 2
-		as.DownTicks = 3
-		as.Cooldown = 20 * time.Millisecond
-		c.Autoscale = as
+		c.Autoscale = &AutoscaleConfig{Min: 2, Initial: 2, DownTicks: 3, Cooldown: 20 * time.Millisecond}
 	})
 	checkConservation(t, rep)
 	e := rep.Elastic
@@ -244,6 +239,36 @@ func TestChaosScriptRejectsInvalidEvents(t *testing.T) {
 	}
 }
 
+// TestAutoscaleConfigRejected checks that Run refuses an autoscaler tuning
+// the controller cannot run, before the simulation starts, instead of
+// replacing it with a default.
+func TestAutoscaleConfigRejected(t *testing.T) {
+	w, err := StandardWorkload(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		as   AutoscaleConfig
+	}{
+		{"zero DownTicks", AutoscaleConfig{Min: 1, DownTicks: 0, Cooldown: simnet.Duration(time.Millisecond)}},
+		{"negative DownTicks", AutoscaleConfig{Min: 1, DownTicks: -2}},
+		{"negative Cooldown", AutoscaleConfig{Min: 1, DownTicks: 6, Cooldown: -simnet.Duration(time.Millisecond)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := testCluster(t, 4, 1, w)
+			cfg := DefaultConfig(w)
+			cfg.Horizon = 200 * time.Millisecond
+			cfg.Autoscale = &tc.as
+			if _, err := Run(cl, cfg); err == nil {
+				t.Fatal("Run accepted an invalid autoscaler tuning")
+			} else {
+				t.Log(err)
+			}
+		})
+	}
+}
+
 // TestChaosPartitionLayoutIdentity asserts byte-identical trajectories for a
 // generated chaos schedule across partition layouts — the property the CI
 // chaos job enforces end to end.
@@ -264,7 +289,7 @@ func TestChaosPartitionLayoutIdentity(t *testing.T) {
 		w.ScaleRates(0.4 * cap)
 		_, dump := runElastic(t, w, nodes, partitions, 3, func(c *Config) {
 			c.Horizon = 300 * time.Millisecond
-			c.Chaos = DefaultChaos(3)
+			c.Chaos = &ChaosConfig{Seed: 3}
 		})
 		return dump
 	}
@@ -278,8 +303,8 @@ func TestChaosPartitionLayoutIdentity(t *testing.T) {
 }
 
 // TestChaosWithAutoscaleConserves runs both controllers together — the
-// autoscaler reshaping the fleet while faults land on it — and checks
-// conservation plus determinism across repeats.
+// autoscaler reshaping the fleet while partitions, stragglers and crashes
+// land on it — and checks conservation plus determinism across repeats.
 func TestChaosWithAutoscaleConserves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
@@ -293,15 +318,19 @@ func TestChaosWithAutoscaleConserves(t *testing.T) {
 			as.Min = 2
 			as.Initial = 2
 			c.Autoscale = as
-			cc := DefaultChaos(9)
-			cc.CrashRate = 0 // keep capacity decisions to the autoscaler
-			c.Chaos = cc
+			c.Chaos = &ChaosConfig{Seed: 9}
 		})
 	}
 	rep, dump1 := run()
 	checkConservation(t, rep)
-	if rep.Elastic == nil {
+	e := rep.Elastic
+	if e == nil {
 		t.Fatal("no elastic report")
+	}
+	t.Logf("scale-out %d  scale-in %d  suspends %d  crashes %d  migrated %d",
+		e.ScaleOuts, e.ScaleIns, e.Suspends, e.Crashes, e.Migrated)
+	if e.Crashes == 0 {
+		t.Fatal("the generated schedule crashed no node")
 	}
 	_, dump2 := run()
 	if dump1 != dump2 {

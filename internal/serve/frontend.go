@@ -111,9 +111,6 @@ func NewFrontend(k *simnet.Kernel, cfg Config, rec *trace.Recorder) *Frontend {
 	if cfg.MaxBatch < 1 {
 		cfg.MaxBatch = 1
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = defaultRetryAfter
-	}
 	f := &Frontend{cfg: cfg, rec: rec}
 	if k != nil {
 		f.done = new(simnet.Future[struct{}])
@@ -155,9 +152,9 @@ func NewFrontend(k *simnet.Kernel, cfg Config, rec *trace.Recorder) *Frontend {
 }
 
 const (
-	defaultRetryAfter = simnet.Duration(1e6)  // 1ms
-	defaultCostHint   = simnet.Duration(1e5)  // 100µs
-	maxRetryAfter     = simnet.Duration(50e6) // hint cap, 50ms
+	queueRetryAfter = simnet.Duration(1e6)  // queue-overload shed hint, 1ms
+	defaultCostHint = simnet.Duration(1e5)  // 100µs
+	maxRetryAfter   = simnet.Duration(50e6) // hint cap, 50ms
 )
 
 // refill lazily refreshes tenant t's token bucket at time now.
@@ -224,7 +221,7 @@ func (f *Frontend) Admit(now simnet.Time, tenant, class int) (r *Request, v Verd
 	if t.qlen >= t.queueLimit {
 		t.ShedQueue++
 		f.rec.CounterAdd(0, "serve.shed_queue", now, 1)
-		hint := f.cfg.RetryAfter
+		hint := queueRetryAfter
 		if f.el != nil {
 			// With nodes draining or down the backlog clears more slowly;
 			// stretch the hint by the inactive slot fraction so retries do

@@ -65,8 +65,8 @@ func TestBoundedQueueSheds(t *testing.T) {
 	if v != ShedQueue {
 		t.Fatalf("verdict = %v, want ShedQueue", v)
 	}
-	if retry != defaultRetryAfter {
-		t.Fatalf("retry hint = %v, want default %v", retry, defaultRetryAfter)
+	if retry != queueRetryAfter {
+		t.Fatalf("retry hint = %v, want %v", retry, queueRetryAfter)
 	}
 	if f.queued != 3 || f.maxDepth != 3 {
 		t.Fatalf("queued/maxdepth = %d/%d", f.queued, f.maxDepth)

@@ -37,6 +37,11 @@ func Run(cl *core.Cluster, cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("serve: tenant %q has an empty job mix", t.Name)
 		}
 	}
+	if cfg.Autoscale != nil {
+		if err := cfg.Autoscale.check(); err != nil {
+			return nil, err
+		}
+	}
 
 	k := cl.Kernel()
 	rt := cl.Runtime()
@@ -49,10 +54,8 @@ func Run(cl *core.Cluster, cfg Config) (*Report, error) {
 	if rt.Nodes() > 1 {
 		rt.SetMessageHandler(disp.handle)
 	}
+	// A node gets one dispatcher slot per device.
 	slots := func(n int) int {
-		if cfg.DispatchersPerNode > 0 {
-			return cfg.DispatchersPerNode
-		}
 		if d := len(cl.NodeState(n).Devices); d > 0 {
 			return d
 		}
@@ -72,7 +75,6 @@ func Run(cl *core.Cluster, cfg Config) (*Report, error) {
 	var (
 		el          *elastic
 		asCfg       AutoscaleConfig
-		chaosCfg    ChaosConfig
 		chaosScript []ChaosEvent
 	)
 	if cfg.Autoscale != nil || cfg.Chaos != nil {
@@ -86,11 +88,10 @@ func Run(cl *core.Cluster, cfg Config) (*Report, error) {
 			if err := cfg.Chaos.checkScript(rt.Nodes()); err != nil {
 				return nil, err
 			}
-			chaosCfg = cfg.Chaos.norm()
-			if la := rt.Scheduler().Lookahead(); simnet.Duration(chaosCfg.PropDelay) < la {
-				return nil, fmt.Errorf("serve: chaos PropDelay %v below scheduler lookahead %v", chaosCfg.PropDelay, la)
+			if la := rt.Scheduler().Lookahead(); propDelay < la {
+				return nil, fmt.Errorf("serve: chaos propagation delay %v below scheduler lookahead %v", propDelay, la)
 			}
-			chaosScript = chaosCfg.script(rt.Nodes(), cfg.Horizon)
+			chaosScript = cfg.Chaos.script(rt.Nodes(), cfg.Horizon)
 		}
 	}
 	// Device handles for straggler injection, captured before the run; the
@@ -126,7 +127,7 @@ func Run(cl *core.Cluster, cfg Config) (*Report, error) {
 			rt.GoOn(0, func(c *satin.Context) { el.autoscaleLoop(c, asCfg) })
 		}
 		if el != nil && len(chaosScript) > 0 {
-			rt.GoOn(0, func(c *satin.Context) { el.chaosLoop(c, chaosCfg, chaosScript, devs) })
+			rt.GoOn(0, func(c *satin.Context) { el.chaosLoop(c, chaosScript, devs) })
 		}
 		fe.done.Await(ctx.Proc())
 		return nil

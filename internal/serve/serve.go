@@ -180,18 +180,9 @@ type Config struct {
 	MaxBatch int
 	// SLO is the latency target; completions within it count as goodput.
 	SLO simnet.Duration
-	// DispatchersPerNode is the number of dispatcher threads placed on
-	// each node (0 = one per device of the node). Each dispatcher feeds
-	// the node's device scheduler one batch at a time.
-	DispatchersPerNode int
 	// Retry re-offers a shed request once after its retry-after hint
 	// (client retry model). The retried arrival is counted separately.
 	Retry bool
-	// RetryAfter is the retry-after hint attached to queue-overload sheds
-	// (throttle sheds compute the hint from the token bucket). Zero means
-	// 1ms. When nodes are draining or down, the hint is stretched by the
-	// inactive slot fraction (see elastic.scaleHint).
-	RetryAfter simnet.Duration
 	// Autoscale, when non-nil, enables the elastic autoscaler: nodes are
 	// added under queue/latency pressure and drained back out when idle
 	// (see AutoscaleConfig).
@@ -436,11 +427,10 @@ func StandardWorkload(total float64) (*Workload, error) {
 // and a 50ms SLO.
 func DefaultConfig(w *Workload) Config {
 	return Config{
-		Tenants:    w.Tenants,
-		Horizon:    time.Second,
-		MaxBatch:   4,
-		SLO:        50 * time.Millisecond,
-		Retry:      true,
-		RetryAfter: time.Millisecond,
+		Tenants:  w.Tenants,
+		Horizon:  time.Second,
+		MaxBatch: 4,
+		SLO:      50 * time.Millisecond,
+		Retry:    true,
 	}
 }
