@@ -10,7 +10,7 @@ COVER_FLOOR ?= 68.0
 # job) lets no committed command run: the audit fails above it, so deleted
 # dead code stays deleted and new code comes with a command that runs it.
 # Set to the total the audit reported when the ceiling was last lowered.
-REACH_CEILING := 2369
+REACH_CEILING := 2366
 
 .PHONY: check lint vet build test race cover reach bench bench-serve bench-allocs bench-svm
 

@@ -339,8 +339,8 @@ func runSweep(nodes int, dev string, horizon time.Duration, seed int64, partitio
 				"full fleet vs the autoscaler draining to a 2-node floor. The autoscaled fleet " +
 				"holds the SLO at substantially fewer provisioned node-seconds. " +
 				"Regenerate with: make bench-serve",
-			Swing:      acfg.Swing,
-			PeriodSec:  simnet.Duration(acfg.Period).Seconds(),
+			Swing:      bench.AutoscaleSwing,
+			PeriodSec:  bench.AutoscalePeriod.Seconds(),
 			HorizonSec: simnet.Duration(acfg.Horizon).Seconds(),
 			Rows:       apoints,
 		},

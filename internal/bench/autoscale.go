@@ -33,17 +33,21 @@ type AutoscalePoint struct {
 	Migrated      int64   `json:"migrated"`
 }
 
+// AutoscaleSwing and AutoscalePeriod shape the diurnal modulation the
+// elasticity sweep applies to every tenant: swing s gives a peak:trough
+// ratio of (1+s)/(1-s), so 2/3 is a 5x swing.
+const (
+	AutoscaleSwing  = 2.0 / 3
+	AutoscalePeriod = 300 * time.Millisecond
+)
+
 // AutoscaleSweepConfig parameterizes NodeHoursVsLoad.
 type AutoscaleSweepConfig struct {
 	Nodes   int             // fleet size (one device per node)
 	Device  string          // device catalog name
-	Horizon simnet.Duration // arrival horizon per run
+	Horizon simnet.Duration // arrival horizon per run (positive; NodeHoursVsLoad fills no default)
 	Seed    int64           // RNG seed (same for both runs of a point)
 	Loads   []float64       // mean-load factors; nil = AutoscaleLoads
-	// Swing/Period shape the diurnal modulation applied to every tenant:
-	// swing s gives a peak:trough ratio of (1+s)/(1-s).
-	Swing  float64
-	Period simnet.Duration
 	// Partitions splits each simulation into that many parallel event
 	// loops (<= 1: sequential). Output is byte-identical either way.
 	Partitions int
@@ -51,16 +55,14 @@ type AutoscaleSweepConfig struct {
 
 // DefaultAutoscaleSweep is the configuration behind the autoscale section
 // of BENCH_serve.json (`cashmere-serve -sweep`, `make bench-serve`): a
-// 4-node fleet under a 5x diurnal swing (swing 2/3), autoscaling down to a
-// 2-node floor.
+// 4-node fleet under the 5x diurnal swing (AutoscaleSwing), autoscaling
+// down to a 2-node floor, with a 900 ms arrival horizon.
 func DefaultAutoscaleSweep() AutoscaleSweepConfig {
 	return AutoscaleSweepConfig{
 		Nodes:   4,
 		Device:  "gtx480",
 		Horizon: simnet.Duration(900 * time.Millisecond),
 		Seed:    1,
-		Swing:   2.0 / 3,
-		Period:  simnet.Duration(300 * time.Millisecond),
 	}
 }
 
@@ -86,15 +88,6 @@ func NodeHoursVsLoad(cfg AutoscaleSweepConfig) (Figure, []AutoscalePoint, error)
 	if cfg.Nodes < 1 {
 		return Figure{}, nil, core.ErrNoNodes
 	}
-	if cfg.Swing <= 0 {
-		cfg.Swing = 2.0 / 3
-	}
-	if cfg.Period <= 0 {
-		cfg.Period = simnet.Duration(300 * time.Millisecond)
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = simnet.Duration(900 * time.Millisecond)
-	}
 	tuning := sweepAutoscaler()
 
 	base, err := serve.StandardWorkload(1)
@@ -116,8 +109,8 @@ func NodeHoursVsLoad(cfg AutoscaleSweepConfig) (Figure, []AutoscalePoint, error)
 		for i := range w.Tenants {
 			a := &w.Tenants[i].Arrival
 			a.Kind = serve.Diurnal
-			a.Period = cfg.Period
-			a.Swing = cfg.Swing
+			a.Period = AutoscalePeriod
+			a.Swing = AutoscaleSwing
 		}
 		ccfg := core.DefaultConfig(cfg.Nodes, cfg.Device)
 		ccfg.Seed = cfg.Seed
@@ -185,8 +178,8 @@ func NodeHoursVsLoad(cfg AutoscaleSweepConfig) (Figure, []AutoscalePoint, error)
 		YLabel: "node-s / % / ms",
 		Notes: []string{
 			fmt.Sprintf("%d nodes of %s, swing %.2f (peak:trough %.1fx), period %v, horizon %v",
-				cfg.Nodes, cfg.Device, cfg.Swing, (1+cfg.Swing)/(1-cfg.Swing),
-				simnet.Duration(cfg.Period), simnet.Duration(cfg.Horizon)),
+				cfg.Nodes, cfg.Device, AutoscaleSwing, (1+AutoscaleSwing)/(1-AutoscaleSwing),
+				AutoscalePeriod, simnet.Duration(cfg.Horizon)),
 			fmt.Sprintf("autoscaler floor %d nodes, interval %v, drain grace %v",
 				tuning.Min, serve.AutoscaleInterval, serve.AutoscaleDrainGrace),
 		},

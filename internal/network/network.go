@@ -18,6 +18,13 @@
 // propagation latency is therefore the natural conservative lookahead — no
 // message can affect another node earlier than Config.Latency after it was
 // sent — and New registers it with the scheduler.
+//
+// A control message (below ControlThreshold) holds no link, so its arrival
+// is posted when its send begins, stamped by the sending node at that
+// moment; the per-message overhead, the same for every send, keeps the
+// order of same-time arrivals what it would be if each were posted at the
+// overhead's end (see ControlThreshold). A step process that holds the
+// overhead itself sends with PostControl and needs no wake at its end.
 package network
 
 import (
@@ -58,6 +65,16 @@ func QDRInfiniBand() Config {
 // occupy the link resources. This approximates packet interleaving — on a
 // real fabric a 64-byte steal request is not stuck behind a multi-gigabyte
 // bulk transfer, it shares the wire packet by packet.
+//
+// Nothing can delay a cross-node control message once its send begins, so
+// its arrival is posted then, at the time it arrives: now + PerMessageCPU
+// + Latency + wire. Its place among the arrivals of that instant is the
+// sending node's stamp drawn at send start, not at the end of the
+// overhead. The order is the same either way: two sends of one node draw
+// their stamps in the order they began, and PerMessageCPU, the same for
+// every send, keeps them in that order at the end of the overhead too. A
+// sender that holds the overhead itself (PostControl) then needs no wake at
+// its end.
 const ControlThreshold = 4096
 
 // Message is a payload in flight. Size is the modeled wire size in bytes;
@@ -448,8 +465,8 @@ const (
 )
 
 // BeginSend starts sending a message from a step process: it counts the
-// message into s and arms p's wake after the per-message software
-// overhead. From that wake on, the step calls FinishSend(p, s) at each
+// message into s, posts it if it is a cross-node control message, and
+// arms p's wake after the per-message software overhead. From that wake on, the step calls FinishSend(p, s) at each
 // wake until it reports true. ok is false when the message was lost at the
 // sender (a dead node or a severed link); then no wake is armed and there
 // is nothing to finish.
@@ -471,11 +488,28 @@ func (e *Endpoint) FinishSend(p *simnet.Proc, s *Sending) bool {
 	return e.advance(p, s)
 }
 
-// begin books m against the sender and starts s on it, or drops m: a dead
-// node (or one behind a severed link) cannot transmit, which is modelled
-// as silent loss. The caller's process usually gets cancelled by the
-// failure detector.
-func (e *Endpoint) begin(s *Sending, m Message) bool {
+// PostControl sends a cross-node control message (size below
+// ControlThreshold) from a step process that holds the per-message
+// software overhead itself: it books and posts the message as BeginSend
+// would, arms no wake, and returns the end of the overhead, when the
+// sender is free again. ok is false when the message was lost at the
+// sender; then free is now, as no overhead is spent.
+func (e *Endpoint) PostControl(to int, kind string, size int64, payload any) (free simnet.Time, ok bool) {
+	m := Message{From: int32(e.id), To: int32(to), Kind: kind, Size: size, Payload: payload}
+	if !e.control(&m) {
+		panic(fmt.Sprintf("network: PostControl of a %d-byte message from node %d to node %d", size, e.id, to))
+	}
+	if !e.book(&m) {
+		return e.k.Now(), false
+	}
+	e.post(&m)
+	return e.k.Now().Add(e.f.cfg.PerMessageCPU), true
+}
+
+// book counts m against the sender, or drops it: a dead node (or one behind
+// a severed link) cannot transmit, which is modelled as silent loss. The
+// caller's process usually gets cancelled by the failure detector.
+func (e *Endpoint) book(m *Message) bool {
 	if e.dead || e.linkDown(int(m.To)) {
 		e.dropped++
 		return false
@@ -485,7 +519,32 @@ func (e *Endpoint) begin(s *Sending, m Message) bool {
 	if e.f.rec.Enabled() {
 		e.f.rec.CounterAdd(e.id, "net.bytes_out", e.k.Now(), m.Size)
 	}
+	return true
+}
+
+// control reports whether m takes the control lane: a cross-node message
+// below ControlThreshold.
+func (e *Endpoint) control(m *Message) bool {
+	return int(m.To) != e.id && m.Size < ControlThreshold
+}
+
+// post books the arrival of control message m, whose send begins now:
+// interleaved with bulk traffic, never queued behind it.
+func (e *Endpoint) post(m *Message) {
+	cfg := &e.f.cfg
+	e.schedule(e.f.nodes[m.To], e.k.Now().Add(cfg.PerMessageCPU+cfg.Latency+cfg.wire(m.Size)), *m, 0, false)
+}
+
+// begin books m and starts s on it, posting a control message at once; it
+// reports false when m was lost at the sender (see book).
+func (e *Endpoint) begin(s *Sending, m Message) bool {
+	if !e.book(&m) {
+		return false
+	}
 	*s = Sending{m: m, start: e.k.Now()}
+	if e.control(&m) {
+		e.post(&m)
+	}
 	return true
 }
 
@@ -516,8 +575,9 @@ func (e *Endpoint) send(p *simnet.Proc, m Message) {
 }
 
 // advance moves send s on from the end of its current wait and reports
-// whether the send is done: a message that holds no link is delivered or
-// scheduled once the software overhead has elapsed, a bulk one after its
+// whether the send is done: a message that holds no link is done once the
+// software overhead has elapsed — delivered then within a node, already
+// posted (by begin) across nodes — and a bulk one is scheduled after its
 // wire time on the egress link. Otherwise it arms p's wake at the next
 // wait and reports false. A finished send drops its payload reference.
 func (e *Endpoint) advance(p *simnet.Proc, s *Sending) bool {
@@ -531,11 +591,7 @@ func (e *Endpoint) advance(p *simnet.Proc, s *Sending) bool {
 			if int(s.m.To) == e.id {
 				// Intra-node delivery: only the software overhead.
 				e.deliver(s.m)
-			} else if s.m.Size < ControlThreshold {
-				// Control lane: interleaved with bulk traffic, never
-				// queued behind it.
-				e.schedule(e.f.nodes[s.m.To], e.k.Now().Add(e.f.cfg.Latency+e.f.cfg.wire(s.m.Size)), s.m, 0, false)
-			} else {
+			} else if !e.control(&s.m) {
 				s.phase = sendQueued
 				continue
 			}
@@ -601,6 +657,14 @@ func (e *Endpoint) deliver(m Message) {
 // simnet.Chan.Await). It takes no deadline: a comm loop has nothing to do
 // until a message comes, so no receive of an inbox times out.
 func (e *Endpoint) Await(p *simnet.Proc) { e.inbox.Await(p, -1) }
+
+// AwaitAfter arms step process p to wake on the next arrival, but no
+// sooner than at, under the stamp s reserved for its wake there (see
+// simnet.Chan.AwaitAfter): a sender that held its overhead itself
+// (PostControl) looks at its inbox once the overhead ends.
+func (e *Endpoint) AwaitAfter(p *simnet.Proc, at simnet.Time, s simnet.Stamp) {
+	e.inbox.AwaitAfter(p, at, s)
+}
 
 // TryRecv returns a queued message without blocking.
 func (e *Endpoint) TryRecv() (Message, bool) {

@@ -190,10 +190,10 @@ type Node struct {
 	peers []int
 
 	// The comm loop's state between steps (see commStep): the control
-	// replies still to send and the one being sent.
-	out       []ctlSend
-	sending   network.Sending
-	sendArmed bool
+	// replies still to send, and whether the front one is sent and the
+	// loop holds its overhead.
+	out  []ctlSend
+	sent bool
 	// hookCtx is the frame the comm loop hands the message handler hook,
 	// reset for every message (see SetMessageHandler).
 	hookCtx Context
@@ -511,15 +511,17 @@ func (n *Node) victim() int {
 // thief is one worker's search for work as a state machine, stepped by
 // simnet.Proc.StepUntil on the process of the worker (or Sync frame) it
 // searches for. It looks for local work first; then, unless the node
-// drains, a steal round probes up to StealAttempts random victims, each
-// probe holding PerMessageCPU to send the request, waiting up to
-// StealTimeout for the grant or denial and then up to dataTimeout for a
-// granted job's input data. After a failed round the thief backs off and
-// searches again, doubling its backoff while it is below cap. A Sync
-// frame's thief also waits on the child its frame syncs on (child), and
-// hands back as soon as that child is done. The thief posts exactly the
-// wakes the same protocol written as blocking calls would, so trajectories
-// do not depend on which form runs.
+// drains, a steal round probes up to StealAttempts random victims. A probe
+// posts its request (network.Endpoint.PostControl) and at once waits for
+// the grant or denial, up to StealTimeout after the request's PerMessageCPU
+// overhead ends — no reply can come sooner, so the thief needs no wake at
+// that end — and then up to dataTimeout for a granted job's input data.
+// After a failed round the thief backs off and searches again, doubling
+// its backoff while it is below cap. A Sync frame's thief also waits on
+// the child its frame syncs on (child), and hands back as soon as that
+// child is done. A failed probe thus costs the thief one wake, at its
+// reply or its timeout, and the run's trajectory is that of the same
+// protocol written as blocking calls, which also held the overhead.
 //
 // The request and every reply name the thief by pointer and the probe by
 // its sequence number. Only the thief's own node follows the pointer, to
@@ -545,12 +547,11 @@ type thief struct {
 	backoff simnet.Duration     // the next backoff hold
 
 	phase      thiefPhase
-	attempt    int             // probes made in this round
-	victim     int             // the probe's victim
-	probeStart simnet.Time     // when the probe began
-	sending    network.Sending // the request being sent
-	deadline   simnet.Time     // end of the reply wait in progress (-1: none)
-	job        *Job            // the job found, handed to the process's body
+	attempt    int         // probes made in this round
+	victim     int         // the probe's victim
+	probeStart simnet.Time // when the probe began
+	deadline   simnet.Time // end of the reply wait in progress
+	job        *Job        // the job found, handed to the process's body
 }
 
 // thiefPhase is where a thief resumes at its next step.
@@ -559,7 +560,6 @@ type thiefPhase uint8
 const (
 	seekLocal  thiefPhase = iota // check for local work, then start a round
 	roundStart                   // start a round's next probe
-	sending                      // holding the request's send overhead
 	awaitGrant                   // waiting for the grant or denial
 	awaitData                    // waiting for a granted job's input data
 	backingOff                   // holding the backoff after a failed round
@@ -581,11 +581,6 @@ func (t *thief) run(p *simnet.Proc) bool {
 	n := t.n
 	cfg := &n.rt.cfg
 	switch t.phase {
-	case sending:
-		if !n.ep.FinishSend(p, &t.sending) {
-			return true
-		}
-		t.await(p, awaitGrant, cfg.StealTimeout)
 	case awaitGrant, awaitData:
 		t.reply.Unwait(p)
 	case backingOff:
@@ -634,37 +629,29 @@ func (t *thief) run(p *simnet.Proc) bool {
 				t.req = &stealReq{Thief: n.ID, Worker: t, Deny: stealReply{Worker: t}}
 			}
 			t.req.Seq, t.req.Deny.Seq = t.seq, t.seq
-			if n.ep.BeginSend(p, &t.sending, t.victim, "steal_request", 64, t.req) {
-				t.phase = sending
-				return true
-			}
-			// Lost at the sender: the thief waits out the timeout all the same.
-			t.await(p, awaitGrant, cfg.StealTimeout)
+			// No reply can come before the request's overhead ends, so the
+			// thief waits for it from now on, until StealTimeout after
+			// that end. A request lost at the sender spends no overhead,
+			// and the thief waits out the timeout from now all the same.
+			free, _ := n.ep.PostControl(t.victim, "steal_request", 64, t.req)
+			t.phase, t.deadline = awaitGrant, free.Add(cfg.StealTimeout)
 		case awaitGrant, awaitData:
 			job, ok := t.reply.TryRecv()
 			if !ok {
-				if t.deadline < 0 || p.Now() < t.deadline {
+				if p.Now() < t.deadline {
 					t.reply.Await(p, t.deadline)
 					return true
 				}
 			} else if job == jobGranted && t.phase == awaitGrant {
 				// The job's input data is in flight; it may be arbitrarily
 				// large, so wait for as long as the transfer takes.
-				t.await(p, awaitData, dataTimeout)
+				t.phase, t.deadline = awaitData, p.Now().Add(dataTimeout)
 				continue
 			}
 			if t.probed(p, job, ok) {
 				return false
 			}
 		}
-	}
-}
-
-// await starts a wait of up to d (none when d < 0) for the next reply.
-func (t *thief) await(p *simnet.Proc, phase thiefPhase, d simnet.Duration) {
-	t.phase, t.deadline = phase, -1
-	if d >= 0 {
-		t.deadline = p.Now().Add(d)
 	}
 }
 
@@ -771,27 +758,40 @@ func (n *Node) reply(to int, kind string, payload any, then func() bool) {
 // loop itself ends a node (done on shutdown, dead in die), and the master's
 // loop, which no shutdown reaches, stays parked until Run closes the
 // kernels.
+//
+// A reply is posted when its send begins (network.Endpoint.PostControl),
+// and the loop holds the send's overhead under the stamp that the wake at
+// its end takes (simnet.Kernel.Reserve). It wakes there when the end has
+// work waiting: another queued reply, or a continuation to run. Otherwise
+// it awaits the inbox no sooner than the end, so an idle loop wakes only
+// for a message, at the same place among that instant's events.
 func (n *Node) commStep(p *simnet.Proc) bool {
-	if n.sendArmed {
-		if !n.ep.FinishSend(p, &n.sending) {
-			return true
-		}
-		n.sendArmed = false
-		if n.popReply() {
-			return false
-		}
-	}
 	for {
-		for len(n.out) > 0 {
-			if s := &n.out[0]; s.kind != "" {
-				if n.ep.BeginSend(p, &n.sending, s.to, s.kind, 64, s.payload) {
-					n.sendArmed = true
+		if n.sent {
+			n.sent = false
+			if n.popReply() {
+				return false
+			}
+		}
+		if len(n.out) > 0 {
+			s := &n.out[0]
+			if s.kind != "" {
+				if free, ok := n.ep.PostControl(s.to, s.kind, 64, s.payload); ok {
+					at := n.k.Reserve()
+					if s.then != nil || len(n.out) > 1 {
+						n.sent = true
+						p.ArmAt(free, at)
+						return true
+					}
+					n.popReply()
+					n.ep.AwaitAfter(p, free, at)
 					return true
 				}
 			}
 			if n.popReply() {
 				return false
 			}
+			continue
 		}
 		m, ok := n.ep.TryRecv()
 		if !ok {

@@ -23,6 +23,9 @@ type Chan[T any] struct {
 type chanWaiter struct {
 	p     *Proc
 	epoch uint64
+	// A waiter from AwaitAfter wakes no sooner than (at, s); zero for Await.
+	at Time
+	s  Stamp
 }
 
 // NewChan returns an empty channel bound to k.
@@ -66,7 +69,11 @@ func (c *Chan[T]) Send(v T) {
 		w := c.waiters[0]
 		n := copy(c.waiters, c.waiters[1:])
 		c.waiters = c.waiters[:n]
-		c.k.post(c.k.now, w.p, w.epoch)
+		if c.k.ahead(w.at, w.s) {
+			c.k.postKey(w.at, uint64(w.s), w.p, w.epoch)
+		} else {
+			c.k.post(c.k.now, w.p, w.epoch)
+		}
 	}
 }
 
@@ -90,6 +97,22 @@ func (c *Chan[T]) Await(p *Proc, deadline Time) {
 	c.waiters = append(c.waiters, chanWaiter{p: p, epoch: p.epoch})
 	if deadline >= 0 {
 		c.k.post(deadline, p, p.epoch)
+	}
+	p.arm()
+}
+
+// AwaitAfter arms step process p to wake on the next send to c, but no
+// sooner than at: a busy receiver that will look at c when it is free, at
+// the wake it reserved with Kernel.Reserve. A value already queued, or a
+// send while (at, s) is still ahead of the executing event, wakes p at at
+// under s, where the wake it did not arm would have fired; a later send
+// wakes it at once with a fresh stamp, as after Await.
+func (c *Chan[T]) AwaitAfter(p *Proc, at Time, s Stamp) {
+	p.mustStep()
+	if c.Len() > 0 {
+		c.k.postKey(at, uint64(s), p, p.epoch)
+	} else {
+		c.waiters = append(c.waiters, chanWaiter{p: p, epoch: p.epoch, at: at, s: s})
 	}
 	p.arm()
 }

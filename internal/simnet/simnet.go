@@ -43,6 +43,14 @@
 // (iter.Pull), which hand the thread over directly without a trip through
 // the Go scheduler's run queue.
 //
+// A step process may also decide later whether it needs a wake: Reserve
+// draws the stamp a wake posted now would take, and Proc.ArmAt or
+// Chan.AwaitAfter arms the wake under it afterwards, at the same place among
+// the events of its instant. Satin's comm loop sends a reply that way: it
+// reserves the wake at the end of the send's overhead, and arms it only if
+// work waits there; an idle loop instead awaits its inbox no sooner than
+// that end, under that stamp.
+//
 // A parked process has at most one entry in the event queue. A second wake
 // for the same park — the reply that beats a receive's deadline, say — is
 // folded into the pending entry: the earlier of the two keeps it, and the
@@ -129,6 +137,10 @@ type Kernel struct {
 	// the default for everything not bound to a node with SpawnOn.
 	curStream int32
 	streamSeq []uint64
+	// curKey is the order key of the event executing now, so a wake armed
+	// under a reserved stamp can tell whether that stamp is still ahead
+	// (see Chan.AwaitAfter).
+	curKey uint64
 
 	// stats are the always-on scheduling counters returned by Stats. Plain
 	// integer increments on the hot path cost nothing measurable and never
@@ -243,27 +255,50 @@ func (k *Kernel) post(t Time, p *Proc, epoch uint64) {
 // the creator is setup code rather than a node's own execution).
 //
 // The stamp is drawn first, whatever happens to the wake, so every later
-// stamp is the same as if each wake were queued. A wake that can never fire
-// — its park epoch has passed, or the process finished — is counted stale
-// and dropped. A wake for a process that already has one pending is folded
-// into that entry: the earlier of the two (by heap order) is kept, and the
-// other counts as stale, exactly as if it had been queued and skipped when
-// popped. Either way the process keeps a single heap entry.
+// stamp is the same as if each wake were queued.
 func (k *Kernel) postOn(s int32, t Time, p *Proc, epoch uint64) {
+	k.postKey(t, packKey(s, k.stampOn(s)), p, epoch)
+}
+
+// postKey queues a wake for p at (t, key), or now if t is in the past. A
+// wake that can never fire — its park epoch has passed, or the process
+// finished — is counted stale and dropped. A wake for a process that
+// already has one pending is folded into that entry: the earlier of the
+// two (by heap order) is kept, and the other counts as stale, exactly as if
+// it had been queued and skipped when popped. Either way the process keeps
+// a single heap entry.
+func (k *Kernel) postKey(t Time, key uint64, p *Proc, epoch uint64) {
 	if t < k.now {
 		t = k.now
 	}
-	sseq := k.stampOn(s)
 	if epoch != p.epoch || p.done {
 		k.stats.Stale++
 		return
 	}
 	if p.slot >= 0 {
 		k.stats.Stale++
-		k.pq.advance(p.slot, t, packKey(s, sseq))
+		k.pq.advance(p.slot, t, key)
 		return
 	}
-	k.enqueue(t, packKey(s, sseq), event{p: p, epoch: epoch})
+	k.enqueue(t, key, event{p: p, epoch: epoch})
+}
+
+// A Stamp is an event's place among the events of one instant, drawn by
+// Reserve before the wake that carries it is armed.
+type Stamp uint64
+
+// Reserve draws the next creation stamp of the executing context's stream
+// without posting anything. A wake armed later under it (Proc.ArmAt,
+// Chan.AwaitAfter) fires where a wake posted now would have, among the
+// events of its instant, so a step process can decide at the wake's time
+// whether it needs the wake at all and leave the trajectory as if it had
+// always posted it.
+func (k *Kernel) Reserve() Stamp { return Stamp(packKey(k.curStream, k.stampOn(k.curStream))) }
+
+// ahead reports whether a wake at (t, s) orders after the event executing
+// now, so it may still fire under s.
+func (k *Kernel) ahead(t Time, s Stamp) bool {
+	return t > k.now || t == k.now && uint64(s) > k.curKey
 }
 
 // enqueue pushes an event and tracks the queue's high-water mark.
@@ -456,11 +491,11 @@ func (k *Kernel) next() *Proc {
 				return nil // leave it queued so a later run can continue
 			}
 		}
-		t, _, e := k.pq.pop()
+		t, key, e := k.pq.pop()
 		if e.fn != nil {
 			// Callback event: run it inline in the running context and keep
 			// going. Never a switch.
-			k.now = t
+			k.now, k.curKey = t, key
 			k.curStream = e.exec
 			k.stats.Events++
 			k.stats.Callbacks++
@@ -474,7 +509,7 @@ func (k *Kernel) next() *Proc {
 			k.stats.Stale++
 			continue // stale wake
 		}
-		k.now = t
+		k.now, k.curKey = t, key
 		k.curStream = e.p.stream
 		k.stats.Events++
 		if k.tracer != nil {
@@ -556,6 +591,14 @@ func (p *Proc) Arm(d Duration) {
 		d = 0
 	}
 	p.k.post(p.k.now.Add(d), p, p.epoch)
+	p.arm()
+}
+
+// ArmAt schedules step process p's next wake at t (now, if t is in the
+// past) under stamp s, drawn earlier with Reserve: the wake fires exactly
+// where one posted at the Reserve would have.
+func (p *Proc) ArmAt(t Time, s Stamp) {
+	p.k.postKey(t, uint64(s), p, p.epoch)
 	p.arm()
 }
 
