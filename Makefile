@@ -10,7 +10,7 @@ COVER_FLOOR ?= 68.0
 # job) lets no committed command run: the audit fails above it, so deleted
 # dead code stays deleted and new code comes with a command that runs it.
 # Set to the total the audit reported when the ceiling was last lowered.
-REACH_CEILING := 2366
+REACH_CEILING := 2364
 
 .PHONY: check lint vet build test race cover reach bench bench-serve bench-allocs bench-svm
 
@@ -80,7 +80,7 @@ cover:
 #     -svm-json and -experiment tune with -tune-json;
 #   - the five benchmark workloads at seed 1, one untraced pass each.
 # Each command's stdout lands in .reach/out/, next to the files the commands
-# write (date lines dropped); of the benchmark only its trajectory_digest
+# write; of the benchmark only its trajectory_digest
 # lines, as the rest are host times. So the out/ directories of two trees
 # diff clean when a change keeps every output. It then prints every function
 # no command ran (0.0%) and the total of unreached statements, and fails
@@ -124,7 +124,7 @@ reach:
 	$$b/cashmere-bench -experiment tune -tune-json $$f/tune.json > $$o/bench-tune.txt; \
 	$$b/cashmere-benchmark -workload all -seed 1 -out $(REACH)/bench > $(REACH)/benchmark.txt; \
 	grep trajectory_digest $(REACH)/benchmark.txt > $$o/benchmark-digests.txt; \
-	for j in $$f/*.json; do grep -v '"date":' $$j > $$o/$$(basename $$j); done; \
+	cp $$f/*.json $$o/; \
 	unset GOCOVERDIR; \
 	$(GO) tool covdata textfmt -i=$(REACH)/cov -o $(REACH)/all.out; \
 	grep -v '^cashmere/benchmark/' $(REACH)/all.out > $(REACH)/reach.out; \

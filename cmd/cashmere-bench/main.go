@@ -20,11 +20,9 @@ import (
 	"cashmere/internal/mcl/tune"
 )
 
-// tuneOpts carries the tune experiment's flags.
-var tuneOpts struct {
-	json      string
-	survivors int
-}
+// tuneJSON is the -tune-json flag: destination of the BENCH_kernels.json
+// "tuning" section.
+var tuneJSON string
 
 // svmJSON is the -svm-json flag: destination of the BENCH_svm.json document.
 var svmJSON string
@@ -42,10 +40,8 @@ func main() {
 		"number of simulations to run concurrently (1 = sequential); output is identical at any setting")
 	partitionsF := flag.Int("partitions", 0,
 		"split each scalability simulation into N conservatively synchronized partitions (intra-simulation parallelism; output is identical at any setting; 0 = auto: 1 below 4 CPUs, else from GOMAXPROCS and node count)")
-	tuneJSON := flag.String("tune-json", "",
+	tuneJSONF := flag.String("tune-json", "",
 		"with -experiment tune, also write the sweep as the BENCH_kernels.json \"tuning\" section to this file")
-	tuneSurv := flag.Int("tune-survivors", 0,
-		"measured-refinement budget of the tune experiment (0 = tuner default)")
 	svmJSONF := flag.String("svm-json", "",
 		"with -experiment svm, also write the crossover sweep as BENCH_svm.json to this file")
 	traceF := flag.String("trace", "",
@@ -60,8 +56,7 @@ func main() {
 		// size by the host's processors (clamped inside AutoPartitions).
 		partitions = core.AutoPartitions(16, runtime.GOMAXPROCS(0))
 	}
-	tuneOpts.json = *tuneJSON
-	tuneOpts.survivors = *tuneSurv
+	tuneJSON = *tuneJSONF
 	svmJSON = *svmJSONF
 
 	if *list {
@@ -183,12 +178,12 @@ func runExperiment(id string) error {
 		}
 		fmt.Print(s)
 	case "tune":
-		points, err := bench.TuneSweep(bench.TuneDevices, tune.NewCache(), tuneOpts.survivors)
+		points, err := bench.TuneSweep(bench.TuneDevices, tune.NewCache())
 		if err != nil {
 			return err
 		}
 		fmt.Print(bench.FormatTuneTable(points))
-		if tuneOpts.json != "" {
+		if tuneJSON != "" {
 			doc := map[string]any{
 				"description": "auto-tuned vs hand-picked kernel configurations (internal/mcl/tune); regenerate with: go run ./cmd/cashmere-bench -experiment tune -tune-json <file>",
 				"devices":     bench.TuneDevices,
@@ -198,10 +193,10 @@ func runExperiment(id string) error {
 			if err != nil {
 				return err
 			}
-			if err := os.WriteFile(tuneOpts.json, append(buf, '\n'), 0o644); err != nil {
+			if err := os.WriteFile(tuneJSON, append(buf, '\n'), 0o644); err != nil {
 				return err
 			}
-			fmt.Printf("wrote %s\n", tuneOpts.json)
+			fmt.Printf("wrote %s\n", tuneJSON)
 		}
 	case "svm":
 		points, err := bench.SVMCrossover()

@@ -111,9 +111,9 @@ func main() {
 
 	if *tuneCacheF != "" {
 		// Tune the kernel once per distinct device type of the cluster,
-		// reusing (and extending) the persistent cache. The search runs on
-		// private simulations before the cluster exists, so trajectories are
-		// identical at every -partitions setting.
+		// reusing (and extending) the persistent cache. The search runs
+		// before the cluster exists and simulates nothing, so trajectories
+		// are identical at every -partitions setting.
 		cache, e := tune.Load(*tuneCacheF)
 		die(e)
 		h := hdl.Library()

@@ -45,7 +45,6 @@ import (
 
 type sweepReport struct {
 	Description string             `json:"description"`
-	Date        string             `json:"date"`
 	Nodes       int                `json:"nodes"`
 	Device      string             `json:"device"`
 	CapacityRPS float64            `json:"capacity_rps"`
@@ -327,7 +326,6 @@ func runSweep(nodes int, dev string, horizon time.Duration, seed int64, partitio
 			"across fractions of the modeled saturation throughput. Below the knee p99 stays " +
 			"bounded; above it token buckets and bounded queues shed load and goodput plateaus. " +
 			"Regenerate with: make bench-serve",
-		Date:        time.Now().Format("2006-01-02"),
 		Nodes:       nodes,
 		Device:      dev,
 		CapacityRPS: capacity,

@@ -37,11 +37,10 @@ func main() {
 		params = flag.String("params", "", "launch parameters, e.g. n=1024,m=1024")
 		listHW = flag.Bool("list-hardware", false, "list the hardware-description hierarchy and exit")
 
-		doTune    = flag.Bool("tune", false, "auto-tune: search version level x launch geometry for -target (a device); accepts one file per kernel version")
-		inBytes   = flag.Int64("inbytes", 0, "with -tune, the host->device bytes of one launch")
-		outBytes  = flag.Int64("outbytes", 0, "with -tune, the device->host bytes of one launch")
-		survivors = flag.Int("survivors", 0, "with -tune, the measured-refinement budget (0 = default)")
-		cacheF    = flag.String("tune-cache", "", "with -tune, persistent tuning-cache file to consult and update")
+		doTune   = flag.Bool("tune", false, "auto-tune: search version level x launch geometry for -target (a device); accepts one file per kernel version")
+		inBytes  = flag.Int64("inbytes", 0, "with -tune, the host->device bytes of one launch")
+		outBytes = flag.Int64("outbytes", 0, "with -tune, the device->host bytes of one launch")
+		cacheF   = flag.String("tune-cache", "", "with -tune, persistent tuning-cache file to consult and update")
 	)
 	flag.Parse()
 
@@ -74,7 +73,7 @@ func main() {
 		}
 		p, err := parseParams(*params)
 		die(err)
-		runTune(h, *kernel, *target, p, *inBytes, *outBytes, *survivors, *cacheF, flag.Args())
+		runTune(h, *kernel, *target, p, *inBytes, *outBytes, *cacheF, flag.Args())
 		return
 	}
 
@@ -179,9 +178,9 @@ func parseParams(s string) (map[string]int64, error) {
 
 // runTune is the -tune mode: build a kernel set from one source file per
 // version, search version level x launch geometry for the target device, and
-// print the candidate table and the winner. With -tune-cache the winner is
-// read from / written to the persistent cache.
-func runTune(h *hdl.Hierarchy, kernel, target string, params map[string]int64, in, out int64, survivors int, cacheF string, files []string) {
+// print the candidate table and the winner. With -tune-cache a cached
+// winner is printed instead of the search's, and a new one is stored.
+func runTune(h *hdl.Hierarchy, kernel, target string, params map[string]int64, in, out int64, cacheF string, files []string) {
 	var sources []string
 	for _, f := range files {
 		src, err := os.ReadFile(f)
@@ -205,26 +204,28 @@ func runTune(h *hdl.Hierarchy, kernel, target string, params map[string]int64, i
 		die(fmt.Errorf("-tune needs a device leaf as -target: %w", err))
 	}
 
-	req := tune.Request{
+	res, err := tune.Tune(tune.Request{
 		Set: ks, Device: spec, Params: params,
-		InBytes: in, OutBytes: out, MaxSurvivors: survivors,
-	}
-	res, err := tune.Tune(req, h)
+		InBytes: in, OutBytes: out,
+	}, h)
 	die(err)
 	e := res.Entry
 
 	if cacheF != "" {
 		cache, err := tune.Load(cacheF)
 		die(err)
-		cached, err := cache.TuneOnce(req, h)
-		die(err)
-		e = *cached
+		key := tune.Key(ks, spec)
+		if cached, ok := cache.Lookup(key); ok {
+			e = *cached
+		} else {
+			cache.Put(key, &e)
+		}
 		die(cache.Save(cacheF))
 	}
 
-	fmt.Printf("tuning %s on %s: %d configurations, %d pruned, %d measured\n",
-		name, spec.Name, e.Evaluated, e.Pruned, e.Refined)
-	fmt.Printf("%-10s %-12s %14s %14s  %s\n", "level", "local", "model_ns", "measured_ns", "")
+	fmt.Printf("tuning %s on %s: %d configurations, %d pruned\n",
+		name, spec.Name, e.Evaluated, e.Pruned)
+	fmt.Printf("%-10s %-12s %14s  %s\n", "level", "local", "model_ns", "")
 	for _, c := range res.Candidates {
 		local := "default"
 		if len(c.Local) > 0 {
@@ -233,14 +234,8 @@ func runTune(h *hdl.Hierarchy, kernel, target string, params map[string]int64, i
 		note := ""
 		if c.Pruned {
 			note = "pruned"
-		} else if c.ServiceNs == 0 {
-			note = "over budget"
 		}
-		measured := "-"
-		if c.ServiceNs > 0 {
-			measured = fmt.Sprint(c.ServiceNs)
-		}
-		fmt.Printf("%-10s %-12s %14d %14s  %s\n", c.Level, local, c.ModelNs, measured, note)
+		fmt.Printf("%-10s %-12s %14d  %s\n", c.Level, local, c.ModelNs, note)
 	}
 	local := "default geometry"
 	if len(e.Local) > 0 {

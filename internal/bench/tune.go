@@ -17,7 +17,7 @@ var TuneDevices = []string{"gtx480", "hd7970", "xeon_phi"}
 
 // TunePoint is one row of the tuned-vs-hand-picked comparison: the
 // hand-picked configuration is what core compiles without a tuning cache
-// (MostSpecific level, translator geometry), measured under the same
+// (MostSpecific level, translator geometry), priced under the same
 // geometry-aware model as the tuned winner.
 type TunePoint struct {
 	App        string  `json:"app"`
@@ -31,7 +31,6 @@ type TunePoint struct {
 	Speedup    float64 `json:"speedup"`
 	Evaluated  int     `json:"evaluated"`
 	Pruned     int     `json:"pruned"`
-	Refined    int     `json:"refined"`
 }
 
 // leafBytes approximates one leaf launch's host<->device transfer sizes for
@@ -74,8 +73,8 @@ func TuneRequest(appName, dev string) (tune.Request, error) {
 
 // TuneSweep tunes every app kernel on every device, filling the cache, and
 // returns the tuned-vs-hand-picked comparison in deterministic (app, device)
-// order. survivors <= 0 uses the tuner default.
-func TuneSweep(devices []string, cache *tune.Cache, survivors int) ([]TunePoint, error) {
+// order.
+func TuneSweep(devices []string, cache *tune.Cache) ([]TunePoint, error) {
 	h := hdl.Library()
 	var points []TunePoint
 	for _, appName := range AppNames {
@@ -84,7 +83,6 @@ func TuneSweep(devices []string, cache *tune.Cache, survivors int) ([]TunePoint,
 			if err != nil {
 				return nil, err
 			}
-			req.MaxSurvivors = survivors
 			e, err := cache.TuneOnce(req, h)
 			if err != nil {
 				return nil, err
@@ -97,7 +95,7 @@ func TuneSweep(devices []string, cache *tune.Cache, survivors int) ([]TunePoint,
 				App: appName, Kernel: req.Set.Name, Device: dev,
 				HandLevel: hand, TunedLevel: e.Level, TunedLocal: e.Local,
 				HandNs: e.BaselineNs, TunedNs: e.ServiceNs,
-				Evaluated: e.Evaluated, Pruned: e.Pruned, Refined: e.Refined,
+				Evaluated: e.Evaluated, Pruned: e.Pruned,
 			}
 			if e.ServiceNs > 0 {
 				p.Speedup = float64(e.BaselineNs) / float64(e.ServiceNs)
@@ -119,9 +117,9 @@ func FormatTuneTable(points []TunePoint) string {
 		if len(p.TunedLocal) > 0 {
 			tuned += fmt.Sprint(p.TunedLocal)
 		}
-		fmt.Fprintf(&b, "%-10s %-8s  %-10s %-16s %12d %12d %7.2fx  %d eval / %d pruned / %d measured\n",
+		fmt.Fprintf(&b, "%-10s %-8s  %-10s %-16s %12d %12d %7.2fx  %d eval / %d pruned\n",
 			p.App, p.Device, p.HandLevel, tuned, p.HandNs, p.TunedNs, p.Speedup,
-			p.Evaluated, p.Pruned, p.Refined)
+			p.Evaluated, p.Pruned)
 	}
 	return b.String()
 }

@@ -209,6 +209,14 @@ func (s *Spec) TransferTime(n int64) time.Duration {
 	return s.PCIeLatency + time.Duration(float64(n)/s.PCIeBandwidth*float64(time.Second))
 }
 
+// ServiceTime reports the modeled uncontended time of one request on an
+// idle device: in bytes written, one launch of cost c, out bytes read back.
+// It is what a write→launch→read chain takes on a fresh ocl device, and the
+// one place the tuner and the serving layer price a request.
+func (s *Spec) ServiceTime(c KernelCost, in, out int64) time.Duration {
+	return s.TransferTime(in) + s.KernelTime(c) + s.TransferTime(out)
+}
+
 // PagedTransferTime reports the modeled time to move n bytes as a sequence
 // of demand-paged faults of pageSize bytes each (the tail page partial; a
 // pageSize of n or more, or of zero, is one fault). A fault is a round trip — the miss is

@@ -58,11 +58,13 @@ func (c *Cache) Lookup(key string) (*Entry, bool) {
 	return e, ok
 }
 
-// Put stores an entry under a key.
+// Put stores the entry a search found under a key; the search's
+// model-evaluation count accumulates in the evals counter.
 func (c *Cache) Put(key string, e *Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries[key] = e
+	c.evals += int64(e.Evaluated)
 }
 
 // Counters reports the cache's hit, miss and model-evaluation counts (the
@@ -74,8 +76,7 @@ func (c *Cache) Counters() (hits, misses, evals int64) {
 }
 
 // TuneOnce returns the cached winner for the request, running the full
-// search only on a miss. The search's model-evaluation count accumulates in
-// the evals counter.
+// search only on a miss.
 func (c *Cache) TuneOnce(req Request, h *hdl.Hierarchy) (*Entry, error) {
 	key := Key(req.Set, req.Device)
 	if e, ok := c.Lookup(key); ok {
@@ -86,9 +87,6 @@ func (c *Cache) TuneOnce(req Request, h *hdl.Hierarchy) (*Entry, error) {
 		return nil, err
 	}
 	e := res.Entry
-	c.mu.Lock()
-	c.evals += int64(e.Evaluated)
-	c.mu.Unlock()
 	c.Put(key, &e)
 	return &e, nil
 }

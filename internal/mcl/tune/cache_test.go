@@ -15,7 +15,7 @@ func entry(kernel, dev, level string, local []int64) *Entry {
 	return &Entry{
 		Kernel: kernel, Device: dev, Level: level, Local: local,
 		KernelNs: 100, ServiceNs: 120, BaselineNs: 150,
-		Evaluated: 10, Pruned: 7, Refined: 3,
+		Evaluated: 10, Pruned: 7,
 	}
 }
 
@@ -74,8 +74,7 @@ func TestCacheGolden(t *testing.T) {
       "service_ns": 120,
       "baseline_ns": 150,
       "evaluated": 10,
-      "pruned": 7,
-      "refined": 3
+      "pruned": 7
     }
   }
 }

@@ -7,18 +7,18 @@
 //
 // — every kernel version applicable to the device leaf, crossed with every
 // work-group shape within the leaf's limits — and picks the configuration
-// with the lowest measured service time on the simulated device.
+// with the lowest modeled time on the device.
 //
-// The search is deterministic and two-phased:
-//
-//  1. model-guided pruning: every candidate is scored by the geometry-aware
-//     roofline cost model (codegen.Cost x geometryEff) plus the feedback
-//     engine's Problem/Warning counts for its level; candidates dominated on
-//     all three axes are discarded without measurement;
-//  2. measured refinement: the surviving candidates (and always the default
-//     configuration — MostSpecific level, translator geometry — so tuned
-//     never regresses against hand-picked) run a write→launch→read cycle on
-//     a private simulated device, and the lowest measured service time wins.
+// The search is one deterministic ranking pass. Every candidate is scored
+// by the geometry-aware roofline cost model (codegen.Cost x geometryEff)
+// plus the feedback engine's Problem/Warning counts for its level;
+// candidates dominated on all three axes are pruned. The winner is the
+// lowest modeled time among the survivors and the default configuration
+// (MostSpecific level, translator geometry), so tuned never regresses
+// against hand-picked; ties go to the lower level name, then the smaller
+// extents. The entry's service times price one request with
+// device.Spec.ServiceTime, the uncontended write→launch→read time the
+// serving layer bills as well.
 //
 // Winners persist in a byte-stable JSON Cache versioned by the kernel set's
 // source fingerprint and the device spec; core consults it at
@@ -28,14 +28,11 @@ package tune
 
 import (
 	"fmt"
-	"sort"
 
 	"cashmere/internal/device"
 	"cashmere/internal/mcl/codegen"
 	"cashmere/internal/mcl/feedback"
 	"cashmere/internal/mcl/hdl"
-	"cashmere/internal/ocl"
-	"cashmere/internal/simnet"
 )
 
 // Request describes one tuning problem: a kernel set, a target device, and
@@ -47,28 +44,20 @@ type Request struct {
 	// and geometry evaluations need realistic sizes).
 	Params map[string]int64
 	// InBytes/OutBytes are the representative host->device and
-	// device->host transfer sizes of one launch; the measured phase charges
-	// them so transfer-bound kernels are not over-tuned on kernel time.
+	// device->host transfer sizes of one launch, priced into the entry's
+	// service times.
 	InBytes, OutBytes int64
-	// MaxSurvivors bounds how many pruning survivors reach the measured
-	// phase (<= 0 means DefaultSurvivors).
-	MaxSurvivors int
 }
-
-// DefaultSurvivors is the measured-refinement budget when
-// Request.MaxSurvivors is unset.
-const DefaultSurvivors = 4
 
 // Candidate is one evaluated configuration.
 type Candidate struct {
 	Level string  // kernel version level
 	Local []int64 // work-group extents (nil = translator/source default)
 
-	ModelNs   int64 // geometry-aware modeled kernel time
-	Problems  int   // feedback messages at severity Problem for the level
-	Warnings  int   // feedback messages at severity Warning
-	Pruned    bool  // discarded by dominance pruning
-	ServiceNs int64 // measured write+launch+read time (0 = not refined)
+	ModelNs  int64 // geometry-aware modeled kernel time
+	Problems int   // feedback messages at severity Problem for the level
+	Warnings int   // feedback messages at severity Warning
+	Pruned   bool  // discarded by dominance pruning
 }
 
 // Entry is a tuning-cache record: the winning configuration for one
@@ -82,12 +71,11 @@ type Entry struct {
 	Local []int64 `json:"local,omitempty"` // winning work-group extents (empty = default)
 
 	KernelNs   int64 `json:"kernel_ns"`   // modeled kernel time of the winner
-	ServiceNs  int64 `json:"service_ns"`  // measured service time of the winner
-	BaselineNs int64 `json:"baseline_ns"` // measured service time of the hand-picked default
+	ServiceNs  int64 `json:"service_ns"`  // modeled service time of the winner
+	BaselineNs int64 `json:"baseline_ns"` // modeled service time of the hand-picked default
 
 	Evaluated int `json:"evaluated"` // candidates scored by the model
-	Pruned    int `json:"pruned"`    // candidates discarded without measurement
-	Refined   int `json:"refined"`   // candidates measured (incl. baseline)
+	Pruned    int `json:"pruned"`    // candidates dominated by another
 }
 
 // Compile compiles the kernel set for the leaf in the entry's configuration:
@@ -149,7 +137,7 @@ func geometries(dims int, maxWG int64) [][]int64 {
 	return out
 }
 
-// Tune runs the two-phase search for one request.
+// Tune runs the search for one request.
 func Tune(req Request, h *hdl.Hierarchy) (*Result, error) {
 	if req.Set == nil || req.Device == nil {
 		return nil, fmt.Errorf("tune: request needs a kernel set and a device")
@@ -163,8 +151,8 @@ func Tune(req Request, h *hdl.Hierarchy) (*Result, error) {
 		return nil, fmt.Errorf("tune: kernel %s on %s: %w", req.Set.Name, req.Device.Name, err)
 	}
 
-	// Phase 1: enumerate and score every applicable (level, geometry)
-	// configuration under the geometry-aware cost model.
+	// Enumerate and score every applicable (level, geometry) configuration
+	// under the geometry-aware cost model.
 	var cands []Candidate
 	costs := map[int]device.KernelCost{} // candidate index -> model cost
 	defaultIdx := -1
@@ -208,7 +196,7 @@ func Tune(req Request, h *hdl.Hierarchy) (*Result, error) {
 
 	// Dominance pruning: a candidate that is no better than another on
 	// modeled time, problems and warnings — and strictly worse on at least
-	// one — never reaches the measured phase.
+	// one — cannot win.
 	for i := range cands {
 		for j := range cands {
 			if i == j {
@@ -223,70 +211,39 @@ func Tune(req Request, h *hdl.Hierarchy) (*Result, error) {
 		}
 	}
 
-	// Phase 2: measure the top survivors (and always the default, so the
-	// winner can never regress against the hand-picked configuration).
-	maxSurv := req.MaxSurvivors
-	if maxSurv <= 0 {
-		maxSurv = DefaultSurvivors
-	}
-	order := make([]int, 0, len(cands))
+	// The winner is the best survivor, or the default if it ranks ahead of
+	// them all, so it can never regress against the hand-picked one.
+	winner := defaultIdx
 	for i := range cands {
-		if !cands[i].Pruned {
-			order = append(order, i)
-		}
-	}
-	sort.Slice(order, func(x, y int) bool {
-		a, b := &cands[order[x]], &cands[order[y]]
-		if a.ModelNs != b.ModelNs {
-			return a.ModelNs < b.ModelNs
-		}
-		if a.Level != b.Level {
-			return a.Level < b.Level
-		}
-		return lexLess(a.Local, b.Local)
-	})
-	if len(order) > maxSurv {
-		order = order[:maxSurv]
-	}
-	measured := map[int]bool{}
-	for _, i := range order {
-		measured[i] = true
-	}
-	measured[defaultIdx] = true
-
-	winner := -1
-	for i := range cands {
-		if !measured[i] {
-			continue
-		}
-		cands[i].ServiceNs = measureService(req.Device, costs[i], req.InBytes, req.OutBytes)
-		if winner < 0 || better(&cands[i], &cands[winner]) {
+		if !cands[i].Pruned && better(&cands[i], &cands[winner]) {
 			winner = i
 		}
 	}
 
+	service := func(i int) int64 {
+		return req.Device.ServiceTime(costs[i], req.InBytes, req.OutBytes).Nanoseconds()
+	}
 	w := &cands[winner]
 	res := &Result{
 		Entry: Entry{
 			Kernel: req.Set.Name, Device: req.Device.Name,
 			Level: w.Level, Local: w.Local,
 			KernelNs:   w.ModelNs,
-			ServiceNs:  w.ServiceNs,
-			BaselineNs: cands[defaultIdx].ServiceNs,
+			ServiceNs:  service(winner),
+			BaselineNs: service(defaultIdx),
 			Evaluated:  len(cands),
 			Pruned:     countPruned(cands),
-			Refined:    len(measured),
 		},
 		Candidates: cands,
 	}
 	return res, nil
 }
 
-// better orders measured candidates: lower service time wins, ties broken
+// better ranks candidates: lower modeled time wins, ties broken
 // deterministically by level name then extents.
 func better(a, b *Candidate) bool {
-	if a.ServiceNs != b.ServiceNs {
-		return a.ServiceNs < b.ServiceNs
+	if a.ModelNs != b.ModelNs {
+		return a.ModelNs < b.ModelNs
 	}
 	if a.Level != b.Level {
 		return a.Level < b.Level
@@ -311,23 +268,4 @@ func countPruned(cands []Candidate) int {
 		}
 	}
 	return n
-}
-
-// measureService runs one write -> launch -> read cycle on a private
-// simulated device and reports the virtual service time in nanoseconds.
-// The simulation is self-contained (own kernel, fixed seed), so the
-// measurement is deterministic and independent of any enclosing run.
-func measureService(spec *device.Spec, cost device.KernelCost, in, out int64) int64 {
-	k := simnet.NewKernel(1)
-	dev := ocl.NewDevice(k, spec, 0, 0, nil)
-	var ns int64
-	k.Spawn("tune", func(p *simnet.Proc) {
-		w := dev.EnqueueWrite(in, "tune.in")
-		l := dev.EnqueueLaunch(cost, "tune.kernel", w)
-		r := dev.EnqueueRead(out, "tune.out", l)
-		r.Wait(p)
-		ns = int64(k.Now())
-	})
-	k.Run(0)
-	return ns
 }

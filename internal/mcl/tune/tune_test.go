@@ -84,18 +84,54 @@ func TestTuneNeverRegressesAgainstBaseline(t *testing.T) {
 		}
 		e := res.Entry
 		if e.ServiceNs <= 0 || e.BaselineNs <= 0 {
-			t.Fatalf("%s: unmeasured entry %+v", dev, e)
+			t.Fatalf("%s: unpriced entry %+v", dev, e)
 		}
-		// The hand-picked default is always in the measured set, so the
-		// winner can only match or beat it.
+		// The hand-picked default always competes, so the winner can only
+		// match or beat it.
 		if e.ServiceNs > e.BaselineNs {
 			t.Fatalf("%s: tuned %d ns slower than baseline %d ns", dev, e.ServiceNs, e.BaselineNs)
 		}
-		if e.Evaluated < 2 || e.Refined < 1 {
+		if e.Evaluated < 2 {
 			t.Fatalf("%s: search too small: %+v", dev, e)
 		}
 		if e.Evaluated != len(res.Candidates) {
 			t.Fatalf("%s: Evaluated %d != %d candidates", dev, e.Evaluated, len(res.Candidates))
+		}
+	}
+}
+
+// TestTuneWinnerRanksByModel: the winner is the first of the unpruned
+// candidates and the default by (ModelNs, Level, Local), and both service
+// times add the request's transfers to the modeled kernel time.
+func TestTuneWinnerRanksByModel(t *testing.T) {
+	for _, dev := range []string{"gtx480", "hd7970", "xeon_phi", "k20"} {
+		req := request(t, dev)
+		res, err := Tune(req, hdl.Library())
+		if err != nil {
+			t.Fatalf("%s: %v", dev, err)
+		}
+		defLevel, err := hdl.Library().MostSpecific(req.Set.Levels(), req.Device.Leaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var best, def *Candidate
+		for i := range res.Candidates {
+			c := &res.Candidates[i]
+			isDefault := c.Level == defLevel && c.Local == nil
+			if isDefault {
+				def = c
+			}
+			if (!c.Pruned || isDefault) && (best == nil || better(c, best)) {
+				best = c
+			}
+		}
+		e := res.Entry
+		if e.Level != best.Level || !reflect.DeepEqual(e.Local, best.Local) || e.KernelNs != best.ModelNs {
+			t.Fatalf("%s: winner %s %v %d ns, want %s %v %d ns", dev, e.Level, e.Local, e.KernelNs, best.Level, best.Local, best.ModelNs)
+		}
+		xfer := (req.Device.TransferTime(req.InBytes) + req.Device.TransferTime(req.OutBytes)).Nanoseconds()
+		if e.ServiceNs != e.KernelNs+xfer || e.BaselineNs != def.ModelNs+xfer {
+			t.Fatalf("%s: service %d / baseline %d ns, want %d / %d", dev, e.ServiceNs, e.BaselineNs, e.KernelNs+xfer, def.ModelNs+xfer)
 		}
 	}
 }
@@ -132,19 +168,6 @@ func TestTuneRespectsWorkgroupLimit(t *testing.T) {
 		if len(c.Local) > 0 && wg > 256 {
 			t.Fatalf("candidate %v exceeds the 256-thread limit", c.Local)
 		}
-	}
-}
-
-func TestTuneSurvivorBudget(t *testing.T) {
-	req := request(t, "gtx480")
-	req.MaxSurvivors = 1
-	res, err := Tune(req, hdl.Library())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One survivor plus (at most) the baseline.
-	if res.Entry.Refined > 2 {
-		t.Fatalf("Refined = %d with MaxSurvivors=1", res.Entry.Refined)
 	}
 }
 

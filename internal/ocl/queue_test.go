@@ -56,6 +56,43 @@ func TestEventDependencyChain(t *testing.T) {
 	}
 }
 
+// TestServiceTimeMatchesChain: device.Spec.ServiceTime is what one
+// write→launch→read chain takes on a fresh device at nominal speed, the
+// simulation the auto-tuner used to run per candidate before it priced
+// requests with ServiceTime. Every catalog device, compute- and
+// bandwidth-bound costs from tiny to seconds long, and byte counts from 0
+// (which still pays the PCIe latency) up.
+func TestServiceTimeMatchesChain(t *testing.T) {
+	costs := []device.KernelCost{
+		{Flops: 0, MemBytes: 0, ComputeEff: 1, BandwidthEff: 1},
+		{Flops: 1, MemBytes: 1, ComputeEff: 0.3, BandwidthEff: 0.7},
+		{Flops: 3.7e9, MemBytes: 1e6, ComputeEff: 0.55, BandwidthEff: 0.8},
+		{Flops: 1e6, MemBytes: 7.3e9, ComputeEff: 0.9, BandwidthEff: 0.13},
+		{Flops: 2.1e12, MemBytes: 3.3e11, ComputeEff: 0.0625, BandwidthEff: 0.45},
+	}
+	sizes := [][2]int64{{0, 0}, {0, 4}, {1, 0}, {4093, 65536}, {1 << 20, 3 << 20}, {600_000_001, 12_345_679}}
+	for name, spec := range device.Catalog() {
+		for _, cost := range costs {
+			for _, sz := range sizes {
+				in, out := sz[0], sz[1]
+				k := simnet.NewKernel(1)
+				d := NewDevice(k, spec, 0, 0, nil)
+				var got simnet.Time
+				k.Spawn("chain", func(p *simnet.Proc) {
+					w := d.EnqueueWrite(in, "in")
+					l := d.EnqueueLaunch(cost, "kernel", w)
+					d.EnqueueRead(out, "out", l).Wait(p)
+					got = k.Now()
+				})
+				k.Run(0)
+				if want := spec.ServiceTime(cost, in, out); got != simnet.Time(want) {
+					t.Errorf("%s cost %+v, %d/%d bytes: chain took %d ns, ServiceTime %d ns", name, cost, in, out, got, want.Nanoseconds())
+				}
+			}
+		}
+	}
+}
+
 // TestCrossQueuePipelining: two write->launch->read iterations with deps
 // only inside each iteration. The second write rides the H2D queue behind
 // the first, overlapping the first kernel — the Sec. III-B shape.

@@ -2,6 +2,7 @@ package satin
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -278,6 +279,75 @@ func TestCommTrajectory(t *testing.T) {
 			}
 			if got != r.want {
 				t.Errorf("%s/parts=%d:\n got %v\nwant %v", r.name, parts, got, r.want)
+			}
+		}
+	}
+}
+
+// TestCommReplyWakeKeepsItsPlace pins, through the comm loop, the tie order
+// of a reply's overhead-end wake. Node 1's loop answers a steal request at
+// A and, with nothing queued, awaits its inbox no sooner than A +
+// PerMessageCPU under the stamp it reserved at A. A "mark" message arrives
+// at that very instant, and a process of node 1 wakes then too, from a
+// hold it began just before A (draw -1 µs) or just after (draw +1 µs). The
+// loop handles the mark where its wake would have fired had it been posted
+// at A: after the process in the first case, before it in the second. A
+// wake stamped when the mark arrives would come after the process in both.
+func TestCommReplyWakeKeepsItsPlace(t *testing.T) {
+	const h1 = 10 * time.Microsecond // when main posts the steal request
+	cpu := network.QDRInfiniBand().PerMessageCPU
+	for _, tc := range []struct {
+		draw simnet.Duration // when the process begins its last hold, from A
+		want []string
+	}{
+		{-time.Microsecond, []string{"proc", "loop"}},
+		{time.Microsecond, []string{"loop", "proc"}},
+	} {
+		for _, parts := range []int{1, 2} {
+			ps := simnet.NewPartitioned(5, 2, parts)
+			rt := NewPartitioned(ps, 2, network.QDRInfiniBand(), DefaultConfig(), nil)
+			var a, free simnet.Time
+			var got []string
+			var at []simnet.Time
+			note := func(p *simnet.Proc, s string) {
+				got = append(got, s)
+				at = append(at, p.Now())
+			}
+			rt.SetMessageHandler(func(ctx *Context, m network.Message) bool {
+				switch m.Kind {
+				case "start":
+					// Posted at 0, so it took one hop, as the steal
+					// request posted at h1 will.
+					a = ctx.Proc().Now().Add(h1)
+					free = a.Add(cpu)
+					ctx.Node().GoLocal(func(c *Context) {
+						c.Compute(simnet.Duration(a.Add(tc.draw)-c.Proc().Now()), "to-draw")
+						c.Compute(simnet.Duration(free-c.Proc().Now()), "to-free")
+						note(c.Proc(), "proc")
+					})
+				case "mark":
+					note(ctx.Proc(), "loop")
+				default:
+					return false
+				}
+				return true
+			})
+			rt.RunServices(func(ctx *Context) any {
+				p, ep := ctx.Proc(), rt.nodes[0].ep
+				post := func(kind string, payload any) {
+					end, _ := ep.PostControl(1, kind, 64, payload)
+					p.HoldUntil(end)
+				}
+				post("start", nil)
+				p.HoldUntil(simnet.Time(h1))
+				w := &thief{}
+				post("steal_request", &stealReq{Thief: 0, Worker: w, Seq: 1, Deny: stealReply{Worker: w, Seq: 1}})
+				post("mark", nil) // arrives when the denial's overhead ends
+				p.Hold(100 * time.Microsecond)
+				return nil
+			})
+			if !slices.Equal(got, tc.want) || len(at) != 2 || at[0] != free || at[1] != free {
+				t.Errorf("draw %v, parts=%d: order %v at %v, want %v at %v", tc.draw, parts, got, at, tc.want, free)
 			}
 		}
 	}

@@ -201,9 +201,10 @@ type Workload struct {
 }
 
 // EstimateCosts fills every zero JobClass.CostHint with the modeled
-// per-request service time on the named device — kernel time plus the PCIe
-// transfers of the request's working set (the static-speed bootstrap of the
-// serving layer, mirroring the batch scheduler's speed table). Network
+// per-request service time on the named device, device.Spec.ServiceTime:
+// kernel time plus the PCIe transfers of the request's working set (the
+// static-speed bootstrap of the serving layer, mirroring the batch
+// scheduler's speed table). Network
 // transfer to a remote node is not included here; CapacityRPS folds it in
 // when sizing offered load.
 func (w *Workload) EstimateCosts(dev string) error {
@@ -233,8 +234,7 @@ func (w *Workload) EstimateCosts(dev string) error {
 			if err != nil {
 				return err
 			}
-			mix[ci].CostHint = spec.KernelTime(cost) +
-				spec.TransferTime(mix[ci].InBytes) + spec.TransferTime(mix[ci].OutBytes)
+			mix[ci].CostHint = spec.ServiceTime(cost, mix[ci].InBytes, mix[ci].OutBytes)
 		}
 	}
 	return nil
@@ -278,8 +278,7 @@ func (w *Workload) ApplyTuning(cache *tune.Cache, dev string, slo simnet.Duratio
 			if err != nil {
 				return err
 			}
-			mix[ci].CostHint = spec.KernelTime(cost) +
-				spec.TransferTime(mix[ci].InBytes) + spec.TransferTime(mix[ci].OutBytes)
+			mix[ci].CostHint = spec.ServiceTime(cost, mix[ci].InBytes, mix[ci].OutBytes)
 			if mix[ci].BatchParam != "" && mix[ci].CostHint > 0 && slo > 0 {
 				nb := int(slo / 2 / mix[ci].CostHint)
 				if nb < 1 {

@@ -103,10 +103,10 @@ const hostLoc = 0
 // DefaultPageSize is the page granularity when Config.PageSize is zero.
 const DefaultPageSize = 64 << 10
 
-// defaultInvalidateTime is the per-sharer invalidation-message cost when
-// Config.InvalidateTime is zero: a doorbell write plus acknowledgment over
-// PCIe, well under a page migration.
-const defaultInvalidateTime = 3 * time.Microsecond
+// invalidateTime is the modeled cost of one invalidation (or ownership
+// revocation) message, billed on the faulting process: a doorbell write
+// plus acknowledgment over PCIe, well under a page migration.
+const invalidateTime = 3 * time.Microsecond
 
 // Config tunes a Space.
 type Config struct {
@@ -114,9 +114,6 @@ type Config struct {
 	PageSize int64
 	// Protocol selects the coherence protocol (default WriteInvalidate).
 	Protocol Protocol
-	// InvalidateTime is the modeled cost of one invalidation (or ownership
-	// revocation) message, billed on the faulting process.
-	InvalidateTime simnet.Duration
 }
 
 // Counters are the Space's trajectory-determined statistics, summed into
@@ -157,9 +154,6 @@ func NewSpace(k *simnet.Kernel, node int, devs []*ocl.Device, cfg Config, rec *t
 	}
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = DefaultPageSize
-	}
-	if cfg.InvalidateTime <= 0 {
-		cfg.InvalidateTime = defaultInvalidateTime
 	}
 	return &Space{k: k, node: node, devs: devs, cfg: cfg, rec: rec}
 }
@@ -363,7 +357,7 @@ func (s *Space) acquireWI(b *Buffer, loc uint8, mode Mode, ranges []Range, last 
 	hold := simnet.Duration(-1)
 	if invs > 0 {
 		s.c.Invalidations += invs
-		hold = time.Duration(invs) * s.cfg.InvalidateTime
+		hold = time.Duration(invs) * invalidateTime
 	}
 	if tracing && faults > 0 {
 		// The span covers the modeled service time of the migrations this
@@ -371,7 +365,7 @@ func (s *Space) acquireWI(b *Buffer, loc uint8, mode Mode, ranges []Range, last 
 		// device DMA lanes carry the queued view).
 		s.rec.Add(trace.Span{
 			Node: s.node, Queue: "svm", Kind: trace.KindFault, Label: b.name,
-			Start: start, End: start + simnet.Time(svc) + simnet.Time(time.Duration(invs)*s.cfg.InvalidateTime),
+			Start: start, End: start + simnet.Time(svc) + simnet.Time(time.Duration(invs)*invalidateTime),
 		})
 	}
 	return hold
@@ -461,10 +455,10 @@ func (s *Space) acquireRO(b *Buffer, loc uint8, mode Mode) (ocl.Event, simnet.Du
 	if tracing {
 		s.rec.Add(trace.Span{
 			Node: s.node, Queue: "svm", Kind: trace.KindFault, Label: b.name,
-			Start: start, End: start + simnet.Time(svc+s.cfg.InvalidateTime),
+			Start: start, End: start + simnet.Time(svc+invalidateTime),
 		})
 	}
-	return ev, s.cfg.InvalidateTime
+	return ev, invalidateTime
 }
 
 // Fault stages n bytes of launch input into device dev (in), or drains n

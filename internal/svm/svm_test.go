@@ -50,9 +50,6 @@ func TestConfigDefaults(t *testing.T) {
 	if s.cfg.Protocol != WriteInvalidate {
 		t.Fatal("default protocol should be write-invalidate")
 	}
-	if s.cfg.InvalidateTime != defaultInvalidateTime {
-		t.Fatalf("default invalidate time = %v", s.cfg.InvalidateTime)
-	}
 	if WriteInvalidate.String() != "write-invalidate" || RegionOwnership.String() != "region-ownership" {
 		t.Fatal("protocol names wrong")
 	}
