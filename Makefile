@@ -6,13 +6,13 @@ GO ?= go
 # real erosion.
 COVER_FLOOR ?= 68.0
 
-# REACH_CEILING is the most statements `make reach` (and CI's latest-Go test
-# job) lets no committed command run: the audit fails above it, so deleted
+# REACH_CEILING is the most statements `make reach` (and CI's go1.24.0
+# reach job) lets no committed command run: the audit fails above it, so deleted
 # dead code stays deleted and new code comes with a command that runs it.
 # Set to the total the audit reported when the ceiling was last lowered.
-REACH_CEILING := 2364
+REACH_CEILING := 2357
 
-.PHONY: check lint vet build test race cover reach bench bench-serve bench-allocs bench-svm
+.PHONY: check lint vet build test race cover reach golden bench bench-serve bench-allocs bench-svm
 
 # check runs everything CI runs (minus the version matrix).
 check: lint build test race cover
@@ -58,41 +58,58 @@ cover:
 		echo "coverage $$total% is below the floor of $(COVER_FLOOR)%"; exit 1; fi; \
 	echo "coverage $$total% (floor $(COVER_FLOOR)%)"
 
-# reach is the reachability audit: which code does no committed command run?
-# It builds every cmd/ and examples/ binary and the benchmark with statement
-# coverage over the whole module into .reach/bin and runs this command list
-# with GOCOVERDIR set:
-#   - CI's commands: the four apps at -partitions 1 and 4, k-means over SVM
-#     with both protocols, nbody with a tuning cache, examples/graph plain
-#     and with -metrics, plain/chaos/autoscale/replay serving, every example
-#     and the tune experiment;
-#   - nbody again over the tuning cache the first -partitions 1 run saved
-#     (the cache-load path), serving with -tune (tuned costs and batch caps)
-#     and serving replayed from internal/serve/testdata/replay.trace (the
-#     trace-file parser);
+# reach runs every committed command, checks that none of them changed its
+# output, and audits which code no command ran. It builds every cmd/ and
+# examples/ binary and the benchmark with statement coverage over the whole
+# module into .reach/bin and runs this command list with GOCOVERDIR set:
+#   - the four apps at -partitions 1 and 4, k-means over SVM with both
+#     protocols at both layouts, nbody with a tuning cache at both layouts
+#     and again over the cache the first run saved (the cache-load path);
 #   - cashmere-run's other outputs on k-means: a -trace file (4 k20 nodes),
 #     the -gantt chart (2 nodes) and a heterogeneous -cluster spec with
 #     -metrics;
-#   - the serve sweep (-sweep);
+#   - plain, -chaos, -autoscale and -replay synth serving at both layouts,
+#     serving with -tune, serving replayed from
+#     internal/serve/testdata/replay.trace and the serve sweep (-sweep);
+#   - every examples/*/ directory, and examples/graph also with -metrics at
+#     both layouts;
 #   - mclc -list-hardware, -feedback -cost, -emit and -tune on the matmul
 #     kernels of internal/apps;
 #   - cashmere-bench -experiment all, -metrics, -trace, -experiment svm with
 #     -svm-json and -experiment tune with -tune-json;
-#   - the five benchmark workloads at seed 1, one untraced pass each.
-# Each command's stdout lands in .reach/out/, next to the files the commands
-# write; of the benchmark only its trajectory_digest
-# lines, as the rest are host times. So the out/ directories of two trees
-# diff clean when a change keeps every output. It then prints every function
-# no command ran (0.0%) and the total of unreached statements, and fails
-# when that total exceeds REACH_CEILING. The benchmark's own package is
-# dropped from the profile: go tool cover cannot resolve it from this
-# module.
+#   - the five benchmark workloads at seed 1, one untraced pass each;
+#   - three commands that must fail (an unknown device in a -cluster spec,
+#     an unknown -app, a zero -load), each saving its stderr and exit status.
+# Each command's stdout lands in .reach/out/, next to the JSON files the
+# commands write; of the benchmark only its trajectory_digest lines, as the
+# rest are host times, and of the two trace JSONs (45 MB) only their sha256,
+# in traces.sha256. Then reach fails, naming each file, when
+#   - an output at 4 partitions differs from its 1-partition twin (every
+#     *-p4.txt from its -p1.txt, graph-metrics-p4.txt from graph-metrics.txt,
+#     tc4.json from tc1.json);
+#   - the serve sweep's JSON differs from BENCH_serve.json, or the SVM
+#     experiment's from BENCH_svm.json;
+#   - any other output differs from the golden tree in testdata/golden,
+#     which stores each twin pair once.
+# Last it prints every function no command ran (0.0%) and the total of
+# unreached statements, and fails when that total exceeds REACH_CEILING.
+# The benchmark's own package is dropped from the profile: go tool cover
+# cannot resolve it from this module.
+#
+# golden runs the same commands and the same twin check, then rewrites
+# testdata/golden, BENCH_serve.json and BENCH_svm.json from their outputs.
+# Run it when a change moves an output on purpose, and commit the result
+# with the reason: the diff of testdata/golden is the review. The golden was
+# written with go1.24.0; whether other Go versions print the same bytes is
+# unverified.
 REACH := .reach
-reach:
+GOLDEN := testdata/golden
+reach golden:
 	@set -e; rm -rf $(REACH); mkdir -p $(REACH)/bin $(REACH)/cov $(REACH)/files $(REACH)/out; \
 	$(GO) build -cover -coverpkg=cashmere/... -o $(REACH)/bin/ ./cmd/... ./examples/...; \
 	$(GO) -C benchmark build -cover -coverpkg=cashmere/... -o $(CURDIR)/$(REACH)/bin/cashmere-benchmark .; \
 	export GOCOVERDIR=$(CURDIR)/$(REACH)/cov; b=$(REACH)/bin; f=$(REACH)/files; o=$(REACH)/out; \
+	fails() { x=$$1; shift; if "$$@" > $$x 2>&1; then s=0; else s=$$?; fi; echo "exit $$s" >> $$x; }; \
 	for app in kmeans raytracer nbody matmul; do for p in 1 4; do \
 		$$b/cashmere-run -app $$app -nodes 4 -metrics -partitions $$p > $$o/run-$$app-p$$p.txt; done; done; \
 	$$b/cashmere-run -app kmeans -nodes 4 -device k20 -trace $$f/run-trace.json > $$o/run-trace.txt; \
@@ -110,7 +127,7 @@ reach:
 	$$b/cashmere-serve -nodes 4 -duration 500ms -tune -metrics > $$o/serve-tune.txt; \
 	$$b/cashmere-serve -replay internal/serve/testdata/replay.trace -metrics > $$o/serve-replay-file.txt; \
 	$$b/graph > $$o/graph.txt; $$b/graph -metrics > $$o/graph-metrics.txt; $$b/graph -metrics -partitions 4 > $$o/graph-metrics-p4.txt; \
-	for e in faulttolerance heterogeneous pipeline quickstart serving stepwise; do $$b/$$e > $$o/example-$$e.txt; done; \
+	for d in examples/*/; do e=$$(basename $$d); [ $$e = graph ] || $$b/$$e > $$o/example-$$e.txt; done; \
 	$$b/cashmere-serve -sweep -out $$f/serve-sweep.json > $$o/serve-sweep.txt; \
 	for v in Perfect GPU; do awk "/^const Matmul$$v = \`/{k=1;next} k&&/^\`/{exit} k" internal/apps/matmul.go > $$f/matmul-$$v.mcpl; done; \
 	$$b/mclc -list-hardware > $$o/mclc-hardware.txt; \
@@ -124,8 +141,25 @@ reach:
 	$$b/cashmere-bench -experiment tune -tune-json $$f/tune.json > $$o/bench-tune.txt; \
 	$$b/cashmere-benchmark -workload all -seed 1 -out $(REACH)/bench > $(REACH)/benchmark.txt; \
 	grep trajectory_digest $(REACH)/benchmark.txt > $$o/benchmark-digests.txt; \
-	cp $$f/*.json $$o/; \
+	fails $$o/fail-run-cluster.txt $$b/cashmere-run -cluster 2xfoo; \
+	fails $$o/fail-run-app.txt $$b/cashmere-run -app bogus; \
+	fails $$o/fail-serve-load.txt $$b/cashmere-serve -load 0; \
 	unset GOCOVERDIR; \
+	for x in $$f/*.json; do case $${x##*/} in \
+		run-trace.json|bench-trace.json|serve-sweep.json|svm.json) ;; *) cp $$x $$o/;; esac; done; \
+	(cd $$f && sha256sum run-trace.json bench-trace.json) > $$o/traces.sha256; \
+	bad=; for x in $$o/*-p4.txt $$o/tc4.json; do \
+		case $$x in *tc4.json) t=$$o/tc1.json;; *) t=$${x%-p4.txt}-p1.txt; [ -e $$t ] || t=$${x%-p4.txt}.txt;; esac; \
+		cmp -s $$t $$x || { echo "$$x differs from $$t"; bad=1; }; done; \
+	if [ -n "$$bad" ]; then echo "outputs depend on the partition layout"; exit 1; fi; \
+	if [ $@ = golden ]; then \
+		rm -rf $(GOLDEN); mkdir -p $(GOLDEN); cp $$o/* $(GOLDEN)/; rm $(GOLDEN)/*-p4.txt $(GOLDEN)/tc4.json; \
+		cp $$f/serve-sweep.json BENCH_serve.json; cp $$f/svm.json BENCH_svm.json; \
+		echo "wrote $(GOLDEN), BENCH_serve.json and BENCH_svm.json"; exit 0; fi; \
+	cmp -s $$f/serve-sweep.json BENCH_serve.json || { echo "$$f/serve-sweep.json differs from BENCH_serve.json"; bad=1; }; \
+	cmp -s $$f/svm.json BENCH_svm.json || { echo "$$f/svm.json differs from BENCH_svm.json"; bad=1; }; \
+	diff -rq -x '*-p4.txt' -x tc4.json $(GOLDEN) $$o || bad=1; \
+	if [ -n "$$bad" ]; then echo "outputs differ from the golden; if the change means to move them, run make golden and say why"; exit 1; fi; \
 	$(GO) tool covdata textfmt -i=$(REACH)/cov -o $(REACH)/all.out; \
 	grep -v '^cashmere/benchmark/' $(REACH)/all.out > $(REACH)/reach.out; \
 	$(GO) tool cover -func=$(REACH)/reach.out | awk '$$NF == "0.0%"'; \

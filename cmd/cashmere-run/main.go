@@ -190,7 +190,9 @@ func parseVariant(s string) (apps.Variant, error) {
 
 // parseCluster parses "10xgtx480,2xc2050,1xk20+xeon_phi": comma-separated
 // node groups, each an optional count of at least 1 and "x", then one or
-// more "+"-joined device names, none of them empty.
+// more "+"-joined device names, none of them empty. The groups may add up
+// to at most core.MaxNodes nodes; the bound is checked before a group's
+// specs are appended.
 func parseCluster(s string) ([]core.NodeSpec, error) {
 	var out []core.NodeSpec
 	for _, part := range strings.Split(s, ",") {
@@ -205,6 +207,9 @@ func parseCluster(s string) ([]core.NodeSpec, error) {
 				count = n
 				devs = part[i+1:]
 			}
+		}
+		if count > core.MaxNodes-len(out) {
+			return nil, fmt.Errorf("cluster spec %q: more than %d nodes (core.MaxNodes)", s, core.MaxNodes)
 		}
 		spec := core.NodeSpec{Devices: strings.Split(devs, "+")}
 		for _, d := range spec.Devices {

@@ -41,6 +41,9 @@ func TestParseCluster(t *testing.T) {
 		{" 10xgtx480 , 2xc2050 ", 12},
 		{"0xgtx480,1xk20", 0},
 		{"-2xgtx480,1xk20", 0},
+		{"4096xgtx480", 4096},
+		{"4096xgtx480,1xk20", 0},
+		{"99999999999xgtx480", 0}, // refused before any spec is appended
 		{"1xk20,", 0},
 		{"2x", 0},
 		{"k20++gtx480", 0},

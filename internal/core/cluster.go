@@ -122,7 +122,9 @@ func DefaultConfig(n int, dev string) Config {
 	sc.WorkersPerNode = 1
 	// Cashmere leaves are tens of milliseconds; keep job discovery fast.
 	sc.MaxIdleBackoff = time.Millisecond
-	nodes := make([]NodeSpec, max(n, 0)) // NewCluster rejects an empty cluster
+	// NewCluster rejects an empty cluster and one above MaxNodes, so no
+	// more specs are allocated than it takes to say so.
+	nodes := make([]NodeSpec, min(max(n, 0), MaxNodes+1))
 	for i := range nodes {
 		nodes[i] = NodeSpec{Devices: []string{dev}}
 	}
@@ -205,14 +207,28 @@ func (ns *NodeState) stageResident(dev int, tag string, version int, n int64, la
 	return ev, false
 }
 
+// MaxNodes is the most nodes a cluster may have. The paper's experiments
+// use at most 16 nodes (Figs. 7-14); 4096 is 256 times that, and building a
+// cluster of 4096 GTX480 nodes allocates about 55 MB. Region-scale fleets
+// are not modelled, so a larger count is taken for a typo: it fails before
+// any per-node state exists instead of growing until the host kills it.
+const MaxNodes = 4096
+
 // ErrNoNodes is the error of a cluster configured with fewer than one node.
 var ErrNoNodes = errors.New("core: cluster needs at least one node")
+
+// ErrTooManyNodes is the error of a cluster configured with more than
+// MaxNodes nodes.
+var ErrTooManyNodes = fmt.Errorf("core: cluster has more than %d nodes (MaxNodes)", MaxNodes)
 
 // NewCluster builds the cluster. Call Register for each kernel set, then
 // Run (which initializes on first use).
 func NewCluster(cfg Config) (*Cluster, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, ErrNoNodes
+	}
+	if len(cfg.Nodes) > MaxNodes {
+		return nil, ErrTooManyNodes
 	}
 	if cfg.Partitions < 0 {
 		return nil, fmt.Errorf("core: Partitions %d is negative (0 and 1 run one sequential kernel)", cfg.Partitions)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -128,6 +129,21 @@ func TestDefaultConfigRejectsNegativeNodes(t *testing.T) {
 		_, err := NewCluster(DefaultConfig(n, "k20"))
 		if err == nil || !strings.Contains(err.Error(), "at least one node") {
 			t.Fatalf("%d nodes: err = %v, want the at-least-one-node error", n, err)
+		}
+	}
+}
+
+// TestNewClusterRejectsTooManyNodes: a node count above MaxNodes (as from
+// `cashmere-run -nodes 99999999999`) fails in NewCluster, and DefaultConfig
+// allocates no more than one spec past the bound on the way there.
+func TestNewClusterRejectsTooManyNodes(t *testing.T) {
+	for _, n := range []int{MaxNodes + 1, math.MaxInt} {
+		cfg := DefaultConfig(n, "k20")
+		if len(cfg.Nodes) > MaxNodes+1 {
+			t.Fatalf("DefaultConfig(%d) allocated %d node specs", n, len(cfg.Nodes))
+		}
+		if _, err := NewCluster(cfg); !errors.Is(err, ErrTooManyNodes) {
+			t.Fatalf("%d nodes: err = %v, want ErrTooManyNodes", n, err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 
 	"cashmere/internal/core"
@@ -104,13 +105,17 @@ func Run(cl *core.Cluster, cfg Config) (*Report, error) {
 		}
 	}
 
+	// Every stochastic generator draws its gaps and classes from one source
+	// seeded with node 0's kernel seed, which is the same in every partition
+	// layout.
+	rng := rand.New(rand.NewSource(k.Seed()))
 	_, end, err := cl.RunServices(func(ctx *satin.Context) any {
 		// The generators run on node 0, with the frontend they feed.
 		fe.gensLive = len(cfg.Tenants)
 		for ti := range cfg.Tenants {
 			g := &generator{f: fe, tenant: ti}
 			if cfg.Tenants[ti].Arrival.Kind != Replay {
-				g.arr = newArrival(cfg.Tenants[ti].Arrival, k.Rand())
+				g.arr = newArrival(cfg.Tenants[ti].Arrival, rng)
 			}
 			k.SpawnStepOn(0, "serve.gen."+cfg.Tenants[ti].Name, g.step)
 		}
@@ -177,7 +182,7 @@ func (g *generator) drawStep(p *simnet.Proc) bool {
 		t := &f.tenants[g.tenant]
 		class := 0
 		if t.totalCum > 1 {
-			pick := k.Rand().Intn(t.totalCum)
+			pick := g.arr.rng.Intn(t.totalCum)
 			for class < len(t.cum)-1 && pick >= t.cum[class] {
 				class++
 			}

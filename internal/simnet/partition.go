@@ -101,7 +101,7 @@ type PartitionStats struct {
 // NewPartitioned builds a partitioned scheduler for the given number of
 // simulated nodes split into parts contiguous blocks (parts is clamped to
 // [1, nodes]). Partition 0's kernel is seeded exactly like NewKernel(seed),
-// so consumers of the partition-0 random source draw the same sequence in
+// so a source seeded from partition 0's Seed draws the same sequence in
 // every layout.
 func NewPartitioned(seed int64, nodes, parts int) *Partitioned {
 	if nodes <= 0 {

@@ -62,7 +62,6 @@ package simnet
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 )
 
@@ -125,7 +124,6 @@ type Kernel struct {
 	closed  bool // set by Close; a process stopped afterwards unwinds
 	limit   Time // Run's cutoff, 0 = none; read by parking processes too
 	strict  bool // events exactly at limit do NOT fire (RunBefore windows)
-	rng     *rand.Rand
 	seed    int64
 	procSeq int
 	part    int32 // partition id (0 for a standalone kernel)
@@ -187,13 +185,10 @@ type Tracer interface {
 // before Run.
 func (k *Kernel) SetTracer(tr Tracer) { k.tracer = tr }
 
-// NewKernel returns a kernel with its clock at zero. The seed initializes the
-// kernel-owned random source returned by Rand.
+// NewKernel returns a kernel with its clock at zero. The kernel draws no
+// random numbers itself; it only keeps the seed (see Seed).
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{
-		rng:  rand.New(rand.NewSource(seed)),
-		seed: seed,
-	}
+	return &Kernel{seed: seed}
 }
 
 // Seed returns the seed the kernel was created with. Layers that shard their
@@ -203,11 +198,6 @@ func (k *Kernel) Seed() int64 { return k.seed }
 
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
-
-// Rand returns the kernel's deterministic random source. It must only be
-// used from simulation processes (which are serialized), never from outside
-// Run.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // Proc is a simulation process: a coroutine that runs simulation logic in
 // direct style, blocking on virtual-time primitives, or a step process (see

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -377,12 +378,13 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 func TestDeterminismAcrossRuns(t *testing.T) {
 	trace := func() []int {
 		k := NewKernel(42)
+		rng := rand.New(rand.NewSource(k.Seed()))
 		c := NewChan[int](k)
 		var out []int
 		for i := 0; i < 8; i++ {
 			i := i
 			k.Spawn("p", func(p *Proc) {
-				p.Hold(Duration(k.Rand().Intn(1000)) * time.Microsecond)
+				p.Hold(Duration(rng.Intn(1000)) * time.Microsecond)
 				c.Send(i)
 			})
 		}
