@@ -10,12 +10,12 @@ COVER_FLOOR ?= 68.0
 # reach job) lets no committed command run: the audit fails above it, so deleted
 # dead code stays deleted and new code comes with a command that runs it.
 # Set to the total the audit reported when the ceiling was last lowered.
-REACH_CEILING := 2357
+REACH_CEILING := 2355
 
-.PHONY: check lint vet build test race cover reach golden bench bench-serve bench-allocs bench-svm
+.PHONY: check lint vet build test test32 race cover reach golden bench bench-serve bench-allocs bench-svm
 
 # check runs everything CI runs (minus the version matrix).
-check: lint build test race cover
+check: lint build test test32 race cover reach bench-allocs
 
 # lint fails on unformatted files, vet findings and (when the tool is
 # installed, as in CI) staticcheck findings.
@@ -34,6 +34,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test32 runs the event kernel and the Satin runtime on a 32-bit build:
+# math/rand/v2 branches on the word size, and the victim streams
+# (TestVictimStream) and event order must not.
+test32:
+	GOARCH=386 $(GO) test ./internal/simnet/ ./internal/satin/
 
 # race covers the packages with real concurrency: the closure engine's
 # parallel foreach worker pool, the simulation kernel's process switching,

@@ -71,8 +71,7 @@ func finish(flops float64, t simnet.Time) Result {
 const satinLeafEff = 0.08
 
 // cpuCoreFlops is the modeled per-core throughput of a Satin CPU leaf: one
-// core of the dual quad-core Xeon E5620 running scalar Java code. It is
-// computed once: device.Catalog builds every spec afresh on each call.
+// core of the dual quad-core Xeon E5620 running scalar Java code.
 var cpuCoreFlops = func() float64 {
 	cpu := device.Catalog()["cpu"]
 	return cpu.PeakSPFlops / float64(cpu.ComputeUnits) * satinLeafEff

@@ -7,6 +7,15 @@ import (
 	"cashmere/internal/apps"
 )
 
+// DeviceCount reports the number of many-core devices.
+func (h HeteroConfig) DeviceCount() int {
+	n := 0
+	for _, nd := range h.Nodes {
+		n += len(nd.Devices)
+	}
+	return n
+}
+
 func TestFigureFormatAndRow(t *testing.T) {
 	fig := Figure{
 		ID: "figX", Title: "test", XLabel: "nodes",

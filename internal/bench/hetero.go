@@ -35,15 +35,6 @@ func (h HeteroConfig) Describe() string {
 	return strings.Join(parts, ", ")
 }
 
-// DeviceCount reports the number of many-core devices.
-func (h HeteroConfig) DeviceCount() int {
-	n := 0
-	for _, nd := range h.Nodes {
-		n += len(nd.Devices)
-	}
-	return n
-}
-
 func baseHetero() []core.NodeSpec {
 	var nodes []core.NodeSpec
 	add := func(count int, devs ...string) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cashmere/internal/apps"
+	"cashmere/internal/simnet"
 )
 
 // TestPartitionedScalabilityDeterministic asserts the figure-level
@@ -100,6 +101,20 @@ func TestPartitionedSpeedup(t *testing.T) {
 	t.Logf("sequential %v, 4 partitions %v, speedup %.2fx", seqD, parD, speedup)
 	if speedup < 2.5 {
 		t.Fatalf("4-way partitioned speedup %.2fx < 2.5x (sequential %v, partitioned %v)", speedup, seqD, parD)
+	}
+}
+
+// LargeServeSweep is the large-cluster serving configuration of the
+// partitioned-scheduler speedup study: 16 nodes, a single saturating load
+// point, long horizon. One point is one big simulation, which is where
+// intra-simulation partitioning pays off (the regular sweep already
+// parallelizes across points).
+func LargeServeSweep(partitions int) ServeSweepConfig {
+	return ServeSweepConfig{
+		Nodes: 16, Device: "gtx480",
+		Horizon: simnet.Duration(time.Second), Seed: 1,
+		Loads:      []float64{1.0},
+		Partitions: partitions,
 	}
 }
 

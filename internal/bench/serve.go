@@ -47,20 +47,6 @@ func DefaultServeSweep() ServeSweepConfig {
 	return ServeSweepConfig{Nodes: 4, Device: "gtx480", Horizon: simnet.Duration(time.Second), Seed: 1}
 }
 
-// LargeServeSweep is the large-cluster serving configuration of the
-// partitioned-scheduler speedup study: 16 nodes, a single saturating load
-// point, long horizon. One point is one big simulation, which is where
-// intra-simulation partitioning pays off (the regular sweep already
-// parallelizes across points).
-func LargeServeSweep(partitions int) ServeSweepConfig {
-	return ServeSweepConfig{
-		Nodes: 16, Device: "gtx480",
-		Horizon: simnet.Duration(time.Second), Seed: 1,
-		Loads:      []float64{1.0},
-		Partitions: partitions,
-	}
-}
-
 // LatencyVsLoad sweeps the standard three-tenant serving workload across
 // offered-load factors on a fresh cluster per point and reports the latency
 // quantiles, goodput and shed fraction at each point — the hockey-stick

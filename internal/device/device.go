@@ -16,6 +16,7 @@ package device
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -60,8 +61,11 @@ func (s *Spec) String() string {
 
 // Catalog returns the device models of the seven many-core devices on DAS-4
 // plus the host CPU (dual quad-core Xeon E5620) used for Satin baseline runs
-// and CPU fallback leaves.
-func Catalog() map[string]*Spec {
+// and CPU fallback leaves. The map is built once and shared by every caller,
+// so neither it nor its specs may be modified; Lookup returns a copy.
+func Catalog() map[string]*Spec { return catalog() }
+
+var catalog = sync.OnceValue(func() map[string]*Spec {
 	specs := []*Spec{
 		{
 			Name: "gtx480", Leaf: "gtx480", Vendor: "nvidia",
@@ -150,13 +154,15 @@ func Catalog() map[string]*Spec {
 		m[s.Name] = s
 	}
 	return m
-}
+})
 
-// Lookup returns the named device spec or an error listing the catalog.
+// Lookup returns a copy of the named device spec, or an error listing the
+// catalog.
 func Lookup(name string) (*Spec, error) {
-	c := Catalog()
+	c := catalog()
 	if s, ok := c[name]; ok {
-		return s, nil
+		cp := *s
+		return &cp, nil
 	}
 	names := make([]string, 0, len(c))
 	for n := range c {

@@ -25,8 +25,14 @@ func TestCatalogHasSevenManyCoreDevicesPlusCPU(t *testing.T) {
 }
 
 func TestLookup(t *testing.T) {
-	if _, err := Lookup("k20"); err != nil {
+	s, err := Lookup("k20")
+	if err != nil {
 		t.Fatal(err)
+	}
+	// The spec is a copy: changing it leaves the shared catalog alone.
+	s.GlobalMem = 1
+	if got := Catalog()["k20"].GlobalMem; got != 5<<30 {
+		t.Fatalf("catalog k20 GlobalMem = %d after changing a looked-up copy", got)
 	}
 	// An unknown name is an error listing the catalog sorted, so the
 	// message is the same on every run.

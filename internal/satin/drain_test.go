@@ -15,26 +15,33 @@ import (
 // Under the two-phase steal protocol a granted job normally goes straight
 // to the probing worker and never rests in the thief's deque; a foreign job
 // is deque-resident only when the grant arrives after the probe timed out
-// (the comm loop's straggler path). A near-zero StealTimeout with one worker
-// per node makes every grant a straggler, so the drained node demonstrably
-// holds foreign jobs when the drain lands.
+// (the comm loop's straggler path). The scenario makes one resident by
+// construction, whatever the victim stream draws. A near-zero StealTimeout
+// makes every grant a straggler. With two nodes, node 1's every probe goes
+// to the master, so its first round of StealAttempts probes, sent while the
+// master splits the root, brings home that many of the master's oldest
+// (largest) jobs. Node 1's one worker runs the newest of them first, so the
+// root's 32-leaf half still waits in its deque when the drain lands at
+// 3 ms.
 func TestDrainMigratesQueuedJobsAndCompletes(t *testing.T) {
-	k := simnet.NewKernel(1)
-	cfg := DefaultConfig()
-	cfg.WorkersPerNode = 1
-	cfg.StealTimeout = 100 * time.Nanosecond
-	rt := New(k, 4, network.QDRInfiniBand(), cfg, nil)
-	k.SpawnAt(simnet.Time(3*time.Millisecond), "drainer", func(p *simnet.Proc) {
-		rt.DrainAsync(p, 3)
-	})
-	v, _ := rt.Run(func(ctx *Context) any {
-		return divideAndCompute(ctx, 64, 500*time.Microsecond)
-	})
-	if v.(int) != 64 {
-		t.Fatalf("result after drain = %v, want 64", v)
-	}
-	if rt.JobsMigrated() == 0 {
-		t.Fatal("drained node migrated no jobs (nothing queued at drain time?)")
+	for seed := int64(1); seed <= 5; seed++ {
+		k := simnet.NewKernel(seed)
+		cfg := DefaultConfig()
+		cfg.WorkersPerNode = 1
+		cfg.StealTimeout = 100 * time.Nanosecond
+		rt := New(k, 2, network.QDRInfiniBand(), cfg, nil)
+		k.SpawnAt(simnet.Time(3*time.Millisecond), "drainer", func(p *simnet.Proc) {
+			rt.DrainAsync(p, 1)
+		})
+		v, _ := rt.Run(func(ctx *Context) any {
+			return divideAndCompute(ctx, 64, 500*time.Microsecond)
+		})
+		if v.(int) != 64 {
+			t.Fatalf("seed %d: result after drain = %v, want 64", seed, v)
+		}
+		if rt.JobsMigrated() == 0 {
+			t.Fatalf("seed %d: drained node migrated no jobs (nothing queued at drain time?)", seed)
+		}
 	}
 }
 

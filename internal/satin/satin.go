@@ -20,7 +20,8 @@ package satin
 
 import (
 	"fmt"
-	"math/rand"
+	"math/bits"
+	"math/rand/v2"
 	"sort"
 	"time"
 
@@ -160,10 +161,11 @@ type Node struct {
 	ep  *network.Endpoint
 	dev any // opaque slot for the Cashmere layer (device scheduler)
 
-	// rng drives this node's victim selection. Per-node streams (seeded
-	// from the runtime seed and the node id) keep trajectories independent
-	// of the partition layout.
-	rng *rand.Rand
+	// rng is this node's victim stream, a PCG whose two words of state
+	// are seeded with the kernel seed and the node id + 1: the streams are
+	// distinct, fully determined by (seed, node), and so independent of the
+	// partition layout. Seeding costs two stores.
+	rng rand.PCG
 	// pool runs the node's short-lived helper activities (steal-data
 	// transfers, many-core threads) on recycled processes instead of
 	// spawning a named goroutine per activity.
@@ -239,19 +241,18 @@ func NewPartitioned(ps *simnet.Partitioned, n int, netCfg network.Config, cfg Co
 	seed := ps.Seed()
 	for i := 0; i < n; i++ {
 		nk := ps.KernelFor(i)
-		rt.nodes = append(rt.nodes, &Node{
-			ID: i,
-			rt: rt,
-			k:  nk,
-			ep: rt.fabric.Endpoint(i),
-			// Mix the node id into the seed with a large odd constant so the
-			// streams are distinct yet fully determined by (seed, node).
-			rng:         rand.New(rand.NewSource(seed + int64(i+1)*2_654_435_761)),
+		node := &Node{
+			ID:          i,
+			rt:          rt,
+			k:           nk,
+			ep:          rt.fabric.Endpoint(i),
 			pool:        simnet.NewProcPool(nk, fmt.Sprintf("satin.pool.%d", i)),
 			thieves:     map[int]*thief{},
 			outstanding: map[uint64]outRec{},
 			peerDown:    make([]bool, n),
-		})
+		}
+		node.rng.Seed(uint64(seed), uint64(i+1))
+		rt.nodes = append(rt.nodes, node)
 	}
 	rt.downDeclared = make([]bool, n)
 	return rt
@@ -505,7 +506,26 @@ func (n *Node) victim() int {
 	if len(n.peers) == 0 {
 		return -1
 	}
-	return n.peers[n.rng.Intn(len(n.peers))]
+	return n.peers[uniform(&n.rng, len(n.peers))]
+}
+
+// uniform draws an integer from [0, n) off src: a mask when n is a power of
+// two, else Lemire's multiply-shift with rejection. It is the reduction
+// math/rand/v2's Rand.IntN makes on 64-bit platforms, done here so that the
+// draws are the same on every platform and Go version.
+func uniform(src *rand.PCG, n int) int {
+	b := uint64(n)
+	if b&(b-1) == 0 {
+		return int(src.Uint64() & (b - 1))
+	}
+	hi, lo := bits.Mul64(src.Uint64(), b)
+	if lo < b {
+		thresh := -b % b
+		for lo < thresh {
+			hi, lo = bits.Mul64(src.Uint64(), b)
+		}
+	}
+	return int(hi)
 }
 
 // thief is one worker's search for work as a state machine, stepped by

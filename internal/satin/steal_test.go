@@ -285,6 +285,32 @@ func TestVictimProbeDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestVictimStream pins the first 32 victims each node of a 5-node runtime
+// draws at seed 1, one digit per victim. The streams are PCG streams with a
+// local bounded draw (uniform), so they are the same on every platform and
+// Go version; CI also runs this test with GOARCH=386. A mismatch means the
+// generator, its seeding or its reduction moved, and with them every
+// trajectory in which Satin steals.
+func TestVictimStream(t *testing.T) {
+	want := []string{
+		"14112332412343211333412333342313",
+		"00030023204342344323242330420343",
+		"31033010040033434131043410341311",
+		"44100142040240020144424244122244",
+		"01300001000131021011023022012330",
+	}
+	rt := New(simnet.NewKernel(1), len(want), network.QDRInfiniBand(), DefaultConfig(), nil)
+	for i, n := range rt.nodes {
+		got := make([]byte, 32)
+		for j := range got {
+			got[j] = byte('0' + n.victim())
+		}
+		if string(got) != want[i] {
+			t.Errorf("node %d drew victims %s, want %s: the victim generator moved", i, got, want[i])
+		}
+	}
+}
+
 // TestFailedStealDoesNotAllocate: a failed probe sends the thief's
 // preallocated request and is answered with the denial it carries, both as
 // pointers, so an idle cluster probing for work allocates nothing per

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -108,9 +109,13 @@ func TestSpawnFromInsideProcess(t *testing.T) {
 // int32, so stream 1<<32 shared stream 0's stamp counter and broke
 // determinism silently, and a negative stream crashed Run at its first
 // stamp. Both spawn calls now reject it up front, naming the process; the
-// largest valid stream runs.
+// largest valid stream runs. Stream 1<<32 exists only where int has 64 bits.
 func TestSpawnOnRejectsStreamOutOfRange(t *testing.T) {
-	for _, stream := range []int{1 << 32, -1, maxStreams} {
+	streams := []int{-1, maxStreams}
+	if strconv.IntSize == 64 {
+		streams = append(streams, 1<<(strconv.IntSize/2))
+	}
+	for _, stream := range streams {
 		k := NewKernel(1)
 		mustPanicNaming(t, "far-node", func() { k.SpawnOn(stream, "far-node", func(p *Proc) {}) })
 		mustPanicNaming(t, "far-step", func() {
