@@ -17,9 +17,9 @@ const goldenAll = "../../testdata/golden/bench-all.txt"
 // whitespace-separated fields.
 type goldenTables map[string][][]string
 
-func readGoldenTables(t *testing.T, path string) goldenTables {
+func readGoldenTables(t *testing.T) goldenTables {
 	t.Helper()
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(goldenAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func parseGolden(t *testing.T, id, s string) float64 {
 // it holds while the model still deviates, and fails when a change closes
 // or widens the deviation, so that the change also updates EXPERIMENTS.md.
 func TestPaperShapes(t *testing.T) {
-	g := readGoldenTables(t, goldenAll)
+	g := readGoldenTables(t)
 	type claim struct {
 		name      string
 		paper     string
