@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cashmere/internal/apps"
+	"cashmere/internal/core"
 )
 
 func TestParseVariant(t *testing.T) {
@@ -72,4 +73,33 @@ func TestParseCluster(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzParseCluster: parseCluster never panics, and every spec it accepts
+// gives 1..core.MaxNodes nodes, each with at least one device and no empty
+// device name. The seeds run as part of go test; go test -fuzz
+// FuzzParseCluster ./cmd/cashmere-run explores further.
+func FuzzParseCluster(f *testing.F) {
+	for _, s := range []string{"2xgtx480", "1xk20+xeon_phi", "0xgtx480", "99999999999xgtx480", "2x", ","} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		specs, err := parseCluster(spec)
+		if err != nil {
+			return
+		}
+		if len(specs) < 1 || len(specs) > core.MaxNodes {
+			t.Fatalf("parseCluster(%q) = %d nodes, want 1..%d", spec, len(specs), core.MaxNodes)
+		}
+		for i, ns := range specs {
+			if len(ns.Devices) == 0 {
+				t.Fatalf("parseCluster(%q): node %d has no device", spec, i)
+			}
+			for _, d := range ns.Devices {
+				if d == "" {
+					t.Fatalf("parseCluster(%q): node %d has an empty device name", spec, i)
+				}
+			}
+		}
+	})
 }

@@ -99,7 +99,7 @@ func main() {
 	}
 	lv, err := h.Lookup(*target)
 	die(err)
-	die(translate.ValidateLevel(prog, name, h))
+	die(translate.ValidateLevel(prog, name, lv))
 
 	p, err := parseParams(*params)
 	die(err)

@@ -7,13 +7,17 @@ import (
 	"cashmere/internal/device"
 	"cashmere/internal/mcl/codegen"
 	"cashmere/internal/mcl/hdl"
+	"cashmere/internal/mcl/mcpl"
+	"cashmere/internal/mcl/translate"
 )
 
 // TestEveryKernelCompilesForEveryLeaf pushes all four applications' kernel
 // sets (both variants) through the full MCL pipeline — most-specific
-// version selection, level validation, translation, OpenCL emission, cost
-// analysis and launch-glue computation — for each of the seven accelerator
-// leaves. This is the breadth guarantee behind "scalable development of
+// version selection, level validation, cost analysis and launch-glue
+// computation — for each of the seven accelerator leaves, and translates
+// and emits every version that applies to the leaf as mclc -emit does:
+// the translated program must type-check and the emitter must render every
+// statement. This is the breadth guarantee behind "scalable development of
 // optimized kernels" (Sec. IV).
 func TestEveryKernelCompilesForEveryLeaf(t *testing.T) {
 	h := hdl.Library()
@@ -39,8 +43,28 @@ func TestEveryKernelCompilesForEveryLeaf(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%v on %s: compile: %v", name, variant, leaf, err)
 				}
-				if !strings.Contains(c.OpenCL, "__kernel") {
-					t.Fatalf("%s on %s: no kernel in generated code", name, leaf)
+				lv, err := h.Lookup(leaf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, level := range ks.Levels() {
+					if !lv.HasAncestor(level) {
+						continue
+					}
+					tr, err := translate.Translate(ks.Versions[level].Prog, ks.Name, lv)
+					if err != nil {
+						t.Fatalf("%s/%v level %s on %s: translate: %v", name, variant, level, leaf, err)
+					}
+					if _, err := mcpl.Check(tr); err != nil {
+						t.Fatalf("%s/%v level %s on %s: translated kernel does not check: %v", name, variant, level, leaf, err)
+					}
+					text, err := codegen.EmitOpenCL(tr, ks.Name)
+					if err != nil {
+						t.Fatalf("%s/%v level %s on %s: emit: %v", name, variant, level, leaf, err)
+					}
+					if !strings.Contains(text, "__kernel") {
+						t.Fatalf("%s/%v level %s on %s: no kernel in generated code", name, variant, level, leaf)
+					}
 				}
 				cost, err := c.Cost(a.params)
 				if err != nil {
@@ -95,6 +119,52 @@ func TestKernelSelectionMatrix(t *testing.T) {
 		}
 		if c.SourceLevel != tc.expected {
 			t.Errorf("%s on %s selected level %s, want %s", ks.Name, tc.leaf, c.SourceLevel, tc.expected)
+		}
+	}
+}
+
+// TestCompileErrorsOnCustomHierarchy pins the exact errors Compile returns
+// for kernels a small custom hardware description rejects: a unit the
+// target leaf does not define (levels inherit their ancestors' units, so
+// the declared level lacks it too and the level check reports it), and a
+// unit the leaf decomposes into other than two units.
+func TestCompileErrorsOnCustomHierarchy(t *testing.T) {
+	h, err := hdl.Parse(`
+hardware perfect {
+  parallelism threads { max unlimited; }
+  memory main { size unlimited; }
+}
+hardware gpu extends perfect {
+  parallelism threads { max 1024; }
+  memory global { size unlimited; }
+}
+hardware dev extends gpu {
+  parallelism cores { max 8; }
+  parallelism lanes { max 16; }
+  map threads cores lanes threads;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		kernels func(Variant) (*codegen.KernelSet, error)
+		variant Variant
+		leaf    string
+		want    string
+	}{
+		{"unit undefined at the leaf", MatmulKernels, CashmereOptimized, "dev",
+			`4:3: parallelism unit "blocks" is not defined by hardware description "gpu"`},
+		{"mapping of three units", MatmulKernels, CashmereUnoptimized, "dev",
+			`translate: unsupported mapping [cores lanes threads] for unit "threads"`},
+	} {
+		ks, err := tc.kernels(tc.variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ks.Compile(tc.leaf, h)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -10,21 +10,20 @@ import (
 	"cashmere/internal/satin"
 )
 
-// rtHelpers are the MCPL helper functions shared by both raytracer kernel
-// versions: a 30-bit LCG random generator (state passed as a one-element
-// private array, MCPL's idiom for in-out scalars).
-const rtHelpers = `
+// RaytracerPerfect is the unoptimized raytracer at level perfect: an
+// iterative smallpt-style path tracer over a sphere scene, with a 30-bit LCG
+// random generator (state passed as a one-element private array, MCPL's
+// idiom for in-out scalars). spheres is [ns,11]: center xyz, radius,
+// emission rgb, color rgb, type (0 diffuse, 1 mirror). The image block is
+// rows x w pixels starting at row y0.
+const RaytracerPerfect = `
 float rnd(int[1] state) {
   state[0] = (state[0] * 1103515245 + 12345) & 1073741823;
   return (float)state[0] * 0.000000000931322574615478515625;
 }
-`
 
-// rtBody is the kernel body shared by both versions: an iterative smallpt-
-// style path tracer over a sphere scene. spheres is [ns,11]:
-// center xyz, radius, emission rgb, color rgb, type (0 diffuse, 1 mirror).
-// The image block is rows x w pixels starting at row y0.
-const rtBody = `
+perfect void raytrace(int w, int h, int y0, int rows, int samples, int ns, int seed0,
+    float[ns,11] spheres, float[rows,w,3] img) {
   foreach (int y in rows threads) {
     foreach (int x in w threads) {
       int[1] rng;
@@ -140,12 +139,7 @@ const rtBody = `
       img[y,x,2] = accB / (float)samples;
     }
   }
-`
-
-// RaytracerPerfect is the unoptimized raytracer at level perfect.
-var RaytracerPerfect = rtHelpers + `
-perfect void raytrace(int w, int h, int y0, int rows, int samples, int ns, int seed0,
-    float[ns,11] spheres, float[rows,w,3] img) {` + rtBody + `}
+}
 `
 
 // RaytracerKernels returns the kernel set for the variant. The optimized

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"cashmere/internal/device"
@@ -106,7 +107,7 @@ func TestTuneMetricsExported(t *testing.T) {
 	cl := runScaleCluster(t, DefaultConfig(1, "k20"))
 	m := cl.CollectMetrics()
 	for _, name := range []string{"tune.cache_hits", "tune.cache_misses", "tune.evaluations"} {
-		if !m.Has(name) {
+		if !slices.Contains(m.Names(), name) {
 			t.Fatalf("metrics missing %q", name)
 		}
 		if v := m.Int(name); v != 0 {

@@ -106,18 +106,17 @@ func (ks *KernelSet) Levels() []string {
 }
 
 // Compiled is a kernel compiled for one leaf hardware description: the
-// OpenCL-style source, the executable form, and the cost-model hooks.
+// executable form, the cost-model hooks and the launch glue. It holds no
+// generated device code; mclc -emit translates and emits that.
 type Compiled struct {
 	Name        string
 	Leaf        string
 	SourceLevel string // level of the version selected by MostSpecific
 	Distance    int    // hierarchy distance from SourceLevel to Leaf
-	OpenCL      string // generated device code (translated to the leaf)
 
-	src        *mcpl.Info // the selected version, checked; used for execution/analysis
-	translated *mcpl.Program
-	spec       *device.Spec
-	engine     *closure.Kernel // closure-compiled executable form
+	src    *mcpl.Info // the selected version, checked; used for execution/analysis
+	spec   *device.Spec
+	engine *closure.Kernel // closure-compiled executable form
 
 	scalars  []string        // scalar int parameters, in declaration order
 	nest     []*mcpl.Foreach // the kernel's leading foreach nest, outermost first
@@ -129,8 +128,9 @@ type Compiled struct {
 }
 
 // Compile selects the most specific applicable version for the leaf,
-// translates it, and produces the generated code plus glue metadata. The
-// result is shared (see CompileAt) and must not be modified.
+// checks it against its level and the leaf (translate.ValidateLevel), and
+// produces the executable form plus cost and glue metadata. The result is
+// shared (see CompileAt) and must not be modified.
 func (ks *KernelSet) Compile(leaf string, h *hdl.Hierarchy) (*Compiled, error) {
 	level, err := h.MostSpecific(ks.Levels(), leaf)
 	if err != nil {
@@ -177,15 +177,7 @@ func (ks *KernelSet) compileAt(level, leaf string, h *hdl.Hierarchy) (*Compiled,
 	if !lv.HasAncestor(level) {
 		return nil, fmt.Errorf("codegen: kernel %s: level %q does not apply to device leaf %q", ks.Name, level, leaf)
 	}
-	if err := translate.ValidateLevel(info.Prog, ks.Name, h); err != nil {
-		return nil, err
-	}
-	tr, err := translate.Translate(info.Prog, ks.Name, lv)
-	if err != nil {
-		return nil, err
-	}
-	text, err := EmitOpenCL(tr, ks.Name)
-	if err != nil {
+	if err := translate.ValidateLevel(info.Prog, ks.Name, lv); err != nil {
 		return nil, err
 	}
 	engine := ks.engines[level]
@@ -230,9 +222,7 @@ func (ks *KernelSet) compileAt(level, leaf string, h *hdl.Hierarchy) (*Compiled,
 		Leaf:        leaf,
 		SourceLevel: level,
 		Distance:    lv.Depth() - srcLv.Depth(),
-		OpenCL:      text,
 		src:         info,
-		translated:  tr,
 		spec:        spec,
 		engine:      engine,
 		scalars:     scalars,

@@ -9,7 +9,8 @@ import (
 // EOF token, or an error with position information.
 func Lex(src string) ([]Token, error) {
 	l := &lexer{src: src, line: 1, col: 1}
-	var toks []Token
+	// MCPL averages three to four source bytes per token.
+	toks := make([]Token, 0, len(src)/3+1)
 	for {
 		t, err := l.next()
 		if err != nil {
@@ -91,13 +92,39 @@ func (l *lexer) skipSpaceAndComments() error {
 	return nil
 }
 
-// Multi-character punctuation, longest first.
-var puncts = []string{
-	"<<=", ">>=",
-	"==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "*=", "/=", "%=",
-	"<<", ">>", "++", "--",
-	"+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~",
-	"(", ")", "{", "}", "[", "]", ",", ";", ":", "?", ".",
+// punctLen returns the length of the longest punctuator rest starts with,
+// or 0 when it starts with none. The punctuators are the operators and
+// delimiters of MCPL: ( ) { } [ ] , ; : ? . ^ ~ & |, each of + - * / % < >
+// = ! alone or followed by =, and ++ -- && || << >> <<= >>=.
+func punctLen(rest string) int {
+	var c1 byte
+	if len(rest) > 1 {
+		c1 = rest[1]
+	}
+	switch c := rest[0]; c {
+	case '(', ')', '{', '}', '[', ']', ',', ';', ':', '?', '.', '^', '~':
+		return 1
+	case '&', '|':
+		if c1 == c {
+			return 2
+		}
+		return 1
+	case '<', '>', '+', '-':
+		if c1 == c {
+			if (c == '<' || c == '>') && len(rest) > 2 && rest[2] == '=' {
+				return 3
+			}
+			return 2
+		}
+	case '*', '/', '%', '=', '!':
+	default:
+		return 0
+	}
+	// An operator that may take a trailing =.
+	if c1 == '=' {
+		return 2
+	}
+	return 1
 }
 
 func (l *lexer) next() (Token, error) {
@@ -123,16 +150,14 @@ func (l *lexer) next() (Token, error) {
 		}
 		return Token{Kind: TokIdent, Text: text, Pos: start}, nil
 	default:
-		rest := l.src[l.off:]
-		for _, p := range puncts {
-			if strings.HasPrefix(rest, p) {
-				for range p {
-					l.advance()
-				}
-				return Token{Kind: TokPunct, Text: p, Pos: start}, nil
-			}
+		n := punctLen(l.src[l.off:])
+		if n == 0 {
+			return Token{}, fmt.Errorf("%v: unexpected character %q", start, string(c))
 		}
-		return Token{}, fmt.Errorf("%v: unexpected character %q", start, string(c))
+		b := l.off
+		l.off += n // no punctuator holds a newline
+		l.col += n
+		return Token{Kind: TokPunct, Text: l.src[b:l.off], Pos: start}, nil
 	}
 }
 

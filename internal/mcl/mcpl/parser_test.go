@@ -62,12 +62,17 @@ func TestLexNumbersAndComments(t *testing.T) {
 	}
 }
 
+// TestLexErrors pins the text of each lexer diagnostic.
 func TestLexErrors(t *testing.T) {
-	if _, err := Lex("$"); err == nil {
-		t.Fatal("lexed invalid character")
-	}
-	if _, err := Lex("/* unterminated"); err == nil {
-		t.Fatal("lexed unterminated comment")
+	for src, want := range map[string]string{
+		"$":                                    `1:1: unexpected character "$"`,
+		"int x = 1 $ 2;":                       `1:11: unexpected character "$"`,
+		"/* unterminated":                      "1:1: unterminated block comment",
+		"int x; /* unterminated block comment": "1:8: unterminated block comment",
+	} {
+		if _, err := Lex(src); err == nil || err.Error() != want {
+			t.Errorf("Lex(%q): err = %v, want %s", src, err, want)
+		}
 	}
 }
 

@@ -36,15 +36,11 @@ func BlockExtents(dims int) []int64 {
 
 // Translate rewrites the named kernel of prog for the target level and
 // returns a new program (helpers are copied unchanged, other kernels are
-// dropped). The kernel's current level must be an ancestor of the target.
+// dropped). It first runs ValidateLevel for the target and returns its
+// error, so the rewrite itself cannot fail.
 func Translate(prog *mcpl.Program, kernel string, target *hdl.Level) (*mcpl.Program, error) {
-	src := prog.Kernel(kernel)
-	if src == nil {
-		return nil, fmt.Errorf("translate: kernel %q not found", kernel)
-	}
-	if !target.HasAncestor(src.Level) {
-		return nil, fmt.Errorf("translate: kernel %s is written for level %q, which is not an ancestor of %q",
-			kernel, src.Level, target.Name)
+	if err := ValidateLevel(prog, kernel, target); err != nil {
+		return nil, err
 	}
 	out := &mcpl.Program{}
 	for _, f := range prog.Funcs {
@@ -52,15 +48,10 @@ func Translate(prog *mcpl.Program, kernel string, target *hdl.Level) (*mcpl.Prog
 			out.Funcs = append(out.Funcs, mcpl.CloneFunc(f))
 		}
 	}
-	nk := mcpl.CloneFunc(src)
+	nk := mcpl.CloneFunc(prog.Kernel(kernel))
 	nk.Level = target.Name
-
 	t := &translator{target: target}
-	body, err := t.block(nk.Body, 0)
-	if err != nil {
-		return nil, err
-	}
-	nk.Body = body
+	nk.Body = t.block(nk.Body, 0)
 	out.Funcs = append(out.Funcs, nk)
 
 	if _, err := mcpl.Check(out); err != nil {
@@ -79,52 +70,32 @@ func (t *translator) freshName(base string) string {
 	return fmt.Sprintf("_%s%d", base, t.fresh)
 }
 
-func (t *translator) block(b *mcpl.Block, depth int) (*mcpl.Block, error) {
+func (t *translator) block(b *mcpl.Block, depth int) *mcpl.Block {
 	nb := &mcpl.Block{Pos: b.Pos}
 	for _, s := range b.Stmts {
-		ns, err := t.stmt(s, depth)
-		if err != nil {
-			return nil, err
-		}
-		nb.Stmts = append(nb.Stmts, ns)
+		nb.Stmts = append(nb.Stmts, t.stmt(s, depth))
 	}
-	return nb, nil
+	return nb
 }
 
-func (t *translator) stmt(s mcpl.Stmt, depth int) (mcpl.Stmt, error) {
+func (t *translator) stmt(s mcpl.Stmt, depth int) mcpl.Stmt {
 	switch st := s.(type) {
 	case *mcpl.Foreach:
 		return t.foreach(st, depth)
 	case *mcpl.Block:
 		return t.block(st, depth)
 	case *mcpl.If:
-		then, err := t.block(st.Then, depth)
-		if err != nil {
-			return nil, err
-		}
-		ni := &mcpl.If{Cond: st.Cond, Then: then, Pos: st.Pos}
+		ni := &mcpl.If{Cond: st.Cond, Then: t.block(st.Then, depth), Pos: st.Pos}
 		if st.Else != nil {
-			els, err := t.stmt(st.Else, depth)
-			if err != nil {
-				return nil, err
-			}
-			ni.Else = els
+			ni.Else = t.stmt(st.Else, depth)
 		}
-		return ni, nil
+		return ni
 	case *mcpl.For:
-		body, err := t.block(st.Body, depth)
-		if err != nil {
-			return nil, err
-		}
-		return &mcpl.For{Init: st.Init, Cond: st.Cond, Post: st.Post, Body: body, Expect: st.Expect, Pos: st.Pos}, nil
+		return &mcpl.For{Init: st.Init, Cond: st.Cond, Post: st.Post, Body: t.block(st.Body, depth), Expect: st.Expect, Pos: st.Pos}
 	case *mcpl.While:
-		body, err := t.block(st.Body, depth)
-		if err != nil {
-			return nil, err
-		}
-		return &mcpl.While{Cond: st.Cond, Body: body, Expect: st.Expect, Pos: st.Pos}, nil
+		return &mcpl.While{Cond: st.Cond, Body: t.block(st.Body, depth), Expect: st.Expect, Pos: st.Pos}
 	default:
-		return s, nil
+		return s
 	}
 }
 
@@ -150,22 +121,12 @@ func directChildForeach(b *mcpl.Block) *mcpl.Foreach {
 	return nil
 }
 
-func (t *translator) foreach(st *mcpl.Foreach, depth int) (mcpl.Stmt, error) {
+// foreach rewrites one foreach. ValidateLevel has checked that its unit is
+// defined at the target or maps to exactly two units there.
+func (t *translator) foreach(st *mcpl.Foreach, depth int) mcpl.Stmt {
 	mapping := t.target.Mapping(st.Unit)
 	if mapping == nil {
-		// Unit must exist at the target level as-is.
-		if t.target.LookupPar(st.Unit) == nil {
-			return nil, fmt.Errorf("translate: %v: parallelism unit %q is not defined at level %q",
-				st.Pos, st.Unit, t.target.Name)
-		}
-		body, err := t.block(st.Body, depth)
-		if err != nil {
-			return nil, err
-		}
-		return &mcpl.Foreach{Var: st.Var, Bound: st.Bound, Unit: st.Unit, Body: body, Pos: st.Pos}, nil
-	}
-	if len(mapping) != 2 {
-		return nil, fmt.Errorf("translate: unsupported mapping %v for unit %q", mapping, st.Unit)
+		return &mcpl.Foreach{Var: st.Var, Bound: st.Bound, Unit: st.Unit, Body: t.block(st.Body, depth), Pos: st.Pos}
 	}
 	outerUnit, innerUnit := mapping[0], mapping[1]
 
@@ -187,10 +148,7 @@ func (t *translator) foreach(st *mcpl.Foreach, depth int) (mcpl.Stmt, error) {
 		bs = u.Max
 	}
 
-	body, err := t.block(st.Body, depth+1)
-	if err != nil {
-		return nil, err
-	}
+	body := t.block(st.Body, depth+1)
 
 	pos := st.Pos
 	bVar := t.freshName("b")
@@ -235,21 +193,32 @@ func (t *translator) foreach(st *mcpl.Foreach, depth int) (mcpl.Stmt, error) {
 		Body:  &mcpl.Block{Stmts: []mcpl.Stmt{inner}, Pos: pos},
 		Pos:   pos,
 	}
-	return outer, nil
+	return outer
 }
 
-// ValidateLevel checks that the kernel only uses parallelism units and
-// memory spaces defined by its declared hardware-description level. This is
-// MCL's level checker, run before translation or code generation.
-func ValidateLevel(prog *mcpl.Program, kernel string, h *hdl.Hierarchy) error {
+// ValidateLevel is MCL's level checker, run before translation or code
+// generation. In one walk over the kernel it checks that the kernel only
+// uses parallelism units and memory spaces defined by its declared
+// hardware-description level, and that the target level (the declared level
+// or a descendant) maps each unit it decomposes onto exactly two units. A
+// level error is reported ahead of a mapping error anywhere in the kernel.
+// A unit defined at the declared level is defined at every descendant, as
+// levels inherit their ancestors' units, so the target needs no unit check
+// of its own.
+func ValidateLevel(prog *mcpl.Program, kernel string, target *hdl.Level) error {
 	f := prog.Kernel(kernel)
 	if f == nil {
 		return fmt.Errorf("translate: kernel %q not found", kernel)
 	}
-	lv, err := h.Lookup(f.Level)
-	if err != nil {
-		return err
+	lv := target
+	for lv != nil && lv.Name != f.Level {
+		lv = lv.Parent
 	}
+	if lv == nil {
+		return fmt.Errorf("translate: kernel %s is written for level %q, which is not an ancestor of %q",
+			kernel, f.Level, target.Name)
+	}
+	var mappingErr error
 	var walk func(b *mcpl.Block) error
 	walk = func(b *mcpl.Block) error {
 		for _, s := range b.Stmts {
@@ -258,6 +227,9 @@ func ValidateLevel(prog *mcpl.Program, kernel string, h *hdl.Hierarchy) error {
 				if lv.LookupPar(st.Unit) == nil {
 					return fmt.Errorf("%v: parallelism unit %q is not defined by hardware description %q",
 						st.Pos, st.Unit, lv.Name)
+				}
+				if m := target.Mapping(st.Unit); m != nil && len(m) != 2 && mappingErr == nil {
+					mappingErr = fmt.Errorf("translate: unsupported mapping %v for unit %q", m, st.Unit)
 				}
 				if err := walk(st.Body); err != nil {
 					return err
@@ -300,5 +272,8 @@ func ValidateLevel(prog *mcpl.Program, kernel string, h *hdl.Hierarchy) error {
 		}
 		return nil
 	}
-	return walk(f.Body)
+	if err := walk(f.Body); err != nil {
+		return err
+	}
+	return mappingErr
 }

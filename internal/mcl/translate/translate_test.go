@@ -198,17 +198,18 @@ perfect void k(int n, float[n] a) {
 }
 
 func TestValidateLevel(t *testing.T) {
-	h := hdl.Library()
 	good := mcpl.MustParse(matmulSrc)
-	if err := ValidateLevel(good, "matmul", h); err != nil {
-		t.Fatal(err)
+	for _, target := range []string{"perfect", "gpu", "gtx480", "xeon_phi"} {
+		if err := ValidateLevel(good, "matmul", level(t, target)); err != nil {
+			t.Fatalf("%s: %v", target, err)
+		}
 	}
 	// `blocks` is not defined at level perfect.
 	bad := mcpl.MustParse(`
 perfect void k(int n, float[n] a) {
   foreach (int b in n blocks) { }
 }`)
-	err := ValidateLevel(bad, "k", h)
+	err := ValidateLevel(bad, "k", level(t, "perfect"))
 	if err == nil || !strings.Contains(err.Error(), "blocks") {
 		t.Fatalf("err = %v", err)
 	}
@@ -220,7 +221,7 @@ perfect void k(int n, float[n] a) {
     tile[0] = a[i];
   }
 }`)
-	if err := ValidateLevel(badMem, "k", h); err == nil {
+	if err := ValidateLevel(badMem, "k", level(t, "gpu")); err == nil {
 		t.Fatal("local memory accepted at level perfect")
 	}
 	// ... but is fine at level gpu.
@@ -233,8 +234,58 @@ gpu void k(int n, float[n] a) {
     }
   }
 }`)
-	if err := ValidateLevel(okMem, "k", h); err != nil {
+	if err := ValidateLevel(okMem, "k", level(t, "gtx480")); err != nil {
 		t.Fatal(err)
+	}
+	if err := ValidateLevel(okMem, "k", level(t, "perfect")); err == nil ||
+		err.Error() != `translate: kernel k is written for level "gpu", which is not an ancestor of "perfect"` {
+		t.Fatalf("gpu kernel at level perfect: err = %v", err)
+	}
+	if err := ValidateLevel(okMem, "missing", level(t, "gpu")); err == nil ||
+		err.Error() != `translate: kernel "missing" not found` {
+		t.Fatalf("missing kernel: err = %v", err)
+	}
+}
+
+// TestValidateLevelReportsLevelErrorFirst: when a kernel breaks both its
+// level and the target's mappings, the level error wins wherever it sits.
+func TestValidateLevelReportsLevelErrorFirst(t *testing.T) {
+	h, err := hdl.Parse(`
+hardware perfect {
+  parallelism threads { max unlimited; }
+  memory main { size unlimited; }
+}
+hardware dev extends perfect {
+  parallelism lanes { max 8; }
+  map threads lanes;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := h.Lookup("dev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := mcpl.MustParse(`
+perfect void k(int n, float[n] a) {
+  foreach (int i in n threads) { a[i] = 1.0; }
+  foreach (int b in n blocks) { }
+}`)
+	err = ValidateLevel(prog, "k", dev)
+	if err == nil || err.Error() != `4:3: parallelism unit "blocks" is not defined by hardware description "perfect"` {
+		t.Fatalf("err = %v", err)
+	}
+	prog = mcpl.MustParse(`
+perfect void k(int n, float[n] a) {
+  foreach (int i in n threads) { a[i] = 1.0; }
+}`)
+	for _, v := range []func() error{
+		func() error { return ValidateLevel(prog, "k", dev) },
+		func() error { _, err := Translate(prog, "k", dev); return err },
+	} {
+		if err := v(); err == nil || err.Error() != `translate: unsupported mapping [lanes] for unit "threads"` {
+			t.Fatalf("err = %v", err)
+		}
 	}
 }
 

@@ -27,10 +27,12 @@ func TestEndpointCountersAndSpans(t *testing.T) {
 	if dst.msgsIn != 1 || dst.bytesIn != 8000 {
 		t.Fatalf("dst in: %d msgs, %d bytes", dst.msgsIn, dst.bytesIn)
 	}
-	if got := rec.CounterTotal(0, "net.bytes_out"); got != 8000 {
+	m := trace.NewMetrics()
+	m.MergeCounters(rec)
+	if got := m.Int("net.bytes_out.node0"); got != 8000 {
 		t.Fatalf("net.bytes_out = %d, want 8000", got)
 	}
-	if got := rec.CounterTotal(1, "net.bytes_in"); got != 8000 {
+	if got := m.Int("net.bytes_in.node1"); got != 8000 {
 		t.Fatalf("net.bytes_in = %d, want 8000", got)
 	}
 	send, ok := rec.FirstOfKind(trace.KindSend)

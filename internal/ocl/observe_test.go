@@ -5,6 +5,7 @@ import (
 
 	"cashmere/internal/device"
 	"cashmere/internal/simnet"
+	"cashmere/internal/trace"
 )
 
 func TestDeviceUtilizationAccounting(t *testing.T) {
@@ -38,10 +39,12 @@ func TestDeviceUtilizationAccounting(t *testing.T) {
 	if got := d.OverlapLowerBound(); got != 0 {
 		t.Fatalf("sequential run reports overlap %v", got)
 	}
-	if got := rec.CounterTotal(0, "mcl.launches"); got != 1 {
+	m := trace.NewMetrics()
+	m.MergeCounters(rec)
+	if got := m.Int("mcl.launches.node0"); got != 1 {
 		t.Fatalf("mcl.launches = %d, want 1", got)
 	}
-	if got := rec.CounterTotal(0, "mcl.bytes_moved"); got != 8<<20 {
+	if got := m.Int("mcl.bytes_moved.node0"); got != 8<<20 {
 		t.Fatalf("mcl.bytes_moved = %d, want %d", got, 8<<20)
 	}
 }

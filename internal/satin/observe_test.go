@@ -19,12 +19,9 @@ func TestRuntimeRecordsObservability(t *testing.T) {
 		t.Fatalf("fib(12) = %v, want 144", v)
 	}
 
-	var spawns, executed, stealsOK int64
-	for n := 0; n < rt.Nodes(); n++ {
-		spawns += rec.CounterTotal(n, "satin.spawns")
-		executed += rec.CounterTotal(n, "satin.jobs_executed")
-		stealsOK += rec.CounterTotal(n, "satin.steals_ok")
-	}
+	m := trace.NewMetrics()
+	m.MergeCounters(rec) // each counter summed over the nodes
+	spawns, executed, stealsOK := m.Int("satin.spawns"), m.Int("satin.jobs_executed"), m.Int("satin.steals_ok")
 	if spawns != rt.JobsSpawned() {
 		t.Fatalf("satin.spawns = %d, runtime says %d", spawns, rt.JobsSpawned())
 	}
@@ -62,11 +59,7 @@ func TestRuntimeRecordsObservability(t *testing.T) {
 
 	// The fabric shares the runtime's recorder, so network counters land in
 	// the same trace.
-	var netBytes int64
-	for n := 0; n < rt.Nodes(); n++ {
-		netBytes += rec.CounterTotal(n, "net.bytes_out")
-	}
-	if netBytes == 0 {
+	if m.Int("net.bytes_out") == 0 {
 		t.Fatal("no network bytes recorded; fabric recorder not wired")
 	}
 
@@ -92,11 +85,9 @@ func TestCrashRecordsCounters(t *testing.T) {
 	if v.(int) != 128 {
 		t.Fatalf("result after crash = %v, want 128", v)
 	}
-	var crashes, reexec int64
-	for n := 0; n < rt.Nodes(); n++ {
-		crashes += rec.CounterTotal(n, "satin.crashes")
-		reexec += rec.CounterTotal(n, "satin.reexecutions")
-	}
+	m := trace.NewMetrics()
+	m.MergeCounters(rec)
+	crashes, reexec := m.Int("satin.crashes"), m.Int("satin.reexecutions")
 	if crashes != 1 {
 		t.Fatalf("satin.crashes = %d, want 1", crashes)
 	}

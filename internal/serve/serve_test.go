@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cashmere/internal/core"
+	"cashmere/internal/trace"
 )
 
 // testCluster builds a small cluster with the standard workload's kernels
@@ -244,8 +245,10 @@ func TestServeTracingRecordsSpansAndGauges(t *testing.T) {
 					t.Fatalf("no serve spans on node %d (per node: %v)", n, perNode)
 				}
 			}
-			if rec.CounterTotal(0, "serve.admitted") != rep.Admitted {
-				t.Fatalf("admitted counter %d != report %d", rec.CounterTotal(0, "serve.admitted"), rep.Admitted)
+			m := trace.NewMetrics()
+			m.MergeCounters(rec)
+			if got := m.Int("serve.admitted.node0"); got != rep.Admitted {
+				t.Fatalf("admitted counter %d != report %d", got, rep.Admitted)
 			}
 		})
 	}

@@ -37,12 +37,6 @@ func (m *Metrics) SetFloat(name string, v float64, unit string) {
 // Int reads an integer-valued measurement (0 when absent).
 func (m *Metrics) Int(name string) int64 { return int64(m.entries[name].v) }
 
-// Has reports whether the named measurement exists.
-func (m *Metrics) Has(name string) bool {
-	_, ok := m.entries[name]
-	return ok
-}
-
 // Names returns all measurement names sorted.
 func (m *Metrics) Names() []string {
 	names := make([]string, 0, len(m.entries))

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,7 +15,9 @@ func TestNilRecorderNewAPIIsSafe(t *testing.T) {
 	r.Add(Span{Kind: KindCPU, End: ms(1), Attrs: []Attr{Int64Attr("k", 1)}})
 	r.CounterAdd(0, "c", 0, 1)
 	r.GaugeSet(0, "g", 0, 1)
-	if r.Len() != 0 || r.Samples() != 0 || r.CounterTotal(0, "c") != 0 {
+	m := NewMetrics()
+	m.MergeCounters(r)
+	if r.Len() != 0 || r.Samples() != 0 || len(m.Names()) != 0 {
 		t.Fatal("nil recorder recorded something")
 	}
 	if _, _, ok := r.Window(nil); ok {
@@ -30,11 +33,16 @@ func TestCounterAccumulatesPerNode(t *testing.T) {
 	r.CounterAdd(0, "net.bytes_out", ms(1), 100)
 	r.CounterAdd(0, "net.bytes_out", ms(2), 50)
 	r.CounterAdd(1, "net.bytes_out", ms(3), 7)
-	if got := r.CounterTotal(0, "net.bytes_out"); got != 150 {
+	m := NewMetrics()
+	m.MergeCounters(r)
+	if got := m.Int("net.bytes_out.node0"); got != 150 {
 		t.Fatalf("node 0 total = %d, want 150", got)
 	}
-	if got := r.CounterTotal(1, "net.bytes_out"); got != 7 {
+	if got := m.Int("net.bytes_out.node1"); got != 7 {
 		t.Fatalf("node 1 total = %d, want 7", got)
+	}
+	if got := m.Int("net.bytes_out"); got != 157 {
+		t.Fatalf("total = %d, want 157", got)
 	}
 	if r.Samples() != 3 {
 		t.Fatalf("samples = %d, want 3", r.Samples())
@@ -114,7 +122,7 @@ func TestMetricsFormatAndMerge(t *testing.T) {
 	if got := m.Int("satin.steals_ok.node1"); got != 3 {
 		t.Fatalf("node1 = %d, want 3", got)
 	}
-	if m.Has("simnet.queue_depth.node-1") {
+	if slices.Contains(m.Names(), "simnet.queue_depth.node-1") {
 		t.Fatal("kernel pseudo-node leaked a per-node entry")
 	}
 	out := m.Format()

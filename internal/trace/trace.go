@@ -139,15 +139,6 @@ func counterKey(node int, name string) string {
 	return fmt.Sprintf("%d/%s", node, name)
 }
 
-// CounterTotal reports the final cumulative value of the named counter on
-// the given node. Works on nil.
-func (r *Recorder) CounterTotal(node int, name string) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.totals[counterKey(node, name)]
-}
-
 // Spans returns all recorded spans sorted by start time.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
