@@ -10,12 +10,12 @@ COVER_FLOOR ?= 68.0
 # reach job) lets no committed command run: the audit fails above it, so deleted
 # dead code stays deleted and new code comes with a command that runs it.
 # Set to the total the audit reported when the ceiling was last lowered.
-REACH_CEILING := 2340
+REACH_CEILING := 2328
 
-.PHONY: check lint vet build test test32 race cover reach golden bench bench-serve bench-allocs bench-svm
+.PHONY: check lint vet build test test32 benchmark-module race cover reach golden bench bench-serve bench-allocs bench-svm
 
 # check runs everything CI runs (minus the version matrix).
-check: lint build test test32 race cover reach bench-allocs
+check: lint build test test32 benchmark-module race cover reach bench-allocs
 
 # lint fails on unformatted files, vet findings and (when the tool is
 # installed, as in CI) staticcheck findings.
@@ -40,6 +40,11 @@ test:
 # (TestVictimStream) and event order must not.
 test32:
 	GOARCH=386 $(GO) test ./internal/simnet/ ./internal/satin/
+
+# benchmark-module vets and tests the benchmark, its own module under
+# benchmark/, which ./... does not reach.
+benchmark-module:
+	$(GO) -C benchmark vet . && $(GO) -C benchmark test .
 
 # race covers the packages with real concurrency: the closure engine's
 # parallel foreach worker pool, the simulation kernel's process switching,

@@ -190,9 +190,10 @@ func parseVariant(s string) (apps.Variant, error) {
 
 // parseCluster parses "10xgtx480,2xc2050,1xk20+xeon_phi": comma-separated
 // node groups, each an optional count of at least 1 and "x", then one or
-// more "+"-joined device names, none of them empty. The groups may add up
-// to at most core.MaxNodes nodes; the bound is checked before a group's
-// specs are appended.
+// more "+"-joined device names, none of them empty and at most
+// core.MaxDevicesPerNode of them. The groups may add up to at most
+// core.MaxNodes nodes; both bounds are checked before a group's specs are
+// appended.
 func parseCluster(s string) ([]core.NodeSpec, error) {
 	var out []core.NodeSpec
 	for _, part := range strings.Split(s, ",") {
@@ -212,6 +213,10 @@ func parseCluster(s string) ([]core.NodeSpec, error) {
 			return nil, fmt.Errorf("cluster spec %q: more than %d nodes (core.MaxNodes)", s, core.MaxNodes)
 		}
 		spec := core.NodeSpec{Devices: strings.Split(devs, "+")}
+		if len(spec.Devices) > core.MaxDevicesPerNode {
+			return nil, fmt.Errorf("cluster spec %q: %d devices on one node, more than %d (core.MaxDevicesPerNode)",
+				s, len(spec.Devices), core.MaxDevicesPerNode)
+		}
 		for _, d := range spec.Devices {
 			if d == "" {
 				return nil, fmt.Errorf("cluster spec %q: empty device name in %q", s, part)

@@ -50,6 +50,8 @@ func TestParseCluster(t *testing.T) {
 		{"k20++gtx480", 0},
 		{"+k20", 0},
 		{"", 0},
+		{strings.Repeat("gtx480+", 30) + "gtx480", 1},        // 31 devices
+		{"2x" + strings.Repeat("gtx480+", 31) + "gtx480", 0}, // 32 devices per node
 	} {
 		specs, err := parseCluster(tc.spec)
 		if tc.nodes == 0 {
@@ -76,9 +78,9 @@ func TestParseCluster(t *testing.T) {
 }
 
 // FuzzParseCluster: parseCluster never panics, and every spec it accepts
-// gives 1..core.MaxNodes nodes, each with at least one device and no empty
-// device name. The seeds run as part of go test; go test -fuzz
-// FuzzParseCluster ./cmd/cashmere-run explores further.
+// gives 1..core.MaxNodes nodes, each with 1..core.MaxDevicesPerNode (31)
+// devices and no empty device name. The seeds run as part of go test;
+// go test -fuzz FuzzParseCluster ./cmd/cashmere-run explores further.
 func FuzzParseCluster(f *testing.F) {
 	for _, s := range []string{"2xgtx480", "1xk20+xeon_phi", "0xgtx480", "99999999999xgtx480", "2x", ","} {
 		f.Add(s)
@@ -92,8 +94,8 @@ func FuzzParseCluster(f *testing.F) {
 			t.Fatalf("parseCluster(%q) = %d nodes, want 1..%d", spec, len(specs), core.MaxNodes)
 		}
 		for i, ns := range specs {
-			if len(ns.Devices) == 0 {
-				t.Fatalf("parseCluster(%q): node %d has no device", spec, i)
+			if len(ns.Devices) < 1 || len(ns.Devices) > core.MaxDevicesPerNode {
+				t.Fatalf("parseCluster(%q): node %d has %d devices, want 1..%d", spec, i, len(ns.Devices), core.MaxDevicesPerNode)
 			}
 			for _, d := range ns.Devices {
 				if d == "" {

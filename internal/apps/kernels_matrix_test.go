@@ -1,6 +1,9 @@
 package apps
 
 import (
+	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -19,20 +22,22 @@ import (
 // the translated program must type-check and the emitter must render every
 // statement. This is the breadth guarantee behind "scalable development of
 // optimized kernels" (Sec. IV).
+// verifyApps are the four applications' kernel sets with launch parameters
+// at verification scale.
+var verifyApps = map[string]struct {
+	kernels func(Variant) (*codegen.KernelSet, error)
+	params  map[string]int64
+}{
+	"raytrace": {RaytracerKernels, map[string]int64{
+		"w": 1024, "h": 512, "y0": 0, "rows": 8, "samples": 10, "ns": 8, "seed0": 1}},
+	"matmul": {MatmulKernels, map[string]int64{"n": 256, "m": 256, "p": 512}},
+	"kmeans": {KMeansKernels, map[string]int64{"n": 4096, "k": 256, "d": 4}},
+	"nbody":  {NBodyKernels, map[string]int64{"nloc": 1024, "off": 0, "n": 8192}},
+}
+
 func TestEveryKernelCompilesForEveryLeaf(t *testing.T) {
 	h := hdl.Library()
-	type app struct {
-		kernels func(Variant) (*codegen.KernelSet, error)
-		params  map[string]int64
-	}
-	apps := map[string]app{
-		"raytrace": {RaytracerKernels, map[string]int64{
-			"w": 1024, "h": 512, "y0": 0, "rows": 8, "samples": 10, "ns": 8, "seed0": 1}},
-		"matmul": {MatmulKernels, map[string]int64{"n": 256, "m": 256, "p": 512}},
-		"kmeans": {KMeansKernels, map[string]int64{"n": 4096, "k": 256, "d": 4}},
-		"nbody":  {NBodyKernels, map[string]int64{"nloc": 1024, "off": 0, "n": 8192}},
-	}
-	for name, a := range apps {
+	for name, a := range verifyApps {
 		for _, variant := range []Variant{CashmereUnoptimized, CashmereOptimized} {
 			ks, err := a.kernels(variant)
 			if err != nil {
@@ -81,12 +86,127 @@ func TestEveryKernelCompilesForEveryLeaf(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%v on %s: glue: %v", name, variant, leaf, err)
 				}
-				if glue.Items() <= 0 {
-					t.Fatalf("%s on %s: empty launch config", name, leaf)
+				for _, n := range glue.GlobalSize {
+					if n <= 0 {
+						t.Fatalf("%s on %s: empty launch config %v", name, leaf, glue.GlobalSize)
+					}
 				}
 			}
 		}
 	}
+}
+
+// ndRangeID matches one emitted foreach: its id function, dimension and
+// bound, e.g. `int _t2 = get_local_id(0); /* foreach _t2 in 16 threads */`.
+var ndRangeID = regexp.MustCompile(`^( *)int \w+ = get_(group|local|global)_id\((\d+)\); /\* foreach \w+ in (.+) \w+ \*/$`)
+
+// TestEmittedGeometryMatchesLaunchConfig: for every kernel version of the
+// four applications on every accelerator leaf it applies to, the OpenCL that
+// Translate and EmitOpenCL generate (what mclc -emit prints) launches the
+// geometry Compiled.LaunchConfig prices: at most three ND-range dimensions,
+// every get_local_id(k) inside the get_group_id(k) it pairs with, local
+// extents equal to LaunchConfig's LocalSize, within the leaf's work-group
+// limit.
+func TestEmittedGeometryMatchesLaunchConfig(t *testing.T) {
+	h := hdl.Library()
+	for name, a := range verifyApps {
+		ks, err := a.kernels(CashmereOptimized)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, leaf := range hdl.AcceleratorLeaves {
+			lv, err := h.Lookup(leaf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, level := range ks.Levels() {
+				if !lv.HasAncestor(level) {
+					continue
+				}
+				c, err := ks.CompileAt(level, leaf, h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				glue, err := c.LaunchConfig(a.params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr, err := translate.Translate(ks.Versions[level].Prog, ks.Name, lv)
+				if err != nil {
+					t.Fatal(err)
+				}
+				text, err := codegen.EmitOpenCL(tr, ks.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := checkEmittedGeometry(text, glue.LocalSize, c.MaxWorkgroup()); err != nil {
+					t.Errorf("%s level %s on %s: %v\n%s", name, level, leaf, err, text)
+				}
+			}
+		}
+	}
+}
+
+// checkEmittedGeometry reads the ND-range ids of emitted OpenCL and checks
+// them against the priced local size and the work-group limit.
+func checkEmittedGeometry(text string, local []int64, limit int64) error {
+	type open struct {
+		indent int
+		fn     string
+		dim    int
+	}
+	var stack []open // enclosing foreachs
+	emitted := map[int]int64{}
+	for _, line := range strings.Split(text, "\n") {
+		indent := len(line) - len(strings.TrimLeft(line, " "))
+		for len(stack) > 0 {
+			top := stack[len(stack)-1]
+			if top.indent < indent || top.indent == indent && strings.TrimSpace(line) != "}" {
+				break
+			}
+			stack = stack[:len(stack)-1]
+		}
+		m := ndRangeID.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		fn, dim := m[2], 0
+		if dim, _ = strconv.Atoi(m[3]); dim >= 3 {
+			return fmt.Errorf("get_%s_id(%d): more than 3 ND-range dimensions", fn, dim)
+		}
+		if fn == "local" {
+			paired := false
+			for _, o := range stack {
+				paired = paired || o.fn == "group" && o.dim == dim
+			}
+			if !paired {
+				return fmt.Errorf("get_local_id(%d) outside get_group_id(%d)", dim, dim)
+			}
+			e, err := strconv.ParseInt(m[4], 10, 64)
+			if err != nil {
+				return fmt.Errorf("get_local_id(%d) ranges over %s, not a constant extent", dim, m[4])
+			}
+			if prev, ok := emitted[dim]; ok && prev != e {
+				return fmt.Errorf("get_local_id(%d) ranges over both %d and %d", dim, prev, e)
+			}
+			emitted[dim] = e
+		}
+		stack = append(stack, open{indent, fn, dim})
+	}
+	if len(emitted) != len(local) {
+		return fmt.Errorf("emitted %d local dimensions, LaunchConfig prices %v", len(emitted), local)
+	}
+	items := int64(1)
+	for k, e := range local {
+		if emitted[k] != e {
+			return fmt.Errorf("local extent %d of dimension %d, LaunchConfig prices %v", emitted[k], k, local)
+		}
+		items *= e
+	}
+	if limit > 0 && items > limit {
+		return fmt.Errorf("work-group of %d items exceeds the limit of %d", items, limit)
+	}
+	return nil
 }
 
 // TestKernelSelectionMatrix verifies the Sec. III-A selection rule across

@@ -38,10 +38,10 @@ func drivers() map[string]driver {
 	return driverTable
 }
 
-// kernelSets memoizes parsed+translated kernel sets keyed "app/variant".
+// kernelSets memoizes parsed and checked kernel sets keyed "app/variant".
 // Kernel sets are safe to share across concurrent simulations: registration
-// and compilation read the programs (translate clones before rewriting) and
-// the compiled-engine cache is a sync.Map.
+// and compilation only read the programs (no simulation translates them),
+// and each set's compile cache is a map under the set's mutex.
 var kernelSets sync.Map
 
 func kernelsFor(appName string, v apps.Variant) (*codegen.KernelSet, error) {

@@ -214,6 +214,11 @@ func (ns *NodeState) stageResident(dev int, tag string, version int, n int64, la
 // any per-node state exists instead of growing until the host kills it.
 const MaxNodes = 4096
 
+// MaxDevicesPerNode is the most devices one node may have: every node gets
+// a shared-virtual-memory space, under every transport, and a space tracks
+// at most svm.MaxDevices devices beside the host.
+const MaxDevicesPerNode = svm.MaxDevices
+
 // ErrNoNodes is the error of a cluster configured with fewer than one node.
 var ErrNoNodes = errors.New("core: cluster needs at least one node")
 
@@ -229,6 +234,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	if len(cfg.Nodes) > MaxNodes {
 		return nil, ErrTooManyNodes
+	}
+	for i, ns := range cfg.Nodes {
+		if len(ns.Devices) > MaxDevicesPerNode {
+			return nil, fmt.Errorf("core: node %d has %d devices, more than %d (MaxDevicesPerNode)", i, len(ns.Devices), MaxDevicesPerNode)
+		}
 	}
 	if cfg.Partitions < 0 {
 		return nil, fmt.Errorf("core: Partitions %d is negative (0 and 1 run one sequential kernel)", cfg.Partitions)

@@ -12,6 +12,7 @@ import (
 	"cashmere/internal/mcl/interp"
 	"cashmere/internal/satin"
 	"cashmere/internal/simnet"
+	"cashmere/internal/svm"
 )
 
 const scaleKernel = `
@@ -145,6 +146,30 @@ func TestNewClusterRejectsTooManyNodes(t *testing.T) {
 		if _, err := NewCluster(cfg); !errors.Is(err, ErrTooManyNodes) {
 			t.Fatalf("%d nodes: err = %v, want ErrTooManyNodes", n, err)
 		}
+	}
+}
+
+// TestNewClusterRejectsTooManyDevices: a node with more than
+// MaxDevicesPerNode devices (as from a `cashmere-run -cluster` spec of 32
+// "+"-joined devices) fails in NewCluster with an error naming the bound,
+// instead of panicking where its SVM space is built; a node at the bound
+// builds.
+func TestNewClusterRejectsTooManyDevices(t *testing.T) {
+	if MaxDevicesPerNode != svm.MaxDevices {
+		t.Fatalf("MaxDevicesPerNode = %d, svm.MaxDevices = %d", MaxDevicesPerNode, svm.MaxDevices)
+	}
+	cfg := DefaultConfig(2, "gtx480")
+	cfg.Nodes[1].Devices = nil
+	for range MaxDevicesPerNode {
+		cfg.Nodes[1].Devices = append(cfg.Nodes[1].Devices, "gtx480")
+	}
+	if _, err := NewCluster(cfg); err != nil {
+		t.Fatalf("%d devices on a node: %v", MaxDevicesPerNode, err)
+	}
+	cfg.Nodes[1].Devices = append(cfg.Nodes[1].Devices, "gtx480")
+	_, err := NewCluster(cfg)
+	if err == nil || err.Error() != "core: node 1 has 32 devices, more than 31 (MaxDevicesPerNode)" {
+		t.Fatalf("%d devices on a node: err = %v", len(cfg.Nodes[1].Devices), err)
 	}
 }
 

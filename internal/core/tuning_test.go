@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cashmere/internal/device"
+	"cashmere/internal/mcl/codegen"
 	"cashmere/internal/mcl/hdl"
 	"cashmere/internal/mcl/tune"
 	"cashmere/internal/satin"
@@ -60,20 +61,21 @@ func TestClusterUsesTuningCacheWinner(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cl.NodeState(0).kernels["scale"].compiled[0]
-	if got := c.LaunchExtents(); len(got) != 1 || got[0] != 64 {
+	if got := localSize(t, c); !slices.Equal(got, []int64{64}) {
 		t.Fatalf("tuned extents not applied: %v", got)
 	}
-	if !c.GeometryCost() {
-		t.Fatal("tuned compile did not enable the geometry-aware model")
-	}
-	// The tuned form is the cluster's private copy: the kernel set's shared
-	// compile at the tuned level keeps the translator-era model.
+	// The tuned form is the cluster's private copy under the geometry-aware
+	// model: the kernel set's shared compile at the tuned level keeps the
+	// default extents and the geometry-free cost.
 	shared, err := ks.CompileAt("perfect", "gtx480", hdl.Library())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shared == c || shared.GeometryCost() || shared.LaunchExtents() != nil {
+	if shared == c || !slices.Equal(localSize(t, shared), []int64{256}) {
 		t.Fatal("tuning modified the kernel set's shared compile")
+	}
+	if tunedCost(t, c) == tunedCost(t, shared) {
+		t.Fatal("tuned compile did not enable the geometry-aware model")
 	}
 
 	// A miss (different kernel source -> different key) falls back to the
@@ -96,9 +98,35 @@ perfect void scale(int n, float[n] a) {
 		t.Fatal(err)
 	}
 	c2 := cl2.NodeState(0).kernels["scale"].compiled[0]
-	if c2.LaunchExtents() != nil || c2.GeometryCost() {
+	plain, err := other.Compile("gtx480", hdl.Library())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c2 != plain {
 		t.Fatal("cache miss still altered the compile")
 	}
+}
+
+// tuneParams is a scale launch whose 1000 items pad to any work-group
+// extent above 8, so the geometry-aware cost differs from the plain one.
+var tuneParams = map[string]int64{"n": 1000}
+
+func localSize(t *testing.T, c *codegen.Compiled) []int64 {
+	t.Helper()
+	g, err := c.LaunchConfig(tuneParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.LocalSize
+}
+
+func tunedCost(t *testing.T, c *codegen.Compiled) device.KernelCost {
+	t.Helper()
+	kc, err := c.Cost(tuneParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kc
 }
 
 func TestTuneMetricsExported(t *testing.T) {
@@ -174,7 +202,7 @@ func TestTunedClusterLooksUpOncePerDeviceType(t *testing.T) {
 		t.Fatalf("tune.cache_hits = %d, misses = %d on 4 nodes; want 1 and 0", hits, misses)
 	}
 	tuned := cl.NodeState(0).kernels["scale"].compiled[0]
-	if !tuned.GeometryCost() {
+	if !slices.Equal(localSize(t, tuned), []int64{64}) {
 		t.Fatal("node 0 did not get the tuned compile")
 	}
 	for i := 1; i < 4; i++ {

@@ -339,8 +339,10 @@ func TestEmitOpenCLTiledUsesLocalAndBarrier(t *testing.T) {
 	for _, want := range []string{
 		"__local float ta[(16) * (16)];",
 		"barrier(CLK_LOCAL_MEM_FENCE);",
-		"get_group_id(0)",
-		"get_local_id(2)",
+		"int bi = get_group_id(0);",
+		"int bj = get_group_id(1);",
+		"int ti = get_local_id(0);",
+		"int tj = get_local_id(1);",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("generated OpenCL missing %q:\n%s", want, text)
@@ -366,8 +368,8 @@ func TestLaunchConfig(t *testing.T) {
 	if g.LocalSize[0] != 16 || g.GlobalSize[0] != 1008 || g.GlobalSize[1] != 512 {
 		t.Fatalf("glue = %+v", g)
 	}
-	if g.Items() != 1008*512 {
-		t.Fatalf("items = %d", g.Items())
+	if g.GlobalSize[0]*g.GlobalSize[1] != 1008*512 {
+		t.Fatalf("items = %d", g.GlobalSize[0]*g.GlobalSize[1])
 	}
 }
 

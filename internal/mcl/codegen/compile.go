@@ -200,22 +200,10 @@ func (ks *KernelSet) compileAt(level, leaf string, h *hdl.Hierarchy) (*Compiled,
 			scalars = append(scalars, prm.Name)
 		}
 	}
-	var nest []*mcpl.Foreach
+	nest := translate.Nest(f)
 	var geomDeps ParamMask
-	for cur := f.Body; ; {
-		var fe *mcpl.Foreach
-		for _, s := range cur.Stmts {
-			if x, ok := s.(*mcpl.Foreach); ok {
-				fe = x
-				break
-			}
-		}
-		if fe == nil {
-			break
-		}
-		nest = append(nest, fe)
+	for _, fe := range nest {
 		geomDeps |= namedParams(fe.Bound, scalars)
-		cur = fe.Body
 	}
 	return &Compiled{
 		Name:        ks.Name,
@@ -228,7 +216,7 @@ func (ks *KernelSet) compileAt(level, leaf string, h *hdl.Hierarchy) (*Compiled,
 		scalars:     scalars,
 		nest:        nest,
 		geomDeps:    geomDeps,
-		maxWG:       leafWorkgroupLimit(lv),
+		maxWG:       translate.WorkgroupLimit(lv),
 	}, nil
 }
 
@@ -254,19 +242,6 @@ func namedParams(x mcpl.Expr, scalars []string) ParamMask {
 // order: bit i of a ParamMask stands for the i-th.
 func (c *Compiled) ScalarParams() []string { return c.scalars }
 
-// leafWorkgroupLimit reads the leaf's work-group size bound from its
-// innermost parallelism unit (threads on GPUs, vectors on MIC/CPU). 0 means
-// unlimited (the root's idealized threads).
-func leafWorkgroupLimit(lv *hdl.Level) int64 {
-	if u := lv.LookupPar("threads"); u != nil && u.Max > 0 {
-		return u.Max
-	}
-	if u := lv.LookupPar("vectors"); u != nil && u.Max > 0 {
-		return u.Max
-	}
-	return 0
-}
-
 // FlatLaunchDims reports the dimensionality of the kernel's flat foreach
 // nest — the shape whose work-group extents the tuner may choose — or 0 when
 // the kernel fixes its own blocks-of-threads structure (hand-optimized
@@ -291,10 +266,11 @@ func (c *Compiled) FlatLaunchDims() int {
 // work-group limit overruns, bounds padding, compute-unit quantization; see
 // geometryEff), and the flat foreach nest launches with the work-group
 // extents local (the launch-time local size of the generated OpenCL, which
-// needs no re-emission). nil or empty local keeps the translator default.
-// The extents must match the nest's dimensionality, be positive, and stay
-// within the leaf's work-group limit. c itself, shared by every caller of
-// Compile, keeps the translator-era cost model byte for byte; the tuner and
+// needs no re-emission). nil or empty local keeps the default extents
+// (translate.Extents under the leaf's limit: the geometry mclc -emit
+// generates). The extents must match the nest's dimensionality, be
+// positive, and stay within the leaf's work-group limit. c itself, shared by
+// every caller of Compile, keeps the geometry-free cost model; the tuner and
 // tuned clusters use the copy for every configuration they compare, default
 // geometry included.
 func (c *Compiled) WithGeometry(local []int64) (*Compiled, error) {
@@ -323,15 +299,8 @@ func (c *Compiled) WithGeometry(local []int64) (*Compiled, error) {
 	return &t, nil
 }
 
-// LaunchExtents returns the tuned work-group extents, or nil when the
-// translator default applies.
-func (c *Compiled) LaunchExtents() []int64 { return c.extents }
-
 // MaxWorkgroup reports the leaf's work-group size limit (0 = unlimited).
 func (c *Compiled) MaxWorkgroup() int64 { return c.maxWG }
-
-// GeometryCost reports whether Cost folds in the launch geometry.
-func (c *Compiled) GeometryCost() bool { return c.geomCost }
 
 // Run executes the kernel on the host at verification scale, through the
 // closure-compiled engine (internal/mcl/closure).
@@ -399,15 +368,6 @@ type Glue struct {
 	Bounds []int64
 }
 
-// Items reports the total number of work-items.
-func (g Glue) Items() int64 {
-	n := int64(1)
-	for _, s := range g.GlobalSize {
-		n *= s
-	}
-	return n
-}
-
 // LaunchConfig computes the glue configuration for a launch with the given
 // scalar parameters.
 func (c *Compiled) LaunchConfig(params map[string]int64) (Glue, error) {
@@ -446,13 +406,14 @@ func (c *Compiled) LaunchConfig(params map[string]int64) (Glue, error) {
 		return g, nil
 	}
 	// Flat thread-style nest (level perfect): MCL picks the work-group shape
-	// from its hardware descriptions, unless the tuner pinned one.
+	// from its hardware descriptions, as Translate does, unless the tuner
+	// pinned one.
 	ext := c.extents
 	if len(ext) == 0 {
-		ext = translate.BlockExtents(len(dims))
+		ext = translate.Extents(len(dims), c.maxWG)
 	}
 	for i, d := range dims {
-		e := ext[i%len(ext)]
+		e := ext[i]
 		g.LocalSize = append(g.LocalSize, e)
 		g.GlobalSize = append(g.GlobalSize, (d.bound+e-1)/e*e)
 		g.Bounds = append(g.Bounds, d.bound)

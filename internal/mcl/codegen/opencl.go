@@ -11,11 +11,12 @@ import (
 // OpenCL-C-style source text: the concrete artifact MCL generates for each
 // leaf hardware description (Sec. III-A, "generating OpenCL code").
 //
-// Parallelism mapping: the i-th foreach in a nest becomes ND-range dimension
-// i. A `blocks`/`cores` foreach maps to get_group_id, a nested
-// `threads`/`vectors` foreach to get_local_id, and a top-level thread-like
-// foreach (level perfect) to get_global_id. Multi-dimensional array accesses
-// are flattened row-major using the tracked dimension expressions.
+// Parallelism mapping follows the pairing of Compiled.LaunchConfig: the k-th
+// enclosing `blocks`/`cores` foreach is get_group_id(k), the k-th
+// `threads`/`vectors` foreach inside a group foreach is get_local_id(k), and
+// the k-th thread-like foreach of a flat nest (level perfect, untranslated)
+// is get_global_id(k). Multi-dimensional array accesses are flattened
+// row-major using the tracked dimension expressions.
 func EmitOpenCL(prog *mcpl.Program, kernel string) (string, error) {
 	f := prog.Kernel(kernel)
 	if f == nil {
@@ -37,10 +38,10 @@ func EmitOpenCL(prog *mcpl.Program, kernel string) (string, error) {
 }
 
 type emitter struct {
-	dims    map[string][]mcpl.Expr
-	indent  int
-	dim     int // next ND-range dimension
-	inGroup int // number of enclosing group-unit (blocks/cores) foreachs
+	dims   map[string][]mcpl.Expr
+	indent int
+	// Enclosing foreachs by ND-range id function: the next dimension of each.
+	groups, locals, globals int
 }
 
 func (e *emitter) pad(b *strings.Builder) {
@@ -64,7 +65,6 @@ func ctype(t mcpl.Type) string {
 }
 
 func (e *emitter) fn(b *strings.Builder, f *mcpl.Func) error {
-	e.dim = 0
 	if f.IsKernel() {
 		fmt.Fprintf(b, "__kernel %s %s(", ctype(f.Return), f.Name)
 	} else {
@@ -192,22 +192,17 @@ func (e *emitter) stmt(b *strings.Builder, s mcpl.Stmt) error {
 		e.pad(b)
 		b.WriteString("}\n")
 	case *mcpl.Foreach:
-		idFn := "get_global_id"
-		isGroup := false
+		idFn, n := "get_global_id", &e.globals
 		switch st.Unit {
 		case "blocks", "cores":
-			idFn = "get_group_id"
-			isGroup = true
+			idFn, n = "get_group_id", &e.groups
 		case "threads", "vectors":
-			if e.inGroup > 0 {
-				idFn = "get_local_id"
+			if e.groups > 0 {
+				idFn, n = "get_local_id", &e.locals
 			}
 		}
-		if isGroup {
-			e.inGroup++
-		}
-		d := e.dim
-		e.dim++
+		d := *n
+		*n++
 		e.pad(b)
 		fmt.Fprintf(b, "int %s = %s(%d); /* foreach %s in %s %s */\n",
 			st.Var, idFn, d, st.Var, e.expr(st.Bound), st.Unit)
@@ -220,10 +215,7 @@ func (e *emitter) stmt(b *strings.Builder, s mcpl.Stmt) error {
 		e.indent--
 		e.pad(b)
 		b.WriteString("}\n")
-		e.dim--
-		if isGroup {
-			e.inGroup--
-		}
+		*n--
 	case *mcpl.Return:
 		e.pad(b)
 		if st.Value != nil {

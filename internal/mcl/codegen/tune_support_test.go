@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,7 +89,8 @@ func TestSetLaunchExtents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := tuned.LaunchConfig(map[string]int64{"n": 1000, "m": 500, "p": 64})
+	params := map[string]int64{"n": 1000, "m": 500, "p": 64}
+	g, err := tuned.LaunchConfig(params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,17 +103,37 @@ func TestSetLaunchExtents(t *testing.T) {
 	if g.Bounds[0] != 1000 || g.Bounds[1] != 500 {
 		t.Fatalf("bounds = %v", g.Bounds)
 	}
-	// The tuned copy leaves the shared compile as it was.
-	if c.LaunchExtents() != nil || c.GeometryCost() {
-		t.Fatal("WithGeometry modified the shared compile")
+	// The tuned copy leaves the shared compile as it was: default extents,
+	// geometry-free cost.
+	local := func(c *Compiled) []int64 {
+		t.Helper()
+		g, err := c.LaunchConfig(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.LocalSize
 	}
-	// nil keeps the translator default.
+	cost := func(c *Compiled) device.KernelCost {
+		t.Helper()
+		kc, err := c.Cost(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return kc
+	}
+	if got := local(c); !slices.Equal(got, []int64{16, 16}) {
+		t.Fatalf("WithGeometry modified the shared compile: local %v", got)
+	}
+	// nil keeps the default extents but turns the geometry cost on.
 	def, err := c.WithGeometry(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.LaunchExtents() != nil || !def.GeometryCost() {
-		t.Fatalf("default geometry: extents %v, geometry cost %v", def.LaunchExtents(), def.GeometryCost())
+	if got := local(def); !slices.Equal(got, []int64{16, 16}) {
+		t.Fatalf("default geometry: local %v", got)
+	}
+	if cost(def) == cost(c) {
+		t.Fatal("default geometry kept the geometry-free cost")
 	}
 
 	// Error cases: wrong rank, non-positive, over the work-group limit.

@@ -71,17 +71,6 @@ func (l *Level) LookupMem(name string) *MemSpace {
 	return nil
 }
 
-// Mapping resolves the decomposition of a parent-level parallelism unit at
-// this level, searching ancestors.
-func (l *Level) Mapping(unit string) []string {
-	for lv := l; lv != nil; lv = lv.Parent {
-		if m, ok := lv.Mappings[unit]; ok {
-			return m
-		}
-	}
-	return nil
-}
-
 // Depth reports the distance to the root.
 func (l *Level) Depth() int {
 	d := 0

@@ -1,6 +1,7 @@
 package hdl
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -107,17 +108,18 @@ func TestInheritanceLookups(t *testing.T) {
 	}
 }
 
+// TestMappingResolution: each mapping parses onto the level that declares
+// it, and only gpu, mic and cpu declare one. Leaves inherit none of them as
+// their own, so translate can tell a kernel's units from the ones a level
+// below it decomposes.
 func TestMappingResolution(t *testing.T) {
 	h := Library()
-	gtx480, _ := h.Lookup("gtx480")
-	m := gtx480.Mapping("threads")
-	if len(m) != 2 || m[0] != "blocks" || m[1] != "threads" {
-		t.Fatalf("gtx480 mapping of threads = %v", m)
-	}
-	phi, _ := h.Lookup("xeon_phi")
-	m = phi.Mapping("threads")
-	if len(m) != 2 || m[0] != "cores" || m[1] != "vectors" {
-		t.Fatalf("xeon_phi mapping of threads = %v", m)
+	want := map[string][]string{"gpu": {"blocks", "threads"}, "mic": {"cores", "vectors"}, "cpu": {"cores", "vectors"}}
+	for name, lv := range h.Levels {
+		m, ok := lv.Mappings["threads"]
+		if w, declares := want[name]; ok != declares || !slices.Equal(m, w) || len(lv.Mappings) > 1 {
+			t.Errorf("%s declares mappings %v, want threads -> %v", name, lv.Mappings, w)
+		}
 	}
 }
 

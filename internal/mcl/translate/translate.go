@@ -14,30 +14,89 @@ import (
 	"cashmere/internal/mcl/mcpl"
 )
 
-// BlockExtents returns the per-dimension work-group extents used when a
-// nest of `dims` consecutive mapped foreach statements is decomposed. The
-// products stay at 256 work-items, a portable default across the devices in
-// the catalog (AMD's limit is 256).
-func BlockExtents(dims int) []int64 {
-	switch dims {
-	case 1:
-		return []int64{256}
-	case 2:
-		return []int64{16, 16}
-	default:
-		ext := make([]int64, dims)
-		for i := range ext {
+// Nest returns the kernel's leading foreach nest, outermost first: the
+// first foreach among the body's statements, then the first foreach among
+// that foreach's body statements, and so on. Its foreachs are the ND-range
+// dimensions of a launch: Translate sizes their work-groups and
+// codegen.Compiled.LaunchConfig prices them.
+func Nest(f *mcpl.Func) []*mcpl.Foreach {
+	var nest []*mcpl.Foreach
+	for b := f.Body; ; {
+		var fe *mcpl.Foreach
+		for _, s := range b.Stmts {
+			if x, ok := s.(*mcpl.Foreach); ok {
+				fe = x
+				break
+			}
+		}
+		if fe == nil {
+			return nest
+		}
+		nest = append(nest, fe)
+		b = fe.Body
+	}
+}
+
+// WorkgroupLimit reads a level's work-group size bound from its innermost
+// parallelism unit (threads on GPUs, vectors on MIC/CPU). 0 means unlimited
+// (the root's idealized threads).
+func WorkgroupLimit(lv *hdl.Level) int64 {
+	if u := lv.LookupPar("threads"); u != nil && u.Max > 0 {
+		return u.Max
+	}
+	if u := lv.LookupPar("vectors"); u != nil && u.Max > 0 {
+		return u.Max
+	}
+	return 0
+}
+
+// Extents returns the default per-dimension work-group extents of a nest of
+// dims mapped foreachs under a work-group limit (0 = unlimited): 256 for one
+// dimension, 16x16 for two, 16x4x4... beyond, a portable product across the
+// devices in the catalog (AMD's limit is 256), shrunk outermost-first until
+// the product fits the limit.
+func Extents(dims int, limit int64) []int64 {
+	ext := make([]int64, dims)
+	p := int64(1)
+	for i := range ext {
+		switch {
+		case dims == 1:
+			ext[i] = 256
+		case dims == 2 || i == 0:
+			ext[i] = 16
+		default:
 			ext[i] = 4
 		}
-		ext[0] = 16
-		return ext
+		p *= ext[i]
 	}
+	for i := 0; limit > 0 && p > limit && i < dims; i++ {
+		rest := p / ext[i]
+		ext[i] = max(1, limit/rest)
+		p = rest * ext[i]
+	}
+	return ext
+}
+
+// mapping returns how target decomposes unit for a kernel written at level
+// source: the mapping declared on the nearest level strictly below source,
+// walking from target up. A mapping declared at source or above it describes
+// units the kernel already uses, so it does not apply.
+func mapping(target *hdl.Level, source, unit string) []string {
+	for lv := target; lv != nil && lv.Name != source; lv = lv.Parent {
+		if m, ok := lv.Mappings[unit]; ok {
+			return m
+		}
+	}
+	return nil
 }
 
 // Translate rewrites the named kernel of prog for the target level and
 // returns a new program (helpers are copied unchanged, other kernels are
 // dropped). It first runs ValidateLevel for the target and returns its
-// error, so the rewrite itself cannot fail.
+// error, so the rewrite itself cannot fail. The k-th mapped foreach of the
+// kernel's leading nest becomes blocks of Extents(n, WorkgroupLimit)[k]
+// items, n the nest's mapped foreachs; any other mapped foreach is
+// decomposed as a 1-D nest.
 func Translate(prog *mcpl.Program, kernel string, target *hdl.Level) (*mcpl.Program, error) {
 	if err := ValidateLevel(prog, kernel, target); err != nil {
 		return nil, err
@@ -49,9 +108,18 @@ func Translate(prog *mcpl.Program, kernel string, target *hdl.Level) (*mcpl.Prog
 		}
 	}
 	nk := mcpl.CloneFunc(prog.Kernel(kernel))
+	t := &translator{target: target, source: nk.Level, extent: map[*mcpl.Foreach]int64{}}
+	var mapped []*mcpl.Foreach
+	for _, fe := range Nest(nk) {
+		if mapping(target, nk.Level, fe.Unit) != nil {
+			mapped = append(mapped, fe)
+		}
+	}
+	for k, e := range Extents(len(mapped), WorkgroupLimit(target)) {
+		t.extent[mapped[k]] = e
+	}
 	nk.Level = target.Name
-	t := &translator{target: target}
-	nk.Body = t.block(nk.Body, 0)
+	nk.Body = t.block(nk.Body)
 	out.Funcs = append(out.Funcs, nk)
 
 	if _, err := mcpl.Check(out); err != nil {
@@ -62,6 +130,8 @@ func Translate(prog *mcpl.Program, kernel string, target *hdl.Level) (*mcpl.Prog
 
 type translator struct {
 	target *hdl.Level
+	source string                  // the kernel's own level
+	extent map[*mcpl.Foreach]int64 // work-group extent of each mapped foreach of the leading nest
 	fresh  int
 }
 
@@ -70,85 +140,49 @@ func (t *translator) freshName(base string) string {
 	return fmt.Sprintf("_%s%d", base, t.fresh)
 }
 
-func (t *translator) block(b *mcpl.Block, depth int) *mcpl.Block {
+func (t *translator) block(b *mcpl.Block) *mcpl.Block {
 	nb := &mcpl.Block{Pos: b.Pos}
 	for _, s := range b.Stmts {
-		nb.Stmts = append(nb.Stmts, t.stmt(s, depth))
+		nb.Stmts = append(nb.Stmts, t.stmt(s))
 	}
 	return nb
 }
 
-func (t *translator) stmt(s mcpl.Stmt, depth int) mcpl.Stmt {
+func (t *translator) stmt(s mcpl.Stmt) mcpl.Stmt {
 	switch st := s.(type) {
 	case *mcpl.Foreach:
-		return t.foreach(st, depth)
+		return t.foreach(st)
 	case *mcpl.Block:
-		return t.block(st, depth)
+		return t.block(st)
 	case *mcpl.If:
-		ni := &mcpl.If{Cond: st.Cond, Then: t.block(st.Then, depth), Pos: st.Pos}
+		ni := &mcpl.If{Cond: st.Cond, Then: t.block(st.Then), Pos: st.Pos}
 		if st.Else != nil {
-			ni.Else = t.stmt(st.Else, depth)
+			ni.Else = t.stmt(st.Else)
 		}
 		return ni
 	case *mcpl.For:
-		return &mcpl.For{Init: st.Init, Cond: st.Cond, Post: st.Post, Body: t.block(st.Body, depth), Expect: st.Expect, Pos: st.Pos}
+		return &mcpl.For{Init: st.Init, Cond: st.Cond, Post: st.Post, Body: t.block(st.Body), Expect: st.Expect, Pos: st.Pos}
 	case *mcpl.While:
-		return &mcpl.While{Cond: st.Cond, Body: t.block(st.Body, depth), Expect: st.Expect, Pos: st.Pos}
+		return &mcpl.While{Cond: st.Cond, Body: t.block(st.Body), Expect: st.Expect, Pos: st.Pos}
 	default:
 		return s
 	}
 }
 
-// nestDepth counts the chain of foreach statements that starts at st and
-// whose units all have mappings at the target level: the dimensionality of
-// the decomposed ND-range.
-func (t *translator) nestDepth(st *mcpl.Foreach) int {
-	d := 0
-	cur := st
-	for cur != nil && t.target.Mapping(cur.Unit) != nil {
-		d++
-		cur = directChildForeach(cur.Body)
-	}
-	return d
-}
-
-func directChildForeach(b *mcpl.Block) *mcpl.Foreach {
-	if len(b.Stmts) == 1 {
-		if fe, ok := b.Stmts[0].(*mcpl.Foreach); ok {
-			return fe
-		}
-	}
-	return nil
-}
-
 // foreach rewrites one foreach. ValidateLevel has checked that its unit is
 // defined at the target or maps to exactly two units there.
-func (t *translator) foreach(st *mcpl.Foreach, depth int) mcpl.Stmt {
-	mapping := t.target.Mapping(st.Unit)
-	if mapping == nil {
-		return &mcpl.Foreach{Var: st.Var, Bound: st.Bound, Unit: st.Unit, Body: t.block(st.Body, depth), Pos: st.Pos}
+func (t *translator) foreach(st *mcpl.Foreach) mcpl.Stmt {
+	m := mapping(t.target, t.source, st.Unit)
+	if m == nil {
+		return &mcpl.Foreach{Var: st.Var, Bound: st.Bound, Unit: st.Unit, Body: t.block(st.Body), Pos: st.Pos}
 	}
-	outerUnit, innerUnit := mapping[0], mapping[1]
-
-	// Pick per-dimension extent based on the dimensionality of the nest
-	// this foreach starts (or continues).
-	dims := t.nestDepth(st)
-	if dims < 1 {
-		dims = 1
-	}
-	ext := BlockExtents(dims)
-	bs := ext[0]
-	if depth > 0 && depth < len(ext) {
-		bs = ext[depth]
-	}
-	if depth >= len(ext) {
-		bs = ext[len(ext)-1]
-	}
-	if u := t.target.LookupPar(innerUnit); u != nil && u.Max > 0 && bs > u.Max {
-		bs = u.Max
+	outerUnit, innerUnit := m[0], m[1]
+	bs, ok := t.extent[st]
+	if !ok {
+		bs = Extents(1, WorkgroupLimit(t.target))[0]
 	}
 
-	body := t.block(st.Body, depth+1)
+	body := t.block(st.Body)
 
 	pos := st.Pos
 	bVar := t.freshName("b")
@@ -199,8 +233,9 @@ func (t *translator) foreach(st *mcpl.Foreach, depth int) mcpl.Stmt {
 // ValidateLevel is MCL's level checker, run before translation or code
 // generation. In one walk over the kernel it checks that the kernel only
 // uses parallelism units and memory spaces defined by its declared
-// hardware-description level, and that the target level (the declared level
-// or a descendant) maps each unit it decomposes onto exactly two units. A
+// hardware-description level, and that each unit the target level (the
+// declared level or a descendant) decomposes, by a mapping declared below
+// the declared level, maps onto exactly two units. A
 // level error is reported ahead of a mapping error anywhere in the kernel.
 // A unit defined at the declared level is defined at every descendant, as
 // levels inherit their ancestors' units, so the target needs no unit check
@@ -228,7 +263,7 @@ func ValidateLevel(prog *mcpl.Program, kernel string, target *hdl.Level) error {
 					return fmt.Errorf("%v: parallelism unit %q is not defined by hardware description %q",
 						st.Pos, st.Unit, lv.Name)
 				}
-				if m := target.Mapping(st.Unit); m != nil && len(m) != 2 && mappingErr == nil {
+				if m := mapping(target, f.Level, st.Unit); m != nil && len(m) != 2 && mappingErr == nil {
 					mappingErr = fmt.Errorf("translate: unsupported mapping %v for unit %q", m, st.Unit)
 				}
 				if err := walk(st.Body); err != nil {
@@ -250,14 +285,8 @@ func ValidateLevel(prog *mcpl.Program, kernel string, target *hdl.Level) error {
 					return err
 				}
 				if st.Else != nil {
-					if blk, ok := st.Else.(*mcpl.Block); ok {
-						if err := walk(blk); err != nil {
-							return err
-						}
-					} else if ifs, ok := st.Else.(*mcpl.If); ok {
-						if err := walk(&mcpl.Block{Stmts: []mcpl.Stmt{ifs}}); err != nil {
-							return err
-						}
+					if err := walk(&mcpl.Block{Stmts: []mcpl.Stmt{st.Else}}); err != nil {
+						return err
 					}
 				}
 			case *mcpl.For:

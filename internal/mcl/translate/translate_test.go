@@ -3,6 +3,7 @@ package translate
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -92,9 +93,16 @@ func TestTranslateIntroducesBlockDecomposition(t *testing.T) {
 	if !ok || inner.Unit != "threads" {
 		t.Fatalf("inner = %+v", outer.Body.Stmts[0])
 	}
-	// 2D nest decomposes with 16x16 work-groups.
+	// 2D nest decomposes with 16x16 work-groups: the j loop, inside the
+	// guard of the reconstructed i, is the nest's second dimension.
 	if lit, ok := inner.Bound.(*mcpl.IntLit); !ok || lit.Value != 16 {
 		t.Fatalf("inner bound = %s", mcpl.ExprString(inner.Bound))
+	}
+	guard := inner.Body.Stmts[1].(*mcpl.If)
+	jOuter := guard.Then.Stmts[0].(*mcpl.Foreach)
+	jInner := jOuter.Body.Stmts[0].(*mcpl.Foreach)
+	if lit, ok := jInner.Bound.(*mcpl.IntLit); !ok || lit.Value != 16 {
+		t.Fatalf("second dimension's inner bound = %s, want 16", mcpl.ExprString(jInner.Bound))
 	}
 }
 
@@ -112,8 +120,8 @@ func TestTranslateXeonPhiUsesCoresVectors(t *testing.T) {
 }
 
 func TestTranslateRespectsUnitMax(t *testing.T) {
-	// AMD's threads max is 256 but BlockExtents(1) is 256 too; mic vectors
-	// max is 16, so a 1D kernel on xeon_phi gets 16-wide inner foreach.
+	// mic's vectors max is 16, so a 1D kernel on xeon_phi gets a 16-wide
+	// inner foreach.
 	src := `
 perfect void scale(int n, float[n] a) {
   foreach (int i in n threads) { a[i] = a[i] * 2.0; }
@@ -151,9 +159,18 @@ gpu void k(int n, float[n] a) {
 	if k.Level != "gtx480" {
 		t.Fatalf("level = %s", k.Level)
 	}
+	// gtx480 inherits gpu's `map threads blocks threads`, but the kernel's
+	// threads are already gpu's: the nest survives untouched.
 	outer := k.Body.Stmts[0].(*mcpl.Foreach)
-	if outer.Unit != "blocks" {
-		t.Fatalf("unit rewritten to %s", outer.Unit)
+	if outer.Unit != "blocks" || outer.Var != "b" {
+		t.Fatalf("outer foreach rewritten to %s in %s", outer.Var, outer.Unit)
+	}
+	inner, ok := outer.Body.Stmts[0].(*mcpl.Foreach)
+	if !ok || inner.Unit != "threads" || inner.Var != "t" || mcpl.ExprString(inner.Bound) != "256" {
+		t.Fatalf("inner statement rewritten to %+v", outer.Body.Stmts[0])
+	}
+	if _, ok := inner.Body.Stmts[0].(*mcpl.Assign); !ok || len(inner.Body.Stmts) != 1 {
+		t.Fatalf("inner body rewritten to %+v", inner.Body.Stmts)
 	}
 }
 
@@ -289,14 +306,24 @@ perfect void k(int n, float[n] a) {
 	}
 }
 
-func TestBlockExtents(t *testing.T) {
-	if e := BlockExtents(1); len(e) != 1 || e[0] != 256 {
-		t.Fatalf("1D = %v", e)
-	}
-	if e := BlockExtents(2); len(e) != 2 || e[0] != 16 || e[1] != 16 {
-		t.Fatalf("2D = %v", e)
-	}
-	if e := BlockExtents(3); len(e) != 3 {
-		t.Fatalf("3D = %v", e)
+// TestExtents pins the default work-group extents and their clamp to the
+// leaf's limit, outermost dimension first.
+func TestExtents(t *testing.T) {
+	for _, tc := range []struct {
+		leaf string
+		dims int
+		want []int64
+	}{
+		{"hd7970", 1, []int64{256}},
+		{"gtx480", 2, []int64{16, 16}},
+		{"gtx480", 3, []int64{16, 4, 4}},
+		{"xeon_phi", 1, []int64{16}},
+		{"xeon_phi", 2, []int64{1, 16}},
+		{"cpu", 2, []int64{1, 8}},
+		{"perfect", 1, []int64{256}},
+	} {
+		if got := Extents(tc.dims, WorkgroupLimit(level(t, tc.leaf))); !slices.Equal(got, tc.want) {
+			t.Errorf("%d-D on %s: extents %v, want %v", tc.dims, tc.leaf, got, tc.want)
+		}
 	}
 }

@@ -52,7 +52,7 @@ type Request struct {
 // Candidate is one evaluated configuration.
 type Candidate struct {
 	Level string  // kernel version level
-	Local []int64 // work-group extents (nil = translator/source default)
+	Local []int64 // work-group extents (nil = translate.Extents or the source's own)
 
 	ModelNs  int64 // geometry-aware modeled kernel time
 	Problems int   // feedback messages at severity Problem for the level
@@ -103,7 +103,7 @@ var extentMenu = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
 // geometries enumerates the candidate work-group shapes for a flat nest of
 // the given dimensionality under the leaf's work-group limit. The default
-// (nil = translator choice) is always first; order is deterministic.
+// (nil = translate.Extents) is always first; order is deterministic.
 func geometries(dims int, maxWG int64) [][]int64 {
 	if maxWG <= 0 {
 		maxWG = 1024
@@ -132,8 +132,9 @@ func geometries(dims int, maxWG int64) [][]int64 {
 			}
 		}
 	}
-	// Nests of 3+ dimensions keep the translator default only: the search
-	// space explodes and no catalog kernel needs it.
+	// Nests of 3+ dimensions keep the default extents only (translate.Extents,
+	// the geometry mclc -emit generates): the search space explodes and no
+	// catalog kernel needs it.
 	return out
 }
 
