@@ -10,7 +10,7 @@ COVER_FLOOR ?= 68.0
 # reach job) lets no committed command run: the audit fails above it, so deleted
 # dead code stays deleted and new code comes with a command that runs it.
 # Set to the total the audit reported when the ceiling was last lowered.
-REACH_CEILING := 2328
+REACH_CEILING := 2327
 
 .PHONY: check lint vet build test test32 benchmark-module race cover reach golden bench bench-serve bench-allocs bench-svm
 
@@ -52,9 +52,10 @@ benchmark-module:
 # the per-sim trace recorders it writes, the device runtime with its
 # graph machinery (concurrent DAG submissions share plans and workspaces),
 # and the serving layer whose partitioned runs drive drain/abort/migrate
-# paths across parallel event loops. The kernel-set compile cache, which
-# clusters on several goroutines of the experiment harness share, gets ten
-# more concurrent runs (TestKernelSetCompileConcurrent).
+# paths across parallel event loops. The kernel-set memo and compile cache,
+# which clusters on several goroutines of the experiment harness share, get
+# ten more concurrent runs, each racing a fresh NewKernelSet miss
+# (TestKernelSetCompileConcurrent).
 race:
 	$(GO) test -race ./internal/mcl/... ./internal/simnet/... ./internal/network/... ./internal/satin/... ./internal/bench/... ./internal/trace/... ./internal/core/... ./internal/ocl/... ./internal/svm/... ./internal/serve/...
 	$(GO) test -race -count=10 -run '^TestKernelSetCompileConcurrent$$' ./internal/mcl/codegen/
@@ -217,15 +218,17 @@ bench-serve:
 # SVM steady-state re-fault path (BenchmarkSVMRefault) and the memoized
 # kernel-cost lookup, for a repeated launch and for raytracer leaves that
 # differ in a parameter the cost never reads (BenchmarkKernelCost/memoized
-# and /raytrace-memoized), and an idle cluster's failed steal probes
-# (BenchmarkFailedProbe), must all report 0 allocs/op. CI fails if any of
+# and /raytrace-memoized), an idle cluster's failed steal probes
+# (BenchmarkFailedProbe) and a kernel-set memo hit, whose variadic sources
+# must not escape (BenchmarkNewKernelSet/hit; /miss, which parses, is
+# reported unpinned), must all report 0 allocs/op. CI fails if any of
 # them regresses above zero.
 bench-allocs:
 	@$(GO) test -run xxx -benchmem -benchtime 2000x \
-		-bench 'BenchmarkSimnetEventLoop|BenchmarkEventHeap|BenchmarkNetworkMessageRate|BenchmarkTraceOverhead|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkServeBatchPath|BenchmarkSVMRefault|BenchmarkKernelCost|BenchmarkFailedProbe' \
-		./internal/simnet/ ./internal/network/ ./internal/trace/ ./internal/ocl/ ./internal/core/ ./internal/svm/ ./internal/serve/ ./internal/satin/ | tee bench-allocs.out
+		-bench 'BenchmarkSimnetEventLoop|BenchmarkEventHeap|BenchmarkNetworkMessageRate|BenchmarkTraceOverhead|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkServeBatchPath|BenchmarkSVMRefault|BenchmarkKernelCost|BenchmarkFailedProbe|BenchmarkNewKernelSet' \
+		./internal/simnet/ ./internal/network/ ./internal/trace/ ./internal/ocl/ ./internal/core/ ./internal/svm/ ./internal/serve/ ./internal/satin/ ./internal/mcl/codegen/ | tee bench-allocs.out
 	@bad=$$(awk '/allocs\/op/ { name=$$1; sub(/-[0-9]+$$/, "", name); \
-		if (name ~ /^(BenchmarkSimnetEventLoop\/hold|BenchmarkSimnetEventLoop\/pingpong|BenchmarkSimnetEventLoop\/timeout|BenchmarkSimnetEventLoop\/step|BenchmarkSimnetEventLoop\/stepuntil|BenchmarkEventHeap\/(alternate|pairs|fold)\/depth=(16|64|256)|BenchmarkNetworkMessageRate\/bulk|BenchmarkNetworkMessageRate\/ctl|BenchmarkNetworkMessageRate\/contended|BenchmarkNetworkMessageRate\/stepped|BenchmarkTraceOverhead\/off|BenchmarkTraceOverhead\/off\/span-only|BenchmarkTraceOverheadDevice\/off|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkServeBatchPath\/launch|BenchmarkSVMRefault|BenchmarkKernelCost\/memoized|BenchmarkKernelCost\/raytrace-memoized|BenchmarkFailedProbe)$$/ \
+		if (name ~ /^(BenchmarkSimnetEventLoop\/hold|BenchmarkSimnetEventLoop\/pingpong|BenchmarkSimnetEventLoop\/timeout|BenchmarkSimnetEventLoop\/step|BenchmarkSimnetEventLoop\/stepuntil|BenchmarkEventHeap\/(alternate|pairs|fold)\/depth=(16|64|256)|BenchmarkNetworkMessageRate\/bulk|BenchmarkNetworkMessageRate\/ctl|BenchmarkNetworkMessageRate\/contended|BenchmarkNetworkMessageRate\/stepped|BenchmarkTraceOverhead\/off|BenchmarkTraceOverhead\/off\/span-only|BenchmarkTraceOverheadDevice\/off|BenchmarkLaunchPath|BenchmarkGraphSubmitPath|BenchmarkServeAdmitPath|BenchmarkServeBatchPath\/launch|BenchmarkSVMRefault|BenchmarkKernelCost\/memoized|BenchmarkKernelCost\/raytrace-memoized|BenchmarkFailedProbe|BenchmarkNewKernelSet\/hit)$$/ \
 		&& $$(NF-1)+0 > 0) print name, $$(NF-1), "allocs/op" }' bench-allocs.out); \
 	if [ -n "$$bad" ]; then echo "zero-alloc benchmarks regressed:"; echo "$$bad"; exit 1; fi; \
 	echo "all pinned benchmarks at 0 allocs/op"

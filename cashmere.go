@@ -198,7 +198,9 @@ func NewCluster(cfg Config) (*Cluster, error) { return core.NewCluster(cfg) }
 func DefaultConfig(n int, device string) Config { return core.DefaultConfig(n, device) }
 
 // NewKernelSet parses and checks MCPL sources defining versions of the
-// named kernel at different hardware-description levels.
+// named kernel at different hardware-description levels. The set is built
+// once per process per (name, ordered sources): later calls return the same
+// shared set, which is never modified.
 func NewKernelSet(name string, sources ...string) (*KernelSet, error) {
 	return codegen.NewKernelSet(name, sources...)
 }

@@ -123,7 +123,7 @@ func main() {
 	if *doEmit {
 		out, err := translate.Translate(prog, name, lv)
 		die(err)
-		text, err := codegen.EmitOpenCL(out, name)
+		text, err := codegen.EmitOpenCL(out, name, lv)
 		die(err)
 		fmt.Print(text)
 	}

@@ -56,14 +56,14 @@ func TestEveryKernelCompilesForEveryLeaf(t *testing.T) {
 					if !lv.HasAncestor(level) {
 						continue
 					}
-					tr, err := translate.Translate(ks.Versions[level].Prog, ks.Name, lv)
+					tr, err := translate.Translate(ks.Version(level).Prog, ks.Name, lv)
 					if err != nil {
 						t.Fatalf("%s/%v level %s on %s: translate: %v", name, variant, level, leaf, err)
 					}
 					if _, err := mcpl.Check(tr); err != nil {
 						t.Fatalf("%s/%v level %s on %s: translated kernel does not check: %v", name, variant, level, leaf, err)
 					}
-					text, err := codegen.EmitOpenCL(tr, ks.Name)
+					text, err := codegen.EmitOpenCL(tr, ks.Name, lv)
 					if err != nil {
 						t.Fatalf("%s/%v level %s on %s: emit: %v", name, variant, level, leaf, err)
 					}
@@ -131,11 +131,11 @@ func TestEmittedGeometryMatchesLaunchConfig(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tr, err := translate.Translate(ks.Versions[level].Prog, ks.Name, lv)
+				tr, err := translate.Translate(ks.Version(level).Prog, ks.Name, lv)
 				if err != nil {
 					t.Fatal(err)
 				}
-				text, err := codegen.EmitOpenCL(tr, ks.Name)
+				text, err := codegen.EmitOpenCL(tr, ks.Name, lv)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -38,29 +38,6 @@ func drivers() map[string]driver {
 	return driverTable
 }
 
-// kernelSets memoizes parsed and checked kernel sets keyed "app/variant".
-// Kernel sets are safe to share across concurrent simulations: registration
-// and compilation only read the programs (no simulation translates them),
-// and each set's compile cache is a map under the set's mutex.
-var kernelSets sync.Map
-
-func kernelsFor(appName string, v apps.Variant) (*codegen.KernelSet, error) {
-	key := appName + "/" + shortVariant(v)
-	if ks, ok := kernelSets.Load(key); ok {
-		return ks.(*codegen.KernelSet), nil
-	}
-	d, ok := drivers()[appName]
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown app %q", appName)
-	}
-	ks, err := d.kernels(v)
-	if err != nil {
-		return nil, err
-	}
-	actual, _ := kernelSets.LoadOrStore(key, ks)
-	return actual.(*codegen.KernelSet), nil
-}
-
 func buildDrivers() map[string]driver {
 	rt, mm, km, nb := apps.PaperRaytracer(), apps.PaperMatmul(), apps.PaperKMeans(), apps.PaperNBody()
 	return map[string]driver{
@@ -132,7 +109,7 @@ func Fig6KernelPerformance() (Figure, error) {
 	for _, appName := range AppNames {
 		d := drivers()[appName]
 		for _, variant := range []apps.Variant{apps.CashmereUnoptimized, apps.CashmereOptimized} {
-			ks, err := kernelsFor(appName, variant)
+			ks, err := d.kernels(variant)
 			if err != nil {
 				return fig, err
 			}
@@ -195,7 +172,7 @@ func runVariant(appName string, n int, v apps.Variant, partitions int) (apps.Res
 	if err != nil {
 		return apps.Result{}, err
 	}
-	ks, err := kernelsFor(appName, v)
+	ks, err := d.kernels(v)
 	if err != nil {
 		return apps.Result{}, err
 	}
@@ -241,10 +218,11 @@ func scalability(appName string, id [2]string, nodeCounts []int, partitions int)
 	absolute = Figure{ID: id[1], Title: appName + " absolute performance", XLabel: "nodes", YLabel: "GFLOPS"}
 	variants := []apps.Variant{apps.Satin, apps.CashmereUnoptimized, apps.CashmereOptimized}
 
-	// Warm the kernel-set cache sequentially so parallel workers share the
-	// parsed programs instead of racing to parse them redundantly.
+	// Build the kernel sets sequentially, so the parallel workers find them
+	// in codegen.NewKernelSet's memo instead of each parsing them on first use.
+	d := drivers()[appName]
 	for _, v := range variants {
-		if _, err := kernelsFor(appName, v); err != nil {
+		if _, err := d.kernels(v); err != nil {
 			return speedup, absolute, err
 		}
 	}

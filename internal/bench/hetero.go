@@ -87,7 +87,7 @@ func runHetero(appName string, cfgNodes []core.NodeSpec, record bool) (apps.Resu
 	if err != nil {
 		return apps.Result{}, nil, err
 	}
-	ks, err := kernelsFor(appName, apps.CashmereOptimized)
+	ks, err := d.kernels(apps.CashmereOptimized)
 	if err != nil {
 		return apps.Result{}, nil, err
 	}

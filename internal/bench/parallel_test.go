@@ -81,10 +81,10 @@ func TestParallelScalabilityDeterministic(t *testing.T) {
 func BenchmarkFig7Harness(b *testing.B) {
 	warm := func(b *testing.B) {
 		b.Helper()
-		// Warm the kernel-set cache so every level measures simulation
+		// Build the kernel sets first so every level measures simulation
 		// time, not first-use parsing.
 		for _, v := range []apps.Variant{apps.Satin, apps.CashmereUnoptimized, apps.CashmereOptimized} {
-			if _, err := kernelsFor("raytracer", v); err != nil {
+			if _, err := apps.RaytracerKernels(v); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -56,7 +56,7 @@ func TuneRequest(appName, dev string) (tune.Request, error) {
 	if !ok {
 		return tune.Request{}, fmt.Errorf("bench: unknown app %q", appName)
 	}
-	ks, err := kernelsFor(appName, apps.CashmereOptimized)
+	ks, err := d.kernels(apps.CashmereOptimized)
 	if err != nil {
 		return tune.Request{}, err
 	}

@@ -1,16 +1,20 @@
 package codegen
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cashmere/internal/device"
 	"cashmere/internal/mcl/hdl"
 	"cashmere/internal/mcl/interp"
 	"cashmere/internal/mcl/mcpl"
+	"cashmere/internal/mcl/translate"
 )
 
 // The unoptimized matmul of Fig. 3 (level perfect).
@@ -310,9 +314,83 @@ func TestCompiledRunMatchesReference(t *testing.T) {
 	}
 }
 
+// leafLevel looks a level up in the built-in hierarchy.
+func leafLevel(t *testing.T, name string) *hdl.Level {
+	t.Helper()
+	lv, err := hdl.Library().Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lv
+}
+
+// TestGeometryReadsHardwareDescription: on a hierarchy whose mapping names
+// neither threads/vectors nor blocks as its units, the translator, the
+// emitter and the pricer take the group unit, the item unit and the
+// work-group limit from the mapping: a 1-D perfect kernel gets 8-item
+// groups of lanes, numbered get_local_id(0).
+func TestGeometryReadsHardwareDescription(t *testing.T) {
+	h, err := hdl.Parse(`
+hardware perfect {
+  parallelism threads { max unlimited; }
+  memory main { size unlimited; }
+}
+hardware dev extends perfect {
+  parallelism cores { max 64; }
+  parallelism lanes within cores { max 8; }
+  memory global { size unlimited; }
+  map threads cores lanes;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const src = `
+perfect void scale(int n, float[n] a) {
+  foreach (int i in n threads) {
+    a[i] = a[i] * 2.0;
+  }
+}
+`
+	dev, err := h.Lookup("dev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := translate.Translate(mustCheck(t, src).Prog, "scale", dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := EmitOpenCL(tr, "scale", dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"= get_group_id(0); /* foreach _b1 in ((n + 7) / 8) cores */",
+		"= get_local_id(0); /* foreach _t2 in 8 lanes */",
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("emitted OpenCL lacks %q:\n%s", want, text)
+		}
+	}
+	ks, err := NewKernelSet("scale", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ks.Compile("dev", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := c.LaunchConfig(map[string]int64{"n": 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.MaxWorkgroup() != 8 || c.FlatLaunchDims() != 1 || !slices.Equal(g.LocalSize, []int64{8}) || !slices.Equal(g.GlobalSize, []int64{104}) {
+		t.Fatalf("limit %d, %d flat dims, glue %+v; want limit 8, 1 dim, 8-item groups over 104 items", c.MaxWorkgroup(), c.FlatLaunchDims(), g)
+	}
+}
+
 func TestEmitOpenCLGolden(t *testing.T) {
 	prog := mustCheck(t, matmulPerfect).Prog
-	text, err := EmitOpenCL(prog, "matmul")
+	text, err := EmitOpenCL(prog, "matmul", leafLevel(t, "gtx480"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +410,7 @@ func TestEmitOpenCLGolden(t *testing.T) {
 
 func TestEmitOpenCLTiledUsesLocalAndBarrier(t *testing.T) {
 	prog := mustCheck(t, matmulGPU).Prog
-	text, err := EmitOpenCL(prog, "matmul")
+	text, err := EmitOpenCL(prog, "matmul", leafLevel(t, "gtx480"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,19 +478,107 @@ func TestCostMissingDeviceModel(t *testing.T) {
 	}
 }
 
+// TestKernelSetErrors: NewKernelSet rejects each bad source list, with the
+// same error on every call, and its memo stores nothing for it.
 func TestKernelSetErrors(t *testing.T) {
-	if _, err := NewKernelSet("matmul"); err == nil {
-		t.Fatal("empty kernel set accepted")
+	for _, tc := range []struct {
+		what, name string
+		sources    []string
+	}{
+		{"empty kernel set", "matmul", nil},
+		{"bad source", "matmul", []string{"not mcpl"}},
+		{"duplicate level", "matmul", []string{matmulPerfect, matmulPerfect}},
+		{"wrong kernel name", "other", []string{matmulPerfect}},
+	} {
+		_, err := NewKernelSet(tc.name, tc.sources...)
+		if err == nil {
+			t.Fatalf("%s accepted", tc.what)
+		}
+		if _, again := NewKernelSet(tc.name, tc.sources...); again == nil || again.Error() != err.Error() {
+			t.Errorf("%s: second call returned %v, first %v", tc.what, again, err)
+		}
+		kernelSetsMu.Lock()
+		stored := findKernelSet(tc.name, tc.sources)
+		kernelSetsMu.Unlock()
+		if stored != nil {
+			t.Errorf("%s: failed set was memoized", tc.what)
+		}
 	}
-	if _, err := NewKernelSet("matmul", "not mcpl"); err == nil {
-		t.Fatal("bad source accepted")
+}
+
+// TestNewKernelSetMemo: NewKernelSet returns one shared set per (name,
+// ordered sources); a different name, a different source or the same
+// sources in another order is a different set, itself shared.
+func TestNewKernelSetMemo(t *testing.T) {
+	// One source defining two kernels, so two names over the same sources
+	// both build.
+	const scale = `
+perfect void scale(int n, float[n] a) {
+  foreach (int i in n threads) {
+    a[i] = a[i] * 2.0;
+  }
+}
+`
+	both := matmulPerfect + scale
+	type key struct {
+		name    string
+		sources []string
 	}
-	if _, err := NewKernelSet("matmul", matmulPerfect, matmulPerfect); err == nil {
-		t.Fatal("duplicate level accepted")
+	keys := []key{
+		{"matmul", []string{matmulPerfect, matmulGPU}},
+		{"matmul", []string{matmulGPU, matmulPerfect}},
+		{"matmul", []string{matmulPerfect}},
+		{"matmul", []string{matmulPerfect + "// edited\n"}},
+		{"matmul", []string{both}},
+		{"scale", []string{both}},
 	}
-	if _, err := NewKernelSet("other", matmulPerfect); err == nil {
-		t.Fatal("wrong kernel name accepted")
+	seen := map[*KernelSet]key{}
+	for _, k := range keys {
+		ks, err := NewKernelSet(k.name, k.sources...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, dup := seen[ks]; dup {
+			t.Fatalf("%s over %d sources and %s over %d sources share one set", k.name, len(k.sources), prev.name, len(prev.sources))
+		}
+		seen[ks] = k
+		again, err := NewKernelSet(k.name, slices.Clone(k.sources)...)
+		if err != nil || again != ks {
+			t.Fatalf("%s over %d sources: second call built a new set (%v)", k.name, len(k.sources), err)
+		}
 	}
+}
+
+// BenchmarkNewKernelSet measures NewKernelSet on a memo hit (pinned at 0
+// allocs/op by make bench-allocs: the variadic sources must not escape) and
+// on a miss, which parses and checks the sources; the miss removes its set
+// from the memo again so the benchmark does not grow it.
+func BenchmarkNewKernelSet(b *testing.B) {
+	b.Run("hit", func(b *testing.B) {
+		if _, err := NewKernelSet("matmul", matmulPerfect, matmulGPU); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewKernelSet("matmul", matmulPerfect, matmulGPU); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		const name = "benchmiss"
+		src := strings.ReplaceAll(matmulPerfect, "matmul", name)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewKernelSet(name, src); err != nil {
+				b.Fatal(err)
+			}
+			kernelSetsMu.Lock()
+			delete(kernelSets, name)
+			kernelSetsMu.Unlock()
+		}
+	})
 }
 
 // TestCompiledRunUsesClosureEngine checks that Compile wires in the
@@ -437,18 +603,22 @@ func TestCompiledRunUsesClosureEngine(t *testing.T) {
 	}
 }
 
-// TestKernelSetCompileConcurrent: goroutines compiling one kernel set at
-// once, in different leaf orders, all get the set's one Compiled per
-// (level, leaf), and price launches with it at the same time.
+// concurrentRun numbers the runs of TestKernelSetCompileConcurrent, so each
+// run (make race repeats it) builds a kernel set no earlier run stored.
+var concurrentRun atomic.Int64
+
+// TestKernelSetCompileConcurrent: goroutines that build one new kernel set
+// at once all get the one set NewKernelSet stores, then compile it, in
+// different leaf orders, all get the set's one Compiled per (level, leaf),
+// and price launches with it at the same time.
 func TestKernelSetCompileConcurrent(t *testing.T) {
 	h := hdl.Library()
-	ks, err := NewKernelSet("matmul", matmulPerfect, matmulGPU)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A source no other test or run uses, so the workers race on a memo miss.
+	gpu := matmulGPU + fmt.Sprintf("// run %d\n", concurrentRun.Add(1))
 	leaves := hdl.AcceleratorLeaves
 	params := map[string]int64{"n": 256, "m": 256, "p": 256}
 	const workers = 8
+	sets := make([]*KernelSet, workers)
 	got := make([][]*Compiled, workers) // per worker: Compile, then CompileAt perfect, per leaf
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -456,6 +626,12 @@ func TestKernelSetCompileConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			ks, err := NewKernelSet("matmul", matmulPerfect, gpu)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sets[w] = ks
 			for k := range leaves {
 				i := (k + w) % len(leaves)
 				c, err := ks.Compile(leaves[i], h)
@@ -480,8 +656,12 @@ func TestKernelSetCompileConcurrent(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	ks := sets[0]
 	distinct := map[*Compiled]bool{}
 	for w := range got {
+		if sets[w] != ks {
+			t.Fatalf("worker %d got its own kernel set", w)
+		}
 		for i, c := range got[w] {
 			if c != got[0][i] {
 				t.Fatalf("worker %d got its own compile of %s", w, leaves[i/2])

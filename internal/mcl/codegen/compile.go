@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -14,12 +15,16 @@ import (
 
 // KernelSet holds the versions of one kernel at different abstraction
 // levels — the "multiple files with different versions of the same kernel"
-// that stepwise refinement produces (Sec. III-A).
+// that stepwise refinement produces (Sec. III-A). NewKernelSet builds one
+// set per (name, sources) per process and hands the same set to every
+// caller, so a set is never modified after it is built: its versions are
+// read through Version and Levels, and its caches grow under mu.
 type KernelSet struct {
-	Name     string
-	Versions map[string]*mcpl.Info // level -> checked program containing the kernel
+	Name string
 
-	sources map[string]string // level -> source text, for Fingerprint
+	sources  []string              // as passed to NewKernelSet, in order: the memo key
+	versions map[string]*mcpl.Info // level -> checked program containing the kernel
+	levelSrc map[string]string     // level -> source text, for Fingerprint
 
 	// mu guards the compile cache: every node and cluster that uses the set
 	// shares one Compiled per (level, leaf, hierarchy), as MCL compiles each
@@ -35,12 +40,56 @@ type compileKey struct {
 	h           *hdl.Hierarchy
 }
 
-// NewKernelSet parses and checks each source file and indexes the versions
-// of the named kernel by their declared level. Each version is checked here,
-// once; compilation, cost analysis and feedback reuse its checker result.
+// kernelSets memoizes NewKernelSet for the life of the process: name -> the
+// sets built under that name, one per distinct ordered source list.
+var (
+	kernelSetsMu sync.Mutex
+	kernelSets   = map[string][]*KernelSet{}
+)
+
+// NewKernelSet returns the kernel set of the named kernel over the given
+// sources: each source parsed and checked, and the kernel's versions
+// indexed by their declared level. The set is built once per process per
+// (name, ordered sources); every later call returns the same shared set,
+// which is never modified, so its checked programs, closure engines and
+// Compiled results serve every caller. Each version is checked once;
+// compilation, cost analysis and feedback reuse its checker result. Errors
+// are not cached: a failing call stores nothing.
 func NewKernelSet(name string, sources ...string) (*KernelSet, error) {
+	kernelSetsMu.Lock()
+	ks := findKernelSet(name, sources)
+	kernelSetsMu.Unlock()
+	if ks != nil {
+		return ks, nil
+	}
+	ks, err := buildKernelSet(name, slices.Clone(sources))
+	if err != nil {
+		return nil, err
+	}
+	kernelSetsMu.Lock()
+	defer kernelSetsMu.Unlock()
+	if prev := findKernelSet(name, sources); prev != nil {
+		return prev, nil // a concurrent call stored its set first
+	}
+	kernelSets[name] = append(kernelSets[name], ks)
+	return ks, nil
+}
+
+// findKernelSet returns the memoized set for (name, sources), or nil;
+// kernelSetsMu is held.
+func findKernelSet(name string, sources []string) *KernelSet {
+	for _, ks := range kernelSets[name] {
+		if slices.Equal(ks.sources, sources) {
+			return ks
+		}
+	}
+	return nil
+}
+
+// buildKernelSet parses and checks the sources; it owns the sources slice.
+func buildKernelSet(name string, sources []string) (*KernelSet, error) {
 	ks := &KernelSet{
-		Name: name, Versions: map[string]*mcpl.Info{}, sources: map[string]string{},
+		Name: name, sources: sources, versions: map[string]*mcpl.Info{}, levelSrc: map[string]string{},
 		compiled: map[compileKey]*Compiled{}, engines: map[string]*closure.Kernel{},
 	}
 	for i, src := range sources {
@@ -56,17 +105,22 @@ func NewKernelSet(name string, sources ...string) (*KernelSet, error) {
 		if k == nil {
 			return nil, fmt.Errorf("codegen: source %d does not define kernel %q", i, name)
 		}
-		if _, dup := ks.Versions[k.Level]; dup {
+		if _, dup := ks.versions[k.Level]; dup {
 			return nil, fmt.Errorf("codegen: kernel %s has two versions at level %q", name, k.Level)
 		}
-		ks.Versions[k.Level] = info
-		ks.sources[k.Level] = src
+		ks.versions[k.Level] = info
+		ks.levelSrc[k.Level] = src
 	}
-	if len(ks.Versions) == 0 {
+	if len(ks.versions) == 0 {
 		return nil, fmt.Errorf("codegen: kernel %s has no versions", name)
 	}
 	return ks, nil
 }
+
+// Version returns the checked program of the version at level, or nil when
+// the set has none there. It is shared by every user of the set and must
+// not be modified.
+func (ks *KernelSet) Version(level string) *mcpl.Info { return ks.versions[level] }
 
 // FNV-1a constants for Fingerprint.
 const (
@@ -90,7 +144,7 @@ func (ks *KernelSet) Fingerprint() uint64 {
 	mix(ks.Name)
 	for _, level := range ks.Levels() {
 		mix(level)
-		mix(ks.sources[level])
+		mix(ks.levelSrc[level])
 	}
 	return h
 }
@@ -98,7 +152,7 @@ func (ks *KernelSet) Fingerprint() uint64 {
 // Levels returns the available version levels, sorted.
 func (ks *KernelSet) Levels() []string {
 	var out []string
-	for l := range ks.Versions {
+	for l := range ks.versions {
 		out = append(out, l)
 	}
 	sort.Strings(out)
@@ -122,9 +176,9 @@ type Compiled struct {
 	nest     []*mcpl.Foreach // the kernel's leading foreach nest, outermost first
 	geomDeps ParamMask       // scalar parameters named in the nest's bounds
 
-	extents  []int64 // tuned per-dimension work-group extents (flat nests only; see WithGeometry)
-	geomCost bool    // fold the launch geometry into Cost (see WithGeometry)
-	maxWG    int64   // leaf work-group size limit (0 = unlimited)
+	extents  []int64             // tuned per-dimension work-group extents (flat nests only; see WithGeometry)
+	geomCost bool                // fold the launch geometry into Cost (see WithGeometry)
+	wg       translate.Workgroup // the leaf's group and item units and work-group limit
 }
 
 // Compile selects the most specific applicable version for the leaf,
@@ -166,7 +220,7 @@ func (ks *KernelSet) compileAt(level, leaf string, h *hdl.Hierarchy) (*Compiled,
 	if err != nil {
 		return nil, err
 	}
-	info, ok := ks.Versions[level]
+	info, ok := ks.versions[level]
 	if !ok {
 		return nil, fmt.Errorf("codegen: kernel %s has no version at level %q (available: %v)", ks.Name, level, ks.Levels())
 	}
@@ -216,7 +270,7 @@ func (ks *KernelSet) compileAt(level, leaf string, h *hdl.Hierarchy) (*Compiled,
 		scalars:     scalars,
 		nest:        nest,
 		geomDeps:    geomDeps,
-		maxWG:       translate.WorkgroupLimit(lv),
+		wg:          translate.WorkgroupOf(lv),
 	}, nil
 }
 
@@ -244,12 +298,12 @@ func (c *Compiled) ScalarParams() []string { return c.scalars }
 
 // FlatLaunchDims reports the dimensionality of the kernel's flat foreach
 // nest — the shape whose work-group extents the tuner may choose — or 0 when
-// the kernel fixes its own blocks-of-threads structure (hand-optimized
-// versions pin their geometry in the source).
+// the kernel fixes its own groups-of-items structure in the leaf's group
+// unit (hand-optimized versions pin their geometry in the source).
 func (c *Compiled) FlatLaunchDims() int {
 	groups, threads := 0, 0
 	for _, fe := range c.nest {
-		if fe.Unit != "threads" && fe.Unit != "vectors" {
+		if fe.Unit == c.wg.Group {
 			groups++
 		} else {
 			threads++
@@ -289,8 +343,8 @@ func (c *Compiled) WithGeometry(local []int64) (*Compiled, error) {
 			}
 			p *= e
 		}
-		if c.maxWG > 0 && p > c.maxWG {
-			return nil, fmt.Errorf("codegen: kernel %s: work-group of %d items exceeds the %s limit of %d", c.Name, p, c.Leaf, c.maxWG)
+		if c.wg.Limit > 0 && p > c.wg.Limit {
+			return nil, fmt.Errorf("codegen: kernel %s: work-group of %d items exceeds the %s limit of %d", c.Name, p, c.Leaf, c.wg.Limit)
 		}
 	}
 	t := *c
@@ -300,7 +354,7 @@ func (c *Compiled) WithGeometry(local []int64) (*Compiled, error) {
 }
 
 // MaxWorkgroup reports the leaf's work-group size limit (0 = unlimited).
-func (c *Compiled) MaxWorkgroup() int64 { return c.maxWG }
+func (c *Compiled) MaxWorkgroup() int64 { return c.wg.Limit }
 
 // Run executes the kernel on the host at verification scale, through the
 // closure-compiled engine (internal/mcl/closure).
@@ -342,7 +396,7 @@ func (c *Compiled) CostObserved(params map[string]int64) (device.KernelCost, Par
 	if c.geomCost {
 		observed |= c.geomDeps
 		if g, gerr := c.LaunchConfig(params); gerr == nil {
-			eff := geometryEff(c.spec, c.maxWG, g)
+			eff := geometryEff(c.spec, c.wg.Limit, g)
 			kc.ComputeEff *= eff
 			if kc.ComputeEff < 0.02 {
 				kc.ComputeEff = 0.02
@@ -373,7 +427,7 @@ type Glue struct {
 func (c *Compiled) LaunchConfig(params map[string]int64) (Glue, error) {
 	type dim struct {
 		bound int64
-		group bool // blocks/cores vs threads/vectors
+		group bool // in the leaf's group unit (blocks, cores), else an item foreach
 	}
 	var dims []dim
 	for _, fe := range c.nest {
@@ -381,7 +435,7 @@ func (c *Compiled) LaunchConfig(params map[string]int64) (Glue, error) {
 		if err != nil {
 			return Glue{}, fmt.Errorf("codegen: foreach bound %s: %w", mcpl.ExprString(fe.Bound), err)
 		}
-		dims = append(dims, dim{bound: b, group: fe.Unit != "threads" && fe.Unit != "vectors"})
+		dims = append(dims, dim{bound: b, group: fe.Unit == c.wg.Group})
 	}
 	if len(dims) == 0 {
 		return Glue{}, fmt.Errorf("codegen: kernel %s has no foreach parallelism", c.Name)
@@ -396,8 +450,8 @@ func (c *Compiled) LaunchConfig(params map[string]int64) (Glue, error) {
 	}
 	g := Glue{}
 	if len(groups) > 0 && len(groups) == len(threads) {
-		// Explicit blocks-of-threads structure (hand-optimized kernels):
-		// pair the i-th group dimension with the i-th thread dimension.
+		// Explicit groups-of-items structure (hand-optimized kernels):
+		// pair the i-th group dimension with the i-th item dimension.
 		for i := range groups {
 			g.GlobalSize = append(g.GlobalSize, groups[i]*threads[i])
 			g.LocalSize = append(g.LocalSize, threads[i])
@@ -410,7 +464,7 @@ func (c *Compiled) LaunchConfig(params map[string]int64) (Glue, error) {
 	// pinned one.
 	ext := c.extents
 	if len(ext) == 0 {
-		ext = translate.Extents(len(dims), c.maxWG)
+		ext = translate.Extents(len(dims), c.wg.Limit)
 	}
 	for i, d := range dims {
 		e := ext[i]

@@ -4,25 +4,28 @@ import (
 	"fmt"
 	"strings"
 
+	"cashmere/internal/mcl/hdl"
 	"cashmere/internal/mcl/mcpl"
+	"cashmere/internal/mcl/translate"
 )
 
 // EmitOpenCL renders a checked kernel (and the helpers it can call) as
 // OpenCL-C-style source text: the concrete artifact MCL generates for each
 // leaf hardware description (Sec. III-A, "generating OpenCL code").
 //
-// Parallelism mapping follows the pairing of Compiled.LaunchConfig: the k-th
-// enclosing `blocks`/`cores` foreach is get_group_id(k), the k-th
-// `threads`/`vectors` foreach inside a group foreach is get_local_id(k), and
-// the k-th thread-like foreach of a flat nest (level perfect, untranslated)
-// is get_global_id(k). Multi-dimensional array accesses are flattened
-// row-major using the tracked dimension expressions.
-func EmitOpenCL(prog *mcpl.Program, kernel string) (string, error) {
+// Parallelism mapping follows the pairing of Compiled.LaunchConfig, over the
+// target level's translate.WorkgroupOf: the k-th enclosing foreach in the
+// group unit (blocks, cores) is get_group_id(k), the k-th foreach in the
+// item unit (threads, vectors) inside a group foreach is get_local_id(k),
+// and the k-th other foreach, as in a flat nest (level perfect,
+// untranslated), is get_global_id(k). Multi-dimensional array accesses are
+// flattened row-major using the tracked dimension expressions.
+func EmitOpenCL(prog *mcpl.Program, kernel string, target *hdl.Level) (string, error) {
 	f := prog.Kernel(kernel)
 	if f == nil {
 		return "", fmt.Errorf("codegen: kernel %q not found", kernel)
 	}
-	e := &emitter{dims: map[string][]mcpl.Expr{}}
+	e := &emitter{dims: map[string][]mcpl.Expr{}, wg: translate.WorkgroupOf(target)}
 	var b strings.Builder
 	fmt.Fprintf(&b, "// Generated by MCL from level %q. Do not edit.\n", f.Level)
 	for _, fn := range prog.Funcs {
@@ -39,6 +42,7 @@ func EmitOpenCL(prog *mcpl.Program, kernel string) (string, error) {
 
 type emitter struct {
 	dims   map[string][]mcpl.Expr
+	wg     translate.Workgroup // the target's group and item units
 	indent int
 	// Enclosing foreachs by ND-range id function: the next dimension of each.
 	groups, locals, globals int
@@ -193,13 +197,11 @@ func (e *emitter) stmt(b *strings.Builder, s mcpl.Stmt) error {
 		b.WriteString("}\n")
 	case *mcpl.Foreach:
 		idFn, n := "get_global_id", &e.globals
-		switch st.Unit {
-		case "blocks", "cores":
+		switch {
+		case st.Unit == e.wg.Group:
 			idFn, n = "get_group_id", &e.groups
-		case "threads", "vectors":
-			if e.groups > 0 {
-				idFn, n = "get_local_id", &e.locals
-			}
+		case st.Unit == e.wg.Item && e.groups > 0:
+			idFn, n = "get_local_id", &e.locals
 		}
 		d := *n
 		*n++

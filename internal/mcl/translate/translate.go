@@ -37,17 +37,38 @@ func Nest(f *mcpl.Func) []*mcpl.Foreach {
 	}
 }
 
-// WorkgroupLimit reads a level's work-group size bound from its innermost
-// parallelism unit (threads on GPUs, vectors on MIC/CPU). 0 means unlimited
-// (the root's idealized threads).
-func WorkgroupLimit(lv *hdl.Level) int64 {
-	if u := lv.LookupPar("threads"); u != nil && u.Max > 0 {
-		return u.Max
+// Workgroup is how a level launches a foreach nest as an ND-range, read
+// from its hardware description: the mapping declared nearest to it (at the
+// level or an ancestor) splits a unit into a Group unit and an Item unit
+// inside it (on a GPU, threads into blocks of threads), and the Item unit's
+// maximum at the level bounds a work-group.
+type Workgroup struct {
+	Group, Item string // "" where no level up to the root declares a mapping
+	Limit       int64  // work-group size limit, 0 = unlimited
+}
+
+// WorkgroupOf returns lv's work-group decomposition. Where one level
+// declares several two-unit mappings, the one of the alphabetically first
+// unit applies.
+func WorkgroupOf(lv *hdl.Level) Workgroup {
+	for l := lv; l != nil; l = l.Parent {
+		unit := ""
+		for u, m := range l.Mappings {
+			if len(m) == 2 && (unit == "" || u < unit) {
+				unit = u
+			}
+		}
+		if unit == "" {
+			continue
+		}
+		m := l.Mappings[unit]
+		wg := Workgroup{Group: m[0], Item: m[1]}
+		if u := lv.LookupPar(wg.Item); u != nil {
+			wg.Limit = u.Max
+		}
+		return wg
 	}
-	if u := lv.LookupPar("vectors"); u != nil && u.Max > 0 {
-		return u.Max
-	}
-	return 0
+	return Workgroup{}
 }
 
 // Extents returns the default per-dimension work-group extents of a nest of
@@ -94,9 +115,9 @@ func mapping(target *hdl.Level, source, unit string) []string {
 // returns a new program (helpers are copied unchanged, other kernels are
 // dropped). It first runs ValidateLevel for the target and returns its
 // error, so the rewrite itself cannot fail. The k-th mapped foreach of the
-// kernel's leading nest becomes blocks of Extents(n, WorkgroupLimit)[k]
-// items, n the nest's mapped foreachs; any other mapped foreach is
-// decomposed as a 1-D nest.
+// kernel's leading nest becomes blocks of Extents(n, limit)[k] items, n the
+// nest's mapped foreachs and limit the target's WorkgroupOf; any other
+// mapped foreach is decomposed as a 1-D nest.
 func Translate(prog *mcpl.Program, kernel string, target *hdl.Level) (*mcpl.Program, error) {
 	if err := ValidateLevel(prog, kernel, target); err != nil {
 		return nil, err
@@ -108,14 +129,14 @@ func Translate(prog *mcpl.Program, kernel string, target *hdl.Level) (*mcpl.Prog
 		}
 	}
 	nk := mcpl.CloneFunc(prog.Kernel(kernel))
-	t := &translator{target: target, source: nk.Level, extent: map[*mcpl.Foreach]int64{}}
+	t := &translator{target: target, source: nk.Level, limit: WorkgroupOf(target).Limit, extent: map[*mcpl.Foreach]int64{}}
 	var mapped []*mcpl.Foreach
 	for _, fe := range Nest(nk) {
 		if mapping(target, nk.Level, fe.Unit) != nil {
 			mapped = append(mapped, fe)
 		}
 	}
-	for k, e := range Extents(len(mapped), WorkgroupLimit(target)) {
+	for k, e := range Extents(len(mapped), t.limit) {
 		t.extent[mapped[k]] = e
 	}
 	nk.Level = target.Name
@@ -131,6 +152,7 @@ func Translate(prog *mcpl.Program, kernel string, target *hdl.Level) (*mcpl.Prog
 type translator struct {
 	target *hdl.Level
 	source string                  // the kernel's own level
+	limit  int64                   // the target's work-group size limit
 	extent map[*mcpl.Foreach]int64 // work-group extent of each mapped foreach of the leading nest
 	fresh  int
 }
@@ -179,7 +201,7 @@ func (t *translator) foreach(st *mcpl.Foreach) mcpl.Stmt {
 	outerUnit, innerUnit := m[0], m[1]
 	bs, ok := t.extent[st]
 	if !ok {
-		bs = Extents(1, WorkgroupLimit(t.target))[0]
+		bs = Extents(1, t.limit)[0]
 	}
 
 	body := t.block(st.Body)

@@ -322,7 +322,7 @@ func TestExtents(t *testing.T) {
 		{"cpu", 2, []int64{1, 8}},
 		{"perfect", 1, []int64{256}},
 	} {
-		if got := Extents(tc.dims, WorkgroupLimit(level(t, tc.leaf))); !slices.Equal(got, tc.want) {
+		if got := Extents(tc.dims, WorkgroupOf(level(t, tc.leaf)).Limit); !slices.Equal(got, tc.want) {
 			t.Errorf("%d-D on %s: extents %v, want %v", tc.dims, tc.leaf, got, tc.want)
 		}
 	}

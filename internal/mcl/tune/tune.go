@@ -166,7 +166,7 @@ func Tune(req Request, h *hdl.Hierarchy) (*Result, error) {
 			return nil, err
 		}
 		problems, warnings := 0, 0
-		if msgs, err := feedback.Generate(req.Set.Versions[level], req.Set.Name, req.Params, leafLv, req.Device); err == nil {
+		if msgs, err := feedback.Generate(req.Set.Version(level), req.Set.Name, req.Params, leafLv, req.Device); err == nil {
 			problems = feedback.Count(msgs, feedback.Problem)
 			warnings = feedback.Count(msgs, feedback.Warning) - problems
 		}
